@@ -1,0 +1,13 @@
+"""Self-tests of the benchmark (not part of tier-1).
+
+    python -m pytest bench/tests -q
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
