@@ -35,7 +35,7 @@ class ScopedMessage(WireMessage):
         self.inner = inner
         self.type = f"{scope}::{inner.type}"
 
-    def estimated_size(self) -> int:
+    def _measure(self) -> int:
         return 2 + len(self.scope) + estimate_size(self.inner)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -83,3 +83,68 @@ class TestEstimateSize:
     def test_nested_structures(self):
         nested = {"list": [1, (2, 3)], "set": frozenset({"a"})}
         assert estimate_size(nested) > 0
+
+
+class _Counted:
+    """A set member whose sizing is observable."""
+
+    walks = 0
+
+    def estimated_size(self) -> int:
+        type(self).walks += 1
+        return 142
+
+
+def _uncached(message: WireMessage) -> int:
+    return 2 + len(message.type) + sum(
+        estimate_size(getattr(message, name)) for name in message.fields)
+
+
+class TestWireMessageSizeCache:
+    """Messages are immutable by convention: size each object once."""
+
+    def setup_method(self):
+        _Counted.walks = 0
+
+    def test_large_gossip_is_walked_once(self):
+        from repro.core.messages import GossipMessage
+        gossip = GossipMessage(3, frozenset(_Counted() for _ in range(1000)))
+        first = estimate_size(gossip)
+        assert _Counted.walks == 1000
+        assert estimate_size(gossip) == first
+        assert gossip.estimated_size() == first
+        assert _Counted.walks == 1000           # not re-walked
+        assert first == _uncached(gossip)       # walks once more, uncached
+        assert _Counted.walks == 2000
+
+    def test_rebuilt_message_is_covered(self):
+        # The wire codec rebuilds instances without running __init__.
+        from repro.runtime import wire
+        rebuilt = wire.rebuild("paxos.decide", {"k": 4, "value": (1, 2, 3)})
+        assert rebuilt.estimated_size() == _uncached(rebuilt)
+        rebuilt.value = (1, 2, 3, 4, 5)         # convention broken on purpose
+        assert rebuilt.estimated_size() != _uncached(rebuilt)
+
+    def test_scoped_envelope_sizes_inner_once(self):
+        from repro.core.messages import GossipMessage
+        from repro.transport.scoped import ScopedMessage
+        inner = GossipMessage(0, frozenset(_Counted() for _ in range(50)))
+        envelope = ScopedMessage("g1", inner)
+        size = estimate_size(envelope)
+        assert size == 2 + len("g1") + _uncached(inner)
+        walks = _Counted.walks
+        assert estimate_size(envelope) == size
+        assert _Counted.walks == walks
+
+    def test_stubborn_envelope_is_sized_once(self):
+        from repro.core.messages import GossipMessage
+        from repro.transport.stubborn import StubbornBatch, StubbornData
+        inner = GossipMessage(0, frozenset(_Counted() for _ in range(50)))
+        envelope = StubbornData.wrap(7, inner)
+        batch = StubbornBatch(((7, inner.type, envelope.inner_fields),), (1,))
+        for message in (envelope, batch):
+            size = estimate_size(message)
+            assert size == _uncached(message)
+            walks = _Counted.walks
+            assert estimate_size(message) == size   # a retransmission
+            assert _Counted.walks == walks
