@@ -1,6 +1,7 @@
 """The consensus black-box interface of Section 3.2.
 
-The Atomic Broadcast layer sees consensus through exactly two primitives:
+The Atomic Broadcast layer sees consensus through two primitives (plus
+``pull_decision``, the repair hint for a decision message lost in transit):
 
 * ``propose(k, v)`` — propose value ``v`` for instance ``k``.  Proposing
   *is* logging: the proposal is durably recorded as the first operation
@@ -125,6 +126,16 @@ class ConsensusService(NodeComponent):
             if value is not None:
                 return value
             yield self.decision_signal(k).wait()
+
+    def pull_decision(self, k: int, peer: int) -> None:
+        """Ask ``peer``, known to have moved past instance ``k``, for its
+        decision.
+
+        Called by the Atomic Broadcast layer, whose gossip is what knows
+        who is ahead, when this process has sat undecided in ``k`` for a
+        whole gossip interval.  The default does nothing: it suits an
+        algorithm that disseminates its decisions reliably by itself.
+        """
 
     # -- replay support (Section 4.2, recovery) -----------------------------------
 

@@ -16,11 +16,14 @@ under crash-recovery is the best understood:
   ballot.
 * **Leadership comes from Ω** (:class:`~repro.fdetect.omega.OmegaOracle`).
   Once the underlying failure detector stabilises, a single good leader
-  runs phase 1 / phase 2 to completion and multisends ``DECIDE``.
+  runs phase 1 / phase 2 to completion and multisends ``DECIDE`` — once,
+  when it records the decision.
 * **Decisions are locked and gossiped on demand.**  Any process that
   receives *any* message for an instance it knows is decided replies with
   ``DECIDE``, so recovering processes (and the replay procedure of the
-  Atomic Broadcast layer) always converge on the locked result (P5).
+  Atomic Broadcast layer) always converge on the locked result (P5).  A
+  process whose one ``DECIDE`` was lost asks a peer it knows to be ahead
+  (:meth:`PaxosConsensus.pull_decision`, driven by the gossip tick).
 
 Setting ``durable=False`` turns off every stable-storage write, which is
 sound in the crash-**stop** model (state is never lost because crashed
@@ -122,9 +125,10 @@ class Nack(WireMessage):
 
 
 class Query(WireMessage):
-    """Decision pull: "does anyone know the outcome of instance k?"
+    """Decision pull: "do you know the outcome of instance k?"
 
-    Sent by undecided non-leaders after a silence timeout so that a lost
+    Unicast to a peer known to be ahead (``pull_decision``), and multisent
+    by undecided non-leaders after a silence timeout, so that a lost
     ``Decide`` is eventually recovered over the fair-loss channel.
     """
 
@@ -389,7 +393,11 @@ class PaxosConsensus(ConsensusService):
         if sender not in self._members(msg.k):
             return  # quorums count the instance's pinned members only
         attempt.accepts.add(sender)
-        if len(attempt.accepts) >= self._quorum(msg.k):
+        if len(attempt.accepts) >= self._quorum(msg.k) \
+                and self.decided_value(msg.k) is None:
+            # Decide leaves exactly once, on the undecided -> decided
+            # transition; a later or duplicated Accepted finds the
+            # decision recorded.  A lost copy is pulled (pull_decision).
             self._record_decision(msg.k, attempt.value)
             self.endpoint.multisend(  # repro: noqa(WAL003) -- decision is logged in durable mode; non-durable mode models crash-stop
                 Decide(msg.k, attempt.value))
@@ -404,6 +412,10 @@ class PaxosConsensus(ConsensusService):
 
     def _on_query(self, msg: Query, sender: int) -> None:
         self._reply_decided(msg.k, sender)
+
+    def pull_decision(self, k: int, peer: int) -> None:
+        if self.decided_value(k) is None:
+            self.endpoint.send(peer, Query(k))
 
     # -- instance driver ----------------------------------------------------------------------
 

@@ -5,10 +5,13 @@ One consensus-driven ordering loop per process, in consecutive rounds:
 * round ``k`` proposes the node's ``Unordered`` set to the ``k``-th
   consensus instance and moves the decided batch to the ``Agreed`` queue
   (deterministically ordered, duplicates eliminated);
-* a **gossip task** periodically multisends ``(k, Unordered)`` — it both
-  disseminates data messages (no reliable multicast needed over the
-  fair-loss channel) and lets lagging processes discover how far behind
-  they are (``gossip-k``);
+* a **gossip task** periodically sends every peer ``(k, digest of
+  Unordered)`` plus the payloads that peer is not known to hold — it
+  both disseminates data messages (no reliable multicast needed over
+  the fair-loss channel) and lets lagging processes discover how far
+  behind they are (``gossip-k``).  Each payload crosses each link once:
+  its originator pushes it until the peer's digest lists it, anyone else
+  who lacks it pulls it by id (DESIGN.md, substitutions);
 * the only stable-storage write is the consensus *proposal* — performed
   inside ``propose`` as its first operation — so Atomic Broadcast adds
   **zero** log operations beyond the Consensus black box (Section 4.3);
@@ -24,7 +27,7 @@ that the current round is simply the first round with no logged proposal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, FrozenSet, Generator, List
 
 from repro.consensus.base import ConsensusService
 from repro.core.agreed import AgreedQueue, deterministic_order
@@ -53,6 +56,30 @@ class DeliveryListener:
 
     def on_restore(self, state: Any) -> None:
         """The delivery prefix was replaced by an application checkpoint."""
+
+
+class _PeerGossip:
+    """What one peer's latest gossip said (volatile; replaced whole by
+    its next one, so a peer that crashed and lost its Unordered set
+    corrects us with its first digest).
+
+    ``known`` is the peer's digest, ``missing`` the part of it this node
+    held in neither Unordered nor Agreed on receipt (what to ask the
+    peer for), ``asked`` what the peer asked of us.
+    """
+
+    __slots__ = ("known", "missing", "asked")
+
+    def __init__(self, known: FrozenSet[MessageId],
+                 missing: FrozenSet[MessageId],
+                 asked: FrozenSet[MessageId]):
+        self.known = known
+        self.missing = missing
+        self.asked = asked
+
+
+_NO_IDS: FrozenSet[MessageId] = frozenset()
+_NOTHING_HEARD = _PeerGossip(_NO_IDS, _NO_IDS, _NO_IDS)
 
 
 class BasicAtomicBroadcast(NodeComponent):
@@ -97,6 +124,11 @@ class BasicAtomicBroadcast(NodeComponent):
         self.unordered: Dict[MessageId, AppMessage] = {}
         self.agreed = AgreedQueue(self.order_rule)
         self.gossip_k = 0
+        # Per-peer gossip knowledge, the peer last seen ahead of us, and
+        # the round we were in at the previous gossip tick.
+        self._peers: Dict[int, _PeerGossip] = {}
+        self._ahead_peer = -1       # meaningful only while gossip_k > k
+        self._last_tick_k = -1
         # Volatile plumbing.
         self.incarnation = 0
         self._seq = 0
@@ -133,6 +165,7 @@ class BasicAtomicBroadcast(NodeComponent):
         self.unordered = {}
         self.agreed = AgreedQueue(self.order_rule)
         self.gossip_k = 0
+        self._forget_peers()
         self.replay_complete = False
         self._progress = node.sim.signal(f"ab-progress@{node.node_id}")
         self._delivered = node.sim.signal(f"ab-delivered@{node.node_id}")
@@ -172,11 +205,17 @@ class BasicAtomicBroadcast(NodeComponent):
         replay starts from round 0 with an empty queue.
         """
 
+    def _forget_peers(self) -> None:
+        self._peers = {}
+        self._ahead_peer = -1
+        self._last_tick_k = -1
+
     def on_crash(self) -> None:
         self.k = 0
         self.unordered = {}
         self.agreed = AgreedQueue(self.order_rule)
         self.gossip_k = 0
+        self._forget_peers()
         self._listeners = []
         self._sequencer_task = None
         self.replay_complete = False
@@ -258,23 +297,80 @@ class BasicAtomicBroadcast(NodeComponent):
 
     def _gossip_task(self):
         while True:
-            # A joining node advertises round -1: it holds no usable
-            # prefix, so any member treats it as maximally behind and
-            # answers with a state transfer (Section 5.3) regardless of
-            # how short the member's own history still is.
-            k = -1 if self._joining else self.k
-            self.endpoint.multisend(
-                GossipMessage(k, frozenset(self.unordered.values()),
-                              self._checkpoint_round()))
+            self._pull_missed_decision()
+            self._gossip_once()
             yield self.gossip_interval
 
+    def _gossip_once(self) -> None:
+        """One tick: ``gossip(k, payloads, ckpt_k, known, want)`` per peer.
+
+        Every peer gets the same digest; what differs is the payloads it
+        still lacks and the ids we lack.  Peers in the same position —
+        almost always all of them — share one message object, so it is
+        built and sized once.
+        """
+        node_id = self.endpoint.node_id
+        peers = [peer for peer in self.endpoint.peers() if peer != node_id]
+        for gone in self._peers.keys() - peers:
+            del self._peers[gone]
+        # A joining node advertises round -1: it holds no usable
+        # prefix, so any member treats it as maximally behind and
+        # answers with a state transfer (Section 5.3) regardless of
+        # how short the member's own history still is.
+        k = -1 if self._joining else self.k
+        ckpt_k = self._checkpoint_round()
+        unordered = self.unordered
+        known = frozenset(unordered)
+        mine = {mid for mid in unordered if mid[0] == node_id}
+        built: Dict[Any, GossipMessage] = {}
+        for peer in peers:
+            view = self._peers.get(peer, _NOTHING_HEARD)
+            push = mine.difference(view.known)
+            if view.asked:
+                push.update(mid for mid in view.asked if mid in unordered)
+                view.asked = _NO_IDS    # served; the peer re-asks
+            want = view.missing
+            if want:    # some of it may have arrived since
+                want = frozenset(mid for mid in want
+                                 if mid not in unordered
+                                 and mid not in self.agreed)
+            key = (frozenset(push), want)
+            message = built.get(key)
+            if message is None:
+                message = GossipMessage(
+                    k, frozenset(unordered[mid] for mid in push), ckpt_k,
+                    known, want)
+                built[key] = message
+            self.endpoint.send(peer, message)
+
+    def _pull_missed_decision(self) -> None:
+        """Repair a lost Decide: ask the peer we know to be ahead.
+
+        Consensus multisends a decision once.  Gossip tells us who has
+        moved past round ``k``; if we have sat in ``k`` since the
+        previous tick while a peer is past it, the copy addressed to us
+        is more likely lost than late.
+        """
+        if self.gossip_k > self.k == self._last_tick_k \
+                and not self._joining:
+            self.consensus.pull_decision(self.k, self._ahead_peer)
+        self._last_tick_k = self.k
+
     def _on_gossip(self, msg: GossipMessage, sender: int) -> None:
-        """Reception of ``gossip(k_q, U_q)`` (executed atomically)."""
-        for message in msg.unordered:
+        """Reception of ``gossip(k_q, …)`` (executed atomically)."""
+        for message in msg.payloads:
             self._admit_locally(message)
+        known = frozenset(msg.known)
+        missing = known.difference(self.unordered)
+        if missing:
+            agreed = self.agreed
+            missing = frozenset(mid for mid in missing if mid not in agreed)
+        self._peers[sender] = _PeerGossip(known, missing,
+                                          frozenset(msg.want))
         self._note_peer_checkpoint(sender, msg.ckpt_k)
         if msg.k > self.k:
             self.gossip_k = max(self.gossip_k, msg.k)  # q was ahead
+            self._ahead_peer = sender
             self._progress.notify()
         else:
             self._peer_behind(sender, msg.k)

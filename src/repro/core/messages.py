@@ -4,7 +4,8 @@
   identified by a :class:`~repro.core.ids.MessageId` (identity-based
   equality, so sets of messages deduplicate by id exactly as the paper's
   idempotent Unordered/Agreed operations require).
-* :class:`GossipMessage` — ``gossip(k_p, Unordered_p)`` of Figure 2.
+* :class:`GossipMessage` — Figure 2's ``gossip(k_p, Unordered_p)``, sent as a
+  digest of ids plus only the payloads the addressee lacks.
 * :class:`StateMessage` — ``state(k_p - 1, Agreed_p)`` of Figure 3
   (Section 5.3 state transfer).
 """
@@ -88,7 +89,20 @@ snapshot.register_handler(AppMessage, _message_snapshot)
 
 
 class GossipMessage(WireMessage):
-    """``gossip(k, Unordered)``: round number + unordered messages.
+    """``gossip(k, payloads, ckpt_k, known, want)``: round number, digest,
+    and only the messages the addressee is not known to hold.
+
+    Figure 2 multisends the whole Unordered set; here each payload
+    crosses each link once and everything else refers to it by id
+    (DESIGN.md, substitutions):
+
+    * ``known`` — the ids of the sender's whole Unordered set.  It is the
+      digest peers pull from and, read by an originator, the ack that
+      stops its push;
+    * ``payloads`` — messages the sender originated that the addressee's
+      last digest did not list, plus whatever the addressee asked for;
+    * ``want`` — ids the addressee advertised that the sender holds in
+      neither Unordered nor Agreed (the pull).
 
     ``ckpt_k`` piggybacks the sender's durably checkpointed round so that
     peers can compute the global garbage-collection watermark (the lowest
@@ -100,13 +114,17 @@ class GossipMessage(WireMessage):
     """
 
     type = "ab.gossip"
-    fields = ("k", "unordered", "ckpt_k")
+    fields = ("k", "payloads", "ckpt_k", "known", "want")
 
-    def __init__(self, k: int, unordered: FrozenSet[AppMessage],
-                 ckpt_k: int = 0):
+    def __init__(self, k: int, payloads: FrozenSet[AppMessage],
+                 ckpt_k: int = 0,
+                 known: FrozenSet[MessageId] = frozenset(),
+                 want: FrozenSet[MessageId] = frozenset()):
         self.k = k
-        self.unordered = unordered
+        self.payloads = payloads
         self.ckpt_k = ckpt_k
+        self.known = known
+        self.want = want
 
 
 class StateMessage(WireMessage):

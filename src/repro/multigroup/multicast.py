@@ -22,10 +22,13 @@ Protocol (for a message ``m`` addressed to groups ``G``):
 2. *Exchange.*  Members periodically announce their groups' proposed
    timestamps to the members of the other destination groups (direct
    fair-loss sends, retransmitted until finalisation — volatile state,
-   rebuilt by replay).  The same announcements relay the message body
-   itself, so a sender crash after a partial submit cannot wedge a
-   group: any member that sees ``m`` proposed in its group but missing
-   in group ``h`` re-submits it to ``h``.
+   rebuilt by replay; a member that has already finalised answers an
+   announce with the proposals it knows, so a group whose only bridge
+   member is down still learns the other group's timestamp).  The same
+   announcements relay the message body itself, so a sender crash after
+   a partial submit cannot wedge a group: any member that sees ``m``
+   proposed in its group but missing in group ``h`` re-submits it to
+   ``h``.
 3. *Finalise.*  Whoever first collects proposed timestamps from all of
    ``G`` computes ``final = max(proposals)`` and submits
    ``("mgf", mid, final)`` to its group's AB.  The *first* such message
@@ -367,6 +370,7 @@ class MultiGroupMulticast(NodeComponent):
             self.endpoint.send(target, TimestampAnnounce(entries))
 
     def _on_announce(self, msg: TimestampAnnounce, sender: int) -> None:
+        answers = []
         for record in msg.entries:
             mid = tuple(record[0])
             groups = tuple(record[1])
@@ -374,6 +378,16 @@ class MultiGroupMulticast(NodeComponent):
             proposals = record[3]
             entry = self._entry(mid, groups, payload)
             if entry.final is not None:
+                # We stopped announcing this entry when we learned its
+                # final timestamp, but the sender has not finalised it
+                # and may have no one else to learn our groups' proposals
+                # from (the only bridge member is down).  Answer stale
+                # traffic with what we know, the way Paxos answers with
+                # Decide; an answer adds nothing to an answer, so the
+                # exchange ends.
+                if any(group not in proposals for group in entry.proposed):
+                    answers.append([record[0], record[1], payload,
+                                    {**proposals, **entry.proposed}])
                 continue
             for group, ts in proposals.items():
                 # CRITICAL for determinism: a proposal for one of *my*
@@ -393,3 +407,5 @@ class MultiGroupMulticast(NodeComponent):
                     self.group_abs[group].submit(
                         (_PROPOSE, mid, groups, payload))
             self._maybe_submit_final(entry)
+        if answers:
+            self.endpoint.send(sender, TimestampAnnounce(answers))

@@ -251,8 +251,8 @@ def measure_codec_comparison(iterations: int = 4000,
 
     Times the full serialise-then-parse pipeline (encode + decode, the
     per-datagram work of the live transport) over a corpus of
-    representative protocol messages — gossip with a populated Unordered
-    set, paxos rounds, stubborn envelopes/acks/batches — under wire v1
+    representative protocol messages — gossip with payloads and a populated
+    digest, paxos rounds, stubborn envelopes/acks/batches — under wire v1
     (tagged JSON) and v2 (binary), keeping the best of ``repeats``.
     Every decoded message is the encoder's input (same sender, type and
     fields) or the measurement aborts.
@@ -266,9 +266,10 @@ def measure_codec_comparison(iterations: int = 4000,
                            f"payload-{sender}-{seq}")
                 for sender in range(3) for seq in range(8)]
         return [
-            wire.rebuild("ab.gossip", {"k": 12,
-                                       "unordered": frozenset(apps),
-                                       "ckpt_k": 8}),
+            wire.rebuild("ab.gossip", {
+                "k": 12, "payloads": frozenset(apps), "ckpt_k": 8,
+                "known": frozenset(app.id for app in apps),
+                "want": frozenset({MessageId(2, 1, 9)})}),
             wire.rebuild("paxos.accept", {"k": 7, "ballot": (2, 1),
                                           "value": tuple(apps[:6])}),
             wire.rebuild("paxos.accepted", {"k": 7, "ballot": (2, 1)}),

@@ -104,23 +104,29 @@ class TestCrashRecovery:
 
     def test_sender_crash_after_partial_submit_is_repaired(self):
         """The relay path: if the sender dies right after submitting,
-        whichever group got the message re-injects it into the others."""
-        cluster = build({"g1": [0, 1, 2], "g2": [2, 3, 4]}, seed=6,
-                        loss=0.02)
-        cluster.run(until=1.0)
-        # Bypass the public API to submit to only ONE group's AB, then
-        # crash the sender — simulating a crash between the two submits.
-        layer = cluster.layers[2]
-        mid = (2, cluster.group_abs[2]["g1"].incarnation, 999)
-        cluster.group_abs[2]["g1"].submit(
-            ("mgp", mid, ("g1", "g2"), "half-sent"))
-        cluster.run(until=1.6)
-        cluster.nodes[2].crash()
-        cluster.run(until=60.0)
-        # g1 members relayed the body into g2; both groups delivered it.
-        assert "half-sent" in payloads(cluster, "g1", 0)
-        assert "half-sent" in payloads(cluster, "g2", 3)
-        cluster.check_pairwise_total_order()
+        whichever group got the message re-injects it into the others.
+
+        Swept over seeds: with the only bridge member down, g1 can learn
+        g2's proposal only from g2 members that may already have
+        finalised (and stopped announcing) — a wedge that one lucky seed
+        used to hide."""
+        for seed in range(40):
+            cluster = build({"g1": [0, 1, 2], "g2": [2, 3, 4]}, seed=seed,
+                            loss=0.02)
+            cluster.run(until=1.0)
+            # Bypass the public API to submit to only ONE group's AB,
+            # then crash the sender — simulating a crash between the two
+            # submits.
+            mid = (2, cluster.group_abs[2]["g1"].incarnation, 999)
+            cluster.group_abs[2]["g1"].submit(
+                ("mgp", mid, ("g1", "g2"), "half-sent"))
+            cluster.run(until=1.6)
+            cluster.nodes[2].crash()
+            cluster.run(until=60.0)
+            # g1 members relayed the body into g2; both groups delivered.
+            assert "half-sent" in payloads(cluster, "g1", 0), seed
+            assert "half-sent" in payloads(cluster, "g2", 3), seed
+            cluster.check_pairwise_total_order()
 
     def test_member_crash_in_one_group_does_not_block_other(self):
         cluster = build({"g1": [0, 1, 2], "g2": [2, 3, 4]}, seed=7)

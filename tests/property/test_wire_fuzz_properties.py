@@ -29,6 +29,20 @@ def test_every_registered_class_round_trips_across_versions():
     assert report.roundtrips >= len(wirefuzz.registered_classes())
 
 
+def test_gossip_digest_and_pull_fields_are_fuzzed():
+    """The fuzzed universe follows ``fields``: the gossip digest
+    (``known``) and pull (``want``) get random values like the rest."""
+    import random
+    gossip = dict(wirefuzz.registered_classes())["ab.gossip"]
+    assert gossip.fields == ("k", "payloads", "ckpt_k", "known", "want")
+    drawn = wirefuzz.random_fields(gossip, random.Random(7))
+    assert set(drawn) == set(gossip.fields)
+    classes = len(wirefuzz.registered_classes())
+    report = wirefuzz.fuzz_roundtrip(iterations=classes, seed=18)
+    assert report.ok, _describe(report)
+    assert report.roundtrips == classes     # one of them was ab.gossip
+
+
 def test_adversarial_bytes_raise_only_wirecodecerror():
     report = wirefuzz.fuzz_decode(iterations=600, seed=2025)
     assert report.ok, _describe(report)

@@ -192,12 +192,29 @@ class TestFullTreeGraph:
         assert sent <= handled
         assert handled <= alive
 
+    def test_gossip_is_unicast_and_the_decision_pull_is_modelled(self,
+                                                               graph):
+        # Per-peer digests: no multisend of a GossipMessage is left.
+        gossip = graph.senders_for("ab.gossip")
+        assert [(e.sender, e.op) for e in gossip] == \
+            [("BasicAtomicBroadcast._gossip_once", "send")]
+        # Decide leaves through one multisend (plus stale-traffic
+        # replies); the pull it relies on is a unicast Query.
+        decides = {(e.sender, e.op)
+                   for e in graph.senders_for("paxos.decide")}
+        assert decides == {("PaxosConsensus._on_accepted", "multisend"),
+                           ("PaxosConsensus._reply_decided", "send")}
+        queries = {(e.sender, e.op)
+                   for e in graph.senders_for("paxos.query")}
+        assert ("PaxosConsensus.pull_decision", "send") in queries
+
     def test_multigroup_announce_resolves(self, graph):
         handlers = graph.handlers_for("mg.announce")
         assert [e.handler for e in handlers] == \
             ["MultiGroupMulticast._on_announce"]
         senders = {e.sender for e in graph.senders_for("mg.announce")}
-        assert "MultiGroupMulticast._announce_once" in senders
+        assert senders == {"MultiGroupMulticast._announce_once",
+                           "MultiGroupMulticast._on_announce"}
 
     def test_membership_reconfig_commands_resolve(self, graph):
         assert set(graph.commands) == {"join", "leave", "evict"}

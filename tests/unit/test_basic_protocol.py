@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.basic import BasicAtomicBroadcast
+from repro.core.messages import GossipMessage
 from repro.errors import BroadcastError
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.transport.network import NetworkConfig
@@ -21,6 +22,29 @@ def build(n=3, seed=0, loss=0.0, **kwargs):
 def sequences(cluster):
     return {i: [m.payload for m in ab.deliver_sequence()]
             for i, ab in cluster.abcasts.items()}
+
+
+def tap(cluster, drop=lambda src, dst, message: False):
+    """Record every ``(time, src, dst, message)`` handed to the medium;
+    messages ``drop`` selects are swallowed instead of sent."""
+    sent = []
+    send = cluster.network.send
+
+    def tapped(src, dst, message):
+        sent.append((cluster.sim.now, src, dst, message))
+        if not drop(src, dst, message):
+            send(src, dst, message)
+    cluster.network.send = tapped
+    return sent
+
+
+def of_type(sent, tag):
+    return [entry for entry in sent if entry[3].type == tag]
+
+
+def no_consensus(src, dst, message):
+    """Keep every message Unordered: nothing is ever decided."""
+    return message.type.startswith("paxos.")
 
 
 class TestOrdering:
@@ -149,6 +173,182 @@ class TestGossip:
         cluster.run(until=40.0)
         assert cluster.abcasts[2].k == cluster.abcasts[0].k
         assert sequences(cluster)[2] == sequences(cluster)[0]
+
+
+class TestDigestGossip:
+    """Each payload crosses each link once; the rest is ids."""
+
+    def test_crashed_originator_is_pulled_from_the_one_peer_it_reached(self):
+        """Nobody relays blindly any more: a message whose originator
+        died after reaching one non-leader peer spreads through ``want``."""
+        cluster = build(n=5, seed=11)
+        sent = tap(cluster, drop=lambda src, dst, message:
+                   src == 4 and dst != 3 and message.type == "ab.gossip")
+        assert cluster.consensuses[3].omega.leader() == 0
+        cluster.sim.schedule(0.6, cluster.submit, 4, "orphan")
+        cluster.run(until=0.9)      # one tick (0.75) has pushed it to 3
+        orphan, = cluster.abcasts[3].unordered
+        cluster.nodes[4].crash()
+        assert all(orphan not in cluster.abcasts[i].unordered
+                   for i in (0, 1, 2))
+        cluster.run(until=20.0)
+        assert all(sequences(cluster)[i] == ["orphan"] for i in range(4))
+        assert not any(cluster.abcasts[i].has_backlog() for i in range(4))
+        gossip = of_type(sent, "ab.gossip")
+        pulls = [(src, dst) for _, src, dst, m in gossip if orphan in m.want]
+        assert pulls and all(dst == 3 for _, dst in pulls[:3])
+        carriers = {src for _, src, _, m in gossip
+                    if any(a.id == orphan for a in m.payloads)}
+        assert 3 in carriers and 4 in carriers
+
+    def test_peer_recovery_resets_what_we_believe_it_holds(self):
+        cluster = build(seed=12)
+        sent = tap(cluster, drop=no_consensus)
+        message = cluster.submit(0, "kept-unordered")
+
+        def pushed_to_2(since, until):
+            return [t for t, src, dst, m in of_type(sent, "ab.gossip")
+                    if src == 0 and dst == 2 and since <= t < until
+                    and message in m.payloads]
+
+        cluster.run(until=2.0)
+        assert pushed_to_2(0.0, 1.0)            # pushed ...
+        assert not pushed_to_2(1.0, 2.0)        # ... until 2's digest acked
+        cluster.nodes[2].crash()                # basic: Unordered is lost
+        cluster.nodes[2].recover()
+        cluster.run(until=3.0)
+        assert pushed_to_2(2.0, 3.0)            # its empty digest re-armed us
+        assert message.id in cluster.abcasts[2].unordered
+
+    def test_reordered_stale_digest_is_corrected_by_the_next(self):
+        cluster = build(seed=13)
+        sent = tap(cluster, drop=no_consensus)
+        cluster.nodes[2].crash()                # only this test speaks for 2
+        message = cluster.submit(0, "m")
+        ab = cluster.abcasts[0]
+
+        def payloads_for_2():
+            del sent[:]
+            ab._gossip_once()
+            (_, _, _, gossip), = [e for e in sent if e[2] == 2]
+            return gossip.payloads
+
+        assert payloads_for_2() == {message}
+        # A digest 2 sent before crashing overtakes nothing any more: it
+        # arrives late and claims 2 still holds the message ...
+        ab._on_gossip(GossipMessage(0, frozenset(), 0,
+                                    known=frozenset({message.id})), sender=2)
+        assert payloads_for_2() == frozenset()
+        # ... and 2's next digest replaces it (knowledge never accumulates).
+        ab._on_gossip(GossipMessage(0, frozenset(), 0), sender=2)
+        assert payloads_for_2() == {message}
+
+    def test_ids_off_the_live_wire_are_plain_tuples(self):
+        cluster = build(seed=14)
+        tap(cluster, drop=no_consensus)
+        held = cluster.submit(0, "held")
+        ab = cluster.abcasts[0]
+        ab._on_gossip(GossipMessage(
+            0, frozenset(), 0, known=frozenset({tuple(held.id), (1, 1, 7)}),
+            want=frozenset({tuple(held.id)})), sender=1)
+        view = ab._peers[1]
+        assert view.missing == {(1, 1, 7)} and view.asked == {held.id}
+
+    def test_peers_outside_the_group_are_forgotten(self):
+        cluster = build(seed=15)
+        ab = cluster.abcasts[0]
+        ab._on_gossip(GossipMessage(0, frozenset(), 0), sender=99)
+        assert 99 in ab._peers
+        cluster.run(until=1.0)
+        assert set(ab._peers) == {1, 2}
+        cluster.nodes[0].crash()
+        assert ab._peers == {}
+
+    def test_a_payload_is_carried_o_n_times_not_ticks_times_n_squared(self):
+        n, count = 5, 20
+        cluster = build(n=n, seed=16)
+        sent = tap(cluster)
+        for j in range(count):
+            cluster.sim.schedule(0.5 + 0.21 * j, cluster.submit, j % n,
+                                 f"m{j}")
+        cluster.run(until=15.0)
+        assert all(len(seq) == count for seq in sequences(cluster).values())
+        gossip = of_type(sent, "ab.gossip")
+        assert all(src != dst for _, src, dst, _ in gossip)   # not to self
+        copies = sum(len(m.payloads) for _, _, _, m in gossip)
+        # n-1 copies suffice; a push repeats until the digest acks it
+        # (one more tick).  Whole-set gossip from every holder was
+        # ~n*n copies per tick a message stayed unordered.
+        assert (n - 1) * count <= copies <= 3 * (n - 1) * count
+        assert not any(m.want for _, _, _, m in gossip)       # lossless
+
+
+class TestSingleDecide:
+    """A decision is multisent once; a lost copy is pulled at the
+    gossip tick by whoever learns from gossip that it fell behind."""
+
+    def test_lossless_run_emits_n_decides_per_instance(self):
+        n = 5
+        cluster = build(n=n, seed=17)
+        sent = tap(cluster)
+        for j in range(10):
+            cluster.sim.schedule(0.5 + 0.3 * j, cluster.submit, j % n,
+                                 f"m{j}")
+        cluster.run(until=15.0)
+        instances = cluster.abcasts[0].k
+        assert instances >= 3
+        decides = of_type(sent, "paxos.decide")
+        assert len([e for e in decides if e[1] == 0]) == n * instances
+        # The rest answer an Accept that a Decide overtook: a reply to
+        # the leader, never a second fan-out.
+        assert all(dst == 0 for _, src, dst, _ in decides if src != 0)
+        assert len(decides) <= (n + 1) * instances
+        assert not of_type(sent, "paxos.query")
+
+    def test_duplicated_accepted_does_not_decide_again(self):
+        n = 3
+        cluster = Cluster(ClusterConfig(
+            n=n, seed=18, protocol="basic",
+            network=NetworkConfig(duplicate_rate=0.9)))
+        cluster.start()
+        sent = tap(cluster)
+        for j in range(6):
+            cluster.sim.schedule(0.5 + 0.4 * j, cluster.submit, 0, f"m{j}")
+        cluster.run(until=15.0)
+        instances = cluster.abcasts[0].k
+        # Replies to stale traffic go back to the leader; the copies
+        # addressed to followers are the multisend's alone.
+        to_followers = [e for e in of_type(sent, "paxos.decide")
+                        if e[2] != 0]
+        assert len(to_followers) == (n - 1) * instances
+
+    def test_lost_decide_is_pulled_within_two_gossip_intervals(self):
+        config = ClusterConfig(n=3, seed=19, protocol="alternative")
+        cluster = Cluster(config)
+        cluster.start()
+        lost = []
+
+        def first_decide_to_2(src, dst, message):
+            if message.type == "paxos.decide" and dst == 2 and not lost:
+                lost.append(cluster.sim.now)
+                return True
+            return False
+
+        sent = tap(cluster, drop=first_decide_to_2)
+        cluster.sim.schedule(0.5, cluster.submit, 0, "m")
+        repaired = None
+        while repaired is None and cluster.sim.now < 10.0:
+            cluster.run(until=cluster.sim.now + 0.01)
+            if cluster.abcasts[2].delivered_count():
+                repaired = cluster.sim.now
+        assert lost and repaired is not None
+        round_trip = 2 * config.network.max_delay
+        assert repaired - lost[0] <= 2 * config.gossip_interval + round_trip
+        assert repaired - lost[0] < 2 * config.attempt_timeout
+        queries = of_type(sent, "paxos.query")
+        assert [(src, m.k) for _, src, _, m in queries] == [(2, 0)]
+        assert queries[0][2] in (0, 1)                  # unicast, to a peer
+        assert not of_type(sent, "ab.state")
 
 
 class TestReplay:

@@ -33,14 +33,20 @@ def test_wire_roundtrip_gossip():
         AppMessage(MessageId(0, 1, 4), "alpha"),
         AppMessage(MessageId(2, 1, 9), ("tuple", 7)),
     })
-    sender, message = decode(encode(1, GossipMessage(5, unordered, ckpt_k=2)))
+    known = frozenset(m.id for m in unordered) | {MessageId(1, 3, 2)}
+    want = frozenset({MessageId(0, 1, 5)})
+    sender, message = decode(encode(1, GossipMessage(
+        5, unordered, ckpt_k=2, known=known, want=want)))
     assert sender == 1
     assert isinstance(message, GossipMessage)
     assert (message.k, message.ckpt_k) == (5, 2)
-    assert message.unordered == unordered
-    assert isinstance(message.unordered, frozenset)
-    by_id = {m.id: m.payload for m in message.unordered}
+    assert message.payloads == unordered
+    assert isinstance(message.payloads, frozenset)
+    by_id = {m.id: m.payload for m in message.payloads}
     assert by_id[MessageId(2, 1, 9)] == ("tuple", 7)
+    # Ids arrive as plain tuples; they hash and compare equal to MessageId.
+    assert (message.known, message.want) == (known, want)
+    assert MessageId(1, 3, 2) in message.known
 
 
 def test_wire_roundtrip_state():

@@ -17,11 +17,25 @@ def msg(seq, payload=None):
 
 class TestGossipMessage:
     def test_fields_and_type(self):
-        gossip = GossipMessage(5, frozenset({msg(1)}), ckpt_k=3)
+        known = frozenset({msg(1).id, msg(2).id})
+        want = frozenset({msg(3).id})
+        gossip = GossipMessage(5, frozenset({msg(1)}), ckpt_k=3,
+                               known=known, want=want)
         assert gossip.type == "ab.gossip"
         assert gossip.k == 5
         assert gossip.ckpt_k == 3
-        assert gossip.payload() == (5, frozenset({msg(1)}), 3)
+        assert gossip.payload() == (5, frozenset({msg(1)}), 3, known, want)
+
+    def test_digest_and_pull_default_to_empty(self):
+        gossip = GossipMessage(5, frozenset({msg(1)}))
+        assert gossip.known == frozenset() and gossip.want == frozenset()
+
+    def test_an_id_costs_a_fraction_of_its_payload(self):
+        ids = frozenset(msg(i).id for i in range(1, 11))
+        digest = GossipMessage(0, frozenset(), known=ids)
+        full = GossipMessage(0, frozenset(
+            msg(i, payload="x" * 128) for i in range(1, 11)))
+        assert digest.estimated_size() * 5 < full.estimated_size()
 
     def test_size_scales_with_unordered_set(self):
         small = GossipMessage(0, frozenset())

@@ -35,7 +35,10 @@ def gossip():
         AppMessage(MessageId(0, 1, 4), "alpha"),
         AppMessage(MessageId(2, 1, 9), ("tuple", 7)),
     })
-    return GossipMessage(5, unordered, ckpt_k=2)
+    return GossipMessage(5, unordered, ckpt_k=2,
+                         known=frozenset(m.id for m in unordered)
+                         | {MessageId(1, 1, 1)},
+                         want=frozenset({MessageId(1, 2, 3)}))
 
 
 class TestFrameLayout:
@@ -66,7 +69,9 @@ class TestFrameLayout:
             sender, got = decode(encode(9, message, version=version))
             assert sender == 9
             assert (got.k, got.ckpt_k) == (message.k, message.ckpt_k)
-            assert got.unordered == message.unordered
+            assert got.payloads == message.payloads
+            assert got.known == message.known and len(got.known) == 3
+            assert got.want == message.want and len(got.want) == 1
 
     def test_frames_concatenate_into_one_datagram(self):
         datagram = encode_frame(0, gossip()) + encode_frame(1, gossip())
