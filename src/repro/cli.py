@@ -145,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_arguments(lint)
 
     wirefuzz = commands.add_parser(
-        "wirefuzz", help="seeded fuzz of the wire codec: cross-version "
-                         "round-trips for every registered message class "
-                         "plus adversarial datagrams that must fail only "
+        "wirefuzz", help="seeded fuzz of the wire codec: typed and "
+                         "tunnelled round-trips for every registered "
+                         "message class plus adversarial datagrams that must fail only "
                          "with WireCodecError")
     wirefuzz.add_argument("--iterations", type=int, default=500,
                           help="round-trip iterations (adversarial "

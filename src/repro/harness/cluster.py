@@ -43,7 +43,6 @@ from repro.fdetect.omega import OmegaOracle
 from repro.membership import View, ViewManager, reconfig_payload
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.runtime import Node, SeedSequence, Simulator
-from repro.runtime.wire import WireConfig
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -72,8 +71,7 @@ class ClusterConfig:
                  sequencer_id: int = 0,
                  storage_factory: Optional[Callable[[int], Any]] = None,
                  stubborn: Any = None,
-                 flow: Optional[FlowConfig] = None,
-                 wire: Optional[WireConfig] = None):
+                 flow: Optional[FlowConfig] = None):
         if protocol not in PROTOCOLS:
             raise SimulationError(
                 f"unknown protocol {protocol!r}; pick one of {PROTOCOLS}")
@@ -113,14 +111,6 @@ class ClusterConfig:
             raise SimulationError(
                 f"flow must be None or a FlowConfig; got {flow!r}")
         self.flow = flow
-        # wire: serialisation settings for the live UDP transport (the
-        # simulator passes message objects by reference and never
-        # serialises).  None = the runtime default (binary v2 with
-        # coalescing, per WireConfig's own defaults).
-        if wire is not None and not isinstance(wire, WireConfig):
-            raise SimulationError(
-                f"wire must be None or a WireConfig; got {wire!r}")
-        self.wire = wire
 
     def resolve_stubborn(self, default_on: bool) -> Optional[StubbornConfig]:
         """The effective stubborn-channel config for a runtime, or None."""

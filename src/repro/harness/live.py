@@ -73,8 +73,7 @@ class LiveCluster:
             loss_rate=config.network.loss_rate,
             duplicate_rate=config.network.duplicate_rate,
             max_send_buffer=(config.flow.max_send_buffer
-                             if config.flow is not None else None),
-            wire_config=config.wire)
+                             if config.flow is not None else None))
         # UDP is a real fair-loss channel, so the stubborn retransmission
         # layer is on by default here (config.stubborn=False disables it).
         stubborn_config = config.resolve_stubborn(default_on=True)
@@ -112,7 +111,7 @@ class LiveCluster:
                 node_id, FlowController(node_id, self.config.flow))
         node, abcast, consensus, rsm, view_manager = build_node_stack(
             self.runtime, self.medium, self.config, self.collector,
-            node_id, FileStorage(self._node_dir(node_id), group_commit=True),
+            node_id, FileStorage(self._node_dir(node_id)),
             view=view, joining=joining, flow=flow)
         if consensus is not None:
             self.consensuses[node_id] = consensus
@@ -198,8 +197,7 @@ class LiveCluster:
         self.network.close(node_id)
         # Drop the in-process storage object; recovery gets a fresh
         # handle over the same directory and must replay from disk.
-        self.nodes[node_id].storage = FileStorage(
-            self._node_dir(node_id), group_commit=True)
+        self.nodes[node_id].storage = FileStorage(self._node_dir(node_id))
 
     def restart(self, node_id: int) -> None:
         """Restart a killed node: new socket, recovery from on-disk logs."""

@@ -22,7 +22,7 @@ ephemeral port; the shared port map is updated so peers reach the
 recovered process, emulating a process restart without fixed port
 assignments.
 
-**Datagram coalescing** (wire v2): messages are encoded as
+**Datagram coalescing**: messages are encoded as
 length-prefixed binary frames (:func:`repro.runtime.wire.encode_frame`)
 and buffered per ``(src, dst)`` pair; the buffer flushes as one datagram
 when it would exceed ``max_frame_bytes`` or on the next event-loop turn
@@ -31,9 +31,7 @@ when it would exceed ``max_frame_bytes`` or on the next event-loop turn
 piggybacked acks — shares one ``sendto`` system call and one receive
 wakeup instead of paying per message.  Frames buffered by a node that
 crashes before its flush are dropped with the rest of its volatile
-state.  ``wire_version=1`` keeps the original one-JSON-datagram-per-
-message path for honest A/B comparison; decoding accepts both versions
-either way.
+state.
 
 **Datagram size guard**: an encoded frame larger than
 ``max_datagram_bytes`` (default 65507, the UDP/IPv4 payload limit) is
@@ -111,10 +109,10 @@ class LiveNetwork:
         (``send_overflows``) instead of queued without limit — the live
         analogue of the simulator's bounded stubborn backlog.  ``None``
         (default) disables the bound.
-    wire:
-        Wire/framing configuration (:class:`~repro.runtime.wire.WireConfig`):
-        codec version, coalescing bounds, datagram size limit.  The
-        default is the v2 binary codec with same-turn coalescing.
+    wire_config:
+        Framing bounds (:class:`~repro.runtime.wire.WireConfig`):
+        coalescing target, flush delay, datagram size limit.  The
+        default coalesces within one event-loop turn.
     """
 
     def __init__(self, runtime: LiveRuntime,
@@ -236,25 +234,15 @@ class LiveNetwork:
         if self.loss_rate and self.rng.random() < self.loss_rate:
             self.metrics.lost += 1
             return
-        config = self.wire_config
         duplicated = bool(self.duplicate_rate
                           and self.rng.random() < self.duplicate_rate)
         if duplicated:
             self.metrics.duplicated += 1
-        if config.coalesce:
-            frame = wire.encode_frame(src, message)
-            self._check_size(message, len(frame))
-            self._enqueue(src, dst, frame)
-            if duplicated:
-                self._enqueue(src, dst, frame)
-            return
-        data = wire.encode(src, message, version=config.version)
-        self._check_size(message, len(data))
-        self.frames_sent += 1
-        self._transmit(src, dst, data)
+        frame = wire.encode_frame(src, message)
+        self._check_size(message, len(frame))
+        self._enqueue(src, dst, frame)
         if duplicated:
-            self.frames_sent += 1
-            self._transmit(src, dst, data)
+            self._enqueue(src, dst, frame)
 
     def multisend(self, src: int, message: WireMessage,
                   targets: Optional[Tuple[int, ...]] = None) -> None:
@@ -281,7 +269,7 @@ class LiveNetwork:
             raise OversizeDatagramError(message.type, size, limit)
 
     def _enqueue(self, src: int, dst: int, frame: bytes) -> None:
-        """Buffer one v2 frame; flush by size now or by delay later."""
+        """Buffer one frame; flush by size now or by delay later."""
         key = (src, dst)
         buffered = self._out_bytes.get(key, 0)
         if buffered and buffered + len(frame) > \

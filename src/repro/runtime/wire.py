@@ -1,40 +1,39 @@
 """UDP wire format for :class:`~repro.transport.message.WireMessage`.
 
-Two wire versions coexist, negotiated per datagram by its first byte:
-
-**v1 (tagged JSON, the original format)** — one UTF-8 JSON object::
-
-    {"s": <sender id>, "t": <message type tag>, "f": {<field>: <value>}}
-
-Field values go through :mod:`repro.storage.codec` — the same tagged-JSON
-codec the stable-storage layer uses — so tuples, sets, frozensets and
-registered classes (notably :class:`~repro.core.messages.AppMessage`)
-round-trip exactly.
-
-**v2 (length-prefixed binary)** — one or more *frames* concatenated into
-a single datagram.  Each frame is a ``struct``-packed header followed by
-a compact binary payload::
+A datagram is one or more length-prefixed binary *frames*, concatenated.
+Each frame is a ``struct``-packed header followed by a compact binary
+payload::
 
     !HBIHI  =  magic 0xAB0B | version 2 | sender | type-id | payload-len
 
 The type-id is a small integer from a registered table
-(:data:`TYPE_ID_TABLE`, extensible via :func:`register_type_id`)
-replacing the string-tag dispatch of v1; the payload is the message's
-declared fields, in declaration order, each encoded by a compact binary
-value codec (ints as zigzag varints, floats as IEEE doubles — so
-``nan``/``inf``/``-0.0`` round-trip exactly, strings/containers with
-varint lengths).  Field values of classes registered with the storage
-codec reuse that same registration (tag + ``to_plain``/``from_plain``)
-under a binary envelope, so no JSON text appears on the v2 hot path; a
-message class *without* a type-id falls back to a v1 JSON frame tunnelled
-inside a v2 frame (type-id 0), so coalesced datagrams can always carry it.
+(:data:`TYPE_ID_TABLE`, extensible via :func:`register_type_id`); the
+payload is the message's declared fields, in declaration order, each
+encoded by a compact binary value codec (ints as zigzag varints, floats
+as IEEE doubles — so ``nan``/``inf``/``-0.0`` round-trip exactly,
+strings/containers with varint lengths).  Field values of classes
+registered with :mod:`repro.storage.codec` (notably
+:class:`~repro.core.messages.AppMessage`) reuse that registration (tag +
+``to_plain``/``from_plain``) under a binary envelope, so no JSON text
+appears on the hot path.
 
-Because v2 frames are length-prefixed they concatenate: the transport
-packs many protocol messages into one datagram (see
+**The JSON tunnel** (type-id 0) is the single path for a message the
+header cannot describe — a class *without* a registered type-id, or a
+sender id outside the header's unsigned 32-bit field.  Its payload is
+one UTF-8 JSON object::
+
+    {"s": <sender id>, "t": <message type tag>, "f": {<field>: <value>}}
+
+with field values in the storage layer's tagged-JSON codec, so tuples,
+sets, frozensets and registered classes round-trip exactly.  A tunnel
+frame is a frame like any other: it concatenates with typed frames, and
+a bare JSON object that is *not* inside a frame is rejected like any
+other datagram with an unknown lead byte.
+
+Because frames are length-prefixed they concatenate: the transport packs
+many protocol messages into one datagram (see
 :class:`~repro.runtime.live_net.LiveNetwork`) and :func:`decode_datagram`
-walks the frames back out.  A datagram starting with ``{`` is decoded as
-v1; decoders accept both versions regardless of what the local encoder
-emits, so mixed-version clusters interoperate.
+walks the frames back out.  There is one format and no negotiation.
 
 Decoding dispatches on the ``type`` tag through a registry built by
 walking ``WireMessage.__subclasses__()``: every message class that has
@@ -54,7 +53,6 @@ transport.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -76,10 +74,6 @@ class WireConfig:
 
     Parameters
     ----------
-    version:
-        Wire version the local encoder emits (1 = tagged JSON, one
-        datagram per message; 2 = binary frames, coalescible).  Decoders
-        always accept both.
     max_frame_bytes:
         Coalescing target: buffered frames flush once a datagram would
         exceed this size.  Must not exceed ``max_datagram_bytes``.
@@ -93,19 +87,11 @@ class WireConfig:
         payload limit.  A single message whose frame exceeds it raises
         :class:`~repro.runtime.live_net.OversizeDatagramError` instead
         of letting ``sendto`` fail with a raw ``OSError``.
-    coalesce:
-        Explicitly enable/disable datagram packing; default (``None``)
-        coalesces exactly when ``version >= 2`` (v1 JSON datagrams carry
-        one message by construction).
     """
 
-    def __init__(self, version: int = 2,
-                 max_frame_bytes: int = 8192,
+    def __init__(self, max_frame_bytes: int = 8192,
                  flush_delay: float = 0.0,
-                 max_datagram_bytes: int = 65507,
-                 coalesce: Optional[bool] = None):
-        if version not in (1, 2):
-            raise WireCodecError(f"unsupported wire version {version}")
+                 max_datagram_bytes: int = 65507):
         if max_datagram_bytes < 1:
             raise WireCodecError(
                 f"bad max_datagram_bytes {max_datagram_bytes}")
@@ -115,19 +101,17 @@ class WireConfig:
                 f"(0, max_datagram_bytes={max_datagram_bytes}]")
         if flush_delay < 0:
             raise WireCodecError(f"negative flush_delay {flush_delay}")
-        self.version = version
         self.max_frame_bytes = max_frame_bytes
         self.flush_delay = flush_delay
         self.max_datagram_bytes = max_datagram_bytes
-        self.coalesce = (version >= 2) if coalesce is None else coalesce
 
 
-# -- v2 framing ---------------------------------------------------------------
+# -- framing ------------------------------------------------------------------
 
 MAGIC = 0xAB0B
 HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
-_V2 = 2
-_JSON_TUNNEL_ID = 0  # payload is a complete v1 JSON datagram
+_VERSION = 2  # the header's version byte; any other value is rejected
+_JSON_TUNNEL_ID = 0  # payload is one {"s", "t", "f"} JSON object
 
 # The registered type-id table.  Ids are frozen: changing an assignment
 # invalidates every recorded byte stream, so new message types get new
@@ -165,7 +149,7 @@ _TAG_FOR_ID: Dict[int, str] = {v: k for k, v in TYPE_ID_TABLE.items()}
 
 
 def register_type_id(tag: str, type_id: int) -> None:
-    """Assign a stable v2 type-id to a message type tag.
+    """Assign a stable type-id to a message type tag.
 
     Ids must be unique, positive and fit the header's 16-bit field; id 0
     is reserved for the JSON tunnel.  Re-registering the same pair is a
@@ -187,7 +171,7 @@ def register_type_id(tag: str, type_id: int) -> None:
 
 
 def type_id_for(tag: str) -> Optional[int]:
-    """The registered v2 type-id for a tag, or None (JSON tunnel)."""
+    """The registered type-id for a tag, or None (JSON tunnel)."""
     return TYPE_ID_TABLE.get(tag)
 
 
@@ -354,7 +338,7 @@ def _unpack_value(reader: _Reader, depth: int = 0) -> Any:
 
 # -- encoding -----------------------------------------------------------------
 
-def _encode_v1(sender: int, message: WireMessage) -> bytes:
+def _encode_tunnel(sender: int, message: WireMessage) -> bytes:
     frame = {
         "s": sender,
         "t": message.type,
@@ -369,16 +353,16 @@ def _encode_v1(sender: int, message: WireMessage) -> bytes:
 
 
 def encode_frame(sender: int, message: WireMessage) -> bytes:
-    """Serialise one message as a v2 frame (concatenable into datagrams).
+    """Serialise one message as a frame (concatenable into datagrams).
 
     Messages whose type has no registered type-id — and senders outside
-    the header's unsigned 32-bit range — are tunnelled as a v1 JSON
-    payload under type-id 0, so every encodable message coalesces.
+    the header's unsigned 32-bit range — are tunnelled as a JSON payload
+    under type-id 0, so every encodable message coalesces.
     """
     type_id = TYPE_ID_TABLE.get(message.type)
     if type_id is None or not 0 <= sender < 0x100000000:
-        payload = _encode_v1(sender, message)
-        return HEADER.pack(MAGIC, _V2, 0, _JSON_TUNNEL_ID,
+        payload = _encode_tunnel(sender, message)
+        return HEADER.pack(MAGIC, _VERSION, 0, _JSON_TUNNEL_ID,
                            len(payload)) + payload
     out = bytearray()
     try:
@@ -389,16 +373,13 @@ def encode_frame(sender: int, message: WireMessage) -> bytes:
     except Exception as exc:
         raise WireCodecError(
             f"cannot encode {message.type!r}: {exc}") from exc
-    return HEADER.pack(MAGIC, _V2, sender, type_id, len(out)) + bytes(out)
+    return HEADER.pack(MAGIC, _VERSION, sender, type_id,
+                       len(out)) + bytes(out)
 
 
-def encode(sender: int, message: WireMessage, version: int = _V2) -> bytes:
-    """Serialise one message (with its sender id) to a whole datagram."""
-    if version == 1:
-        return _encode_v1(sender, message)
-    if version == _V2:
-        return encode_frame(sender, message)
-    raise WireCodecError(f"unsupported wire version {version}")
+def encode(sender: int, message: WireMessage) -> bytes:
+    """Serialise one message to a whole datagram (a single frame)."""
+    return encode_frame(sender, message)
 
 
 # -- type-tag registry --------------------------------------------------------
@@ -468,7 +449,7 @@ def rebuild(tag: str, field_values: Dict[str, object]) -> WireMessage:
 
 # -- decoding -----------------------------------------------------------------
 
-def _decode_v1(data: bytes) -> Tuple[int, WireMessage]:
+def _decode_tunnel(data: bytes) -> Tuple[int, WireMessage]:
     try:
         frame = json.loads(data.decode("utf-8"))
         sender = frame["s"]
@@ -480,11 +461,11 @@ def _decode_v1(data: bytes) -> Tuple[int, WireMessage]:
     except WireCodecError:
         raise
     except Exception as exc:
-        raise WireCodecError(f"malformed datagram: {exc}") from exc
+        raise WireCodecError(f"malformed tunnel payload: {exc}") from exc
 
 
-def _decode_v2_frame(data: bytes, offset: int
-                     ) -> Tuple[int, int, WireMessage]:
+def _decode_frame(data: bytes, offset: int
+                  ) -> Tuple[int, int, WireMessage]:
     """Decode one frame at ``offset``; returns (next offset, sender, msg)."""
     end = offset + HEADER.size
     if end > len(data):
@@ -492,14 +473,14 @@ def _decode_v2_frame(data: bytes, offset: int
     magic, version, sender, type_id, length = HEADER.unpack_from(data, offset)
     if magic != MAGIC:
         raise WireCodecError(f"bad frame magic {magic:#06x}")
-    if version != _V2:
+    if version != _VERSION:
         raise WireCodecError(f"unsupported wire version {version}")
     if end + length > len(data):
         raise WireCodecError(
             f"torn frame: {len(data) - end} payload bytes, "
             f"header promises {length}")
     if type_id == _JSON_TUNNEL_ID:
-        sender, message = _decode_v1(data[end:end + length])
+        sender, message = _decode_tunnel(data[end:end + length])
         return end + length, sender, message
     tag = _TAG_FOR_ID.get(type_id)
     if tag is None:
@@ -524,20 +505,17 @@ def _decode_v2_frame(data: bytes, offset: int
 def decode_datagram(data: bytes) -> List[Tuple[int, WireMessage]]:
     """Deserialise a datagram into every ``(sender id, message)`` it packs.
 
-    A v1 datagram yields exactly one pair; a v2 datagram yields one per
-    frame.  Any defect anywhere raises :class:`WireCodecError` — a
-    datagram is accepted or rejected whole.
+    One pair per frame.  Any defect anywhere raises
+    :class:`WireCodecError` — a datagram is accepted or rejected whole.
     """
     if not data:
         raise WireCodecError("empty datagram")
-    if data[0] == 0x7B:  # "{" — a v1 JSON object
-        return [_decode_v1(data)]
     if data[0] != (MAGIC >> 8):
         raise WireCodecError(f"unrecognised datagram lead byte {data[0]:#04x}")
     messages: List[Tuple[int, WireMessage]] = []
     offset = 0
     while offset < len(data):
-        offset, sender, message = _decode_v2_frame(data, offset)
+        offset, sender, message = _decode_frame(data, offset)
         messages.append((sender, message))
     return messages
 
@@ -554,9 +532,3 @@ def decode(data: bytes) -> Tuple[int, WireMessage]:
             f"expected a single-frame datagram, got {len(messages)} frames")
     return messages[0]
 
-
-def _float_fields_equal(left: Any, right: Any) -> bool:  # pragma: no cover
-    """Test helper: equality where nan == nan (used by the fuzz suite)."""
-    if isinstance(left, float) and isinstance(right, float):
-        return (math.isnan(left) and math.isnan(right)) or left == right
-    return bool(left == right)

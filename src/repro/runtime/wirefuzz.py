@@ -3,13 +3,13 @@
 Two properties of :mod:`repro.runtime.wire` are load-bearing for the
 live runtime and checked here mechanically:
 
-* **Round-trip identity across versions** — for every registered
+* **Round-trip identity, typed and tunnelled** — for every registered
   message class, a message built from random field values must survive
-  ``encode → decode`` under wire v1 *and* v2, and both versions must
-  decode to the same sender, the same type and equal field values
-  (``nan`` compared by identity of kind, not ``==``).  This is what
-  makes the version knob an honest A/B: the two formats are different
-  bytes for the same meaning.
+  ``encode → decode`` both as a typed binary frame and through the JSON
+  tunnel (forced by a sender id ≥ 2³², which the header cannot hold),
+  and each must decode to the same sender, the same type and equal field
+  values (``nan`` compared by identity of kind, not ``==``): the two
+  value codecs are different bytes for the same meaning.
 * **Total decoder** — feeding :func:`~repro.runtime.wire.decode_datagram`
   arbitrary bytes (random blobs, bit-flipped valid datagrams, truncated
   tails, length-field lies) must either return decoded messages or raise
@@ -40,6 +40,7 @@ class FuzzReport:
 
     def __init__(self) -> None:
         self.roundtrips = 0
+        self.tunnelled = 0  # round-trips that went through the JSON tunnel
         self.decode_attempts = 0
         self.clean_rejections = 0
         self.accepted = 0
@@ -52,6 +53,7 @@ class FuzzReport:
 
     def merge(self, other: "FuzzReport") -> "FuzzReport":
         self.roundtrips += other.roundtrips
+        self.tunnelled += other.tunnelled
         self.decode_attempts += other.decode_attempts
         self.clean_rejections += other.clean_rejections
         self.accepted += other.accepted
@@ -60,7 +62,8 @@ class FuzzReport:
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.defects)} DEFECTS"
-        return (f"wire fuzz: {state} — {self.roundtrips} round-trips, "
+        return (f"wire fuzz: {state} — {self.roundtrips} round-trips "
+                f"({self.tunnelled} tunnelled), "
                 f"{self.decode_attempts} adversarial decodes "
                 f"({self.accepted} accepted, "
                 f"{self.clean_rejections} cleanly rejected)")
@@ -127,7 +130,7 @@ def _hashable(rng: random.Random) -> Any:
 
 def random_value(rng: random.Random, depth: int = 0) -> Any:
     """A random value from the codec's supported universe (minus bytes,
-    which wire v1's storage codec deliberately rejects)."""
+    which the tunnel's storage codec deliberately rejects)."""
     if depth >= 3 or rng.random() < 0.55:
         return _scalar(rng)
     kind = rng.randrange(5)
@@ -174,7 +177,7 @@ def equivalent(left: Any, right: Any) -> bool:
 
 
 def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
-    """Cross-version round-trip fuzzing over every registered class."""
+    """Typed-and-tunnelled round-trip fuzzing over every registered class."""
     report = FuzzReport()
     classes = registered_classes()
     master = random.Random(seed)  # repro: noqa(DET004) -- fuzz harness: explicitly seeded by the caller
@@ -183,14 +186,19 @@ def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
         rng = random.Random(sub_seed)  # repro: noqa(DET004) -- per-iteration stream; sub_seed printed for replay
         tag, cls = classes[iteration % len(classes)]
         fields = random_fields(cls, rng)
-        sender = rng.choice([0, 1, rng.randrange(0, 2 ** 32),
-                             rng.randrange(2 ** 32, 2 ** 40)])
+        # One sender the header can hold, one it cannot: the second
+        # forces the same message through the JSON tunnel.
+        senders = (rng.choice([0, 1, rng.randrange(0, 2 ** 32)]),
+                   rng.randrange(2 ** 32, 2 ** 40))
         message = wire.rebuild(tag, fields)
         try:
-            decoded = {}
-            for version in (1, 2):
-                data = wire.encode(sender, message, version=version)
-                decoded[version] = wire.decode(data)
+            decoded = []
+            for sender in senders:
+                data = wire.encode(sender, message)
+                tunnelled = wire.HEADER.unpack_from(data)[3] == 0
+                report.tunnelled += tunnelled
+                decoded.append(("tunnel" if tunnelled else "typed", sender,
+                                wire.decode(data)))
         except wire.WireCodecError as exc:
             report.defects.append(
                 ("roundtrip", sub_seed, f"{tag}: encode/decode raised {exc}"))
@@ -200,21 +208,21 @@ def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
                 ("roundtrip", sub_seed,
                  f"{tag}: non-codec exception {type(exc).__name__}: {exc}"))
             continue
-        for version, (got_sender, got) in decoded.items():
+        for path, sender, (got_sender, got) in decoded:
             if got_sender != sender:
                 report.defects.append(
                     ("roundtrip", sub_seed,
-                     f"{tag} v{version}: sender {got_sender} != {sender}"))
+                     f"{tag} {path}: sender {got_sender} != {sender}"))
             elif type(got) is not cls:
                 report.defects.append(
                     ("roundtrip", sub_seed,
-                     f"{tag} v{version}: decoded {type(got).__name__}"))
+                     f"{tag} {path}: decoded {type(got).__name__}"))
             else:
                 for name in cls.fields:
                     if not equivalent(fields[name], getattr(got, name)):
                         report.defects.append(
                             ("roundtrip", sub_seed,
-                             f"{tag} v{version}: field {name!r} "
+                             f"{tag} {path}: field {name!r} "
                              f"{fields[name]!r} != {getattr(got, name)!r}"))
         report.roundtrips += 1
     return report
@@ -230,9 +238,11 @@ def _adversarial_blob(rng: random.Random) -> bytes:
     classes = registered_classes()
     tag, cls = classes[rng.randrange(len(classes))]
     message = wire.rebuild(tag, random_fields(cls, rng))
+    # Half the victims are tunnel frames (sender past the header's u32),
+    # so the JSON decoder behind type-id 0 sees mutated input too.
+    sender = rng.randrange(0, 2 ** 32) + rng.choice([0, 2 ** 32])
     try:
-        data = bytearray(wire.encode(rng.randrange(0, 2 ** 32), message,
-                                     version=rng.choice([1, 2])))
+        data = bytearray(wire.encode(sender, message))
     except wire.WireCodecError:
         return b""
     if strategy == 1 and data:  # bit flip

@@ -17,8 +17,7 @@ Payload classes opt in by calling :func:`register` with a ``to_plain`` /
 ``from_plain`` pair; the codec stays ignorant of protocol types.  The
 binary wire codec (:mod:`repro.runtime.wire`) reuses the same
 registrations through :func:`registration_for`/:func:`loader_for`, so a
-class registered once round-trips through storage *and* both wire
-versions.
+class registered once round-trips through storage *and* the wire.
 """
 
 from __future__ import annotations

@@ -202,6 +202,12 @@ class FaultyStorage(StableStorage):
             os.fsync(handle.fileno())
         return True
 
+    def _barrier_begin(self) -> None:
+        self.inner._barrier_begin()
+
+    def _barrier_end(self) -> None:
+        self.inner._barrier_end()
+
     def _read(self, path: str, default: Any) -> Any:
         return self.inner._read(path, default)
 

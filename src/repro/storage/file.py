@@ -1,45 +1,54 @@
-"""File-backed stable storage with corruption detection and self-healing.
+"""File-backed stable storage: journalled, checksummed, self-healing.
 
-One record file per key under a node-specific directory.  Every record is
-framed for integrity checking::
+One record file per key under a node-specific directory, plus a journal
+(``wal.log``) that is the durability point of every write.  Every record
+— in its own file and in the journal — is framed for integrity
+checking::
 
     <crc32 of payload, 8 hex digits> <payload length in bytes>\\n
     <payload: UTF-8 tagged-JSON from repro.storage.codec>
 
-and written with the classic write-to-temp / fsync / rename / fsync-dir
-sequence, so a crash at *any* instant leaves either the old record or the
-new one — never a blend — and the rename itself is durable (the directory
-entry is flushed too, not just the file contents).
-
-Self-healing: a record that fails its frame check (torn tail after a
-mid-``fsync`` crash, bit rot, truncation) is **quarantined** — moved
-aside into a ``quarantine/`` subdirectory, counted in
-``metrics.quarantined`` — and reads return the caller's default, exactly
-as if the record had never been logged.  For the paper's protocols that
-is the correct semantics: a value whose log did not complete was never
-durably logged, so recovery must proceed as if the ``log`` call crashed
-before the write (the protocols are designed for precisely that).  A
-recovery scan at open time sweeps stale temp files and proactively
-quarantines corrupt records so a recovering node starts from a clean
-directory; :attr:`FileStorage.recovery_report` lists what was healed.
-
-**Group commit** (``FileStorage(directory, group_commit=True)``): writes
-are made durable through a journal (``wal.log``) instead of one
-fsync-heavy rename dance per record.  All records logged inside one
-``write_barrier()`` are appended to the journal as a single buffered
-write followed by a **single fsync** — that fsync *is* the barrier's
-durability point — after which each record is applied to its per-key
-file with plain buffered I/O (no fsync: the journal already holds the
-data).  A write outside any barrier commits as a batch of one, still
-one fsync instead of the classic path's two.  At open time the journal
-is replayed — every journalled record is re-applied with the classic
-safe sequence and the journal truncated — so a crash between commit and
-application loses nothing, and a crash *during* a commit discards only
-the torn tail of the journal, i.e. some suffix of an uncommitted batch,
-which the barrier contract explicitly allows.  Once the journal passes a
-size threshold it is checkpointed: the applied files are fsynced and the
-journal truncated, bounding replay time.  The ``group_commits`` /
+**Durability.**  All records logged inside one ``write_barrier()`` are
+appended to the journal as a single buffered write followed by a
+**single fsync** — that fsync *is* the barrier's durability point —
+after which each record is applied to its per-key file with plain
+buffered I/O (no fsync: the journal already holds the data).  A write
+outside any barrier commits as a batch of one.  A crash at *any*
+instant therefore leaves, for each key, either the old record or the
+new one — never a blend: before the journal fsync completes the write
+may or may not survive (a torn journal tail is discarded at the first
+frame that fails its check, i.e. some suffix of an uncommitted batch,
+which the barrier contract explicitly allows); after it the write
+survives whatever happens to the per-key file.  The ``group_commits`` /
 ``group_commit_records`` counters report the batching rate.
+
+**Recovery.**  At open time the journal is replayed: every journalled
+record is re-applied with the classic write-to-temp / fsync / rename /
+fsync-dir sequence (content on disk cannot be trusted merely because it
+reads back — it may never have been flushed) and the journal is
+truncated.  Once the journal passes a size threshold it is checkpointed:
+the applied files and the directory are fsynced, *then* the journal is
+truncated, bounding replay time.
+
+**Self-healing.**  A per-key file that fails its frame check (torn by a
+crash mid-application, bit rot, truncation) meets one of two fates,
+depending on whether the journal still holds its record:
+
+* *inside the journal window* (written since the last checkpoint) it is
+  **healed**: replay rewrites it from the journal at the next open, the
+  value is back, nothing is quarantined;
+* *older than the last checkpoint* it is **quarantined** — moved aside
+  into a ``quarantine/`` subdirectory, counted in
+  ``metrics.quarantined`` — and reads return the caller's default,
+  exactly as if the record had never been logged.  For the paper's
+  protocols that is the correct semantics: recovery proceeds as if the
+  ``log`` call had crashed before the write (the protocols are designed
+  for precisely that).
+
+A corrupt file met by a *read* (corruption after the open-time scan) is
+quarantined on the spot.  The open-time scan also sweeps stale temp
+files; :attr:`FileStorage.recovery_report` lists what was replayed,
+swept and quarantined.
 
 This backend exists to demonstrate that the protocols run against a real
 disk, and to test durability across *process* restarts; the simulation
@@ -63,7 +72,7 @@ _QUARANTINE_DIR = "quarantine"
 _JOURNAL_NAME = "wal.log"
 _CHECKPOINT_BYTES = 1 << 20
 
-# Sentinels for the group-commit overlay: a pending delete, and the
+# Sentinels for the pending-batch overlay: a pending delete, and the
 # absent-from-overlay marker (a logged value may itself be None).
 _DELETED = object()
 _MISSING = object()
@@ -150,33 +159,20 @@ class FileStorage(StableStorage):
     ----------
     directory:
         The node-specific directory records live in (created if absent).
-    group_commit:
-        Route durability through the ``wal.log`` journal so a
-        ``write_barrier()`` costs one fsync total (see module
-        docstring).  Off by default: the classic two-fsync-per-write
-        path is the historical baseline with per-record durability
-        timing, and the write-barrier tests pin its fsync counts.
     """
 
-    def __init__(self, directory: str, group_commit: bool = False):
+    def __init__(self, directory: str):
         super().__init__()
         self.directory = directory
-        self.group_commit = group_commit
         os.makedirs(directory, exist_ok=True)
         # (key, defect) pairs healed by the open-time recovery scan.
         self.recovery_report: List[Tuple[str, str]] = []
-        # Write-barrier state: inside a barrier the per-write directory
-        # fsync (which makes the *rename* durable) is deferred and issued
-        # once at barrier exit.  Record files themselves are still
-        # fsynced per write, so individual records stay atomic.
         self._barrier_depth = 0
-        self._dir_fsync_pending = False
         self.dir_fsyncs = 0
-        self.dir_fsyncs_coalesced = 0
-        # Group-commit state: the overlay of writes/deletes accumulated
-        # inside the current barrier (path -> value or _DELETED, in
-        # arrival order), files applied without fsync since the last
-        # checkpoint, and the journal's current size.
+        # The overlay of writes/deletes accumulated inside the current
+        # barrier (path -> value or _DELETED, in arrival order), files
+        # applied without fsync since the last checkpoint, and the
+        # journal's current size.
         self._pending: Dict[str, Any] = {}
         self._unsynced: Set[str] = set()
         self._journal_path = os.path.join(directory, _JOURNAL_NAME)
@@ -280,22 +276,8 @@ class FileStorage(StableStorage):
 
     def _barrier_end(self) -> None:
         self._barrier_depth -= 1
-        if self._barrier_depth > 0:
-            return
-        if self.group_commit:
+        if self._barrier_depth == 0:
             self._commit_batch()
-        if self._dir_fsync_pending:
-            self._dir_fsync_pending = False
-            self._fsync_directory()
-
-    def _note_rename(self) -> None:
-        """Make the latest rename durable now, or at barrier exit."""
-        if self._barrier_depth > 0:
-            if self._dir_fsync_pending:
-                self.dir_fsyncs_coalesced += 1
-            self._dir_fsync_pending = True
-        else:
-            self._fsync_directory()
 
     # -- group commit --------------------------------------------------------
 
@@ -362,15 +344,12 @@ class FileStorage(StableStorage):
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self._file_for(path))
-            self._note_rename()
+            self._fsync_directory()
         finally:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
 
     def _write(self, path: str, value: Any) -> None:
-        if not self.group_commit:
-            self._write_classic(path, value)
-            return
         self._pending[path] = value
         if self._barrier_depth == 0:
             self._commit_batch()
@@ -393,18 +372,12 @@ class FileStorage(StableStorage):
             return default
 
     def _delete_raw(self, path: str) -> None:
-        if self.group_commit:
-            # Journalled even outside a barrier: an earlier write of this
-            # key may still sit in the journal, and replay must not
-            # resurrect it after a crash.
-            self._pending[path] = _DELETED
-            if self._barrier_depth == 0:
-                self._commit_batch()
-            return
-        try:
-            os.unlink(self._file_for(path))
-        except FileNotFoundError:
-            pass
+        # Journalled even outside a barrier: an earlier write of this
+        # key may still sit in the journal, and replay must not
+        # resurrect it after a crash.
+        self._pending[path] = _DELETED
+        if self._barrier_depth == 0:
+            self._commit_batch()
 
     def _keys(self) -> Iterable[str]:
         deleted = {path for path, value in self._pending.items()

@@ -9,48 +9,33 @@ cannot accidentally mutate "durable" state in place — the closest
 in-memory analogue of serialisation through a real disk.  Isolation is
 provided by :mod:`repro.storage.snapshot`: immutable values (the vast
 majority of what the protocols log) are shared without copying, mutable
-containers are structurally rebuilt — far cheaper than the
-``copy.deepcopy``-per-operation this backend used to perform, with the
-same observable semantics.  The legacy behaviour survives as
-``MemoryStorage(isolation="deepcopy")`` so the perf harness can measure
-the difference (docs/PERFORMANCE.md).
+containers are structurally rebuilt, with the same observable semantics
+as a ``copy.deepcopy`` per operation at a fraction of its cost (a type
+the snapshotter does not know falls back to a counted ``deepcopy``).
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Iterable, Tuple
 
-from repro.errors import StorageError
 from repro.storage.snapshot import snapshot
 from repro.storage.stable import StableStorage
 
 __all__ = ["MemoryStorage"]
 
-_ISOLATION_MODES = ("snapshot", "deepcopy")
-
 
 class MemoryStorage(StableStorage):
     """Dictionary-backed stable storage with copy-on-write/read semantics."""
 
-    def __init__(self, isolation: str = "snapshot") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if isolation not in _ISOLATION_MODES:
-            raise StorageError(
-                f"unknown isolation mode {isolation!r}; "
-                f"pick one of {_ISOLATION_MODES}")
-        self.isolation = isolation
-        self._deepcopy = isolation == "deepcopy"
         # path -> (value, immutable).  Immutable entries are shared with
         # the caller on both sides; mutable ones are re-snapshotted on
         # every read.
         self._data: Dict[str, Tuple[Any, bool]] = {}
 
     def _write(self, path: str, value: Any) -> None:
-        if self._deepcopy:
-            self._data[path] = (copy.deepcopy(value), False)
-        else:
-            self._data[path] = snapshot(value)
+        self._data[path] = snapshot(value)
 
     def _read(self, path: str, default: Any) -> Any:
         entry = self._data.get(path)
@@ -59,8 +44,6 @@ class MemoryStorage(StableStorage):
         value, immutable = entry
         if immutable:
             return value
-        if self._deepcopy:
-            return copy.deepcopy(value)
         return snapshot(value)[0]
 
     def _delete_raw(self, path: str) -> None:

@@ -27,8 +27,7 @@ Protocol value classes join the fast path in one of two ways:
 
 Anything unknown falls back to ``copy.deepcopy`` — correctness never
 depends on registration, only speed.  The fallback count is exposed via
-:func:`fallback_count` so tests (and the perf harness) can assert the
-hot path stays hot.
+:func:`fallback_count` so tests can assert the hot path stays hot.
 """
 
 from __future__ import annotations

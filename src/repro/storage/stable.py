@@ -146,8 +146,8 @@ class StableStorage:
     def write_barrier(self):
         """Group several ``log`` calls into one logical durability barrier.
 
-        Backends may coalesce per-write flush work (e.g. directory
-        fsyncs) and perform it once when the barrier exits.  The
+        Backends may coalesce per-write flush work (e.g. the journal
+        fsync) and perform it once when the barrier exits.  The
         contract is deliberately weak: every record keeps its individual
         atomicity (old value or new value, never a blend), but the
         *durability* of writes inside the barrier is only guaranteed
@@ -157,11 +157,11 @@ class StableStorage:
 
         The default implementation is a no-op, so protocol code can use
         barriers unconditionally; metric accounting is unaffected either
-        way (a coalesced fsync is still one log op per write).
-        :class:`~repro.storage.file.FileStorage` uses the hooks two
-        ways: by default it defers only the directory fsync, and with
-        ``group_commit=True`` it batches the barrier's records into one
-        journal write with a single fsync as the durability point.
+        way (a batched write is still one log op).
+        :class:`~repro.storage.file.FileStorage` batches the barrier's
+        records into one journal write with a single fsync as the
+        durability point; wrappers forward both hooks to the backend
+        they decorate.
         """
         self._barrier_begin()
         try:

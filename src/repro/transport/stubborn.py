@@ -41,7 +41,7 @@ single :class:`StubbornBatch` event, and acknowledgements owed to that
 peer piggyback on the batch (or flush as one batched ack when no data is
 going that way).  On the simulated runtime that turns N sends + N acks
 into 2 events; on the live runtime the batch is one wire message, which
-the v2 transport packs into one datagram.  Retransmissions stay
+the transport packs into one datagram.  Retransmissions stay
 per-envelope (they are the rare path) and per-envelope ack/window
 bookkeeping is unchanged, so the retransmission policy and its metrics
 mean the same thing with coalescing on or off.

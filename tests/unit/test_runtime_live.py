@@ -16,7 +16,8 @@ from repro.core.messages import AppMessage, GossipMessage, StateMessage
 from repro.errors import SimulationError
 from repro.runtime import AnyOf
 from repro.runtime.live import LiveRuntime
-from repro.runtime.wire import WireCodecError, decode, encode
+from repro.runtime.wire import (HEADER, MAGIC, WireCodecError, decode,
+                                encode)
 
 
 @pytest.fixture
@@ -57,11 +58,16 @@ def test_wire_roundtrip_state():
     assert message.agreed_plain == plain
 
 
+def tunnel_frame(payload: bytes) -> bytes:
+    """A hand-built JSON-tunnel frame (type-id 0) around ``payload``."""
+    return HEADER.pack(MAGIC, 2, 0, 0, len(payload)) + payload
+
+
 def test_wire_rejects_garbage_and_unknown_tags():
     with pytest.raises(WireCodecError):
         decode(b"\xff\x00 not json")
-    with pytest.raises(WireCodecError):
-        decode(b'{"s": 0, "t": "no.such.tag", "f": {}}')
+    with pytest.raises(WireCodecError, match="unknown wire type tag"):
+        decode(tunnel_frame(b'{"s": 0, "t": "no.such.tag", "f": {}}'))
 
 
 def test_wire_duplicate_tag_is_ambiguous_not_fatal():
@@ -78,7 +84,7 @@ def test_wire_duplicate_tag_is_ambiguous_not_fatal():
         fields = ()
 
     with pytest.raises(WireCodecError, match="ambiguous"):
-        decode(b'{"s": 0, "t": "test.wire.dup", "f": {}}')
+        decode(tunnel_frame(b'{"s": 0, "t": "test.wire.dup", "f": {}}'))
     # Protocol tags keep working despite the collision.
     sender, message = decode(encode(4, StateMessage(1, [])))
     assert (sender, message.k) == (4, 1)

@@ -232,10 +232,6 @@ class TestCodecNonFiniteFloats:
 class TestSnapshotIsolation:
     """The immutability-aware snapshot path of MemoryStorage."""
 
-    def test_unknown_isolation_mode_rejected(self):
-        with pytest.raises(StorageError):
-            MemoryStorage(isolation="telepathy")
-
     def test_immutable_values_are_shared_not_copied(self):
         storage = MemoryStorage()
         message = AppMessage(MessageId(1, 0, 7), ("payload", 3))
@@ -281,15 +277,6 @@ class TestSnapshotIsolation:
         assert storage.retrieve("b").items == [1, 2]
         assert snapshot.fallback_count() > before
 
-    def test_deepcopy_mode_matches_snapshot_semantics(self):
-        for isolation in ("snapshot", "deepcopy"):
-            storage = MemoryStorage(isolation=isolation)
-            value = {"inner": [1, 2], "id": MessageId(0, 0, 1)}
-            storage.log("k", value)
-            value["inner"].append(3)
-            assert storage.retrieve("k") == \
-                {"inner": [1, 2], "id": MessageId(0, 0, 1)}
-
     def test_namedtuple_of_immutables_passes_through(self):
         storage = MemoryStorage()
         mid = MessageId(3, 1, 4)
@@ -299,43 +286,32 @@ class TestSnapshotIsolation:
 
 
 class TestFileStorageWriteBarrier:
-    """Directory-fsync coalescing inside one logical write barrier."""
-
-    def test_barrier_coalesces_directory_fsyncs(self, tmp_path):
-        storage = FileStorage(str(tmp_path / "store"))
-        baseline = storage.dir_fsyncs
-        with storage.write_barrier():
-            for index in range(5):
-                storage.log(("ab", "ckpt", index), index)
-        # One directory flush for the whole barrier, not one per write.
-        assert storage.dir_fsyncs == baseline + 1
-        assert storage.dir_fsyncs_coalesced == 4
-        for index in range(5):
-            assert storage.retrieve(("ab", "ckpt", index)) == index
+    """One journal commit per outermost write barrier (batching details
+    and fsync counts: test_storage_group_commit.py)."""
 
     def test_writes_outside_barrier_flush_per_write(self, tmp_path):
         storage = FileStorage(str(tmp_path / "store"))
-        baseline = storage.dir_fsyncs
         storage.log("a", 1)
         storage.log("b", 2)
-        assert storage.dir_fsyncs == baseline + 2
+        assert storage.group_commits == 2
+        assert storage.group_commit_records == 2
 
     def test_nested_barriers_flush_once_at_outermost_exit(self, tmp_path):
         storage = FileStorage(str(tmp_path / "store"))
-        baseline = storage.dir_fsyncs
         with storage.write_barrier():
             storage.log("a", 1)
             with storage.write_barrier():
                 storage.log("b", 2)
-            assert storage.dir_fsyncs == baseline  # still deferred
-        assert storage.dir_fsyncs == baseline + 1
+            assert storage.group_commits == 0  # still deferred
+        assert storage.group_commits == 1
+        assert storage.group_commit_records == 2
 
     def test_empty_barrier_flushes_nothing(self, tmp_path):
         storage = FileStorage(str(tmp_path / "store"))
-        baseline = storage.dir_fsyncs
         with storage.write_barrier():
             pass
-        assert storage.dir_fsyncs == baseline
+        assert storage.group_commits == 0
+        assert storage.dir_fsyncs == 0
 
     def test_memory_backend_barrier_is_noop(self):
         storage = MemoryStorage()

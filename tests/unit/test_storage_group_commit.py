@@ -1,10 +1,10 @@
 """Unit tests for FileStorage group commit (journalled write barriers).
 
-The classic per-record path (temp + fsync + rename) keeps its coverage
-in test_storage.py and test_storage_crash_atomicity.py; here we pin the
-group-commit mode: one journal fsync per barrier, read-your-writes
-inside the barrier, replay after a crash, and the anti-resurrection
-discipline for deletes.
+Crash atomicity and self-healing live in
+test_storage_crash_atomicity.py; here we pin the batching itself: one
+journal fsync per barrier, read-your-writes inside the barrier, replay
+after a crash, the anti-resurrection discipline for deletes, and the
+checkpoint that bounds the journal.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import os
 
 import pytest
 
-from repro.storage.file import (FileStorage, _JOURNAL_NAME, frame_record)
+from repro.storage.file import (FileStorage, _CHECKPOINT_BYTES,
+                                _JOURNAL_NAME, frame_record)
 
 
 @pytest.fixture
 def storage(tmp_path):
-    return FileStorage(str(tmp_path), group_commit=True)
+    return FileStorage(str(tmp_path))
 
 
 def fsync_counter(monkeypatch):
@@ -45,16 +46,6 @@ class TestBatching:
         for index in range(10):
             assert storage.retrieve(("batch", index)) == {"v": index}
 
-    def test_classic_mode_fsyncs_per_record(self, tmp_path, monkeypatch):
-        classic = FileStorage(str(tmp_path), group_commit=False)
-        calls = fsync_counter(monkeypatch)
-        with classic.write_barrier():
-            for index in range(10):
-                classic.log(("batch", index), {"v": index})
-        assert calls["n"] >= 10
-        assert classic.group_commits == 0
-        assert not os.path.exists(str(tmp_path / _JOURNAL_NAME))
-
     def test_read_your_writes_inside_barrier(self, storage):
         storage.log("outside", 1)
         with storage.write_barrier():
@@ -79,7 +70,7 @@ class TestBatching:
 
 class TestCrashRecovery:
     def test_journal_replay_restores_buffered_writes(self, tmp_path):
-        storage = FileStorage(str(tmp_path), group_commit=True)
+        storage = FileStorage(str(tmp_path))
         with storage.write_barrier():
             for index in range(6):
                 storage.log(("r", index), ["value", index])
@@ -90,7 +81,7 @@ class TestCrashRecovery:
                       if name != _JOURNAL_NAME)
         with open(os.path.join(str(tmp_path), victim), "wb") as handle:
             handle.write(b"\x00torn")
-        reopened = FileStorage(str(tmp_path), group_commit=True)
+        reopened = FileStorage(str(tmp_path))
         for index in range(6):
             assert reopened.retrieve(("r", index)) == ["value", index]
         assert any(key == _JOURNAL_NAME
@@ -100,38 +91,88 @@ class TestCrashRecovery:
                        for _, defect in reopened.recovery_report)
 
     def test_torn_journal_tail_is_tolerated(self, tmp_path):
-        storage = FileStorage(str(tmp_path), group_commit=True)
+        storage = FileStorage(str(tmp_path))
         with storage.write_barrier():
             storage.log("a", 1)
         journal = os.path.join(str(tmp_path), _JOURNAL_NAME)
         with open(journal, "ab") as handle:
             handle.write(frame_record('["w", "b", 2]')[:-3])  # torn write
-        reopened = FileStorage(str(tmp_path), group_commit=True)
+        reopened = FileStorage(str(tmp_path))
         assert reopened.retrieve("a") == 1
         assert reopened.retrieve("b") is None
 
     def test_delete_does_not_resurrect_after_replay(self, tmp_path):
-        storage = FileStorage(str(tmp_path), group_commit=True)
+        storage = FileStorage(str(tmp_path))
         with storage.write_barrier():
             storage.log("key", "value")
         storage.delete("key")
-        reopened = FileStorage(str(tmp_path), group_commit=True)
+        reopened = FileStorage(str(tmp_path))
         assert not reopened.contains("key")
         assert reopened.retrieve("key") is None
 
     def test_values_survive_plain_reopen(self, tmp_path):
-        storage = FileStorage(str(tmp_path), group_commit=True)
+        storage = FileStorage(str(tmp_path))
         with storage.write_barrier():
             storage.log("x", {"deep": [1, (2, 3)]})
-        reopened = FileStorage(str(tmp_path), group_commit=True)
+        reopened = FileStorage(str(tmp_path))
         assert reopened.retrieve("x") == {"deep": [1, (2, 3)]}
 
-    def test_group_commit_dir_opens_in_classic_mode(self, tmp_path):
-        """Downgrade path: a directory written with group commit must
-        stay readable by a classic-mode instance (the journal is
-        replayed by whoever opens the directory next)."""
-        storage = FileStorage(str(tmp_path), group_commit=True)
-        with storage.write_barrier():
-            storage.log("k", 9)
-        classic = FileStorage(str(tmp_path), group_commit=False)
-        assert classic.retrieve("k") == 9
+
+class TestCheckpoint:
+    def test_checkpoint_syncs_files_then_truncates_journal(self, tmp_path,
+                                                           monkeypatch):
+        """Past ``_CHECKPOINT_BYTES`` the applied files and the directory
+        are fsynced *before* the journal that backs them is emptied;
+        afterwards the files stand alone."""
+        directory = str(tmp_path)
+        journal = os.path.join(directory, _JOURNAL_NAME)
+        storage = FileStorage(directory)
+        events = []
+        real_fsync = os.fsync
+        real_truncate = storage._truncate_journal
+
+        def recording_fsync(fd):
+            events.append(os.fstat(fd).st_ino)
+            return real_fsync(fd)
+
+        def recording_truncate():
+            events.append("truncate")
+            return real_truncate()
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(storage, "_truncate_journal", recording_truncate)
+        chunk = "x" * (_CHECKPOINT_BYTES // 8)
+        written = 0
+        while "truncate" not in events:
+            assert written < 16, "journal never checkpointed"
+            storage.log(("big", written), [written, chunk])
+            written += 1
+        monkeypatch.undo()
+
+        synced_first = set(events[:events.index("truncate")])
+        record_files = [name for name in os.listdir(directory)
+                        if name.endswith(".json")]
+        assert len(record_files) == written
+        for name in record_files:
+            assert os.stat(os.path.join(directory, name)).st_ino \
+                in synced_first
+        assert os.stat(directory).st_ino in synced_first
+        assert os.path.getsize(journal) == 0
+
+        # Nothing to replay: every value is read from its own file.
+        reopened = FileStorage(directory)
+        assert reopened.recovery_report == []
+        for index in range(written):
+            assert reopened.retrieve(("big", index)) == [index, chunk]
+
+        # A record corrupted now is older than the last checkpoint, so no
+        # journal entry can heal it: quarantined, read as never logged.
+        victim = os.path.join(directory, record_files[0])
+        with open(victim, "r+b") as handle:
+            handle.seek(-2, os.SEEK_END)
+            handle.write(b"!!")
+        healed = FileStorage(directory)
+        assert healed.metrics.quarantined == 1
+        values = [healed.retrieve(("big", index)) for index in range(written)]
+        assert values.count(None) == 1
+        assert not os.path.exists(victim)

@@ -1,10 +1,10 @@
-"""Unit tests for the v2 binary wire format.
+"""Unit tests for the binary wire format.
 
-The cross-version fuzz properties live in
+The round-trip fuzz properties live in
 tests/property/test_wire_fuzz_properties.py; here we pin the frame
 layout itself (header fields, type-id table, JSON tunnel, datagram
-concatenation, version negotiation) and the registry-cache fix that
-makes unknown-tag lookups O(1).
+concatenation, the one accepted lead byte) and the registry-cache fix
+that makes unknown-tag lookups O(1).
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
 from repro.runtime import wire
 from repro.runtime.wire import (HEADER, MAGIC, TYPE_ID_TABLE, WireCodecError,
-                                WireConfig, decode, decode_datagram, encode,
+                                WireConfig, decode, decode_datagram,
                                 encode_frame, register_type_id, type_id_for)
 from repro.transport.message import WireMessage
 
 
 class Tunnelled(WireMessage):
-    """A message class with no registered type-id: v2 must tunnel it."""
+    """A message class with no registered type-id: it must be tunnelled."""
 
     type = "test.wirev2.tunnelled"
     fields = ("blob",)
@@ -51,27 +51,12 @@ class TestFrameLayout:
         assert type_id == TYPE_ID_TABLE["ab.gossip"]
         assert length == len(frame) - HEADER.size
 
-    def test_version_negotiation_by_first_byte(self):
-        """v1 datagrams start with ``{``; v2 with the magic's first byte.
-        The decoder accepts both regardless of the local default."""
-        v1 = encode(3, gossip(), version=1)
-        v2 = encode(3, gossip(), version=2)
-        assert v1[0] == ord("{")
-        assert v2[0] == (MAGIC >> 8)
-        for data in (v1, v2):
-            sender, message = decode(data)
-            assert sender == 3
-            assert isinstance(message, GossipMessage)
-
-    def test_both_versions_decode_identically(self):
-        message = gossip()
-        for version in (1, 2):
-            sender, got = decode(encode(9, message, version=version))
-            assert sender == 9
-            assert (got.k, got.ckpt_k) == (message.k, message.ckpt_k)
-            assert got.payloads == message.payloads
-            assert got.known == message.known and len(got.known) == 3
-            assert got.want == message.want and len(got.want) == 1
+    def test_bare_json_datagram_rejected(self):
+        """There is one format: a well-formed tunnel payload that is not
+        inside a frame is just a datagram with an unknown lead byte."""
+        import repro.fdetect.heartbeat  # noqa: F401 -- defines fd.alive
+        with pytest.raises(WireCodecError, match="lead byte"):
+            decode_datagram(b'{"s":0,"t":"fd.alive","f":{}}')
 
     def test_frames_concatenate_into_one_datagram(self):
         datagram = encode_frame(0, gossip()) + encode_frame(1, gossip())
@@ -136,10 +121,6 @@ class TestTypeIdTable:
 
 
 class TestWireConfigValidation:
-    def test_bad_version_rejected(self):
-        with pytest.raises(WireCodecError):
-            WireConfig(version=3)
-
     def test_frame_bound_must_fit_datagram_bound(self):
         with pytest.raises(WireCodecError):
             WireConfig(max_frame_bytes=70000, max_datagram_bytes=65507)
@@ -147,11 +128,6 @@ class TestWireConfigValidation:
             WireConfig(max_frame_bytes=0)
         with pytest.raises(WireCodecError):
             WireConfig(flush_delay=-0.5)
-
-    def test_coalesce_defaults_follow_version(self):
-        assert WireConfig(version=2).coalesce is True
-        assert WireConfig(version=1).coalesce is False
-        assert WireConfig(version=2, coalesce=False).coalesce is False
 
 
 class TestRegistryCache:
