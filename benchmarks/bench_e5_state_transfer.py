@@ -8,8 +8,9 @@ tuned through the variable Δ."
 
 Regenerated evidence: one node sleeps through a burst of rounds; we
 sweep Δ (including "off").  With state transfer enabled, the returning
-node adopts a peer's Agreed queue and skips rounds — catch-up takes a
-bounded number of replayed instances regardless of outage length.  With
+node is handed the decided batches of the rounds it missed and skips
+their instances — catch-up takes a bounded number of replayed instances
+regardless of outage length.  With
 Δ=off it must re-run every missed instance.  Larger Δ trades fewer state
 messages (bytes) for more replay.
 """

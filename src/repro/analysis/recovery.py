@@ -21,12 +21,14 @@ surface.
 
 Storage keys are compared as *patterns*: constants stay literal,
 class-constant tuples (``INCARNATION_KEY = ("ab", "incarnation")``) are
-spliced through the concrete class's MRO, and anything dynamic becomes a
-``*`` wildcard, so ``("consensus", k, "proposal")`` written by
-``propose`` is satisfied by the ``keys(("consensus",))`` prefix scan in
-``logged_instances``.  Helpers that forward a key parameter to a storage
-call (``def _store(self, key, value): ... storage.log(key, value)``)
-are detected in a first pass, and their *call sites* supply the key
+spliced through the concrete class's MRO, tuple concatenations
+(``self.SEGMENT_KEY + (k,)``) are flattened operand by operand, and
+anything dynamic becomes a ``*`` wildcard, so
+``("consensus", k, "proposal")`` written by ``propose`` is satisfied by
+the ``keys(("consensus",))`` prefix scan in ``logged_instances``.
+Helpers that forward a key parameter to a storage call
+(``def _store(self, key, value): ... storage.log(key, value)``) are
+detected in a first pass, and their *call sites* supply the key
 patterns.
 """
 
@@ -132,6 +134,11 @@ def _canonical_key(expr: ast.AST, project: ProjectContext,
             return
         if isinstance(node, ast.Constant):
             elements.append(_canonical_element(node.value))
+            return
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            # ``self.PREFIX + (k,)``: tuple concatenation, element-wise.
+            flatten(node.left)
+            flatten(node.right)
             return
         constant = _resolve_constant(node, project, owner)
         if constant is not None:

@@ -64,7 +64,6 @@ class EagerLoggingAtomicBroadcast(BasicAtomicBroadcast):
         for message in self.agreed.sequence():
             for listener in self._listeners:
                 listener.on_deliver(message)
-        self.messages_delivered += len(self.agreed)
 
     def _admit_locally(self, message: AppMessage) -> None:
         if message.id in self.unordered or message in self.agreed:

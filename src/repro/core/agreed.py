@@ -14,8 +14,10 @@ The queue holds the node's delivery sequence.  Structurally it is::
   :class:`~repro.core.tracker.DeliveredTracker` recording which messages
   the state logically contains.
 * ``to_plain`` / ``from_plain`` make the whole queue portable, for the
-  ``state`` message of Section 5.3 and for durable checkpoints
-  (Section 5.1).
+  whole-queue ``state`` message of Section 5.3 and for the base record
+  of a durable checkpoint (Section 5.1).
+* ``tail`` / ``extend`` move a run of already-ordered messages: what a
+  checkpoint segment logs and what recovery appends back.
 """
 
 from __future__ import annotations
@@ -78,8 +80,13 @@ class AgreedQueue:
     def append_batch(self, batch: Iterable[AppMessage]) -> List[AppMessage]:
         """Append a decided batch; returns the newly appended messages
         in delivery order (duplicates silently skipped)."""
+        return self.extend(self.order_rule(batch))
+
+    def extend(self, messages: Iterable[AppMessage]) -> List[AppMessage]:
+        """Append messages that are already in delivery order (a logged
+        checkpoint segment); returns the ones that were new."""
         appended: List[AppMessage] = []
-        for message in self.order_rule(batch):
+        for message in messages:
             if self.tracker.add(message.id):
                 self.suffix.append(message)
                 appended.append(message)
@@ -110,6 +117,10 @@ class AgreedQueue:
         With no checkpoint this is the node's entire ``A-deliver-sequence``.
         """
         return list(self.suffix)
+
+    def tail(self, count: int) -> List[AppMessage]:
+        """The last ``count`` delivered messages (all of them explicit)."""
+        return self.suffix[-count:] if count else []
 
     # -- Section 5.2: application-level checkpointing -------------------------------------
 
@@ -149,9 +160,7 @@ class AgreedQueue:
             queue.checkpoint_tracker = DeliveredTracker.from_plain(
                 tracker_plain)
             queue.tracker = queue.checkpoint_tracker.copy()
-        for message in suffix:
-            queue.tracker.add(message.id)
-            queue.suffix.append(message)
+        queue.extend(suffix)
         return queue
 
     def estimated_size(self) -> int:

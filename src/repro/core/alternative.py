@@ -4,19 +4,29 @@ Extends the basic protocol with four independently-toggleable features,
 each trading extra log operations for a practical benefit:
 
 * **Durable checkpoints of ``(k, Agreed)``** (Section 5.1) — a periodic
-  checkpoint task logs the round number and the Agreed queue, so recovery
-  restarts from the checkpoint instead of replaying every consensus
-  instance from round 0.  Consensus logs below the checkpoint are
-  discarded (Figure 4, line c).
+  checkpoint task makes the round number and the Agreed queue durable,
+  so recovery restarts from the checkpoint instead of replaying every
+  consensus instance from round 0.  Consensus logs below the checkpoint
+  are discarded (Figure 4, line c).  The durable queue is a **base
+  record plus a chain of segments**: a tick logs only the messages
+  appended to Agreed since the previous tick, under a key naming the
+  round it starts from; recovery loads the base and follows the chain
+  link by link.
 * **Application-level checkpoints** (Section 5.2) — when the application
   registers an ``A-checkpoint`` upcall, the delivered prefix of the
   Agreed queue is replaced by ``(A-checkpoint(σ), VC(σ))``: the log stops
-  growing with history and the replay phase shrinks to the suffix.
+  growing with history and the replay phase shrinks to the suffix.  This
+  is the *fold*: it rewrites the base and deletes the segments, once
+  the segments have grown as large as the base they extend — so the log
+  stays within about twice the state and the rewrite costs O(1) per
+  delivered message.
 * **State transfer** (Section 5.3) — a process that sees a peer more than
-  ``delta`` rounds behind sends it a ``state`` message carrying
-  ``(k_p − 1, Agreed_p)``; the late process aborts its sequencer, adopts
-  the state, and re-forks the sequencer past the missed instances
-  (Figure 3, lines d–f).
+  ``delta`` rounds behind sends it a ``state`` message carrying the
+  decided batches of the rounds the peer missed, which the
+  garbage-collection watermark retains for exactly that peer; the late
+  process aborts its sequencer, commits them, and re-forks the sequencer
+  past the missed instances (Figure 3, lines d–f).  Only when a needed
+  decision is gone does the message carry ``(k_p − 1, Agreed_p)`` whole.
 * **Logged Unordered set** (Sections 5.4/5.5) — ``A-broadcast`` logs the
   message (incrementally, by default: only the new element is written)
   and returns as soon as it is durable, instead of waiting for the
@@ -30,12 +40,13 @@ benchmarks do exactly that).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.consensus.base import ConsensusService
 from repro.core.agreed import AgreedQueue
 from repro.core.basic import BasicAtomicBroadcast
 from repro.core.messages import AppMessage, StateMessage
+from repro.sizing import estimate_size
 from repro.transport.endpoint import Endpoint
 
 __all__ = ["AlternativeAtomicBroadcast", "AlternativeConfig"]
@@ -50,7 +61,9 @@ class AlternativeConfig:
         Period of the checkpoint task (virtual time); ``None`` disables
         durable checkpoints (degenerating towards the basic protocol).
         The paper: "the frequency of this checkpointing has no impact on
-        correctness and is an implementation choice".
+        correctness and is an implementation choice".  A tick logs the
+        messages delivered since the previous one, so the interval
+        trades log operations against replay length, not against bytes.
     delta:
         De-synchronisation (in rounds) that triggers a state transfer to
         a lagging peer; ``None`` disables state transfer.
@@ -88,14 +101,19 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
 
     name = "atomic-broadcast-alt"
 
+    # The durable queue: the base record ``[k, Agreed]`` under
+    # CHECKPOINT_KEY, extended by segments ``[from_k, to_k, messages]``
+    # under SEGMENT_KEY + (from_k,) — each names the round the queue
+    # must stand at for it to apply, so the chain is followed by lookup.
     CHECKPOINT_KEY = ("ab", "ckpt")
+    SEGMENT_KEY = ("ab", "seg")
     UNORDERED_KEY = ("ab", "unordered")
     JOINING_KEY = ("ab", "joining")
 
     # In addition to the inherited incarnation mirror, ckpt_k mirrors the
-    # durable checkpoint round: gossip advertises it to drive peer-side
-    # log truncation (Figure 4, line c), so it must never run ahead of
-    # the logged checkpoint.
+    # round of the last durable link (base or segment): gossip advertises
+    # it to drive peer-side log truncation (Figure 4, line c), so it must
+    # never run ahead of what recovery would rebuild.
     VOLATILE_FIELDS = ("incarnation", "ckpt_k")
 
     def __init__(self, endpoint: Endpoint, consensus: ConsensusService,
@@ -105,6 +123,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         super().__init__(endpoint, consensus, gossip_interval, namespace)
         if namespace:
             self.CHECKPOINT_KEY = (f"ab@{namespace}", "ckpt")
+            self.SEGMENT_KEY = (f"ab@{namespace}", "seg")
             self.UNORDERED_KEY = (f"ab@{namespace}", "unordered")
             self.JOINING_KEY = (f"ab@{namespace}", "joining")
         self.config = config or AlternativeConfig()
@@ -113,6 +132,15 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         self._last_state_sent: dict = {}
         self.ckpt_k = 0
         self._peer_ckpt: dict = {}
+        # The durable chain as this incarnation knows it: how many
+        # messages it holds, and the logged size of the base record and
+        # of the segments chained to it (what the fold rule compares —
+        # taken from the storage metrics as each record is written,
+        # never by re-measuring).  A base of 0 bytes means nothing
+        # durable holds the current queue: the next tick writes one.
+        self._durable_count = 0
+        self._base_bytes = 0
+        self._segment_bytes = 0
         # Statistics.
         self.checkpoints_taken = 0
         self.state_transfers_sent = 0
@@ -151,6 +179,9 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         self._pending_restore = False
         self.ckpt_k = 0
         self._peer_ckpt = {}
+        self._durable_count = 0
+        self._base_bytes = 0
+        self._segment_bytes = 0
         super().on_start()
         self.endpoint.register(StateMessage.type, self._on_state)
         if self.config.checkpoint_interval is not None:
@@ -176,15 +207,33 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
     def _restore_volatile_state(self) -> None:
         """Recovery, Figure 3: retrieve ``(k, Agreed)`` and ``Unordered``."""
         assert self.node is not None
-        self._joining = bool(self.node.storage.retrieve(
-            self.JOINING_KEY, False))
-        stored = self.node.storage.retrieve(self.CHECKPOINT_KEY, None)
+        storage = self.node.storage
+        self._joining = bool(storage.retrieve(self.JOINING_KEY, False))
+        stored = storage.retrieve(self.CHECKPOINT_KEY, None)
         if stored is not None:
             stored_k, agreed_plain = stored
             self.k = int(stored_k)
-            self.ckpt_k = self.k
             self.agreed = AgreedQueue.from_plain(agreed_plain,
                                                  self.order_rule)
+            self._base_bytes = estimate_size(stored)
+            # Follow the chain, and only the chain: the segment filed
+            # under the round the queue stands at extends it; the first
+            # round with none ends it.  Segments a fold superseded but
+            # crashed before deleting sit below the base and are never
+            # looked up; one whose contents contradict its key is a gap.
+            while True:
+                segment = storage.retrieve(self.SEGMENT_KEY + (self.k,),
+                                           None)
+                if segment is None:
+                    break
+                from_k, to_k, messages = segment
+                if from_k != self.k or to_k <= from_k:
+                    break
+                self.agreed.extend(messages)
+                self.k = int(to_k)
+                self._segment_bytes += estimate_size(segment)
+            self.ckpt_k = self.k
+            self._durable_count = len(self.agreed)
             self._pending_restore = True
             # Re-arm the consensus participation floor before any
             # message of the new incarnation arrives (the floor itself
@@ -200,8 +249,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
                     and self.view_manager.epoch() > 0:
                 self.consensus.set_instance_floor(self.k)
         if self.config.log_unordered:
-            for message in self.node.storage.retrieve_list(
-                    self.UNORDERED_KEY):
+            for message in storage.retrieve_list(self.UNORDERED_KEY):
                 # Volatile admission only (the base class never logs):
                 # these messages are already in the durable Unordered
                 # list, and the incremental-mode append in our override
@@ -210,7 +258,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
                 super()._admit_locally(message)
 
     def _announce_restore(self) -> None:
-        """Replay the restored checkpoint to freshly-subscribed listeners."""
+        """Replay a restored or adopted queue to the listeners."""
         if not self._pending_restore:
             return
         self._pending_restore = False
@@ -219,7 +267,6 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         for message in self.agreed.sequence():
             for listener in self._listeners:
                 listener.on_deliver(message)
-        self.messages_delivered += len(self.agreed)
 
     # -- Section 5.4/5.5: logged Unordered set ------------------------------------------------
 
@@ -248,22 +295,30 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
     def take_checkpoint(self) -> None:
         """One pass of the checkpoint task (also callable explicitly).
 
-        Atomic w.r.t. round commits and gossip handling (the bracketed
-        line b of Figure 4): the kernel is single-threaded and this
-        method never yields.
+        Makes the queue durable up to the current round by logging what
+        was appended since the last pass — or, once the segments have
+        grown as large as the base they extend, by folding everything
+        into a fresh base.  Atomic w.r.t. round commits and gossip
+        handling (the bracketed line b of Figure 4): the kernel is
+        single-threaded and this method never yields.
         """
         assert self.node is not None
-        if self._app_checkpoint is not None:
-            # (b) Agreed ← (A-checkpoint(Agreed), VC(Agreed))
-            self.agreed.compact(self._app_checkpoint())
-        # The checkpoint writes form one logical step whose records are
-        # each individually safe to lose (a stale checkpoint or a fat
-        # Unordered log only cost replay work), so a write barrier lets
-        # durable backends coalesce their per-rename flushes.
-        with self.node.storage.write_barrier():
-            self.node.storage.log(self.CHECKPOINT_KEY,
-                                  [self.k, self.agreed.to_plain()])
-            self.ckpt_k = self.k
+        storage = self.node.storage
+        if self._segment_bytes >= self._base_bytes:
+            self._write_base()
+        # The remaining writes form one logical step whose records are
+        # each individually safe to lose (a missing last segment or a
+        # fat Unordered log only cost replay work), so a write barrier
+        # lets durable backends coalesce their per-rename flushes.
+        with storage.write_barrier():
+            if self.k > self.ckpt_k:
+                appended = self.agreed.tail(
+                    len(self.agreed) - self._durable_count)
+                self._segment_bytes += self._log_sized(
+                    self.SEGMENT_KEY + (self.ckpt_k,),
+                    [self.ckpt_k, self.k, appended])
+                self.ckpt_k = self.k
+                self._durable_count = len(self.agreed)
             # (c) Proposed[i] can be discarded from the log — but only
             # below the *global* watermark (the lowest checkpointed round
             # any peer has reported): instances above it may still be
@@ -274,11 +329,44 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
             if self.config.log_unordered:
                 # Rewrite the Unordered log compactly (drops ordered
                 # messages).
-                self.node.storage.log(self.UNORDERED_KEY,
-                                      list(self.unordered.values()))
+                storage.log(self.UNORDERED_KEY,
+                            list(self.unordered.values()))
         self.checkpoints_taken += 1
         self.node.sim.trace("checkpoint", self.node.node_id, "taken",
                             k=self.k, watermark=self._gc_watermark())
+
+    def _write_base(self) -> None:
+        """Fold: log the whole ``(k, Agreed)`` record, then drop the
+        segments it supersedes.
+
+        Must run outside any write barrier: the base has to be durable
+        *before* the first delete is issued, or a crash could keep the
+        deletes and lose the base — recovery would then stand at the old
+        base, behind the round this node has advertised.  The other
+        order is harmless: leftover segments lie below the new base's
+        round, where recovery never looks.
+        """
+        assert self.node is not None
+        storage = self.node.storage
+        if self._app_checkpoint is not None:
+            # (b) Agreed ← (A-checkpoint(Agreed), VC(Agreed))
+            self.agreed.compact(self._app_checkpoint())
+        self._base_bytes = self._log_sized(
+            self.CHECKPOINT_KEY, [self.k, self.agreed.to_plain()])
+        self.ckpt_k = self.k
+        self._durable_count = len(self.agreed)
+        self._segment_bytes = 0
+        with storage.write_barrier():
+            storage.delete_prefix(self.SEGMENT_KEY)
+
+    def _log_sized(self, key: Tuple[Any, ...], value: Any) -> int:
+        """``log`` and return the bytes it was charged — the record's
+        size, measured once, by the write that had to measure it."""
+        assert self.node is not None
+        storage = self.node.storage
+        before = storage.metrics.bytes_logged
+        storage.log(key, value)
+        return storage.metrics.bytes_logged - before
 
     def _checkpoint_round(self) -> int:
         return self.ckpt_k
@@ -338,45 +426,71 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         self._last_state_sent[sender] = now
         view_plain = (self.view_manager.to_plain()
                       if self.view_manager is not None else None)
-        self.endpoint.send(sender,
-                           StateMessage(self.k - 1, self.agreed.to_plain(),
-                                        view_plain))
+        missed = self._missed_batches(peer_k)
+        if missed is not None:
+            message = StateMessage(self.k - 1, view_plain=view_plain,
+                                   from_k=peer_k, batches=missed)
+        else:
+            message = StateMessage(self.k - 1, self.agreed.to_plain(),
+                                   view_plain)
+        self.endpoint.send(sender, message)
         self.state_transfers_sent += 1
         self.node.sim.trace("state-transfer", self.node.node_id, "sent",
-                            to=sender, k=self.k - 1)
+                            to=sender, k=self.k - 1,
+                            whole_queue=missed is None)
+
+    def _missed_batches(self, peer_k: int) -> Optional[Tuple[Any, ...]]:
+        """The decided batches of rounds ``peer_k … k−1``, or ``None``
+        when one of them is no longer held here.
+
+        The watermark keeps them: this node discards decisions only
+        below the lowest checkpoint round any peer advertised, and a
+        peer's round is never below its own checkpoint.  What it cannot
+        keep is a decision it never logged (it skipped the round through
+        a state transfer itself) or one below the floor a reconfiguration
+        let it pass (a stranded peer); a joiner (round −1) has no prefix
+        for any batch to extend.
+        """
+        if peer_k < 0:
+            return None
+        batches = []
+        for k in range(peer_k, self.k):
+            batch = self.consensus.decided_value(k)
+            if batch is None:
+                return None
+            batches.append(batch)
+        return tuple(batches)
 
     def _on_state(self, msg: StateMessage, sender: int) -> None:
-        """Reception of ``state(k_q, A_q)`` (Figure 3, lines e–f)."""
+        """Reception of ``state(k_q, …)`` (Figure 3, lines e–f)."""
         if self.view_manager is not None:
-            # Adopt the sender's view before replaying its queue, so any
-            # reconfiguration commands inside the adopted suffix are
+            # Adopt the sender's view before delivering what the message
+            # carries, so any reconfiguration commands inside it are
             # recognised as already applied.
             self.view_manager.adopt_plain(msg.view_plain)
-        if self.k <= msg.k:  # p is late: skip the missed instances
+        whole_queue = msg.from_k is None
+        connects = whole_queue or msg.from_k <= self.k
+        if self.k <= msg.k and connects:
+            # p is late: skip the missed instances
             assert self.node is not None
             # (e) terminate task {sequencer}
             if self._sequencer_task is not None:
                 self._sequencer_task.kill()
             skipped = msg.k + 1 - self.k
-            self.k = msg.k + 1
-            adopted = AgreedQueue.from_plain(msg.agreed_plain,
-                                             self.order_rule)
-            self.agreed = adopted
-            # Listeners are live (we are up): reset and replay the queue.
-            for listener in self._listeners:
-                listener.on_restore(adopted.checkpoint_state)
-            for message in adopted.sequence():
-                for listener in self._listeners:
-                    listener.on_deliver(message)
-            # Unordered ← Unordered − Agreed
-            for mid in [mid for mid in self.unordered
-                        if self.unordered[mid] in self.agreed]:
-                del self.unordered[mid]
+            if whole_queue:
+                self._adopt_queue(msg)
+            else:
+                # Commit each missed round as if its decision had just
+                # been learned: the same ⊕, the same delivery stream.
+                # The new messages sit past the durable mark, so the
+                # next tick logs them as an ordinary segment.
+                for batch in msg.batches[self.k - msg.from_k:]:
+                    self._commit_round(batch)
             self.rounds_skipped += skipped
             self.state_transfers_adopted += 1
             self.node.sim.trace("state-transfer", self.node.node_id,
                                 "adopted", from_=sender, skipped=skipped,
-                                new_k=self.k)
+                                new_k=self.k, whole_queue=whole_queue)
             if self._joining:
                 self._complete_join()
             self._delivered.notify()
@@ -384,28 +498,46 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
             self._sequencer_task = self.node.spawn(
                 self._sequencer(), "ab-sequencer")
         else:
-            self.gossip_k = max(self.gossip_k, msg.k)  # small de-sync
-            if self._joining:
+            # Small de-sync — or batches that start past our round: we
+            # recovered further back after the sender read our gossip,
+            # and our next gossip earns a message that reaches back.
+            self.gossip_k = max(self.gossip_k, msg.k)
+            if self._joining and connects:
                 # The sender is no further along than we are: the suffix
                 # we would miss by starting at our own round is empty,
                 # so the join completes in place.
                 self._complete_join()
             self._progress.notify()
 
+    def _adopt_queue(self, msg: StateMessage) -> None:
+        """Replace the queue with the sender's (whole-queue form)."""
+        self.k = msg.k + 1
+        self.agreed = AgreedQueue.from_plain(msg.agreed_plain,
+                                             self.order_rule)
+        # Nothing durable holds the adopted queue, and the segments on
+        # disk no longer lead to it: the next tick writes a base.  A
+        # crash before then recovers the old chain, which is still a
+        # consistent (shorter) prefix.
+        self._base_bytes = 0
+        # Listeners are live (we are up): reset and replay the queue.
+        self._pending_restore = True
+        self._announce_restore()
+        # Unordered ← Unordered − Agreed
+        for mid in [mid for mid in self.unordered
+                    if self.unordered[mid] in self.agreed]:
+            del self.unordered[mid]
+
     def _complete_join(self) -> None:
         """Seal a join: checkpoint the adopted state, clear the flag.
 
-        The checkpoint pins the recovery point at the transfer: if the
+        The base record pins the recovery point at the transfer: if the
         fresh member crashes before its first periodic checkpoint, it
         recovers at the adopted round instead of re-joining from round 0
         (whose consensus logs may already be truncated cluster-wide).
         """
         assert self.node is not None
-        with self.node.storage.write_barrier():
-            self.node.storage.log(self.CHECKPOINT_KEY,
-                                  [self.k, self.agreed.to_plain()])
-            self.ckpt_k = self.k
-            self.node.storage.log(self.JOINING_KEY, False)
+        self._write_base()
+        self.node.storage.log(self.JOINING_KEY, False)
         self.consensus.set_instance_floor(self.ckpt_k)
         self._joining = False
         self.node.sim.trace("state-transfer", self.node.node_id,

@@ -144,8 +144,6 @@ class BasicAtomicBroadcast(NodeComponent):
         self.view_manager = None
         self._joining = False
         # Run statistics (volatile; the harness samples them).
-        self.rounds_completed = 0
-        self.messages_delivered = 0
         self.replayed_rounds = 0
         # Optional admission control (a repro.flow.FlowController); wired
         # by the harness.  None (the default) admits everything — the
@@ -430,11 +428,9 @@ class BasicAtomicBroadcast(NodeComponent):
                             k=self.k, batch=len(result),
                             new=len(appended))
         self.k += 1
-        self.rounds_completed += 1
         # Unordered ← Unordered − Agreed
         for message in appended:
             self.unordered.pop(message.id, None)
-        self.messages_delivered += len(appended)
         for message in appended:
             for listener in self._listeners:
                 listener.on_deliver(message)

@@ -6,13 +6,13 @@
   idempotent Unordered/Agreed operations require).
 * :class:`GossipMessage` — Figure 2's ``gossip(k_p, Unordered_p)``, sent as a
   digest of ids plus only the payloads the addressee lacks.
-* :class:`StateMessage` — ``state(k_p - 1, Agreed_p)`` of Figure 3
-  (Section 5.3 state transfer).
+* :class:`StateMessage` — ``state(k_p - 1, …)`` of Figure 3 (Section 5.3
+  state transfer): the rounds the addressee missed, or the whole queue.
 """
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Tuple
+from typing import Any, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.ids import MessageId
 from repro.sizing import estimate_size
@@ -128,24 +128,37 @@ class GossipMessage(WireMessage):
 
 
 class StateMessage(WireMessage):
-    """``state(k, Agreed)``: a finished round number + the sender's queue.
+    """``state(k, …)``: everything through finished round ``k``, in one
+    of two forms (Section 5.3; DESIGN.md, substitutions).
 
-    ``agreed_plain`` is the portable representation produced by
-    :meth:`repro.core.agreed.AgreedQueue.to_plain`, so the receiver can
-    adopt it wholesale (Section 5.3).
+    * **Missed rounds** — ``from_k`` is the round the addressee said it
+      was in and ``batches`` the decided batches of rounds ``from_k … k``
+      in round order.  The receiver commits them through the ordinary ⊕,
+      exactly as if it had learned each decision itself, so the message
+      costs what the addressee missed, not what the sender holds.
+    * **Whole queue** — ``from_k`` is ``None`` and ``agreed_plain`` is
+      the sender's queue as produced by
+      :meth:`repro.core.agreed.AgreedQueue.to_plain`, adopted wholesale.
+      Sent only when a needed decision is no longer held (a joiner, a
+      peer stranded below the garbage-collection floor, a sender that
+      itself skipped the round).
 
     ``view_plain`` piggybacks the sender's installed membership view
     (:meth:`repro.membership.manager.ViewManager.to_plain`) when the
     stack is view-parameterised; ``None`` under static membership.  The
-    receiver adopts the view *before* replaying the transferred suffix,
-    so reconfiguration commands inside the suffix are recognised as
+    receiver adopts the view *before* delivering anything the message
+    carries, so reconfiguration commands inside it are recognised as
     already applied.
     """
 
     type = "ab.state"
-    fields = ("k", "agreed_plain", "view_plain")
+    fields = ("k", "agreed_plain", "view_plain", "from_k", "batches")
 
-    def __init__(self, k: int, agreed_plain: Any, view_plain: Any = None):
+    def __init__(self, k: int, agreed_plain: Any = None,
+                 view_plain: Any = None, from_k: Optional[int] = None,
+                 batches: Sequence[FrozenSet[AppMessage]] = ()):
         self.k = k
         self.agreed_plain = agreed_plain
         self.view_plain = view_plain
+        self.from_k = from_k
+        self.batches = batches

@@ -16,6 +16,11 @@ properties against everything the omniscient observer saw:
 * **Termination** — every message either A-broadcast by a process that
   never crashed afterwards, or A-delivered anywhere, is delivered by
   every *good* node (a node that is up at the end of the settled run).
+* **Application state** — where the hosted application records the
+  ids it applied (``SequenceRecorder.ids()``), every up node holds a
+  canonical prefix and every good node exactly the prefix of its
+  delivered length: a restore that marked messages delivered without
+  applying them, or applied them twice, shows here and nowhere else.
 
 The canonical sequence is derived from the consensus decisions
 themselves: per round, the decided batch in deterministic order, minus
@@ -239,6 +244,31 @@ def verify_run(cluster, good_nodes: Optional[List[int]] = None,
                 raise VerificationError(
                     f"termination violated: good node {node_id} missing "
                     f"{len(missing)} messages: {sorted(missing)[:5]}")
+
+    # Application state: the tracker says what a node *counts* as
+    # delivered; only the application says what was applied.  After a
+    # restore plus replay the two can part company (a checkpoint segment
+    # marked delivered but never handed up) without disturbing any
+    # check above.  Every up node's application must hold a canonical
+    # prefix; on the nodes termination is asserted for, exactly the
+    # prefix the node delivered.  A node recovered in the run's last
+    # instant has rebuilt its queue but not yet announced it (that is
+    # its sequencer's first step): its fresh application holds nothing.
+    for node_id, rsm in getattr(cluster, "rsms", {}).items():
+        applied_ids = getattr(rsm.app, "ids", None)
+        if applied_ids is None or not cluster.nodes[node_id].up:
+            continue
+        applied = applied_ids()
+        abcast = cluster.abcasts[node_id]
+        delivered = 0 if getattr(abcast, "_pending_restore", False) \
+            else len(abcast.agreed)
+        exact = check_termination and node_id in good_nodes
+        if applied != canonical[:len(applied)] or (
+                exact and len(applied) != delivered):
+            raise VerificationError(
+                f"application state diverged at node {node_id}: it holds "
+                f"{len(applied)} applied messages, not the canonical "
+                f"prefix of the {delivered} it delivered")
 
     return VerificationReport(canonical, rounds=max(
         (getattr(ab, "k", 0) for ab in cluster.abcasts.values()), default=0),

@@ -88,6 +88,23 @@ def test_rec002_near_miss_helper_forwarded_write_stays_silent():
     assert check_fixture("rec002_ok.py", "repro.core.fixture") == []
 
 
+def test_rec002_concatenated_write_satisfies_prefix_scan():
+    # ``SEGMENT_KEY + (k,)`` is flattened operand by operand, so the
+    # ``keys(SEGMENT_KEY)`` scan in on_start sees its writer.
+    assert check_fixture("rec002_concat_ok.py", "repro.core.fixture") == []
+
+
+def test_rec002_prefix_scan_without_writer_still_flagged():
+    findings = check_fixture("rec002_concat_bad.py", "repro.core.fixture")
+    assert sorted((f.rule_id, f.line) for f in findings) == [
+        ("REC001", 21), ("REC002", 18)]
+    scan = next(f for f in findings if f.rule_id == "REC002")
+    assert "'proto', 'seg'" in scan.message
+    # The concatenated write is no longer opaque to REC001 either.
+    orphan = next(f for f in findings if f.rule_id == "REC001")
+    assert "'proto', 'archive', *" in orphan.message
+
+
 def test_rec_rules_inactive_without_recovery_surface():
     # No on_start in scope -> no recovery closure to check against, so
     # a lone write is not flagged (this keeps unrelated fixtures and

@@ -132,6 +132,68 @@ class TestInjectedViolations:
             verify_run(cluster, check_termination=False)
 
 
+def restored_cluster(seed=79):
+    """An alternative-protocol run in which node 2 crashed, recovered
+    from its checkpoint chain and replayed the rest."""
+    from repro.core.alternative import AlternativeConfig
+    from repro.harness.cluster import Cluster
+    cluster = Cluster(ClusterConfig(
+        n=3, seed=seed, protocol="alternative",
+        alt=AlternativeConfig(checkpoint_interval=1.0)))
+    cluster.start()
+    for j in range(30):
+        cluster.sim.schedule(0.5 + 0.2 * j, cluster.submit, j % 2, f"m{j}")
+    cluster.run(until=5.2)
+    cluster.nodes[2].crash()
+    cluster.run(until=6.0)
+    cluster.nodes[2].recover()
+    cluster.run(until=12.0)
+    assert cluster.settle(limit=100.0)
+    assert cluster.rsms[2].stream >= 3      # a restore did happen
+    return cluster
+
+
+class TestApplicationState:
+    """The tracker counts a message delivered; only the application can
+    say it was applied."""
+
+    def test_restored_run_passes(self):
+        verify_run(restored_cluster())
+
+    def test_message_marked_delivered_but_never_applied(self):
+        cluster = restored_cluster()
+        # What a recovery that skipped one checkpoint segment leaves
+        # behind: queue, tracker and delivery streams all in order, one
+        # stretch missing from what the application holds.
+        app = cluster.app(2)
+        del app.entries[3:6]
+        with pytest.raises(VerificationError, match="application state"):
+            verify_run(cluster)
+
+    def test_message_applied_twice(self):
+        cluster = restored_cluster()
+        app = cluster.app(2)
+        app.entries.insert(4, app.entries[4])
+        with pytest.raises(VerificationError, match="application state"):
+            verify_run(cluster)
+
+    def test_truncated_application_at_a_good_node(self):
+        cluster = restored_cluster()
+        del cluster.app(2).entries[-2:]
+        with pytest.raises(VerificationError, match="application state"):
+            verify_run(cluster)
+        # Still a canonical prefix: acceptable where termination is not
+        # asserted for the node.
+        verify_run(cluster, good_nodes=[0, 1])
+
+    def test_node_recovered_in_the_last_instant_holds_nothing_yet(self):
+        cluster = restored_cluster()
+        cluster.nodes[1].crash()
+        cluster.nodes[1].recover()      # restored, not yet announced
+        assert cluster.app(1).ids() == []
+        verify_run(cluster)
+
+
 class TestReportContents:
     def test_report_counts_match_run(self):
         cluster = healthy_cluster(seed=78)
