@@ -40,6 +40,7 @@ class ConsensusService(NodeComponent):
 
         consensus/<k>/proposal   — the value this process proposes to k
         consensus/<k>/decision   — the locked decision of instance k
+                                   (or a stand-in the algorithm resolves)
 
     The ``consensus`` key prefix is what experiment E2 counts when
     checking that Atomic Broadcast adds no log operations of its own.
@@ -203,8 +204,14 @@ class ConsensusService(NodeComponent):
             self._decided_signal[k] = signal
         return signal
 
-    def _record_decision(self, k: int, value: Any) -> None:
-        """Lock the decision of instance ``k`` (idempotent)."""
+    def _record_decision(self, k: int, value: Any,
+                         record: Any = None) -> None:
+        """Lock the decision of instance ``k`` (idempotent).
+
+        ``record`` is what goes to the log when it is not the value
+        itself: a stand-in the algorithm's ``decided_value`` maps back
+        to it.
+        """
         assert self.node is not None
         existing = self.decided_value(k)
         if existing is not None:
@@ -213,7 +220,8 @@ class ConsensusService(NodeComponent):
                     f"instance {k} decided twice with different values: "
                     f"{existing!r} then {value!r}")
             return
-        self.node.storage.log((self.PROPOSAL_KEY, k, "decision"), value)
+        self.node.storage.log((self.PROPOSAL_KEY, k, "decision"),
+                              value if record is None else record)
         self._decisions[k] = value
         self.node.sim.trace("decision", self.node.node_id, "locked",
                             k=k, size=len(value))

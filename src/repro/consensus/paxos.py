@@ -6,23 +6,39 @@ Hurfin-Mostefaoui-Raynal [11] and Oliveira-Guerraoui-Schiper [14].  We
 implement it as a ballot-based Synod engine because its correctness story
 under crash-recovery is the best understood:
 
-* **Acceptor state is durable.**  Each acceptor logs
-  ``(promised, accepted_ballot, accepted_value)`` before answering, so a
+* **Acceptor state is durable, and only what changed is logged.**  One
+  ``promised`` ballot covers every instance — strictly more conservative
+  than a promise per instance — and is logged only when a ``Prepare`` or
+  ``Accept`` carries a *higher* ballot; per instance an acceptor logs
+  ``(accepted_ballot, accepted_value)``, once, on ``Accept``.  A
   crash-and-recover acceptor can never un-promise or forget an accepted
   value — this is what makes Uniform Agreement hold across recoveries.
-* **Ballots are leader-disjoint.**  Ballot ``b`` belongs to process
-  ``b mod n``; a leader picks fresh ballots by bumping a *durable*
-  per-instance attempt counter, so recovered incarnations never reuse a
-  ballot.
+* **Ballots are unique by construction.**  A ballot packs ``(sequence,
+  epoch, node id)`` into fixed-width fields (:func:`make_ballot`).  The
+  epoch is durable and bumped once per incarnation, before the
+  incarnation's first ``Prepare``, so a recovered proposer never reuses
+  a ballot; the sequence is volatile.  One ballot serves the first
+  attempt of every instance until an attempt times out or a ``Nack``
+  reports a higher promise — then the proposer jumps above it in one
+  step.
 * **Leadership comes from Ω** (:class:`~repro.fdetect.omega.OmegaOracle`).
   Once the underlying failure detector stabilises, a single good leader
   runs phase 1 / phase 2 to completion and multisends ``DECIDE`` — once,
   when it records the decision.
-* **Decisions are locked and gossiped on demand.**  Any process that
+* **Decisions travel and are logged by reference.**  The decider's one
+  ``DECIDE`` names the ballot the value was chosen at, not the value:
+  every acceptor already holds (and logged) it from that ballot's
+  ``Accept``.  A process whose acceptor record for the instance is at
+  that ballot *or later* — a later ballot can only carry the chosen
+  value — locks the decision as a :class:`DecisionRef` marker resolved
+  through that record; one whose ``Accept`` is still in flight (channels
+  are not FIFO) parks the reference until it lands.
+* **Decisions are locked and handed out on demand.**  Any process that
   receives *any* message for an instance it knows is decided replies with
-  ``DECIDE``, so recovering processes (and the replay procedure of the
-  Atomic Broadcast layer) always converge on the locked result (P5).  A
-  process whose one ``DECIDE`` was lost asks a peer it knows to be ahead
+  a ``DECIDE`` carrying the full value, so recovering processes (and the
+  replay procedure of the Atomic Broadcast layer) always converge on the
+  locked result (P5).  A process whose ``DECIDE`` or ``Accept`` was lost
+  asks a peer it knows to be ahead
   (:meth:`PaxosConsensus.pull_decision`, driven by the gossip tick).
 
 Setting ``durable=False`` turns off every stable-storage write, which is
@@ -38,13 +54,18 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.consensus.base import ConsensusService
+from repro.errors import ConsensusError
 from repro.fdetect.omega import OmegaOracle
 from repro.runtime import AnyOf
+from repro.sizing import estimate_size
+from repro.storage import codec, snapshot
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage
 
 __all__ = [
     "PaxosConsensus",
+    "DecisionRef",
+    "make_ballot",
     "Prepare",
     "Promise",
     "Accept",
@@ -52,6 +73,52 @@ __all__ = [
     "Decide",
     "Nack",
 ]
+
+# Ballot layout, most significant first: | sequence | epoch | node id |.
+# The two low fields are fixed-width, so (epoch, node id) — one proposer
+# incarnation — is read straight off the integer and no two incarnations
+# can ever mint the same ballot, whatever member set either believes in.
+# The sequence is unbounded above: jumping over any ballot is one step.
+_ID_BITS = 16
+_EPOCH_BITS = 24
+_SEQ_SHIFT = _ID_BITS + _EPOCH_BITS
+
+
+def make_ballot(sequence: int, epoch: int, node_id: int) -> int:
+    """Pack one ballot; raises rather than let a field spill into the next."""
+    if not (0 <= epoch < 1 << _EPOCH_BITS and 0 <= node_id < 1 << _ID_BITS):
+        raise ConsensusError(
+            f"ballot field out of range: epoch {epoch}, node id {node_id}")
+    return (sequence << _SEQ_SHIFT) | (epoch << _ID_BITS) | node_id
+
+
+class DecisionRef:
+    """The durable form of a decision taken by reference.
+
+    Logged under ``consensus/<k>/decision`` in place of the value: "the
+    decision of ``k`` is what my acceptor record of ``k`` holds, chosen
+    at ``ballot``".  Reserved — it is not a proposable value — and
+    registered with the storage codec so it survives a real disk.
+    """
+
+    __slots__ = ("ballot",)
+
+    def __init__(self, ballot: int):
+        self.ballot = int(ballot)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DecisionRef) and self.ballot == other.ballot
+
+    def estimated_size(self) -> int:
+        return 2 + estimate_size(self.ballot)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"DecisionRef({self.ballot})"
+
+
+codec.register(DecisionRef, "paxos.decision-ref",
+               lambda ref: ref.ballot, DecisionRef)
+snapshot.register_immutable(DecisionRef)
 
 
 class Prepare(WireMessage):
@@ -103,13 +170,20 @@ class Accepted(WireMessage):
 
 
 class Decide(WireMessage):
-    """Decision dissemination (also sent in reply to stale traffic)."""
+    """Decision dissemination, in one of two forms.
+
+    *By reference* (``value is None``): the decider's multisend — "``k``
+    decided what ``ballot``'s ``Accept`` carried".  *By value*
+    (``ballot == -1``): the reply to a ``Query`` or to stale traffic,
+    for a process that cannot be assumed to hold that ``Accept``.
+    """
 
     type = "paxos.decide"
-    fields = ("k", "value")
+    fields = ("k", "ballot", "value")
 
-    def __init__(self, k: int, value: Any):
+    def __init__(self, k: int, ballot: int, value: Any = None):
         self.k = k
+        self.ballot = ballot
         self.value = value
 
 
@@ -129,7 +203,8 @@ class Query(WireMessage):
 
     Unicast to a peer known to be ahead (``pull_decision``), and multisent
     by undecided non-leaders after a silence timeout, so that a lost
-    ``Decide`` is eventually recovered over the fair-loss channel.
+    ``Decide`` — or the ``Accept`` its reference points at — is
+    eventually recovered over the fair-loss channel.
     """
 
     type = "paxos.query"
@@ -149,11 +224,17 @@ class _Attempt:
         self.promises: Dict[int, Tuple[int, Any]] = {}
         self.accepts: Set[int] = set()
         self.value: Any = None
-        self.nacked = False
+        self.nacked = -1    # highest promise a Nack reported, if any
 
 
 class PaxosConsensus(ConsensusService):
     """Ballot-based consensus; durable (crash-recovery) by default.
+
+    Stable-storage layout (per node, beside the base class's)::
+
+        paxos/promised        — highest ballot promised, all instances
+        paxos/epoch           — this proposer's incarnation count
+        paxos/<k>/acceptor    — (accepted_ballot, accepted_value) of k
 
     Parameters
     ----------
@@ -174,10 +255,12 @@ class PaxosConsensus(ConsensusService):
 
     ACCEPTOR_KEY = "paxos"
 
-    # Volatile mirrors of durable acceptor state, patrolled by the WAL001
-    # lint: mutations must reach stable storage before any dependent send
-    # (an acceptor that answers before logging can un-promise on recovery).
-    VOLATILE_FIELDS = ("_acceptor", "_attempt_counter")
+    # Volatile mirrors of durable acceptor/proposer state, patrolled by
+    # the WAL001 lint: mutations must reach stable storage before any
+    # dependent send (an acceptor that answers before logging can
+    # un-promise on recovery; a proposer that sends before logging its
+    # epoch can reuse a ballot).
+    VOLATILE_FIELDS = ("_promised", "_accepted", "_epoch")
 
     def __init__(self, endpoint: Endpoint, omega: OmegaOracle,
                  durable: bool = True, attempt_timeout: float = 1.0,
@@ -189,11 +272,21 @@ class PaxosConsensus(ConsensusService):
         self.omega = omega
         self.durable = durable
         self.attempt_timeout = attempt_timeout
-        # Volatile state, rebuilt on recovery.
-        self._acceptor: Dict[int, Tuple[int, int, Any]] = {}
+        self._shadow_storage: Dict[str, Any] = {}  # non-durable mode only
+        self._forget_volatile_state()
+
+    def _forget_volatile_state(self) -> None:
+        """Everything a crash loses; recovery reloads it lazily."""
+        self._promised: Optional[int] = None
+        self._accepted: Dict[int, Tuple[int, Any]] = {}
+        self._epoch: Optional[int] = None
+        # The ballot attempts currently run at (None until this
+        # incarnation's first attempt logs its epoch).
+        self._ballot: Optional[int] = None
         self._attempts: Dict[int, _Attempt] = {}
         self._drivers: Set[int] = set()
-        self._attempt_counter: Dict[int, int] = {}
+        # Decide references whose Accept has not arrived: k -> ballot.
+        self._parked: Dict[int, int] = {}
         # Member-set snapshot per driven instance.  A proposer only ever
         # starts instance k after delivering the prefix through k-1, so
         # its installed view at activation is the *same* view every
@@ -205,16 +298,11 @@ class PaxosConsensus(ConsensusService):
         # is again the view of its delivered prefix, so re-snapshotting
         # reproduces the same set.
         self._instance_members: Dict[int, Tuple[int, ...]] = {}
-        self._shadow_storage: Dict[str, Any] = {}  # non-durable mode only
 
     # -- lifecycle ------------------------------------------------------------
 
     def on_start(self) -> None:
-        self._acceptor = {}
-        self._attempts = {}
-        self._drivers = set()
-        self._attempt_counter = {}
-        self._instance_members = {}
+        self._forget_volatile_state()
         self.endpoint.register(Prepare.type, self._on_prepare)
         self.endpoint.register(Promise.type, self._on_promise)
         self.endpoint.register(Accept.type, self._on_accept)
@@ -225,11 +313,7 @@ class PaxosConsensus(ConsensusService):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self._acceptor = {}
-        self._attempts = {}
-        self._drivers = set()
-        self._attempt_counter = {}
-        self._instance_members = {}
+        self._forget_volatile_state()
         if not self.durable:
             # Crash-stop misuse guard: in the crash-stop model processes do
             # not come back, so volatile shadow storage is simply dropped.
@@ -269,13 +353,22 @@ class PaxosConsensus(ConsensusService):
         return self._proposals.get(k)
 
     def decided_value(self, k: int) -> Optional[Any]:
-        if self.durable:
-            return super().decided_value(k)
-        return self._decisions.get(k)
+        if not self.durable:
+            return self._decisions.get(k)
+        decision = super().decided_value(k)
+        if isinstance(decision, DecisionRef):
+            # Logged by reference.  A record that is gone (quarantined
+            # by the disk layer) leaves the instance reading as
+            # undecided; it is re-learnt through ``Query`` and the
+            # marker overwritten by value.
+            return self._value_accepted_since(k, decision.ballot)
+        return decision
 
-    def _record_decision(self, k: int, value: Any) -> None:
+    def _record_decision(self, k: int, value: Any,
+                         record: Any = None) -> None:
+        self._parked.pop(k, None)
         if self.durable:
-            super()._record_decision(k, value)
+            super()._record_decision(k, value, record)
             return
         if k not in self._decisions:
             self._decisions[k] = value
@@ -288,7 +381,9 @@ class PaxosConsensus(ConsensusService):
         Safe only below the global watermark (every process's durable
         checkpoint has passed ``k``): no process will ever run or replay
         those instances again, so forgetting their accepted values cannot
-        lead to a conflicting re-decision.
+        lead to a conflicting re-decision.  The base class deletes the
+        decision records first: a :class:`DecisionRef` must never outlive
+        the acceptor record it points at.
         """
         discarded = super().discard_instances_below(k)
         assert self.node is not None
@@ -297,29 +392,52 @@ class PaxosConsensus(ConsensusService):
                 parts = key.split("/")
                 if len(parts) == 3 and int(parts[1]) < k:
                     self.node.storage.delete(key)
-        for instance in [i for i in self._acceptor if i < k]:
-            del self._acceptor[instance]
-        for instance in [i for i in self._attempt_counter if i < k]:
-            del self._attempt_counter[instance]
-        for instance in [i for i in self._instance_members if i < k]:
-            del self._instance_members[instance]
+        for cache in (self._accepted, self._parked, self._instance_members):
+            for instance in [i for i in cache if i < k]:
+                del cache[instance]
         return discarded
 
     # -- acceptor ------------------------------------------------------------------------
 
-    def _acceptor_state(self, k: int) -> Tuple[int, int, Any]:
-        """(promised, accepted_ballot, accepted_value); durable."""
-        state = self._acceptor.get(k)
+    def _promised_ballot(self) -> int:
+        """The highest ballot promised, over all instances; durable."""
+        if self._promised is None:
+            self._promised = int(
+                self._load((self.ACCEPTOR_KEY, "promised"), -1))
+        return self._promised
+
+    def _admit_ballot(self, k: int, ballot: int, sender: int) -> bool:
+        """Promise ``ballot`` (logged only if it raises the promise), or
+        ``Nack`` the sender with the higher ballot already promised."""
+        promised = self._promised_ballot()
+        if ballot < promised:
+            self.endpoint.send(sender, Nack(k, promised))
+            return False
+        if ballot > promised:
+            self._promised = ballot
+            self._store((self.ACCEPTOR_KEY, "promised"), ballot)
+        return True
+
+    def _accepted_state(self, k: int) -> Tuple[int, Any]:
+        """(accepted_ballot, accepted_value) of instance ``k``; durable."""
+        state = self._accepted.get(k)
         if state is None:
             state = self._load((self.ACCEPTOR_KEY, k, "acceptor"),
-                               (-1, -1, None))
-            state = (int(state[0]), int(state[1]), state[2])
-            self._acceptor[k] = state
+                               (-1, None))
+            state = (int(state[0]), state[1])
+            self._accepted[k] = state
         return state
 
-    def _set_acceptor_state(self, k: int, state: Tuple[int, int, Any]) -> None:
-        self._acceptor[k] = state
-        self._store((self.ACCEPTOR_KEY, k, "acceptor"), state)
+    def _value_accepted_since(self, k: int, ballot: int) -> Optional[Any]:
+        """The value ``ballot`` chose for ``k``, if this acceptor holds it.
+
+        Its record stands for that value when it was accepted at
+        ``ballot`` — or at any later one, since every ballot after a
+        choice proposes the chosen value.  A record from *before*
+        ``ballot`` may hold a value that was never chosen.
+        """
+        accepted_ballot, accepted_value = self._accepted_state(k)
+        return accepted_value if accepted_ballot >= ballot else None
 
     def _view_changed(self) -> bool:
         """True once the installed view has ever left epoch 0.
@@ -339,7 +457,7 @@ class PaxosConsensus(ConsensusService):
         decision = self.decided_value(k)
         if decision is None:
             return False
-        self.endpoint.send(dst, Decide(k, decision))
+        self.endpoint.send(dst, Decide(k, -1, decision))
         return True
 
     def _on_prepare(self, msg: Prepare, sender: int) -> None:
@@ -355,26 +473,25 @@ class PaxosConsensus(ConsensusService):
             # below-floor ballot there is a harmless reordered straggler
             # whose proposer has long since decided.
             return
-        promised, accepted_ballot, accepted_value = self._acceptor_state(msg.k)
-        if msg.ballot >= promised:
-            self._set_acceptor_state(
-                msg.k, (msg.ballot, accepted_ballot, accepted_value))
+        if self._admit_ballot(msg.k, msg.ballot, sender):
+            accepted_ballot, accepted_value = self._accepted_state(msg.k)
             self.endpoint.send(sender, Promise(
                 msg.k, msg.ballot, accepted_ballot, accepted_value))
-        else:
-            self.endpoint.send(sender, Nack(msg.k, promised))
 
     def _on_accept(self, msg: Accept, sender: int) -> None:
         if self._reply_decided(msg.k, sender):
             return
         if msg.k < self.instance_floor and self._view_changed():
             return  # records gone: no participation (see _on_prepare)
-        promised, _, _ = self._acceptor_state(msg.k)
-        if msg.ballot >= promised:
-            self._set_acceptor_state(msg.k, (msg.ballot, msg.ballot, msg.value))
-            self.endpoint.send(sender, Accepted(msg.k, msg.ballot))
-        else:
-            self.endpoint.send(sender, Nack(msg.k, promised))
+        if not self._admit_ballot(msg.k, msg.ballot, sender):
+            return
+        self._accepted[msg.k] = (msg.ballot, msg.value)
+        self._store((self.ACCEPTOR_KEY, msg.k, "acceptor"),
+                    (msg.ballot, msg.value))
+        self.endpoint.send(sender, Accepted(msg.k, msg.ballot))
+        parked = self._parked.get(msg.k)
+        if parked is not None:
+            self._decide_by_reference(msg.k, parked)  # Decide overtook us
 
     # -- leader tallies -------------------------------------------------------------------
 
@@ -398,17 +515,40 @@ class PaxosConsensus(ConsensusService):
             # Decide leaves exactly once, on the undecided -> decided
             # transition; a later or duplicated Accepted finds the
             # decision recorded.  A lost copy is pulled (pull_decision).
-            self._record_decision(msg.k, attempt.value)
+            # The decider's own acceptor normally holds the value too;
+            # one that is outside the member set, or has promised
+            # higher, does not — it logs the value itself.
+            if not self._decide_by_reference(msg.k, attempt.ballot):
+                self._record_decision(msg.k, attempt.value)
             self.endpoint.multisend(  # repro: noqa(WAL003) -- decision is logged in durable mode; non-durable mode models crash-stop
-                Decide(msg.k, attempt.value))
+                Decide(msg.k, attempt.ballot))
 
     def _on_nack(self, msg: Nack, sender: int) -> None:
         attempt = self._attempts.get(msg.k)
         if attempt is not None and msg.promised > attempt.ballot:
-            attempt.nacked = True
+            attempt.nacked = max(attempt.nacked, msg.promised)
+
+    # -- learning -------------------------------------------------------------------------
+
+    def _decide_by_reference(self, k: int, ballot: int) -> bool:
+        """Lock ``k`` on what ``ballot`` chose, if this acceptor holds it;
+        the log gets a marker, not a second copy of the value."""
+        value = self._value_accepted_since(k, ballot)
+        if value is None:
+            return False
+        self._record_decision(k, value, DecisionRef(ballot))
+        return True
 
     def _on_decide(self, msg: Decide, sender: int) -> None:
-        self._record_decision(msg.k, msg.value)
+        if msg.value is not None:
+            self._record_decision(msg.k, msg.value)
+        elif self.decided_value(msg.k) is None \
+                and not self._decide_by_reference(msg.k, msg.ballot):
+            # The Accept is still in flight (or lost: then the Query
+            # paths fetch the value).  Any chosen ballot names the same
+            # value; the lowest is the one an Accept can satisfy first.
+            self._parked[msg.k] = min(
+                msg.ballot, self._parked.get(msg.k, msg.ballot))
 
     def _on_query(self, msg: Query, sender: int) -> None:
         self._reply_decided(msg.k, sender)
@@ -429,27 +569,34 @@ class PaxosConsensus(ConsensusService):
     def _quorum(self, k: int) -> int:
         return len(self._members(k)) // 2 + 1
 
-    def _next_ballot(self, k: int) -> int:
-        """A fresh, durable, leader-disjoint ballot for instance ``k``.
+    def _current_ballot(self) -> int:
+        """The ballot new attempts run at.
 
-        The stride must exceed every member id — including this node's
-        own, which an *evicted* proposer draining its backlog may no
-        longer find among the members — so ``counter * stride +
-        node_id`` stays per-node unique; on the contiguous ids of a
-        static cluster it equals ``n``, reproducing the fixed-membership
-        ballot values bit for bit.
+        The first call of an incarnation logs the bumped epoch — before
+        any ``Prepare`` can carry it — and starts above everything this
+        node's own acceptor has promised.
         """
-        assert self.node is not None
-        peers = self._members(k)
-        n = max(len(peers), (max(peers) + 1) if peers else 1,
-                self.node.node_id + 1)
-        counter = self._attempt_counter.get(k)
-        if counter is None:
-            counter = int(self._load((self.ACCEPTOR_KEY, k, "attempts"), 0))
-        counter += 1
-        self._attempt_counter[k] = counter
-        self._store((self.ACCEPTOR_KEY, k, "attempts"), counter)
-        return counter * n + self.node.node_id
+        if self._ballot is None:
+            epoch = int(self._load((self.ACCEPTOR_KEY, "epoch"), 0)) + 1
+            self._store((self.ACCEPTOR_KEY, "epoch"), epoch)
+            self._epoch = epoch
+            self._ballot = self._ballot_above(self._promised_ballot())
+        return self._ballot
+
+    def _ballot_above(self, ballot: int) -> int:
+        """This incarnation's lowest ballot greater than ``ballot``."""
+        assert self.node is not None and self._epoch is not None
+        return make_ballot((ballot >> _SEQ_SHIFT) + 1, self._epoch,
+                           self.node.node_id)
+
+    def _retire(self, attempt: _Attempt) -> None:
+        """A failed attempt spends its ballot for its instance: move on,
+        in one step, past it and past whatever promise a ``Nack``
+        reported.  (Another instance's failure may already have.)"""
+        assert self._ballot is not None
+        spent = max(attempt.ballot, attempt.nacked)
+        if self._ballot <= spent:
+            self._ballot = self._ballot_above(spent)
 
     def _activate(self, k: int) -> None:
         if k in self._drivers or self.decided_value(k) is not None:
@@ -495,37 +642,36 @@ class PaxosConsensus(ConsensusService):
         """One phase-1 + phase-2 attempt at the current ballot."""
         assert self.node is not None
         sim = self.node.sim
-        ballot = self._next_ballot(k)
-        attempt = _Attempt(ballot)
+        attempt = _Attempt(self._current_ballot())
         self._attempts[k] = attempt
         quorum = self._quorum(k)
 
-        self.endpoint.multisend(Prepare(k, ballot))
+        self.endpoint.multisend(Prepare(k, attempt.ballot))
         deadline = sim.now + self.attempt_timeout
-        while (len(attempt.promises) < quorum and not attempt.nacked
+        while (len(attempt.promises) < quorum and attempt.nacked < 0
                and sim.now < deadline and self.decided_value(k) is None):
             yield min(0.05, self.attempt_timeout / 4)
         if self.decided_value(k) is not None:
             return
-        if len(attempt.promises) < quorum:
-            return  # retry with a higher ballot on the next loop pass
-
-        # Choose the value: highest accepted ballot wins, else my proposal.
-        best_ballot, best_value = -1, None
-        for accepted_ballot, accepted_value in attempt.promises.values():
-            if accepted_ballot > best_ballot:
-                best_ballot, best_value = accepted_ballot, accepted_value
-        if best_ballot >= 0 and best_value is not None:
-            attempt.value = best_value
-        else:
-            attempt.value = self.proposal_of(k)
-        if attempt.value is None:
-            return  # nothing to propose yet (should not happen in practice)
-
-        self.endpoint.multisend(Accept(k, ballot, attempt.value))
-        deadline = sim.now + self.attempt_timeout
-        while (len(attempt.accepts) < quorum and not attempt.nacked
-               and sim.now < deadline and self.decided_value(k) is None):
-            yield min(0.05, self.attempt_timeout / 4)
-        # Decision (if reached) was recorded by _on_accepted; otherwise the
-        # driver loop retries with a fresh ballot.
+        if len(attempt.promises) >= quorum:
+            # Choose the value: highest accepted ballot wins, else my
+            # proposal.
+            best_ballot, best_value = -1, None
+            for accepted_ballot, accepted_value in attempt.promises.values():
+                if accepted_ballot > best_ballot:
+                    best_ballot, best_value = accepted_ballot, accepted_value
+            if best_ballot >= 0 and best_value is not None:
+                attempt.value = best_value
+            else:
+                attempt.value = self.proposal_of(k)
+        if attempt.value is not None:
+            self.endpoint.multisend(Accept(k, attempt.ballot, attempt.value))
+            deadline = sim.now + self.attempt_timeout
+            while (len(attempt.accepts) < quorum and attempt.nacked < 0
+                   and sim.now < deadline
+                   and self.decided_value(k) is None):
+                yield min(0.05, self.attempt_timeout / 4)
+        # Decision (if reached) was recorded by _on_accepted; otherwise
+        # the driver loop retries, at a ballot this instance has not used.
+        if self.decided_value(k) is None:
+            self._retire(attempt)

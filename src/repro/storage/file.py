@@ -57,6 +57,7 @@ experiments use :class:`~repro.storage.memory.MemoryStorage` for speed.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import zlib
@@ -122,6 +123,12 @@ def unframe_record(raw: bytes) -> str:
         raise ValueError(
             f"checksum mismatch: {actual_crc:08x} != {expect_crc:08x}")
     return payload.decode("utf-8")
+
+
+def _journal_write_entry(path: str, text: str) -> str:
+    """``codec.encode(["w", path, value])`` given ``text``, the encoding
+    of ``value`` — without encoding the value a second time."""
+    return f'["w", {json.dumps(path)}, {text}]'
 
 
 def _iter_frames(raw: bytes) -> Iterable[str]:
@@ -287,12 +294,17 @@ class FileStorage(StableStorage):
             return
         batch = self._pending
         self._pending = {}
+        # Each value is encoded once: the same JSON text goes into the
+        # journal entry (spliced, byte-identical to encoding
+        # ``["w", path, value]`` whole) and into the per-key file.
+        texts: Dict[str, str] = {}
         frames = []
         for path, value in batch.items():
             if value is _DELETED:
                 frames.append(frame_record(codec.encode(["d", path])))
             else:
-                frames.append(frame_record(codec.encode(["w", path, value])))
+                text = texts[path] = codec.encode(value)
+                frames.append(frame_record(_journal_write_entry(path, text)))
         blob = b"".join(frames)
         with open(self._journal_path, "ab") as handle:
             handle.write(blob)
@@ -314,7 +326,7 @@ class FileStorage(StableStorage):
                 self._unsynced.discard(target)
             else:
                 with open(target, "wb") as handle:
-                    handle.write(frame_record(codec.encode(value)))
+                    handle.write(frame_record(texts[path]))
                 self._unsynced.add(target)
         if self._journal_bytes >= _CHECKPOINT_BYTES:
             self._checkpoint()

@@ -31,7 +31,8 @@ class MiniCluster:
     def __init__(self, n: int = 3, seed: int = 0,
                  network_config: NetworkConfig = None,
                  with_consensus: bool = True,
-                 attempt_timeout: float = 1.0):
+                 attempt_timeout: float = 1.0,
+                 storage_factory=lambda node_id: MemoryStorage()):
         self.sim = Simulator()
         self.seeds = SeedSequence(seed)
         self.network = Network(self.sim, self.seeds.stream("net"),
@@ -42,7 +43,7 @@ class MiniCluster:
         self.omegas = {}
         self.consensuses = {}
         for i in range(n):
-            node = Node(self.sim, i, MemoryStorage())
+            node = Node(self.sim, i, storage_factory(i))
             endpoint = node.add_component(Endpoint(self.network))
             self.endpoints[i] = endpoint
             if with_consensus:

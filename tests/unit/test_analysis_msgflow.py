@@ -198,12 +198,18 @@ class TestFullTreeGraph:
         gossip = graph.senders_for("ab.gossip")
         assert [(e.sender, e.op) for e in gossip] == \
             [("BasicAtomicBroadcast._gossip_once", "send")]
-        # Decide leaves through one multisend (plus stale-traffic
-        # replies); the pull it relies on is a unicast Query.
+        # Decide leaves through one multisend — by reference, which is
+        # why it carries a ballot — plus the by-value replies to stale
+        # traffic; no acceptor path answers an Accept with one.  The
+        # pull it relies on is a unicast Query.
+        assert graph.messages["paxos.decide"].fields == \
+            ("k", "ballot", "value")
         decides = {(e.sender, e.op)
                    for e in graph.senders_for("paxos.decide")}
         assert decides == {("PaxosConsensus._on_accepted", "multisend"),
                            ("PaxosConsensus._reply_decided", "send")}
+        assert [e.handler for e in graph.handlers_for("paxos.decide")] == \
+            ["PaxosConsensus._on_decide"]
         queries = {(e.sender, e.op)
                    for e in graph.senders_for("paxos.query")}
         assert ("PaxosConsensus.pull_decision", "send") in queries

@@ -120,7 +120,8 @@ class TestWireMessageSizeCache:
     def test_rebuilt_message_is_covered(self):
         # The wire codec rebuilds instances without running __init__.
         from repro.runtime import wire
-        rebuilt = wire.rebuild("paxos.decide", {"k": 4, "value": (1, 2, 3)})
+        rebuilt = wire.rebuild(
+            "paxos.decide", {"k": 4, "ballot": -1, "value": (1, 2, 3)})
         assert rebuilt.estimated_size() == _uncached(rebuilt)
         rebuilt.value = (1, 2, 3, 4, 5)         # convention broken on purpose
         assert rebuilt.estimated_size() != _uncached(rebuilt)

@@ -68,6 +68,48 @@ class TestBatching:
         assert sorted(storage.keys()) == ["fresh", "kept"]
 
 
+class TestEncodeOnce:
+    """The value is encoded once and its text spliced into the journal
+    entry: the journal's bytes are what encoding the entry whole gives."""
+
+    VALUES = [
+        None, 0, -0.0, float("inf"), "", "caf\u00e9 \"quoted\" \\ \n",
+        [], {}, (1, (2, frozenset({3}))), {"k": [1, {"__t": "x"}]},
+        {1: "non-string key"}, frozenset({("a", 1), ("b", 2)}),
+    ]
+    PATHS = ["k", "paxos/3/acceptor", 'odd "path" \\ \u00fc/%2F']
+
+    def test_spliced_entry_equals_whole_encoding(self):
+        from repro.storage import codec
+        from repro.storage.file import _journal_write_entry
+        for path in self.PATHS:
+            for value in self.VALUES:
+                assert _journal_write_entry(path, codec.encode(value)) == \
+                    codec.encode(["w", path, value])
+
+    def test_journal_bytes_and_encode_count(self, tmp_path, monkeypatch):
+        from repro.storage import codec
+        storage = FileStorage(str(tmp_path))
+        batch = {path: value for path, value in
+                 zip(("a", "b/c", "d"), self.VALUES[-3:])}
+        expected = b"".join(
+            frame_record(codec.encode(["w", path, value]))
+            for path, value in batch.items())
+        calls = []
+        real_encode = codec.encode
+        monkeypatch.setattr(
+            codec, "encode",
+            lambda value: calls.append(value) or real_encode(value))
+        with storage.write_barrier():
+            for path, value in batch.items():
+                storage.log(path, value)
+        assert len(calls) == len(batch)         # once per record, not twice
+        with open(os.path.join(str(tmp_path), _JOURNAL_NAME), "rb") as handle:
+            assert handle.read() == expected
+        for path, value in batch.items():
+            assert storage.retrieve(path) == value
+
+
 class TestCrashRecovery:
     def test_journal_replay_restores_buffered_writes(self, tmp_path):
         storage = FileStorage(str(tmp_path))
