@@ -22,8 +22,7 @@ from repro.core.basic import BasicAtomicBroadcast
 from repro.core.equivalence import ConsensusFromAtomicBroadcast
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig

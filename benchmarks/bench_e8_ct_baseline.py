@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from common import emit_table, run_verified
 
+from repro.chaos.inject import FaultSchedule
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario
-from repro.sim.faults import FaultSchedule
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload
 

@@ -25,8 +25,7 @@ from common import emit_table
 from repro.apps.kvstore import KeyValueStore
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.quorum.register import QuorumRegister
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig

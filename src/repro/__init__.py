@@ -24,12 +24,12 @@ See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for the
 reproduced claims.
 """
 
+from repro.chaos.inject import FaultSchedule, RandomFaults
 from repro.core import (AlternativeAtomicBroadcast, AlternativeConfig,
                         AppMessage, BasicAtomicBroadcast, MessageId)
 from repro.harness import (Cluster, ClusterConfig, Scenario, ScenarioResult,
                            run_scenario, verify_run)
 from repro.runtime import SeedSequence, Simulator
-from repro.sim import FaultSchedule, RandomFaults
 from repro.transport import NetworkConfig
 
 __version__ = "1.0.0"

@@ -3,7 +3,7 @@
 The reproduction rests on two invariants no type checker knows about:
 
 1. **Determinism** — every run is a pure function of the seed
-   (:mod:`repro.sim.kernel`'s contract).  Wall-clock reads, OS entropy,
+   (:mod:`repro.runtime.sim`'s contract).  Wall-clock reads, OS entropy,
    the global ``random`` module and hash-ordered ``set`` iteration all
    break it silently.
 2. **Write-ahead logging** — crash-recovery safety requires state to
@@ -17,7 +17,7 @@ CLI (``repro lint`` / ``python -m repro.analysis``).
 
 >>> from repro.analysis import analyze_source
 >>> analyze_source("import time\\nt = time.time()\\n",
-...                module="repro.sim.example")  # doctest: +ELLIPSIS
+...                module="repro.runtime.example")  # doctest: +ELLIPSIS
 [<Finding DET001 ...>]
 """
 

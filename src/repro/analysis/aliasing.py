@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext, ProjectContext
 from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo
+from repro.analysis.symbols import ClassInfo, attr_path, self_field
 
 __all__ = ["ALIASING_RULES", "CrossNodeMutableEscapeRule",
            "StashedPayloadRule"]
@@ -67,26 +67,8 @@ _IMMUTABLE_HEADS = frozenset({
 })
 
 
-def _attr_path(node: ast.AST) -> Tuple[str, ...]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
-def _self_field(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute) and \
-            isinstance(node.value, ast.Name) and node.value.id == "self":
-        return node.attr
-    return None
-
-
 def _is_send_call(call: ast.Call) -> bool:
-    path = _attr_path(call.func)
+    path = attr_path(call.func)
     if len(path) < 2 or path[-1] not in _SEND_OPS:
         return False
     receiver = path[:-1]
@@ -101,7 +83,7 @@ def _escaping_fields(expr: ast.expr) -> List[Tuple[str, ast.expr]]:
     found: List[Tuple[str, ast.expr]] = []
 
     def visit(node: ast.expr) -> None:
-        field = _self_field(node)
+        field = self_field(node)
         if field is not None:
             found.append((field, node))
             return
@@ -244,7 +226,7 @@ class CrossNodeMutableEscapeRule(Rule):
         if isinstance(arg, ast.Name):
             return arg.id not in assigned
         if isinstance(arg, ast.Attribute):
-            path = _attr_path(arg)
+            path = attr_path(arg)
             return bool(path) and path[0] not in assigned
         return False  # calls/literals produce fresh values per iteration
 
@@ -338,10 +320,10 @@ class StashedPayloadRule(Rule):
                 if not isinstance(call, ast.Call) or \
                         len(call.args) < 2:
                     continue
-                if _attr_path(call.func)[-1:] not in (
+                if attr_path(call.func)[-1:] not in (
                         ("register",), ("register_handler",)):
                     continue
-                handler = _self_field(call.args[1])
+                handler = self_field(call.args[1])
                 if handler is None:
                     continue
                 msg_class = None
@@ -397,15 +379,15 @@ class StashedPayloadRule(Rule):
             target_field: Optional[str] = None
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
-                field = _self_field(target)
+                field = self_field(target)
                 if field is None and isinstance(target, ast.Subscript):
-                    field = _self_field(target.value)
+                    field = self_field(target.value)
                 if field is not None and \
                         payload_attr(node.value) is not None:
                     stashed, target_field = node.value, field
             elif isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute):
-                field = _self_field(node.func.value)
+                field = self_field(node.func.value)
                 if field is not None and node.func.attr in (
                         "append", "add", "update", "extend",
                         "setdefault", "insert", "appendleft"):

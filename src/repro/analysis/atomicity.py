@@ -38,7 +38,7 @@ from repro.analysis.callgraph import value_sources
 from repro.analysis.dataflow import SetUnionProblem, solve_forward
 from repro.analysis.engine import Finding, ModuleContext, ProjectContext
 from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo
+from repro.analysis.symbols import ClassInfo, attr_path, self_field
 
 __all__ = ["ATOMICITY_RULES", "AwaitHoldingBarrierRule",
            "InterruptedReadModifyWriteRule"]
@@ -57,32 +57,13 @@ _MUTATORS = frozenset({
 # -- shared AST helpers -------------------------------------------------------
 
 
-def _attr_path(node: ast.AST) -> Tuple[str, ...]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
-def _self_field(node: ast.AST) -> Optional[str]:
-    """``self.f`` -> ``"f"`` (exactly one level deep)."""
-    if isinstance(node, ast.Attribute) and \
-            isinstance(node.value, ast.Name) and node.value.id == "self":
-        return node.attr
-    return None
-
-
 def _written_field(target: ast.AST) -> Optional[str]:
     """The self-field a store target writes (``self.f``, ``self.f[k]``)."""
-    field = _self_field(target)
+    field = self_field(target)
     if field is not None:
         return field
     if isinstance(target, ast.Subscript):
-        return _self_field(target.value)
+        return self_field(target.value)
     return None
 
 
@@ -155,8 +136,8 @@ def _node_events(stmt: ast.AST) -> List[_Event]:
     for root in roots:
         for node in scoped_walk(root):
             if isinstance(node, ast.Call) and \
-                    _attr_path(node.func)[:1] == ("self",) and \
-                    len(_attr_path(node.func)) == 2:
+                    attr_path(node.func)[:1] == ("self",) and \
+                    len(attr_path(node.func)) == 2:
                 events.append(_Event("call", call=node))
     if isinstance(stmt, ast.Assign):
         write_targets = [t for t in stmt.targets
@@ -188,7 +169,7 @@ def _node_events(stmt: ast.AST) -> List[_Event]:
                 if isinstance(node, ast.Call) and \
                         isinstance(node.func, ast.Attribute) and \
                         node.func.attr in _MUTATORS:
-                    field = _self_field(node.func.value)
+                    field = self_field(node.func.value)
                     if field is not None:
                         names = frozenset().union(
                             *(_load_names(arg) for arg in node.args)) \
@@ -346,7 +327,7 @@ class AwaitHoldingBarrierRule(Rule):
             if not isinstance(stmt, (ast.With, ast.AsyncWith)):
                 continue
             if not any(isinstance(item.context_expr, ast.Call) and
-                       _attr_path(item.context_expr.func)[-1:] ==
+                       attr_path(item.context_expr.func)[-1:] ==
                        ("write_barrier",)
                        for item in stmt.items):
                 continue

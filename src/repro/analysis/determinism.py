@@ -6,8 +6,9 @@ random draw flows from a named stream of
 :class:`repro.runtime.rng.SeedSequence`.  That promise dies the moment
 protocol code reads the wall clock, asks the OS for entropy, or iterates
 a hash-ordered ``set``, so these rules ban such constructs inside the
-deterministic core — ``repro.runtime``, ``repro.sim``, ``repro.core``,
-``repro.consensus`` and ``repro.transport``.
+deterministic core — ``repro.runtime``, ``repro.core``,
+``repro.consensus``, ``repro.transport``, ``repro.membership`` and
+``repro.flow``.
 
 The live runtime (``repro.runtime.live``/``live_net``) is *by design*
 wall-clock and OS-entropy territory: it maps the same protocol code onto
@@ -29,6 +30,7 @@ from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext
 from repro.analysis.registry import Rule
+from repro.analysis.symbols import attr_path
 
 __all__ = ["DETERMINISM_RULES"]
 
@@ -36,8 +38,8 @@ __all__ = ["DETERMINISM_RULES"]
 #: runtime package is included so the deterministic substrate
 #: (``repro.runtime.sim``, primitives, node, rng) stays patrolled.
 DETERMINISTIC_SCOPE: Tuple[str, ...] = (
-    "repro.runtime", "repro.sim", "repro.core", "repro.consensus",
-    "repro.transport", "repro.membership", "repro.flow")
+    "repro.runtime", "repro.core", "repro.consensus", "repro.transport",
+    "repro.membership", "repro.flow")
 
 #: The live runtime legitimately uses the wall clock and real sockets;
 #: the trailing ``*`` globs both ``repro.runtime.live`` and
@@ -50,18 +52,6 @@ _WALL_CLOCK_TIME = frozenset({
 })
 _WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
 _UUID_FNS = frozenset({"uuid1", "uuid4"})
-
-
-def _attr_path(node: ast.AST) -> Tuple[str, ...]:
-    """Flatten ``a.b.c`` into ``("a", "b", "c")`` (empty if not a chain)."""
-    parts: list = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
 
 
 def _imported_names(tree: ast.Module) -> Set[str]:
@@ -97,7 +87,7 @@ class WallClockRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            path = _attr_path(node)
+            path = attr_path(node)
             if len(path) < 2:
                 continue
             if path[0] == "time" and path[-1] in _WALL_CLOCK_TIME:
@@ -134,7 +124,7 @@ class UuidRule(Rule):
                             f"import of uuid.{alias.name} — mint ids from "
                             f"seeded/durable counters instead")
             elif isinstance(node, ast.Attribute):
-                path = _attr_path(node)
+                path = attr_path(node)
                 if len(path) == 2 and path[0] == "uuid" \
                         and path[1] in _UUID_FNS:
                     yield ctx.finding(
@@ -163,7 +153,7 @@ class OsEntropyRule(Rule):
                     self.id, node, "import from secrets — OS entropy is "
                     "not reproducible; use SeedSequence streams")
             elif isinstance(node, ast.Attribute):
-                path = _attr_path(node)
+                path = attr_path(node)
                 if path[:2] == ("os", "urandom"):
                     yield ctx.finding(
                         self.id, node, "os.urandom is OS entropy — use "
@@ -189,7 +179,7 @@ class GlobalRandomRule(Rule):
     rationale = ("Draws on the global Mersenne Twister couple unrelated "
                  "subsystems and are perturbed by any third-party import; "
                  "the only sanctioned randomness is a named stream from "
-                 "SeedSequence.stream() (repro.sim.rng).  Even a seeded "
+                 "SeedSequence.stream() (repro.runtime.rng).  Even a seeded "
                  "random.Random(...) construction must be justified with "
                  "a noqa: it is the seed boundary.")
     scope = DETERMINISTIC_SCOPE
@@ -205,7 +195,7 @@ class GlobalRandomRule(Rule):
                             f"from random import {alias.name} — draw from "
                             f"a SeedSequence stream instead")
             elif isinstance(node, ast.Call):
-                path = _attr_path(node.func)
+                path = attr_path(node.func)
                 if len(path) == 2 and path[0] == "random" \
                         and path[1] != "SystemRandom":
                     yield ctx.finding(
@@ -264,7 +254,7 @@ def _is_taint_source(call: ast.Call) -> bool:
     not sources: DET004 polices unseeded stream construction, and a
     value drawn from a seeded stream is deterministic by contract.
     """
-    path = _attr_path(call.func)
+    path = attr_path(call.func)
     if len(path) < 2:
         return False
     head, tail = path[0], path[-1]
@@ -386,7 +376,7 @@ class RandomnessTaintRule(Rule):
                     tainted: frozenset) -> Iterator[Finding]:
         for node in ast.walk(root):
             if isinstance(node, ast.Call):
-                path = _attr_path(node.func)
+                path = attr_path(node.func)
                 attr = path[-1] if path else ""
                 receiver = path[:-1]
                 if attr in _TAINT_SEND_OPS and \

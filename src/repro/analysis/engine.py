@@ -180,7 +180,7 @@ def _suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
 def module_name_for_path(path: str) -> str:
     """Dotted module name, anchored at the innermost ``repro`` directory.
 
-    ``/repo/src/repro/sim/kernel.py`` -> ``repro.sim.kernel``.  Files
+    ``/repo/src/repro/runtime/sim.py`` -> ``repro.runtime.sim``.  Files
     outside a ``repro`` tree fall back to their stem, which simply means
     only unscoped rules apply to them.
     """

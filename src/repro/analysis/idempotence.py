@@ -40,10 +40,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import value_sources
 from repro.analysis.engine import Finding, ProjectContext
-from repro.analysis.recovery import (_KeyShape, _attr_path, _canonical_key,
+from repro.analysis.recovery import (_KeyShape, _canonical_key,
                                      _is_storage_receiver, _shared_analysis)
 from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo
+from repro.analysis.symbols import ClassInfo, attr_path
 
 __all__ = ["IDEMPOTENCE_RULES", "NonIdempotentRecoveryRule"]
 
@@ -66,7 +66,7 @@ def _spawned_call_ids(func: ast.AST) -> Set[int]:
     spawned: Set[int] = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and \
-                _attr_path(node.func)[-1:] == ("spawn",):
+                attr_path(node.func)[-1:] == ("spawn",):
             for arg in node.args:
                 if isinstance(arg, ast.Call):
                     spawned.add(id(arg))
@@ -225,7 +225,7 @@ class NonIdempotentRecoveryRule(Rule):
     def _classify(self, call: ast.Call, params: Set[str], helpers
                   ) -> Optional[Tuple[str, ast.AST, Optional[ast.AST]]]:
         """(op, key expr, value expr) of a storage call, else None."""
-        path = _attr_path(call.func)
+        path = attr_path(call.func)
         if len(path) < 2 or not call.args:
             return None
         attr, receiver = path[-1], path[:-1]

@@ -36,7 +36,7 @@ import ast
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.symbols import ClassInfo, SymbolTable
+from repro.analysis.symbols import ClassInfo, SymbolTable, attr_path
 
 __all__ = ["MessageFlowGraph", "MessageType", "SendEdge", "HandlerEdge",
            "build_msgflow", "build_msgflow_for_paths", "render_msgflow",
@@ -55,19 +55,8 @@ _SEND_RECEIVER_TOKENS = ("endpoint", "network", "transport", "channel",
 _REGISTER_OPS = frozenset({"register", "register_handler"})
 
 
-def _attr_path(node: ast.AST) -> Tuple[str, ...]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
 def _is_send_call(call: ast.Call) -> bool:
-    path = _attr_path(call.func)
+    path = attr_path(call.func)
     if len(path) < 2 or path[-1] not in _SEND_OPS:
         return False
     receiver = path[:-1]
@@ -468,7 +457,7 @@ class _Builder:
 
     def _note_send(self, call: ast.Call, module: str, where: str,
                    local_env: Dict[str, MessageType]) -> None:
-        op = _attr_path(call.func)[-1]
+        op = attr_path(call.func)[-1]
         payload: Optional[MessageType] = None
         resolved = "opaque"
         candidates = list(call.args) + [kw.value for kw in call.keywords]
@@ -495,7 +484,7 @@ class _Builder:
 
     def _note_registration(self, call: ast.Call, module: str, where: str,
                            owner: Optional[ClassInfo]) -> None:
-        path = _attr_path(call.func)
+        path = attr_path(call.func)
         if not path:
             return
         op = path[-1]
@@ -542,7 +531,7 @@ class _Builder:
     def _handler_label(expr: ast.expr, owner: Optional[ClassInfo]
                        ) -> Tuple[str, Optional[str]]:
         if isinstance(expr, ast.Attribute):
-            path = _attr_path(expr)
+            path = attr_path(expr)
             if path[:1] == ("self",) and len(path) == 2 and \
                     owner is not None:
                 return f"{owner.name}.{path[1]}", path[1]

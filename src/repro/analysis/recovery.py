@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import Finding, ProjectContext
 from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo
+from repro.analysis.symbols import ClassInfo, attr_path
 
 __all__ = ["RECOVERY_RULES"]
 
@@ -53,17 +53,6 @@ _ANY = "*"
 _PROTOCOL_SCOPE = ("repro.core", "repro.consensus", "repro.quorum",
                    "repro.multigroup", "repro.fdetect", "repro.apps",
                    "repro.baselines", "repro.membership", "repro.flow")
-
-
-def _attr_path(node: ast.AST) -> Tuple[str, ...]:
-    parts: list = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
 
 
 def _is_storage_receiver(receiver: Tuple[str, ...]) -> bool:
@@ -267,7 +256,7 @@ class _StorageIndex:
 
     def _classify(self, call: ast.Call):
         """(kind, key expression) of a storage-touching call, else None."""
-        path = _attr_path(call.func)
+        path = attr_path(call.func)
         if not path or not call.args:
             return None
         attr = path[-1]
@@ -289,7 +278,7 @@ class _StorageIndex:
         for node in ast.walk(func):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
-            path = _attr_path(node.func)
+            path = attr_path(node.func)
             if not path:
                 continue
             attr, receiver = path[-1], path[:-1]

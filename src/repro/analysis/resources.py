@@ -37,7 +37,7 @@ from repro.analysis.cfg import build_cfg, scoped_walk, stmt_roots
 from repro.analysis.dataflow import SetUnionProblem, solve_forward
 from repro.analysis.engine import Finding, ProjectContext
 from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo
+from repro.analysis.symbols import ClassInfo, attr_path, self_field
 
 __all__ = ["RES_RULES", "UnboundedGrowthRule", "BlockingAsyncCallRule",
            "WriteAmplificationRule"]
@@ -69,29 +69,11 @@ _BOUND_TOKENS = ("bound", "limit", "max", "capacity", "high_water",
 _ADMIT_TOKENS = ("try_admit", "admit", "queue_bound")
 
 
-def _attr_path(node: ast.AST) -> Tuple[str, ...]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
-def _self_field(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute) and \
-            isinstance(node.value, ast.Name) and node.value.id == "self":
-        return node.attr
-    return None
-
-
 def _len_of_self_field(node: ast.AST) -> Optional[str]:
     """``len(self.f)`` -> ``f``."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
             node.func.id == "len" and len(node.args) == 1:
-        return _self_field(node.args[0])
+        return self_field(node.args[0])
     return None
 
 
@@ -124,18 +106,18 @@ def _guarded_fields(expr: ast.AST) -> Set[str]:
             # ``self.f`` compared against something bound-shaped
             # (``while self.pending and len(...) < cap`` variants).
             direct = {f for side in sides
-                      for f in [_self_field(side)] if f is not None}
+                      for f in [self_field(side)] if f is not None}
             if direct and any(_mentions_bound_name(side)
                               for side in sides):
                 guarded |= direct
         elif isinstance(node, ast.Call):
-            path = _attr_path(node.func)
+            path = attr_path(node.func)
             name = path[-1] if path else ""
             if any(token in name for token in _ADMIT_TOKENS):
                 for arg in list(node.args) + \
                         [kw.value for kw in node.keywords]:
                     for sub in ast.walk(arg):
-                        field = _len_of_self_field(sub) or _self_field(sub)
+                        field = _len_of_self_field(sub) or self_field(sub)
                         if field is not None:
                             guarded.add(field)
     return guarded
@@ -171,13 +153,13 @@ def _growth_sites(func: ast.AST, mutable: FrozenSet[str],
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
                 node.func.attr in _GROWTH_METHODS:
-            field = _self_field(node.func.value)
+            field = self_field(node.func.value)
             if field is not None and field in mutable:
                 sites.append(_GrowthSite(field, node, node.func.attr))
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 and \
                 isinstance(node.targets[0], ast.Subscript):
             target = node.targets[0]
-            field = _self_field(target.value)
+            field = self_field(target.value)
             if field is None or field not in mutable:
                 continue
             key = target.slice
@@ -200,13 +182,13 @@ def _evicted_fields(table, concrete: ClassInfo) -> Set[str]:
                 if isinstance(node, ast.Call) and \
                         isinstance(node.func, ast.Attribute) and \
                         node.func.attr in _EVICT_METHODS:
-                    field = _self_field(node.func.value)
+                    field = self_field(node.func.value)
                     if field is not None:
                         evicted.add(field)
                 elif isinstance(node, ast.Delete):
                     for target in node.targets:
                         if isinstance(target, ast.Subscript):
-                            field = _self_field(target.value)
+                            field = self_field(target.value)
                             if field is not None:
                                 evicted.add(field)
     return evicted
@@ -223,7 +205,7 @@ def _bounded_fields(table, concrete: ClassInfo) -> Set[str]:
             if not (isinstance(node, ast.Assign) and
                     len(node.targets) == 1):
                 continue
-            field = _self_field(node.targets[0])
+            field = self_field(node.targets[0])
             if field is None or not isinstance(node.value, ast.Call):
                 continue
             func = node.value.func
@@ -251,10 +233,10 @@ def _registered_handler_names(info: ClassInfo) -> Set[str]:
         for call in ast.walk(func):
             if not isinstance(call, ast.Call) or len(call.args) < 2:
                 continue
-            if _attr_path(call.func)[-1:] not in (
+            if attr_path(call.func)[-1:] not in (
                     ("register",), ("register_handler",)):
                 continue
-            handler = _self_field(call.args[1])
+            handler = self_field(call.args[1])
             if handler is not None:
                 names.add(handler)
     return names
@@ -436,7 +418,7 @@ class BlockingAsyncCallRule(Rule):
             if func.id == "open":
                 return "open() (sync file I/O)"
             return None
-        path = _attr_path(func)
+        path = attr_path(func)
         if len(path) == 2 and path in self._BLOCKING_PATHS:
             return f"{path[0]}.{path[1]}()"
         if path[:1] == ("subprocess",):
@@ -496,13 +478,13 @@ class WriteAmplificationRule(Rule):
         for item in node.items:
             expr = item.context_expr
             if isinstance(expr, ast.Call):
-                path = _attr_path(expr.func)
+                path = attr_path(expr.func)
                 if path[-1:] == ("write_barrier",):
                     return True
         return False
 
     def _storage_write(self, call: ast.Call) -> Optional[str]:
-        path = _attr_path(call.func)
+        path = attr_path(call.func)
         if len(path) < 2 or path[-1] not in self._WRITE_OPS:
             return None
         receiver = path[:-1]

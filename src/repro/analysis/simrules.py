@@ -1,7 +1,7 @@
 """Simulation-coroutine rules (SIM family).
 
 Tasks in this codebase are plain Python generators driven by the
-discrete-event kernel (:mod:`repro.sim.kernel`).  Two silent failure
+discrete-event kernel (:mod:`repro.runtime.sim`).  Two silent failure
 modes follow from that design:
 
 * calling a generator-returning task function and discarding the result

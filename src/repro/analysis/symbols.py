@@ -27,7 +27,7 @@ import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["ClassInfo", "ModuleSymbols", "SymbolTable",
-           "VOLATILE_DECLARATION"]
+           "VOLATILE_DECLARATION", "attr_path", "self_field"]
 
 #: Class attribute declaring the volatile mirrors of durable state.
 VOLATILE_DECLARATION = "VOLATILE_FIELDS"
@@ -42,6 +42,26 @@ _MUTABLE_ANNOTATIONS = frozenset({
     "Dict", "List", "Set", "DefaultDict", "Deque", "MutableMapping",
     "MutableSequence", "MutableSet", "dict", "list", "set", "deque",
 })
+
+
+def attr_path(node: ast.AST) -> Tuple[str, ...]:
+    """Flatten ``a.b.c`` into ``("a", "b", "c")`` (empty if not a chain)."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return tuple(reversed(parts))
+    return ()
+
+
+def self_field(node: ast.AST) -> Optional[str]:
+    """``self.f`` -> ``"f"`` (exactly one level deep)."""
+    if isinstance(node, ast.Attribute) and \
+            isinstance(node.value, ast.Name) and node.value.id == "self":
+        return node.attr
+    return None
 
 
 def _literal(value: ast.expr) -> Tuple[bool, object]:

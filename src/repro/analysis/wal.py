@@ -46,7 +46,8 @@ from repro.analysis.dataflow import (ForwardProblem, SetUnionProblem,
                                      solve_forward)
 from repro.analysis.engine import Finding, ModuleContext, ProjectContext
 from repro.analysis.registry import Rule
-from repro.analysis.symbols import VOLATILE_DECLARATION, ClassInfo
+from repro.analysis.symbols import (VOLATILE_DECLARATION, ClassInfo,
+                                    attr_path)
 
 __all__ = ["WAL_RULES", "VOLATILE_DECLARATION"]
 
@@ -77,22 +78,11 @@ _OPAQUE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _INHERITED = "<inherited>"
 
 
-def _attr_path(node: ast.AST) -> Tuple[str, ...]:
-    parts: list = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
 def _self_field(node: ast.AST) -> str:
     """``self.f`` or ``self.f[...]`` -> ``"f"`` (else ``""``)."""
     if isinstance(node, ast.Subscript):
         node = node.value
-    path = _attr_path(node)
+    path = attr_path(node)
     if len(path) == 2 and path[0] == "self":
         return path[1]
     return ""
@@ -145,7 +135,7 @@ def _call_events(root: ast.AST) -> List[_Event]:
     for node in ast.walk(root):
         if not isinstance(node, ast.Call):
             continue
-        path = _attr_path(node.func)
+        path = attr_path(node.func)
         attr = path[-1] if path else ""
         receiver = path[:-1]
         if attr in _BARRIER_OPS and \
@@ -334,7 +324,7 @@ def _is_clean(expr: Optional[ast.AST], clean: frozenset) -> bool:
     if isinstance(expr, ast.Name):
         return expr.id in clean
     if isinstance(expr, ast.Attribute):
-        path = _attr_path(expr)
+        path = attr_path(expr)
         return bool(path) and path[0] == "self"
     if isinstance(expr, ast.Subscript):
         return _is_clean(expr.value, clean)
@@ -671,7 +661,7 @@ class DirectTransportSendRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            path = _attr_path(node.func)
+            path = attr_path(node.func)
             if len(path) < 2 or path[-1] not in _SEND_OPS:
                 continue
             receiver = path[:-1]

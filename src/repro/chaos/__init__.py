@@ -16,18 +16,17 @@ Every run is a pure function of its seed: a failing seed re-runs with
 its exact fault timeline printed (``repro chaos --reproduce SEED``).
 
 Only the harness-independent pieces are imported here (the event
-vocabulary, the nemesis planners and the low-level fault wiring that
-:mod:`repro.sim.faults` delegates to).  The controller and engine sit
-*above* the harness, and :mod:`repro.sim` sits below it while importing
-this package — importing them here would close an import cycle, so use
-the explicit forms::
+vocabulary, the nemesis planners and the fault wiring with its schedule
+front-ends).  The controller and engine build clusters and pull in the
+whole harness; import them explicitly::
 
     from repro.chaos.engine import ChaosConfig, explore, reproduce
     from repro.chaos.controller import SimChaosController
 """
 
 from repro.chaos.events import ChaosEvent, format_timeline
-from repro.chaos.inject import (FaultEvent, RandomCrashRecover, cut_off,
+from repro.chaos.inject import (FaultEvent, FaultSchedule,
+                                PartitionSchedule, RandomFaults, cut_off,
                                 install_timeline, rejoin)
 from repro.chaos.nemesis import (ClockJumpNemesis, CrashStormNemesis,
                                  DiskFaultNemesis, LossBurstNemesis,
@@ -40,11 +39,13 @@ __all__ = [
     "CrashStormNemesis",
     "DiskFaultNemesis",
     "FaultEvent",
+    "FaultSchedule",
     "LossBurstNemesis",
     "MembershipChurnNemesis",
     "Nemesis",
     "PartitionNemesis",
-    "RandomCrashRecover",
+    "PartitionSchedule",
+    "RandomFaults",
     "cut_off",
     "default_nemeses",
     "format_timeline",

@@ -3,10 +3,12 @@
 A controller owns one built cluster and replays a sorted list of
 :class:`~repro.chaos.events.ChaosEvent` against it: advance the clock to
 the event's instant, apply it, repeat.  Both runtimes share the event
-vocabulary; what differs is how the clock advances (virtual ``sim.run``
-versus real ``run_for``) and which faults are expressible (the link
-matrix and disk faults exist on the simulator, clock skew on the live
-runtime).
+vocabulary and — through the one cluster surface of
+:class:`~repro.harness.cluster.ClusterCore` — the clock read, crashes
+and recoveries; what differs is how the clock advances (virtual
+``sim.run`` versus real ``run_for``) and which faults are expressible
+(the link matrix and disk faults exist on the simulator, clock skew on
+the live runtime).
 
 Disk faults are the interesting case: applying a ``torn_write`` event
 only *arms* the victim's :class:`~repro.storage.faulty.FaultyStorage`;
@@ -59,6 +61,10 @@ class _BaseController:
         self._serial = 0
 
     # -- timeline ------------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        return self.cluster.runtime.now
 
     def push(self, event: ChaosEvent) -> None:
         heapq.heappush(self._heap, (event.time, self._serial, event))
@@ -117,10 +123,17 @@ class _BaseController:
         self.record(ChaosEvent(self.now, "submit", node=target,
                                payload=event.args["payload"]))
 
-    # Membership churn (shared: both harnesses expose the same
-    # add_node/submit_reconfig/current_view surface; only the crash that
-    # accompanies an eviction is runtime-specific and goes through the
-    # controller's own ``_apply_crash``).
+    def _apply_crash(self, event: ChaosEvent) -> None:
+        if self.cluster.nodes[event.node].up:
+            self.cluster.crash(event.node)
+            self.record(event)
+
+    def _apply_recover(self, event: ChaosEvent) -> None:
+        if not self.cluster.nodes[event.node].up:
+            self.cluster.recover(event.node)
+            self.record(event)
+
+    # -- membership churn ------------------------------------------------------
 
     def _member_up(self) -> bool:
         """Is any current-view member up to carry an ordered command?"""
@@ -164,14 +177,10 @@ class _BaseController:
         if evict and event.node in self.cluster.nodes \
                 and self.cluster.nodes[event.node].up:
             # Eviction expels a faulty process: crash it through the
-            # runtime-specific handler (which records the crash too).
+            # handler, which records the crash too.
             self.apply(ChaosEvent(self.now, "crash", node=event.node))
 
     # -- runtime-specific hooks ------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        raise NotImplementedError
 
     def advance(self, until: float) -> None:
         raise NotImplementedError
@@ -192,10 +201,6 @@ class SimChaosController(_BaseController):
         super().__init__(cluster, base_loss)
         self._disk_downtimes: Dict[int, float] = {}
 
-    @property
-    def now(self) -> float:
-        return self.cluster.sim.now
-
     def advance(self, until: float) -> None:
         sim = self.cluster.sim
         while sim.now < until:
@@ -207,9 +212,7 @@ class SimChaosController(_BaseController):
     def on_injected_fault(self, fault: InjectedCrashFault) -> None:
         victim = fault.node_hint
         assert victim is not None
-        node = self.cluster.nodes[victim]
-        if node.up:
-            node.crash()
+        self.cluster.crash(victim)
         self.record(ChaosEvent(self.now, "crash", node=victim,
                                cause=fault.mode, key=fault.path),
                     count_as="disk_crash")
@@ -217,18 +220,6 @@ class SimChaosController(_BaseController):
         self.push(ChaosEvent(self.now + downtime, "recover", node=victim))
 
     # -- event handlers --------------------------------------------------------
-
-    def _apply_crash(self, event: ChaosEvent) -> None:
-        node = self.cluster.nodes[event.node]
-        if node.up:
-            node.crash()
-            self.record(event)
-
-    def _apply_recover(self, event: ChaosEvent) -> None:
-        node = self.cluster.nodes[event.node]
-        if not node.up:
-            node.recover()
-            self.record(event)
 
     def _apply_partition(self, event: ChaosEvent) -> None:
         cut_off(self.cluster.network, tuple(event.args["isolated"]))
@@ -293,9 +284,8 @@ class SimChaosController(_BaseController):
         self.cluster.network.clear_node_delays()
         self.cluster.network.config.loss_rate = self.base_loss
         self.advance(self.now + 0.5)  # drain armed faults' last writes
-        for node in self.cluster.nodes.values():
-            if not node.up:
-                node.recover()
+        for node_id in self.cluster.nodes:
+            self.cluster.recover(node_id)
         settled = self.cluster.settle(limit=self.now + settle_limit)
         if not settled:
             raise SimulationError(
@@ -321,10 +311,6 @@ class LiveChaosController(_BaseController):
 
     runtime_name = "live"
 
-    @property
-    def now(self) -> float:
-        return self.cluster.runtime.now
-
     def advance(self, until: float) -> None:
         remaining = until - self.now
         if remaining > 0:
@@ -332,16 +318,6 @@ class LiveChaosController(_BaseController):
         self.cluster.runtime.check_errors()
 
     # -- event handlers --------------------------------------------------------
-
-    def _apply_crash(self, event: ChaosEvent) -> None:
-        if self.cluster.nodes[event.node].up:
-            self.cluster.kill(event.node)
-            self.record(event)
-
-    def _apply_recover(self, event: ChaosEvent) -> None:
-        if not self.cluster.nodes[event.node].up:
-            self.cluster.restart(event.node)
-            self.record(event)
 
     def _apply_loss(self, event: ChaosEvent) -> None:
         self.cluster.network.loss_rate = event.args["rate"]
@@ -359,9 +335,8 @@ class LiveChaosController(_BaseController):
 
     def finish(self, settle_limit: float) -> VerificationReport:
         self.cluster.network.loss_rate = self.base_loss
-        for node_id, node in sorted(self.cluster.nodes.items()):
-            if not node.up:
-                self.cluster.restart(node_id)
+        for node_id in sorted(self.cluster.nodes):
+            self.cluster.recover(node_id)
         settled = self.cluster.settle(limit=settle_limit)
         self.cluster.runtime.check_errors()
         if not settled:

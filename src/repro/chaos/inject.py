@@ -1,24 +1,30 @@
-"""Low-level fault wiring shared by chaos and the legacy schedules.
+"""Fault wiring: the mechanics of *doing* a fault on the simulator.
 
-This module owns the mechanics of *doing* a fault — crashing and
-recovering nodes on a schedule, cutting a set of nodes off the link
-matrix, arming seeded random crash/recovery processes — so that the
-chaos controllers and the legacy :mod:`repro.sim.faults` schedules are
-two faces over one implementation instead of two copies of it.
+Crashing and recovering nodes on a schedule, cutting a set of nodes off
+the link matrix, arming seeded random crash/recovery processes — used
+by the chaos controllers and, through the schedule front-ends below, by
+scenarios, benchmarks and targeted tests:
+
+* :class:`FaultSchedule` — an explicit, hand-written timeline of crash
+  and recover events.
+* :class:`PartitionSchedule` — explicit cut/heal windows.
+* :class:`RandomFaults` — seeded random crash/recovery with per-node
+  mean-time-to-failure and mean-time-to-repair.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.runtime import Node, Simulator
 
-if TYPE_CHECKING:  # transport sits above sim: type-only import, no cycle
+if TYPE_CHECKING:  # only the link-matrix methods are used: type-only import
     from repro.transport.network import Network
 
-__all__ = ["FaultEvent", "RandomCrashRecover", "cut_off", "rejoin",
-           "install_timeline"]
+__all__ = ["FaultEvent", "FaultSchedule", "PartitionSchedule",
+           "RandomFaults", "cut_off", "rejoin", "install_timeline"]
 
 
 class FaultEvent:
@@ -67,7 +73,64 @@ def rejoin(network: "Network", isolated: Tuple[int, ...]) -> None:
             network.heal(a, b)
 
 
-class RandomCrashRecover:
+class FaultSchedule:
+    """Explicit crash/recover timeline.
+
+    >>> schedule = FaultSchedule([(5.0, 1, "crash"), (9.0, 1, "recover")])
+    """
+
+    def __init__(self, events: Iterable[Tuple[float, int, str]] = ()):
+        self.events: List[FaultEvent] = [
+            event if isinstance(event, FaultEvent) else FaultEvent(*event)
+            for event in events
+        ]
+
+    def crash(self, time: float, node_id: int) -> "FaultSchedule":
+        """Append a crash event (chainable)."""
+        self.events.append(FaultEvent(time, node_id, FaultEvent.CRASH))
+        return self
+
+    def recover(self, time: float, node_id: int) -> "FaultSchedule":
+        """Append a recover event (chainable)."""
+        self.events.append(FaultEvent(time, node_id, FaultEvent.RECOVER))
+        return self
+
+    def install(self, sim: Simulator, nodes: Dict[int, Node]) -> None:
+        """Schedule every event on the simulator."""
+        install_timeline(sim, nodes, self.events)
+
+
+class PartitionSchedule:
+    """Explicit network partition timeline.
+
+    Each entry isolates a set of nodes from the rest of the cluster for
+    a time window; links inside either side keep working.  Fairness of
+    the channel (and therefore liveness of the protocols) requires every
+    partition to eventually heal, which this schedule guarantees by
+    construction.
+
+    >>> schedule = PartitionSchedule().isolate(2.0, 6.0, [0])
+    """
+
+    def __init__(self) -> None:
+        self._windows: List[Tuple[float, float, Tuple[int, ...]]] = []
+
+    def isolate(self, start: float, end: float,
+                nodes: Iterable[int]) -> "PartitionSchedule":
+        """Cut ``nodes`` off from everyone else during [start, end)."""
+        if end <= start:
+            raise ValueError("partition window must have positive length")
+        self._windows.append((start, end, tuple(sorted(set(nodes)))))
+        return self
+
+    def install(self, sim: Simulator, network: "Network") -> None:
+        """Schedule the cut and heal events on the network."""
+        for start, end, isolated in self._windows:
+            sim.schedule(start, cut_off, network, isolated)
+            sim.schedule(end, rejoin, network, isolated)
+
+
+class RandomFaults:
     """Seeded random crash-recovery process over a set of nodes.
 
     Arms an exponential crash timer per node; each crash arms an

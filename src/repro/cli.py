@@ -21,6 +21,7 @@ import tempfile
 from typing import Any, List, Optional, Tuple
 
 from repro.analysis.lint import add_lint_arguments, execute_lint
+from repro.chaos.inject import RandomFaults
 from repro.core.alternative import AlternativeConfig
 from repro.errors import ReproError, VerificationError
 from repro.harness.cluster import PROTOCOLS, Cluster, ClusterConfig
@@ -29,7 +30,6 @@ from repro.harness.report import format_table
 from repro.harness.scenario import Scenario, run_scenario
 from repro.harness.verify import verify_run
 from repro.runtime import Tracer
-from repro.sim.faults import RandomFaults
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload
 
@@ -230,9 +230,9 @@ def _run_live(args) -> int:
             for when, payload in submissions:
                 cluster.runtime.schedule(when, cluster.submit, 0, payload)
             cluster.run_for(kill_at)
-            cluster.kill(victim)
+            cluster.crash(victim)
             cluster.run_for(restart_at - kill_at)
-            cluster.restart(victim)
+            cluster.recover(victim)
             cluster.run_for(max(0.0, args.duration - restart_at))
             if not cluster.settle(limit=max(10.0, args.duration)):
                 raise VerificationError("live run did not settle")

@@ -1,7 +1,9 @@
 """Cluster builder: assemble a full protocol stack per configuration.
 
-One :class:`Cluster` owns a simulator, a network, ``n`` nodes and, per
-node, the selected protocol stack:
+One cluster owns a runtime, a network, ``n`` nodes and, per node, the
+selected protocol stack.  :class:`ClusterCore` is everything that does
+not depend on the runtime; :class:`Cluster` drives it on the simulator
+and :class:`~repro.harness.live.LiveCluster` on asyncio, UDP and files.
 
 ====================  ==========================================================
 ``protocol``          stack
@@ -42,14 +44,14 @@ from repro.flow.controller import FlowConfig, FlowController
 from repro.fdetect.omega import OmegaOracle
 from repro.membership import View, ViewManager, reconfig_payload
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.runtime import Node, SeedSequence, Simulator
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 from repro.transport.stubborn import StubbornChannel, StubbornConfig
 
-__all__ = ["Cluster", "ClusterConfig", "PROTOCOLS", "build_node_stack",
-           "stack_settled"]
+__all__ = ["Cluster", "ClusterConfig", "ClusterCore", "PROTOCOLS",
+           "build_node_stack"]
 
 PROTOCOLS = ("basic", "alternative", "eager", "ct", "sequencer")
 
@@ -211,65 +213,30 @@ def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
     return node, abcast, consensus, rsm, view_manager
 
 
-def stack_settled(nodes: Dict[int, Node], abcasts: Dict[int, Any],
-                  collector: MetricsCollector, target: int,
-                  members: Optional[Tuple[int, ...]] = None) -> bool:
-    """True when every up node has delivered everything outstanding.
+class ClusterCore:
+    """Everything about a built cluster that does not depend on the runtime.
 
-    Shared between the simulated and live clusters so "settled" means the
-    same thing on both runtimes.  ``members`` (the currently installed
-    view) restricts the must-deliver-everything obligation to view
-    members: an evicted-but-up node stops receiving the order stream by
-    design and must not hold settling hostage.  Backlog is still checked
-    on *every* up node — even a non-member's pending submissions reach
-    the members through its gossip and will be ordered.
+    The paper has one process model — a crash wipes volatile state,
+    recovery re-enters through one procedure, only logged data survives —
+    and says nothing about the medium, so the registries, membership
+    operations, crash/recover and reporting are written once here.
+    :class:`Cluster` (virtual time) and
+    :class:`~repro.harness.live.LiveCluster` (asyncio + UDP + files)
+    add only how the runtime and medium are constructed, which storage
+    a node gets (:meth:`_storage`), what happens to its socket and
+    storage handle around going up and down (:meth:`_open`,
+    :meth:`_close`) and how the clock is driven.
     """
-    for node_id, node in nodes.items():
-        if not node.up:
-            continue
-        if members is not None and node_id not in members:
-            continue
-        if abcasts[node_id].delivered_count() < len(collector.first_delivery):
-            return False
-    # Every up member saw every message that anyone delivered; check the
-    # backlog too: anything broadcast but not yet ordered anywhere?
-    undelivered = target - len(collector.first_delivery)
-    if undelivered == 0:
-        return True
-    # Messages can be legitimately lost if their sender crashed before
-    # dissemination; treat those as settled only if no up node still
-    # holds one in its backlog.  A member's backlog blocks settling even
-    # when already ordered elsewhere (it will deliver it shortly — wait
-    # for that); a *non-member's* backlog only counts while it holds
-    # something not yet ordered anywhere, because the order stream no
-    # longer reaches it and already-ordered leftovers in its Unordered
-    # set would otherwise hold settling hostage forever.
-    for node_id, node in nodes.items():
-        if not node.up:
-            continue
-        member = members is None or node_id in members
-        ordered = None if member else collector.first_delivery
-        if abcasts[node_id].has_backlog(ordered=ordered):
-            return False
-    return True
 
-
-class Cluster:
-    """A built, ready-to-run cluster."""
-
-    def __init__(self, config: ClusterConfig):
+    def __init__(self, config: ClusterConfig, runtime: Any, network: Any,
+                 stubborn: Optional[StubbornConfig]):
         self.config = config
-        self.sim = Simulator()
-        self.seeds = SeedSequence(config.seed)
-        self.network = Network(self.sim, self.seeds.stream("network"),
-                               config.network)
-        stubborn_config = config.resolve_stubborn(default_on=False)
+        self.runtime = runtime
+        self.network = network
         self.stubborn: Optional[StubbornChannel] = None
-        self.medium: Any = self.network
-        if stubborn_config is not None:
-            self.stubborn = StubbornChannel(
-                self.sim, self.network, stubborn_config,
-                rng=self.seeds.stream("stubborn"))
+        self.medium: Any = network
+        if stubborn is not None:
+            self.stubborn = StubbornChannel(runtime, network, stubborn)
             self.medium = self.stubborn
         self.collector = MetricsCollector()
         self.nodes: Dict[int, Node] = {}
@@ -285,6 +252,18 @@ class Cluster:
         for node_id in range(config.n):
             self._build_node(node_id, self.initial_view)
 
+    # -- per-runtime hooks ------------------------------------------------------
+
+    def _storage(self, node_id: int) -> Any:
+        """A handle on the node's stable storage."""
+        raise NotImplementedError
+
+    def _open(self, node_id: int) -> None:
+        """Connect a node that is about to come up to the medium."""
+
+    def _close(self, node_id: int) -> None:
+        """Drop whatever a node that just went down held outside its stack."""
+
     # -- construction ---------------------------------------------------------
 
     def _build_node(self, node_id: int, view: View,
@@ -295,9 +274,8 @@ class Cluster:
             flow = self.flows.setdefault(
                 node_id, FlowController(node_id, config.flow))
         node, abcast, consensus, rsm, view_manager = build_node_stack(
-            self.sim, self.medium, config, self.collector, node_id,
-            config.storage_factory(node_id), view=view, joining=joining,
-            flow=flow)
+            self.runtime, self.medium, config, self.collector, node_id,
+            self._storage(node_id), view=view, joining=joining, flow=flow)
         if consensus is not None:
             self.consensuses[node_id] = consensus
         self.nodes[node_id] = node
@@ -310,6 +288,8 @@ class Cluster:
 
     def start(self) -> None:
         """Start every node (initial ``up`` transition)."""
+        for node_id in self.nodes:
+            self._open(node_id)
         for node in self.nodes.values():
             node.start()
 
@@ -352,17 +332,19 @@ class Cluster:
         """Grow the cluster: build, start and propose a joining node.
 
         The new stack is built against the current view (its epoch-0
-        bootstrap opinion), started immediately — it gossips, but a
-        joining alternative-protocol node proposes nothing until a state
-        transfer completes — and a ``join`` command is A-broadcast
-        through an existing member so every process installs the widened
-        view at the same agreed position.
+        bootstrap opinion), connected to the medium and started
+        immediately — it gossips, but a joining alternative-protocol
+        node proposes nothing until a state transfer completes — and a
+        ``join`` command is A-broadcast through an existing member so
+        every process installs the widened view at the same agreed
+        position.
         """
         if node_id is None:
             node_id = max(self.nodes) + 1
         if node_id in self.nodes:
             raise SimulationError(f"node {node_id} already exists")
         self._build_node(node_id, self.current_view(), joining=True)
+        self._open(node_id)
         self.nodes[node_id].start()
         self.submit_reconfig("join", node_id)
         return node_id
@@ -380,29 +362,65 @@ class Cluster:
         return self.submit_reconfig("evict" if evict else "leave", node_id)
 
     def crash(self, node_id: int) -> None:
-        self.nodes[node_id].crash()
+        """Crash an up node; only its stable storage survives.
+
+        A no-op on a node that is already down, so a second crash never
+        swaps the storage handle or touches the socket again.
+        """
+        node = self.nodes[node_id]
+        if not node.up:
+            return
+        node.crash()
+        self._close(node_id)
 
     def recover(self, node_id: int) -> None:
-        self.nodes[node_id].recover()
+        """Bring a crashed node back through the single recovery entry.
 
-    def run(self, until: float) -> float:
-        """Advance virtual time."""
-        return self.sim.run(until=until)
-
-    def settle(self, limit: float, check_interval: float = 1.0) -> bool:
-        """Keep running until every up node has delivered every broadcast
-        message, or ``limit`` virtual time passes.  Returns ``True`` when
-        fully settled."""
-        target = len(self.collector.broadcast_times)
-        while self.sim.now < limit:
-            if self._settled(target):
-                return True
-            self.sim.run(until=min(limit, self.sim.now + check_interval))
-        return self._settled(target)
+        A no-op on a node that is already up: its socket (and whatever
+        it has buffered to send) is left alone.
+        """
+        node = self.nodes[node_id]
+        if node.up:
+            return
+        self._open(node_id)
+        node.recover()
 
     def _settled(self, target: int) -> bool:
-        return stack_settled(self.nodes, self.abcasts, self.collector,
-                             target, members=self.current_view().members)
+        """True when every up node has delivered everything outstanding.
+
+        One definition, so "settled" means the same thing on both
+        runtimes.  The currently installed view restricts the
+        must-deliver-everything obligation to its members: an
+        evicted-but-up node stops receiving the order stream by design
+        and must not hold settling hostage.  Backlog is still checked on
+        *every* up node — even a non-member's pending submissions reach
+        the members through its gossip and will be ordered.
+        """
+        members = self.current_view().members
+        first_delivery = self.collector.first_delivery
+        up = [node_id for node_id, node in self.nodes.items() if node.up]
+        for node_id in up:
+            if node_id in members and \
+                    self.abcasts[node_id].delivered_count() \
+                    < len(first_delivery):
+                return False
+        # Every up member saw every message that anyone delivered; check the
+        # backlog too: anything broadcast but not yet ordered anywhere?
+        if target == len(first_delivery):
+            return True
+        # Messages can be legitimately lost if their sender crashed before
+        # dissemination; treat those as settled only if no up node still
+        # holds one in its backlog.  A member's backlog blocks settling even
+        # when already ordered elsewhere (it will deliver it shortly — wait
+        # for that); a *non-member's* backlog only counts while it holds
+        # something not yet ordered anywhere, because the order stream no
+        # longer reaches it and already-ordered leftovers in its Unordered
+        # set would otherwise hold settling hostage forever.
+        for node_id in up:
+            ordered = None if node_id in members else first_delivery
+            if self.abcasts[node_id].has_backlog(ordered=ordered):
+                return False
+        return True
 
     # -- reporting -----------------------------------------------------------------
 
@@ -440,7 +458,7 @@ class Cluster:
             if node_id in self.views:
                 node_stats[node_id]["epoch"] = self.views[node_id].view.epoch
         return RunMetrics(
-            duration=self.sim.now,
+            duration=self.runtime.now,
             collector=self.collector,
             storage_by_node=storage_by_node,
             storage_prefix_ops=prefix_ops,
@@ -454,3 +472,32 @@ class Cluster:
                    for nid, controller in sorted(self.flows.items())}
                   if self.flows else None),
         )
+
+
+class Cluster(ClusterCore):
+    """A built, ready-to-run cluster on the deterministic simulator."""
+
+    def __init__(self, config: ClusterConfig):
+        sim = Simulator(seed=config.seed)
+        super().__init__(config, sim,
+                         Network(sim, sim.rng("network"), config.network),
+                         config.resolve_stubborn(default_on=False))
+        self.sim = sim  # the same object as ``runtime``
+
+    def _storage(self, node_id: int) -> Any:
+        return self.config.storage_factory(node_id)
+
+    def run(self, until: float) -> float:
+        """Advance virtual time."""
+        return self.sim.run(until=until)
+
+    def settle(self, limit: float, check_interval: float = 1.0) -> bool:
+        """Keep running until every up node has delivered every broadcast
+        message, or ``limit`` virtual time passes.  Returns ``True`` when
+        fully settled."""
+        target = len(self.collector.broadcast_times)
+        while self.sim.now < limit:
+            if self._settled(target):
+                return True
+            self.sim.run(until=min(limit, self.sim.now + check_interval))
+        return self._settled(target)

@@ -17,7 +17,8 @@ The durable record ``(epoch, members, applied-command-ids)`` is written
 *before* the in-memory view mutates (the WAL discipline the lint
 patrols) and is re-read on recovery; the epoch-0 view is never logged,
 so a static-membership run performs zero additional log operations —
-the bit-identity guarantee BENCH_PR7 checks.
+the bit-identity guarantee the ``BENCH_PR7.json`` of commit ``42a6857``
+recorded.
 
 Recovery idempotence leans on the applied-command-id set rather than on
 command no-op-ness: a replayed ``evict(5)`` that was a no-op when first

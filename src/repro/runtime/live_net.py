@@ -179,11 +179,6 @@ class LiveNetwork:
         self.ports[node_id] = port
         return port
 
-    async def open_all(self) -> None:
-        """Bind a socket for every registered node."""
-        for node_id in self.node_ids():
-            await self.open(node_id)
-
     def close(self, node_id: int) -> None:
         """Close the node's socket (datagrams in flight to it are lost).
 

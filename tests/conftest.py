@@ -7,9 +7,7 @@ import pytest
 from repro.consensus.paxos import PaxosConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
-from repro.sim.rng import SeedSequence
+from repro.runtime import Node, SeedSequence, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.inject import FaultSchedule, RandomFaults
 from repro.core.alternative import AlternativeConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, run_scenario
-from repro.sim.faults import FaultSchedule, RandomFaults
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import (BurstyWorkload, PoissonWorkload,
                                         SkewedWorkload)

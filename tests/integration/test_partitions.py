@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.inject import PartitionSchedule
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.verify import verify_run
-from repro.sim.faults import PartitionSchedule
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload, ScheduledWorkload
 

@@ -7,9 +7,9 @@ import pytest
 from repro.apps.bank import Bank
 from repro.apps.certifier import CertifyingDatabase, make_transaction
 from repro.apps.kvstore import KeyValueStore
+from repro.chaos.inject import FaultSchedule, RandomFaults
 from repro.core.alternative import AlternativeConfig
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.sim.faults import FaultSchedule, RandomFaults
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import ScheduledWorkload
 

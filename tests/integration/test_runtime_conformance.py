@@ -17,6 +17,12 @@ deterministic MessageId order and gossip carries whole Unordered sets,
 so any batch containing message *i+1* also contains every undelivered
 message up to *i* — the canonical sequence is then a pure function of
 the submission sequence, whatever the timing.
+
+Both clusters are one :class:`~repro.harness.cluster.ClusterCore` body,
+so the same module also pins the surface: the two classes differ only
+in how the clock is driven, ``metrics()`` has the same shape on both,
+and cluster-level crash/recover do nothing to a node already in that
+state.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import pytest
 
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.live import LiveCluster
+from repro.metrics.collector import RunMetrics
 from repro.harness.verify import verify_run
 from repro.transport.network import NetworkConfig
 
@@ -56,7 +63,7 @@ def _canonical_payloads(cluster) -> list:
     return [payloads[mid] for mid in report.canonical]
 
 
-def _run_sim() -> list:
+def _run_sim() -> tuple:
     cluster = Cluster(_config())
     cluster.start()
     for when, payload in zip(SUBMIT_TIMES, PAYLOADS):
@@ -66,10 +73,10 @@ def _run_sim() -> list:
     cluster.sim.run(until=RUN_UNTIL)
     assert cluster.settle(limit=60.0), "sim run did not settle"
     assert cluster.nodes[VICTIM].recovery_count == 1
-    return _canonical_payloads(cluster)
+    return _canonical_payloads(cluster), cluster.metrics()
 
 
-def _run_live(tmp_path) -> list:
+def _run_live(tmp_path) -> tuple:
     cluster = LiveCluster(_config(), str(tmp_path))
     with cluster:
         cluster.start()
@@ -84,14 +91,19 @@ def _run_live(tmp_path) -> list:
         assert cluster.nodes[VICTIM].recovery_count == 1
         # The kill really crossed a process boundary: datagrams flowed.
         assert cluster.network.metrics.sent > 0
-        return _canonical_payloads(cluster)
+        return _canonical_payloads(cluster), cluster.metrics()
 
 
 @pytest.fixture(scope="module")
-def canonical_orders(tmp_path_factory):
+def runs(tmp_path_factory):
     live = _run_live(tmp_path_factory.mktemp("live-cluster"))
     sim = _run_sim()
     return {"sim": sim, "live": live}
+
+
+@pytest.fixture(scope="module")
+def canonical_orders(runs):
+    return {runtime: order for runtime, (order, _) in runs.items()}
 
 
 @pytest.mark.parametrize("runtime", ["sim", "live"])
@@ -108,6 +120,71 @@ def test_delivery_order_identical_across_runtimes(canonical_orders):
     assert canonical_orders["live"] == canonical_orders["sim"]
     # And the single-sender argument predicts submission order exactly.
     assert canonical_orders["sim"] == PAYLOADS
+
+
+def _public_methods(cls) -> set:
+    return {name for name in dir(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))}
+
+
+def test_cluster_surfaces_differ_only_in_the_clock():
+    sim, live = _public_methods(Cluster), _public_methods(LiveCluster)
+    assert sim - live == {"run"}
+    assert live - sim == {"run_for", "close", "kill", "restart"}
+    # kill/restart are names for the shared crash/recover, not a fork.
+    assert LiveCluster.kill is LiveCluster.crash
+    assert LiveCluster.restart is LiveCluster.recover
+
+
+def test_metrics_have_the_same_shape_on_both_runtimes(runs):
+    sim, live = runs["sim"][1], runs["live"][1]
+    assert isinstance(live, RunMetrics)
+    assert sorted(live.node_stats) == sorted(sim.node_stats)
+    for node_id, stats in sim.node_stats.items():
+        assert live.node_stats[node_id].keys() == stats.keys()
+    for metrics in (sim, live):
+        assert metrics.node_stats[VICTIM]["recoveries"] == 1
+        assert metrics.node_stats[VICTIM]["crashes"] == 1
+
+
+def _assert_crash_recover_idempotent(cluster, fingerprint) -> None:
+    """``fingerprint(node_id)`` is everything a redundant call must not
+    touch: the storage handle, the counters and (live) the UDP port."""
+    cluster.start()
+    before = fingerprint(0)
+    cluster.recover(0)                      # already up
+    assert fingerprint(0) == before
+    cluster.crash(VICTIM)
+    down = fingerprint(VICTIM)
+    cluster.crash(VICTIM)                   # already down
+    assert fingerprint(VICTIM) == down
+    cluster.recover(VICTIM)
+    node = cluster.nodes[VICTIM]
+    assert (node.up, node.crash_count, node.recovery_count) == (True, 1, 1)
+
+
+def test_redundant_crash_and_recover_do_nothing_on_sim():
+    cluster = Cluster(_config())
+
+    def fingerprint(node_id):
+        node = cluster.nodes[node_id]
+        return node.storage, node.crash_count, node.recovery_count
+
+    _assert_crash_recover_idempotent(cluster, fingerprint)
+
+
+def test_redundant_kill_and_restart_do_nothing_on_live(tmp_path):
+    """``restart`` of an up node used to re-bind its socket (new port,
+    coalescing buffers dropped) and ``kill`` of a down node used to swap
+    the storage handle a second time."""
+    with LiveCluster(_config(), str(tmp_path)) as cluster:
+
+        def fingerprint(node_id):
+            node = cluster.nodes[node_id]
+            return (cluster.network.ports.get(node_id), node.storage,
+                    node.crash_count, node.recovery_count)
+
+        _assert_crash_recover_idempotent(cluster, fingerprint)
 
 
 def test_live_survives_heavy_loss_via_stubborn_channels(tmp_path):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.inject import RandomFaults
 from repro.core.alternative import AlternativeConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, run_scenario
-from repro.sim.faults import RandomFaults
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import BurstyWorkload, PoissonWorkload
 
@@ -86,7 +86,7 @@ class TestChurn:
             result.metrics.messages_broadcast
 
     def test_repeated_crashes_of_same_node(self):
-        from repro.sim.faults import FaultSchedule
+        from repro.chaos.inject import FaultSchedule
         schedule = FaultSchedule()
         for round_no in range(4):
             schedule.crash(2.0 + round_no * 3.0, 1)

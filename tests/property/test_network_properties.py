@@ -7,8 +7,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.inject import FaultSchedule
 from repro.core.alternative import AlternativeConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, run_scenario
-from repro.sim.faults import FaultSchedule
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload
 

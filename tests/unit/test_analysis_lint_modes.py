@@ -23,7 +23,7 @@ from repro.errors import AnalysisError
 
 @pytest.fixture()
 def tree(tmp_path):
-    pkg = tmp_path / "repro" / "sim"
+    pkg = tmp_path / "repro" / "core"
     pkg.mkdir(parents=True)
     (pkg / "one.py").write_text(
         "import time\n\n\ndef stamp():\n    return time.time()\n")
@@ -64,7 +64,7 @@ def test_parallel_cli_output_is_byte_identical(tree, fmt, capsys):
 
 
 def test_parallel_respects_suppressions(tree):
-    target = tree / "repro" / "sim" / "one.py"
+    target = tree / "repro" / "core" / "one.py"
     target.write_text(target.read_text().replace(
         "    return time.time()",
         "    return time.time()"
@@ -98,7 +98,7 @@ def test_baseline_reports_only_regressions(tree, tmp_path, capsys):
     baseline = tmp_path / "lint-baseline.json"
     cli_main(["lint", str(tree), "--write-baseline", str(baseline)])
     capsys.readouterr()
-    fresh = tree / "repro" / "sim" / "four.py"
+    fresh = tree / "repro" / "core" / "four.py"
     fresh.write_text("import time\n\n\ndef now():\n    return time.time()\n")
     status = cli_main(["lint", str(tree), "--baseline", str(baseline)])
     out = capsys.readouterr().out
@@ -111,7 +111,7 @@ def test_baseline_survives_renumbering(tree, tmp_path, capsys):
     baseline = tmp_path / "lint-baseline.json"
     cli_main(["lint", str(tree), "--write-baseline", str(baseline)])
     capsys.readouterr()
-    target = tree / "repro" / "sim" / "one.py"
+    target = tree / "repro" / "core" / "one.py"
     target.write_text("# moved\n# down\n" + target.read_text())
     status = cli_main(["lint", str(tree), "--baseline", str(baseline)])
     capsys.readouterr()
@@ -119,8 +119,8 @@ def test_baseline_survives_renumbering(tree, tmp_path, capsys):
 
 
 def test_surplus_instances_of_a_baselined_finding_are_regressions():
-    finding = Finding("DET001", "repro/sim/x.py", 4, 11, "time.time()")
-    twin = Finding("DET001", "repro/sim/x.py", 9, 11, "time.time()")
+    finding = Finding("DET001", "repro/core/x.py", 4, 11, "time.time()")
+    twin = Finding("DET001", "repro/core/x.py", 9, 11, "time.time()")
     report = Report([finding, twin], 1)
     baseline = load_baseline(write_baseline(Report([finding], 1)))
     filtered = filter_baselined(report, baseline)

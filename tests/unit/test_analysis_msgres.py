@@ -44,7 +44,7 @@ def test_msg001_silent_when_tag_registered():
 
 
 def test_msg001_out_of_scope_module():
-    assert check_family("msg001_bad.py", "repro.sim.fixture", "MSG") == []
+    assert check_family("msg001_bad.py", "repro.runtime.fixture", "MSG") == []
 
 
 # -- MSG002: handled but never sent -------------------------------------------

@@ -181,7 +181,7 @@ def test_cli_reports_every_bad_path(tmp_path, capsys):
 def sarif_document():
     findings = analyze_source(
         "import time\nt = time.time()\n",
-        module="repro.sim.fixture", path="src/repro/sim/fixture.py")
+        module="repro.runtime.fixture", path="src/repro/runtime/fixture.py")
     registry = default_registry()
     return json.loads(format_sarif(Report(findings, 1), registry.rules()))
 
@@ -211,7 +211,7 @@ def test_sarif_shape():
 
 
 def test_cli_sarif_format(tmp_path, capsys):
-    pkg = tmp_path / "repro" / "sim"
+    pkg = tmp_path / "repro" / "core"
     pkg.mkdir(parents=True)
     bad = pkg / "clocky.py"
     bad.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
@@ -232,7 +232,7 @@ def _git(cwd, *args):
 @pytest.fixture()
 def diff_repo(tmp_path):
     repo = tmp_path / "repo"
-    pkg = repo / "repro" / "sim"
+    pkg = repo / "repro" / "core"
     pkg.mkdir(parents=True)
     _git(repo, "init", "-q")
     _git(repo, "config", "user.email", "test@example.invalid")

@@ -22,7 +22,7 @@ from repro.analysis.registry import Rule, RuleRegistry
 from repro.cli import main as cli_main
 from repro.errors import AnalysisError
 
-SIM_MODULE = "repro.sim.fixture"
+SIM_MODULE = "repro.runtime.fixture"
 CORE_MODULE = "repro.core.fixture"
 UNSCOPED_MODULE = "myapp.utils"
 
@@ -496,8 +496,8 @@ def test_noqa_multiple_rules():
 # -- engine / registry plumbing ----------------------------------------------
 
 def test_module_name_for_path():
-    assert module_name_for_path("/x/src/repro/sim/kernel.py") \
-        == "repro.sim.kernel"
+    assert module_name_for_path("/x/src/repro/runtime/sim.py") \
+        == "repro.runtime.sim"
     assert module_name_for_path("/x/src/repro/core/__init__.py") \
         == "repro.core"
     assert module_name_for_path("/x/elsewhere/script.py") == "script"
@@ -548,7 +548,7 @@ def test_reporters(tmp_path):
 # -- CLI ----------------------------------------------------------------------
 
 def _write_bad_module(tmp_path):
-    pkg = tmp_path / "repro" / "sim"
+    pkg = tmp_path / "repro" / "core"
     pkg.mkdir(parents=True)
     bad = pkg / "clocky.py"
     bad.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.inject import FaultSchedule
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.sim.faults import FaultSchedule
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import ScheduledWorkload
 

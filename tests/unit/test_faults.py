@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.faults import FaultEvent, FaultSchedule, RandomFaults
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.chaos.inject import FaultEvent, FaultSchedule, RandomFaults
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 
 

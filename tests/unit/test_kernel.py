@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import AnyOf, Event, Signal, Simulator
+from repro.runtime import AnyOf, Event, Signal, Simulator
 
 
 class TestClockAndTimers:

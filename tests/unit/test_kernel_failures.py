@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import Simulator
+from repro.runtime import Simulator
 
 
 class TestExceptionPropagation:

@@ -37,7 +37,7 @@ def build(wire_config=None, n=2):
         node.register_handler(
             Ping.type, lambda m, s, i=node_id: got.append((i, s, m.tag)))
         node.start()
-    runtime.loop.run_until_complete(network.open_all())
+        runtime.loop.run_until_complete(network.open(node_id))
     return runtime, network, got
 
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProcessDown, SimulationError
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node, NodeComponent
+from repro.runtime import Node, NodeComponent, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 

@@ -8,8 +8,7 @@ import pytest
 
 from repro.errors import ProcessDown
 from repro.quorum.register import QuorumRegister
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig

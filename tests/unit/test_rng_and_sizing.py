@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim.rng import SeedSequence
+from repro.runtime import SeedSequence
 from repro.sizing import estimate_size
 from repro.transport.message import WireMessage
 

@@ -7,8 +7,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage

@@ -5,9 +5,8 @@ from __future__ import annotations
 import random
 
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.runtime import Node, NodeComponent
+from repro.runtime import Node, NodeComponent, Simulator
 from repro.runtime import wire
-from repro.sim.kernel import Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import NetworkConfig

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.inject import FaultSchedule
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, run_scenario
-from repro.sim.faults import FaultSchedule
-from repro.sim.trace import CATEGORIES, TraceEvent, Tracer
+from repro.runtime import CATEGORIES, TraceEvent, Tracer
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload
 
