@@ -24,9 +24,6 @@ CLI (``repro lint`` / ``python -m repro.analysis``).
 from repro.analysis.engine import (Finding, ModuleContext, Report,
                                    analyze_paths, analyze_source,
                                    iter_python_files, module_name_for_path)
-from repro.analysis.baseline import (filter_baselined, load_baseline,
-                                     write_baseline)
-from repro.analysis.diffs import changed_lines, filter_report
 from repro.analysis.lint import execute_lint, main
 from repro.analysis.msgflow import (MessageFlowGraph, build_msgflow,
                                     build_msgflow_for_paths, write_msgflow)
@@ -44,18 +41,13 @@ __all__ = [
     "analyze_source",
     "build_msgflow",
     "build_msgflow_for_paths",
-    "changed_lines",
     "default_registry",
     "execute_lint",
-    "filter_baselined",
-    "filter_report",
     "format_json",
     "format_sarif",
     "format_text",
     "iter_python_files",
-    "load_baseline",
     "main",
     "module_name_for_path",
-    "write_baseline",
     "write_msgflow",
 ]

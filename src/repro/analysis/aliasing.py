@@ -32,22 +32,19 @@ by contract).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext, ProjectContext
-from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo, attr_path, self_field
+from repro.analysis.registry import PROTOCOL_SCOPE, Rule
+from repro.analysis.sites import (message_param, names_storage,
+                                  registrations, sites_in)
+from repro.analysis.symbols import (ClassInfo, attr_path, param_names,
+                                    self_field)
 
 __all__ = ["ALIASING_RULES", "CrossNodeMutableEscapeRule",
            "StashedPayloadRule"]
 
-_ALIAS_SCOPE = ("repro.core", "repro.consensus", "repro.quorum",
-                "repro.multigroup", "repro.fdetect", "repro.apps",
-                "repro.baselines", "repro.harness", "repro.transport",
-                "repro.membership", "repro.flow")
-
-_SEND_OPS = frozenset({"send", "multisend"})
-_SEND_RECEIVERS = ("endpoint", "network", "transport")
+_ALIAS_SCOPE = PROTOCOL_SCOPE + ("repro.harness", "repro.transport")
 
 #: Callables that return a fresh (or immutable) object — they stop an
 #: escape: ``frozenset(self.unordered.values())`` shares nothing.
@@ -65,15 +62,6 @@ _IMMUTABLE_HEADS = frozenset({
     "int", "float", "str", "bool", "bytes", "complex", "tuple", "Tuple",
     "frozenset", "FrozenSet", "MessageId", "Timestamp", "AppMessage",
 })
-
-
-def _is_send_call(call: ast.Call) -> bool:
-    path = attr_path(call.func)
-    if len(path) < 2 or path[-1] not in _SEND_OPS:
-        return False
-    receiver = path[:-1]
-    return any(token in part
-               for part in receiver for token in _SEND_RECEIVERS)
 
 
 def _escaping_fields(expr: ast.expr) -> List[Tuple[str, ast.expr]]:
@@ -136,12 +124,9 @@ class CrossNodeMutableEscapeRule(Rule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for ctx in project.in_scope(self):
-            symbols = project.symbols.modules.get(ctx.module)
-            if symbols is None:
-                continue
             yield from self._check_loops(project, ctx)
-            for info in symbols.classes.values():
-                yield from self._check_sends(project, ctx, info)
+        for ctx, info in project.classes_in_scope(self):
+            yield from self._check_sends(project, ctx, info)
 
     # -- half A: shared storage across a node-building loop ----------------
 
@@ -163,8 +148,7 @@ class CrossNodeMutableEscapeRule(Rule):
                 pairs += [(kw.arg, kw.value) for kw in call.keywords
                           if kw.arg is not None]
                 for param, arg in pairs:
-                    if param is None or not (
-                            "storage" in param or param == "store"):
+                    if param is None or not names_storage(param):
                         continue
                     if self._loop_invariant(arg, assigned):
                         yield ctx.finding(
@@ -216,10 +200,7 @@ class CrossNodeMutableEscapeRule(Rule):
                 func = resolved[1]
         if func is None:
             return None
-        args = getattr(func, "args", None)
-        if args is None:
-            return None
-        return [arg.arg for arg in args.args if arg.arg != "self"]
+        return param_names(func)
 
     @staticmethod
     def _loop_invariant(arg: ast.AST, assigned: Set[str]) -> bool:
@@ -239,13 +220,10 @@ class CrossNodeMutableEscapeRule(Rule):
             return
         seen: Set[Tuple[int, int, str]] = set()
         for func in info.methods.values():
-            for call in ast.walk(func):
-                if not isinstance(call, ast.Call) or \
-                        not _is_send_call(call):
+            for site in sites_in(func):
+                if site.kind != "send":
                     continue
-                roots = list(call.args)
-                roots += [kw.value for kw in call.keywords]
-                for root in roots:
+                for root in site.payload:
                     for field, node in _escaping_fields(root):
                         if field not in mutable:
                             continue
@@ -279,60 +257,30 @@ class StashedPayloadRule(Rule):
     requires_project = True
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for ctx in project.in_scope(self):
-            symbols = project.symbols.modules.get(ctx.module)
-            if symbols is None:
-                continue
-            for info in symbols.classes.values():
-                yield from self._check_class(project, ctx, info)
+        for _, info in project.classes_in_scope(self):
+            yield from self._check_class(project, info)
 
-    def _check_class(self, project: ProjectContext, ctx: ModuleContext,
+    def _check_class(self, project: ProjectContext,
                      info: ClassInfo) -> Iterator[Finding]:
-        registrations = self._registrations(info)
-        for handler_name, msg_class_name in sorted(registrations.items()):
+        for handler_name, tag in sorted(registrations(info).items()):
             found = project.symbols.find_method(info.qualname,
                                                 handler_name)
             if found is None:
                 continue
             owner, handler = found
             handler_ctx = project.by_module.get(owner.module)
-            if handler_ctx is None:
+            msg_param = message_param(handler)
+            if handler_ctx is None or msg_param is None:
                 continue
-            args = getattr(handler, "args", None)
-            if args is None:
-                continue
-            params = [arg.arg for arg in args.args if arg.arg != "self"]
-            if not params:
-                continue
-            msg_param = params[0]
+            # ``register(Msg.type, ...)`` names the message class.
+            msg_class_name = tag.value.id \
+                if isinstance(tag, ast.Attribute) and \
+                isinstance(tag.value, ast.Name) else None
             immutable = self._immutable_payload_attrs(
                 project, owner.module, msg_class_name)
             yield from self._check_handler(handler_ctx, handler,
                                            handler_name, msg_param,
                                            immutable)
-
-    @staticmethod
-    def _registrations(info: ClassInfo) -> Dict[str, Optional[str]]:
-        """handler method name -> message class name (when resolvable)."""
-        registrations: Dict[str, Optional[str]] = {}
-        for func in info.methods.values():
-            for call in ast.walk(func):
-                if not isinstance(call, ast.Call) or \
-                        len(call.args) < 2:
-                    continue
-                if attr_path(call.func)[-1:] not in (
-                        ("register",), ("register_handler",)):
-                    continue
-                handler = self_field(call.args[1])
-                if handler is None:
-                    continue
-                msg_class = None
-                type_arg = call.args[0]
-                if isinstance(type_arg, ast.Attribute) and \
-                        isinstance(type_arg.value, ast.Name):
-                    msg_class = type_arg.value.id
-                registrations[handler] = msg_class
-        return registrations
 
     @staticmethod
     def _immutable_payload_attrs(project: ProjectContext, module: str,

@@ -37,16 +37,14 @@ from repro.analysis.cfg import (CFGNode, build_cfg, scoped_walk,
 from repro.analysis.callgraph import value_sources
 from repro.analysis.dataflow import SetUnionProblem, solve_forward
 from repro.analysis.engine import Finding, ModuleContext, ProjectContext
-from repro.analysis.registry import Rule
+from repro.analysis.registry import PROTOCOL_SCOPE, Rule
+from repro.analysis.sites import opens_write_barrier
 from repro.analysis.symbols import ClassInfo, attr_path, self_field
 
 __all__ = ["ATOMICITY_RULES", "AwaitHoldingBarrierRule",
            "InterruptedReadModifyWriteRule"]
 
-_CONCURRENT_SCOPE = ("repro.core", "repro.consensus", "repro.quorum",
-                     "repro.multigroup", "repro.fdetect", "repro.apps",
-                     "repro.baselines", "repro.transport", "repro.membership",
-                     "repro.flow")
+_CONCURRENT_SCOPE = PROTOCOL_SCOPE + ("repro.transport",)
 
 #: Methods that mutate a builtin container in place.
 _MUTATORS = frozenset({
@@ -216,13 +214,9 @@ class InterruptedReadModifyWriteRule(Rule):
     requires_project = True
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for ctx in project.in_scope(self):
-            symbols = project.symbols.modules.get(ctx.module)
-            if symbols is None:
-                continue
-            for info in symbols.classes.values():
-                for func in info.methods.values():
-                    yield from self._check_method(project, ctx, info, func)
+        for ctx, info in project.classes_in_scope(self):
+            for func in info.methods.values():
+                yield from self._check_method(project, ctx, info, func)
 
     def _check_method(self, project: ProjectContext, ctx: ModuleContext,
                       info: ClassInfo, func: ast.AST) -> Iterator[Finding]:
@@ -324,12 +318,7 @@ class AwaitHoldingBarrierRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for stmt in ast.walk(ctx.tree):
-            if not isinstance(stmt, (ast.With, ast.AsyncWith)):
-                continue
-            if not any(isinstance(item.context_expr, ast.Call) and
-                       attr_path(item.context_expr.func)[-1:] ==
-                       ("write_barrier",)
-                       for item in stmt.items):
+            if not opens_write_barrier(stmt):
                 continue
             reported: set = set()
             for body_stmt in stmt.body:

@@ -31,7 +31,7 @@ import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.analysis.cfg import scoped_walk
-from repro.analysis.symbols import ClassInfo, SymbolTable
+from repro.analysis.symbols import ClassInfo, SymbolTable, param_names
 
 __all__ = ["CallResolver", "FieldWriteSummary", "ResolvedCall",
            "value_sources"]
@@ -167,12 +167,7 @@ class FieldWriteSummary:
 
 
 def _summarize_field_writes(func: ast.AST) -> FieldWriteSummary:
-    args = getattr(func, "args", None)
-    params: Tuple[str, ...] = ()
-    if args is not None:
-        names = [arg.arg for arg in args.args if arg.arg != "self"]
-        names += [arg.arg for arg in args.kwonlyargs]
-        params = tuple(names)
+    params = tuple(param_names(func, kwonly=True))
     fields: set = set()
     param_fields: Dict[str, set] = {}
 

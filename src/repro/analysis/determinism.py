@@ -26,10 +26,11 @@ boundary, the soft real-time pacer's injected wall clock) carry a
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext
 from repro.analysis.registry import Rule
+from repro.analysis.sites import classify
 from repro.analysis.symbols import attr_path
 
 __all__ = ["DETERMINISM_RULES"]
@@ -242,8 +243,6 @@ class SetIterationRule(Rule):
                         f"sorted() for a deterministic order")
 
 
-_TAINT_SINK_RECEIVERS = ("endpoint", "network", "transport")
-_TAINT_SEND_OPS = frozenset({"send", "multisend"})
 _TAINT_SCHEDULE_OPS = frozenset({"schedule", "call_later", "call_at"})
 
 
@@ -358,7 +357,7 @@ class RandomnessTaintRule(Rule):
 
     def _sinks(self, ctx: ModuleContext, cfg_node,
                tainted: frozenset) -> Iterator[Finding]:
-        from repro.analysis.wal import _event_roots
+        from repro.analysis.cfg import stmt_roots
 
         stmt = cfg_node.stmt
         if stmt is None or isinstance(stmt, (ast.FunctionDef,
@@ -367,31 +366,25 @@ class RandomnessTaintRule(Rule):
             return
         # Compound headers contribute only their test/iterable — their
         # bodies are separate CFG nodes with their own in-states.
-        roots = _event_roots(stmt)
-        scan: List[ast.AST] = [stmt] if roots is None else list(roots)
-        for root in scan:
+        for root in stmt_roots(stmt):
             yield from self._sink_nodes(ctx, root, tainted)
 
     def _sink_nodes(self, ctx: ModuleContext, root: ast.AST,
                     tainted: frozenset) -> Iterator[Finding]:
         for node in ast.walk(root):
             if isinstance(node, ast.Call):
-                path = attr_path(node.func)
-                attr = path[-1] if path else ""
-                receiver = path[:-1]
-                if attr in _TAINT_SEND_OPS and \
-                        any(part in _TAINT_SINK_RECEIVERS
-                            for part in receiver):
-                    for arg in node.args:
-                        if self._expr_tainted(arg, tainted):
-                            yield ctx.finding(
-                                self.id, node,
-                                "message payload derived from the wall "
-                                "clock or unseeded randomness — the send "
-                                "is unreplayable from the seed; derive "
-                                "it from a named SeedSequence stream")
-                            break
-                elif attr in _TAINT_SCHEDULE_OPS and node.args and \
+                site = classify(node)
+                if site is not None and site.kind == "send":
+                    if any(self._expr_tainted(arg, tainted)
+                           for arg in site.payload):
+                        yield ctx.finding(
+                            self.id, node,
+                            "message payload derived from the wall "
+                            "clock or unseeded randomness — the send "
+                            "is unreplayable from the seed; derive "
+                            "it from a named SeedSequence stream")
+                elif _TAINT_SCHEDULE_OPS.intersection(
+                        attr_path(node.func)[-1:]) and node.args and \
                         self._expr_tainted(node.args[0], tainted):
                     yield ctx.finding(
                         self.id, node,

@@ -34,7 +34,7 @@ from repro.errors import AnalysisError
 
 __all__ = ["Finding", "ModuleContext", "ProjectContext", "Report",
            "analyze_source", "analyze_paths", "iter_python_files",
-           "module_name_for_path"]
+           "module_name_for_path", "parse_paths"]
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\s*\(\s*(?P<rules>[A-Za-z0-9_,\s]+)\s*\))?")
@@ -130,6 +130,12 @@ class ProjectContext:
     def in_scope(self, rule: Rule) -> List[ModuleContext]:
         """The modules a project rule should treat as analysis roots."""
         return [ctx for ctx in self.contexts if rule.applies_to(ctx.module)]
+
+    def classes_in_scope(self, rule: Rule):
+        """``(ctx, ClassInfo)`` for every class of every root module."""
+        for ctx in self.in_scope(rule):
+            for info in self.symbols.modules[ctx.module].classes.values():
+                yield ctx, info
 
     def finding(self, rule_id: str, module: str, node: ast.AST,
                 message: str) -> Optional[Finding]:
@@ -253,54 +259,6 @@ def _run_rules(contexts: Sequence[ModuleContext],
     return findings
 
 
-def _module_rule_worker(filepaths: Sequence[str]) -> List[Finding]:
-    """Pool target: parse a batch of files and run the module rules.
-
-    Each worker process re-reads and re-parses its batch (ASTs don't
-    cross process boundaries cheaply) and applies suppressions locally,
-    so the driver only merges finished ``Finding`` lists.  The driver
-    has already parsed every file, so errors here are unexpected and
-    propagate as-is.
-    """
-    registry = default_registry()
-    findings: List[Finding] = []
-    for filepath in filepaths:
-        with open(filepath, encoding="utf-8") as handle:
-            source = handle.read()
-        ctx = _parse_context(source, module_name_for_path(filepath),
-                             filepath)
-        live = _live_filter([ctx])
-        findings.extend(f for f in _module_findings(ctx, registry)
-                        if live(f))
-    return findings
-
-
-def _run_rules_parallel(contexts: Sequence[ModuleContext],
-                        registry: RuleRegistry,
-                        jobs: int) -> List[Finding]:
-    """Fan the per-file module rules out to a process pool.
-
-    The whole-program rules cannot be split (they need every AST at
-    once), so the driver runs them while the pool chews through the
-    module rules; the merged result is sorted with the same key as the
-    serial path and is byte-identical to it.
-    """
-    import multiprocessing
-
-    batches = [[ctx.path for ctx in contexts[i::jobs]]
-               for i in range(jobs)]
-    batches = [batch for batch in batches if batch]
-    with multiprocessing.Pool(len(batches)) as pool:
-        pending = pool.map_async(_module_rule_worker, batches)
-        live = _live_filter(contexts)
-        findings = [f for f in _project_findings(contexts, registry)
-                    if live(f)]
-        for batch_findings in pending.get():
-            findings.extend(batch_findings)
-    findings.sort(key=Finding.sort_key)
-    return findings
-
-
 def analyze_source(source: str, *, module: str = "<string>",
                    path: str = "<string>",
                    registry: Optional[RuleRegistry] = None) -> List[Finding]:
@@ -340,26 +298,21 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                         yield os.path.join(dirpath, filename)
 
 
-def analyze_paths(paths: Iterable[str], *,
-                  registry: Optional[RuleRegistry] = None,
-                  jobs: int = 1) -> Report:
-    """Analyze every python file under ``paths``.
-
-    ``jobs > 1`` runs the per-file module rules in a process pool (the
-    report is byte-identical to a serial run).  Workers rebuild the
-    default registry, so a *custom* registry forces the serial path —
-    silently, because the result is the same either way.
-    """
-    custom_registry = registry is not None
-    if registry is None:
-        registry = default_registry()
+def parse_paths(paths: Iterable[str]) -> List[ModuleContext]:
+    """Parse every python file under ``paths``."""
     contexts: List[ModuleContext] = []
     for filepath in iter_python_files(paths):
         with open(filepath, encoding="utf-8") as handle:
             source = handle.read()
         contexts.append(_parse_context(
             source, module_name_for_path(filepath), filepath))
-    if jobs > 1 and len(contexts) > 1 and not custom_registry:
-        return Report(_run_rules_parallel(contexts, registry, jobs),
-                      len(contexts))
+    return contexts
+
+
+def analyze_paths(paths: Iterable[str], *,
+                  registry: Optional[RuleRegistry] = None) -> Report:
+    """Analyze every python file under ``paths``."""
+    if registry is None:
+        registry = default_registry()
+    contexts = parse_paths(paths)
     return Report(_run_rules(contexts, registry), len(contexts))

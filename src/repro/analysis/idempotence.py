@@ -8,7 +8,9 @@ the next recovery) compounds the effect.
 REC003 walks the **direct** recovery closure — functions reachable from
 ``on_start`` through plain calls, excluding handlers that are merely
 registered (they run later, after recovery completed) and coroutines
-passed to ``spawn(...)`` (same reason) — and flags two shapes:
+passed to ``spawn(...)`` (same reason: ``node.spawn(self._gossip_task(),
+...)`` *calls* ``_gossip_task`` only to build the generator), i.e.
+``sites.reachable(..., skip_spawned=True)`` — and flags two shapes:
 
 * **unguarded append** — ``storage.append(K, item)`` with no read
   (``retrieve``/``retrieve_list``/``contains``) or ``delete`` of a
@@ -40,89 +42,23 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import value_sources
 from repro.analysis.engine import Finding, ProjectContext
-from repro.analysis.recovery import (_KeyShape, _canonical_key,
-                                     _is_storage_receiver, _shared_analysis)
-from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo, attr_path
+from repro.analysis.recovery import recovery_surface
+from repro.analysis.registry import PROTOCOL_SCOPE, Rule
+from repro.analysis.sites import KeyShape, Site, reachable, site_index
+from repro.analysis.symbols import ClassInfo, self_field
 
 __all__ = ["IDEMPOTENCE_RULES", "NonIdempotentRecoveryRule"]
 
-_PROTOCOL_SCOPE = ("repro.core", "repro.consensus", "repro.quorum",
-                   "repro.multigroup", "repro.fdetect", "repro.apps",
-                   "repro.baselines", "repro.membership", "repro.flow")
 
-_GUARD_OPS = frozenset({"retrieve", "retrieve_list", "contains", "keys",
-                        "delete", "delete_prefix"})
-_READ_OPS = frozenset({"retrieve", "retrieve_list"})
+def _has_arithmetic(expr: ast.AST) -> bool:
+    return any(isinstance(node, ast.BinOp) for node in ast.walk(expr))
 
 
-def _spawned_call_ids(func: ast.AST) -> Set[int]:
-    """ids of Call nodes passed as arguments to ``spawn(...)``.
-
-    ``node.spawn(self._gossip_task(), ...)`` *calls* ``_gossip_task``
-    syntactically, but only to build the coroutine — its body runs
-    after recovery, under the scheduler, so it is not recovery code.
-    """
-    spawned: Set[int] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and \
-                attr_path(node.func)[-1:] == ("spawn",):
-            for arg in node.args:
-                if isinstance(arg, ast.Call):
-                    spawned.add(id(arg))
-    return spawned
-
-
-class _DirectClosure:
-    """Functions reachable from every ``on_start`` via direct calls."""
-
-    def __init__(self, project: ProjectContext, scope_rule: Rule):
-        self.project = project
-        #: ``(concrete, defining, func)`` in deterministic walk order.
-        self.members: List[Tuple[ClassInfo, Optional[ClassInfo],
-                                 ast.AST]] = []
-        self._visited: Set[tuple] = set()
-        for ctx in project.in_scope(scope_rule):
-            symbols = project.symbols.modules.get(ctx.module)
-            if symbols is None:
-                continue
-            for info in symbols.classes.values():
-                found = project.symbols.find_method(info.qualname,
-                                                    "on_start")
-                if found is None:
-                    continue
-                owner, func = found
-                self._walk(info, owner, func)
-
-    def _walk(self, concrete: ClassInfo, defining: Optional[ClassInfo],
-              func: ast.AST) -> None:
-        key = (concrete.qualname,
-               defining.qualname if defining else "", id(func))
-        if key in self._visited:
-            return
-        self._visited.add(key)
-        self.members.append((concrete, defining, func))
-        spawned = _spawned_call_ids(func)
-        module = defining.module if defining else concrete.module
-        resolver = self.project.resolver
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call) and id(node) not in spawned:
-                for target in resolver.resolve(node, module, concrete,
-                                               defining):
-                    next_concrete = target.concrete or concrete
-                    self._walk(next_concrete, target.defining,
-                               target.func)
-
-
-class _StorageWrite:
-    __slots__ = ("op", "shape", "value", "call")
-
-    def __init__(self, op: str, shape: _KeyShape,
-                 value: Optional[ast.AST], call: ast.Call):
-        self.op = op        # "log" | "append"
-        self.shape = shape
-        self.value = value
-        self.call = call
+def _reads_in(expr: ast.AST, sites: List[Site]) -> List[KeyShape]:
+    """Key shapes of the storage reads that sit inside ``expr``."""
+    inside = {id(node) for node in ast.walk(expr)}
+    return [site.shape for site in sites
+            if site.kind == "read" and id(site.call) in inside]
 
 
 class NonIdempotentRecoveryRule(Rule):
@@ -137,20 +73,20 @@ class NonIdempotentRecoveryRule(Rule):
                  "itself be interrupted by a crash; a durable append "
                  "or counter bump without a logged guard compounds "
                  "once per recovery.")
-    scope = _PROTOCOL_SCOPE
+    scope = PROTOCOL_SCOPE
     requires_project = True
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        analysis = _shared_analysis(project, self)
-        if not analysis.has_recovery_surface:
-            return
-        helpers = analysis.index.helpers
-        closure = _DirectClosure(project, self)
+        roots = recovery_surface(project, self).roots
+        index = site_index(project)
         seen_positions: Set[Tuple[str, int, int]] = set()
-        for concrete, defining, func in closure.members:
+        for concrete, defining, func, _ in reachable(project, roots,
+                                                     skip_spawned=True):
             owner = defining or concrete
+            sites = [site for site in index.storage_sites(func, owner)
+                     if not site.shape.opaque]
             for finding in self._check_function(project, owner, func,
-                                                helpers):
+                                                sites):
                 position = (finding.path, finding.line, finding.col)
                 if position in seen_positions:
                     continue  # same body walked for several subclasses
@@ -161,128 +97,49 @@ class NonIdempotentRecoveryRule(Rule):
 
     def _check_function(self, project: ProjectContext, owner: ClassInfo,
                         func: ast.AST,
-                        helpers) -> Iterator[Finding]:
-        params: Set[str] = set()
-        args = getattr(func, "args", None)
-        if args is not None:
-            params = {arg.arg for arg in
-                      list(args.args) + list(args.kwonlyargs)}
-        writes: List[_StorageWrite] = []
-        guards: List[_KeyShape] = []
-        reads: Dict[str, Tuple[_KeyShape, bool]] = {}
-
-        calls = sorted(
-            (node for node in ast.walk(func)
-             if isinstance(node, ast.Call)),
-            key=lambda node: (node.lineno, node.col_offset))
-        for call in calls:
-            classified = self._classify(call, params, helpers)
-            if classified is None:
-                continue
-            op, key, value = classified
-            shape = _canonical_key(key, project, owner)
-            if op in _GUARD_OPS:
-                if not shape.opaque:
-                    guards.append(shape)
-                continue
-            if not shape.opaque:
-                writes.append(_StorageWrite(op, shape, value, call))
-
+                        sites: List[Site]) -> Iterator[Finding]:
+        guards = [site.shape for site in sites
+                  if site.kind in ("read", "probe", "scan", "delete")]
         # Bindings whose value derives from a retrieve: name/field ->
         # (source key shape, arithmetic applied at bind time).
+        reads: Dict[str, Tuple[KeyShape, bool]] = {}
         assigns = sorted(
             (node for node in ast.walk(func)
              if isinstance(node, (ast.Assign, ast.AnnAssign))),
             key=lambda node: (node.lineno, node.col_offset))
         for stmt in assigns:
-            value = stmt.value
-            if value is None:
-                continue
-            sources = self._read_shapes_in(value, project, owner, params,
-                                           helpers)
+            sources = _reads_in(stmt.value, sites) if stmt.value else []
             if not sources:
                 continue
-            arith = any(isinstance(node, ast.BinOp)
-                        for node in ast.walk(value))
             targets = stmt.targets if isinstance(stmt, ast.Assign) \
                 else [stmt.target]
             for target in targets:
                 slot = self._slot_of(target)
                 if slot is not None:
                     # Several sources: keep the first (deterministic).
-                    reads[slot] = (sources[0], arith)
+                    reads[slot] = (sources[0], _has_arithmetic(stmt.value))
 
-        for write in writes:
-            if write.op == "append":
-                guarded = any(write.shape.matches(guard)
-                              for guard in guards)
-                if not guarded:
-                    yield self._append_finding(project, owner, write)
-                    continue
-            yield from self._increment_finding(project, owner, write,
-                                               reads, params, helpers)
-
-    def _classify(self, call: ast.Call, params: Set[str], helpers
-                  ) -> Optional[Tuple[str, ast.AST, Optional[ast.AST]]]:
-        """(op, key expr, value expr) of a storage call, else None."""
-        path = attr_path(call.func)
-        if len(path) < 2 or not call.args:
-            return None
-        attr, receiver = path[-1], path[:-1]
-        if _is_storage_receiver(receiver):
-            if attr in ("log", "append"):
-                key = call.args[0]
-                value = call.args[1] if len(call.args) > 1 else None
-            elif attr in _GUARD_OPS:
-                key, value = call.args[0], None
+        for write in sites:
+            if write.kind != "write":
+                continue
+            if write.op == "append" and \
+                    not any(write.shape.matches(guard) for guard in guards):
+                yield self._append_finding(project, owner, write)
             else:
-                return None
-            if isinstance(key, ast.Name) and key.id in params:
-                return None  # helper body; the call sites carry keys
-            return attr, key, value
-        helper = helpers.get(attr)
-        if helper is not None and receiver[:1] == ("self",) and \
-                len(call.args) > helper.arg_index:
-            key = call.args[helper.arg_index]
-            if isinstance(key, ast.Name) and key.id in params:
-                return None
-            if helper.kind == "write":
-                value = call.args[helper.arg_index + 1] \
-                    if len(call.args) > helper.arg_index + 1 else None
-                return "log", key, value
-            if helper.kind in ("read", "prefix"):
-                return "retrieve", key, None
-        return None
-
-    def _read_shapes_in(self, expr: ast.AST, project: ProjectContext,
-                        owner: ClassInfo, params: Set[str],
-                        helpers) -> List[_KeyShape]:
-        shapes: List[_KeyShape] = []
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
-            classified = self._classify(node, params, helpers)
-            if classified is None or classified[0] not in _READ_OPS:
-                continue
-            shape = _canonical_key(classified[1], project, owner)
-            if not shape.opaque:
-                shapes.append(shape)
-        return shapes
+                yield from self._increment_finding(project, owner, write,
+                                                   reads, sites)
 
     @staticmethod
     def _slot_of(target: ast.AST) -> Optional[str]:
         if isinstance(target, ast.Name):
             return target.id
-        if isinstance(target, ast.Attribute) and \
-                isinstance(target.value, ast.Name) and \
-                target.value.id == "self":
-            return f"self.{target.attr}"
-        return None
+        field = self_field(target)
+        return f"self.{field}" if field is not None else None
 
     # -- findings ----------------------------------------------------------
 
     def _append_finding(self, project: ProjectContext, owner: ClassInfo,
-                        write: _StorageWrite) -> Finding:
+                        write: Site) -> Finding:
         where = f"{owner.name}.{getattr(write.call.func, 'attr', '?')}"
         finding = project.finding(
             self.id, owner.module, write.call,
@@ -295,19 +152,15 @@ class NonIdempotentRecoveryRule(Rule):
         return finding
 
     def _increment_finding(self, project: ProjectContext,
-                           owner: ClassInfo, write: _StorageWrite,
-                           reads: Dict[str, Tuple[_KeyShape, bool]],
-                           params: Set[str],
-                           helpers) -> Iterator[Finding]:
+                           owner: ClassInfo, write: Site,
+                           reads: Dict[str, Tuple[KeyShape, bool]],
+                           sites: List[Site]) -> Iterator[Finding]:
         if write.value is None:
             return
         # Inline form: log(K, int(retrieve(K, 0)) + 1).
-        inline = self._read_shapes_in(write.value, project, owner,
-                                      params, helpers)
-        arith_here = any(isinstance(node, ast.BinOp)
-                         for node in ast.walk(write.value))
-        derived: List[Tuple[_KeyShape, bool]] = \
-            [(shape, arith_here) for shape in inline]
+        arith_here = _has_arithmetic(write.value)
+        derived: List[Tuple[KeyShape, bool]] = \
+            [(shape, arith_here) for shape in _reads_in(write.value, sites)]
         # Through a binding: x = retrieve(K) + 1; log(K, x).
         names, fields = value_sources(write.value)
         for slot in sorted(names) + [f"self.{f}" for f in sorted(fields)]:

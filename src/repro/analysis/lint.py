@@ -6,6 +6,10 @@ Exit status contract (relied on by CI and the self-check test):
 * ``1`` — violations found (each printed as ``path:line:col: RULE ...``);
 * ``2`` — the analyzer itself could not run (bad path, unparseable file),
   reported as a clean one-line message, never a traceback.
+
+A reader that closes the pipe early (``repro lint --list-rules | head
+-1``) is not a failure either: the command exits quietly with the status
+the report earned.
 """
 
 from __future__ import annotations
@@ -15,31 +19,13 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.baseline import (filter_baselined, load_baseline,
-                                     write_baseline)
-from repro.analysis.diffs import changed_lines, filter_report
 from repro.analysis.engine import analyze_paths
 from repro.analysis.registry import default_registry
 from repro.analysis.reporters import (format_json, format_rule_listing,
                                       format_sarif, format_text)
 from repro.errors import AnalysisError
 
-__all__ = ["add_lint_arguments", "execute_lint", "main", "parse_jobs"]
-
-
-def parse_jobs(value: str) -> int:
-    """``--jobs`` values: a positive integer, or ``auto`` (one per CPU)."""
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}")
-    return jobs
+__all__ = ["add_lint_arguments", "execute_lint", "main"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -50,21 +36,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["text", "json", "sarif"],
                         default="text", dest="output_format",
                         help="report format (default: text)")
-    parser.add_argument("--diff", metavar="BASE", default=None,
-                        help="report only findings on lines changed "
-                             "since the given git ref (the whole tree is "
-                             "still analyzed)")
-    parser.add_argument("--jobs", metavar="N", type=parse_jobs, default=1,
-                        help="worker processes for the per-file rules "
-                             "(N or 'auto'; default: 1, serial — output "
-                             "is identical either way)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="subtract the findings recorded in FILE "
-                             "(see --write-baseline); fail only on "
-                             "regressions")
-    parser.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="record the current findings as accepted "
-                             "debt in FILE and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--emit-msgflow", metavar="FILE", default=None,
@@ -74,46 +45,40 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "else → JSON) in addition to the report")
 
 
+def _print(text: str) -> None:
+    """Write ``text`` to stdout; a reader that went away is not an error."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at /dev/null so the
+        # interpreter's exit-time flush does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def execute_lint(paths: List[str], output_format: str = "text",
                  list_rules: bool = False,
-                 diff_base: Optional[str] = None,
-                 jobs: int = 1,
-                 baseline_path: Optional[str] = None,
-                 write_baseline_path: Optional[str] = None,
                  emit_msgflow_path: Optional[str] = None) -> int:
     """Run the analyzer; print a report; return the process exit status."""
     registry = default_registry()
     if list_rules:
-        print(format_rule_listing(registry.rules()))
+        _print(format_rule_listing(registry.rules()))
         return 0
-    report = analyze_paths(paths, jobs=jobs)
+    report = analyze_paths(paths)
+    lines = []
     if emit_msgflow_path is not None:
         from repro.analysis.msgflow import write_msgflow
         graph = write_msgflow(paths, emit_msgflow_path)
-        print(f"msgflow: {graph.summary()} -> {emit_msgflow_path}")
-    if diff_base is not None:
-        report = filter_report(report, changed_lines(diff_base))
-    if write_baseline_path is not None:
-        with open(write_baseline_path, "w", encoding="utf-8") as handle:
-            handle.write(write_baseline(report))
-        print(f"baseline: recorded {len(report.findings)} finding(s) "
-              f"in {write_baseline_path}")
-        return 0
-    if baseline_path is not None:
-        try:
-            with open(baseline_path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise AnalysisError(
-                f"cannot read baseline {baseline_path!r}: {exc}") from exc
-        report = filter_baselined(
-            report, load_baseline(text, source=baseline_path))
+        lines.append(f"msgflow: {graph.summary()} -> {emit_msgflow_path}")
     if output_format == "json":
-        print(format_json(report))
+        lines.append(format_json(report))
     elif output_format == "sarif":
-        print(format_sarif(report, registry.rules()))
+        lines.append(format_sarif(report, registry.rules()))
     else:
-        print(format_text(report))
+        lines.append(format_text(report))
+    _print("\n".join(lines))
     return 1 if report.findings else 0
 
 
@@ -128,8 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return execute_lint(args.paths, args.output_format, args.list_rules,
-                            args.diff, args.jobs, args.baseline,
-                            args.write_baseline, args.emit_msgflow)
+                            args.emit_msgflow)
     except AnalysisError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2

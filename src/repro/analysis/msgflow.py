@@ -9,14 +9,14 @@ interprocedural rules share:
   level ``type`` tag (``"ab.gossip"``).  A subclass that computes its
   tag per instance (``ScopedMessage``'s ``f"{scope}::{type}"``) has no
   static tag and lands in the *dynamic* bucket;
-* **send edges** — every ``send``/``multisend``/``broadcast`` call on a
-  transport-shaped receiver, resolved to the message class it ships by
+* **send edges** — every transport send (as :mod:`repro.analysis.sites`
+  defines one), resolved to the message class it ships by
   looking at constructor calls in the arguments, locals assigned from a
   constructor earlier in the function, and classmethod factories
   (``StubbornData.wrap(...)``).  Unresolvable sends (a forwarding layer
   shipping an opaque parameter) are kept as *opaque* edges;
-* **handler edges** — every ``register``/``register_handler``/
-  ``subscribe_queue`` call, with the tag argument resolved through
+* **handler edges** — every handler registration (same module), with
+  the tag argument resolved through
   ``Msg.type`` attributes, string literals, and f-strings (the scoped
   endpoint's dynamic registrations);
 * **command edges** — the membership layer's kind-string dispatch:
@@ -36,6 +36,7 @@ import ast
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.sites import Site, classify
 from repro.analysis.symbols import ClassInfo, SymbolTable, attr_path
 
 __all__ = ["MessageFlowGraph", "MessageType", "SendEdge", "HandlerEdge",
@@ -43,25 +44,6 @@ __all__ = ["MessageFlowGraph", "MessageType", "SendEdge", "HandlerEdge",
            "write_msgflow"]
 
 _CACHE_KEY = "msgflow"
-
-_SEND_OPS = frozenset({"send", "multisend", "broadcast"})
-#: Receiver-name tokens that mark a call as a *transport* send.  The
-#: stubborn link sends through ``self.channel.inner.send`` and the live
-#: harness through a ``medium`` — both must resolve, so this is wider
-#: than ALI001's list.
-_SEND_RECEIVER_TOKENS = ("endpoint", "network", "transport", "channel",
-                        "medium", "inner")
-
-_REGISTER_OPS = frozenset({"register", "register_handler"})
-
-
-def _is_send_call(call: ast.Call) -> bool:
-    path = attr_path(call.func)
-    if len(path) < 2 or path[-1] not in _SEND_OPS:
-        return False
-    receiver = path[:-1]
-    return any(token in part
-               for part in receiver for token in _SEND_RECEIVER_TOKENS)
 
 
 class MessageType:
@@ -148,7 +130,7 @@ class HandlerEdge:
                 "pattern": self.pattern}
 
 
-class _Site:
+class _Location:
     """A plain code location (constructions, command edges)."""
 
     __slots__ = ("where", "module", "line", "detail")
@@ -177,11 +159,11 @@ class MessageFlowGraph:
         self.dynamic_messages: List[MessageType] = []    # no static tag
         self.by_qualname: Dict[str, MessageType] = {}
         self.sends: List[SendEdge] = []
-        self.constructions: Dict[str, List[_Site]] = {}  # tag -> sites
+        self.constructions: Dict[str, List[_Location]] = {}  # tag -> sites
         self.handlers: List[HandlerEdge] = []
         #: ``op -> {"producers": [...], "consumers": [...]}`` for the
         #: membership layer's reconfig kind-strings.
-        self.commands: Dict[str, Dict[str, List[_Site]]] = {}
+        self.commands: Dict[str, Dict[str, List[_Location]]] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -425,6 +407,7 @@ class _Builder:
     def _scan_function(self, module: str, where: str, func: ast.AST,
                        owner: Optional[ClassInfo]) -> None:
         local_env: Dict[str, MessageType] = {}
+        sends: List[Site] = []
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
@@ -437,8 +420,12 @@ class _Builder:
                 if record.tag is not None:
                     self.graph.constructions.setdefault(
                         record.tag, []).append(
-                        _Site(where, module, node.lineno, resolved))
-            self._note_registration(node, module, where, owner)
+                        _Location(where, module, node.lineno, resolved))
+            site = classify(node)
+            if site is not None and site.kind == "register":
+                self._note_registration(site, module, where, owner)
+            elif site is not None and site.kind == "send":
+                sends.append(site)
             self._note_command(node, module, where)
         # Locals assigned from a constructor, for send-site resolution
         # (``envelope = StubbornData.wrap(...); ... send(..., envelope)``).
@@ -449,19 +436,16 @@ class _Builder:
                 record = self._constructed_record(node.value, module)
                 if record is not None:
                     local_env[node.targets[0].id] = record
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call) and _is_send_call(node):
-                self._note_send(node, module, where, local_env)
+        for site in sends:
+            self._note_send(site, module, where, local_env)
 
     # -- send edges --------------------------------------------------------
 
-    def _note_send(self, call: ast.Call, module: str, where: str,
+    def _note_send(self, site: Site, module: str, where: str,
                    local_env: Dict[str, MessageType]) -> None:
-        op = attr_path(call.func)[-1]
         payload: Optional[MessageType] = None
         resolved = "opaque"
-        candidates = list(call.args) + [kw.value for kw in call.keywords]
-        for arg in candidates:
+        for arg in site.payload:
             if isinstance(arg, ast.Call):
                 record = self._constructed_record(arg, module)
                 if record is not None:
@@ -478,32 +462,25 @@ class _Builder:
         self.graph.sends.append(SendEdge(
             payload.tag if payload is not None else None,
             payload.class_name if payload is not None else None,
-            where, module, call.lineno, op, resolved))
+            where, module, site.call.lineno, site.op, resolved))
 
     # -- handler edges -----------------------------------------------------
 
-    def _note_registration(self, call: ast.Call, module: str, where: str,
+    def _note_registration(self, site: Site, module: str, where: str,
                            owner: Optional[ClassInfo]) -> None:
-        path = attr_path(call.func)
-        if not path:
-            return
-        op = path[-1]
-        if op in _REGISTER_OPS and len(call.args) >= 2:
-            handler, handler_method = self._handler_label(call.args[1],
-                                                          owner)
-        elif op == "subscribe_queue" and len(call.args) >= 1:
+        if site.value is not None:
+            handler, handler_method = self._handler_label(site.value, owner)
+        else:  # a queue subscription: the queue's deposit is the handler
             handler, handler_method = "ReceiveQueue.deposit", None
-        else:
-            return
-        tag, class_name, pattern = self._tag_of(call.args[0], module)
+        tag, class_name, pattern = self._tag_of(site.key, module)
         if tag is None and pattern is None and class_name is None:
             return  # not a recognizable registration shape
         self.graph.handlers.append(HandlerEdge(
             tag, class_name, handler, handler_method,
             where, owner.qualname if owner is not None else None,
-            module, call.lineno, op, pattern))
+            module, site.call.lineno, site.op, pattern))
 
-    def _tag_of(self, expr: ast.expr, module: str
+    def _tag_of(self, expr: Optional[ast.expr], module: str
                 ) -> Tuple[Optional[str], Optional[str], Optional[str]]:
         """(tag, class name, f-string pattern) of a registration's
         type argument."""
@@ -553,11 +530,11 @@ class _Builder:
                 isinstance(op_arg.value, str) else "*"
             self.graph.commands.setdefault(
                 op, {"producers": [], "consumers": []})["producers"].append(
-                _Site(where, module, call.lineno))
+                _Location(where, module, call.lineno))
         elif name == "parse_reconfig":
             self.graph.commands.setdefault(
                 "*", {"producers": [], "consumers": []})["consumers"].append(
-                _Site(where, module, call.lineno))
+                _Location(where, module, call.lineno))
 
     def _finish_commands(self) -> None:
         """Spread wildcard producers/consumers over the op universe."""
@@ -600,22 +577,8 @@ def build_msgflow(project) -> MessageFlowGraph:
 def build_msgflow_for_paths(paths) -> MessageFlowGraph:
     """Standalone build over files/directories (the ``--emit-msgflow``
     path: no rules run, just the graph)."""
-    from repro.analysis.engine import (ModuleContext, ProjectContext,
-                                       iter_python_files,
-                                       module_name_for_path)
-    from repro.errors import AnalysisError
-    contexts: List[ModuleContext] = []
-    for filepath in iter_python_files(paths):
-        with open(filepath, encoding="utf-8") as handle:
-            source = handle.read()
-        try:
-            tree = ast.parse(source, filename=filepath)
-        except SyntaxError as exc:
-            raise AnalysisError(
-                f"{filepath}:{exc.lineno}: cannot parse: {exc.msg}") from exc
-        contexts.append(ModuleContext(module_name_for_path(filepath),
-                                      filepath, tree, source))
-    return build_msgflow(ProjectContext(contexts))
+    from repro.analysis.engine import ProjectContext, parse_paths
+    return build_msgflow(ProjectContext(parse_paths(paths)))
 
 
 def render_msgflow(graph: MessageFlowGraph, out_path: str) -> str:

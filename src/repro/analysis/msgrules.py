@@ -25,19 +25,18 @@ be matched statically, so flagging it would be noise.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, Optional, Set
 
 from repro.analysis.engine import Finding, ProjectContext
 from repro.analysis.msgflow import MessageType, build_msgflow
-from repro.analysis.registry import Rule
+from repro.analysis.registry import PROTOCOL_SCOPE, Rule
+from repro.analysis.sites import message_param
+from repro.analysis.symbols import param_names
 
 __all__ = ["MSG_RULES", "DeadLetterTypeRule", "DeadHandlerRule",
            "PayloadFieldMismatchRule"]
 
-_MSG_SCOPE = ("repro.core", "repro.consensus", "repro.quorum",
-              "repro.multigroup", "repro.fdetect", "repro.apps",
-              "repro.baselines", "repro.harness", "repro.transport",
-              "repro.membership", "repro.flow")
+_MSG_SCOPE = PROTOCOL_SCOPE + ("repro.harness", "repro.transport")
 
 
 class DeadLetterTypeRule(Rule):
@@ -148,11 +147,7 @@ def _valid_payload_attrs(project: ProjectContext,
         if init is None:
             continue
         saw_init = True
-        args = getattr(init, "args", None)
-        if args is not None:
-            for arg in list(args.args) + list(args.kwonlyargs):
-                if arg.arg != "self":
-                    valid.add(arg.arg)
+        valid.update(param_names(init, kwonly=True))
         for node in ast.walk(init):
             target: Optional[ast.AST] = None
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -200,14 +195,9 @@ class PayloadFieldMismatchRule(Rule):
             valid = _valid_payload_attrs(project, record)
             if valid is None:
                 continue
-            args = getattr(handler, "args", None)
-            if args is None:
+            msg_param = message_param(handler)
+            if msg_param is None:
                 continue
-            params: List[str] = [arg.arg for arg in args.args
-                                 if arg.arg != "self"]
-            if not params:
-                continue
-            msg_param = params[0]
             for node in ast.walk(handler):
                 if not (isinstance(node, ast.Attribute) and
                         isinstance(node.value, ast.Name) and

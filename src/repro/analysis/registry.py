@@ -21,7 +21,14 @@ from repro.errors import AnalysisError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.engine import Finding, ModuleContext
 
-__all__ = ["Rule", "RuleRegistry", "default_registry"]
+__all__ = ["PROTOCOL_SCOPE", "Rule", "RuleRegistry", "default_registry"]
+
+#: The packages that hold protocol code (components that log, send and
+#: recover); most whole-program rules patrol these, plus the transport
+#: and/or harness packages where their subject also lives there.
+PROTOCOL_SCOPE = ("repro.core", "repro.consensus", "repro.quorum",
+                  "repro.multigroup", "repro.fdetect", "repro.apps",
+                  "repro.baselines", "repro.membership", "repro.flow")
 
 
 class Rule:
@@ -30,7 +37,7 @@ class Rule:
     Class attributes
     ----------------
     id:
-        Stable identifier (``DET001``, ``WAL001``, ...) used in reports
+        Stable identifier (``DET001``, ``WAL003``, ...) used in reports
         and ``# repro: noqa(ID)`` suppressions.
     name:
         Short kebab-case name for listings.

@@ -36,16 +36,16 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.analysis.cfg import build_cfg, scoped_walk, stmt_roots
 from repro.analysis.dataflow import SetUnionProblem, solve_forward
 from repro.analysis.engine import Finding, ProjectContext
-from repro.analysis.registry import Rule
-from repro.analysis.symbols import ClassInfo, attr_path, self_field
+from repro.analysis.registry import PROTOCOL_SCOPE, Rule
+from repro.analysis.sites import (classify, opens_write_barrier, reachable,
+                                  registrations)
+from repro.analysis.symbols import (ClassInfo, attr_path, param_names,
+                                    self_field)
 
 __all__ = ["RES_RULES", "UnboundedGrowthRule", "BlockingAsyncCallRule",
            "WriteAmplificationRule"]
 
-_RES_SCOPE = ("repro.core", "repro.consensus", "repro.quorum",
-              "repro.multigroup", "repro.fdetect", "repro.apps",
-              "repro.baselines", "repro.membership", "repro.flow",
-              "repro.transport")
+_RES_SCOPE = PROTOCOL_SCOPE + ("repro.transport",)
 
 _GROWTH_METHODS = frozenset({"append", "add", "insert", "appendleft",
                              "setdefault", "extend", "update"})
@@ -217,31 +217,6 @@ def _bounded_fields(table, concrete: ClassInfo) -> Set[str]:
     return bounded
 
 
-def _func_params(func: ast.AST) -> FrozenSet[str]:
-    args = getattr(func, "args", None)
-    if args is None:
-        return frozenset()
-    names = [arg.arg for arg in args.args] + \
-        [arg.arg for arg in args.kwonlyargs]
-    return frozenset(names)
-
-
-def _registered_handler_names(info: ClassInfo) -> Set[str]:
-    """Method names passed as handlers to ``register``-shaped calls."""
-    names: Set[str] = set()
-    for func in info.methods.values():
-        for call in ast.walk(func):
-            if not isinstance(call, ast.Call) or len(call.args) < 2:
-                continue
-            if attr_path(call.func)[-1:] not in (
-                    ("register",), ("register_handler",)):
-                continue
-            handler = self_field(call.args[1])
-            if handler is not None:
-                names.add(handler)
-    return names
-
-
 class UnboundedGrowthRule(Rule):
     """RES001: every receive-path accumulation needs a bound."""
 
@@ -262,12 +237,9 @@ class UnboundedGrowthRule(Rule):
         table = project.symbols
         emitted: Set[Tuple[str, int, str]] = set()
         for ctx in project.in_scope(self):
-            symbols = table.modules.get(ctx.module)
-            if symbols is None:
-                continue
-            for name in sorted(symbols.classes):
-                yield from self._check_class(project, symbols.classes[name],
-                                             emitted)
+            classes = table.modules[ctx.module].classes
+            for name in sorted(classes):
+                yield from self._check_class(project, classes[name], emitted)
 
     def _check_class(self, project: ProjectContext, concrete: ClassInfo,
                      emitted: Set[Tuple[str, int, str]]
@@ -284,10 +256,14 @@ class UnboundedGrowthRule(Rule):
         suspect = mutable - evicted - bounded
         if not suspect:
             return
-        for defining, func, root_name in self._closure(project, concrete,
-                                                       roots):
-            params = _func_params(func)
-            sites = [site for site in _growth_sites(func, suspect, params)]
+        # The receive path stays on this object: a call into another
+        # component grows *that* component's fields, under its own roots.
+        for _, defining, func, root in reachable(
+                project, [(concrete,) + found for _, found in roots],
+                self_only=True):
+            root_name = roots[root][0]
+            params = frozenset(param_names(func, kwonly=True))
+            sites = _growth_sites(func, suspect, params)
             if not sites:
                 continue
             guards = self._guard_states(func)
@@ -310,47 +286,19 @@ class UnboundedGrowthRule(Rule):
                     yield finding
 
     @staticmethod
-    def _receive_roots(table, concrete: ClassInfo) -> List[str]:
+    def _receive_roots(table, concrete: ClassInfo) -> list:
+        """``(name, (defining, func))`` of every handler-shaped or
+        registered method, in name order."""
         names: Set[str] = set()
         for info in table.mro(concrete.qualname) or (concrete,):
             for name in info.methods:
                 if name.startswith("_on_") or name in _HANDLER_NAMES:
                     names.add(name)
-            names |= _registered_handler_names(info)
-        return sorted(names)
-
-    def _closure(self, project: ProjectContext, concrete: ClassInfo,
-                 roots: List[str]):
-        """(defining ClassInfo, func, root name) for every method
-        reachable from a receive root via ``self.*`` calls."""
-        table = project.symbols
-        resolver = project.resolver
-        visited: Set[Tuple[str, str]] = set()
-        queue: List[Tuple[ClassInfo, ast.AST, str]] = []
-        for root in roots:
-            found = table.find_method(concrete.qualname, root)
-            if found is None:
-                continue
-            owner, func = found
-            if (owner.qualname, root) not in visited:
-                visited.add((owner.qualname, root))
-                queue.append((owner, func, root))
-        while queue:
-            defining, func, root_name = queue.pop(0)
-            yield defining, func, root_name
-            for node in scoped_walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                for target in resolver.resolve(node, defining.module,
-                                               concrete, defining):
-                    if target.receiver != "self" or target.defining is None:
-                        continue
-                    key = (target.defining.qualname,
-                           getattr(target.func, "name", ""))
-                    if key in visited:
-                        continue
-                    visited.add(key)
-                    queue.append((target.defining, target.func, root_name))
+            names.update(registrations(info))
+        found = [(name, table.find_method(concrete.qualname, name))
+                 for name in sorted(names)]
+        return [(name, method) for name, method in found
+                if method is not None]
 
     @staticmethod
     def _guard_states(func: ast.AST) -> Dict[int, frozenset]:
@@ -440,8 +388,6 @@ class WriteAmplificationRule(Rule):
                  "amortize (ROADMAP item 4).")
     scope = _RES_SCOPE
 
-    _WRITE_OPS = frozenset({"log", "append"})
-
     def check(self, ctx) -> Iterator[Finding]:
         for func in ast.walk(ctx.tree):
             if not isinstance(func, (ast.FunctionDef,
@@ -458,10 +404,11 @@ class WriteAmplificationRule(Rule):
                 continue  # other scopes lint on their own
             loop = in_loop or isinstance(child, (ast.For, ast.While,
                                                  ast.AsyncFor))
-            barrier = in_barrier or self._is_barrier(child)
+            barrier = in_barrier or opens_write_barrier(child)
             if isinstance(child, ast.Call) and loop and not barrier:
-                field = self._storage_write(child)
-                if field is not None:
+                site = classify(child)
+                if site is not None and site.kind == "write":
+                    field = ".".join(site.receiver + (site.op,)) + "()"
                     yield ctx.finding(
                         self.id, child,
                         f"storage write {field} inside a loop with no "
@@ -470,27 +417,6 @@ class WriteAmplificationRule(Rule):
                         f"in `with storage.write_barrier():` to group "
                         f"commit")
             yield from self._visit(ctx, child, loop, barrier)
-
-    @staticmethod
-    def _is_barrier(node: ast.AST) -> bool:
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            return False
-        for item in node.items:
-            expr = item.context_expr
-            if isinstance(expr, ast.Call):
-                path = attr_path(expr.func)
-                if path[-1:] == ("write_barrier",):
-                    return True
-        return False
-
-    def _storage_write(self, call: ast.Call) -> Optional[str]:
-        path = attr_path(call.func)
-        if len(path) < 2 or path[-1] not in self._WRITE_OPS:
-            return None
-        receiver = path[:-1]
-        if any("storage" in part or part == "store" for part in receiver):
-            return ".".join(path) + "()"
-        return None
 
 
 RES_RULES = (UnboundedGrowthRule(), BlockingAsyncCallRule(),

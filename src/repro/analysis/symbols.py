@@ -27,7 +27,7 @@ import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["ClassInfo", "ModuleSymbols", "SymbolTable",
-           "VOLATILE_DECLARATION", "attr_path", "self_field"]
+           "VOLATILE_DECLARATION", "attr_path", "param_names", "self_field"]
 
 #: Class attribute declaring the volatile mirrors of durable state.
 VOLATILE_DECLARATION = "VOLATILE_FIELDS"
@@ -62,6 +62,16 @@ def self_field(node: ast.AST) -> Optional[str]:
             isinstance(node.value, ast.Name) and node.value.id == "self":
         return node.attr
     return None
+
+
+def param_names(func: ast.AST, kwonly: bool = False) -> List[str]:
+    """Positional (and, on request, keyword-only) parameter names of a
+    ``def``, without ``self``."""
+    args = getattr(func, "args", None)
+    if args is None:
+        return []
+    found = args.args + (args.kwonlyargs if kwonly else [])
+    return [arg.arg for arg in found if arg.arg != "self"]
 
 
 def _literal(value: ast.expr) -> Tuple[bool, object]:

@@ -13,27 +13,26 @@ docs/ANALYSIS.md for the convention; the analyzer reads the declarations
 straight from each class (and, interprocedurally, from its whole MRO),
 so there is no second copy of any field list to drift out of date.
 
-Two rules patrol the discipline at different depths:
+**WAL003** is the log-before-send rule.  Per method it runs a worklist
+fixpoint over the CFG (branches, loops and try/finally are graph
+reachability, not ad-hoc walking), and it is interprocedural: helper
+calls resolve through the project call graph (``self.helper()`` through
+the concrete class's MRO, ``self.attr.m()`` through ``__init__``
+annotations) and each callee is summarized — which fields it leaves
+dirty, whether it always writes a barrier, whether it can send before
+one.  A spawned generator (``node.spawn(self._gossip_task(), ...)``)
+counts as a send if the task can send before a barrier: the task body
+runs with whatever dirt the spawner left behind.  Mutations whose value
+derives from stable storage (``retrieve``/``_load`` reads, values just
+passed to a log call) are *clean* — refilling a volatile cache from the
+log is recovery, not new state.  An unresolvable call is opaque (no
+effects), apart from the declared ``self._store``/``self.take_checkpoint``
+barrier helpers.
 
-* **WAL001** is the intraprocedural contract: within one method, a
-  mutation of a declared field must reach a stable-storage write before
-  any transport send.  It runs on the per-function CFG with a worklist
-  fixpoint, so branches, loops and try/finally are handled by graph
-  reachability rather than ad-hoc walking.  Helper calls are opaque
-  (apart from the declared ``self._store``/``self.take_checkpoint``
-  barrier helpers), so "mutate and log inside the same helper" is the
-  clean pattern.
-* **WAL003** is the interprocedural contract: it resolves helper calls
-  through the project call graph (``self.helper()`` through the concrete
-  class's MRO, ``self.attr.m()`` through ``__init__`` annotations) and
-  summarizes each callee — which fields it leaves dirty, whether it
-  always writes a barrier, whether it can send before one.  A spawned
-  generator (``node.spawn(self._gossip_task(), ...)``) counts as a send
-  if the task can send before a barrier: the task body runs with
-  whatever dirt the spawner left behind.  Mutations whose value derives
-  from stable storage (``retrieve``/``_load`` reads, values just passed
-  to a log call) are *clean* — refilling a volatile cache from the log
-  is recovery, not new state.
+What counts as a storage write and as a transport send is
+:func:`repro.analysis.sites.classify`'s definition, shared with every
+other rule family.  **WAL002** narrows it: a send whose receiver does
+not end in the node's endpoint bypasses the stubborn-channel layer.
 """
 
 from __future__ import annotations
@@ -41,31 +40,20 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cfg import CFG, CFGNode, build_cfg
-from repro.analysis.dataflow import (ForwardProblem, SetUnionProblem,
-                                     solve_forward)
+from repro.analysis.cfg import CFGNode, build_cfg, stmt_roots
+from repro.analysis.dataflow import ForwardProblem, solve_forward
 from repro.analysis.engine import Finding, ModuleContext, ProjectContext
-from repro.analysis.registry import Rule
+from repro.analysis.registry import PROTOCOL_SCOPE, Rule
+from repro.analysis.sites import classify, reads_logged_state, sites_in
 from repro.analysis.symbols import (VOLATILE_DECLARATION, ClassInfo,
                                     attr_path)
 
 __all__ = ["WAL_RULES", "VOLATILE_DECLARATION"]
 
-#: Receiver-name tokens that identify a raw transport medium (WAL002).
-_RAW_MEDIUM_TOKENS = frozenset({"network", "medium", "transport", "channel",
-                                "link", "net"})
-
-_BARRIER_OPS = frozenset({"log", "append", "delete", "delete_prefix",
-                          "flush", "sync"})
-_SELF_BARRIERS = frozenset({"_store", "take_checkpoint"})
-_SEND_OPS = frozenset({"send", "multisend"})
-_SEND_RECEIVERS = ("endpoint", "network", "transport")
 _MUTATORS = frozenset({"append", "add", "update", "pop", "popitem", "clear",
                        "remove", "discard", "extend", "insert",
                        "setdefault", "sort"})
 
-#: Calls whose return value derives from stable storage (clean sources).
-_RETRIEVE_OPS = frozenset({"retrieve", "retrieve_list", "_load", "get"})
 #: Pure shape/coercion builtins: clean in, clean out.
 _CLEAN_BUILTINS = frozenset({"int", "float", "str", "bool", "tuple", "list",
                              "dict", "set", "frozenset", "len", "min", "max",
@@ -92,25 +80,6 @@ def _position(node: ast.AST) -> Tuple[int, int]:
     return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
 
 
-def _event_roots(stmt: ast.AST) -> Optional[List[ast.AST]]:
-    """Sub-expressions of a CFG node to scan for events.
-
-    ``None`` means "the whole statement"; compound headers contribute
-    only their test/iterable — their bodies are separate CFG nodes.
-    """
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    if isinstance(stmt, ast.Match):
-        return [stmt.subject]
-    if isinstance(stmt, ast.ExceptHandler):
-        return [stmt.type] if stmt.type is not None else []
-    return None
-
-
 class _Event:
     """One ordered action inside a statement."""
 
@@ -130,24 +99,18 @@ class _Event:
 
 
 def _call_events(root: ast.AST) -> List[_Event]:
-    """Barrier/send/call events for every call under ``root``."""
+    """Barrier/send/mutate/call events for every call under ``root``."""
     events: List[_Event] = []
     for node in ast.walk(root):
         if not isinstance(node, ast.Call):
             continue
+        site = classify(node)
         path = attr_path(node.func)
-        attr = path[-1] if path else ""
-        receiver = path[:-1]
-        if attr in _BARRIER_OPS and \
-                any("storage" in part or part == "store"
-                    for part in receiver):
+        if site is not None and site.is_barrier:
             events.append(_Event("barrier", node))
-        elif attr in _SELF_BARRIERS and receiver[:1] == ("self",):
-            events.append(_Event("barrier", node))
-        elif attr in _SEND_OPS and \
-                any(part in _SEND_RECEIVERS for part in receiver):
+        elif site is not None and site.kind == "send":
             events.append(_Event("send", node))
-        elif attr in _MUTATORS and len(path) == 3 and path[0] == "self":
+        elif len(path) == 3 and path[0] == "self" and path[2] in _MUTATORS:
             events.append(_Event("mutate", node, field=path[1]))
         else:
             events.append(_Event("call", node))
@@ -189,34 +152,13 @@ def _node_events(cfg_node: CFGNode) -> List[_Event]:
     stmt = cfg_node.stmt
     if stmt is None or isinstance(stmt, _OPAQUE_STMTS):
         return []
-    roots = _event_roots(stmt)
-    if roots is None:
-        events = _assignment_events(stmt) + _call_events(stmt)
-    else:
-        events = []
-        for root in roots:
-            events.extend(_call_events(root))
+    # A compound header owns only its test/iterable: the body statements
+    # are separate CFG nodes.
+    events = _assignment_events(stmt)
+    for root in stmt_roots(stmt):
+        events.extend(_call_events(root))
     events.sort(key=_Event.position)
     return events
-
-
-def _declared_fields(class_node: ast.ClassDef) -> Set[str]:
-    """The class's own ``VOLATILE_FIELDS`` declaration (no inheritance)."""
-    for stmt in class_node.body:
-        targets: Sequence[ast.expr] = ()
-        value = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if isinstance(target, ast.Name) \
-                    and target.id == VOLATILE_DECLARATION \
-                    and isinstance(value, (ast.Tuple, ast.List)):
-                return {elt.value for elt in value.elts
-                        if isinstance(elt, ast.Constant)
-                        and isinstance(elt.value, str)}
-    return set()
 
 
 def _dirty_description(dirty: frozenset) -> str:
@@ -231,82 +173,7 @@ def _dirty_description(dirty: frozenset) -> str:
                      for name, line in sorted(earliest.items()))
 
 
-# -- WAL001: intraprocedural log-before-send ---------------------------------
-
-class _Wal001Problem(SetUnionProblem):
-    """State: frozenset of (field, mutation line)."""
-
-    def __init__(self, fields: Set[str],
-                 events: Dict[int, List[_Event]]):
-        self.fields = fields
-        self.events = events
-
-    def transfer(self, node: CFGNode, state):
-        for event in self.events.get(node.index, ()):
-            if event.kind == "mutate" and event.field in self.fields:
-                state = state | {(event.field, event.position()[0])}
-            elif event.kind == "barrier":
-                state = frozenset()
-        return state
-
-
-class WriteAheadSendRule(Rule):
-    """WAL001: log volatile-mirror mutations before dependent sends."""
-
-    id = "WAL001"
-    name = "log-before-send"
-    summary = ("a transport send is reachable after mutating a declared "
-               "volatile field with no stable-storage write in between")
-    rationale = ("Sections 5.1–5.3: a process must never send a message "
-                 "that depends on state it could forget across a crash; "
-                 "e.g. an acceptor must log (promised, accepted) before "
-                 "answering, or a recovered incarnation could un-promise "
-                 "and break Uniform Agreement.")
-    scope = ("repro.core", "repro.consensus", "repro.membership")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for class_node in ctx.tree.body:
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            fields = _declared_fields(class_node)
-            if not fields:
-                continue
-            for item in class_node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from self._check_method(ctx, class_node, item,
-                                                  fields)
-
-    def _check_method(self, ctx: ModuleContext, class_node: ast.ClassDef,
-                      method: ast.AST, fields: Set[str]) -> Iterator[Finding]:
-        cfg = build_cfg(method)
-        events = {node.index: _node_events(node) for node in cfg.nodes}
-        problem = _Wal001Problem(fields, events)
-        states = solve_forward(cfg, problem)
-        findings: Dict[Tuple[int, int], Finding] = {}
-        for node in cfg.nodes:
-            if node.index not in states:
-                continue  # unreachable
-            dirty = states[node.index]
-            for event in events[node.index]:
-                if event.kind == "mutate" and event.field in fields:
-                    dirty = dirty | {(event.field, event.position()[0])}
-                elif event.kind == "barrier":
-                    dirty = frozenset()
-                elif event.kind == "send" and dirty:
-                    position = event.position()
-                    if position not in findings:
-                        findings[position] = ctx.finding(
-                            self.id, event.node,
-                            f"{class_node.name}."
-                            f"{getattr(method, 'name', '<method>')}: "
-                            f"transport send reachable after mutating "
-                            f"volatile field(s) {_dirty_description(dirty)} "
-                            f"with no stable-storage write in between")
-        for position in sorted(findings):
-            yield findings[position]
-
-
-# -- WAL003: interprocedural persist-before-send ------------------------------
+# -- WAL003: log before send -------------------------------------------------
 
 def _is_clean(expr: Optional[ast.AST], clean: frozenset) -> bool:
     """True if ``expr``'s value cannot carry unlogged volatile state.
@@ -338,13 +205,11 @@ def _is_clean(expr: Optional[ast.AST], clean: frozenset) -> bool:
             all(_is_clean(value, clean) for value in expr.values)
     if isinstance(expr, ast.IfExp):
         return _is_clean(expr.body, clean) and _is_clean(expr.orelse, clean)
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        if isinstance(func, ast.Attribute) and func.attr in _RETRIEVE_OPS:
-            return True
-        if isinstance(func, ast.Name) and func.id in _CLEAN_BUILTINS:
-            return all(_is_clean(arg, clean) for arg in expr.args)
-        return False
+    if reads_logged_state(expr):
+        return True
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
+            and expr.func.id in _CLEAN_BUILTINS:
+        return all(_is_clean(arg, clean) for arg in expr.args)
     return False
 
 
@@ -370,12 +235,14 @@ _NEUTRAL = _Summary(frozenset(), False, False)
 class _FunctionRun:
     """Per-function analysis context (one concrete class, one method)."""
 
-    __slots__ = ("module", "concrete", "defining", "fields", "mode",
+    __slots__ = ("name", "module", "concrete", "defining", "fields", "mode",
                  "sends_before", "emit")
 
-    def __init__(self, module: str, concrete: Optional[ClassInfo],
+    def __init__(self, name: str, module: str,
+                 concrete: Optional[ClassInfo],
                  defining: Optional[ClassInfo], fields: frozenset,
                  mode: str, emit=None):
+        self.name = name
         self.module = module
         self.concrete = concrete
         self.defining = defining
@@ -461,7 +328,8 @@ class _InterProc:
                     break
         fields = frozenset(self.symbols.volatile_fields(concrete.qualname)) \
             if concrete is not None else frozenset()
-        run = _FunctionRun(module, concrete, defining, fields, "summary")
+        run = _FunctionRun(getattr(resolved.func, "name", "?"), module,
+                           concrete, defining, fields, "summary")
         states, cfg = self._solve(resolved.func, run)
         exit_state = states.get(cfg.exit.index)
         if exit_state is None:
@@ -491,8 +359,8 @@ class _InterProc:
     def analyze_root(self, module: str, concrete: ClassInfo,
                      defining: ClassInfo, func: ast.AST, emit) -> None:
         fields = frozenset(self.symbols.volatile_fields(concrete.qualname))
-        run = _FunctionRun(module, concrete, defining, fields, "root",
-                          emit=emit)
+        run = _FunctionRun(getattr(func, "name", "?"), module, concrete,
+                           defining, fields, "root", emit=emit)
         self._solve(func, run)
 
     def walk(self, events: Sequence[_Event], state, run: _FunctionRun,
@@ -554,7 +422,7 @@ class _InterProc:
         if not description:
             return
         owner = run.defining.name if run.defining else "<module>"
-        where = f"{owner}.{getattr(run.emit, 'func_name', '?')}"
+        where = f"{owner}.{run.name}"
         if run.concrete is not None and run.concrete.name != owner:
             where += f" (analyzed as {run.concrete.name})"
         if callee is None:
@@ -568,15 +436,19 @@ class _InterProc:
 
 
 class InterprocWalRule(Rule):
-    """WAL003: flow-sensitive persist-before-send across helpers."""
+    """WAL003: flow-sensitive log-before-send, across helpers."""
 
     id = "WAL003"
     name = "persist-before-send"
     summary = ("on some path, a volatile-field mutation reaches a "
                "transport send (possibly through helpers or a spawned "
                "task) with no stable-storage write in between")
-    rationale = ("Figures 2/3 log *then* broadcast; a helper boundary "
-                 "does not change the crash window.  Resolving calls "
+    rationale = ("Sections 5.1–5.3: a process must never send a message "
+                 "that depends on state it could forget across a crash "
+                 "(an acceptor that answers before logging its promise "
+                 "can un-promise on recovery).  Figures 2/3 log *then* "
+                 "broadcast, and a helper boundary does not change the "
+                 "crash window.  Resolving calls "
                  "through the concrete class's MRO is what lets the rule "
                  "see that on_start's spawned gossip task advertises the "
                  "incarnation counter, so the counter must be logged "
@@ -585,11 +457,6 @@ class InterprocWalRule(Rule):
     requires_project = True
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        wal001 = WriteAheadSendRule()
-        taken: Set[Tuple[str, int, int]] = set()
-        for ctx in project.in_scope(wal001):
-            for finding in wal001.check(ctx):
-                taken.add((finding.path, finding.line, finding.col))
         interproc = _InterProc(project)
         findings: Dict[Tuple[str, int, int], Finding] = {}
 
@@ -597,45 +464,23 @@ class InterprocWalRule(Rule):
             anchor_module = run.defining.module if run.defining else \
                 run.module
             finding = project.finding(self.id, anchor_module, node, message)
-            if finding is None:
-                return
-            key = (finding.path, finding.line, finding.col)
-            if key in taken or key in findings:
-                return
-            findings[key] = finding
+            if finding is not None:
+                findings.setdefault(
+                    (finding.path, finding.line, finding.col), finding)
 
-        for ctx in project.in_scope(self):
-            symbols = project.symbols.modules.get(ctx.module)
-            if symbols is None:
+        for _, class_info in project.classes_in_scope(self):
+            if not project.symbols.volatile_fields(class_info.qualname):
                 continue
-            for class_info in symbols.classes.values():
-                fields = project.symbols.volatile_fields(class_info.qualname)
-                if not fields:
-                    continue
-                methods: Dict[str, Tuple[ClassInfo, ast.AST]] = {}
-                for ancestor in project.symbols.mro(class_info.qualname):
-                    for name, func in ancestor.methods.items():
-                        methods.setdefault(name, (ancestor, func))
-                for name in sorted(methods):
-                    owner, func = methods[name]
-                    run_emit = _NamedEmit(emit, name)
-                    interproc.analyze_root(owner.module, class_info, owner,
-                                           func, run_emit)
+            methods: Dict[str, Tuple[ClassInfo, ast.AST]] = {}
+            for ancestor in project.symbols.mro(class_info.qualname):
+                for name, func in ancestor.methods.items():
+                    methods.setdefault(name, (ancestor, func))
+            for name in sorted(methods):
+                owner, func = methods[name]
+                interproc.analyze_root(owner.module, class_info, owner,
+                                       func, emit)
         for key in sorted(findings):
             yield findings[key]
-
-
-class _NamedEmit:
-    """Binds the analyzed method's name into emitted messages."""
-
-    __slots__ = ("emit", "func_name")
-
-    def __init__(self, emit, func_name: str):
-        self.emit = emit
-        self.func_name = func_name
-
-    def __call__(self, run, node, message):
-        self.emit(run, node, message)
 
 
 class DirectTransportSendRule(Rule):
@@ -653,28 +498,20 @@ class DirectTransportSendRule(Rule):
                  "out of retransmission, so one dropped datagram becomes "
                  "a protocol-level message loss the verifier cannot "
                  "explain.")
-    scope = ("repro.core", "repro.consensus", "repro.quorum",
-             "repro.multigroup", "repro.fdetect", "repro.apps",
-             "repro.baselines", "repro.membership", "repro.flow")
+    scope = PROTOCOL_SCOPE
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+        for site in sites_in(ctx.tree):
+            # Narrower than the shared notion of a send: one that ends
+            # in the node's endpoint is the sanctioned path.
+            if site.kind != "send" or "endpoint" in site.receiver[-1]:
                 continue
-            path = attr_path(node.func)
-            if len(path) < 2 or path[-1] not in _SEND_OPS:
-                continue
-            receiver = path[:-1]
-            if "endpoint" in receiver[-1]:
-                continue  # the sanctioned path
-            if any(token in part for part in receiver
-                   for token in _RAW_MEDIUM_TOKENS):
-                yield ctx.finding(
-                    self.id, node,
-                    f"direct {'.'.join(path)}(...) bypasses the endpoint "
-                    f"(and any stubborn-channel layer beneath it); send "
-                    f"through the node's Endpoint component instead")
+            path = ".".join(site.receiver + (site.op,))
+            yield ctx.finding(
+                self.id, site.call,
+                f"direct {path}(...) bypasses the endpoint (and any "
+                f"stubborn-channel layer beneath it); send through the "
+                f"node's Endpoint component instead")
 
 
-WAL_RULES = (WriteAheadSendRule(), DirectTransportSendRule(),
-             InterprocWalRule())
+WAL_RULES = (DirectTransportSendRule(), InterprocWalRule())

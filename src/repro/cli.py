@@ -457,9 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _compare(args)
         if args.command == "lint":
             return execute_lint(args.paths, args.output_format,
-                                args.list_rules, args.diff, args.jobs,
-                                args.baseline, args.write_baseline,
-                                args.emit_msgflow)
+                                args.list_rules, args.emit_msgflow)
         if args.command == "wirefuzz":
             return _wirefuzz(args)
         return _info()

@@ -51,7 +51,7 @@ class ConsensusService(NodeComponent):
     PROPOSAL_KEY = "consensus"
 
     # Volatile caches of the durable proposal/decision logs, patrolled by
-    # the WAL001 lint: log first, then cache (P4/P5 survive crashes).
+    # the WAL003 lint: log first, then cache (P4/P5 survive crashes).
     VOLATILE_FIELDS = ("_proposals", "_decisions")
 
     def __init__(self, namespace: str = "") -> None:

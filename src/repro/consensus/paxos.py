@@ -41,9 +41,9 @@ under crash-recovery is the best understood:
   asks a peer it knows to be ahead
   (:meth:`PaxosConsensus.pull_decision`, driven by the gossip tick).
 
-Setting ``durable=False`` turns off every stable-storage write, which is
-sound in the crash-**stop** model (state is never lost because crashed
-processes never come back).  The crash-stop baseline uses this mode.
+Every acceptor, proposer and decision record goes to stable storage; the
+crash-**stop** baseline, which logs nothing, is a different algorithm
+(:mod:`repro.consensus.chandra_toueg`), not a mode of this one.
 
 Liveness requires a majority of good processes, the standard assumption
 of the consensus substrate papers.
@@ -228,7 +228,7 @@ class _Attempt:
 
 
 class PaxosConsensus(ConsensusService):
-    """Ballot-based consensus; durable (crash-recovery) by default.
+    """Ballot-based consensus for the crash-recovery model.
 
     Stable-storage layout (per node, beside the base class's)::
 
@@ -242,10 +242,6 @@ class PaxosConsensus(ConsensusService):
         Transport endpoint of the owning node.
     omega:
         Ω leader oracle (drives who runs attempts).
-    durable:
-        When ``True`` (crash-recovery model) acceptor state, proposals and
-        decisions are logged; when ``False`` (crash-stop model) everything
-        stays volatile.
     attempt_timeout:
         How long a leader waits for a quorum before retrying with a higher
         ballot.
@@ -256,23 +252,20 @@ class PaxosConsensus(ConsensusService):
     ACCEPTOR_KEY = "paxos"
 
     # Volatile mirrors of durable acceptor/proposer state, patrolled by
-    # the WAL001 lint: mutations must reach stable storage before any
+    # the WAL003 lint: mutations must reach stable storage before any
     # dependent send (an acceptor that answers before logging can
     # un-promise on recovery; a proposer that sends before logging its
     # epoch can reuse a ballot).
     VOLATILE_FIELDS = ("_promised", "_accepted", "_epoch")
 
     def __init__(self, endpoint: Endpoint, omega: OmegaOracle,
-                 durable: bool = True, attempt_timeout: float = 1.0,
-                 namespace: str = ""):
+                 attempt_timeout: float = 1.0, namespace: str = ""):
         super().__init__(namespace)
         if namespace:
             self.ACCEPTOR_KEY = f"paxos@{namespace}"
         self.endpoint = endpoint
         self.omega = omega
-        self.durable = durable
         self.attempt_timeout = attempt_timeout
-        self._shadow_storage: Dict[str, Any] = {}  # non-durable mode only
         self._forget_volatile_state()
 
     def _forget_volatile_state(self) -> None:
@@ -314,47 +307,20 @@ class PaxosConsensus(ConsensusService):
     def on_crash(self) -> None:
         super().on_crash()
         self._forget_volatile_state()
-        if not self.durable:
-            # Crash-stop misuse guard: in the crash-stop model processes do
-            # not come back, so volatile shadow storage is simply dropped.
-            self._shadow_storage = {}
 
-    # -- durable/volatile storage shim --------------------------------------------
+    # -- acceptor/proposer records (the names WAL003 knows as helpers) -----------
 
     def _store(self, key: Tuple[Any, ...], value: Any) -> None:
         assert self.node is not None
-        if self.durable:
-            self.node.storage.log(key, value)
-        else:
-            self._shadow_storage["/".join(str(p) for p in key)] = value  # repro: noqa(RES001) -- crash-stop stand-in for stable storage: holds exactly what the durable log would, GC'd by discard_instances_below
+        self.node.storage.log(key, value)
 
     def _load(self, key: Tuple[Any, ...], default: Any = None) -> Any:
         assert self.node is not None
-        if self.durable:
-            return self.node.storage.retrieve(key, default)
-        return self._shadow_storage.get(
-            "/".join(str(p) for p in key), default)
+        return self.node.storage.retrieve(key, default)
 
     # -- ConsensusService overrides -------------------------------------------------
 
-    def propose(self, k: int, value: Any) -> None:
-        if self.durable:
-            super().propose(k, value)
-            return
-        # Non-durable mode: same idempotence contract, volatile bookkeeping.
-        existing = self._proposals.get(k)
-        if existing is None:
-            self._proposals[k] = value
-        self._activate(k)  # repro: noqa(WAL003) -- non-durable mode models crash-stop: no WAL by design; durable mode takes the super().propose path
-
-    def proposal_of(self, k: int) -> Optional[Any]:
-        if self.durable:
-            return super().proposal_of(k)
-        return self._proposals.get(k)
-
     def decided_value(self, k: int) -> Optional[Any]:
-        if not self.durable:
-            return self._decisions.get(k)
         decision = super().decided_value(k)
         if isinstance(decision, DecisionRef):
             # Logged by reference.  A record that is gone (quarantined
@@ -367,13 +333,7 @@ class PaxosConsensus(ConsensusService):
     def _record_decision(self, k: int, value: Any,
                          record: Any = None) -> None:
         self._parked.pop(k, None)
-        if self.durable:
-            super()._record_decision(k, value, record)
-            return
-        if k not in self._decisions:
-            self._decisions[k] = value
-            self._notify_observer(k, value)
-            self.decision_signal(k).notify(value)
+        super()._record_decision(k, value, record)
 
     def discard_instances_below(self, k: int) -> int:
         """GC proposal/decision logs *and* acceptor state below ``k``.
@@ -387,11 +347,10 @@ class PaxosConsensus(ConsensusService):
         """
         discarded = super().discard_instances_below(k)
         assert self.node is not None
-        if self.durable:
-            for key in list(self.node.storage.keys(self.ACCEPTOR_KEY)):
-                parts = key.split("/")
-                if len(parts) == 3 and int(parts[1]) < k:
-                    self.node.storage.delete(key)
+        for key in list(self.node.storage.keys(self.ACCEPTOR_KEY)):
+            parts = key.split("/")
+            if len(parts) == 3 and int(parts[1]) < k:
+                self.node.storage.delete(key)
         for cache in (self._accepted, self._parked, self._instance_members):
             for instance in [i for i in cache if i < k]:
                 del cache[instance]
@@ -520,7 +479,7 @@ class PaxosConsensus(ConsensusService):
             # higher, does not — it logs the value itself.
             if not self._decide_by_reference(msg.k, attempt.ballot):
                 self._record_decision(msg.k, attempt.value)
-            self.endpoint.multisend(  # repro: noqa(WAL003) -- decision is logged in durable mode; non-durable mode models crash-stop
+            self.endpoint.multisend(  # repro: noqa(WAL003) -- the decision is logged: _record_decision logs, then fills the _decisions cache, and the cache fill after the log is all the rule sees
                 Decide(msg.k, attempt.ballot))
 
     def _on_nack(self, msg: Nack, sender: int) -> None:

@@ -100,7 +100,7 @@ class BasicAtomicBroadcast(NodeComponent):
     INCARNATION_KEY = ("ab", "incarnation")
 
     # Volatile mirror of the durable incarnation counter, patrolled by the
-    # WAL001 lint: a message id minted from an unlogged incarnation could
+    # WAL003 lint: a message id minted from an unlogged incarnation could
     # collide after recovery (Section 4.1's unique-id requirement).
     VOLATILE_FIELDS = ("incarnation",)
 

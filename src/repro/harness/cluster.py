@@ -180,8 +180,7 @@ def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
         else:
             omega = node.add_component(OmegaOracle(detector))
             consensus = node.add_component(PaxosConsensus(
-                endpoint, omega, durable=True,
-                attempt_timeout=config.attempt_timeout))
+                endpoint, omega, attempt_timeout=config.attempt_timeout))
         consensus.observer = collector
         if config.protocol == "basic":
             abcast = BasicAtomicBroadcast(

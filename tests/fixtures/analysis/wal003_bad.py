@@ -2,8 +2,8 @@
 
 ``on_msg`` mutates a declared volatile field and then calls ``_reply``,
 which calls ``_transmit``, which sends.  No single method both mutates
-and sends, so the intraprocedural WAL001 stays silent — only the
-interprocedural rule sees the path.  The finding anchors at the
+and sends, so a method-at-a-time check would stay silent — only the
+interprocedural walk sees the path.  The finding anchors at the
 ``self._reply(sender)`` call in ``on_msg`` (line 16).
 """
 

@@ -3,8 +3,8 @@
 The four interprocedural rule families (WAL003, REC001, REC002, DET006)
 each get a negative fixture (flagged at an exact line) and a near-miss
 positive fixture (structurally close, stays silent) under
-``tests/fixtures/analysis/``.  The CLI additions — ``--diff BASE``,
-``--format sarif``, all-paths error collection — are tested end to end.
+``tests/fixtures/analysis/``.  The CLI additions — ``--format sarif``,
+all-paths error collection — are tested end to end.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import subprocess
 
 import pytest
 
-from repro.analysis import (analyze_paths, analyze_source, changed_lines,
-                            default_registry, filter_report, format_sarif)
+from repro.analysis import (analyze_paths, analyze_source,
+                            default_registry, format_sarif)
 from repro.analysis.engine import Report
 from repro.cli import main as cli_main
 from repro.errors import AnalysisError
@@ -200,7 +199,7 @@ def test_sarif_shape():
     run = document["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    assert {"DET001", "WAL001", "WAL003", "REC001", "REC002",
+    assert {"DET001", "WAL003", "REC001", "REC002",
             "DET006"} <= set(rule_index)
     result = run["results"][0]
     assert result["ruleId"] == "DET001"
@@ -220,77 +219,6 @@ def test_cli_sarif_format(tmp_path, capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["version"] == "2.1.0"
     assert document["runs"][0]["results"][0]["ruleId"] == "DET001"
-
-
-# -- --diff BASE: changed-line filtering --------------------------------------
-
-def _git(cwd, *args):
-    subprocess.run(["git", *args], cwd=cwd, check=True,
-                   capture_output=True, text=True)
-
-
-@pytest.fixture()
-def diff_repo(tmp_path):
-    repo = tmp_path / "repo"
-    pkg = repo / "repro" / "core"
-    pkg.mkdir(parents=True)
-    _git(repo, "init", "-q")
-    _git(repo, "config", "user.email", "test@example.invalid")
-    _git(repo, "config", "user.name", "test")
-    module = pkg / "pacer.py"
-    module.write_text("import time\n"
-                      "\n"
-                      "def old():\n"
-                      "    return time.time()\n")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-qm", "base")
-    # The PR adds a second violation; the old one is untouched.
-    module.write_text("import time\n"
-                      "\n"
-                      "def old():\n"
-                      "    return time.time()\n"
-                      "\n"
-                      "def new():\n"
-                      "    return time.monotonic()\n")
-    return repo, module
-
-
-def test_diff_filter_keeps_only_changed_line_findings(diff_repo):
-    repo, module = diff_repo
-    report = analyze_paths([str(module)])
-    assert len(report.findings) == 2  # both violations, full analysis
-    changed = changed_lines("HEAD", cwd=str(repo))
-    filtered = filter_report(report, changed)
-    assert len(filtered.findings) == 1
-    assert filtered.findings[0].line == 7  # only the line the PR touched
-
-
-def test_cli_diff_flag(diff_repo, monkeypatch, capsys):
-    repo, module = diff_repo
-    monkeypatch.chdir(repo)
-    status = cli_main(["lint", str(module), "--diff", "HEAD"])
-    out = capsys.readouterr().out
-    assert status == 1
-    assert "pacer.py:7:" in out
-    assert "pacer.py:4:" not in out  # pre-existing finding filtered out
-
-
-def test_diff_bad_ref_is_a_clean_error(diff_repo, monkeypatch, capsys):
-    repo, module = diff_repo
-    monkeypatch.chdir(repo)
-    status = cli_main(["lint", str(module), "--diff", "no-such-ref"])
-    captured = capsys.readouterr()
-    assert status == 2
-    assert "error:" in captured.err
-    assert "Traceback" not in captured.err
-
-
-def test_diff_outside_git_repo_is_a_clean_error(tmp_path, monkeypatch):
-    target = tmp_path / "plain.py"
-    target.write_text("x = 1\n")
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(AnalysisError):
-        changed_lines("HEAD", cwd=str(tmp_path))
 
 
 # -- regression: the WAL003 tripwire on the real tree -------------------------

@@ -194,7 +194,7 @@ def test_sorted_set_iteration_is_clean():
     assert findings == []
 
 
-# -- WAL001: log before send -------------------------------------------------
+# -- WAL003: log before send -------------------------------------------------
 
 WAL_BAD = """
     class Acceptor:
@@ -218,8 +218,19 @@ WAL_GOOD = """
 
 def test_wal_unlogged_mutation_before_send_flagged():
     findings = check(WAL_BAD, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL001"]
+    assert rule_ids(findings) == ["WAL003"]
     assert "promised" in findings[0].message
+    assert findings[0].line == 7
+
+
+@pytest.mark.parametrize("receiver", ["self._endpoint.send(sender, ",
+                                      "self.node.endpoint.multisend("])
+def test_wal_send_through_any_recognised_receiver_is_a_send(receiver):
+    # One definition of "send": whatever ALI001 and the msgflow graph
+    # see as a transport send, WAL003 sees too.
+    source = WAL_BAD.replace("self.endpoint.send(sender, ", receiver)
+    findings = check(source, module=CORE_MODULE)
+    assert rule_ids(findings) == ["WAL003"]
     assert findings[0].line == 7
 
 
@@ -244,7 +255,7 @@ def test_wal_branch_merge_catches_one_armed_log():
                     self.node.storage.log("state", self.state)
                 self.endpoint.multisend(("update", msg.value))
     """, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL001"]
+    assert rule_ids(findings) == ["WAL003"]
 
 
 def test_wal_loop_carries_dirt_to_loop_head_send():
@@ -257,7 +268,7 @@ def test_wal_loop_carries_dirt_to_loop_head_send():
                     self.endpoint.send(peer, self.state)
                     self.state = peer
     """, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL001"]
+    assert rule_ids(findings) == ["WAL003"]
 
 
 def test_wal_helper_barrier_and_mutator_calls():
@@ -274,7 +285,7 @@ def test_wal_helper_barrier_and_mutator_calls():
                 self.tally.add(sender)
                 self.endpoint.send(sender, "ack")
     """, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL001"]
+    assert rule_ids(findings) == ["WAL003"]
     assert "Proto.bad" in findings[0].message
 
 
@@ -282,7 +293,7 @@ def test_wal_suppression():
     suppressed = WAL_BAD.replace(
         "self.endpoint.send(sender, (\"promise\", msg.ballot))",
         "self.endpoint.send(sender, msg.ballot)"
-        "  # repro: noqa(WAL001) -- suppression syntax under test")
+        "  # repro: noqa(WAL003) -- suppression syntax under test")
     assert check(suppressed, module=CORE_MODULE) == []
 
 
@@ -526,7 +537,8 @@ def test_duplicate_rule_id_rejected():
 def test_registry_has_all_families():
     ids = default_registry().ids()
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-            "WAL001", "SIM001", "SIM002"} <= set(ids)
+            "WAL002", "WAL003", "SIM001", "SIM002"} <= set(ids)
+    assert "WAL001" not in ids and len(ids) == 24
 
 
 def test_reporters(tmp_path):
@@ -654,7 +666,27 @@ def test_cli_list_rules(capsys):
     status = cli_main(["lint", "--list-rules"])
     assert status == 0
     out = capsys.readouterr().out
-    assert "WAL001" in out and "DET004" in out and "SIM001" in out
+    assert "WAL003" in out and "DET004" in out and "SIM001" in out
+
+
+def test_list_rules_into_a_closed_pipe_exits_quietly():
+    # ``python -m repro.analysis --list-rules | head -1``: the reader is
+    # gone before the listing is written.  The contract is "never a
+    # traceback" — not from print, not from the exit-time flush.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(repo_src()) + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    child = ("import runpy, sys\n"
+             "sys.stdin.read()  # until the parent has closed our stdout\n"
+             "sys.argv = ['repro.analysis', '--list-rules']\n"
+             "runpy.run_module('repro.analysis', run_name='__main__')\n")
+    proc = subprocess.Popen([sys.executable, "-c", child], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)  # closes stdin: child runs
+    assert stderr == b""
+    assert proc.returncode == 0
 
 
 # -- self-check: the real tree is clean ---------------------------------------

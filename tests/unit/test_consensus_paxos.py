@@ -219,22 +219,3 @@ class TestCrashRecovery:
             propose(cluster, i, 0, "w")
         cluster.run(until=30.0)
         assert results == [frozenset({"w"})]
-
-
-class TestNonDurableMode:
-    def test_crash_stop_mode_writes_nothing(self, sim):
-        from tests.conftest import MiniCluster
-        from repro.consensus.paxos import PaxosConsensus
-        # Rebuild a cluster with durable=False consensus.
-        cluster = MiniCluster(n=3, with_consensus=True)
-        for i, consensus in cluster.consensuses.items():
-            consensus.durable = False
-        cluster.start()
-        for i in range(3):
-            cluster.consensuses[i].propose(0, frozenset({f"v{i}"}))
-        cluster.run(until=30.0)
-        assert cluster.consensuses[0].decided_value(0) is not None
-        for node in cluster.nodes.values():
-            by_prefix = node.storage.metrics.ops_by_prefix
-            assert by_prefix.get("consensus", 0) == 0
-            assert by_prefix.get("paxos", 0) == 0

@@ -159,23 +159,6 @@ class TestDurableLayout:
             "consensus/4/decision") == marker
         assert marker != make_ballot(3, 2, 1) and marker is not None
 
-    def test_nondurable_mode_writes_nothing_and_still_decides(self):
-        cluster = PaxosCluster()
-        for consensus in cluster.consensuses.values():
-            consensus.durable = False
-        cluster.start()
-        cluster.always_leader(0, 1)             # contended: promises rise
-        for k in range(3):
-            cluster.propose_all(k)
-        cluster.advance(20.0)
-        for k in range(3):
-            values = cluster.decisions(k)
-            assert values[0] is not None and values.count(values[0]) == 3
-        for i in cluster.nodes:
-            assert log_ops(cluster, i, "paxos") == 0
-            assert log_ops(cluster, i, "consensus") == 0
-            assert not list(cluster.nodes[i].storage.keys("paxos"))
-
 
 # -- ballots ------------------------------------------------------------------
 
