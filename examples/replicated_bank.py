@@ -28,11 +28,18 @@ def main() -> None:
                               log_unordered=True)))
     cluster.start()
 
-    # Accounts, then a storm of transfers from every replica.
-    plan = [(0.5, 0, ("open", "alice", 1000)),
-            (0.6, 1, ("open", "bob", 1000)),
-            (0.7, 2, ("open", "carol", 1000))]
+    # Accounts first, and in the books before the storm starts: nothing
+    # orders an ``open`` ahead of another sender's transfer, a transfer
+    # creates a destination account it does not find, and the late
+    # ``open`` is then a no-op — money the audit below counts as
+    # deposited would never have been.
     accounts = ("alice", "bob", "carol")
+    for replica, account in enumerate(accounts):
+        cluster.submit(replica, ("open", account, 1000))
+    assert cluster.settle(limit=30.0)
+
+    # Then a storm of transfers from every replica.
+    plan = []
     for index in range(60):
         src = accounts[index % 3]
         dst = accounts[(index + 1) % 3]

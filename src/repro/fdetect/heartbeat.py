@@ -1,23 +1,34 @@
-"""Heartbeat failure detector with adaptive timeouts.
+"""Link-liveness failure detector with adaptive timeouts.
 
-An eventually-perfect-style detector for the crash-recovery model: every
-up process periodically multisends ``ALIVE(epoch)``; a peer is *suspected*
-when no heartbeat has arrived within the current (per-peer) timeout.
+An eventually-perfect-style detector for the crash-recovery model.
+Liveness is a property of the link, not of a message type: *any*
+message a node consumes from a peer shows the peer was up a channel
+delay ago, so every arrival refreshes that peer, and an explicit
+``ALIVE(epoch)`` goes only to peers this node has sent nothing else for
+one ``period``.  A peer is *suspected* when nothing at all has arrived
+from it within the current (per-peer) timeout.
 
 Two properties matter for the consensus layer built on top:
 
-* **Completeness** — a process that stays down stops sending heartbeats
-  and is eventually suspected by every up process.
-* **Eventual accuracy** — each time a suspicion proves wrong (a heartbeat
-  arrives from a suspected peer) that peer's timeout is increased, so in
-  runs whose delays are bounded a good process is eventually never
-  suspected.
+* **Completeness** — a process that stays down sends nothing, so its
+  deadline passes at every up process.
+* **Eventual accuracy** — an up process leaves no link silent for longer
+  than ``period``; each time a suspicion proves wrong (something arrives
+  from a suspected peer) that peer's timeout is increased, so in runs
+  whose delays are bounded a good process is eventually never suspected.
+
+Arrivals cannot be stale evidence: the media hold a message for a
+bounded delay, a stubborn retransmission is sent by a live sender's
+timer, and a stalled node defers every arrival exactly as it used to
+defer heartbeats.
 
 The heartbeat carries an *epoch* counter logged in stable storage and
 incremented on every start/recovery, in the spirit of the unbounded
 failure detectors of Aguilera, Chen and Toueg [1]: observers can tell a
 recovered incarnation from a stale one, and :meth:`epoch_of` exposes the
-count so layers above can detect unstable (oscillating) peers.
+count so layers above can detect unstable (oscillating) peers.  A
+recovered node's send clock is empty, so the first thing it sends every
+peer is an explicit ``ALIVE`` with the new epoch.
 
 The Atomic Broadcast layer itself never reads this detector — the paper's
 protocol is failure-detector-free.  Only the consensus substrate (via the
@@ -26,6 +37,7 @@ protocol is failure-detector-free.  Only the consensus substrate (via the
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Set
 
 from repro.runtime import NodeComponent, Signal
@@ -53,7 +65,7 @@ class HeartbeatDetector(NodeComponent):
     endpoint:
         The node's transport endpoint.
     period:
-        Heartbeat emission period.
+        The longest silence this node leaves on a link to a peer.
     initial_timeout:
         Starting suspicion timeout per peer (adapted upwards on mistakes).
     timeout_increment:
@@ -100,6 +112,7 @@ class HeartbeatDetector(NodeComponent):
         self._suspects = set()
         self._epochs = {}
         self.endpoint.register(Heartbeat.type, self._on_heartbeat)
+        node.add_arrival_listener(self._on_arrival)
         if self.endpoint.view_source is not None:
             # View installs reshape the monitored set.  Subscriptions are
             # volatile on both sides; the view manager sits below this
@@ -147,6 +160,10 @@ class HeartbeatDetector(NodeComponent):
         for peer in list(self._epochs):
             if peer not in members:
                 del self._epochs[peer]
+        last_sent = self.node.last_sent
+        for peer in list(last_sent):
+            if peer not in members:
+                del last_sent[peer]
         for peer in members:
             if peer != self.node.node_id:
                 self._last_heard.setdefault(peer, now)
@@ -154,9 +171,15 @@ class HeartbeatDetector(NodeComponent):
             self.changed.notify()
 
     def _on_heartbeat(self, message: Heartbeat, sender: int) -> None:
+        # Liveness was credited on arrival; only the epoch is news.
+        self._epochs[sender] = max(self._epochs.get(sender, 0), message.epoch)
+
+    def _on_arrival(self, sender: int) -> None:
+        """Something — of any type — arrived from ``sender``."""
+        if sender not in self._last_heard:
+            return  # not monitored: another group's peer, or outside the view
         assert self.node is not None
         self._last_heard[sender] = self.node.sim.now
-        self._epochs[sender] = max(self._epochs.get(sender, 0), message.epoch)
         if sender in self._suspects:
             # Wrong suspicion: rehabilitate and grow this peer's timeout.
             self._suspects.discard(sender)
@@ -167,16 +190,31 @@ class HeartbeatDetector(NodeComponent):
             self.changed.notify()
 
     def _beat_loop(self):
+        """Break the silence on every link about to exceed ``period``."""
+        assert self.node is not None
+        node = self.node
+        last_sent = node.last_sent
+        beat = Heartbeat(self.epoch)
         while True:
-            self.endpoint.multisend(Heartbeat(self.epoch))
-            yield self.period
+            now = node.sim.now
+            wake = now + self.period
+            for peer in self.endpoint.peers():
+                if peer == node.node_id:
+                    continue
+                due = last_sent.get(peer, -math.inf) + self.period
+                if due <= now:
+                    self.endpoint.send(peer, beat)
+                elif due < wake:
+                    wake = due
+            yield wake - now
 
     def _check_loop(self):
+        """Suspect each peer at its deadline, ``last_heard + timeout``."""
         assert self.node is not None
         node = self.node
         while True:
-            yield self.period
             now = node.sim.now
+            wake = now + self.period
             newly_suspected = False
             for peer in self.endpoint.peers():
                 if peer == node.node_id or peer in self._suspects:
@@ -185,12 +223,15 @@ class HeartbeatDetector(NodeComponent):
                 if last is None:
                     # First sight of a freshly joined member: start its
                     # grace period now instead of instantly suspecting.
-                    self._last_heard[peer] = now
-                    continue
-                if now - last > self.timeout_for(peer):
+                    last = self._last_heard[peer] = now
+                deadline = last + self.timeout_for(peer)
+                if deadline <= now:
                     self._suspects.add(peer)
                     node.sim.trace("fd", node.node_id, "suspect",
                                    peer=peer)
                     newly_suspected = True
+                elif deadline < wake:
+                    wake = deadline
             if newly_suspected:
                 self.changed.notify()
+            yield wake - now

@@ -76,6 +76,13 @@ class TransportMedium(Protocol):
     every pair of processes.  Implementations: simulated
     :class:`~repro.transport.network.Network` and UDP
     :class:`~repro.runtime.live_net.LiveNetwork`.
+
+    A fair-loss medium's ``send`` also stamps the sending node's
+    :attr:`~repro.runtime.node.Node.last_sent` for the destination — the
+    clock the failure detector reads to find links that need an explicit
+    heartbeat.  A layer wrapped around a medium (the stubborn channel)
+    does not: what it holds back has not been sent.  Over a medium that
+    never stamps, the detector simply beats every period.
     """
 
     def register(self, node: Any) -> None: ...

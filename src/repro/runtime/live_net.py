@@ -226,6 +226,8 @@ class LiveNetwork:
             # Loopback: reliable, in-process, never serialised.
             self.runtime.call_soon(self._deliver, src, dst, message)
             return
+        # The link's send clock (see Node.last_sent).
+        self.nodes[src].last_sent[dst] = self.runtime.now
         if self.loss_rate and self.rng.random() < self.loss_rate:
             self.metrics.lost += 1
             return

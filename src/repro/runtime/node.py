@@ -88,6 +88,15 @@ class Node:
         self.components: List[NodeComponent] = []
         self._tasks: List[Task] = []
         self._handlers: Dict[str, Callable[[Any, int], None]] = {}
+        # Link liveness, volatile like the handlers.  ``last_sent[peer]``
+        # is when this node last handed the fair-loss medium anything
+        # for ``peer``; the medium stamps it below any retransmission
+        # layer, so a message parked in a backlog does not count.
+        # Arrival listeners hear the sender of every message
+        # :meth:`deliver` consumes from another node.  Both are per node,
+        # not per stack: groups that share a link share its liveness.
+        self.last_sent: Dict[int, float] = {}
+        self._arrival_listeners: List[Callable[[int], None]] = []
         self._started = False
         # Statistics for the harness.
         self.crash_count = 0
@@ -148,6 +157,8 @@ class Node:
         for task in tasks:
             task.kill()
         self._handlers.clear()
+        self.last_sent.clear()
+        self._arrival_listeners.clear()
         self.stall_until = 0.0
         for component in self.components:
             component.on_crash()
@@ -206,6 +217,16 @@ class Node:
         """
         self._handlers[msg_type] = handler
 
+    def add_arrival_listener(self, listener: Callable[[int], None]) -> None:
+        """Call ``listener(sender)`` for every message consumed from
+        another node, whatever its type — an arrival proves its sender
+        was up a channel delay ago, which is all a heartbeat says.
+
+        Registration is volatile, like a handler's: redo it in
+        ``on_start``.
+        """
+        self._arrival_listeners.append(listener)
+
     def stall(self, duration: float) -> None:
         """Gray failure: freeze message processing for ``duration``.
 
@@ -223,8 +244,9 @@ class Node:
 
         Messages arriving while the node is down are lost (Section 2.1).
         Messages arriving while the node is *stalled* are deferred until
-        the stall horizon passes (the process is slow, not crashed).
-        Returns ``True`` if the message was consumed.
+        the stall horizon passes (the process is slow, not crashed) and
+        count as an arrival only then.  Returns ``True`` if the message
+        was consumed.
         """
         if not self.up:
             return False
@@ -237,6 +259,9 @@ class Node:
         handler = self._handlers.get(message.type)
         if handler is None:
             return False
+        if sender != self.node_id:
+            for listener in self._arrival_listeners:
+                listener(sender)
         handler(message, sender)
         return True
 

@@ -178,6 +178,9 @@ class Network:
             # Loopback: reliable, immediate (within the same virtual time).
             self.sim.call_soon(self._deliver, src, dst, message)
             return
+        # The link's send clock (see Node.last_sent): whatever happens
+        # to the message next, the sender has spoken on this link.
+        self.nodes[src].last_sent[dst] = self.sim.now
         if self.is_partitioned(src, dst):
             self.metrics.lost += 1
             return

@@ -48,9 +48,12 @@ mean the same thing with coalescing on or off.
 
 Delivery stays *at-least-once*: a lost ack causes a duplicate
 transmission, which the protocols tolerate by design (the raw channels
-already duplicate).  Failure-detector heartbeats bypass the layer
-(``bypass_types``): the detector must observe the raw channel, and
-retransmitted stale heartbeats would defeat its timing semantics.
+already duplicate).  The failure detector meets this layer below its
+envelopes: it hears every ``stub.data``/``stub.batch`` that arrives (only
+a live sender's timer retransmits one), and its send clock is stamped by
+the inner medium, so what sits in a backlog here has not been said.  The
+explicit heartbeat still bypasses the layer (``bypass_types``): it is
+stale once the next is due, so retransmitting it would buy nothing.
 """
 
 from __future__ import annotations

@@ -64,6 +64,22 @@ class MiniCluster:
         return self.sim.run(until=until)
 
 
+def tap(network, drop=lambda src, dst: False):
+    """Record ``(now, src, dst, message)`` for everything the fair-loss
+    medium is handed; ``drop(src, dst)`` loses a message before the
+    medium sees it (a one-way fault the medium itself cannot model)."""
+    seen, send = [], network.send
+
+    def tapped(src, dst, message):
+        if drop(src, dst):
+            return
+        seen.append((network.sim.now, src, dst, message))
+        send(src, dst, message)
+
+    network.send = tapped
+    return seen
+
+
 @pytest.fixture
 def mini_cluster():
     """Factory for small raw clusters."""

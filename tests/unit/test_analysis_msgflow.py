@@ -214,6 +214,16 @@ class TestFullTreeGraph:
                    for e in graph.senders_for("paxos.query")}
         assert ("PaxosConsensus.pull_decision", "send") in queries
 
+    def test_the_explicit_beat_keeps_one_send_site_and_one_handler(self,
+                                                                   graph):
+        # Liveness rides on every arrival, so ``fd.alive`` is rare at
+        # run time; the graph must still know the one place it leaves
+        # from (a unicast per silent link) and the one that reads it.
+        assert [(e.sender, e.op) for e in graph.senders_for("fd.alive")] \
+            == [("HeartbeatDetector._beat_loop", "send")]
+        assert [e.handler for e in graph.handlers_for("fd.alive")] == \
+            ["HeartbeatDetector._on_heartbeat"]
+
     def test_multigroup_announce_resolves(self, graph):
         handlers = graph.handlers_for("mg.announce")
         assert [e.handler for e in handlers] == \

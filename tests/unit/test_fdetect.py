@@ -4,8 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fdetect.heartbeat import HeartbeatDetector
-from repro.fdetect.omega import OmegaOracle
+from repro.fdetect.heartbeat import Heartbeat, HeartbeatDetector
+from repro.harness.cluster import Cluster, ClusterConfig
+from repro.transport.message import WireMessage
+from tests.conftest import tap
+
+
+class Note(WireMessage):
+    """Some protocol's message: nothing about it says "alive"."""
+
+    type = "test.fd.note"
+    fields = ()
+
+
+def beats(seen, since=0.0):
+    return [(when, src, dst) for when, src, dst, message in seen
+            if message.type == Heartbeat.type and when >= since]
 
 
 class TestHeartbeatDetector:
@@ -67,6 +81,131 @@ class TestHeartbeatDetector:
         cluster.nodes[1].crash()
         cluster.nodes[1].recover()
         assert cluster.detectors[1].epoch == epoch_before + 1
+
+
+class TestLivenessRidesOnTraffic:
+    """Any arrival is an ALIVE; explicit beats go only to silent links;
+    suspicion falls at the deadline."""
+
+    def test_idle_stack_beats_every_period_and_suspects_nobody(
+            self, mini_cluster):
+        # Detector + Ω + an idle Paxos: nothing else ever speaks.
+        cluster = mini_cluster(n=3)
+        seen = tap(cluster.network)
+        cluster.start()
+        cluster.run(until=20.0)
+        period = cluster.detectors[0].period
+        for src in range(3):
+            for dst in range(3):
+                times = [when for when, s, d in beats(seen)
+                         if (s, d) == (src, dst)]
+                if src == dst:
+                    assert times == []      # never to itself
+                    continue
+                assert times[0] == 0.0
+                gaps = [b - a for a, b in zip(times, times[1:])]
+                assert gaps and all(gap == pytest.approx(period)
+                                    for gap in gaps)
+        for detector in cluster.detectors.values():
+            assert detector.suspects() == set()
+
+    def test_under_gossip_no_beat_follows_the_start_up_round(self):
+        cluster = Cluster(ClusterConfig(n=3, seed=4))
+        seen = tap(cluster.network)
+        cluster.start()
+        cluster.run(until=20.0)
+        assert sorted((src, dst) for _, src, dst in beats(seen)) == \
+            [(src, dst) for src in range(3) for dst in range(3)
+             if src != dst]
+        assert beats(seen, since=0.001) == []
+        for node in cluster.nodes.values():
+            assert node.get_component(HeartbeatDetector).suspects() == set()
+
+    def test_any_message_type_refutes_a_suspicion(self, mini_cluster):
+        cluster = mini_cluster(n=2).start()
+        cluster.run(until=3.0)
+        detector = cluster.detectors[0]
+        base = detector.timeout_for(1)
+        cluster.nodes[0].register_handler(Note.type, lambda m, s: None)
+        cluster.network.partition(0, 1)
+        cluster.run(until=8.0)
+        assert detector.is_suspected(1)
+        cluster.nodes[0].deliver(Note(), 1)
+        assert not detector.is_suspected(1)
+        assert detector.timeout_for(1) == base + detector.timeout_increment
+        # Heard while trusted: fresher evidence, no further widening.
+        cluster.nodes[0].deliver(Note(), 1)
+        assert detector.timeout_for(1) == base + detector.timeout_increment
+
+    def test_an_unconsumed_or_own_message_is_not_evidence(self,
+                                                          mini_cluster):
+        cluster = mini_cluster(n=2).start()
+        cluster.run(until=3.0)
+        detector = cluster.detectors[0]
+        cluster.network.partition(0, 1)
+        cluster.run(until=8.0)
+        assert detector.is_suspected(1)
+        assert not cluster.nodes[0].deliver(Note(), 1)   # no handler
+        assert detector.is_suspected(1)
+        heard = detector._last_heard[0]
+        cluster.nodes[0].register_handler(Note.type, lambda m, s: None)
+        cluster.nodes[0].deliver(Note(), 0)              # loopback
+        assert detector._last_heard[0] == heard
+
+    def test_suspicion_falls_at_the_deadline(self, mini_cluster):
+        cluster = mini_cluster(n=2).start()
+        detector = cluster.detectors[0]
+        fired = []
+
+        def watch():
+            while True:
+                yield detector.changed.wait()
+                fired.append((cluster.sim.now, detector._last_heard[1]))
+
+        cluster.nodes[0].spawn(watch(), "watch")
+        crash_at = 5.3          # between two of node 0's period ticks
+        cluster.run(until=crash_at)
+        cluster.nodes[1].crash()
+        cluster.run(until=15.0)
+        (when, last_heard), = fired
+        timeout = detector.initial_timeout
+        # Not "at the first poll after the deadline": at it.
+        assert when == pytest.approx(last_heard + timeout, abs=1e-9)
+        # What a benchmark times from the kill to the first suspicion:
+        # the victim last spoke at most a period before dying, and that
+        # took at most max_delay to arrive.
+        max_delay = cluster.network.config.max_delay
+        assert timeout - detector.period <= when - crash_at \
+            <= timeout + max_delay
+
+    def test_one_way_silence_is_suspected_one_way(self, mini_cluster):
+        cluster = mini_cluster(n=2)
+        tap(cluster.network, drop=lambda src, dst: (src, dst) == (1, 0))
+        cluster.start()
+        cluster.run(until=15.0)
+        assert cluster.detectors[0].suspects() == {1}
+        assert cluster.detectors[1].suspects() == set()
+
+    def test_first_words_after_recovery_are_a_beat_with_the_new_epoch(
+            self):
+        cluster = Cluster(ClusterConfig(n=3, seed=4))
+        seen = tap(cluster.network)
+        cluster.start()
+        cluster.run(until=5.0)
+        cluster.nodes[1].crash()
+        cluster.run(until=6.0)
+        assert cluster.nodes[1].last_sent == {}     # the clock is volatile
+        cluster.nodes[1].recover()
+        recovered_at = cluster.sim.now
+        cluster.run(until=9.0)
+        epoch = cluster.nodes[1].get_component(HeartbeatDetector).epoch
+        assert epoch == 2
+        for dst in (0, 2):
+            first = next(message for when, src, d, message in seen
+                         if when >= recovered_at and (src, d) == (1, dst))
+            assert (first.type, first.epoch) == (Heartbeat.type, epoch)
+            assert cluster.nodes[dst].get_component(
+                HeartbeatDetector).epoch_of(1) == epoch
 
 
 class TestHeartbeatGrayFailures:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.fdetect.heartbeat import Heartbeat, HeartbeatDetector
 from repro.multigroup import MultiGroupCluster
 from repro.multigroup.multicast import TimestampAnnounce
-from repro.transport.network import NetworkConfig
+from repro.runtime import Node, Simulator
+from repro.storage.memory import MemoryStorage
+from repro.transport.endpoint import Endpoint
+from repro.transport.network import Network, NetworkConfig
+from repro.transport.scoped import ScopedEndpoint, ScopedMessage
 
 
 def build(groups=None, seed=0):
@@ -113,3 +120,75 @@ class TestListener:
                              ["g1", "g2"])
         cluster.run(until=30.0)
         assert sorted(recorder.events) == [("g1", "x"), ("g2", "x")]
+
+
+class TestSharedLinkLiveness:
+    """Liveness belongs to the link between two nodes, not to a group
+    stack: every detector on a node hears every arrival, and the send
+    clock is the node's."""
+
+    GROUPS = {"g1": [0, 1, 2], "g2": [0, 1, 3]}     # 0 <-> 1 in both
+
+    @staticmethod
+    def detectors(cluster, node_id):
+        return [component for component
+                in cluster.nodes[node_id].components
+                if isinstance(component, HeartbeatDetector)]
+
+    def test_two_groups_on_one_link_emit_one_beat_stream(self):
+        # Two scoped detectors per node and nothing else, so the links
+        # carry explicit beats only.
+        sim = Simulator()
+        network = Network(sim, random.Random(0), NetworkConfig())
+        detectors = {}
+        for node_id in (0, 1):
+            node = Node(sim, node_id, MemoryStorage())
+            endpoint = node.add_component(Endpoint(network))
+            for group in ("g1", "g2"):
+                detector = node.add_component(HeartbeatDetector(
+                    ScopedEndpoint(endpoint, group, (0, 1))))
+                detector.EPOCH_KEY = (f"fd@{group}", "epoch")
+                detectors[node_id, group] = detector
+            network.register(node)
+        for node in network.nodes.values():
+            node.start()
+        sim.run(until=10.0)
+        period = detectors[0, "g1"].period
+        sent = network.metrics.by_type
+        beats = sent.get("g1::fd.alive", 0) + sent.get("g2::fd.alive", 0)
+        # One stream per direction — per (node, group) would be twice it.
+        assert beats == pytest.approx(2 * 10.0 / period, abs=2)
+        assert all(d.suspects() == set() for d in detectors.values())
+
+    def test_every_stack_hears_the_other_groups_traffic(self):
+        cluster = build(self.GROUPS)
+        cluster.run(until=3.0)
+        g1, g2 = self.detectors(cluster, 0)
+        for detector in (g1, g2):
+            detector._suspects.add(1)
+        # One g1 message from node 1 clears both stacks' suspicion; only
+        # g1's stack reads what it says — g2's own beat was never
+        # needed on this link, so g2 has been told no epoch at all.
+        assert cluster.nodes[0].deliver(
+            ScopedMessage("g1", Heartbeat(9)), 1)
+        assert g1.suspects() == g2.suspects() == set()
+        assert g1.timeout_for(1) > g1.initial_timeout
+        assert g2.timeout_for(1) > g2.initial_timeout
+        assert (g1.epoch_of(1), g2.epoch_of(1)) == (9, 0)
+        # Node 3 is g2's peer only: g1's detector does not monitor it.
+        assert cluster.nodes[0].deliver(
+            ScopedMessage("g2", Heartbeat(1)), 3)
+        assert 3 not in g1._last_heard and 3 in g2._last_heard
+
+    def test_listeners_come_back_with_the_node(self):
+        cluster = build(self.GROUPS)
+        cluster.run(until=3.0)
+        cluster.nodes[0].crash()
+        assert cluster.nodes[0]._arrival_listeners == []
+        cluster.run(until=4.0)
+        cluster.nodes[0].recover()
+        assert len(cluster.nodes[0]._arrival_listeners) == 2
+        cluster.run(until=20.0)
+        for node_id in cluster.nodes:
+            for detector in self.detectors(cluster, node_id):
+                assert detector.suspects() == set()

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.runtime import Node, NodeComponent, Simulator
 from repro.runtime import wire
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import NetworkConfig
-from repro.transport.stubborn import (StubbornChannel, StubbornConfig,
-                                      StubbornData)
+from repro.transport.stubborn import (StubbornBatch, StubbornChannel,
+                                      StubbornConfig, StubbornData)
+from tests.conftest import tap
 
 
 class Note(WireMessage):
@@ -393,6 +397,55 @@ class TestClusterIntegration:
         assert cluster.stubborn is None
         assert cluster.medium is cluster.network
         assert cluster.metrics().stubborn is None
+
+
+class TestLinkLiveness:
+    """The detector listens below this layer's envelopes and its send
+    clock sits below this layer's backlog."""
+
+    @pytest.mark.parametrize("envelope", [
+        StubbornData.wrap(7, Note("retransmitted")),
+        StubbornBatch(((7, Note.type, {"text": "retransmitted"}),), ()),
+    ], ids=["stub.data", "stub.batch"])
+    def test_a_retransmitted_envelope_refutes_a_suspicion(self, envelope):
+        cluster = Cluster(ClusterConfig(
+            n=3, seed=2, stubborn=StubbornConfig(coalesce=True)))
+        cluster.start()
+        cluster.run(until=2.0)
+        detector = cluster.nodes[0].get_component(HeartbeatDetector)
+        base = detector.timeout_for(2)
+        cluster.network.partition(0, 2)
+        cluster.run(until=6.0)
+        assert detector.is_suspected(2)
+        # What node 2's retry timer would put on the healed link.
+        assert cluster.nodes[0].deliver(envelope, 2)
+        assert not detector.is_suspected(2)
+        assert detector.timeout_for(2) == base + detector.timeout_increment
+
+    def test_a_growing_backlog_is_not_a_beat(self):
+        cluster = Cluster(ClusterConfig(
+            n=3, seed=2, stubborn=StubbornConfig(window=1)))
+        seen = tap(cluster.network)     # what reaches the medium
+        cluster.start()
+        cluster.run(until=2.0)
+        cluster.nodes[2].crash()
+        crashed_at = cluster.sim.now
+        for index in range(40):         # node 0 keeps talking to the dead
+            cluster.sim.schedule(0.2 * index, cluster.submit, 0,
+                                 f"m{index}")
+        cluster.run(until=12.0)
+        link = cluster.stubborn.link(0)
+        assert link.in_flight(2) == 1 and link.backlog(2) > 0
+        # Node 0 never stops *sending* to 2 at this layer, yet the one
+        # envelope in flight backs off to seconds between tries; the
+        # beats fill exactly those silences.
+        period = cluster.nodes[0].get_component(HeartbeatDetector).period
+        handed = [(when, message.type) for when, src, dst, message in seen
+                  if (src, dst) == (0, 2) and when >= crashed_at]
+        times = [when for when, _ in handed]
+        assert max(b - a for a, b in zip(times, times[1:])) \
+            <= period + 1e-9
+        assert sum(kind == "fd.alive" for _, kind in handed) >= 5
 
 
 def test_simulator_smoke_fixture_alias():
