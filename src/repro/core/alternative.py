@@ -523,9 +523,8 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         self._pending_restore = True
         self._announce_restore()
         # Unordered ← Unordered − Agreed
-        for mid in [mid for mid in self.unordered
-                    if self.unordered[mid] in self.agreed]:
-            del self.unordered[mid]
+        self._drop_unordered([mid for mid in self.unordered
+                              if self.unordered[mid] in self.agreed])
 
     def _complete_join(self) -> None:
         """Seal a join: checkpoint the adopted state, clear the flag.

@@ -5,13 +5,14 @@ One consensus-driven ordering loop per process, in consecutive rounds:
 * round ``k`` proposes the node's ``Unordered`` set to the ``k``-th
   consensus instance and moves the decided batch to the ``Agreed`` queue
   (deterministically ordered, duplicates eliminated);
-* a **gossip task** periodically sends every peer ``(k, digest of
-  Unordered)`` plus the payloads that peer is not known to hold — it
-  both disseminates data messages (no reliable multicast needed over
-  the fair-loss channel) and lets lagging processes discover how far
-  behind they are (``gossip-k``).  Each payload crosses each link once:
-  its originator pushes it until the peer's digest lists it, anyone else
-  who lacks it pulls it by id (DESIGN.md, substitutions);
+* a **gossip task** periodically sends every peer ``k`` plus the
+  payloads that peer is not known to hold, and a rotating ``⌈log₂ n⌉``
+  of them the digest of Unordered — it both disseminates data messages
+  (no reliable multicast needed over the fair-loss channel) and lets
+  lagging processes discover how far behind they are (``gossip-k``).
+  Each payload crosses each link once: its originator pushes it once,
+  and again only when a later digest from the peer still lacks it;
+  anyone else who lacks it pulls it by id (DESIGN.md, substitutions);
 * the only stable-storage write is the consensus *proposal* — performed
   inside ``propose`` as its first operation — so Atomic Broadcast adds
   **zero** log operations beyond the Consensus black box (Section 4.3);
@@ -27,7 +28,7 @@ that the current round is simply the first round with no logged proposal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Generator, List
+from typing import Any, Dict, FrozenSet, Generator, List, Sequence
 
 from repro.consensus.base import ConsensusService
 from repro.core.agreed import AgreedQueue, deterministic_order
@@ -59,13 +60,13 @@ class DeliveryListener:
 
 
 class _PeerGossip:
-    """What one peer's latest gossip said (volatile; replaced whole by
+    """What one peer's latest digest said (volatile; replaced whole by
     its next one, so a peer that crashed and lost its Unordered set
     corrects us with its first digest).
 
     ``known`` is the peer's digest, ``missing`` the part of it this node
     held in neither Unordered nor Agreed on receipt (what to ask the
-    peer for), ``asked`` what the peer asked of us.
+    peer for), ``asked`` what the peer asked of us since the last tick.
     """
 
     __slots__ = ("known", "missing", "asked")
@@ -124,9 +125,13 @@ class BasicAtomicBroadcast(NodeComponent):
         self.unordered: Dict[MessageId, AppMessage] = {}
         self.agreed = AgreedQueue(self.order_rule)
         self.gossip_k = 0
-        # Per-peer gossip knowledge, the peer last seen ahead of us, and
-        # the round we were in at the previous gossip tick.
+        # Per-peer gossip knowledge, per peer the own messages pushed to
+        # it and when (until ordered, or re-armed by evidence of a loss),
+        # where the digest rotation stands, the peer last seen ahead of
+        # us, and the round we were in at the previous gossip tick.
         self._peers: Dict[int, _PeerGossip] = {}
+        self._pushed: Dict[int, Dict[MessageId, float]] = {}
+        self._digest_turn = 0
         self._ahead_peer = -1       # meaningful only while gossip_k > k
         self._last_tick_k = -1
         # Volatile plumbing.
@@ -205,6 +210,8 @@ class BasicAtomicBroadcast(NodeComponent):
 
     def _forget_peers(self) -> None:
         self._peers = {}
+        self._pushed = {}
+        self._digest_turn = 0
         self._ahead_peer = -1
         self._last_tick_k = -1
 
@@ -302,15 +309,30 @@ class BasicAtomicBroadcast(NodeComponent):
     def _gossip_once(self) -> None:
         """One tick: ``gossip(k, payloads, ckpt_k, known, want)`` per peer.
 
-        Every peer gets the same digest; what differs is the payloads it
-        still lacks and the ids we lack.  Peers in the same position —
-        almost always all of them — share one message object, so it is
+        Every peer gets one, every tick: it carries the round (the lag
+        signal) and is the link's liveness.  What differs per peer:
+
+        * ``payloads`` — a message this node originated goes to a peer
+          the first time that peer's view does not list it, and again
+          only once :meth:`_on_gossip` has re-armed it; plus whatever
+          the peer asked for;
+        * ``known`` — the digest goes to ``f = min(n−1, ⌈log₂ n⌉)`` peers
+          per tick, in turn (:meth:`_digest_recipients`); the others get
+          ``None``, "no digest in this gossip";
+        * ``want`` — the ids we lack from the peer's last digest.
+
+        Peers in the same position share one message object, so it is
         built and sized once.
         """
+        assert self.node is not None
+        now = self.node.sim.now
         node_id = self.endpoint.node_id
-        peers = [peer for peer in self.endpoint.peers() if peer != node_id]
+        group = self.endpoint.peers()
+        peers = [peer for peer in group if peer != node_id]
         for gone in self._peers.keys() - peers:
             del self._peers[gone]
+        for gone in self._pushed.keys() - peers:
+            del self._pushed[gone]
         # A joining node advertises round -1: it holds no usable
         # prefix, so any member treats it as maximally behind and
         # answers with a state transfer (Section 5.3) regardless of
@@ -319,11 +341,17 @@ class BasicAtomicBroadcast(NodeComponent):
         ckpt_k = self._checkpoint_round()
         unordered = self.unordered
         known = frozenset(unordered)
+        digest_to = self._digest_recipients(group, peers)
         mine = {mid for mid in unordered if mid[0] == node_id}
         built: Dict[Any, GossipMessage] = {}
         for peer in peers:
             view = self._peers.get(peer, _NOTHING_HEARD)
-            push = mine.difference(view.known)
+            push = mine.difference(view.known,
+                                   self._pushed.get(peer, _NO_IDS))
+            if push:
+                sent = self._pushed.setdefault(peer, {})
+                for mid in push:
+                    sent[mid] = now
             if view.asked:
                 push.update(mid for mid in view.asked if mid in unordered)
                 view.asked = _NO_IDS    # served; the peer re-asks
@@ -332,14 +360,34 @@ class BasicAtomicBroadcast(NodeComponent):
                 want = frozenset(mid for mid in want
                                  if mid not in unordered
                                  and mid not in self.agreed)
-            key = (frozenset(push), want)
+            digest = peer in digest_to
+            key = (frozenset(push), want, digest)
             message = built.get(key)
             if message is None:
                 message = GossipMessage(
                     k, frozenset(unordered[mid] for mid in push), ckpt_k,
-                    known, want)
+                    known if digest else None, want)
                 built[key] = message
             self.endpoint.send(peer, message)
+
+    def _digest_recipients(self, group: Sequence[int],
+                           peers: List[int]) -> FrozenSet[int]:
+        """The ``f = min(n−1, ⌈log₂ n⌉)`` peers this tick's digest goes to.
+
+        Round-robin through the group's order, starting after this
+        node's own id and advancing ``f`` a tick, so every peer hears the
+        digest at least every ``⌈(n−1)/f⌉`` ticks.  Deterministic: it
+        draws nothing from any random stream.
+        """
+        count = len(peers)
+        fanout = min(count, count.bit_length())     # ⌈log₂(count + 1)⌉
+        if fanout == count:
+            return frozenset(peers)
+        node_id = self.endpoint.node_id
+        start = group.index(node_id) if node_id in group else 0
+        first = start + self._digest_turn
+        self._digest_turn = (self._digest_turn + fanout) % count
+        return frozenset(peers[(first + i) % count] for i in range(fanout))
 
     def _pull_missed_decision(self) -> None:
         """Repair a lost Decide: ask the peer we know to be ahead.
@@ -356,15 +404,36 @@ class BasicAtomicBroadcast(NodeComponent):
 
     def _on_gossip(self, msg: GossipMessage, sender: int) -> None:
         """Reception of ``gossip(k_q, …)`` (executed atomically)."""
+        assert self.node is not None
         for message in msg.payloads:
             self._admit_locally(message)
-        known = frozenset(msg.known)
-        missing = known.difference(self.unordered)
-        if missing:
-            agreed = self.agreed
-            missing = frozenset(mid for mid in missing if mid not in agreed)
-        self._peers[sender] = _PeerGossip(known, missing,
-                                          frozenset(msg.want))
+        want = frozenset(msg.want)
+        if msg.known is None:
+            # No digest in this one: what the last digest said stands.
+            if want:
+                view = self._peers.get(sender)
+                if view is None:
+                    self._peers[sender] = _PeerGossip(_NO_IDS, _NO_IDS, want)
+                else:
+                    view.asked = view.asked | want
+        else:
+            known = frozenset(msg.known)
+            missing = known.difference(self.unordered)
+            if missing:
+                agreed = self.agreed
+                missing = frozenset(mid for mid in missing
+                                    if mid not in agreed)
+            self._peers[sender] = _PeerGossip(known, missing, want)
+            sent = self._pushed.get(sender)
+            if sent:
+                # Evidence of a lost push: the digest still lacks a
+                # message pushed at least one gossip interval before it
+                # arrived, so it was sent after the push should have
+                # landed.  Re-armed, the next tick pushes it again.
+                cutoff = self.node.sim.now - self.gossip_interval
+                for mid in sent.keys() - known:
+                    if sent[mid] <= cutoff:
+                        del sent[mid]
         self._note_peer_checkpoint(sender, msg.ckpt_k)
         if msg.k > self.k:
             self.gossip_k = max(self.gossip_k, msg.k)  # q was ahead
@@ -429,14 +498,23 @@ class BasicAtomicBroadcast(NodeComponent):
                             new=len(appended))
         self.k += 1
         # Unordered ← Unordered − Agreed
-        for message in appended:
-            self.unordered.pop(message.id, None)
+        self._drop_unordered([message.id for message in appended])
         for message in appended:
             for listener in self._listeners:
                 listener.on_deliver(message)
         if appended:
             self._delivered.notify()
         self._after_round()
+
+    def _drop_unordered(self, ordered: List[MessageId]) -> None:
+        """Remove ordered messages from Unordered; one of our own needs
+        no more pushing, so its push times go too."""
+        node_id = self.endpoint.node_id
+        for mid in ordered:
+            self.unordered.pop(mid, None)
+            if mid[0] == node_id:
+                for sent in self._pushed.values():
+                    sent.pop(mid, None)
 
     def _after_round(self) -> None:
         """Hook for subclasses (checkpointing, batching bookkeeping)."""

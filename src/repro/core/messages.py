@@ -97,10 +97,14 @@ class GossipMessage(WireMessage):
     (DESIGN.md, substitutions):
 
     * ``known`` — the ids of the sender's whole Unordered set.  It is the
-      digest peers pull from and, read by an originator, the ack that
-      stops its push;
+      digest peers pull from and, read by an originator, the evidence
+      that a push was lost.  ``None`` means "no digest in this gossip"
+      (a sender digests to a rotating few peers a tick): the receiver
+      keeps what the sender's last digest said.  An empty set is a
+      digest, of an empty Unordered set;
     * ``payloads`` — messages the sender originated that the addressee's
-      last digest did not list, plus whatever the addressee asked for;
+      view did not list and it had not pushed already, plus whatever the
+      addressee asked for;
     * ``want`` — ids the addressee advertised that the sender holds in
       neither Unordered nor Agreed (the pull).
 
@@ -118,7 +122,7 @@ class GossipMessage(WireMessage):
 
     def __init__(self, k: int, payloads: FrozenSet[AppMessage],
                  ckpt_k: int = 0,
-                 known: FrozenSet[MessageId] = frozenset(),
+                 known: Optional[FrozenSet[MessageId]] = frozenset(),
                  want: FrozenSet[MessageId] = frozenset()):
         self.k = k
         self.payloads = payloads

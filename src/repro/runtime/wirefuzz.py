@@ -150,7 +150,12 @@ def random_value(rng: random.Random, depth: int = 0) -> Any:
 def random_fields(cls: Type[WireMessage],
                   rng: random.Random) -> Dict[str, Any]:
     """Random field values for one message class."""
-    return {name: random_value(rng) for name in cls.fields}
+    fields = {name: random_value(rng) for name in cls.fields}
+    if cls.type == "ab.gossip" and rng.random() < 0.5:
+        # ``known=None`` ("no digest in this gossip") is a form of its
+        # own, not one value among many: draw it half the time.
+        fields["known"] = None
+    return fields
 
 
 def equivalent(left: Any, right: Any) -> bool:

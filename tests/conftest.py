@@ -64,14 +64,15 @@ class MiniCluster:
         return self.sim.run(until=until)
 
 
-def tap(network, drop=lambda src, dst: False):
+def tap(network, drop=lambda src, dst, message: False):
     """Record ``(now, src, dst, message)`` for everything the fair-loss
-    medium is handed; ``drop(src, dst)`` loses a message before the
-    medium sees it (a one-way fault the medium itself cannot model)."""
+    medium is handed; ``drop(src, dst, message)`` loses a message before
+    the medium sees it (a fault the medium itself cannot model: one-way,
+    or aimed at one message)."""
     seen, send = [], network.send
 
     def tapped(src, dst, message):
-        if drop(src, dst):
+        if drop(src, dst, message):
             return
         seen.append((network.sim.now, src, dst, message))
         send(src, dst, message)

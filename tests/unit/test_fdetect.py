@@ -121,6 +121,27 @@ class TestLivenessRidesOnTraffic:
         for node in cluster.nodes.values():
             assert node.get_component(HeartbeatDetector).suspects() == set()
 
+    def test_thinned_digests_leave_every_link_one_gossip_a_tick(self):
+        # n=9: the digest goes to 4 of 8 peers a tick, the gossip to all.
+        n = 9
+        cluster = Cluster(ClusterConfig(n=n, seed=4))
+        seen = tap(cluster.network)
+        cluster.start()
+        for j in range(20):
+            cluster.sim.schedule(0.5 + 0.3 * j, cluster.submit, j % n, j)
+        cluster.run(until=10.0)
+        interval = cluster.config.gossip_interval
+        ticks = {}
+        for when, src, dst, message in seen:
+            if message.type == "ab.gossip":
+                ticks.setdefault((src, round(when / interval)), []).append(dst)
+        assert {tick for _, tick in ticks} == set(range(41))
+        for (src, _), dsts in ticks.items():
+            assert sorted(dsts) == [dst for dst in range(n) if dst != src]
+        assert beats(seen, since=0.001) == []
+        for node in cluster.nodes.values():
+            assert node.get_component(HeartbeatDetector).suspects() == set()
+
     def test_any_message_type_refutes_a_suspicion(self, mini_cluster):
         cluster = mini_cluster(n=2).start()
         cluster.run(until=3.0)
@@ -180,7 +201,8 @@ class TestLivenessRidesOnTraffic:
 
     def test_one_way_silence_is_suspected_one_way(self, mini_cluster):
         cluster = mini_cluster(n=2)
-        tap(cluster.network, drop=lambda src, dst: (src, dst) == (1, 0))
+        tap(cluster.network,
+            drop=lambda src, dst, message: (src, dst) == (1, 0))
         cluster.start()
         cluster.run(until=15.0)
         assert cluster.detectors[0].suspects() == {1}

@@ -50,6 +50,22 @@ def test_wire_roundtrip_gossip():
     assert MessageId(1, 3, 2) in message.known
 
 
+@pytest.mark.parametrize("sender", [1, 2 ** 32 + 1], ids=["typed", "tunnel"])
+@pytest.mark.parametrize("known", [None, frozenset(),
+                                   frozenset({MessageId(1, 3, 2)})],
+                         ids=["no-digest", "empty-digest", "digest"])
+def test_wire_roundtrip_gossip_with_and_without_digest(sender, known):
+    payloads = frozenset({AppMessage(MessageId(0, 1, 4), "alpha")})
+    data = encode(sender, GossipMessage(3, payloads, known=known))
+    assert (HEADER.unpack_from(data)[3] == 0) == (sender >= 2 ** 32)
+    got_sender, message = decode(data)
+    assert got_sender == sender
+    assert message.payloads == payloads
+    # None ("no digest") and an empty digest stay distinct on the wire.
+    assert message.known == known and (message.known is None) == \
+        (known is None)
+
+
 def test_wire_roundtrip_state():
     plain = [3, [[[0, 1, 2], "x"], [[1, 1, 5], "y"]]]
     sender, message = decode(encode(0, StateMessage(3, plain)))

@@ -30,6 +30,13 @@ class TestGossipMessage:
         gossip = GossipMessage(5, frozenset({msg(1)}))
         assert gossip.known == frozenset() and gossip.want == frozenset()
 
+    def test_no_digest_is_not_an_empty_digest(self):
+        bare = GossipMessage(5, frozenset(), known=None)
+        empty = GossipMessage(5, frozenset(), known=frozenset())
+        assert bare.payload() == (5, frozenset(), 0, None, frozenset())
+        assert empty.payload()[3] == frozenset()
+        assert bare.estimated_size() < empty.estimated_size()
+
     def test_an_id_costs_a_fraction_of_its_payload(self):
         ids = frozenset(msg(i).id for i in range(1, 11))
         digest = GossipMessage(0, frozenset(), known=ids)
