@@ -47,7 +47,7 @@ def run_case(interval, seed=8):
     reads_before = cluster.nodes[1].storage.metrics.retrievals
     cluster.nodes[1].recover()
     cluster.run(until=CRASH_AT + 60.0)
-    assert cluster.settle(limit=CRASH_AT + 200.0)
+    assert cluster.settle(within=140.0)
     verify_run(cluster)
     ab = cluster.abcasts[1]
     recovery_reads = (cluster.nodes[1].storage.metrics.retrievals

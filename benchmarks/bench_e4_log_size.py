@@ -45,7 +45,7 @@ def run_case(history, app_checkpoint, seed=9):
             for j in range(history)]
     ScheduledWorkload(plan).install(cluster)
     cluster.run(until=0.5 + 0.1 * history + 5.0)
-    assert cluster.settle(limit=200.0)
+    assert cluster.settle(within=200.0 - cluster.sim.now)
     verify_run(cluster)
     node = cluster.nodes[0]
     ab = cluster.abcasts[0]

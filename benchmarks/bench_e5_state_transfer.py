@@ -45,7 +45,7 @@ def run_case(delta, seed=10):
     cluster.nodes[2].recover()
     k_at_recovery = cluster.abcasts[2].k  # restored from its checkpoint
     catch_up = catch_up_probe(cluster, 2, target_rounds, limit=120.0)
-    assert cluster.settle(limit=400.0)
+    assert cluster.settle(within=400.0 - cluster.sim.now)
     verify_run(cluster)
     ab = cluster.abcasts[2]
     # Rounds the late node had to re-execute through consensus (instead

@@ -82,7 +82,7 @@ def _return_latency(log_unordered, seed=12):
     for node_id in range(3):
         cluster.nodes[node_id].spawn(client(node_id), "client")
     cluster.run(until=40.0)
-    assert cluster.settle(limit=120.0)
+    assert cluster.settle(within=80.0)
     return sum(waits) / len(waits), len(waits)
 
 

@@ -63,7 +63,7 @@ def main() -> None:
     cluster.sim.schedule(4.0, cluster.recover, 1)
 
     cluster.run(until=30.0)
-    assert cluster.settle(limit=200.0)
+    assert cluster.settle(within=170.0)
     verify_run(cluster)
 
     print("Certification outcome per replica:")

@@ -38,7 +38,7 @@ def main() -> None:
     cluster.sim.schedule(5.0, cluster.recover, 2)
 
     cluster.run(until=30.0)
-    assert cluster.settle(limit=120.0), "cluster did not quiesce"
+    assert cluster.settle(within=90.0), "cluster did not quiesce"
 
     sequences = {p: [m.payload for m in ab.deliver_sequence()]
                  for p, ab in cluster.abcasts.items()}

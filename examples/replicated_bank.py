@@ -36,7 +36,7 @@ def main() -> None:
     accounts = ("alice", "bob", "carol")
     for replica, account in enumerate(accounts):
         cluster.submit(replica, ("open", account, 1000))
-    assert cluster.settle(limit=30.0)
+    assert cluster.settle(within=30.0)
 
     # Then a storm of transfers from every replica.
     plan = []
@@ -52,7 +52,7 @@ def main() -> None:
                  bad_nodes=[4]).install(cluster.sim, cluster.nodes)
 
     cluster.run(until=30.0)
-    assert cluster.settle(limit=300.0)
+    assert cluster.settle(within=270.0)
     verify_run(cluster, good_nodes=[0, 1, 2, 3])
 
     print("Crash/recovery chaos survived:")

@@ -52,7 +52,7 @@ def main() -> None:
     cluster.sim.schedule(9.0, cluster.recover, 2)
 
     cluster.run(until=30.0)
-    assert cluster.settle(limit=200.0)
+    assert cluster.settle(within=170.0)
     verify_run(cluster)
 
     print("Replica states after crash, burst and recovery:")

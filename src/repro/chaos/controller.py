@@ -4,11 +4,12 @@ A controller owns one built cluster and replays a sorted list of
 :class:`~repro.chaos.events.ChaosEvent` against it: advance the clock to
 the event's instant, apply it, repeat.  Both runtimes share the event
 vocabulary and — through the one cluster surface of
-:class:`~repro.harness.cluster.ClusterCore` — the clock read, crashes
-and recoveries; what differs is how the clock advances (virtual
-``sim.run`` versus real ``run_for``) and which faults are expressible
-(the link matrix and disk faults exist on the simulator, clock skew on
-the live runtime).
+:class:`~repro.harness.cluster.ClusterCore` — the clock, crashes,
+recoveries, submissions and membership changes; what differs is which
+faults are expressible (the link matrix and disk faults exist on the
+simulator, clock skew on the live runtime).
+:func:`~repro.harness.scenario.run_scenario` builds the controller for
+a scenario's runtime and settles and verifies after the timeline.
 
 Disk faults are the interesting case: applying a ``torn_write`` event
 only *arms* the victim's :class:`~repro.storage.faulty.FaultyStorage`;
@@ -21,9 +22,9 @@ catches it, crashes the victim — volatile state gone, the torn record on
 faithful power-cut-mid-write, which is precisely the scenario the
 paper's ``log``-before-``send`` discipline exists for.
 
-After the timeline, :meth:`finish` restores a fair world (heal
-partitions, base loss, disarm disk faults, recover everyone), settles,
-and hands the cluster to :func:`~repro.harness.verify.verify_run`.
+A chaos timeline ends with a ``restore`` event: once every other event
+is spent it restores a fair world (heal partitions, base loss, disarm
+disk faults, recover everyone), so the run can settle.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.chaos.events import ChaosEvent
 from repro.chaos.inject import cut_off
 from repro.errors import OverloadError, SimulationError
-from repro.harness.verify import (VerificationReport,
-                                  verify_overload_safety, verify_run)
 from repro.storage.faulty import FaultyStorage, InjectedCrashFault
 
 __all__ = ["LiveChaosController", "SimChaosController"]
 
 
 class _BaseController:
-    """Shared timeline-replay loop (clock advancement is per-runtime)."""
+    """Shared timeline replay; the runtime-only faults live in subclasses."""
 
     def __init__(self, cluster: Any, base_loss: float):
         self.cluster = cluster
@@ -51,12 +50,6 @@ class _BaseController:
         # crashes, submit redirections): the reproducible ground truth.
         self.applied: List[ChaosEvent] = []
         self.fault_counts: Dict[str, int] = {}
-        # Overload accounting: every submission the timeline offered and
-        # how many the cluster's admission control turned away.  The
-        # overload-safety invariant `accepted + rejected == offered`
-        # checks against these.
-        self.submissions_offered = 0
-        self.submissions_rejected = 0
         self._heap: List[Tuple[float, int, ChaosEvent]] = []
         self._serial = 0
 
@@ -86,6 +79,15 @@ class _BaseController:
                 self.on_injected_fault(fault)
         self.advance(horizon)
 
+    def advance(self, until: float) -> None:
+        """Run the cluster's clock to ``until``, crashing the victim of
+        any disk fault that fires on the way."""
+        while self.now < until:
+            try:
+                self.cluster.run(until)
+            except InjectedCrashFault as fault:
+                self.on_injected_fault(fault)
+
     def record(self, event: ChaosEvent, count_as: Optional[str] = None) -> None:
         self.applied.append(event)
         kind = count_as or event.kind
@@ -108,13 +110,11 @@ class _BaseController:
             if not up:
                 return  # whole cluster down: the submission never happens
             target = min(up)
-        self.submissions_offered += 1
         try:
             self.cluster.submit(target, event.args["payload"])
         except OverloadError as busy:
             # The busy signal is part of the contract under saturation:
             # the rejection is counted, never silently lost.
-            self.submissions_rejected += 1
             self.record(ChaosEvent(self.now, "submit", node=target,
                                    payload=event.args["payload"],
                                    rejected=busy.reason),
@@ -132,6 +132,28 @@ class _BaseController:
         if not self.cluster.nodes[event.node].up:
             self.cluster.recover(event.node)
             self.record(event)
+
+    def _apply_loss(self, event: ChaosEvent) -> None:
+        self._set_loss(event.args["rate"])
+        self.record(event)
+
+    def _apply_loss_restore(self, event: ChaosEvent) -> None:
+        self._set_loss(self.base_loss)
+        self.record(event)
+
+    def _apply_restore(self, event: ChaosEvent) -> None:
+        """End the timeline in a fair world.  Not recorded: it is how a
+        chaos run ends, not a fault the run suffered."""
+        if self._heap:
+            # Events planned past the horizon (a late recovery, a disk
+            # crash's downtime) still come first.
+            self.push(ChaosEvent(max(when for when, _, _ in self._heap),
+                                 "restore"))
+            return
+        self._heal()
+        self.advance(self.now + 0.5)  # drain armed faults' last writes
+        for node_id in self.cluster.nodes:
+            self.cluster.recover(node_id)
 
     # -- membership churn ------------------------------------------------------
 
@@ -182,32 +204,23 @@ class _BaseController:
 
     # -- runtime-specific hooks ------------------------------------------------
 
-    def advance(self, until: float) -> None:
-        raise NotImplementedError
-
     def on_injected_fault(self, fault: InjectedCrashFault) -> None:
         raise fault  # only the simulator injects disk faults
 
-    def finish(self, settle_limit: float) -> VerificationReport:
+    def _set_loss(self, rate: float) -> None:
         raise NotImplementedError
+
+    def _heal(self) -> None:
+        """Undo every fault still in force (``restore``)."""
+        self._set_loss(self.base_loss)
 
 
 class SimChaosController(_BaseController):
     """Timeline replay against a simulated :class:`~repro.harness.cluster.Cluster`."""
 
-    runtime_name = "sim"
-
     def __init__(self, cluster: Any, base_loss: float):
         super().__init__(cluster, base_loss)
         self._disk_downtimes: Dict[int, float] = {}
-
-    def advance(self, until: float) -> None:
-        sim = self.cluster.sim
-        while sim.now < until:
-            try:
-                sim.run(until=until)
-            except InjectedCrashFault as fault:
-                self.on_injected_fault(fault)
 
     def on_injected_fault(self, fault: InjectedCrashFault) -> None:
         victim = fault.node_hint
@@ -219,6 +232,17 @@ class SimChaosController(_BaseController):
         downtime = self._disk_downtimes.pop(victim, 1.0)
         self.push(ChaosEvent(self.now + downtime, "recover", node=victim))
 
+    def _set_loss(self, rate: float) -> None:
+        self.cluster.network.config.loss_rate = rate
+
+    def _heal(self) -> None:
+        for node in self.cluster.nodes.values():
+            if isinstance(node.storage, FaultyStorage):
+                node.storage.disarm()  # also heals a limping disk
+        self.cluster.network.heal_all()
+        self.cluster.network.clear_node_delays()
+        super()._heal()
+
     # -- event handlers --------------------------------------------------------
 
     def _apply_partition(self, event: ChaosEvent) -> None:
@@ -227,14 +251,6 @@ class SimChaosController(_BaseController):
 
     def _apply_heal_all(self, event: ChaosEvent) -> None:
         self.cluster.network.heal_all()
-        self.record(event)
-
-    def _apply_loss(self, event: ChaosEvent) -> None:
-        self.cluster.network.config.loss_rate = event.args["rate"]
-        self.record(event)
-
-    def _apply_loss_restore(self, event: ChaosEvent) -> None:
-        self.cluster.network.config.loss_rate = self.base_loss
         self.record(event)
 
     def _apply_torn_write(self, event: ChaosEvent) -> None:
@@ -273,31 +289,6 @@ class SimChaosController(_BaseController):
         self.cluster.network.clear_node_delay(event.node)
         self.record(event)
 
-    # -- finish ---------------------------------------------------------------
-
-    def finish(self, settle_limit: float) -> VerificationReport:
-        """Restore a fair world, settle, verify."""
-        for node in self.cluster.nodes.values():
-            if isinstance(node.storage, FaultyStorage):
-                node.storage.disarm()  # also heals a limping disk
-        self.cluster.network.heal_all()
-        self.cluster.network.clear_node_delays()
-        self.cluster.network.config.loss_rate = self.base_loss
-        self.advance(self.now + 0.5)  # drain armed faults' last writes
-        for node_id in self.cluster.nodes:
-            self.cluster.recover(node_id)
-        settled = self.cluster.settle(limit=self.now + settle_limit)
-        if not settled:
-            raise SimulationError(
-                f"cluster failed to settle within {settle_limit} after "
-                f"the chaos timeline (termination suspect)")
-        report = verify_run(self.cluster)
-        if getattr(self.cluster, "flows", None):
-            # Overload runs additionally assert the flow-control
-            # contract: exact rejection accounting, bounded queues.
-            verify_overload_safety(self.cluster, report)
-        return report
-
 
 class LiveChaosController(_BaseController):
     """Timeline replay against a :class:`~repro.harness.live.LiveCluster`.
@@ -309,38 +300,9 @@ class LiveChaosController(_BaseController):
     rejected here (the nemesis battery never plans them for ``live``).
     """
 
-    runtime_name = "live"
-
-    def advance(self, until: float) -> None:
-        remaining = until - self.now
-        if remaining > 0:
-            self.cluster.run_for(remaining)
-        self.cluster.runtime.check_errors()
-
-    # -- event handlers --------------------------------------------------------
-
-    def _apply_loss(self, event: ChaosEvent) -> None:
-        self.cluster.network.loss_rate = event.args["rate"]
-        self.record(event)
-
-    def _apply_loss_restore(self, event: ChaosEvent) -> None:
-        self.cluster.network.loss_rate = self.base_loss
-        self.record(event)
+    def _set_loss(self, rate: float) -> None:
+        self.cluster.network.loss_rate = rate
 
     def _apply_clock_jump(self, event: ChaosEvent) -> None:
         self.cluster.runtime.jump_clock(event.args["delta"])
         self.record(event)
-
-    # -- finish ---------------------------------------------------------------
-
-    def finish(self, settle_limit: float) -> VerificationReport:
-        self.cluster.network.loss_rate = self.base_loss
-        for node_id in sorted(self.cluster.nodes):
-            self.cluster.recover(node_id)
-        settled = self.cluster.settle(limit=settle_limit)
-        self.cluster.runtime.check_errors()
-        if not settled:
-            raise SimulationError(
-                f"live cluster failed to settle within {settle_limit}s "
-                f"after the chaos timeline (termination suspect)")
-        return verify_run(self.cluster)

@@ -17,17 +17,16 @@ hide.
 from __future__ import annotations
 
 import random
-import tempfile
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.controller import LiveChaosController, SimChaosController
 from repro.chaos.events import ChaosEvent, format_timeline
 from repro.chaos.nemesis import MembershipChurnNemesis, Nemesis, \
     default_nemeses, overload_nemeses
 from repro.errors import ReproError
 from repro.flow.controller import FlowConfig
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.cluster import ClusterConfig
+from repro.harness.scenario import Scenario, run_scenario
 from repro.storage.faulty import FaultyStorage
 from repro.storage.memory import MemoryStorage
 from repro.transport.network import NetworkConfig
@@ -199,8 +198,10 @@ def _flow_config(params: Dict[str, Any]) -> Optional[FlowConfig]:
                       max_unordered=params["max_unordered"])
 
 
-def _build_sim(config: ChaosConfig, params: Dict[str, Any]) -> Tuple[
-        Any, SimChaosController]:
+def _scenario(config: ChaosConfig, params: Dict[str, Any],
+              events: List[ChaosEvent]) -> Scenario:
+    """The seed's scenario: its cluster, then its timeline ending in a
+    fair world (``restore``).  Live clusters ignore the disk factory."""
     disk_seed_base = params["cluster_seed"]
 
     def faulty_factory(node_id: int) -> FaultyStorage:
@@ -209,28 +210,16 @@ def _build_sim(config: ChaosConfig, params: Dict[str, Any]) -> Tuple[
             rng=random.Random(f"disk:{disk_seed_base}:{node_id}"),
             node_hint=node_id)
 
-    cluster = Cluster(ClusterConfig(
-        n=params["n"],
-        seed=params["cluster_seed"],
+    cluster = ClusterConfig(
+        n=params["n"], seed=params["cluster_seed"],
         protocol=params["protocol"],
         network=NetworkConfig(loss_rate=params["base_loss"]),
-        stubborn=params["stubborn"],
-        storage_factory=faulty_factory,
-        flow=_flow_config(params)))
-    return cluster, SimChaosController(cluster, params["base_loss"])
-
-
-def _build_live(config: ChaosConfig, params: Dict[str, Any],
-                directory: str) -> Tuple[Any, LiveChaosController]:
-    from repro.harness.live import LiveCluster
-    cluster = LiveCluster(ClusterConfig(
-        n=params["n"],
-        seed=params["cluster_seed"],
-        protocol=params["protocol"],
-        network=NetworkConfig(loss_rate=params["base_loss"]),
-        stubborn=params["stubborn"],
-        flow=_flow_config(params)), directory)
-    return cluster, LiveChaosController(cluster, params["base_loss"])
+        stubborn=params["stubborn"], storage_factory=faulty_factory,
+        flow=_flow_config(params))
+    return Scenario(cluster, runtime=config.runtime,
+                    timeline=events + [ChaosEvent(config.horizon, "restore")],
+                    duration=config.horizon,
+                    settle_limit=config.horizon + config.settle_limit)
 
 
 def _collect_counters(cluster: Any,
@@ -265,31 +254,21 @@ def _collect_counters(cluster: Any,
     return counters
 
 
-def run_seed(config: ChaosConfig, seed: int,
-             directory: Optional[str] = None) -> SeedResult:
+def run_seed(config: ChaosConfig, seed: int) -> SeedResult:
     """Run one fully-derived scenario and verify the paper's properties."""
     params, _, events = plan_scenario(config, seed)
-    if config.runtime == "sim":
-        cluster, controller = _build_sim(config, params)
-    else:
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix=f"chaos-live-{seed}-")
-        cluster, controller = _build_live(config, params, directory)
     try:
-        cluster.start()
-        controller.run_timeline(events, config.horizon)
-        controller.finish(config.settle_limit)
+        result = run_scenario(_scenario(config, params, events))
         error = None
-    except ReproError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    except Exception:
-        error = traceback.format_exc()
-    finally:
-        counters = _collect_counters(cluster, controller)
-        if config.runtime == "live":
-            cluster.close()
-    return SeedResult(seed, error is None, params, controller.applied,
-                      counters, error)
+    except Exception as exc:
+        result = getattr(exc, "scenario_result", None)
+        if result is None:
+            raise  # no cluster was built: nothing ran to report on
+        error = f"{type(exc).__name__}: {exc}" \
+            if isinstance(exc, ReproError) else traceback.format_exc()
+    return SeedResult(seed, error is None, params, result.timeline,
+                      _collect_counters(result.cluster, result.controller),
+                      error)
 
 
 def explore(config: ChaosConfig,

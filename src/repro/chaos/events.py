@@ -1,8 +1,10 @@
 """The chaos timeline vocabulary.
 
-A scenario is a list of :class:`ChaosEvent` records sorted by time; the
+A timeline is a list of :class:`ChaosEvent` records sorted by time; the
 controller applies each one to the running cluster when the clock
-reaches it.  Events are plain data — building a timeline performs no
+reaches it.  Every scenario :func:`~repro.harness.scenario.run_scenario`
+runs — a chaos seed, churn, overload, the CLI's live cross-check — is
+driven by one.  Events are plain data — building a timeline performs no
 side effects — so a scenario can be printed, compared and replayed
 verbatim, which is what makes failing seeds reproducible.
 """
@@ -26,11 +28,13 @@ __all__ = ["ChaosEvent", "format_timeline", "KINDS"]
 # ``slow_disk`` gives a victim's FaultyStorage a per-write latency draw
 # (``slow_disk_restore`` heals it); ``limp`` adds constant delay to
 # every message touching a slow-but-alive victim (``limp_restore``
-# heals it).
+# heals it).  ``restore`` ends a chaos timeline: after every other event
+# it heals all faults still in force and recovers every crashed node.
 KINDS = ("crash", "recover", "partition", "heal_all", "loss",
          "loss_restore", "torn_write", "clock_jump", "submit",
          "join", "leave", "evict",
-         "slow_disk", "slow_disk_restore", "limp", "limp_restore")
+         "slow_disk", "slow_disk_restore", "limp", "limp_restore",
+         "restore")
 
 
 class ChaosEvent:

@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.lint import add_lint_arguments, execute_lint
+from repro.chaos.events import ChaosEvent
 from repro.chaos.inject import RandomFaults
 from repro.core.alternative import AlternativeConfig
 from repro.errors import ReproError, VerificationError
-from repro.harness.cluster import PROTOCOLS, Cluster, ClusterConfig
-from repro.harness.live import LiveCluster
+from repro.harness.cluster import PROTOCOLS, ClusterConfig
 from repro.harness.report import format_table
-from repro.harness.scenario import Scenario, run_scenario
-from repro.harness.verify import verify_run
+from repro.harness.scenario import Scenario, check_reproducible, \
+    run_scenario
 from repro.runtime import Tracer
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload
@@ -158,137 +157,96 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _network(args) -> NetworkConfig:
-    return NetworkConfig(loss_rate=args.loss,
-                         duplicate_rate=args.duplicates)
-
-
-def _live_plan(args) -> Tuple[List[Tuple[float, str]], float, float]:
-    """The scripted live workload: submissions + one kill/restart.
-
-    A single sender keeps the A-delivery order a pure function of the
-    submission sequence (batches always respect the deterministic
-    MessageId order), so the live run is comparable to a sim replay of
-    the same plan even though live timing is non-deterministic.
-    """
-    count = max(1, int(args.rate * args.duration))
-    window = 0.6 * args.duration
-    submissions = [(0.1 + i * window / count, f"live-{i}")
-                   for i in range(count)]
-    kill_at = 0.45 * args.duration
-    restart_at = 0.75 * args.duration
-    return submissions, kill_at, restart_at
-
-
-def _canonical_payloads(cluster: Any) -> List[Any]:
-    """Verify the run and return its canonical payload sequence."""
-    report = verify_run(cluster)
-    payloads = cluster.collector.broadcast_payloads
-    return [payloads[mid] for mid in report.canonical]
-
-
-def _replay_in_sim(args, config: ClusterConfig,
-                   submissions: List[Tuple[float, str]],
-                   kill_at: float, restart_at: float,
-                   victim: int) -> List[Any]:
-    """Run the live plan on the deterministic runtime for comparison."""
-    cluster = Cluster(config)
-    cluster.start()
-    for when, payload in submissions:
-        cluster.sim.schedule(when, cluster.submit, 0, payload)
-    cluster.sim.schedule(kill_at, cluster.crash, victim)
-    cluster.sim.schedule(restart_at, cluster.recover, victim)
-    cluster.sim.run(until=args.duration)
-    if not cluster.settle(limit=args.duration * 20):
-        raise VerificationError("sim replay did not settle")
-    return _canonical_payloads(cluster)
-
-
-def _run_live(args) -> int:
-    """One live run (asyncio + UDP + files) cross-checked against sim."""
-    if args.faults == "random":
-        raise ReproError(
-            "--faults random is not supported with --runtime live; the "
-            "live runner always injects one scripted kill/restart")
+def _cluster_config(args) -> ClusterConfig:
     alt = AlternativeConfig(
         checkpoint_interval=args.checkpoint_interval or None,
         delta=args.delta or None,
         log_unordered=args.log_unordered)
-    config = ClusterConfig(n=args.nodes, seed=args.seed,
-                           protocol=args.protocol,
-                           network=_network(args), alt=alt)
-    submissions, kill_at, restart_at = _live_plan(args)
+    return ClusterConfig(n=args.nodes, seed=args.seed,
+                         protocol=args.protocol,
+                         network=NetworkConfig(
+                             loss_rate=args.loss,
+                             duplicate_rate=args.duplicates),
+                         alt=alt)
+
+
+def _print_trace(args, tracer: Optional[Tracer]) -> None:
+    if tracer is not None:
+        print(f"\nlast {args.trace} trace events "
+              f"({len(tracer)} recorded; counts {tracer.counts()}):")
+        print(tracer.format_text(limit=args.trace))
+
+
+def _run_live(args) -> int:
+    """One live run (asyncio + UDP + files) cross-checked against sim.
+
+    A single sender keeps the A-delivery order a pure function of the
+    submission sequence (batches always respect the deterministic
+    MessageId order), so the live run of the timeline is comparable to
+    a sim run of the same timeline even though live timing is
+    non-deterministic.
+    """
+    if args.faults == "random":
+        raise ReproError(
+            "--faults random is not supported with --runtime live; the "
+            "live runner always injects one scripted kill/restart")
+    count = max(1, int(args.rate * args.duration))
+    window = 0.6 * args.duration
     victim = args.nodes - 1
-    with tempfile.TemporaryDirectory(prefix="repro-live-") as directory:
-        cluster = LiveCluster(config, directory)
-        with cluster:
-            tracer = None
-            if args.trace:
-                tracer = Tracer()
-                cluster.runtime.tracer = tracer
-            cluster.start()
-            for when, payload in submissions:
-                cluster.runtime.schedule(when, cluster.submit, 0, payload)
-            cluster.run_for(kill_at)
-            cluster.crash(victim)
-            cluster.run_for(restart_at - kill_at)
-            cluster.recover(victim)
-            cluster.run_for(max(0.0, args.duration - restart_at))
-            if not cluster.settle(limit=max(10.0, args.duration)):
-                raise VerificationError("live run did not settle")
-            live_order = _canonical_payloads(cluster)
-            victim_node = cluster.nodes[victim]
-            net = cluster.network.metrics.snapshot()
-            wall = cluster.runtime.now
-    sim_order = _replay_in_sim(args, config, submissions, kill_at,
-                               restart_at, victim)
-    match = live_order == sim_order
+    timeline = [ChaosEvent(0.1 + i * window / count, "submit", node=0,
+                           payload=f"live-{i}") for i in range(count)]
+    timeline += [ChaosEvent(0.45 * args.duration, "crash", node=victim),
+                 ChaosEvent(0.75 * args.duration, "recover", node=victim)]
+    timeline.sort(key=lambda event: event.time)
+    tracer = Tracer() if args.trace else None
+    results = {runtime: run_scenario(Scenario(
+        _cluster_config(args), runtime=runtime, timeline=timeline,
+        duration=args.duration,
+        settle_limit=args.duration + max(10.0, args.duration),
+        tracer=tracer if runtime == "live" else None))
+        for runtime in ("live", "sim")}
+    orders = {runtime: [result.cluster.collector.broadcast_payloads[mid]
+                        for mid in result.report.canonical]
+              for runtime, result in results.items()}
+    live = results["live"]
+    net = live.metrics.network
+    match = orders["live"] == orders["sim"]
     print(format_table(
         f"live · {args.protocol} · n={args.nodes} · seed={args.seed} · "
         f"loss={args.loss} (injected, over UDP)",
         ["metric", "value"],
         [
-            ["messages broadcast", len(submissions)],
-            ["messages delivered (canonical)", len(live_order)],
+            ["messages broadcast", count],
+            ["messages delivered (canonical)", len(orders["live"])],
             ["kill/restart survived",
-             f"node {victim} (recoveries: {victim_node.recovery_count})"],
+             f"node {victim} (recoveries: "
+             f"{live.cluster.nodes[victim].recovery_count})"],
             ["UDP datagrams sent", net["sent"]],
             ["injected loss / duplicates",
              f"{net['lost']} / {net['duplicated']}"],
-            ["wall-clock time (s)", round(wall, 2)],
+            ["wall-clock time (s)", round(live.metrics.duration, 2)],
             ["properties verified", "yes"],
             ["delivery order matches sim", "yes" if match else "NO"],
         ]))
-    if tracer is not None:
-        print(f"\nlast {args.trace} trace events "
-              f"({len(tracer)} recorded; counts {tracer.counts()}):")
-        print(tracer.format_text(limit=args.trace))
+    _print_trace(args, tracer)
     if not match:
         raise VerificationError(
             f"live delivery order diverged from sim: "
-            f"live={live_order} sim={sim_order}")
+            f"live={orders['live']} sim={orders['sim']}")
     return 0
 
 
 def _run(args) -> int:
     if args.runtime == "live":
         return _run_live(args)
-    alt = AlternativeConfig(
-        checkpoint_interval=args.checkpoint_interval or None,
-        delta=args.delta or None,
-        log_unordered=args.log_unordered)
     faults = None
     if args.faults == "random":
         faults = RandomFaults(mttf=args.mttf, mttr=args.mttr,
                               stabilize_at=args.duration * 1.2,
                               seed=args.seed)
-    tracer = None
-    if args.trace:
-        tracer = Tracer()
+    tracer = Tracer() if args.trace else None
     result = run_scenario(Scenario(
-        cluster=ClusterConfig(n=args.nodes, seed=args.seed,
-                              protocol=args.protocol,
-                              network=_network(args), alt=alt),
+        cluster=_cluster_config(args),
         workload=PoissonWorkload(args.rate, args.duration,
                                  seed=args.seed),
         faults=faults,
@@ -317,10 +275,7 @@ def _run(args) -> int:
                  for stats in metrics.node_stats.values())],
             ["properties verified", "yes"],
         ]))
-    if tracer is not None:
-        print(f"\nlast {args.trace} trace events "
-              f"({len(tracer)} recorded; counts {tracer.counts()}):")
-        print(tracer.format_text(limit=args.trace))
+    _print_trace(args, tracer)
     return 0
 
 
@@ -354,34 +309,26 @@ def _chaos(args) -> int:
 
 
 def _churn(args) -> int:
-    from repro.membership.scenario import (check_churn_reproducibility,
-                                           run_churn_scenario)
+    from repro.membership.scenario import ChurnReport, churn_scenario
+    scenario = churn_scenario(seed=args.seed, runtime=args.runtime,
+                              settle_limit=args.settle_limit)
     if args.check_reproducibility:
-        if args.runtime != "sim":
-            raise ReproError("--check-reproducibility requires the "
-                             "deterministic sim runtime")
-        report = check_churn_reproducibility(seed=args.seed)
-        print(report.describe())
+        print(ChurnReport(check_reproducible(scenario)).describe())
         print("\nview-install timeline bit-identical across re-runs: yes")
         return 0
-    report = run_churn_scenario(seed=args.seed, runtime=args.runtime,
-                                settle_limit=args.settle_limit)
-    print(report.describe())
+    print(ChurnReport(run_scenario(scenario)).describe())
     return 0
 
 
 def _overload(args) -> int:
-    from repro.flow.scenario import (check_overload_reproducibility,
-                                     run_saturation_scenario)
+    from repro.flow.scenario import OverloadReport, overload_scenario
+    scenario = overload_scenario(seed=args.seed,
+                                 settle_limit=args.settle_limit)
     if args.check_reproducibility:
-        report = check_overload_reproducibility(
-            seed=args.seed, settle_limit=args.settle_limit)
-        print(report.describe())
+        print(OverloadReport(check_reproducible(scenario)).describe())
         print("\noverload signature bit-identical across re-runs: yes")
         return 0
-    report = run_saturation_scenario(seed=args.seed,
-                                     settle_limit=args.settle_limit)
-    print(report.describe())
+    print(OverloadReport(run_scenario(scenario)).describe())
     return 0
 
 

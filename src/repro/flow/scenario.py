@@ -1,50 +1,51 @@
 """The canonical overload scenario: saturate, limp, drain, verify.
 
-One seeded script drives the whole overload-robustness surface in a
-single simulated run:
+One seeded scenario drives the whole overload-robustness surface in a
+single simulated run of :func:`~repro.harness.scenario.run_scenario`:
 
 * start at ``n = 3`` with admission control **on** (token bucket at
   4 msg/s per node, burst 4, at most 16 unordered messages in flight)
   and a deliberately tight stubborn channel (window 4, backlog bound
   16) so every volatile queue in the stack is exercised near its bound;
-* **gray failure**: node 2's disk turns slow for the first stretch of
-  the run — every write stalls by a seeded draw, and the stall freezes
-  the whole process (inbound messages defer past the stall horizon),
-  the classic limping-but-alive fault;
-* **saturation burst**: a client offers 120 broadcasts to node 0
-  inside one virtual second — more than ten times what the bucket
-  refills in that window — retrying each rejection with seeded,
-  jittered exponential backoff until it is accepted or the retry
-  budget is exhausted;
-* **drain and verify**: once no retry is pending the run settles and
-  the full :func:`~repro.harness.verify.verify_run` predicate set runs,
-  followed by :func:`~repro.harness.verify.verify_overload_safety` with
-  the client's exact attempt counts — every admission attempt is
-  accounted (``accepted + rejected == offered``), every accepted
-  broadcast was delivered, and no queue exceeded its configured bound.
+* **gray failure**: the timeline gives node 2 a slow disk for the first
+  stretch of the run — every write stalls by a seeded draw, and the
+  stall freezes the whole process (inbound messages defer past the
+  stall horizon), the classic limping-but-alive fault;
+* **saturation burst**: a :class:`~repro.workloads.generators.ScheduledWorkload`
+  offers 120 broadcasts to node 0 inside one virtual second — more than
+  ten times what the bucket refills in that window — and retries each
+  rejection with seeded, jittered exponential backoff until it is
+  accepted or the retry budget is exhausted;
+* **drain and verify**: the runner waits until no retry is pending,
+  settles, and runs :func:`~repro.harness.verify.verify_run` followed by
+  :func:`~repro.harness.verify.verify_overload_safety` with the
+  workload's exact attempt counts — every admission attempt is
+  accounted (``accepted + rejected == offered``) and no queue exceeded
+  its configured bound.  Node 0 never crashes, so Termination already
+  demands that every accepted broadcast was delivered.
 
 Everything is a pure function of the seed: the backoff jitter, the
 disk-stall draws and the protocol schedule all come from streams seeded
-by it, so :func:`check_overload_reproducibility` re-runs the same seed
-and demands a bit-identical :meth:`OverloadReport.signature`.
+by it, so :func:`~repro.harness.scenario.check_reproducible` re-runs the
+same seed and demands a bit-identical signature.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Tuple
+from collections import Counter
+from typing import Dict
 
-from repro.errors import OverloadError, VerificationError
-from repro.flow.controller import BackoffPolicy, FlowConfig
-from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.verify import VerificationReport, verify_overload_safety, \
-    verify_run
+from repro.chaos.events import ChaosEvent
+from repro.flow.controller import FlowConfig
+from repro.harness.cluster import ClusterConfig
+from repro.harness.scenario import Scenario, ScenarioResult
 from repro.storage.faulty import FaultyStorage
 from repro.storage.memory import MemoryStorage
 from repro.transport.stubborn import StubbornConfig
+from repro.workloads.generators import ScheduledWorkload
 
-__all__ = ["OverloadReport", "check_overload_reproducibility",
-           "run_saturation_scenario"]
+__all__ = ["OverloadReport", "overload_scenario"]
 
 # The scenario's fixed shape (the seed varies the draws, not the plan).
 _N = 3
@@ -57,47 +58,69 @@ _FLOW = dict(rate=4.0, burst=4, max_unordered=16)
 _STUBBORN = dict(window=4, max_backlog=16)
 
 
+def overload_scenario(seed: int = 0,
+                      settle_limit: float = 300.0) -> Scenario:
+    """The scripted saturation scenario for one seed.
+
+    Simulator only: the point of the scenario is exact accounting under
+    overload, which needs the virtual clock (the live runtime gets its
+    overload coverage from ``repro chaos --runtime live --overload``).
+    The run must settle within ``settle_limit`` virtual seconds of the
+    disk healing.
+    """
+    def faulty_factory(node_id: int) -> FaultyStorage:
+        return FaultyStorage(
+            MemoryStorage(),
+            rng=random.Random(f"overload-disk:{seed}:{node_id}"),  # repro: noqa(DET004) -- private stream from the scenario seed
+            node_hint=node_id)
+
+    # 120 broadcasts offered to node 0 inside one virtual second.  The
+    # bucket refills 4/s and holds a burst of 4, so the window admits at
+    # most ~8 — the offered load is >10x sustainable.
+    burst = ScheduledWorkload(
+        [(_BURST_START + _BURST_SPAN * index / _BURST, 0,
+          f"overload-{seed}-{index}") for index in range(_BURST)],
+        seed=seed)
+    return Scenario(
+        ClusterConfig(n=_N, seed=seed, protocol="basic",
+                      stubborn=StubbornConfig(**_STUBBORN),
+                      storage_factory=faulty_factory,
+                      flow=FlowConfig(**_FLOW)),
+        workload=burst,
+        timeline=[ChaosEvent(0.0, "slow_disk", node=_VICTIM,
+                             low=0.05, high=0.2),
+                  ChaosEvent(_SLOW_DISK_UNTIL, "slow_disk_restore",
+                             node=_VICTIM)],
+        duration=_SLOW_DISK_UNTIL,
+        settle_limit=_SLOW_DISK_UNTIL + settle_limit)
+
+
 class OverloadReport:
-    """Everything one saturation run establishes (and its reproducibility
-    fingerprint)."""
+    """What one saturation run established, read off its finished cluster
+    and workload."""
 
-    def __init__(self, verification: VerificationReport,
-                 offered: int, accepted: int, rejected: int,
-                 rejected_by_reason: Dict[str, int],
-                 retries: int, gave_up: int, delivered: int,
-                 slow_writes: int, backlog_overflows: int,
-                 backlog_high_water: int, unordered_high_water: int,
-                 flow_snapshots: Dict[int, Dict[str, Any]],
-                 end_time: float):
-        self.verification = verification
-        self.offered = offered
-        self.accepted = accepted
-        self.rejected = rejected
-        self.rejected_by_reason = rejected_by_reason
-        self.retries = retries
-        self.gave_up = gave_up
-        self.delivered = delivered
-        self.slow_writes = slow_writes
-        self.backlog_overflows = backlog_overflows
-        self.backlog_high_water = backlog_high_water
-        self.unordered_high_water = unordered_high_water
-        self.flow_snapshots = flow_snapshots
-        self.end_time = end_time
-
-    def signature(self) -> Tuple[Any, ...]:
-        """The unit of reproducibility: every counter the run produced,
-        plus the virtual time it finished at.  Two same-seed runs must
-        produce equal signatures bit for bit."""
-        per_node = tuple(
-            (node_id, snap["accepted"], snap["rejected"],
-             tuple(sorted(snap["rejected_by_reason"].items())))
-            for node_id, snap in sorted(self.flow_snapshots.items()))
-        return (self.offered, self.accepted, self.rejected,
-                tuple(sorted(self.rejected_by_reason.items())),
-                self.retries, self.gave_up, self.delivered,
-                self.slow_writes, self.backlog_overflows,
-                self.backlog_high_water, self.unordered_high_water,
-                per_node, self.end_time)
+    def __init__(self, result: ScenarioResult):
+        cluster, workload = result.cluster, result.scenario.workload
+        flows = cluster.flows.values()
+        stubborn = cluster.stubborn.metrics
+        self.verification = result.report
+        self.offered = workload.offered
+        self.accepted = sum(controller.accepted for controller in flows)
+        self.rejected = sum(controller.rejected for controller in flows)
+        self.rejected_by_reason: Dict[str, int] = dict(sum(
+            (Counter(controller.rejected_by_reason) for controller in flows),
+            Counter()))
+        self.retries = workload.retries
+        self.gave_up = workload.gave_up
+        self.delivered = len(cluster.collector.first_delivery)
+        self.slow_writes = \
+            cluster.nodes[_VICTIM].storage.injected["slow_write"]
+        self.backlog_overflows = stubborn.backlog_overflows
+        self.backlog_high_water = stubborn.backlog_high_water
+        self.unordered_high_water = max(
+            getattr(abcast, "unordered_high_water", 0)
+            for abcast in cluster.abcasts.values())
+        self.end_time = result.metrics.duration
 
     def describe(self) -> str:
         lines = [
@@ -117,180 +140,3 @@ class OverloadReport:
             f"unordered {self.unordered_high_water}",
         ]
         return "\n".join(lines)
-
-
-class _SaturationClient:
-    """The load generator: offers broadcasts and retries rejections.
-
-    Every admission attempt — first tries and retries alike — goes
-    through :meth:`Cluster.submit` and therefore through the node's
-    :class:`~repro.flow.controller.FlowController`, so the client's
-    ``attempts`` counter must equal the controllers' summed ``offered``
-    at the end of the run (verified).  Retry delays come from one
-    stream seeded by the scenario seed; nothing else feeds it.
-    """
-
-    def __init__(self, cluster: Cluster, seed: int):
-        self.cluster = cluster
-        self.policy = BackoffPolicy()
-        self.rng = random.Random(f"overload-backoff:{seed}")  # repro: noqa(DET004) -- private stream from the scenario seed
-        self.attempts = 0
-        self.rejected_attempts = 0
-        self.retries = 0
-        self.gave_up = 0
-        self.pending = 0          # broadcasts still being retried
-        self.accepted_payloads: List[str] = []
-
-    def offer(self, node_id: int, payload: str) -> None:
-        self.pending += 1
-        self._attempt(node_id, payload, 0)
-
-    def _attempt(self, node_id: int, payload: str, attempt: int) -> None:
-        self.attempts += 1
-        try:
-            self.cluster.submit(node_id, payload)
-        except OverloadError:
-            self.rejected_attempts += 1
-            delay = self.policy.delay(attempt, self.rng)
-            if delay is None:
-                self.gave_up += 1
-                self.pending -= 1
-                return
-            self.retries += 1
-            self.cluster.sim.schedule(
-                delay, self._attempt, node_id, payload, attempt + 1)
-            return
-        self.accepted_payloads.append(payload)
-        self.pending -= 1
-
-
-def _build(seed: int) -> Cluster:
-    def faulty_factory(node_id: int) -> FaultyStorage:
-        return FaultyStorage(
-            MemoryStorage(),
-            rng=random.Random(f"overload-disk:{seed}:{node_id}"),  # repro: noqa(DET004) -- private stream from the scenario seed
-            node_hint=node_id)
-
-    return Cluster(ClusterConfig(
-        n=_N, seed=seed, protocol="basic",
-        stubborn=StubbornConfig(**_STUBBORN),
-        storage_factory=faulty_factory,
-        flow=FlowConfig(**_FLOW)))
-
-
-def _run(seed: int, settle_limit: float) -> OverloadReport:
-    cluster = _build(seed)
-    cluster.start()
-
-    # Gray failure first: the victim's disk limps through the burst.
-    victim = cluster.nodes[_VICTIM]
-    storage = victim.storage
-    assert isinstance(storage, FaultyStorage)
-    storage.set_latency(0.05, 0.2)
-    storage.on_stall = victim.stall
-    cluster.sim.schedule(_SLOW_DISK_UNTIL, storage.clear_latency)
-
-    # Saturation: 120 broadcasts offered to node 0 inside one virtual
-    # second.  The bucket refills 4/s and holds a burst of 4, so the
-    # window admits at most ~8 — the offered load is >10x sustainable.
-    client = _SaturationClient(cluster, seed)
-    for index in range(_BURST):
-        offset = _BURST_START + _BURST_SPAN * index / _BURST
-        cluster.sim.schedule(offset, client.offer, 0,
-                             f"overload-{seed}-{index}")
-
-    # Drain: run until every broadcast is either accepted or given up.
-    # The retry schedule is finite (max_retries caps each chain), so
-    # this loop terminates; the horizon guard catches regressions.
-    horizon = cluster.sim.now + settle_limit
-    cluster.run(until=_BURST_START + _BURST_SPAN)
-    while client.pending and cluster.sim.now < horizon:
-        cluster.run(until=cluster.sim.now + 1.0)
-    if client.pending:
-        raise VerificationError(
-            f"overload scenario (seed {seed}): {client.pending} "
-            f"broadcasts still retrying after {settle_limit} virtual "
-            f"seconds — the backoff schedule must be finite")
-
-    if not cluster.settle(limit=cluster.sim.now + settle_limit):
-        raise VerificationError(
-            f"overload scenario (seed {seed}) failed to settle within "
-            f"{settle_limit} after the drain")
-
-    verification = verify_run(cluster)
-    verify_overload_safety(cluster, offered=client.attempts,
-                           rejected=client.rejected_attempts)
-
-    # Every accepted broadcast must have been delivered somewhere: an
-    # admitted-then-lost message would mean admission control turned
-    # into silent message loss.
-    delivered_payloads = {
-        cluster.collector.broadcast_payloads[mid]
-        for mid in cluster.collector.first_delivery
-        if mid in cluster.collector.broadcast_payloads}
-    missing = [payload for payload in client.accepted_payloads
-               if payload not in delivered_payloads]
-    if missing:
-        raise VerificationError(
-            f"overload scenario (seed {seed}): {len(missing)} accepted "
-            f"broadcast(s) never delivered (first: {missing[0]!r})")
-
-    assert cluster.stubborn is not None
-    metrics = cluster.stubborn.metrics
-    unordered_high = max(
-        getattr(abcast, "unordered_high_water", 0)
-        for abcast in cluster.abcasts.values())
-    snapshots = {node_id: controller.snapshot()
-                 for node_id, controller in sorted(cluster.flows.items())}
-    accepted = sum(c.accepted for c in cluster.flows.values())
-    rejected = sum(c.rejected for c in cluster.flows.values())
-    by_reason: Dict[str, int] = {}
-    for controller in cluster.flows.values():
-        for reason, count in controller.rejected_by_reason.items():
-            by_reason[reason] = by_reason.get(reason, 0) + count
-    return OverloadReport(
-        verification=verification,
-        offered=client.attempts,
-        accepted=accepted,
-        rejected=rejected,
-        rejected_by_reason=by_reason,
-        retries=client.retries,
-        gave_up=client.gave_up,
-        delivered=len(cluster.collector.first_delivery),
-        slow_writes=storage.injected["slow_write"],
-        backlog_overflows=metrics.backlog_overflows,
-        backlog_high_water=metrics.backlog_high_water,
-        unordered_high_water=unordered_high,
-        flow_snapshots=snapshots,
-        end_time=cluster.sim.now)
-
-
-def run_saturation_scenario(seed: int = 0,
-                            settle_limit: float = 300.0) -> OverloadReport:
-    """Run the scripted saturation scenario once and verify it end to end.
-
-    Runs on the simulator only: the point of the scenario is exact
-    accounting under overload, which needs the virtual clock (the live
-    runtime gets its overload coverage from ``repro chaos --overload``
-    and the send-buffer bound instead).
-    """
-    return _run(seed, settle_limit)
-
-
-def check_overload_reproducibility(
-        seed: int = 0, settle_limit: float = 300.0) -> OverloadReport:
-    """Run the scenario twice; demand bit-identical signatures.
-
-    The signature covers every admission decision, every retry, every
-    queue high-water mark and the virtual settle time — if any of them
-    drifts between same-seed runs, the flow layer has picked up a
-    hidden source of nondeterminism.
-    """
-    first = _run(seed, settle_limit)
-    second = _run(seed, settle_limit)
-    if first.signature() != second.signature():
-        raise VerificationError(
-            f"overload scenario (seed {seed}) is not reproducible: "
-            f"signatures diverge\n  first:  {first.signature()}\n"
-            f"  second: {second.signature()}")
-    return first

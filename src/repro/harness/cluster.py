@@ -224,8 +224,14 @@ class ClusterCore:
     add only how the runtime and medium are constructed, which storage
     a node gets (:meth:`_storage`), what happens to its socket and
     storage handle around going up and down (:meth:`_open`,
-    :meth:`_close`) and how the clock is driven.
+    :meth:`_close`) and how the clock is driven: ``run(until)`` to an
+    instant of the runtime's clock, ``run_for(seconds)`` by a span of
+    it, and :attr:`SETTLE_INTERVAL` between two checks of
+    :meth:`settle`.
     """
+
+    #: Seconds of the runtime's clock between two settled-checks.
+    SETTLE_INTERVAL: float
 
     def __init__(self, config: ClusterConfig, runtime: Any, network: Any,
                  stubborn: Optional[StubbornConfig]):
@@ -421,6 +427,22 @@ class ClusterCore:
                 return False
         return True
 
+    def settle(self, within: float) -> bool:
+        """Keep running until every up node has delivered every broadcast
+        message, or ``within`` more seconds of the runtime's clock pass.
+        Returns ``True`` when fully settled.
+
+        The predicate is checked every :attr:`SETTLE_INTERVAL`, so the
+        check grid starts at the current instant on both runtimes.
+        """
+        target = len(self.collector.broadcast_times)
+        deadline = self.runtime.now + within
+        while self.runtime.now < deadline:
+            if self._settled(target):
+                return True
+            self.run(min(deadline, self.runtime.now + self.SETTLE_INTERVAL))
+        return self._settled(target)
+
     # -- reporting -----------------------------------------------------------------
 
     def app(self, node_id: int) -> Any:
@@ -476,6 +498,8 @@ class ClusterCore:
 class Cluster(ClusterCore):
     """A built, ready-to-run cluster on the deterministic simulator."""
 
+    SETTLE_INTERVAL = 1.0
+
     def __init__(self, config: ClusterConfig):
         sim = Simulator(seed=config.seed)
         super().__init__(config, sim,
@@ -487,16 +511,9 @@ class Cluster(ClusterCore):
         return self.config.storage_factory(node_id)
 
     def run(self, until: float) -> float:
-        """Advance virtual time."""
+        """Advance virtual time to ``until``."""
         return self.sim.run(until=until)
 
-    def settle(self, limit: float, check_interval: float = 1.0) -> bool:
-        """Keep running until every up node has delivered every broadcast
-        message, or ``limit`` virtual time passes.  Returns ``True`` when
-        fully settled."""
-        target = len(self.collector.broadcast_times)
-        while self.sim.now < limit:
-            if self._settled(target):
-                return True
-            self.sim.run(until=min(limit, self.sim.now + check_interval))
-        return self._settled(target)
+    def run_for(self, seconds: float) -> float:
+        """Advance virtual time by ``seconds``."""
+        return self.sim.run(until=self.sim.now + seconds)

@@ -82,22 +82,20 @@ class LiveCluster(ClusterCore):
     kill = ClusterCore.crash
     restart = ClusterCore.recover
 
+    SETTLE_INTERVAL = 0.1
+
     def run_for(self, seconds: float) -> None:
         """Drive the event loop for ``seconds`` of wall-clock time."""
         self.runtime.run_for(seconds)
 
-    def settle(self, limit: float, check_interval: float = 0.1) -> bool:
-        """Keep running until every up node has delivered every broadcast
-        message, or ``limit`` further wall-clock seconds pass.  Returns
-        ``True`` when fully settled."""
-        target = len(self.collector.broadcast_times)
-        deadline = self.runtime.now + limit
-        while self.runtime.now < deadline:
-            self.runtime.check_errors()
-            if self._settled(target):
-                return True
-            self.run_for(check_interval)
-        return self._settled(target)
+    def run(self, until: float) -> float:
+        """Drive the event loop up to ``until`` on the runtime clock, then
+        re-raise the first exception a protocol callback raised."""
+        remaining = until - self.runtime.now
+        if remaining > 0:
+            self.run_for(remaining)
+        self.runtime.check_errors()
+        return self.runtime.now
 
     def close(self) -> None:
         """Tear the cluster down: crash nodes, close sockets and the loop.

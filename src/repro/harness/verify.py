@@ -15,7 +15,8 @@ properties against everything the omniscient observer saw:
   agree).
 * **Termination** — every message either A-broadcast by a process that
   never crashed afterwards, or A-delivered anywhere, is delivered by
-  every *good* node (a node that is up at the end of the settled run).
+  every *good* node (a node that is up at the end of the settled run,
+  and a member of the final view), and no good node is still joining.
 * **Application state** — where the hosted application records the
   ids it applied (``SequenceRecorder.ids()``), every up node holds a
   canonical prefix and every good node exactly the prefix of its
@@ -238,6 +239,10 @@ def verify_run(cluster, good_nodes: Optional[List[int]] = None,
                 f"somewhere) were never ordered: "
                 f"{sorted(missing_globally)[:5]}")
         for node_id in good_nodes:
+            if getattr(cluster.abcasts[node_id], "_joining", False):
+                raise VerificationError(
+                    f"termination violated: good node {node_id} is still "
+                    f"joining (its state transfer never completed)")
             delivered = _node_delivered_set(cluster.abcasts[node_id])
             missing = (must_deliver | canonical_set) - delivered
             if missing:
@@ -275,9 +280,7 @@ def verify_run(cluster, good_nodes: Optional[List[int]] = None,
         good_nodes=list(good_nodes), undeliverable=undeliverable)
 
 
-def verify_overload_safety(cluster,
-                           report: Optional[VerificationReport] = None,
-                           offered: Optional[int] = None,
+def verify_overload_safety(cluster, offered: Optional[int] = None,
                            rejected: Optional[int] = None) -> None:
     """Check the overload-safety invariants on a finished run.
 

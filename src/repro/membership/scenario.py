@@ -1,7 +1,7 @@
 """The canonical membership-churn scenario: grow, storm, shrink, verify.
 
-One seeded script exercises the whole elastic-reconfiguration surface in
-a single run:
+One seeded timeline exercises the whole elastic-reconfiguration surface
+in a single run of :func:`~repro.harness.scenario.run_scenario`:
 
 * start at ``n = 5`` on the alternative protocol (the one with the
   checkpoint/STATE machinery joins bootstrap from);
@@ -9,55 +9,110 @@ a single run:
   gossips the ``k = -1`` joining sentinel until a member answers with a
   ``StateMessage``, adopts the agreed prefix, seals the transfer point
   durably and only then starts proposing;
-* **crash storm**: two original members crash mid-run; one is evicted
-  *while down* and later recovers as an evicted-but-up process (it keeps
-  draining its backlog to the members but no longer counts);
-* **shrink to 4**: two more ordered removals leave ``{0, 1, joiner,
-  joiner}`` as the final view;
-* settle and run the full :func:`~repro.harness.verify.verify_run`
-  predicate set — uniform total order spanning every epoch, joiners
-  delivering the complete suffix from their transfer point, termination
-  restricted to the final view's members.
+* **crash storm**: two original members crash mid-run; node 2 is
+  evicted *while down* and later recovers as an evicted-but-up process
+  (it keeps draining its backlog to the members but no longer counts),
+  node 3 recovers first and is evicted — which crashes it — later;
+* **shrink to 4**: with node 4's leave, ``{0, 1, joiner, joiner}`` is
+  the final view;
+* the runner settles and runs the full
+  :func:`~repro.harness.verify.verify_run` predicate set — uniform total
+  order spanning every epoch, joiners delivering the complete suffix
+  from their transfer point, termination restricted to the final view's
+  members, no member still joining.
 
 Everything is a pure function of the seed, so
-:func:`check_churn_reproducibility` re-runs the same seed and demands a
-bit-identical view-install timeline — the reconfiguration path must be
-as deterministic as the ordering path it rides on.
+:func:`~repro.harness.scenario.check_reproducible` re-runs the same seed
+and demands a bit-identical signature, view installs included — the
+reconfiguration path must be as deterministic as the ordering path it
+rides on.
 """
 
 from __future__ import annotations
 
-import tempfile
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.errors import VerificationError
-from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.verify import VerificationReport, verify_run
-from repro.membership.view import View
+from repro.chaos.events import ChaosEvent
+from repro.harness.cluster import ClusterConfig
+from repro.harness.scenario import Scenario, ScenarioResult
 
-__all__ = ["ChurnReport", "check_churn_reproducibility",
-           "run_churn_scenario"]
+__all__ = ["ChurnReport", "churn_scenario"]
+
+
+def _sim_timeline(seed: int) -> List[ChaosEvent]:
+    # Warm-up workload so the joiners have real history to transfer.
+    events = [ChaosEvent(0.0, "submit", node=index % 5,
+                         payload=f"churn-{seed}-pre-{index}")
+              for index in range(5)]
+    # Grow 5 -> 7: both joins are ordered commands; the joiners
+    # bootstrap from whichever member answers their sentinel first.
+    events += [ChaosEvent(2.0, "join", node=joiner) for joiner in (5, 6)]
+    events += [ChaosEvent(2.0, "submit", node=index % 5,
+                          payload=f"churn-{seed}-mid-{index}")
+               for index in range(3)]
+    # Crash storm over the shrink: node 2 is evicted *while crashed*
+    # (the command outlives the victim), node 3 recovers before its
+    # eviction, node 4 leaves gracefully.
+    events += [ChaosEvent(6.0, "crash", node=2),
+               ChaosEvent(6.0, "crash", node=3),
+               ChaosEvent(7.0, "evict", node=2),
+               ChaosEvent(8.0, "recover", node=2),
+               ChaosEvent(8.0, "recover", node=3),
+               ChaosEvent(9.0, "evict", node=3),
+               ChaosEvent(9.0, "leave", node=4)]
+    # Post-shrink workload, including a submission through a joiner —
+    # by now a first-class member whose sequencer turn must come around.
+    events += [ChaosEvent(9.0, "submit", node=index % 2,
+                          payload=f"churn-{seed}-post-{index}")
+               for index in range(3)]
+    events.append(ChaosEvent(9.0, "submit", node=5,
+                             payload=f"churn-{seed}-joiner"))
+    return events
+
+
+def _live_timeline(seed: int) -> List[ChaosEvent]:
+    events = [ChaosEvent(0.0, "submit", node=index % 3,
+                         payload=f"churn-live-{seed}-{index}")
+              for index in range(3)]
+    return events + [ChaosEvent(1.0, "join", node=3),
+                     ChaosEvent(3.0, "leave", node=0),
+                     ChaosEvent(3.0, "submit", node=1,
+                                payload=f"churn-live-{seed}-post")]
+
+
+def churn_scenario(seed: int = 0, runtime: str = "sim",
+                   settle_limit: float = 300.0,
+                   directory: Optional[str] = None) -> Scenario:
+    """The scripted churn scenario for one seed.
+
+    ``runtime="sim"`` is the full 5 -> 7 -> 4 timeline on virtual time;
+    ``runtime="live"`` a smaller 3 -> 4 -> 3 variant over real UDP and
+    files.  The run must settle within ``settle_limit`` seconds of the
+    timeline's end (wall-clock seconds on live — pass something like 30).
+    """
+    n, timeline = (5, _sim_timeline(seed)) if runtime == "sim" \
+        else (3, _live_timeline(seed))
+    duration = timeline[-1].time
+    return Scenario(ClusterConfig(n=n, seed=seed, protocol="alternative"),
+                    runtime=runtime, timeline=timeline, duration=duration,
+                    settle_limit=duration + settle_limit,
+                    directory=directory)
 
 
 class ChurnReport:
-    """Everything one churn run establishes (input to reproducibility)."""
+    """What one churn run established, read off its finished cluster."""
 
-    def __init__(self, verification: VerificationReport, final_view: View,
-                 joiners: List[int],
-                 view_installs: List[Tuple[int, int, Tuple[int, ...],
-                                           float, str]],
-                 transfers_adopted: int, delivered: int):
-        self.verification = verification
-        self.final_view = final_view
-        self.joiners = joiners
-        self.view_installs = view_installs
-        self.transfers_adopted = transfers_adopted
-        self.delivered = delivered
-
-    def timeline(self) -> Tuple[Tuple[int, int, Tuple[int, ...], float,
-                                      str], ...]:
-        """The view-install history, the unit of reproducibility."""
-        return tuple(self.view_installs)
+    def __init__(self, result: ScenarioResult):
+        cluster = result.cluster
+        self.verification = result.report
+        self.final_view = cluster.current_view()
+        self.joiners = [event.node for event in result.timeline
+                        if event.kind == "join"]
+        self.view_installs = list(cluster.collector.view_installs)
+        self.transfers_adopted = sum(
+            cluster.abcasts[joiner].state_transfers_adopted
+            for joiner in self.joiners)
+        self.delivered = len(cluster.collector.first_delivery)
 
     def describe(self) -> str:
         lines = [f"final view: epoch {self.final_view.epoch} "
@@ -72,139 +127,3 @@ class ChurnReport:
                          f"epoch={epoch}  members={list(members)}  "
                          f"({origin})")
         return "\n".join(lines)
-
-
-def _check_join_bootstrap(cluster: Any, joiners: List[int]) -> int:
-    """Every joiner must have bootstrapped through a real state transfer."""
-    total = 0
-    for joiner in joiners:
-        abcast = cluster.abcasts[joiner]
-        adopted = getattr(abcast, "state_transfers_adopted", 0)
-        if adopted < 1:
-            raise VerificationError(
-                f"joiner {joiner} never adopted a state transfer "
-                f"(its history would be a guess, not the agreed prefix)")
-        if getattr(abcast, "_joining", False):
-            raise VerificationError(
-                f"joiner {joiner} is still in the joining state after "
-                f"settling — the transfer never completed")
-        total += adopted
-    final = cluster.current_view()
-    for joiner in joiners:
-        if not final.contains(joiner):
-            raise VerificationError(
-                f"joiner {joiner} missing from the final view "
-                f"{list(final.members)}")
-    return total
-
-
-def _report(cluster: Any, verification: VerificationReport,
-            joiners: List[int]) -> ChurnReport:
-    transfers = _check_join_bootstrap(cluster, joiners)
-    return ChurnReport(
-        verification=verification,
-        final_view=cluster.current_view(),
-        joiners=joiners,
-        view_installs=list(cluster.collector.view_installs),
-        transfers_adopted=transfers,
-        delivered=len(cluster.collector.first_delivery))
-
-
-def _run_sim(seed: int, settle_limit: float) -> ChurnReport:
-    cluster = Cluster(ClusterConfig(n=5, seed=seed, protocol="alternative"))
-    cluster.start()
-    # Warm-up workload so the joiners have real history to transfer.
-    for index in range(5):
-        cluster.submit(index % 5, f"churn-{seed}-pre-{index}")
-    cluster.run(until=2.0)
-
-    # Grow 5 -> 7: both joins are ordered commands; the joiners
-    # bootstrap from whichever member answers their sentinel first.
-    joiners = [cluster.add_node(), cluster.add_node()]
-    for index in range(3):
-        cluster.submit(index % 5, f"churn-{seed}-mid-{index}")
-    cluster.run(until=6.0)
-
-    # Crash storm over the shrink: node 2 is evicted *while crashed*
-    # (the command outlives the victim), node 3 recovers before its
-    # eviction, node 4 leaves gracefully.
-    cluster.crash(2)
-    cluster.crash(3)
-    cluster.run(until=7.0)
-    cluster.remove_node(2, evict=True)
-    cluster.run(until=8.0)
-    cluster.recover(2)
-    cluster.recover(3)
-    cluster.run(until=9.0)
-    cluster.remove_node(3, evict=True)
-    cluster.remove_node(4)
-    # Post-shrink workload, including a submission through a joiner —
-    # by now a first-class member whose sequencer turn must come around.
-    for index in range(3):
-        cluster.submit(index % 2, f"churn-{seed}-post-{index}")
-    cluster.submit(joiners[0], f"churn-{seed}-joiner")
-
-    if not cluster.settle(limit=cluster.sim.now + settle_limit):
-        raise VerificationError(
-            f"churn scenario (seed {seed}) failed to settle within "
-            f"{settle_limit} after the timeline")
-    return _report(cluster, verify_run(cluster), joiners)
-
-
-def _run_live(seed: int, settle_limit: float,
-              directory: Optional[str]) -> ChurnReport:
-    from repro.harness.live import LiveCluster
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix=f"churn-live-{seed}-")
-    with LiveCluster(ClusterConfig(n=3, seed=seed,
-                                   protocol="alternative"),
-                     directory) as cluster:
-        cluster.start()
-        for index in range(3):
-            cluster.submit(index % 3, f"churn-live-{seed}-{index}")
-        cluster.run_for(1.0)
-        joiner = cluster.add_node()
-        cluster.run_for(2.0)
-        cluster.remove_node(0)
-        cluster.submit(1, f"churn-live-{seed}-post")
-        if not cluster.settle(limit=settle_limit):
-            raise VerificationError(
-                f"live churn scenario (seed {seed}) failed to settle "
-                f"within {settle_limit}s")
-        return _report(cluster, verify_run(cluster), [joiner])
-
-
-def run_churn_scenario(seed: int = 0, runtime: str = "sim",
-                       settle_limit: float = 300.0,
-                       directory: Optional[str] = None) -> ChurnReport:
-    """Run the scripted churn scenario once and verify it end to end.
-
-    ``runtime="sim"`` runs the full 5 -> 7 -> 4 script on virtual time;
-    ``runtime="live"`` runs a smaller 3 -> 4 -> 3 variant over real UDP
-    and files (``settle_limit`` is then wall-clock seconds — pass
-    something like 30).
-    """
-    if runtime == "sim":
-        return _run_sim(seed, settle_limit)
-    if runtime == "live":
-        return _run_live(seed, settle_limit, directory)
-    raise VerificationError(f"unknown churn runtime {runtime!r}")
-
-
-def check_churn_reproducibility(seed: int = 0,
-                                settle_limit: float = 300.0) -> ChurnReport:
-    """Run the sim scenario twice; demand a bit-identical view timeline.
-
-    The comparison covers node, epoch, member set, virtual install time
-    and origin of every install event — if any of them drifts between
-    same-seed runs, reconfiguration has picked up a hidden source of
-    nondeterminism.
-    """
-    first = _run_sim(seed, settle_limit)
-    second = _run_sim(seed, settle_limit)
-    if first.timeline() != second.timeline():
-        raise VerificationError(
-            f"churn scenario (seed {seed}) is not reproducible: view "
-            f"timelines diverge ({len(first.timeline())} vs "
-            f"{len(second.timeline())} installs)")
-    return first

@@ -57,9 +57,10 @@ class _SubmissionWorkload:
     """
 
     def __init__(self, payload_fn: Optional[Callable[[int, int], Any]] = None,
-                 backoff: Optional[BackoffPolicy] = None):
+                 backoff: Optional[BackoffPolicy] = None, seed: int = 0):
         self.payload_fn = payload_fn or _default_payload
         self.backoff = backoff or BackoffPolicy()
+        self.seed = seed
         self.submitted = 0
         self.offered = 0            # admission attempts, retries included
         self.rejected_attempts = 0
@@ -81,14 +82,13 @@ class _SubmissionWorkload:
         for when, node_id in plan:
             counters[node_id] += 1
             payload = self.payload_fn(node_id, counters[node_id])
-            cluster.sim.schedule(when, self._submit, cluster, node_id,
-                                 payload)
+            cluster.runtime.schedule(when, self._submit, cluster, node_id,
+                                     payload)
         return len(plan)
 
     def _backoff_stream(self) -> random.Random:
         if self._backoff_rng is None:
-            self._backoff_rng = random.Random(
-                f"flow-backoff:{getattr(self, 'seed', 0)}")
+            self._backoff_rng = random.Random(f"flow-backoff:{self.seed}")
         return self._backoff_rng
 
     def _submit(self, cluster, node_id: int, payload: Any,
@@ -111,8 +111,8 @@ class _SubmissionWorkload:
             self.retries += 1
             if not attempt:
                 self.pending_retries += 1
-            cluster.sim.schedule(delay, self._submit, cluster, node_id,
-                                 payload, attempt + 1)
+            cluster.runtime.schedule(delay, self._submit, cluster, node_id,
+                                     payload, attempt + 1)
             return
         if attempt:
             self.pending_retries -= 1
@@ -125,11 +125,10 @@ class PoissonWorkload(_SubmissionWorkload):
     def __init__(self, rate_per_node: float, duration: float,
                  start: float = 0.5, seed: int = 0,
                  payload_fn: Optional[Callable[[int, int], Any]] = None):
-        super().__init__(payload_fn)
+        super().__init__(payload_fn, seed=seed)
         self.rate_per_node = rate_per_node
         self.duration = duration
         self.start = start
-        self.seed = seed
 
     def arrivals(self, cluster) -> List[Tuple[float, int]]:
         rng = random.Random(self.seed)
@@ -151,13 +150,12 @@ class BurstyWorkload(_SubmissionWorkload):
                  bursts: int, intra_gap: float = 0.01,
                  start: float = 0.5, seed: int = 0,
                  payload_fn: Optional[Callable[[int, int], Any]] = None):
-        super().__init__(payload_fn)
+        super().__init__(payload_fn, seed=seed)
         self.burst_size = burst_size
         self.burst_spacing = burst_spacing
         self.bursts = bursts
         self.intra_gap = intra_gap
         self.start = start
-        self.seed = seed
 
     def arrivals(self, cluster) -> List[Tuple[float, int]]:
         rng = random.Random(self.seed)
@@ -178,12 +176,11 @@ class SkewedWorkload(_SubmissionWorkload):
     def __init__(self, total_messages: int, duration: float,
                  skew: float = 1.0, start: float = 0.5, seed: int = 0,
                  payload_fn: Optional[Callable[[int, int], Any]] = None):
-        super().__init__(payload_fn)
+        super().__init__(payload_fn, seed=seed)
         self.total_messages = total_messages
         self.duration = duration
         self.skew = skew
         self.start = start
-        self.seed = seed
 
     def arrivals(self, cluster) -> List[Tuple[float, int]]:
         rng = random.Random(self.seed)
@@ -198,10 +195,14 @@ class SkewedWorkload(_SubmissionWorkload):
 
 
 class ScheduledWorkload(_SubmissionWorkload):
-    """Explicit submission plan: ``[(time, node_id, payload), ...]``."""
+    """Explicit submission plan: ``[(time, node_id, payload), ...]``.
 
-    def __init__(self, plan: Sequence[Tuple[float, int, Any]]):
-        super().__init__()
+    The plan is explicit, so ``seed`` seeds only the backoff stream.
+    """
+
+    def __init__(self, plan: Sequence[Tuple[float, int, Any]],
+                 seed: int = 0):
+        super().__init__(seed=seed)
         self.plan = list(plan)
 
     def arrivals(self, cluster) -> List[Tuple[float, int]]:  # pragma: no cover
@@ -209,8 +210,8 @@ class ScheduledWorkload(_SubmissionWorkload):
 
     def install(self, cluster) -> int:
         for when, node_id, payload in self.plan:
-            cluster.sim.schedule(when, self._submit, cluster, node_id,
-                                 payload)
+            cluster.runtime.schedule(when, self._submit, cluster, node_id,
+                                     payload)
         return len(self.plan)
 
 
@@ -242,8 +243,8 @@ class ClosedLoopWorkload:
     def install(self, cluster) -> int:
         for node_id in cluster.node_ids():
             for client in range(self.window):
-                cluster.sim.schedule(self.start, self._start_client,
-                                     cluster, node_id, client)
+                cluster.runtime.schedule(self.start, self._start_client,
+                                         cluster, node_id, client)
         return 0
 
     def _start_client(self, cluster, node_id: int, client: int) -> None:

@@ -4,8 +4,9 @@ A single hand-written timeline — not a seeded sweep — so the test stays
 fast and its failure mode is legible: 3 nodes over real UDP with 20%%
 injected loss, a mid-run kill of one node (socket closed, storage handle
 dropped, recovery replays the fsync'd files) and a burst to 40%% loss,
-then the world is restored and the omniscient verifier checks the
-paper's four properties on what actually happened.  The seeded sweep
+then the timeline's ``restore`` step heals the world and the scenario
+runner settles and checks the paper's four properties on what actually
+happened.  The seeded sweep
 equivalent runs in CI as ``repro chaos --runtime live`` (chaos-smoke
 job); this test is the tier-1 guard for the same machinery.
 """
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.controller import LiveChaosController
 from repro.chaos.events import ChaosEvent
 from repro.harness.cluster import ClusterConfig
-from repro.harness.live import LiveCluster
+from repro.harness.scenario import Scenario, run_scenario
 from repro.transport.network import NetworkConfig
 
 HORIZON = 2.5
@@ -27,12 +27,6 @@ N_MESSAGES = 8
 
 @pytest.fixture(scope="module")
 def chaos_result(tmp_path_factory):
-    cluster = LiveCluster(
-        ClusterConfig(n=3, seed=23, protocol="basic",
-                      network=NetworkConfig(loss_rate=BASE_LOSS),
-                      gossip_interval=0.1),
-        str(tmp_path_factory.mktemp("chaos-live")))
-    controller = LiveChaosController(cluster, BASE_LOSS)
     timeline = [
         ChaosEvent(0.1 + i * 0.15, "submit", node=i % 3,
                    payload=f"live-chaos-{i}")
@@ -43,13 +37,17 @@ def chaos_result(tmp_path_factory):
         ChaosEvent(0.9, "loss", rate=0.4),
         ChaosEvent(1.5, "loss_restore"),
         ChaosEvent(1.6, "recover", node=2),
+        ChaosEvent(HORIZON, "restore"),
     ]
     timeline.sort(key=lambda event: event.time)
-    with cluster:
-        cluster.start()
-        controller.run_timeline(timeline, HORIZON)
-        report = controller.finish(settle_limit=30.0)
-        yield cluster, controller, report
+    result = run_scenario(Scenario(
+        ClusterConfig(n=3, seed=23, protocol="basic",
+                      network=NetworkConfig(loss_rate=BASE_LOSS),
+                      gossip_interval=0.1),
+        runtime="live", timeline=timeline, duration=HORIZON,
+        settle_limit=HORIZON + 30.0,
+        directory=str(tmp_path_factory.mktemp("chaos-live"))))
+    return result.cluster, result.controller, result.report
 
 
 def test_all_submissions_delivered(chaos_result):

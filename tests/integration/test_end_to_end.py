@@ -161,7 +161,7 @@ class TestPartitions:
         cluster.sim.schedule(3.0, cluster.network.partition, 2, 1)
         cluster.sim.schedule(8.0, cluster.network.heal_all)
         cluster.run(until=20.0)
-        assert cluster.settle(limit=120.0)
+        assert cluster.settle(within=100.0)
         from repro.harness.verify import verify_run
         report = verify_run(cluster)
         assert report is not None

@@ -35,7 +35,7 @@ class TestFileBackedCluster:
         plan = [(0.5 + 0.2 * j, j % 3, ("op", j)) for j in range(12)]
         ScheduledWorkload(plan).install(cluster)
         cluster.run(until=15.0)
-        assert cluster.settle(limit=90.0)
+        assert cluster.settle(within=75.0)
         verify_run(cluster)
         # Proposals physically exist as files.
         node0_files = os.listdir(str(tmp_path / "node0"))

@@ -3,19 +3,29 @@ scenario, view-timeline reproducibility and the chaos churn nemesis."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.chaos.controller import SimChaosController
 from repro.chaos.engine import ChaosConfig, explore
 from repro.chaos.events import ChaosEvent
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.membership.scenario import (check_churn_reproducibility,
-                                       run_churn_scenario)
+from repro.harness.scenario import check_reproducible, run_scenario
+from repro.membership.scenario import ChurnReport, churn_scenario
+
+
+def run_churn(seed):
+    """One verified churn run, with this scenario's extra demand: every
+    joiner bootstrapped through a real state transfer.  (Not a general
+    invariant — a joiner can complete its join in place — so the runner
+    does not check it.)"""
+    result = run_scenario(churn_scenario(seed=seed))
+    report = ChurnReport(result)
+    for joiner in report.joiners:
+        assert result.cluster.abcasts[joiner].state_transfers_adopted >= 1
+    return report
 
 
 class TestChurnScenario:
     def test_seeded_churn_run_verifies(self):
-        report = run_churn_scenario(seed=0)
+        report = run_churn(seed=0)
         # n=5 grew by two state-transfer joins, then shrank by two
         # evictions (one while the victim was crashed) and a leave.
         assert report.final_view.epoch == 5
@@ -26,22 +36,32 @@ class TestChurnScenario:
         assert report.verification is not None
 
     def test_joiners_bootstrap_by_state_transfer(self):
-        report = run_churn_scenario(seed=2)
+        report = run_churn(seed=2)
         for joiner in report.joiners:
             assert joiner in report.final_view.members
 
     def test_view_timeline_reproducible(self):
         # Same seed, two full runs: the (node, epoch, members, origin)
-        # install sequence must be bit-identical.
-        check_churn_reproducibility(seed=0)
+        # install sequence — with the rest of the signature — must be
+        # bit-identical.
+        check_reproducible(churn_scenario(seed=0))
 
     def test_view_installs_monotone_per_node(self):
-        report = run_churn_scenario(seed=1)
+        report = run_churn(seed=1)
         last: dict = {}
         for install in report.view_installs:
             node_id, epoch = install[0], install[1]
             assert epoch > last.get(node_id, -1)
             last[node_id] = epoch
+
+    def test_evicted_but_up_node_is_covered(self):
+        # Node 2 is evicted while down and recovers afterwards: it runs
+        # outside the final view and must not hold settling hostage.
+        result = run_scenario(churn_scenario(seed=0))
+        assert result.cluster.nodes[2].up
+        assert 2 not in result.cluster.current_view().members
+        # Node 3 is evicted while up, which crashes it.
+        assert not result.cluster.nodes[3].up
 
 
 class TestChurnNemesis:

@@ -17,9 +17,9 @@ import pytest
 from repro.chaos.engine import ChaosConfig, explore, run_seed
 from repro.errors import OverloadError, VerificationError
 from repro.flow.controller import FlowConfig
-from repro.flow.scenario import (check_overload_reproducibility,
-                                 run_saturation_scenario)
+from repro.flow.scenario import OverloadReport, overload_scenario
 from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.scenario import check_reproducible, run_scenario
 from repro.harness.verify import verify_overload_safety
 from repro.transport.stubborn import StubbornConfig
 from repro.workloads.generators import PoissonWorkload
@@ -27,9 +27,9 @@ from repro.workloads.generators import PoissonWorkload
 
 class TestSaturationScenario:
     def test_invariants_hold_under_ten_x_overload(self):
-        report = run_saturation_scenario(seed=0)
-        # Exact accounting: the scenario already cross-checked the
-        # client's counters against the controllers; re-assert the
+        report = OverloadReport(run_scenario(overload_scenario(seed=0)))
+        # Exact accounting: the runner already cross-checked the
+        # workload's counters against the controllers; re-assert the
         # arithmetic on the report itself.
         assert report.accepted + report.rejected == report.offered
         assert report.rejected == sum(report.rejected_by_reason.values())
@@ -42,19 +42,20 @@ class TestSaturationScenario:
         assert report.backlog_overflows >= 0
         # The gray failure actually fired.
         assert report.slow_writes > 0
-        # Every accepted broadcast was delivered (checked in-scenario;
-        # the totals must agree).
+        # Every accepted broadcast was delivered (Termination in the
+        # runner's verify_run; the totals must agree).
         assert report.delivered == report.accepted
 
     def test_bit_identical_across_same_seed_runs(self):
-        report = check_overload_reproducibility(seed=0)
-        assert report.signature() == run_saturation_scenario(0).signature()
+        result = check_reproducible(overload_scenario(seed=0))
+        assert result.signature() == \
+            run_scenario(overload_scenario(seed=0)).signature()
 
     def test_different_seeds_differ(self):
         # Not a tautology: if the seed were ignored the scenario would
         # collapse to one timeline and reproducibility would be vacuous.
-        a = run_saturation_scenario(seed=0).signature()
-        b = run_saturation_scenario(seed=1).signature()
+        a = run_scenario(overload_scenario(seed=0)).signature()
+        b = run_scenario(overload_scenario(seed=1)).signature()
         assert a != b
 
 
@@ -100,7 +101,7 @@ class TestVerifyOverloadSafety:
                 cluster.submit(0, f"v-{i}")
             except OverloadError:
                 rejected += 1
-        assert cluster.settle(limit=240.0)
+        assert cluster.settle(within=240.0)
         return cluster, offered, rejected
 
     def test_passes_on_a_clean_run(self):
@@ -143,7 +144,7 @@ class TestWorkloadBackpressure:
         workload = PoissonWorkload(rate_per_node=20.0, duration=1.0, seed=5)
         workload.install(cluster)
         cluster.run(until=30.0)
-        assert cluster.settle(limit=cluster.sim.now + 240.0)
+        assert cluster.settle(within=240.0)
         assert workload.pending_retries == 0
         assert workload.rejected_attempts > 0  # backpressure engaged
         accepted = sum(f.accepted for f in cluster.flows.values())

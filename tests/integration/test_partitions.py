@@ -41,7 +41,7 @@ class TestPartitionSchedule:
             cluster.sim, cluster.network)
         PoissonWorkload(1.0, 10.0, seed=21).install(cluster)
         cluster.run(until=20.0)
-        assert cluster.settle(limit=200.0)
+        assert cluster.settle(within=180.0)
         verify_run(cluster)
         counts = [ab.delivered_count()
                   for ab in cluster.abcasts.values()]
@@ -58,7 +58,7 @@ class TestPartitionSchedule:
         assert cluster.abcasts[0].delivered_count() == 10
         assert cluster.abcasts[3].delivered_count() == 0
         cluster.run(until=25.0)
-        assert cluster.settle(limit=300.0)
+        assert cluster.settle(within=275.0)
         verify_run(cluster)
         assert cluster.abcasts[3].delivered_count() == 10
 
@@ -77,7 +77,7 @@ class TestPartitionSchedule:
                    for ab in cluster.abcasts.values())
         # After healing it goes through everywhere.
         cluster.run(until=60.0)
-        assert cluster.settle(limit=400.0)
+        assert cluster.settle(within=340.0)
         verify_run(cluster)
         assert all(ab.delivered_count() == 1
                    for ab in cluster.abcasts.values())
@@ -91,5 +91,5 @@ class TestPartitionSchedule:
         schedule.install(cluster.sim, cluster.network)
         PoissonWorkload(1.0, 14.0, seed=24).install(cluster)
         cluster.run(until=25.0)
-        assert cluster.settle(limit=300.0)
+        assert cluster.settle(within=275.0)
         verify_run(cluster)

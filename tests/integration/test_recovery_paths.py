@@ -61,7 +61,7 @@ class TestReplayFromZero:
         cluster.run(until=50.0)
         after = [m.id for m in cluster.abcasts[0].deliver_sequence()]
         assert after[:len(before)] == before
-        assert cluster.settle(limit=120.0)
+        assert cluster.settle(within=70.0)
         verify_run(cluster)
 
 
@@ -91,7 +91,7 @@ class TestReplayFromCheckpoint:
         cluster.run(until=9.0)
         cluster.nodes[2].recover()
         cluster.run(until=30.0)
-        assert cluster.settle(limit=120.0)
+        assert cluster.settle(within=90.0)
         verify_run(cluster)
 
 
@@ -111,7 +111,7 @@ class TestStateTransferPath:
         assert ab.rounds_skipped > 0
         # It did not replay anywhere near the full history.
         assert ab.replayed_rounds < rounds_at_up_nodes / 2
-        assert cluster.settle(limit=180.0)
+        assert cluster.settle(within=120.0)
         verify_run(cluster)
 
     def test_app_state_carried_by_state_message(self):
@@ -125,7 +125,7 @@ class TestStateTransferPath:
         cluster.run(until=10.0)
         cluster.nodes[2].recover()
         cluster.run(until=60.0)
-        assert cluster.settle(limit=180.0)
+        assert cluster.settle(within=120.0)
         assert cluster.app(2).data == cluster.app(0).data
         verify_run(cluster)
 
@@ -142,7 +142,7 @@ class TestStateTransferPath:
         cluster.sim.schedule(5.0, cluster.nodes[2].crash)
         cluster.sim.schedule(11.0, cluster.nodes[2].recover)  # long
         cluster.run(until=25.0)
-        assert cluster.settle(limit=200.0)
+        assert cluster.settle(within=175.0)
         verify_run(cluster)
         seqs = [[m.id for m in ab.deliver_sequence()]
                 for ab in cluster.abcasts.values()]

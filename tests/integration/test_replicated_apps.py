@@ -25,7 +25,7 @@ def run_cluster(app_factory, plan, seed=0, protocol="alternative",
         faults.install(cluster.sim, cluster.nodes)
     ScheduledWorkload(plan).install(cluster)
     cluster.run(until=duration)
-    assert cluster.settle(limit=settle)
+    assert cluster.settle(within=settle - duration)
     from repro.harness.verify import verify_run
     verify_run(cluster)
     return cluster

@@ -18,21 +18,24 @@ so any batch containing message *i+1* also contains every undelivered
 message up to *i* — the canonical sequence is then a pure function of
 the submission sequence, whatever the timing.
 
-Both clusters are one :class:`~repro.harness.cluster.ClusterCore` body,
-so the same module also pins the surface: the two classes differ only
-in how the clock is driven, ``metrics()`` has the same shape on both,
-and cluster-level crash/recover do nothing to a node already in that
-state.
+Both runs are one timeline through one runner
+(:func:`~repro.harness.scenario.run_scenario`), and both clusters are
+one :class:`~repro.harness.cluster.ClusterCore` body, so the same module
+also pins the surface: the two classes drive their clocks through the
+same methods, ``metrics()`` has the same shape on both, and
+cluster-level crash/recover do nothing to a node already in that state.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.chaos.events import ChaosEvent
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.live import LiveCluster
-from repro.metrics.collector import RunMetrics
+from repro.harness.scenario import Scenario, run_scenario
 from repro.harness.verify import verify_run
+from repro.metrics.collector import RunMetrics
 from repro.transport.network import NetworkConfig
 
 N_NODES = 3
@@ -63,42 +66,28 @@ def _canonical_payloads(cluster) -> list:
     return [payloads[mid] for mid in report.canonical]
 
 
-def _run_sim() -> tuple:
-    cluster = Cluster(_config())
-    cluster.start()
-    for when, payload in zip(SUBMIT_TIMES, PAYLOADS):
-        cluster.sim.schedule(when, cluster.submit, 0, payload)
-    cluster.sim.schedule(KILL_AT, cluster.crash, VICTIM)
-    cluster.sim.schedule(RESTART_AT, cluster.recover, VICTIM)
-    cluster.sim.run(until=RUN_UNTIL)
-    assert cluster.settle(limit=60.0), "sim run did not settle"
+def _run(runtime: str, directory=None) -> tuple:
+    """The one timeline through the scenario runner on ``runtime``."""
+    timeline = [ChaosEvent(when, "submit", node=0, payload=payload)
+                for when, payload in zip(SUBMIT_TIMES, PAYLOADS)]
+    timeline += [ChaosEvent(KILL_AT, "crash", node=VICTIM),
+                 ChaosEvent(RESTART_AT, "recover", node=VICTIM)]
+    timeline.sort(key=lambda event: event.time)
+    result = run_scenario(Scenario(
+        _config(), runtime=runtime, timeline=timeline, duration=RUN_UNTIL,
+        settle_limit=RUN_UNTIL + 30.0, directory=directory))
+    cluster = result.cluster
     assert cluster.nodes[VICTIM].recovery_count == 1
-    return _canonical_payloads(cluster), cluster.metrics()
-
-
-def _run_live(tmp_path) -> tuple:
-    cluster = LiveCluster(_config(), str(tmp_path))
-    with cluster:
-        cluster.start()
-        for when, payload in zip(SUBMIT_TIMES, PAYLOADS):
-            cluster.runtime.schedule(when, cluster.submit, 0, payload)
-        cluster.run_for(KILL_AT)
-        cluster.kill(VICTIM)
-        cluster.run_for(RESTART_AT - KILL_AT)
-        cluster.restart(VICTIM)
-        cluster.run_for(RUN_UNTIL - RESTART_AT)
-        assert cluster.settle(limit=30.0), "live run did not settle"
-        assert cluster.nodes[VICTIM].recovery_count == 1
-        # The kill really crossed a process boundary: datagrams flowed.
-        assert cluster.network.metrics.sent > 0
-        return _canonical_payloads(cluster), cluster.metrics()
+    # The kill really crossed a process boundary: datagrams flowed.
+    assert cluster.network.metrics.sent > 0
+    payloads = cluster.collector.broadcast_payloads
+    return [payloads[mid] for mid in result.report.canonical], result.metrics
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    live = _run_live(tmp_path_factory.mktemp("live-cluster"))
-    sim = _run_sim()
-    return {"sim": sim, "live": live}
+    live = _run("live", str(tmp_path_factory.mktemp("live-cluster")))
+    return {"sim": _run("sim"), "live": live}
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +98,7 @@ def canonical_orders(runs):
 @pytest.mark.parametrize("runtime", ["sim", "live"])
 def test_runtime_passes_verifier_and_delivers_everything(
         canonical_orders, runtime):
-    # _canonical_payloads already ran the omniscient verifier (it raises
+    # The scenario runner already ran the omniscient verifier (it raises
     # on any property violation); here we pin down completeness.
     order = canonical_orders[runtime]
     assert len(order) == N_MESSAGES
@@ -128,9 +117,10 @@ def _public_methods(cls) -> set:
 
 
 def test_cluster_surfaces_differ_only_in_the_clock():
+    # run(until) / run_for(seconds) / settle(within) drive either clock.
     sim, live = _public_methods(Cluster), _public_methods(LiveCluster)
-    assert sim - live == {"run"}
-    assert live - sim == {"run_for", "close", "kill", "restart"}
+    assert sim - live == set()
+    assert live - sim == {"close", "kill", "restart"}
     # kill/restart are names for the shared crash/recover, not a fork.
     assert LiveCluster.kill is LiveCluster.crash
     assert LiveCluster.restart is LiveCluster.recover
@@ -209,7 +199,7 @@ def test_live_survives_heavy_loss_via_stubborn_channels(tmp_path):
             cluster.runtime.schedule(0.05 + i * 0.05, cluster.submit,
                                      0, f"loss-{i}")
         cluster.run_for(0.05 + n_messages * 0.05)
-        assert cluster.settle(limit=30.0), "lossy live run did not settle"
+        assert cluster.settle(within=30.0), "lossy live run did not settle"
         order = _canonical_payloads(cluster)
         # Zero protocol-level loss: everything submitted was ordered
         # and delivered, in submission order (single sender).

@@ -6,7 +6,7 @@ so this file is a seeded property test where the generator is the chaos
 engine itself.  Two layers of checking:
 
 * the sweep: 50 seeds run through :func:`repro.chaos.engine.run_seed`,
-  whose ``finish`` phase hands every cluster to the omniscient verifier
+  whose scenario runner hands every cluster to the omniscient verifier
   (Validity, Integrity, Uniform Total Order, Termination);
 * an independent re-derivation: for a handful of seeds the raw delivery
   trace is re-examined here, without the verifier, by asserting that any
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.controller import SimChaosController
 from repro.chaos.engine import ChaosConfig, explore, plan_scenario
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.chaos.events import ChaosEvent
+from repro.harness.cluster import ClusterConfig
+from repro.harness.scenario import Scenario, run_scenario
 from repro.transport.network import NetworkConfig
 
 N_SEEDS = 50
@@ -47,26 +48,25 @@ def test_fifty_chaos_seeds_all_verify():
 def _orders_for_seed(seed: int):
     """Run one derived scenario and return every delivery sequence.
 
-    Mirrors the engine's sim builder through public API only (no
+    Mirrors the engine's scenario through public API only (no
     FaultyStorage: armed-disk events then no-op, which the controller's
     ``_apply_torn_write`` guard permits), so this check cannot silently
-    depend on the engine's own verification path.
+    depend on the engine's own derivation of the run.
     """
     config = ChaosConfig(seeds=1, master_seed=MASTER_SEED)
     params, _, events = plan_scenario(config, seed)
-    cluster = Cluster(ClusterConfig(
-        n=params["n"], seed=params["cluster_seed"],
-        protocol=params["protocol"],
-        network=NetworkConfig(loss_rate=params["base_loss"]),
-        stubborn=params["stubborn"]))
-    controller = SimChaosController(cluster, params["base_loss"])
-    cluster.start()
-    controller.run_timeline(events, config.horizon)
-    controller.finish(settle_limit=300.0)
+    result = run_scenario(Scenario(
+        ClusterConfig(n=params["n"], seed=params["cluster_seed"],
+                      protocol=params["protocol"],
+                      network=NetworkConfig(loss_rate=params["base_loss"]),
+                      stubborn=params["stubborn"]),
+        timeline=events + [ChaosEvent(config.horizon, "restore")],
+        duration=config.horizon, settle_limit=config.horizon + 300.0))
+    collector = result.cluster.collector
     orders = []
-    for node_id in cluster.nodes:
-        for incarnation in cluster.collector.incarnations_of(node_id):
-            sequence = cluster.collector.delivered_ids(node_id, incarnation)
+    for node_id in result.cluster.nodes:
+        for incarnation in collector.incarnations_of(node_id):
+            sequence = collector.delivered_ids(node_id, incarnation)
             if sequence:
                 orders.append(((node_id, incarnation), sequence))
     return orders

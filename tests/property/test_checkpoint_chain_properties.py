@@ -83,7 +83,7 @@ def test_recovery_stands_at_the_last_durable_point(plan, seed, sizes):
             cluster.run(until=cluster.sim.now + 1.0)
             assert ab.k == rounds
             assert cluster.app(0).ids() == committed
-    assert cluster.settle(limit=cluster.sim.now + 60.0)
+    assert cluster.settle(within=60.0)
     verify_run(cluster)
 
 

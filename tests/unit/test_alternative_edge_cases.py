@@ -34,7 +34,7 @@ def pump(cluster, count, node=0, start=0.5, gap=0.2):
 
 def finish(cluster, until, limit=300.0):
     cluster.run(until=until)
-    assert cluster.settle(limit=limit)
+    assert cluster.settle(within=limit - until)
     verify_run(cluster)
 
 

@@ -20,7 +20,7 @@ def run_basic(seed=90, faults=None):
     ScheduledWorkload([(0.5 + 0.2 * j, j % 3, ("m", j))
                        for j in range(9)]).install(cluster)
     cluster.run(until=15.0)
-    cluster.settle(limit=120.0)
+    cluster.settle(within=105.0)
     return cluster
 
 
@@ -119,7 +119,7 @@ class TestChaosCounters:
         ScheduledWorkload([(0.5 + 0.2 * j, j % 3, ("m", j))
                            for j in range(6)]).install(cluster)
         cluster.run(until=15.0)
-        cluster.settle(limit=120.0)
+        cluster.settle(within=105.0)
         metrics = cluster.metrics()
         assert metrics.stubborn is not None
         assert metrics.total_retransmissions() > 0

@@ -86,7 +86,7 @@ def message_bytes(cluster, mid):
 
 
 def finish(cluster, limit=300.0):
-    assert cluster.settle(limit=cluster.sim.now + limit)
+    assert cluster.settle(within=limit)
     return verify_run(cluster)
 
 

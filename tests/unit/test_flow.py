@@ -174,6 +174,6 @@ class TestClusterGating:
                 cluster.submit(i % 3, f"load-{i}")
             except OverloadError:
                 rejected += 1
-        assert cluster.settle(limit=240.0)
+        assert cluster.settle(within=240.0)
         verify_run(cluster)
         verify_overload_safety(cluster, offered=offered, rejected=rejected)

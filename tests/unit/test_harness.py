@@ -173,7 +173,7 @@ class TestStackSettledEdgeCases:
         cluster = self._cluster()
         cluster.submit(2, "doomed")
         cluster.crash(2)  # before any gossip interval elapses
-        assert cluster.settle(limit=30.0)
+        assert cluster.settle(within=29.0)
         assert len(cluster.collector.first_delivery) == 0
 
     def test_disseminated_backlog_blocks_until_ordered(self):
@@ -183,7 +183,7 @@ class TestStackSettledEdgeCases:
         cluster.submit(2, "survives")
         cluster.run(until=2.0)  # gossip spreads the Unordered set
         cluster.crash(2)
-        assert cluster.settle(limit=60.0)
+        assert cluster.settle(within=58.0)
         assert len(cluster.collector.first_delivery) == 1
 
     def test_node_recovering_mid_settle_catches_up(self):
@@ -199,7 +199,7 @@ class TestStackSettledEdgeCases:
         cluster.run(until=4.0)
         assert len(cluster.collector.first_delivery) == 0  # no quorum
         cluster.sim.schedule(6.0, cluster.recover, 1)
-        assert cluster.settle(limit=120.0)
+        assert cluster.settle(within=116.0)
         assert cluster.sim.now > 6.0  # recovery happened inside settle
         assert cluster.abcasts[1].delivered_count() == \
             len(cluster.collector.first_delivery) == 3
@@ -211,7 +211,7 @@ class TestStackSettledEdgeCases:
         cluster = self._cluster(protocol="alternative")
         cluster.submit(2, "from-the-doomed")
         cluster.submit_reconfig("evict", 2)
-        assert cluster.settle(limit=60.0)
+        assert cluster.settle(within=59.0)
         assert cluster.current_view().members == (0, 1)
         assert cluster.nodes[2].up
         assert cluster.abcasts[2].has_backlog()  # stranded but ordered
@@ -222,5 +222,5 @@ class TestStackSettledEdgeCases:
         cluster = self._cluster()
         cluster.submit(0, "only-for-the-living")
         cluster.crash(2)
-        assert cluster.settle(limit=30.0)
+        assert cluster.settle(within=29.0)
         assert cluster.abcasts[0].delivered_count() == 1

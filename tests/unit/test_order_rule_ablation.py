@@ -67,7 +67,7 @@ class TestUniformAlternativeRule:
                         seed=100)
         pump(cluster)
         cluster.run(until=15.0)
-        assert cluster.settle(limit=120.0)
+        assert cluster.settle(within=105.0)
         # The verifier's canonical order assumes the default rule, so
         # compare the nodes against each other directly.
         sequences = [[m.id for m in ab.deliver_sequence()]
@@ -88,7 +88,7 @@ class TestUniformAlternativeRule:
                 cluster.sim.schedule(0.5 + 0.05 * j, cluster.submit,
                                      sender, ("m", sender, j))
         cluster.run(until=20.0)
-        cluster.settle(limit=120.0)
+        cluster.settle(within=100.0)
         sequences = [[m.id for m in ab.deliver_sequence()]
                      for ab in cluster.abcasts.values()]
         assert sequences[0] == sequences[1]

@@ -48,7 +48,7 @@ def tap_state(cluster):
 
 
 def finish(cluster, limit=300.0):
-    assert cluster.settle(limit=cluster.sim.now + limit)
+    assert cluster.settle(within=limit)
     return verify_run(cluster)
 
 

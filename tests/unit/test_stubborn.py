@@ -386,7 +386,7 @@ class TestClusterIntegration:
         for k in range(5):
             cluster.submit(k % 3, f"p{k}")
             cluster.run(until=cluster.sim.now + 0.5)
-        assert cluster.settle(limit=120)
+        assert cluster.settle(within=117.5)
         metrics = cluster.metrics()
         assert metrics.stubborn is not None
         assert metrics.stubborn["data_sent"] > 0
