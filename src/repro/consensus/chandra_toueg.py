@@ -13,10 +13,14 @@ by process ``r mod n``:
 2. the coordinator gathers a majority, adopts the estimate with the
    highest timestamp and multicasts it as the round's proposal;
 3. each process either adopts the proposal (ack) or, if its failure
-   detector suspects the coordinator, moves on (nack);
-4. a coordinator that gathers a majority of acks decides and disseminates
-   the decision with an eager reliable broadcast (re-multisend on first
-   receipt).
+   detector suspects the coordinator, moves on (nack) — the coordinator
+   is watched for the round, whatever the Ω prefix says, and beats;
+4. the coordinator waits for replies from a majority; if a majority
+   acked it decides and disseminates the decision with an eager
+   reliable broadcast (re-multisend on first receipt), else it moves on
+   to the next round, as in [3] (waiting instead for a majority of one
+   kind deadlocks once a single wrong suspicion leaves the up processes
+   split between ack and nack).
 
 Assumptions (inherited from [3]): crash-stop faults, ``f < n/2``, and
 reliable channels — run it on a loss-free network.  Nothing is written to
@@ -25,7 +29,8 @@ stable storage: in the crash-stop model, crashed processes never return.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from repro.consensus.base import ConsensusService
 from repro.fdetect.heartbeat import HeartbeatDetector
@@ -222,6 +227,15 @@ class ChandraTouegConsensus(ConsensusService):
         self._drivers.add(k)
         self.node.spawn(self._drive(k), f"ct-{k}")
 
+    @contextmanager
+    def _watching(self, peer: int) -> Iterator[None]:
+        """Watch ``peer`` for a block — also one a crash cuts short."""
+        self.detector.watch(peer)
+        try:
+            yield
+        finally:
+            self.detector.unwatch(peer)
+
     def _drive(self, k: int):
         assert self.node is not None
         peers = self.endpoint.peers()
@@ -233,52 +247,61 @@ class ChandraTouegConsensus(ConsensusService):
         round_no = 0
         while self.decided_value(k) is None:
             coordinator = peers[round_no % n]
-            # Phase 1: send the current estimate to the coordinator.
-            self.endpoint.send(coordinator,
-                               CTEstimate(k, round_no, estimate, ts))
-            # Phase 2 (coordinator only): gather a majority of estimates
-            # and multicast the freshest one.
-            if coordinator == me:
-                while (len(state.estimates.get(round_no, {})) < self._quorum()
+            # Participants wait on the coordinator in phase 3, so it is
+            # watched for the whole round — whatever Ω trusts — and the
+            # coordinator, watching itself, beats meanwhile.
+            with self._watching(coordinator):
+                # Phase 1: send the current estimate to the coordinator.
+                self.endpoint.send(coordinator,
+                                   CTEstimate(k, round_no, estimate, ts))
+                # Phase 2 (coordinator only): gather a majority of
+                # estimates and multicast the freshest one.
+                if coordinator == me:
+                    while (len(state.estimates.get(round_no, {}))
+                           < self._quorum()
+                           and self.decided_value(k) is None):
+                        yield state.signal.wait()
+                    if self.decided_value(k) is not None:
+                        break
+                    freshest = max(state.estimates[round_no].values(),
+                                   key=lambda pair: pair[1])
+                    # Record locally before multisending: the loopback copy
+                    # is asynchronous and the coordinator adopts its own
+                    # proposal.
+                    state.proposals[round_no] = freshest[0]
+                    self.endpoint.multisend(
+                        CTPropose(k, round_no, freshest[0]))
+                # Phase 3: adopt the proposal or give up on the coordinator.
+                while (round_no not in state.proposals
+                       and not self.detector.is_suspected(coordinator)
+                       and coordinator != me
                        and self.decided_value(k) is None):
-                    yield state.signal.wait()
+                    yield AnyOf([state.signal.wait(),
+                                 self.detector.changed.wait()])
                 if self.decided_value(k) is not None:
                     break
-                freshest = max(state.estimates[round_no].values(),
-                               key=lambda pair: pair[1])
-                # Record locally before multisending: the loopback copy is
-                # asynchronous and the coordinator adopts its own proposal.
-                state.proposals[round_no] = freshest[0]
-                self.endpoint.multisend(CTPropose(k, round_no, freshest[0]))
-            # Phase 3: adopt the proposal or give up on the coordinator.
-            while (round_no not in state.proposals
-                   and not self.detector.is_suspected(coordinator)
-                   and coordinator != me
-                   and self.decided_value(k) is None):
-                yield AnyOf([state.signal.wait(),
-                             self.detector.changed.wait()])
-            if self.decided_value(k) is not None:
-                break
-            if round_no in state.proposals:
-                estimate = state.proposals[round_no]
-                ts = round_no + 1
-                self.endpoint.send(coordinator, CTAck(k, round_no))
-            else:
-                self.endpoint.send(coordinator, CTNack(k, round_no))
-            # Phase 4 (coordinator only): majority of acks ⇒ decide.
-            if coordinator == me:
-                while (len(state.acks.get(round_no, set())) < self._quorum()
-                       and len(state.nacks.get(round_no, set()))
-                       < self._quorum()
-                       and self.decided_value(k) is None):
-                    yield state.signal.wait()
-                if self.decided_value(k) is not None:
-                    break
-                if len(state.acks.get(round_no, set())) >= self._quorum():
-                    decision = state.proposals[round_no]
-                    self._record_decision(k, decision)
-                    self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: decisions are volatile by design
-                        CTDecide(k, decision))
-                    break
+                if round_no in state.proposals:
+                    estimate = state.proposals[round_no]
+                    ts = round_no + 1
+                    self.endpoint.send(coordinator, CTAck(k, round_no))
+                else:
+                    self.endpoint.send(coordinator, CTNack(k, round_no))
+                # Phase 4 (coordinator only): wait for a majority of
+                # replies; decide if a majority acked, else move on.
+                if coordinator == me:
+                    while (len(state.acks.get(round_no, set()))
+                           + len(state.nacks.get(round_no, set()))
+                           < self._quorum()
+                           and self.decided_value(k) is None):
+                        yield state.signal.wait()
+                    if self.decided_value(k) is not None:
+                        break
+                    if (len(state.acks.get(round_no, set()))
+                            >= self._quorum()):
+                        decision = state.proposals[round_no]
+                        self._record_decision(k, decision)
+                        self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: decisions are volatile by design
+                            CTDecide(k, decision))
+                        break
             round_no += 1
         self._drivers.discard(k)

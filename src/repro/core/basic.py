@@ -5,11 +5,12 @@ One consensus-driven ordering loop per process, in consecutive rounds:
 * round ``k`` proposes the node's ``Unordered`` set to the ``k``-th
   consensus instance and moves the decided batch to the ``Agreed`` queue
   (deterministically ordered, duplicates eliminated);
-* a **gossip task** periodically sends every peer ``k`` plus the
-  payloads that peer is not known to hold, and a rotating ``⌈log₂ n⌉``
-  of them the digest of Unordered — it both disseminates data messages
-  (no reliable multicast needed over the fair-loss channel) and lets
-  lagging processes discover how far behind they are (``gossip-k``).
+* a **gossip task** periodically sends a peer the payloads that peer
+  is not known to hold, the ids it should send us, and — to a rotating
+  ``⌈log₂ n⌉`` of them — the digest of Unordered, with ``k`` on every
+  gossip sent; it both disseminates data messages (no reliable
+  multicast needed over the fair-loss channel) and lets lagging
+  processes discover how far behind they are (``gossip-k``).
   Each payload crosses each link once: its originator pushes it once,
   and again only when a later digest from the peer still lacks it;
   anyone else who lacks it pulls it by id (DESIGN.md, substitutions);
@@ -307,10 +308,14 @@ class BasicAtomicBroadcast(NodeComponent):
             yield self.gossip_interval
 
     def _gossip_once(self) -> None:
-        """One tick: ``gossip(k, payloads, ckpt_k, known, want)`` per peer.
+        """One tick: ``gossip(k, payloads, ckpt_k, known, want)`` to each
+        peer it has something to say to.
 
-        Every peer gets one, every tick: it carries the round (the lag
-        signal) and is the link's liveness.  What differs per peer:
+        A gossip goes to a peer only when it carries payloads, a
+        ``want`` or a digest due to that peer; ``k`` and ``ckpt_k``
+        ride on every one sent, and the digest rotation reaches every
+        peer within ``⌈(n−1)/f⌉`` ticks, so the lag signal needs no
+        per-tick message.  What differs per peer:
 
         * ``payloads`` — a message this node originated goes to a peer
           the first time that peer's view does not list it, and again
@@ -361,6 +366,8 @@ class BasicAtomicBroadcast(NodeComponent):
                                  if mid not in unordered
                                  and mid not in self.agreed)
             digest = peer in digest_to
+            if not (push or want or digest):
+                continue    # nothing to say: the link stays quiet
             key = (frozenset(push), want, digest)
             message = built.get(key)
             if message is None:

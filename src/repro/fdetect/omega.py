@@ -2,11 +2,15 @@
 
 Ω is the weakest failure detector for consensus: it eventually outputs the
 same good process at every good process.  We derive it the classic way —
-trust the lowest-id peer that is not currently suspected.  Once the
-heartbeat detector stops making mistakes about good processes (its
+trust the lowest-id peer that is not currently suspected.  The detector
+watches exactly the ids that rule reads (its :meth:`candidates
+<repro.fdetect.heartbeat.HeartbeatDetector.candidates>`: the lower ids up
+to the first unsuspected one), so "candidate" is defined there once.
+Once the detector stops making mistakes about the eventual leader (its
 timeouts have adapted), every up process trusts the same lowest-id good
 process forever, which is exactly the stability window the consensus
-layer needs to terminate.
+layer needs to terminate — and it needs timely links only from that
+leader (Aguilera, Delporte-Gallet, Fauconnier & Toueg, PODC 2004).
 """
 
 from __future__ import annotations
@@ -37,12 +41,10 @@ class OmegaOracle(NodeComponent):
     def leader(self) -> int:
         """The currently trusted leader (lowest unsuspected id)."""
         assert self.node is not None
-        suspects = self.detector.suspects()
-        candidates = [peer for peer in self.detector.endpoint.peers()
-                      if peer not in suspects]
-        if not candidates:  # everyone suspected: fall back to self
-            return self.node.node_id
-        return min(candidates)
+        candidates = self.detector.candidates()
+        if candidates and not self.detector.is_suspected(candidates[-1]):
+            return candidates[-1]
+        return self.node.node_id    # every lower id suspected
 
     def is_leader(self) -> bool:
         """True if this node currently trusts itself."""

@@ -172,8 +172,7 @@ def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
     else:
         detector = node.add_component(HeartbeatDetector(
             endpoint, period=config.fd_period,
-            initial_timeout=config.fd_timeout,
-            durable_epoch=config.protocol != "ct"))
+            initial_timeout=config.fd_timeout))
         if config.protocol == "ct":
             consensus = node.add_component(
                 ChandraTouegConsensus(endpoint, detector))

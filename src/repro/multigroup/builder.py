@@ -71,8 +71,6 @@ class MultiGroupCluster:
                 continue
             scoped = ScopedEndpoint(endpoint, group, members)
             detector = node.add_component(HeartbeatDetector(scoped))
-            # Namespace the FD epoch key too: one epoch per group stack.
-            detector.EPOCH_KEY = (f"fd@{group}", "epoch")
             omega = node.add_component(OmegaOracle(detector))
             consensus = node.add_component(PaxosConsensus(
                 scoped, omega, namespace=group))

@@ -25,11 +25,17 @@ component holding the volatile sender state:
   free window slots — a backlog overflow drops the newest envelope and
   counts it, degrading to ordinary channel loss, which every protocol
   above already tolerates by design;
-* while the local failure detector suspects a peer, retransmission to it
-  drops to a slow poll (``suspend_interval``) instead of hammering a
-  crashed process — and resumes full speed once the peer is
-  rehabilitated (the fairness requirement: suspicion of a good process
-  is eventually refuted, so nothing is retried only finitely often);
+* a peer that stops acknowledging is judged on this layer's own
+  evidence, not a failure detector's: once the oldest envelope pending
+  towards it has backed off to ``max_interval`` with no ack from the
+  peer since, only that envelope keeps retransmitting, once per
+  ``max_interval``, and every other retry waits a poll period at a time;
+  any ack from the peer resumes them all at their next slot.  A crashed
+  peer is polled, not hammered, and a good one is never retried only
+  finitely often (the fairness requirement): the oldest envelope never
+  stops, and every ack it earns lets the rest through.  This is the
+  precedent of YACA's holdback check — suspect only a peer that left
+  your own traffic unacknowledged;
 * a crash of the sending node loses all of this state, exactly as the
   crash-recovery model demands of volatile memory — stubbornness is a
   per-incarnation promise.
@@ -54,6 +60,7 @@ a live sender's timer retransmits one), and its send clock is stamped by
 the inner medium, so what sits in a backlog here has not been said.  The
 explicit heartbeat still bypasses the layer (``bypass_types``): it is
 stale once the next is due, so retransmitting it would buy nothing.
+Nothing here reads the detector.
 """
 
 from __future__ import annotations
@@ -151,10 +158,6 @@ class StubbornConfig:
         Relative jitter applied to every backoff draw (from the seeded
         stream the channel was given), so retransmissions from many
         senders do not synchronise into bursts.
-    suspend_interval:
-        Retransmission period towards a peer the local failure detector
-        currently suspects (a slow keep-alive poll, never zero — the
-        channel must stay stubborn for fairness).
     bypass_types:
         Message type tags sent on the raw medium, unwrapped and
         unacknowledged.  Defaults to the failure-detector heartbeat.
@@ -176,7 +179,6 @@ class StubbornConfig:
                  base_interval: float = 0.2,
                  max_interval: float = 2.0,
                  jitter: float = 0.1,
-                 suspend_interval: float = 2.0,
                  bypass_types: Tuple[str, ...] = ("fd.alive",),
                  max_backlog: Optional[int] = 1024,
                  coalesce: bool = False,
@@ -191,8 +193,6 @@ class StubbornConfig:
                 f"bad backoff bounds [{base_interval}, {max_interval}]")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        if suspend_interval <= 0:
-            raise ValueError("suspend_interval must be positive")
         if flush_delay < 0:
             raise ValueError(f"negative flush_delay {flush_delay}")
         if max_batch < 1:
@@ -201,7 +201,6 @@ class StubbornConfig:
         self.base_interval = base_interval
         self.max_interval = max_interval
         self.jitter = jitter
-        self.suspend_interval = suspend_interval
         self.bypass_types: FrozenSet[str] = frozenset(bypass_types)
         self.max_backlog = max_backlog
         self.coalesce = coalesce
@@ -213,7 +212,7 @@ class StubbornMetrics:
     """Retransmission counters, per channel (shared across nodes)."""
 
     __slots__ = ("data_sent", "retransmissions", "acks_sent",
-                 "acks_received", "queued", "suspended_skips",
+                 "acks_received", "queued",
                  "backlog_overflows", "backlog_high_water",
                  "batches_sent", "batched_entries", "piggybacked_acks")
 
@@ -223,7 +222,6 @@ class StubbornMetrics:
         self.acks_sent = 0
         self.acks_received = 0
         self.queued = 0
-        self.suspended_skips = 0
         self.backlog_overflows = 0
         self.backlog_high_water = 0
         # Coalescing counters (zero with coalesce off).
@@ -239,7 +237,6 @@ class StubbornMetrics:
             "acks_sent": self.acks_sent,
             "acks_received": self.acks_received,
             "queued": self.queued,
-            "suspended_skips": self.suspended_skips,
             "backlog_overflows": self.backlog_overflows,
             "backlog_high_water": self.backlog_high_water,
             "batches_sent": self.batches_sent,
@@ -264,24 +261,29 @@ class _Flight:
 
 
 class _PeerState:
-    """Volatile per-destination sender state."""
+    """Volatile per-destination sender state.
 
-    __slots__ = ("next_seq", "pending", "backlog")
+    ``pending`` is in sequence order, so its first flight is the oldest.
+    ``answered`` records an ack from the peer since the oldest flight's
+    last try; ``polling`` is set when that flight retries at the backoff
+    cap without one, and cleared by the next ack.
+    """
+
+    __slots__ = ("next_seq", "pending", "backlog", "answered", "polling")
 
     def __init__(self) -> None:
         self.next_seq = 0
         self.pending: Dict[int, _Flight] = {}
         self.backlog: Deque[StubbornData] = deque()
+        self.answered = False
+        self.polling = False
 
 
 class StubbornLink(NodeComponent):
     """Per-node half of the stubborn channel (volatile sender state).
 
     Installed automatically when a node registers with a
-    :class:`StubbornChannel`; protocol code never sees it.  The
-    suspension hook is resolved structurally at start time: the first
-    sibling component exposing ``is_suspected`` (the heartbeat detector)
-    gates retransmission pacing.
+    :class:`StubbornChannel`; protocol code never sees it.
     """
 
     name = "stubborn-link"
@@ -290,7 +292,6 @@ class StubbornLink(NodeComponent):
         super().__init__()
         self.channel = channel
         self._peers: Dict[int, _PeerState] = {}
-        self._suspicion: Optional[Any] = None
         # Coalescing state (volatile, like everything else here):
         # envelopes awaiting their first transmission, acks owed per
         # peer, and the per-peer flush timer.
@@ -306,11 +307,6 @@ class StubbornLink(NodeComponent):
         node.register_handler(StubbornData.type, self._on_data)
         node.register_handler(StubbornAck.type, self._on_ack)
         node.register_handler(StubbornBatch.type, self._on_batch)
-        self._suspicion = None
-        for component in node.components:
-            if component is not self and hasattr(component, "is_suspected"):
-                self._suspicion = component
-                break
 
     def on_crash(self) -> None:
         """Sender state is volatile: stubbornness is per-incarnation."""
@@ -459,14 +455,21 @@ class StubbornLink(NodeComponent):
         state = self._peers.get(dst)
         if state is None or state.pending.get(flight.envelope.seq) is not flight:
             return  # acknowledged (or state reset) in the meantime
-        if self._suspicion is not None and self._suspicion.is_suspected(dst):
-            # Slow poll while the peer looks dead; a wrong suspicion is
-            # eventually refuted, restoring full retransmission speed.
-            self.channel.metrics.suspended_skips += 1
-            flight.timer = node.sim.schedule(
-                self.channel.config.suspend_interval, self._retry, dst,
-                flight)
+        config = self.channel.config
+        oldest = next(iter(state.pending.values())) is flight
+        if state.polling and not oldest:
+            # The peer is polled with the oldest envelope alone; this
+            # one waits a poll period at a time until an ack comes.
+            flight.timer = node.sim.schedule(config.max_interval,
+                                             self._retry, dst, flight)
             return
+        if oldest:
+            if not state.answered and config.base_interval \
+                    * (2 ** flight.attempts) >= config.max_interval:
+                # The oldest envelope is at the backoff cap and the peer
+                # acked nothing since its last try: poll with it alone.
+                state.polling = True
+            state.answered = False
         self._transmit(dst, flight)
 
     # -- receiving -----------------------------------------------------------
@@ -499,6 +502,9 @@ class StubbornLink(NodeComponent):
         state = self._peers.get(sender)
         if state is None:
             return
+        # The peer answers: every flight resumes at its next slot.
+        state.answered = True
+        state.polling = False
         flight = state.pending.pop(seq, None)
         if flight is None:
             return  # duplicate ack

@@ -12,6 +12,7 @@ from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
+from tests.conftest import tap
 
 
 class CTCluster:
@@ -25,8 +26,7 @@ class CTCluster:
         for i in range(n):
             node = Node(self.sim, i, MemoryStorage())
             endpoint = node.add_component(Endpoint(self.network))
-            detector = node.add_component(HeartbeatDetector(
-                endpoint, durable_epoch=False))
+            detector = node.add_component(HeartbeatDetector(endpoint))
             consensus = node.add_component(
                 ChandraTouegConsensus(endpoint, detector))
             self.network.register(node)
@@ -82,6 +82,33 @@ class TestChandraToueg:
         v1 = cluster.consensuses[1].decided_value(0)
         v2 = cluster.consensuses[2].decided_value(0)
         assert v1 is not None and v1 == v2
+
+    def test_a_crashed_coordinator_above_the_leader_is_suspected(self):
+        # Node 4 goes through rounds 0-2 alone while every beat is lost
+        # (so it suspects 0, 1 and 2 in turn) and reaches round 3, whose
+        # coordinator 3 is down.  Then beats flow: it trusts node 0
+        # again, and Ω alone would stop watching 3.  Nodes 0 and 1 join
+        # late and must get past crashed coordinators 2 and 3 as well;
+        # the decision needs all three, in round 4.
+        cluster = CTCluster(n=5, seed=1)
+        sim = cluster.sim
+        tap(cluster.network, drop=lambda src, dst, message:
+            message.type == "fd.alive" and sim.now < 6.5)
+        cluster.start()
+        cluster.run(until=0.5)
+        cluster.nodes[2].crash()
+        cluster.nodes[3].crash()
+        cluster.consensuses[4].propose(0, frozenset({"v4"}))
+        cluster.run(until=7.0)
+        assert cluster.detectors[4].candidates() == [0]     # 0 trusted
+        assert cluster.detectors[4].is_suspected(3) is False
+        assert 3 in cluster.detectors[4]._last_heard        # still watched
+        for i in (0, 1):
+            sim.schedule(3.0, cluster.consensuses[i].propose, 0,
+                         frozenset({f"v{i}"}))
+        cluster.run(until=40.0)
+        values = [cluster.consensuses[i].decided_value(0) for i in (0, 1, 4)]
+        assert values == [frozenset({"v4"})] * 3
 
     def test_no_stable_storage_writes(self):
         cluster = CTCluster(n=3).start()

@@ -1,10 +1,14 @@
 """The gossip task says each thing once: a payload crosses each link once
-unless a later digest shows it lost, and the digest goes to a rotating
-``⌈log₂ n⌉`` peers a tick while every peer still gets one gossip."""
+unless a later digest shows it lost, the digest goes to a rotating
+``⌈log₂ n⌉`` peers a tick, and a peer gets a gossip only when it carries
+a push, a ``want`` or its turn of the digest."""
 
 from __future__ import annotations
 
+import math
+
 from repro.core.messages import GossipMessage
+from repro.fdetect.heartbeat import Heartbeat, HeartbeatDetector
 from repro.harness.cluster import Cluster, ClusterConfig
 from tests.conftest import tap
 
@@ -73,6 +77,86 @@ class TestDigestRotation:
         cluster.run(until=2.0)
         assert all(message.known is not None
                    for *_, message in gossips(seen))
+
+
+class TestQuietGossip:
+    def test_a_gossip_carries_a_push_a_want_or_a_due_digest(self):
+        # n = 9: the digest goes to f = 4 of 8 peers a tick, and a gossip
+        # goes nowhere else unless it pushes or pulls something.
+        n, fanout = 9, 4
+        cluster = Cluster(ClusterConfig(n=n, seed=4))
+        seen = tap(cluster.network)
+        cluster.start()
+        for j in range(20):
+            cluster.sim.schedule(0.5 + 0.3 * j, cluster.submit, j % n, j)
+        cluster.run(until=10.0)
+        interval = cluster.config.gossip_interval
+        digests, sent = {}, 0
+        for when, src, dst, message in gossips(seen):
+            sent += 1
+            assert message.payloads or message.want \
+                or message.known is not None
+            if message.known is not None:
+                tick = round(when / interval)
+                digests.setdefault((src, tick), set()).add(dst)
+        # Every peer hears each node's digest within ⌈(n−1)/f⌉ = 2 ticks.
+        window = math.ceil((n - 1) / fanout)
+        for src in range(n):
+            peers = set(range(n)) - {src}
+            for tick in range(41 - window + 1):
+                heard = set().union(*(digests[(src, tick + i)]
+                                      for i in range(window)))
+                assert heard == peers
+        assert sent < 41 * n * (n - 1) * 2 // 3   # most links stay quiet
+        # A quiet link is the leader's to fill; nobody else beats.
+        assert {src for _, src, _, message in seen
+                if message.type == Heartbeat.type} == {0}
+        for node in cluster.nodes.values():
+            assert node.get_component(HeartbeatDetector).suspects() == set()
+
+    def test_a_dropped_decide_is_pulled_within_a_rotation_and_a_tick(self):
+        n, fanout = 9, 4
+        cluster = build(n, seed=31)
+        dropped = []
+
+        def decide_to_5(src, dst, message):
+            if (dst, message.type) == (5, "paxos.decide") \
+                    and message.k == 0 and not dropped:
+                dropped.append(cluster.sim.now)
+                return True
+            return False
+
+        tap(cluster.network, drop=decide_to_5)
+        cluster.submit(2, "m")
+        consensus = cluster.consensuses[5]
+        while consensus.decided_value(0) is None:
+            cluster.run(until=cluster.sim.now + 0.01)
+        assert dropped
+        interval = cluster.config.gossip_interval
+        max_delay = cluster.config.network.max_delay
+        ticks = math.ceil((n - 1) / fanout) + 1
+        # Gossip k, then the query and its answer, each a link delay.
+        assert cluster.sim.now - dropped[0] \
+            <= ticks * interval + 3 * max_delay + 0.01
+        cluster.run(until=cluster.sim.now + 2.0)
+        assert delivered_everywhere(cluster, "m")
+
+
+class TestBudget:
+    def test_n25_costs_at_most_45_messages_per_delivery(self):
+        n = 25
+        cluster = Cluster(ClusterConfig(n=n, seed=11))
+        seen = tap(cluster.network)
+        cluster.start()
+        for j in range(400):                # 50 msg/s over t = 1 … 9
+            cluster.sim.schedule(1.0 + 0.02 * j, cluster.submit, j % n, j)
+        cluster.run(until=10.0)
+        delivered = len(cluster.collector.first_delivery)
+        assert delivered >= 390
+        assert len(seen) / delivered <= 45
+        assert [src for when, src, _, message in seen
+                if message.type == Heartbeat.type and when > 1.0
+                and src != 0] == []
 
 
 class TestPushOnEvidence:

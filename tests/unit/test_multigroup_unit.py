@@ -14,6 +14,7 @@ from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 from repro.transport.scoped import ScopedEndpoint, ScopedMessage
+from tests.conftest import tap
 
 
 def build(groups=None, seed=0):
@@ -136,10 +137,12 @@ class TestSharedLinkLiveness:
                 if isinstance(component, HeartbeatDetector)]
 
     def test_two_groups_on_one_link_emit_one_beat_stream(self):
-        # Two scoped detectors per node and nothing else, so the links
-        # carry explicit beats only.
+        # Two scoped detectors per node and nothing else, so the link
+        # carries explicit beats only.  Node 0 leads both groups, so it
+        # beats for both; node 1 follows in both and never beats.
         sim = Simulator()
         network = Network(sim, random.Random(0), NetworkConfig())
+        seen = tap(network)
         detectors = {}
         for node_id in (0, 1):
             node = Node(sim, node_id, MemoryStorage())
@@ -147,37 +150,35 @@ class TestSharedLinkLiveness:
             for group in ("g1", "g2"):
                 detector = node.add_component(HeartbeatDetector(
                     ScopedEndpoint(endpoint, group, (0, 1))))
-                detector.EPOCH_KEY = (f"fd@{group}", "epoch")
                 detectors[node_id, group] = detector
             network.register(node)
         for node in network.nodes.values():
             node.start()
         sim.run(until=10.0)
         period = detectors[0, "g1"].period
-        sent = network.metrics.by_type
-        beats = sent.get("g1::fd.alive", 0) + sent.get("g2::fd.alive", 0)
-        # One stream per direction — per (node, group) would be twice it.
-        assert beats == pytest.approx(2 * 10.0 / period, abs=2)
+        beats = [src for _, src, _, message in seen
+                 if message.type.endswith("::" + Heartbeat.type)]
+        # One stream from the leader — per (node, group) would be twice
+        # it, and all-links monitoring twice again.
+        assert set(beats) == {0}
+        assert len(beats) == pytest.approx(10.0 / period, abs=2)
         assert all(d.suspects() == set() for d in detectors.values())
 
     def test_every_stack_hears_the_other_groups_traffic(self):
         cluster = build(self.GROUPS)
         cluster.run(until=3.0)
-        g1, g2 = self.detectors(cluster, 0)
+        g1, g2 = self.detectors(cluster, 1)     # both watch leader 0
         for detector in (g1, g2):
-            detector._suspects.add(1)
-        # One g1 message from node 1 clears both stacks' suspicion; only
-        # g1's stack reads what it says — g2's own beat was never
-        # needed on this link, so g2 has been told no epoch at all.
-        assert cluster.nodes[0].deliver(
-            ScopedMessage("g1", Heartbeat(9)), 1)
+            detector._suspects.add(0)
+        # One g1 message from node 0 clears both stacks' suspicion.
+        assert cluster.nodes[1].deliver(
+            ScopedMessage("g1", Heartbeat()), 0)
         assert g1.suspects() == g2.suspects() == set()
-        assert g1.timeout_for(1) > g1.initial_timeout
-        assert g2.timeout_for(1) > g2.initial_timeout
-        assert (g1.epoch_of(1), g2.epoch_of(1)) == (9, 0)
-        # Node 3 is g2's peer only: g1's detector does not monitor it.
-        assert cluster.nodes[0].deliver(
-            ScopedMessage("g2", Heartbeat(1)), 3)
+        assert g1.timeout_for(0) > g1.initial_timeout
+        assert g2.timeout_for(0) > g2.initial_timeout
+        # Node 3 is g2's peer only: g1's detector cannot watch it.
+        g1.watch(3)
+        g2.watch(3)
         assert 3 not in g1._last_heard and 3 in g2._last_heard
 
     def test_listeners_come_back_with_the_node(self):

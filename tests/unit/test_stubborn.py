@@ -8,7 +8,7 @@ import pytest
 
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.runtime import Node, NodeComponent, Simulator
+from repro.runtime import Node, Simulator
 from repro.runtime import wire
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
@@ -28,10 +28,7 @@ class Note(WireMessage):
 
 class Beat(WireMessage):
     type = "fd.alive"  # same tag as the real heartbeat: must bypass
-    fields = ("epoch",)
-
-    def __init__(self, epoch):
-        self.epoch = epoch
+    fields = ()
 
 
 class LossyMedium:
@@ -43,6 +40,7 @@ class LossyMedium:
         self.drop_first = drop_first
         self.dropped = {}
         self.sent_types = []
+        self.sent = []
         self.blackhole = False
         self._nodes = {}
 
@@ -54,6 +52,7 @@ class LossyMedium:
 
     def send(self, src, dst, message):
         self.sent_types.append(message.type)
+        self.sent.append((self.sim.now, message))
         if self.blackhole:
             return
         if message.type == StubbornData.type:
@@ -70,35 +69,20 @@ class LossyMedium:
             self.send(src, dst, message)
 
 
-class Suspicion(NodeComponent):
-    """Stub failure detector exposing the suspension hook."""
-
-    name = "suspicion-stub"
-
-    def __init__(self):
-        super().__init__()
-        self.suspected = set()
-
-    def is_suspected(self, peer):
-        return peer in self.suspected
-
-
-def build_pair(sim, drop_first=0, config=None, with_suspicion=False):
+def build_pair(sim, drop_first=0, config=None):
     inner = LossyMedium(sim, drop_first=drop_first)
     channel = StubbornChannel(sim, inner, config or StubbornConfig(),
                               rng=random.Random(7))
-    nodes, got, suspicions = {}, [], {}
+    nodes, got = {}, []
     for i in (0, 1):
         node = Node(sim, i, MemoryStorage())
-        if with_suspicion:
-            suspicions[i] = node.add_component(Suspicion())
         channel.register(node)
         node.register_handler(Note.type,
                               lambda m, s, i=i: got.append((i, s, m.text)))
         nodes[i] = node
     for node in nodes.values():
         node.start()
-    return inner, channel, nodes, got, suspicions
+    return inner, channel, nodes, got
 
 
 class TestEnvelope:
@@ -121,7 +105,7 @@ class TestEnvelope:
 
 class TestRetransmission:
     def test_delivers_through_repeated_loss(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim, drop_first=3)
+        inner, channel, nodes, got = build_pair(sim, drop_first=3)
         channel.send(0, 1, Note("hello"))
         sim.run(until=30)
         assert got == [(1, 0, "hello")]
@@ -131,7 +115,7 @@ class TestRetransmission:
         assert channel.link(0).in_flight(1) == 0
 
     def test_lossless_path_sends_once(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim)
+        inner, channel, nodes, got = build_pair(sim)
         channel.send(0, 1, Note("one"))
         sim.run(until=0.1)
         assert got == [(1, 0, "one")]
@@ -141,7 +125,7 @@ class TestRetransmission:
         assert channel.metrics.retransmissions == 0
 
     def test_duplicate_ack_is_harmless(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim)
+        inner, channel, nodes, got = build_pair(sim)
         channel.send(0, 1, Note("x"))
         sim.run(until=0.1)
         from repro.transport.stubborn import StubbornAck
@@ -150,7 +134,7 @@ class TestRetransmission:
         assert got == [(1, 0, "x")]
 
     def test_multisend_wraps_every_leg(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim)
+        inner, channel, nodes, got = build_pair(sim)
         channel.multisend(0, Note("all"))
         sim.run(until=0.5)
         assert sorted(got) == [(0, 0, "all"), (1, 0, "all")]
@@ -159,7 +143,7 @@ class TestRetransmission:
 class TestWindow:
     def test_backlog_beyond_window(self, sim):
         config = StubbornConfig(window=2)
-        inner, channel, nodes, got, _ = build_pair(sim, config=config)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         inner.blackhole = True
         for k in range(5):
             channel.send(0, 1, Note(f"m{k}"))
@@ -178,7 +162,7 @@ class TestWindow:
 class TestBacklogBound:
     def test_backlog_overflow_drops_newest_and_counts(self, sim):
         config = StubbornConfig(window=2, max_backlog=3)
-        inner, channel, nodes, got, _ = build_pair(sim, config=config)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         inner.blackhole = True
         for k in range(10):
             channel.send(0, 1, Note(f"m{k}"))
@@ -199,7 +183,7 @@ class TestBacklogBound:
 
     def test_high_water_never_exceeds_bound(self, sim):
         config = StubbornConfig(window=1, max_backlog=2)
-        inner, channel, nodes, got, _ = build_pair(sim, config=config)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         inner.blackhole = True
         for wave in range(4):
             for k in range(6):
@@ -209,7 +193,7 @@ class TestBacklogBound:
 
     def test_unbounded_mode_preserves_legacy_behaviour(self, sim):
         config = StubbornConfig(window=2, max_backlog=None)
-        inner, channel, nodes, got, _ = build_pair(sim, config=config)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         inner.blackhole = True
         for k in range(50):
             channel.send(0, 1, Note(f"m{k}"))
@@ -222,14 +206,14 @@ class TestBacklogBound:
 
 class TestBypassAndLoopback:
     def test_heartbeats_bypass_the_layer(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim)
-        channel.send(0, 1, Beat(epoch=2))
+        inner, channel, nodes, got = build_pair(sim)
+        channel.send(0, 1, Beat())
         assert inner.sent_types == ["fd.alive"]  # raw, not stub.data
         sim.run(until=5)
         assert channel.metrics.data_sent == 0
 
     def test_loopback_bypasses_the_layer(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim)
+        inner, channel, nodes, got = build_pair(sim)
         channel.send(0, 0, Note("self"))
         assert inner.sent_types == [Note.type]
         sim.run(until=1)
@@ -239,7 +223,7 @@ class TestBypassAndLoopback:
 
 class TestCrashVolatility:
     def test_crash_cancels_retransmission(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim)
+        inner, channel, nodes, got = build_pair(sim)
         inner.blackhole = True
         channel.send(0, 1, Note("doomed"))
         sim.run(until=1)
@@ -253,7 +237,7 @@ class TestCrashVolatility:
         assert got == []
 
     def test_recovered_node_sends_fresh_sequences(self, sim):
-        inner, channel, nodes, got, _ = build_pair(sim)
+        inner, channel, nodes, got = build_pair(sim)
         channel.send(0, 1, Note("before"))
         sim.run(until=1)
         nodes[0].crash()
@@ -265,23 +249,56 @@ class TestCrashVolatility:
 
 
 class TestSuspension:
+    """On its own evidence: a peer that stops acknowledging is polled
+    with its oldest envelope alone, once per ``max_interval``; any ack
+    resumes the rest at their next slot.  No failure detector is
+    consulted."""
+
     def test_retries_slow_poll_while_suspected(self, sim):
-        config = StubbornConfig(base_interval=0.1, max_interval=0.2,
-                                jitter=0.0, suspend_interval=5.0)
-        inner, channel, nodes, got, suspicions = build_pair(
-            sim, config=config, with_suspicion=True)
+        config = StubbornConfig(base_interval=0.1, max_interval=0.4,
+                                jitter=0.0)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         inner.blackhole = True
-        suspicions[0].suspected.add(1)
-        channel.send(0, 1, Note("patient"))
-        sim.run(until=12)
-        assert channel.metrics.suspended_skips >= 2
-        # Initial transmit only; every retry slot was a suspended skip.
-        assert inner.sent_types.count(StubbornData.type) == 1
-        # Rehabilitation restores full-speed retransmission and delivery.
-        suspicions[0].suspected.clear()
+        for text in ("a", "b", "c"):
+            channel.send(0, 1, Note(text))
+        sim.run(until=6.05)
+        tries = {}
+        for when, message in inner.sent:
+            tries.setdefault(message.seq, []).append(when)
+        # Backoff 0.1, 0.2, then the cap: from there on only seq 0
+        # retransmits, once per max_interval.
+        assert tries[0][:3] == pytest.approx([0.0, 0.1, 0.3])
+        gaps = [b - a for a, b in zip(tries[0][2:], tries[0][3:])]
+        assert len(gaps) == 14 and all(gap == pytest.approx(0.4)
+                                      for gap in gaps)
+        assert tries[1] == tries[2] == pytest.approx([0.0, 0.1])
+        # The first ack from the peer (to seq 0's try at 6.3) resumes the
+        # others at their next slot, within a poll period.
         inner.blackhole = False
-        sim.run(until=30)
-        assert got == [(1, 0, "patient")]
+        sim.run(until=7.0)
+        assert sorted(text for _, _, text in got) == ["a", "b", "c"]
+        assert channel.link(0).in_flight(1) == 0
+        resumed = [when for when, message in inner.sent
+                   if message.type == StubbornData.type
+                   and message.seq in (1, 2) and when > 6.0]
+        assert len(resumed) == 2
+        assert all(6.3 < when <= 6.3 + 0.4 + 1e-9 for when in resumed)
+
+    def test_an_ack_during_the_poll_resumes_new_sends_too(self, sim):
+        config = StubbornConfig(base_interval=0.1, max_interval=0.4,
+                                jitter=0.0)
+        inner, channel, nodes, got = build_pair(sim, config=config)
+        inner.blackhole = True
+        channel.send(0, 1, Note("old"))
+        sim.run(until=2.0)                  # seq 0 is polling
+        channel.send(0, 1, Note("new"))     # launched once, then waits
+        sim.run(until=3.0)
+        new_tries = [when for when, message in inner.sent
+                     if message.seq == 1]
+        assert new_tries == pytest.approx([2.0])   # its retries wait
+        inner.blackhole = False
+        sim.run(until=4.0)
+        assert sorted(text for _, _, text in got) == ["new", "old"]
 
 
 class TestCoalescing:
@@ -291,7 +308,7 @@ class TestCoalescing:
         return StubbornConfig(**defaults)
 
     def test_same_turn_sends_share_one_batch(self, sim):
-        inner, channel, nodes, got, _ = build_pair(
+        inner, channel, nodes, got = build_pair(
             sim, config=self.coalescing_config())
         for index in range(5):
             channel.send(0, 1, Note(f"m{index}"))
@@ -307,7 +324,7 @@ class TestCoalescing:
 
     def test_max_batch_chunks_large_flushes(self, sim):
         config = self.coalescing_config(max_batch=2, window=64)
-        inner, channel, nodes, got, _ = build_pair(sim, config=config)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         for index in range(6):
             channel.send(0, 1, Note(f"m{index}"))
         sim.run(until=1)
@@ -316,7 +333,7 @@ class TestCoalescing:
         assert inner.sent_types.count(StubbornBatch.type) >= 3
 
     def test_acks_piggyback_on_reverse_traffic(self, sim):
-        inner, channel, nodes, got, _ = build_pair(
+        inner, channel, nodes, got = build_pair(
             sim, config=self.coalescing_config())
         # Replying from the delivery handler puts the reply data and the
         # ack for the received envelope into the same flush.
@@ -328,7 +345,7 @@ class TestCoalescing:
         assert channel.metrics.piggybacked_acks >= 1
 
     def test_retransmissions_stay_per_envelope(self, sim):
-        inner, channel, nodes, got, _ = build_pair(
+        inner, channel, nodes, got = build_pair(
             sim, config=self.coalescing_config(base_interval=0.2))
         inner.blackhole = True
         channel.send(0, 1, Note("stubborn"))
@@ -342,7 +359,7 @@ class TestCoalescing:
 
     def test_crash_clears_pending_batches(self, sim):
         config = self.coalescing_config(flush_delay=0.5)
-        inner, channel, nodes, got, _ = build_pair(sim, config=config)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         channel.send(0, 1, Note("doomed"))
         nodes[0].crash()  # before the delayed flush fires
         sim.run(until=5)
@@ -357,7 +374,7 @@ class TestCoalescing:
 
     def test_flush_delay_defers_the_batch(self, sim):
         config = self.coalescing_config(flush_delay=1.0)
-        inner, channel, nodes, got, _ = build_pair(sim, config=config)
+        inner, channel, nodes, got = build_pair(sim, config=config)
         channel.send(0, 1, Note("later"))
         sim.run(until=0.5)
         assert got == []  # still buffered
@@ -412,15 +429,15 @@ class TestLinkLiveness:
             n=3, seed=2, stubborn=StubbornConfig(coalesce=True)))
         cluster.start()
         cluster.run(until=2.0)
-        detector = cluster.nodes[0].get_component(HeartbeatDetector)
-        base = detector.timeout_for(2)
+        detector = cluster.nodes[2].get_component(HeartbeatDetector)
+        base = detector.timeout_for(0)
         cluster.network.partition(0, 2)
         cluster.run(until=6.0)
-        assert detector.is_suspected(2)
-        # What node 2's retry timer would put on the healed link.
-        assert cluster.nodes[0].deliver(envelope, 2)
-        assert not detector.is_suspected(2)
-        assert detector.timeout_for(2) == base + detector.timeout_increment
+        assert detector.is_suspected(0)     # node 2 watches leader 0
+        # What node 0's retry timer would put on the healed link.
+        assert cluster.nodes[2].deliver(envelope, 0)
+        assert not detector.is_suspected(0)
+        assert detector.timeout_for(0) == base + detector.timeout_increment
 
     def test_a_growing_backlog_is_not_a_beat(self):
         cluster = Cluster(ClusterConfig(
