@@ -13,7 +13,7 @@ interprocedural rules share:
   defines one), resolved to the message class it ships by
   looking at constructor calls in the arguments, locals assigned from a
   constructor earlier in the function, and classmethod factories
-  (``StubbornData.wrap(...)``).  Unresolvable sends (a forwarding layer
+  (``Cls.make(...)``).  Unresolvable sends (a forwarding layer
   shipping an opaque parameter) are kept as *opaque* edges;
 * **handler edges** — every handler registration (same module), with
   the tag argument resolved through
@@ -397,7 +397,7 @@ class _Builder:
             record = self._message_record(module, func.value.id)
             if record is None:
                 return None
-            # ``Cls.wrap(...)`` — only count real factory methods, not
+            # ``Cls.make(...)`` — only count real factory methods, not
             # arbitrary attribute access on the class.
             found = self.table.find_method(record.qualname, func.attr)
             if found is not None:
@@ -428,7 +428,7 @@ class _Builder:
                 sends.append(site)
             self._note_command(node, module, where)
         # Locals assigned from a constructor, for send-site resolution
-        # (``envelope = StubbornData.wrap(...); ... send(..., envelope)``).
+        # (``envelope = StubbornData(...); ... send(..., envelope)``).
         for node in ast.walk(func):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
                     isinstance(node.targets[0], ast.Name) and \

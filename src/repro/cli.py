@@ -144,13 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_arguments(lint)
 
     wirefuzz = commands.add_parser(
-        "wirefuzz", help="seeded fuzz of the wire codec: typed and "
+        "wirefuzz", help="seeded fuzz of the codec: typed and "
                          "tunnelled round-trips for every registered "
-                         "message class plus adversarial datagrams that must fail only "
-                         "with WireCodecError")
+                         "message class, adversarial datagrams that must "
+                         "fail only with WireCodecError, and damaged "
+                         "FileStorage records and journals that must end "
+                         "in a quarantine or a torn-tail stop")
     wirefuzz.add_argument("--iterations", type=int, default=500,
                           help="round-trip iterations (adversarial "
-                               "decodes run 4x this)")
+                               "decodes run 4x this, damaged stores a "
+                               "tenth of it)")
     wirefuzz.add_argument("--seed", type=int, default=0)
 
     commands.add_parser("info", help="list protocols and experiments")

@@ -88,6 +88,7 @@ class AgreedQueue:
         appended: List[AppMessage] = []
         for message in messages:
             if self.tracker.add(message.id):
+                message.release_encoding()
                 self.suffix.append(message)
                 appended.append(message)
         return appended

@@ -31,12 +31,21 @@ class AppMessage:
     Payloads must be immutable (strings, numbers, tuples).
     """
 
-    __slots__ = ("id", "payload", "_size")
+    __slots__ = ("id", "payload", "_size", "_encoded")
 
     def __init__(self, id: MessageId, payload: Any = None):
         self.id = id
         self.payload = payload
         self._size: Any = None
+        # The codec's bytes for this message (see repro.storage.codec):
+        # kept while it is unordered or in flight, so gossip, Accept
+        # and the logs that carry it splice them instead of re-encoding.
+        self._encoded: Any = None
+
+    def release_encoding(self) -> None:
+        """Drop the cached encoding for good: the message is ordered, and
+        whatever still sends or logs it is rare enough to re-encode."""
+        self._encoded = False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AppMessage) and self.id == other.id

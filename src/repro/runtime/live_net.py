@@ -218,14 +218,19 @@ class LiveNetwork:
         if dst not in self.nodes:
             raise SimulationError(f"unknown destination {dst}")
         self.metrics.sent += 1
-        self.metrics.bytes_sent += estimate_size(message)
         self.metrics.by_type[message.type] = \
             self.metrics.by_type.get(message.type, 0) + 1
 
         if src == dst:
-            # Loopback: reliable, in-process, never serialised.
+            # Loopback: reliable, in-process, never serialised, so its
+            # bytes are the size model's estimate.
+            self.metrics.bytes_sent += estimate_size(message)
             self.runtime.call_soon(self._deliver, src, dst, message)
             return
+        # Every other send is charged the frame it encodes to.
+        frame = wire.encode_frame(src, message)
+        self.metrics.bytes_sent += len(frame)
+        self._check_size(message, len(frame))
         # The link's send clock (see Node.last_sent).
         self.nodes[src].last_sent[dst] = self.runtime.now
         if self.loss_rate and self.rng.random() < self.loss_rate:
@@ -235,8 +240,6 @@ class LiveNetwork:
                           and self.rng.random() < self.duplicate_rate)
         if duplicated:
             self.metrics.duplicated += 1
-        frame = wire.encode_frame(src, message)
-        self._check_size(message, len(frame))
         self._enqueue(src, dst, frame)
         if duplicated:
             self._enqueue(src, dst, frame)

@@ -1,34 +1,41 @@
 """UDP wire format for :class:`~repro.transport.message.WireMessage`.
 
 A datagram is one or more length-prefixed binary *frames*, concatenated.
-Each frame is a ``struct``-packed header followed by a compact binary
-payload::
+Each frame is a ``struct``-packed header followed by the message's
+*body*::
 
-    !HBIHI  =  magic 0xAB0B | version 2 | sender | type-id | payload-len
+    !HBIHI  =  magic 0xAB0B | version 3 | sender | type-id | body-len
 
 The type-id is a small integer from a registered table
 (:data:`TYPE_ID_TABLE`, extensible via :func:`register_type_id`); the
-payload is the message's declared fields, in declaration order, each
-encoded by a compact binary value codec (ints as zigzag varints, floats
-as IEEE doubles — so ``nan``/``inf``/``-0.0`` round-trip exactly,
-strings/containers with varint lengths).  Field values of classes
-registered with :mod:`repro.storage.codec` (notably
-:class:`~repro.core.messages.AppMessage`) reuse that registration (tag +
-``to_plain``/``from_plain``) under a binary envelope, so no JSON text
-appears on the hot path.
+body is the message's declared fields, in declaration order, each in
+the binary value codec of :mod:`repro.storage.codec` — the codec
+:class:`~repro.storage.file.FileStorage` writes to disk, so a value a
+node both sends and logs is encoded once (an
+:class:`~repro.core.messages.AppMessage` keeps its bytes).
+
+**Messages are values.**  This module registers :class:`WireMessage`
+with the codec as a *nested frame*, ``M <type-id> <len> <body>``, with
+the body a top-level frame would carry.  A stubborn envelope therefore
+carries the message it protects, not a copy of its fields.  A message's
+``(type-id, body)`` is computed on its first encode and kept on the
+object (``_wire``), so the legs of a multisend, a retransmission and
+every envelope carrying it share one encoding — messages are immutable
+by convention, as their size cache already assumes.
 
 **The JSON tunnel** (type-id 0) is the single path for a message the
 header cannot describe — a class *without* a registered type-id, or a
-sender id outside the header's unsigned 32-bit field.  Its payload is
-one UTF-8 JSON object::
+sender id outside the header's unsigned 32-bit field.  Its body is one
+UTF-8 JSON object::
 
-    {"s": <sender id>, "t": <message type tag>, "f": {<field>: <value>}}
+    {"s": <sender id>, "t": <message type tag>, "f": {<field>: <hex>}}
 
-with field values in the storage layer's tagged-JSON codec, so tuples,
-sets, frozensets and registered classes round-trip exactly.  A tunnel
-frame is a frame like any other: it concatenates with typed frames, and
-a bare JSON object that is *not* inside a frame is rejected like any
-other datagram with an unknown lead byte.
+where each field value is the hex of its binary codec encoding, so
+tuples, sets, frozensets and registered classes round-trip exactly.  A
+nested tunnel body has no ``"s"``.  A tunnel frame is a frame like any
+other: it concatenates with typed frames, and a bare JSON object that
+is *not* inside a frame is rejected like any other datagram with an
+unknown lead byte.
 
 Because frames are length-prefixed they concatenate: the transport packs
 many protocol messages into one datagram (see
@@ -56,7 +63,6 @@ import json
 import struct
 from typing import Any, Dict, List, Optional, Tuple, Type
 
-from repro.errors import ReproError
 from repro.storage import codec
 from repro.transport.message import WireMessage
 
@@ -65,7 +71,7 @@ __all__ = ["encode", "encode_frame", "decode", "decode_datagram", "rebuild",
            "TYPE_ID_TABLE", "MAGIC", "HEADER"]
 
 
-class WireCodecError(ReproError):
+class WireCodecError(codec.CodecError):
     """A datagram could not be encoded or decoded."""
 
 
@@ -110,8 +116,8 @@ class WireConfig:
 
 MAGIC = 0xAB0B
 HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
-_VERSION = 2  # the header's version byte; any other value is rejected
-_JSON_TUNNEL_ID = 0  # payload is one {"s", "t", "f"} JSON object
+_VERSION = 3  # the header's version byte; any other value is rejected
+_JSON_TUNNEL_ID = 0  # body is one {"s", "t", "f"} JSON object
 
 # The registered type-id table.  Ids are frozen: changing an assignment
 # invalidates every recorded byte stream, so new message types get new
@@ -175,206 +181,51 @@ def type_id_for(tag: str) -> Optional[int]:
     return TYPE_ID_TABLE.get(tag)
 
 
-# -- binary value codec -------------------------------------------------------
-
-_DOUBLE = struct.Struct("!d")
-_MAX_DEPTH = 64
-
-
-def _pack_varint(value: int) -> bytes:
-    """Unsigned LEB128."""
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def _pack_value(value: Any, out: bytearray, depth: int = 0) -> None:
-    if depth > _MAX_DEPTH:
-        raise WireCodecError("value nesting too deep to encode")
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
-        out += b"i"
-        out += _pack_varint(value * 2 if value >= 0 else -value * 2 - 1)
-    elif isinstance(value, float):
-        out += b"f"
-        out += _DOUBLE.pack(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"s"
-        out += _pack_varint(len(raw))
-        out += raw
-    elif isinstance(value, bytes):
-        out += b"y"
-        out += _pack_varint(len(value))
-        out += value
-    elif isinstance(value, tuple):
-        out += b"t"
-        out += _pack_varint(len(value))
-        for item in value:
-            _pack_value(item, out, depth + 1)
-    elif isinstance(value, list):
-        out += b"l"
-        out += _pack_varint(len(value))
-        for item in value:
-            _pack_value(item, out, depth + 1)
-    elif isinstance(value, (set, frozenset)):
-        out += b"S" if isinstance(value, set) else b"Z"
-        # Deterministic wire bytes: members sorted by their encoding.
-        encoded = []
-        for item in value:
-            buf = bytearray()
-            _pack_value(item, buf, depth + 1)
-            encoded.append(bytes(buf))
-        encoded.sort()
-        out += _pack_varint(len(encoded))
-        for raw in encoded:
-            out += raw
-    elif isinstance(value, dict):
-        out += b"d"
-        out += _pack_varint(len(value))
-        for key, item in value.items():
-            _pack_value(key, out, depth + 1)
-            _pack_value(item, out, depth + 1)
-    else:
-        registered = codec.registration_for(type(value))
-        if registered is None:
-            raise WireCodecError(
-                f"cannot encode {type(value).__name__}; register() it "
-                f"with repro.storage.codec")
-        tag, to_plain = registered
-        raw = tag.encode("utf-8")
-        out += b"R"
-        out += _pack_varint(len(raw))
-        out += raw
-        _pack_value(to_plain(value), out, depth + 1)
-
-
-class _Reader:
-    """Bounds-checked cursor over one frame payload."""
-
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data: bytes, pos: int, end: int):
-        self.data = data
-        self.pos = pos
-        self.end = end
-
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.pos + count > self.end:
-            raise WireCodecError("truncated value")
-        raw = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return raw
-
-    def varint(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            if self.pos >= self.end:
-                raise WireCodecError("truncated varint")
-            byte = self.data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 640:  # ints beyond ~2^640 are nonsense, not data
-                raise WireCodecError("varint too long")
-
-
-def _unpack_value(reader: _Reader, depth: int = 0) -> Any:
-    if depth > _MAX_DEPTH:
-        raise WireCodecError("value nesting too deep to decode")
-    tag = reader.take(1)
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        zig = reader.varint()
-        return zig // 2 if zig % 2 == 0 else -(zig // 2) - 1
-    if tag == b"f":
-        return _DOUBLE.unpack(reader.take(8))[0]
-    if tag == b"s":
-        return reader.take(reader.varint()).decode("utf-8")
-    if tag == b"y":
-        return reader.take(reader.varint())
-    if tag in (b"t", b"l"):
-        count = reader.varint()
-        items = [_unpack_value(reader, depth + 1) for _ in range(count)]
-        return tuple(items) if tag == b"t" else items
-    if tag in (b"S", b"Z"):
-        count = reader.varint()
-        items = [_unpack_value(reader, depth + 1) for _ in range(count)]
-        return set(items) if tag == b"S" else frozenset(items)
-    if tag == b"d":
-        count = reader.varint()
-        result: Dict[Any, Any] = {}
-        for _ in range(count):
-            key = _unpack_value(reader, depth + 1)
-            result[key] = _unpack_value(reader, depth + 1)
-        return result
-    if tag == b"R":
-        class_tag = reader.take(reader.varint()).decode("utf-8")
-        loader = codec.loader_for(class_tag)
-        if loader is None:
-            raise WireCodecError(f"unknown codec tag {class_tag!r}")
-        return loader(_unpack_value(reader, depth + 1))
-    raise WireCodecError(f"unknown value tag {tag!r}")
-
-
 # -- encoding -----------------------------------------------------------------
 
-def _encode_tunnel(sender: int, message: WireMessage) -> bytes:
-    frame = {
-        "s": sender,
-        "t": message.type,
-        "f": {name: codec.encode(getattr(message, name))
-              for name in message.fields},
-    }
-    try:
-        return json.dumps(frame, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise WireCodecError(
-            f"cannot encode {message.type!r}: {exc}") from exc
+def _encode_tunnel(message: WireMessage, sender: Optional[int]) -> bytes:
+    frame: Dict[str, Any] = {} if sender is None else {"s": sender}
+    frame["t"] = message.type
+    frame["f"] = {name: codec.encode(getattr(message, name)).hex()
+                  for name in message.fields}
+    return json.dumps(frame, separators=(",", ":")).encode("utf-8")
+
+
+def _body(message: WireMessage) -> Tuple[int, bytes]:
+    """``(type-id, body)`` of a message, encoded once and kept on it."""
+    body = message._wire
+    if body is None:
+        type_id = TYPE_ID_TABLE.get(message.type)
+        try:
+            if type_id is None:
+                body = (_JSON_TUNNEL_ID, _encode_tunnel(message, None))
+            else:
+                out = bytearray()
+                for name in message.fields:
+                    codec.pack(getattr(message, name), out)
+                body = (type_id, bytes(out))
+        except WireCodecError:
+            raise
+        except Exception as exc:
+            raise WireCodecError(
+                f"cannot encode {message.type!r}: {exc}") from exc
+        message._wire = body
+    return body
 
 
 def encode_frame(sender: int, message: WireMessage) -> bytes:
     """Serialise one message as a frame (concatenable into datagrams).
 
     Messages whose type has no registered type-id — and senders outside
-    the header's unsigned 32-bit range — are tunnelled as a JSON payload
+    the header's unsigned 32-bit range — are tunnelled as a JSON body
     under type-id 0, so every encodable message coalesces.
     """
-    type_id = TYPE_ID_TABLE.get(message.type)
-    if type_id is None or not 0 <= sender < 0x100000000:
-        payload = _encode_tunnel(sender, message)
+    type_id, body = _body(message)
+    if type_id == _JSON_TUNNEL_ID or not 0 <= sender < 0x100000000:
+        body = _encode_tunnel(message, sender)
         return HEADER.pack(MAGIC, _VERSION, 0, _JSON_TUNNEL_ID,
-                           len(payload)) + payload
-    out = bytearray()
-    try:
-        for name in message.fields:
-            _pack_value(getattr(message, name), out)
-    except WireCodecError:
-        raise
-    except Exception as exc:
-        raise WireCodecError(
-            f"cannot encode {message.type!r}: {exc}") from exc
-    return HEADER.pack(MAGIC, _VERSION, sender, type_id,
-                       len(out)) + bytes(out)
+                           len(body)) + body
+    return HEADER.pack(MAGIC, _VERSION, sender, type_id, len(body)) + body
 
 
 def encode(sender: int, message: WireMessage) -> bytes:
@@ -431,10 +282,10 @@ def rebuild(tag: str, field_values: Dict[str, object]) -> WireMessage:
     """Reconstruct a message structurally from its tag and field values.
 
     ``field_values`` holds already-decoded Python objects (not codec
-    strings); the instance is rebuilt the same way :func:`decode` builds
+    bytes); the instance is rebuilt the same way :func:`decode` builds
     one, so no constructor discipline is imposed on message classes.
-    Layers that tunnel one message inside another (the stubborn channel's
-    data envelope) use this to unwrap the inner message on arrival.
+    The JSON tunnel decodes through it, and the fuzzer builds its
+    messages with it.
     """
     cls = _lookup(tag)
     message = cls.__new__(cls)
@@ -449,19 +300,39 @@ def rebuild(tag: str, field_values: Dict[str, object]) -> WireMessage:
 
 # -- decoding -----------------------------------------------------------------
 
-def _decode_tunnel(data: bytes) -> Tuple[int, WireMessage]:
+def _decode_tunnel(data: bytes) -> Tuple[Optional[int], WireMessage]:
     try:
         frame = json.loads(data.decode("utf-8"))
-        sender = frame["s"]
-        fields = frame["f"]
         message = rebuild(frame["t"],
-                          {name: codec.decode(value)
-                           for name, value in fields.items()})
-        return sender, message
+                          {name: codec.decode(bytes.fromhex(value))
+                           for name, value in frame["f"].items()})
+        return frame.get("s"), message
     except WireCodecError:
         raise
     except Exception as exc:
         raise WireCodecError(f"malformed tunnel payload: {exc}") from exc
+
+
+def _load_body(type_id: int, data: bytes, start: int, end: int,
+               depth: int = 0) -> WireMessage:
+    """The message whose body is ``data[start:end]``."""
+    if type_id == _JSON_TUNNEL_ID:
+        return _decode_tunnel(data[start:end])[1]
+    tag = _TAG_FOR_ID.get(type_id)
+    if tag is None:
+        raise WireCodecError(f"unknown type id {type_id}")
+    cls = _lookup(tag)
+    reader = codec.Reader(data, start, end)
+    message = cls.__new__(cls)
+    for name in cls.fields:
+        setattr(message, name, codec.unpack(reader, depth))
+    if reader.pos != end:
+        raise WireCodecError(
+            f"{end - reader.pos} stray bytes after {tag!r} payload")
+    return message
+
+
+codec.register_frames(WireMessage, _body, _load_body)
 
 
 def _decode_frame(data: bytes, offset: int
@@ -475,31 +346,24 @@ def _decode_frame(data: bytes, offset: int
         raise WireCodecError(f"bad frame magic {magic:#06x}")
     if version != _VERSION:
         raise WireCodecError(f"unsupported wire version {version}")
-    if end + length > len(data):
+    stop = end + length
+    if stop > len(data):
         raise WireCodecError(
             f"torn frame: {len(data) - end} payload bytes, "
             f"header promises {length}")
-    if type_id == _JSON_TUNNEL_ID:
-        sender, message = _decode_tunnel(data[end:end + length])
-        return end + length, sender, message
-    tag = _TAG_FOR_ID.get(type_id)
-    if tag is None:
-        raise WireCodecError(f"unknown type id {type_id}")
-    cls = _lookup(tag)
-    reader = _Reader(data, end, end + length)
-    message = cls.__new__(cls)
     try:
-        for name in cls.fields:
-            setattr(message, name, _unpack_value(reader))
+        if type_id == _JSON_TUNNEL_ID:
+            tunnelled, message = _decode_tunnel(data[end:stop])
+            if tunnelled is None:
+                raise WireCodecError("tunnel frame without a sender")
+            sender = tunnelled
+        else:
+            message = _load_body(type_id, data, end, stop)
     except WireCodecError:
         raise
     except Exception as exc:
         raise WireCodecError(f"malformed frame payload: {exc}") from exc
-    if reader.pos != reader.end:
-        raise WireCodecError(
-            f"{reader.end - reader.pos} stray bytes after "
-            f"{tag!r} payload")
-    return end + length, sender, message
+    return stop, sender, message
 
 
 def decode_datagram(data: bytes) -> List[Tuple[int, WireMessage]]:

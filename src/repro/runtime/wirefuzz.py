@@ -1,38 +1,59 @@
-"""Seeded fuzzing of the wire codec (property + adversarial suites).
+"""Seeded fuzzing of the codec, on the wire and on disk.
 
-Two properties of :mod:`repro.runtime.wire` are load-bearing for the
-live runtime and checked here mechanically:
+Three properties are load-bearing for the live runtime and checked here
+mechanically:
 
 * **Round-trip identity, typed and tunnelled** — for every registered
   message class, a message built from random field values must survive
   ``encode → decode`` both as a typed binary frame and through the JSON
   tunnel (forced by a sender id ≥ 2³², which the header cannot hold),
   and each must decode to the same sender, the same type and equal field
-  values (``nan`` compared by identity of kind, not ``==``): the two
-  value codecs are different bytes for the same meaning.
+  values (``nan`` compared by identity of kind, not ``==``).  Field
+  values include messages (nested frames: stubborn envelopes always
+  carry one) and :class:`~repro.core.messages.AppMessage` values, whose
+  encoding is cached on them.  The encoding is one function of the
+  value: a second, warm-cache encode gives the same bytes as the cold
+  one, and a decoded frame re-encodes to the bytes it came from.
 * **Total decoder** — feeding :func:`~repro.runtime.wire.decode_datagram`
   arbitrary bytes (random blobs, bit-flipped valid datagrams, truncated
   tails, length-field lies) must either return decoded messages or raise
   :class:`~repro.runtime.wire.WireCodecError`.  Any other exception is a
   crash a malformed UDP packet could trigger remotely.
+* **Damaged disks degrade to typed outcomes** — a
+  :class:`~repro.storage.file.FileStorage` whose record file or journal
+  is damaged (bit flips, truncation, junk, a mutated payload under a
+  valid checksum) reopens without raising: a damaged record is
+  quarantined and reads as absent, a damaged journal stops replay at the
+  tear, and nothing raises anything but the values it holds.
 
 Everything is driven by one seed, so a reported defect reproduces from
-its printed iteration seed.  The ``repro wirefuzz`` CLI command runs
-both suites (CI runs it as a bounded smoke step); the property tests
+its printed iteration seed.  The ``repro wirefuzz`` CLI command runs all
+three suites (CI runs it as a bounded smoke step); the property tests
 reuse the same engine with fixed seeds.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
-from typing import Any, Dict, List, Optional, Tuple, Type
+import shutil
+import tempfile
+from functools import partial
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
+                    Type)
 
+from repro.core.ids import MessageId
+from repro.core.messages import AppMessage
 from repro.runtime import wire
+from repro.storage.file import FileStorage, _JOURNAL_NAME, frame_record
 from repro.transport.message import WireMessage
 
-__all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "run_fuzz",
-           "registered_classes", "random_fields", "equivalent"]
+__all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "fuzz_storage",
+           "run_fuzz", "registered_classes", "random_fields",
+           "random_message", "equivalent"]
+
+_ENVELOPES = ("stub.data", "stub.batch")
 
 
 class FuzzReport:
@@ -44,6 +65,8 @@ class FuzzReport:
         self.decode_attempts = 0
         self.clean_rejections = 0
         self.accepted = 0
+        self.damaged_stores = 0
+        self.quarantined = 0   # damaged records set aside at reopen
         # (suite, iteration seed, description) triples; empty when ok.
         self.defects: List[Tuple[str, int, str]] = []
 
@@ -57,6 +80,8 @@ class FuzzReport:
         self.decode_attempts += other.decode_attempts
         self.clean_rejections += other.clean_rejections
         self.accepted += other.accepted
+        self.damaged_stores += other.damaged_stores
+        self.quarantined += other.quarantined
         self.defects.extend(other.defects)
         return self
 
@@ -66,7 +91,9 @@ class FuzzReport:
                 f"({self.tunnelled} tunnelled), "
                 f"{self.decode_attempts} adversarial decodes "
                 f"({self.accepted} accepted, "
-                f"{self.clean_rejections} cleanly rejected)")
+                f"{self.clean_rejections} cleanly rejected), "
+                f"{self.damaged_stores} damaged stores "
+                f"({self.quarantined} records quarantined)")
 
 
 def registered_classes() -> List[Tuple[str, Type[WireMessage]]]:
@@ -86,7 +113,7 @@ def registered_classes() -> List[Tuple[str, Type[WireMessage]]]:
 
 
 def _scalar(rng: random.Random) -> Any:
-    kind = rng.randrange(8)
+    kind = rng.randrange(9)
     if kind == 0:
         return None
     if kind == 1:
@@ -106,6 +133,8 @@ def _scalar(rng: random.Random) -> Any:
         return rng.randrange(0, 2 ** 200)  # varint stress
     if kind == 6:
         return ""
+    if kind == 7:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 9)))
     return rng.randrange(-10, 10)
 
 
@@ -128,12 +157,18 @@ def _hashable(rng: random.Random) -> Any:
     return _no_nan(_scalar(rng))
 
 
+def _app_message(rng: random.Random) -> AppMessage:
+    return AppMessage(MessageId(rng.randrange(8), rng.randrange(1, 4),
+                                rng.randrange(1, 10 ** 6)),
+                      _hashable(rng))
+
+
 def random_value(rng: random.Random, depth: int = 0) -> Any:
-    """A random value from the codec's supported universe (minus bytes,
-    which the tunnel's storage codec deliberately rejects)."""
+    """A random value from the codec's supported universe: scalars,
+    containers, ``AppMessage`` values and, now and then, a message."""
     if depth >= 3 or rng.random() < 0.55:
         return _scalar(rng)
-    kind = rng.randrange(5)
+    kind = rng.randrange(7)
     count = rng.randrange(0, 4)
     if kind == 0:
         return [random_value(rng, depth + 1) for _ in range(count)]
@@ -143,23 +178,47 @@ def random_value(rng: random.Random, depth: int = 0) -> Any:
         return {_hashable(rng) for _ in range(count)}
     if kind == 3:
         return frozenset(_hashable(rng) for _ in range(count))
+    if kind == 4:
+        return frozenset(_app_message(rng) for _ in range(count))
+    if kind == 5 and rng.random() < 0.3:
+        return random_message(rng, depth + 1)
     return {_hashable(rng): random_value(rng, depth + 1)
             for _ in range(count)}
 
 
-def random_fields(cls: Type[WireMessage],
-                  rng: random.Random) -> Dict[str, Any]:
-    """Random field values for one message class."""
-    fields = {name: random_value(rng) for name in cls.fields}
+def random_fields(cls: Type[WireMessage], rng: random.Random,
+                  depth: int = 0) -> Dict[str, Any]:
+    """Random field values for one message class.
+
+    A stubborn envelope always carries messages (nested frames), not
+    arbitrary values: that is the form the channel sends.
+    """
+    fields = {name: random_value(rng, depth) for name in cls.fields}
     if cls.type == "ab.gossip" and rng.random() < 0.5:
         # ``known=None`` ("no digest in this gossip") is a form of its
         # own, not one value among many: draw it half the time.
         fields["known"] = None
+    if cls.type == "stub.data":
+        fields["inner"] = random_message(rng, depth + 1)
+    elif cls.type == "stub.batch":
+        fields["entries"] = tuple(
+            (rng.randrange(2 ** 20), random_message(rng, depth + 1))
+            for _ in range(rng.randrange(0, 4)))
     return fields
 
 
+def random_message(rng: random.Random, depth: int = 0) -> WireMessage:
+    """A message of a random registered class with random fields;
+    envelopes nest (up to a small depth)."""
+    classes = [(tag, cls) for tag, cls in registered_classes()
+               if depth < 2 or tag not in _ENVELOPES]
+    tag, cls = classes[rng.randrange(len(classes))]
+    return wire.rebuild(tag, random_fields(cls, rng, depth))
+
+
 def equivalent(left: Any, right: Any) -> bool:
-    """Deep equality where ``nan == nan`` and ``-0.0 != 0.0``."""
+    """Deep equality where ``nan == nan`` and ``-0.0 != 0.0``; messages
+    compare by class and fields, ``AppMessage`` by id *and* payload."""
     if isinstance(left, float) or isinstance(right, float):
         if not (isinstance(left, float) and isinstance(right, float)):
             return False
@@ -176,59 +235,72 @@ def equivalent(left: Any, right: Any) -> bool:
         return all(key in right and equivalent(value, right[key])
                    for key, value in left.items())
     if isinstance(left, (set, frozenset)):
-        return type(left) is type(right) and len(left) == len(right) and \
-            left == right
+        if type(left) is not type(right) or left != right:
+            return False
+        if any(isinstance(item, AppMessage) for item in left):
+            payloads = {item.id: item.payload for item in right}
+            return all(equivalent(item.payload, payloads[item.id])
+                       for item in left)
+        return True
+    if isinstance(left, WireMessage):
+        return type(left) is type(right) and all(
+            equivalent(getattr(left, name), getattr(right, name))
+            for name in left.fields)
     return type(left) is type(right) and bool(left == right)
+
+
+def _streams(seed: int, count: int) -> Iterator[Tuple[int, random.Random]]:
+    """``count`` seeded streams, each with the sub-seed that replays it."""
+    master = random.Random(seed)  # repro: noqa(DET004) -- fuzz harness: explicitly seeded by the caller
+    for _ in range(count):
+        sub_seed = master.randrange(2 ** 63)
+        yield sub_seed, random.Random(sub_seed)  # repro: noqa(DET004) -- per-iteration stream; sub_seed printed for replay
+
+
+def _check(report: FuzzReport, suite: str, sub_seed: int, label: str,
+           check: Callable[[], Optional[str]]) -> None:
+    """Run one check: the defect it describes, or any exception it
+    raises, is recorded against the sub-seed that replays it."""
+    try:
+        defect = check()
+    except Exception as exc:  # noqa: BLE001 - the property under test
+        defect = f"{type(exc).__name__}: {exc}"
+    if defect is not None:
+        report.defects.append((suite, sub_seed, f"{label}: {defect}"))
+
+
+def _roundtrip_defect(report: FuzzReport, sender: int,
+                      message: WireMessage) -> Optional[str]:
+    """Encode cold and warm, decode, re-encode."""
+    data = wire.encode(sender, message)
+    path = "tunnel" if wire.HEADER.unpack_from(data)[3] == 0 else "typed"
+    report.tunnelled += path == "tunnel"
+    if wire.encode(sender, message) != data:
+        return f"{path}: warm encode differs"
+    got_sender, got = wire.decode(data)
+    if got_sender != sender:
+        return f"{path}: sender {got_sender} != {sender}"
+    if not equivalent(message, got):
+        return f"{path}: {got!r} != {message!r}"
+    if wire.encode(sender, got) != data:
+        return f"{path}: re-encoding differs"
+    return None
 
 
 def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
     """Typed-and-tunnelled round-trip fuzzing over every registered class."""
     report = FuzzReport()
     classes = registered_classes()
-    master = random.Random(seed)  # repro: noqa(DET004) -- fuzz harness: explicitly seeded by the caller
-    for iteration in range(iterations):
-        sub_seed = master.randrange(2 ** 63)
-        rng = random.Random(sub_seed)  # repro: noqa(DET004) -- per-iteration stream; sub_seed printed for replay
+    for iteration, (sub_seed, rng) in enumerate(_streams(seed, iterations)):
         tag, cls = classes[iteration % len(classes)]
-        fields = random_fields(cls, rng)
         # One sender the header can hold, one it cannot: the second
         # forces the same message through the JSON tunnel.
         senders = (rng.choice([0, 1, rng.randrange(0, 2 ** 32)]),
                    rng.randrange(2 ** 32, 2 ** 40))
-        message = wire.rebuild(tag, fields)
-        try:
-            decoded = []
-            for sender in senders:
-                data = wire.encode(sender, message)
-                tunnelled = wire.HEADER.unpack_from(data)[3] == 0
-                report.tunnelled += tunnelled
-                decoded.append(("tunnel" if tunnelled else "typed", sender,
-                                wire.decode(data)))
-        except wire.WireCodecError as exc:
-            report.defects.append(
-                ("roundtrip", sub_seed, f"{tag}: encode/decode raised {exc}"))
-            continue
-        except Exception as exc:  # noqa: BLE001 - the property under test
-            report.defects.append(
-                ("roundtrip", sub_seed,
-                 f"{tag}: non-codec exception {type(exc).__name__}: {exc}"))
-            continue
-        for path, sender, (got_sender, got) in decoded:
-            if got_sender != sender:
-                report.defects.append(
-                    ("roundtrip", sub_seed,
-                     f"{tag} {path}: sender {got_sender} != {sender}"))
-            elif type(got) is not cls:
-                report.defects.append(
-                    ("roundtrip", sub_seed,
-                     f"{tag} {path}: decoded {type(got).__name__}"))
-            else:
-                for name in cls.fields:
-                    if not equivalent(fields[name], getattr(got, name)):
-                        report.defects.append(
-                            ("roundtrip", sub_seed,
-                             f"{tag} {path}: field {name!r} "
-                             f"{fields[name]!r} != {getattr(got, name)!r}"))
+        message = wire.rebuild(tag, random_fields(cls, rng))
+        for sender in senders:
+            _check(report, "roundtrip", sub_seed, tag,
+                   partial(_roundtrip_defect, report, sender, message))
         report.roundtrips += 1
     return report
 
@@ -240,9 +312,7 @@ def _adversarial_blob(rng: random.Random) -> bytes:
         return bytes(rng.randrange(256)
                      for _ in range(rng.randrange(0, 160)))
     # The remaining strategies mutate a structurally valid datagram.
-    classes = registered_classes()
-    tag, cls = classes[rng.randrange(len(classes))]
-    message = wire.rebuild(tag, random_fields(cls, rng))
+    message = random_message(rng)
     # Half the victims are tunnel frames (sender past the header's u32),
     # so the JSON decoder behind type-id 0 sees mutated input too.
     sender = rng.randrange(0, 2 ** 32) + rng.choice([0, 2 ** 32])
@@ -250,42 +320,119 @@ def _adversarial_blob(rng: random.Random) -> bytes:
         data = bytearray(wire.encode(sender, message))
     except wire.WireCodecError:
         return b""
-    if strategy == 1 and data:  # bit flip
+    return bytes(_damage(rng, data, strategy))
+
+
+def _damage(rng: random.Random, data: bytearray, strategy: int) -> bytearray:
+    """Bit flip (1), truncation (2), a length lie (3) or trailing junk (4);
+    strategies 1, 2 and 4 always change the bytes."""
+    if strategy == 1 and data:
         position = rng.randrange(len(data))
         data[position] ^= 1 << rng.randrange(8)
-    elif strategy == 2:  # truncate
-        data = data[:rng.randrange(0, len(data) + 1)]
-    elif strategy == 3 and len(data) >= wire.HEADER.size:  # length lies
+    elif strategy == 2 and data:
+        data = data[:rng.randrange(0, len(data))]
+    elif strategy == 3 and len(data) >= wire.HEADER.size:
         data[-rng.randrange(1, wire.HEADER.size):] = b""
         data += bytes(rng.randrange(256) for _ in range(rng.randrange(8)))
-    elif strategy == 4:  # concatenate junk behind a valid datagram
+    elif strategy == 4:
         data += bytes(rng.randrange(256)
                       for _ in range(rng.randrange(1, 32)))
-    return bytes(data)
+    return data
+
+
+def _decode_defect(report: FuzzReport, blob: bytes) -> Optional[str]:
+    report.decode_attempts += 1
+    try:
+        wire.decode_datagram(blob)
+        report.accepted += 1
+    except wire.WireCodecError:
+        report.clean_rejections += 1
+    return None
 
 
 def fuzz_decode(iterations: int = 2000, seed: int = 0) -> FuzzReport:
     """Adversarial decoding: anything but WireCodecError is a defect."""
     report = FuzzReport()
-    master = random.Random(seed)  # repro: noqa(DET004) -- fuzz harness: explicitly seeded by the caller
-    for _ in range(iterations):
-        sub_seed = master.randrange(2 ** 63)
-        rng = random.Random(sub_seed)  # repro: noqa(DET004) -- per-iteration stream; sub_seed printed for replay
+    for sub_seed, rng in _streams(seed, iterations):
         blob = _adversarial_blob(rng)
-        report.decode_attempts += 1
-        try:
-            wire.decode_datagram(blob)
-            report.accepted += 1
-        except wire.WireCodecError:
-            report.clean_rejections += 1
-        except Exception as exc:  # noqa: BLE001 - the property under test
-            report.defects.append(
-                ("decode", sub_seed,
-                 f"{type(exc).__name__}: {exc} on {blob[:64]!r}"))
+        _check(report, "decode", sub_seed, repr(blob[:64]),
+               partial(_decode_defect, report, blob))
+    return report
+
+
+def _damage_file(rng: random.Random, target: str) -> bool:
+    """Damage one file in place: a bit flip, a truncation or junk, or a
+    mutated payload re-framed under a valid checksum.  Returns True for
+    the last, which no checksum can detect."""
+    with open(target, "rb") as handle:
+        data = bytearray(handle.read())
+    newline = data.find(b"\n")
+    reframed = rng.random() < 0.25 and 0 <= newline < len(data) - 1
+    if reframed:
+        # The first frame's payload (the whole payload of a record
+        # file), one bit flipped, framed again; the rest is unchanged.
+        length = int(data[:newline].split(b" ")[1])
+        payload = bytearray(data[newline + 1:newline + 1 + length])
+        payload[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
+        data[:newline + 1 + length] = frame_record(bytes(payload))
+    else:
+        data = _damage(rng, data, rng.choice((1, 2, 4)))
+    with open(target, "wb") as handle:
+        handle.write(data)
+    return reframed
+
+
+def _storage_defect(rng: random.Random, directory: str,
+                    report: FuzzReport) -> Optional[str]:
+    """One damaged store; a description of what went wrong, or None."""
+    values = {f"k{index}": random_value(rng)
+              for index in range(rng.randrange(1, 5))}
+    store = FileStorage(directory)
+    with store.write_barrier():
+        for key, value in values.items():
+            store.log(key, value)
+    victim = rng.choice(sorted(values))
+    on_journal = rng.random() < 0.5
+    if on_journal:
+        target = os.path.join(directory, _JOURNAL_NAME)
+    else:
+        FileStorage(directory)  # a restart empties the journal
+        target = store._file_for(victim)
+    reframed = _damage_file(rng, target)
+    report.damaged_stores += 1
+    reopened = FileStorage(directory)
+    report.quarantined += reopened.metrics.quarantined
+    missing = object()
+    for key, value in values.items():
+        got = reopened.retrieve(key, missing)
+        if reframed or equivalent(got, value):
+            continue
+        if got is missing and key == victim and not on_journal \
+                and reopened.metrics.quarantined == 1:
+            continue  # detected, set aside, read as never logged
+        where = "journal" if on_journal else f"record of {key!r}"
+        return f"damaged {where}: {key!r} read {got!r}, logged {value!r}"
+    return None
+
+
+def fuzz_storage(iterations: int = 50, seed: int = 0) -> FuzzReport:
+    """Damage a store's record files and journal; reopening and reading
+    must end in a quarantine or a torn-tail stop, never an exception."""
+    report = FuzzReport()
+    root = tempfile.mkdtemp(prefix="wirefuzz-")
+    try:
+        for iteration, (sub_seed, rng) in enumerate(_streams(seed,
+                                                             iterations)):
+            directory = os.path.join(root, str(iteration))
+            _check(report, "storage", sub_seed, "store",
+                   partial(_storage_defect, rng, directory, report))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
     return report
 
 
 def run_fuzz(iterations: int = 500, seed: int = 0) -> FuzzReport:
-    """Both suites under one seed (the CLI/CI entry point)."""
+    """All three suites under one seed (the CLI/CI entry point)."""
     report = fuzz_roundtrip(iterations, seed)
-    return report.merge(fuzz_decode(iterations * 4, seed + 1))
+    report.merge(fuzz_decode(iterations * 4, seed + 1))
+    return report.merge(fuzz_storage(max(1, iterations // 10), seed + 2))

@@ -6,7 +6,13 @@ One record file per key under a node-specific directory, plus a journal
 checking::
 
     <crc32 of payload, 8 hex digits> <payload length in bytes>\\n
-    <payload: UTF-8 tagged-JSON from repro.storage.codec>
+    <payload: binary, repro.storage.codec>
+
+A record file's payload is the encoding of the value; a journal entry's
+is the encoding of ``("w", key, value)`` or ``("d", key)``.  The codec is
+the wire's, so a value that arrived in a datagram and is logged as it
+came (an :class:`~repro.core.messages.AppMessage`) is not encoded again,
+and each value is encoded once for the journal and its file together.
 
 **Durability.**  All records logged inside one ``write_barrier()`` are
 appended to the journal as a single buffered write followed by a
@@ -50,6 +56,11 @@ quarantined on the spot.  The open-time scan also sweeps stale temp
 files; :attr:`FileStorage.recovery_report` lists what was replayed,
 swept and quarantined.
 
+**Known keys.**  The open-time scan also builds the set of keys that
+have a record file, and commits, deletes and quarantines keep it
+current: a read of a key that is not there returns the default without
+a system call, and listing keys lists the set, not the directory.
+
 This backend exists to demonstrate that the protocols run against a real
 disk, and to test durability across *process* restarts; the simulation
 experiments use :class:`~repro.storage.memory.MemoryStorage` for speed.
@@ -57,7 +68,6 @@ experiments use :class:`~repro.storage.memory.MemoryStorage` for speed.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import zlib
@@ -68,7 +78,7 @@ from repro.storage.stable import StableStorage
 
 __all__ = ["FileStorage", "frame_record", "unframe_record"]
 
-_SUFFIX = ".json"
+_SUFFIX = ".rec"
 _QUARANTINE_DIR = "quarantine"
 _JOURNAL_NAME = "wal.log"
 _CHECKPOINT_BYTES = 1 << 20
@@ -89,15 +99,14 @@ def _unescape(filename: str) -> str:
     return stem.replace("%2F", "/").replace("%25", "%")
 
 
-def frame_record(text: str) -> bytes:
+def frame_record(payload: bytes) -> bytes:
     """Frame one codec payload with its CRC32/length header."""
-    payload = text.encode("utf-8")
     header = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x} {len(payload)}\n"
     return header.encode("ascii") + payload
 
 
-def unframe_record(raw: bytes) -> str:
-    """Verify a framed record and return its payload text.
+def unframe_record(raw: bytes) -> bytes:
+    """Verify a framed record and return its payload.
 
     Raises :class:`ValueError` describing the defect (torn tail, length
     mismatch, checksum mismatch, malformed header) when the record does
@@ -122,16 +131,21 @@ def unframe_record(raw: bytes) -> str:
     if actual_crc != expect_crc:
         raise ValueError(
             f"checksum mismatch: {actual_crc:08x} != {expect_crc:08x}")
-    return payload.decode("utf-8")
+    return payload
 
 
-def _journal_write_entry(path: str, text: str) -> str:
-    """``codec.encode(["w", path, value])`` given ``text``, the encoding
-    of ``value`` — without encoding the value a second time."""
-    return f'["w", {json.dumps(path)}, {text}]'
+_WRITE = codec.encode("w")
 
 
-def _iter_frames(raw: bytes) -> Iterable[str]:
+def _journal_write_entry(path: str, encoded: bytes) -> bytes:
+    """``codec.encode(("w", path, value))`` given ``encoded``, the
+    encoding of ``value`` — without encoding the value a second time."""
+    key = bytearray()
+    codec.pack(path, key)
+    return codec.splice_tuple((_WRITE, bytes(key), encoded))
+
+
+def _iter_frames(raw: bytes) -> Iterable[bytes]:
     """Yield payloads of concatenated frames, stopping at the first defect.
 
     Used for journal replay: a crash mid-commit tears the journal tail,
@@ -157,6 +171,26 @@ def _iter_frames(raw: bytes) -> Iterable[str]:
         except ValueError:
             return
         offset = end
+
+
+def _journal_entries(raw: bytes) -> Iterable[Tuple[str, Any]]:
+    """``(key, value or _DELETED)`` per journal entry, in order, stopping
+    at the first frame that fails its check or does not decode to an
+    entry: that is where the tail was torn."""
+    for payload in _iter_frames(raw):
+        try:
+            entry = codec.decode(payload)
+        except codec.CodecError:
+            return
+        if type(entry) is not tuple or not 2 <= len(entry) <= 3 \
+                or type(entry[1]) is not str:
+            return
+        if entry[0] == "w" and len(entry) == 3:
+            yield entry[1], entry[2]
+        elif entry[0] == "d" and len(entry) == 2:
+            yield entry[1], _DELETED
+        else:
+            return
 
 
 class FileStorage(StableStorage):
@@ -186,6 +220,9 @@ class FileStorage(StableStorage):
         self._journal_bytes = 0
         self.group_commits = 0
         self.group_commit_records = 0
+        # Keys with a record file on disk: filled by the recovery scan,
+        # kept current by commits, deletes and quarantines.
+        self._present: Set[str] = set()
         self._replay_journal()
         self._recovery_scan()
 
@@ -210,16 +247,14 @@ class FileStorage(StableStorage):
         except FileNotFoundError:
             return
         replayed = 0
-        for payload in _iter_frames(raw):
-            entry = codec.decode(payload)
-            op, path = entry[0], entry[1]
-            if op == "w":
-                self._write_classic(path, entry[2])
-            elif op == "d":
+        for path, value in _journal_entries(raw):
+            if value is _DELETED:
                 try:
                     os.unlink(self._file_for(path))
                 except FileNotFoundError:
                     pass
+            else:
+                self._write_classic(path, value)
             replayed += 1
         self._truncate_journal()
         if replayed:
@@ -245,12 +280,14 @@ class FileStorage(StableStorage):
                 continue
             if not filename.endswith(_SUFFIX):
                 continue
+            key = _unescape(filename)
             try:
                 with open(full, "rb") as handle:
                     unframe_record(handle.read())
             except (OSError, ValueError) as exc:
-                key = _unescape(filename)
                 self._quarantine(filename, key, str(exc))
+            else:
+                self._present.add(key)
 
     def _quarantine(self, filename: str, key: str, defect: str) -> None:
         """Move a corrupt record aside; reads of it see no record at all."""
@@ -263,6 +300,7 @@ class FileStorage(StableStorage):
             serial += 1
             dst = os.path.join(pen, f"{filename}.{serial}")
         os.replace(src, dst)
+        self._present.discard(key)
         self.metrics.quarantined += 1
         self.recovery_report.append((key, defect))
         self._fsync_directory()
@@ -294,17 +332,17 @@ class FileStorage(StableStorage):
             return
         batch = self._pending
         self._pending = {}
-        # Each value is encoded once: the same JSON text goes into the
-        # journal entry (spliced, byte-identical to encoding
-        # ``["w", path, value]`` whole) and into the per-key file.
-        texts: Dict[str, str] = {}
+        # Each value is encoded once: the same bytes go into the journal
+        # entry (spliced, byte-identical to encoding ``("w", path,
+        # value)`` whole) and into the per-key file.
+        encoded: Dict[str, bytes] = {}
         frames = []
         for path, value in batch.items():
             if value is _DELETED:
-                frames.append(frame_record(codec.encode(["d", path])))
+                frames.append(frame_record(codec.encode(("d", path))))
             else:
-                text = texts[path] = codec.encode(value)
-                frames.append(frame_record(_journal_write_entry(path, text)))
+                data = encoded[path] = codec.encode(value)
+                frames.append(frame_record(_journal_write_entry(path, data)))
         blob = b"".join(frames)
         with open(self._journal_path, "ab") as handle:
             handle.write(blob)
@@ -324,10 +362,12 @@ class FileStorage(StableStorage):
                 except FileNotFoundError:
                     pass
                 self._unsynced.discard(target)
+                self._present.discard(path)
             else:
                 with open(target, "wb") as handle:
-                    handle.write(frame_record(texts[path]))
+                    handle.write(frame_record(encoded[path]))
                 self._unsynced.add(target)
+                self._present.add(path)
         if self._journal_bytes >= _CHECKPOINT_BYTES:
             self._checkpoint()
 
@@ -370,14 +410,17 @@ class FileStorage(StableStorage):
         pending = self._pending.get(path, _MISSING)
         if pending is not _MISSING:
             return default if pending is _DELETED else pending
+        if path not in self._present:
+            return default
         try:
             with open(self._file_for(path), "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
+            self._present.discard(path)
             return default
         try:
             return codec.decode(unframe_record(raw))
-        except ValueError as exc:
+        except (ValueError, codec.CodecError) as exc:
             # Detected lazily (corruption after the open-time scan, e.g.
             # an injected disk fault): heal in place and report no record.
             self._quarantine(_escape(path), path, str(exc))
@@ -392,15 +435,10 @@ class FileStorage(StableStorage):
             self._commit_batch()
 
     def _keys(self) -> Iterable[str]:
-        deleted = {path for path, value in self._pending.items()
-                   if value is _DELETED}
-        seen = set()
-        for filename in os.listdir(self.directory):
-            if filename.endswith(_SUFFIX):
-                key = _unescape(filename)
-                seen.add(key)
-                if key not in deleted:
-                    yield key
+        keys = set(self._present)
         for path, value in self._pending.items():
-            if value is not _DELETED and path not in seen:
-                yield path
+            if value is _DELETED:
+                keys.discard(path)
+            else:
+                keys.add(path)
+        return keys

@@ -11,8 +11,9 @@ Two concrete backends exist:
 
 * :class:`~repro.storage.memory.MemoryStorage` — crash-surviving in-memory
   store for simulation (the simulator owns it; node crashes never touch it).
-* :class:`~repro.storage.file.FileStorage` — JSON-file-backed store for
-  real deployments and durability tests.
+* :class:`~repro.storage.file.FileStorage` — journalled, checksummed
+  record files in the wire's binary codec, for real deployments and
+  durability tests.
 """
 
 from __future__ import annotations

@@ -42,6 +42,9 @@ class WireMessage:
     # run).  A class-level default keeps structurally rebuilt instances
     # (``cls.__new__`` in the wire codec) covered.
     _size: Optional[int] = None
+    # The same reasoning keeps the wire codec's ``(type-id, body)`` of a
+    # message here once it is first encoded (repro.runtime.wire).
+    _wire: Optional[Tuple[int, bytes]] = None
 
     def estimated_size(self) -> int:
         """Estimated serialised size, computed on first use."""

@@ -71,7 +71,6 @@ from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
 import random
 
 from repro.runtime import NodeComponent, Runtime, TimerHandle
-from repro.runtime import wire
 from repro.transport.message import WireMessage
 
 __all__ = ["StubbornAck", "StubbornBatch", "StubbornChannel",
@@ -80,32 +79,19 @@ __all__ = ["StubbornAck", "StubbornBatch", "StubbornChannel",
 
 
 class StubbornData(WireMessage):
-    """Envelope carrying one inner message plus a per-peer sequence."""
+    """Envelope carrying one inner message plus a per-peer sequence.
+
+    ``inner`` is the message itself: on the wire it is a nested frame
+    (:mod:`repro.runtime.wire`), encoded once however many envelopes and
+    retransmissions carry it.
+    """
 
     type = "stub.data"
-    fields = ("seq", "inner_type", "inner_fields")
+    fields = ("seq", "inner")
 
-    def __init__(self, seq: int, inner_type: str,
-                 inner_fields: Dict[str, Any]):
+    def __init__(self, seq: int, inner: WireMessage):
         self.seq = seq
-        self.inner_type = inner_type
-        self.inner_fields = inner_fields
-
-    @classmethod
-    def wrap(cls, seq: int, message: WireMessage) -> "StubbornData":
-        envelope = cls(seq, message.type,
-                       {name: getattr(message, name)
-                        for name in message.fields})
-        envelope._inner = message  # cache: no rebuild on the sim path
-        return envelope
-
-    def unwrap(self) -> WireMessage:
-        """The inner message (rebuilt structurally after a wire decode)."""
-        inner = getattr(self, "_inner", None)
-        if inner is None:
-            inner = wire.rebuild(self.inner_type, self.inner_fields)
-            self._inner = inner
-        return inner
+        self.inner = inner
 
 
 class StubbornAck(WireMessage):
@@ -121,17 +107,16 @@ class StubbornAck(WireMessage):
 class StubbornBatch(WireMessage):
     """Several envelopes and/or piggybacked acks, sent as one message.
 
-    ``entries`` is a tuple of ``(seq, inner_type, inner_fields)``
-    triples — the payload of the :class:`StubbornData` envelopes being
-    batched — and ``acks`` a tuple of sequence numbers being
-    acknowledged to the destination.  Either may be empty (a pure data
-    batch or a pure ack batch).
+    ``entries`` is a tuple of ``(seq, inner)`` pairs — the payload of
+    the :class:`StubbornData` envelopes being batched — and ``acks`` a
+    tuple of sequence numbers being acknowledged to the destination.
+    Either may be empty (a pure data batch or a pure ack batch).
     """
 
     type = "stub.batch"
     fields = ("entries", "acks")
 
-    def __init__(self, entries: Tuple[Tuple[int, str, Dict[str, Any]], ...],
+    def __init__(self, entries: Tuple[Tuple[int, WireMessage], ...],
                  acks: Tuple[int, ...]):
         self.entries = entries
         self.acks = acks
@@ -334,7 +319,7 @@ class StubbornLink(NodeComponent):
         state = self._peers.setdefault(dst, _PeerState())
         seq = state.next_seq
         state.next_seq += 1
-        envelope = StubbornData.wrap(seq, message)
+        envelope = StubbornData(seq, message)
         if len(state.pending) >= config.window:
             metrics = self.channel.metrics
             if config.max_backlog is not None \
@@ -395,14 +380,13 @@ class StubbornLink(NodeComponent):
         metrics = self.channel.metrics
         state = self._peers.get(dst)
         queued = self._launch_queue.pop(dst, [])
-        entries: List[Tuple[int, str, Dict[str, Any]]] = []
+        entries: List[Tuple[int, WireMessage]] = []
         launched: List[_Flight] = []
         for envelope in queued:
             flight = None if state is None else state.pending.get(envelope.seq)
             if flight is None or flight.envelope is not envelope:
                 continue  # acknowledged or reset before first transmission
-            entries.append((envelope.seq, envelope.inner_type,
-                            envelope.inner_fields))
+            entries.append((envelope.seq, envelope.inner))
             launched.append(flight)
         acks = self._acks_due.pop(dst, [])
         if not entries and not acks:
@@ -487,16 +471,15 @@ class StubbornLink(NodeComponent):
     def _on_data(self, envelope: StubbornData, sender: int) -> None:
         assert self.node is not None
         self._acknowledge(sender, envelope.seq)
-        self.node.deliver(envelope.unwrap(), sender)
+        self.node.deliver(envelope.inner, sender)
 
     def _on_batch(self, batch: StubbornBatch, sender: int) -> None:
         assert self.node is not None
         for seq in batch.acks:
             self._settle_ack(sender, seq)
-        for seq, inner_type, inner_fields in batch.entries:
+        for seq, inner in batch.entries:
             self._acknowledge(sender, seq)
-            self.node.deliver(wire.rebuild(inner_type, dict(inner_fields)),
-                              sender)
+            self.node.deliver(inner, sender)
 
     def _settle_ack(self, sender: int, seq: int) -> None:
         state = self._peers.get(sender)

@@ -50,6 +50,18 @@ def test_codec_is_deterministic(value):
     assert codec.encode(value) == codec.encode(value)
 
 
+@given(json_values)
+def test_decoded_value_reencodes_identically(value):
+    encoded = codec.encode(value)
+    assert codec.encode(codec.decode(encoded)) == encoded
+
+
+@given(st.dictionaries(st.text(max_size=8), scalars, max_size=6))
+def test_dict_encoding_ignores_insertion_order(value):
+    assert codec.encode(dict(reversed(list(value.items())))) == \
+        codec.encode(value)
+
+
 @given(st.frozensets(app_messages, max_size=6))
 def test_app_message_sets_round_trip(batch):
     decoded = codec.decode(codec.encode(batch))

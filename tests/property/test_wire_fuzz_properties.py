@@ -59,6 +59,16 @@ def test_adversarial_bytes_raise_only_wirecodecerror():
     assert report.clean_rejections > 0  # the suite did reject things
 
 
+def test_damaged_stores_end_in_quarantine_or_a_torn_tail_stop():
+    """Damaged record files and journals reopen without an exception:
+    the damaged record is quarantined, the damaged journal stops replay
+    at the tear, every other value reads back as logged."""
+    report = wirefuzz.fuzz_storage(iterations=60, seed=2026)
+    assert report.ok, _describe(report)
+    assert report.damaged_stores == 60
+    assert report.quarantined > 0     # the record damage was detected
+
+
 def test_fuzz_universe_covers_type_id_table():
     """Every type-id-table tag must have a message class behind it; a
     tag with an id but no class would leave a binary encoder path
@@ -94,8 +104,8 @@ def test_depth_bomb_is_cleanly_rejected():
     interpreter's recursion limit."""
     payload = b"l\x01" * 100 + b"N"
     type_id = TYPE_ID_TABLE["stub.ack"]  # fields = ("seq",)
-    frame = HEADER.pack(MAGIC, 2, 0, type_id, len(payload)) + payload
-    with pytest.raises(WireCodecError):
+    frame = HEADER.pack(MAGIC, 3, 0, type_id, len(payload)) + payload
+    with pytest.raises(WireCodecError, match="too deep"):
         wire.decode_datagram(frame)
 
 

@@ -141,8 +141,8 @@ class TestWireMessageSizeCache:
         from repro.core.messages import GossipMessage
         from repro.transport.stubborn import StubbornBatch, StubbornData
         inner = GossipMessage(0, frozenset(_Counted() for _ in range(50)))
-        envelope = StubbornData.wrap(7, inner)
-        batch = StubbornBatch(((7, inner.type, envelope.inner_fields),), (1,))
+        envelope = StubbornData(7, inner)
+        batch = StubbornBatch(((7, inner),), (1,))
         for message in (envelope, batch):
             size = estimate_size(message)
             assert size == _uncached(message)

@@ -177,8 +177,12 @@ class TestCodec:
             codec.register(int, "AppMessage", lambda x: x, lambda x: x)
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(StorageError):
-            codec.decode('{"__t": "NoSuchTag", "v": 1}')
+        # A registered-class value ("R", tag length, tag, plain value)
+        # whose tag nothing registered.
+        with pytest.raises(StorageError, match="NoSuchTag"):
+            codec.decode(b"R\x09NoSuchTag" + codec.encode(1))
+        with pytest.raises(StorageError, match="unknown value tag"):
+            codec.decode(b"?")
 
     def test_deterministic_encoding(self):
         value = {"b": 1, "a": 2}
@@ -186,11 +190,10 @@ class TestCodec:
 
 
 class TestCodecNonFiniteFloats:
-    """The original defect: non-finite floats leaked into the JSON text
-    as bare ``NaN``/``Infinity`` tokens — valid to Python's reader,
-    rejected by every strict JSON parser, and silently corrupting any
-    cross-tool consumer of the stored files.  They now travel under an
-    explicit tag."""
+    """The original defect: non-finite floats leaked into the stored
+    text as bare ``NaN``/``Infinity`` tokens that no strict reader
+    accepts.  The binary codec stores every float as a tagged IEEE-754
+    double, so ``nan``, the infinities and ``-0.0`` survive bit for bit."""
 
     def test_nan_round_trips(self):
         import math
@@ -207,18 +210,16 @@ class TestCodecNonFiniteFloats:
         got = codec.decode(codec.encode(-0.0))
         assert got == 0.0 and math.copysign(1.0, got) == -1.0
 
-    def test_encoded_text_is_strict_json(self):
-        """The encoded form must parse under a reader with the non-JSON
-        constants disabled — i.e. no bare NaN/Infinity tokens."""
-        import json
+    def test_encoded_floats_are_tagged_ieee_doubles(self):
+        """Each float is its tag and its eight IEEE-754 bytes — no
+        token a reader could mistake — alone or inside containers."""
         import math
-
-        def reject(token):
-            raise AssertionError(f"bare non-JSON token {token!r} in output")
-
-        for value in (math.nan, math.inf, -math.inf,
-                      [1.5, math.nan], {"k": (math.inf, -0.0)}):
-            json.loads(codec.encode(value), parse_constant=reject)
+        import struct
+        for value in (math.nan, math.inf, -math.inf, -0.0, 1.5):
+            single = b"f" + struct.pack("!d", value)
+            assert codec.encode(value) == single
+            assert single in codec.encode([1, value])
+            assert single in codec.encode({"k": (value, 2)})
 
     def test_non_finite_inside_containers(self):
         import math

@@ -21,8 +21,8 @@ import pytest
 
 from repro.storage import file as file_mod
 from repro.storage.faulty import FaultyStorage, InjectedCrashFault
-from repro.storage.file import (FileStorage, _JOURNAL_NAME, _iter_frames,
-                                unframe_record)
+from repro.storage.file import (FileStorage, _JOURNAL_NAME, _SUFFIX,
+                                _iter_frames, unframe_record)
 from repro.storage.memory import MemoryStorage
 
 
@@ -94,7 +94,7 @@ def overwrite_everything(storage, patch, acked):
 def record_files(directory):
     return [os.path.join(directory, name)
             for name in sorted(os.listdir(directory))
-            if name.endswith(".json")]
+            if name.endswith(_SUFFIX)]
 
 
 class TestCrashDuringWrite:
@@ -203,21 +203,21 @@ class TestCrashDuringWrite:
         assert leftovers == []
         assert FileStorage(directory).retrieve("key") == "value"
 
-    def test_successful_write_is_complete_json(self, tmp_path):
+    def test_successful_write_is_complete_record(self, tmp_path):
         directory = str(tmp_path / "store")
         storage = FileStorage(directory)
         storage.log(("consensus", 0, "proposal"), {"complex": [1, (2,)]})
         # Read the raw bytes: the record file's frame must verify and its
-        # payload parse standalone, and so must the journal's copy.
+        # payload decode standalone, and so must the journal's copy.
         from repro.storage import codec
         (target,) = record_files(directory)
         with open(target, "rb") as handle:
-            text = unframe_record(handle.read())
-        assert codec.decode(text) == {"complex": [1, (2,)]}
+            payload = unframe_record(handle.read())
+        assert codec.decode(payload) == {"complex": [1, (2,)]}
         with open(os.path.join(directory, _JOURNAL_NAME), "rb") as handle:
             (entry,) = _iter_frames(handle.read())
         assert codec.decode(entry) == \
-            ["w", "consensus/0/proposal", {"complex": [1, (2,)]}]
+            ("w", "consensus/0/proposal", {"complex": [1, (2,)]})
 
 
 def _record_file(directory):

@@ -13,8 +13,9 @@ import os
 
 import pytest
 
+from repro.storage import codec
 from repro.storage.file import (FileStorage, _CHECKPOINT_BYTES,
-                                _JOURNAL_NAME, frame_record)
+                                _JOURNAL_NAME, _SUFFIX, frame_record)
 
 
 @pytest.fixture
@@ -69,7 +70,7 @@ class TestBatching:
 
 
 class TestEncodeOnce:
-    """The value is encoded once and its text spliced into the journal
+    """The value is encoded once and its bytes spliced into the journal
     entry: the journal's bytes are what encoding the entry whole gives."""
 
     VALUES = [
@@ -80,20 +81,18 @@ class TestEncodeOnce:
     PATHS = ["k", "paxos/3/acceptor", 'odd "path" \\ \u00fc/%2F']
 
     def test_spliced_entry_equals_whole_encoding(self):
-        from repro.storage import codec
         from repro.storage.file import _journal_write_entry
         for path in self.PATHS:
             for value in self.VALUES:
                 assert _journal_write_entry(path, codec.encode(value)) == \
-                    codec.encode(["w", path, value])
+                    codec.encode(("w", path, value))
 
     def test_journal_bytes_and_encode_count(self, tmp_path, monkeypatch):
-        from repro.storage import codec
         storage = FileStorage(str(tmp_path))
         batch = {path: value for path, value in
                  zip(("a", "b/c", "d"), self.VALUES[-3:])}
         expected = b"".join(
-            frame_record(codec.encode(["w", path, value]))
+            frame_record(codec.encode(("w", path, value)))
             for path, value in batch.items())
         calls = []
         real_encode = codec.encode
@@ -138,7 +137,8 @@ class TestCrashRecovery:
             storage.log("a", 1)
         journal = os.path.join(str(tmp_path), _JOURNAL_NAME)
         with open(journal, "ab") as handle:
-            handle.write(frame_record('["w", "b", 2]')[:-3])  # torn write
+            # A torn write.
+            handle.write(frame_record(codec.encode(("w", "b", 2)))[:-3])
         reopened = FileStorage(str(tmp_path))
         assert reopened.retrieve("a") == 1
         assert reopened.retrieve("b") is None
@@ -193,7 +193,7 @@ class TestCheckpoint:
 
         synced_first = set(events[:events.index("truncate")])
         record_files = [name for name in os.listdir(directory)
-                        if name.endswith(".json")]
+                        if name.endswith(_SUFFIX)]
         assert len(record_files) == written
         for name in record_files:
             assert os.stat(os.path.join(directory, name)).st_ino \

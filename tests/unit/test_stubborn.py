@@ -87,20 +87,20 @@ def build_pair(sim, drop_first=0, config=None):
 
 class TestEnvelope:
     def test_wrap_unwrap_roundtrips_over_the_wire(self):
-        envelope = StubbornData.wrap(4, Note("payload"))
+        envelope = StubbornData(4, Note("payload"))
         raw = wire.encode(0, envelope)
         sender, decoded = wire.decode(raw)
         assert sender == 0
         assert decoded.type == StubbornData.type
         assert decoded.seq == 4
-        inner = decoded.unwrap()
+        inner = decoded.inner
         assert isinstance(inner, Note)
         assert inner.text == "payload"
 
     def test_unwrap_uses_cached_instance_on_the_sim_path(self):
         note = Note("same object")
-        envelope = StubbornData.wrap(0, note)
-        assert envelope.unwrap() is note
+        envelope = StubbornData(0, note)
+        assert envelope.inner is note
 
 
 class TestRetransmission:
@@ -421,8 +421,8 @@ class TestLinkLiveness:
     clock sits below this layer's backlog."""
 
     @pytest.mark.parametrize("envelope", [
-        StubbornData.wrap(7, Note("retransmitted")),
-        StubbornBatch(((7, Note.type, {"text": "retransmitted"}),), ()),
+        StubbornData(7, Note("retransmitted")),
+        StubbornBatch(((7, Note("retransmitted")),), ()),
     ], ids=["stub.data", "stub.batch"])
     def test_a_retransmitted_envelope_refutes_a_suspicion(self, envelope):
         cluster = Cluster(ClusterConfig(
