@@ -1,7 +1,8 @@
 """The consensus black-box interface of Section 3.2.
 
 The Atomic Broadcast layer sees consensus through two primitives (plus
-``pull_decision``, the repair hint for a decision message lost in transit):
+two hints: ``pull_decision``, the repair for a decision message lost in
+transit, and ``leader_hint``, whose proposal a round will decide):
 
 * ``propose(k, v)`` — propose value ``v`` for instance ``k``.  Proposing
   *is* logging: the proposal is durably recorded as the first operation
@@ -137,6 +138,17 @@ class ConsensusService(NodeComponent):
         whole gossip interval.  The default does nothing: it suits an
         algorithm that disseminates its decisions reliably by itself.
         """
+
+    def leader_hint(self) -> Optional[int]:
+        """The process whose proposal this algorithm will decide, if it
+        decides only one process's proposal; ``None`` if any process's
+        proposal may be decided (the default, and Chandra–Toueg's case).
+
+        A hint, not a promise: the Atomic Broadcast layer sends payloads
+        where they can be decided and uses it for nothing else, so a
+        wrong or changing hint costs dissemination, never safety.
+        """
+        return None
 
     # -- replay support (Section 4.2, recovery) -----------------------------------
 

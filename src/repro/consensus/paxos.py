@@ -516,6 +516,12 @@ class PaxosConsensus(ConsensusService):
         if self.decided_value(k) is None:
             self.endpoint.send(peer, Query(k))
 
+    def leader_hint(self) -> Optional[int]:
+        """Ω's leader: while Ω is stable only it runs attempts, so a
+        round decides its proposal (or a value an earlier attempt left
+        accepted, which already travelled in that attempt's Accept)."""
+        return self.omega.leader()
+
     # -- instance driver ----------------------------------------------------------------------
 
     def _members(self, k: int) -> Tuple[int, ...]:

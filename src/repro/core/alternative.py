@@ -132,6 +132,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         self._last_state_sent: dict = {}
         self.ckpt_k = 0
         self._peer_ckpt: dict = {}
+        self._floor_heard = 0
         # The durable chain as this incarnation knows it: how many
         # messages it holds, and the logged size of the base record and
         # of the segments chained to it (what the fold rule compares —
@@ -179,6 +180,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         self._pending_restore = False
         self.ckpt_k = 0
         self._peer_ckpt = {}
+        self._floor_heard = 0
         self._durable_count = 0
         self._base_bytes = 0
         self._segment_bytes = 0
@@ -371,10 +373,13 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
     def _checkpoint_round(self) -> int:
         return self.ckpt_k
 
-    def _note_peer_checkpoint(self, sender: int, ckpt_k: int) -> None:
+    def _note_peer_checkpoint(self, sender: int, ckpt_k: int,
+                              floor: int) -> None:
         previous = self._peer_ckpt.get(sender, 0)
         if ckpt_k > previous:
             self._peer_ckpt[sender] = ckpt_k
+        if floor > self._floor_heard:
+            self._floor_heard = floor
 
     def _gc_watermark(self) -> int:
         """Highest round below which no process can ever need a consensus
@@ -382,16 +387,20 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
 
         Every process restarts at its own durable checkpoint round, so
         instances below ``min(checkpointed rounds)`` are dead globally.
-        Peers we have not heard a checkpoint round from contribute 0,
-        which simply makes the watermark conservative.
+        Two lower bounds on that minimum are at hand: the lowest round
+        each peer advertised (one not heard from contributes 0), and the
+        highest ``floor`` any peer advertised — its own watermark, by
+        induction a lower bound too, and all a follower has once it hears
+        only the leader.  Either is safe, so the higher one is taken,
+        capped by this node's own checkpoint.
         """
         assert self.node is not None
-        watermark = self.ckpt_k
+        lowest = self.ckpt_k
         for peer in self.endpoint.peers():
             if peer == self.node.node_id:
                 continue
-            watermark = min(watermark, self._peer_ckpt.get(peer, 0))
-        return watermark
+            lowest = min(lowest, self._peer_ckpt.get(peer, 0))
+        return min(self.ckpt_k, max(lowest, self._floor_heard))
 
     # -- Section 5.3: state transfer ----------------------------------------------------------------
 

@@ -6,14 +6,17 @@ One consensus-driven ordering loop per process, in consecutive rounds:
   consensus instance and moves the decided batch to the ``Agreed`` queue
   (deterministically ordered, duplicates eliminated);
 * a **gossip task** periodically sends a peer the payloads that peer
-  is not known to hold, the ids it should send us, and — to a rotating
-  ``⌈log₂ n⌉`` of them — the digest of Unordered, with ``k`` on every
-  gossip sent; it both disseminates data messages (no reliable
-  multicast needed over the fair-loss channel) and lets lagging
-  processes discover how far behind they are (``gossip-k``).
-  Each payload crosses each link once: its originator pushes it once,
-  and again only when a later digest from the peer still lacks it;
-  anyone else who lacks it pulls it by id (DESIGN.md, substitutions);
+  is not known to hold, the ids it should send us, and the digest of
+  Unordered, with ``k`` on every gossip sent; it both disseminates data
+  messages (no reliable multicast needed over the fair-loss channel)
+  and lets lagging processes discover how far behind they are
+  (``gossip-k``).  Payloads go only where a proposal can be decided:
+  the consensus box's :meth:`~repro.consensus.base.ConsensusService.
+  leader_hint` names the process whose proposal it will decide, an
+  originator pushes to it and its successor, and only it pulls; the
+  decided ``Accept`` carries the batch to everyone else.  With no hint
+  every process may be decided, so payloads go to every peer
+  (DESIGN.md, substitutions);
 * the only stable-storage write is the consensus *proposal* — performed
   inside ``propose`` as its first operation — so Atomic Broadcast adds
   **zero** log operations beyond the Consensus black box (Section 4.3);
@@ -29,14 +32,14 @@ that the current round is simply the first round with no logged proposal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Generator, List, Sequence
+from typing import Any, Dict, FrozenSet, Generator, List, Optional, Sequence
 
 from repro.consensus.base import ConsensusService
 from repro.core.agreed import AgreedQueue, deterministic_order
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
 from repro.errors import BroadcastError, OverloadError
-from repro.runtime import NodeComponent, Signal
+from repro.runtime import AnyOf, NodeComponent, Signal
 from repro.transport.endpoint import Endpoint
 
 __all__ = ["BasicAtomicBroadcast", "DeliveryListener"]
@@ -308,23 +311,27 @@ class BasicAtomicBroadcast(NodeComponent):
             yield self.gossip_interval
 
     def _gossip_once(self) -> None:
-        """One tick: ``gossip(k, payloads, ckpt_k, known, want)`` to each
-        peer it has something to say to.
+        """One tick: ``gossip(k, payloads, ckpt_k, known, want, floor)``
+        to each peer it has something to say to.
 
         A gossip goes to a peer only when it carries payloads, a
-        ``want`` or a digest due to that peer; ``k`` and ``ckpt_k``
-        ride on every one sent, and the digest rotation reaches every
-        peer within ``⌈(n−1)/f⌉`` ticks, so the lag signal needs no
-        per-tick message.  What differs per peer:
+        ``want`` or a digest due to that peer; ``k``, ``ckpt_k`` and
+        ``floor`` ride on every one sent.  Who gets what follows the
+        consensus box's leader hint (``None``: any process's proposal
+        may be decided, and every rule below applies to every peer):
 
-        * ``payloads`` — a message this node originated goes to a peer
-          the first time that peer's view does not list it, and again
-          only once :meth:`_on_gossip` has re-armed it; plus whatever
-          the peer asked for;
-        * ``known`` — the digest goes to ``f = min(n−1, ⌈log₂ n⌉)`` peers
-          per tick, in turn (:meth:`_digest_recipients`); the others get
-          ``None``, "no digest in this gossip";
-        * ``want`` — the ids we lack from the peer's last digest.
+        * ``payloads`` — a message this node originated goes to each
+          push target (:meth:`_push_targets`: the leader and its
+          successor) the first time that peer's view does not list it,
+          and again only once :meth:`_on_gossip` has re-armed it; plus
+          whatever the peer asked for;
+        * ``known`` — a follower's digest goes to the leader every tick;
+          the leader's goes to ``f = min(n−1, ⌈log₂ n⌉)`` peers per
+          tick, in turn (:meth:`_digest_recipients`), which is the lag
+          signal.  The others get ``None``, "no digest in this gossip";
+        * ``want`` — the ids we lack from the peer's last digest, asked
+          only by the leader: a follower would receive them again in
+          the ``Accept``.
 
         Peers in the same position share one message object, so it is
         built and sized once.
@@ -344,23 +351,32 @@ class BasicAtomicBroadcast(NodeComponent):
         # how short the member's own history still is.
         k = -1 if self._joining else self.k
         ckpt_k = self._checkpoint_round()
+        floor = self._gc_watermark()
         unordered = self.unordered
         known = frozenset(unordered)
-        digest_to = self._digest_recipients(group, peers)
+        leader = self.consensus.leader_hint()
+        if leader not in group:
+            leader = None       # no hint, or one outside this view
+        push_to = self._push_targets(group, peers, leader)
+        digest_to = self._digest_recipients(group, peers, leader)
+        pulls = leader is None or leader == node_id
         mine = {mid for mid in unordered if mid[0] == node_id}
         built: Dict[Any, GossipMessage] = {}
         for peer in peers:
             view = self._peers.get(peer, _NOTHING_HEARD)
-            push = mine.difference(view.known,
-                                   self._pushed.get(peer, _NO_IDS))
-            if push:
-                sent = self._pushed.setdefault(peer, {})
-                for mid in push:
-                    sent[mid] = now
+            if peer in push_to:
+                push = mine.difference(view.known,
+                                       self._pushed.get(peer, _NO_IDS))
+                if push:
+                    sent = self._pushed.setdefault(peer, {})
+                    for mid in push:
+                        sent[mid] = now
+            else:
+                push = set()
             if view.asked:
                 push.update(mid for mid in view.asked if mid in unordered)
                 view.asked = _NO_IDS    # served; the peer re-asks
-            want = view.missing
+            want = view.missing if pulls else _NO_IDS
             if want:    # some of it may have arrived since
                 want = frozenset(mid for mid in want
                                  if mid not in unordered
@@ -373,24 +389,46 @@ class BasicAtomicBroadcast(NodeComponent):
             if message is None:
                 message = GossipMessage(
                     k, frozenset(unordered[mid] for mid in push), ckpt_k,
-                    known if digest else None, want)
+                    known if digest else None, want, floor)
                 built[key] = message
             self.endpoint.send(peer, message)
 
-    def _digest_recipients(self, group: Sequence[int],
-                           peers: List[int]) -> FrozenSet[int]:
-        """The ``f = min(n−1, ⌈log₂ n⌉)`` peers this tick's digest goes to.
+    def _push_targets(self, group: Sequence[int], peers: List[int],
+                      leader: Optional[int]) -> Sequence[int]:
+        """The peers this node's own messages are pushed to.
 
-        Round-robin through the group's order, starting after this
+        The first two of the group's order starting at the leader,
+        skipping this node: the leader, whose proposal is the one
+        decided, and its successor, which holds every payload already
+        when it takes over.  The leader itself pushes to the next two.
+        With no leader, every peer.
+        """
+        if leader is None:
+            return peers
+        start, size = group.index(leader), len(group)
+        node_id = self.endpoint.node_id
+        ring = (group[(start + i) % size] for i in range(size))
+        return [peer for peer in ring if peer != node_id][:2]
+
+    def _digest_recipients(self, group: Sequence[int], peers: List[int],
+                           leader: Optional[int]) -> FrozenSet[int]:
+        """The peers this tick's digest goes to.
+
+        A follower's goes to the leader, every tick: it is what the
+        leader pulls from.  The leader's — and every node's when there
+        is no leader — goes to ``f = min(n−1, ⌈log₂ n⌉)`` peers,
+        round-robin through the group's order, starting after this
         node's own id and advancing ``f`` a tick, so every peer hears the
         digest at least every ``⌈(n−1)/f⌉`` ticks.  Deterministic: it
         draws nothing from any random stream.
         """
+        node_id = self.endpoint.node_id
+        if leader is not None and leader != node_id:
+            return frozenset((leader,))
         count = len(peers)
         fanout = min(count, count.bit_length())     # ⌈log₂(count + 1)⌉
         if fanout == count:
             return frozenset(peers)
-        node_id = self.endpoint.node_id
         start = group.index(node_id) if node_id in group else 0
         first = start + self._digest_turn
         self._digest_turn = (self._digest_turn + fanout) % count
@@ -441,7 +479,7 @@ class BasicAtomicBroadcast(NodeComponent):
                 for mid in sent.keys() - known:
                     if sent[mid] <= cutoff:
                         del sent[mid]
-        self._note_peer_checkpoint(sender, msg.ckpt_k)
+        self._note_peer_checkpoint(sender, msg.ckpt_k, msg.floor)
         if msg.k > self.k:
             self.gossip_k = max(self.gossip_k, msg.k)  # q was ahead
             self._ahead_peer = sender
@@ -453,7 +491,13 @@ class BasicAtomicBroadcast(NodeComponent):
         """Round covered by this node's durable checkpoint (basic: none)."""
         return 0
 
-    def _note_peer_checkpoint(self, sender: int, ckpt_k: int) -> None:
+    def _gc_watermark(self) -> int:
+        """Round below which no process needs a consensus record again,
+        advertised as ``floor`` (basic: nothing is ever discarded)."""
+        return 0
+
+    def _note_peer_checkpoint(self, sender: int, ckpt_k: int,
+                              floor: int) -> None:
         """Hook for subclasses: watermark bookkeeping for log truncation."""
 
     def _peer_behind(self, sender: int, peer_k: int) -> None:
@@ -481,12 +525,19 @@ class BasicAtomicBroadcast(NodeComponent):
             else:
                 if not self.replay_complete:
                     self._finish_replay()
-                # wait until (Unordered ≠ ∅) or (gossip-k > k)
-                while not self.unordered and self.gossip_k <= self.k:
-                    yield self._progress.wait()
+                # wait until (Unordered ≠ ∅) or (gossip-k > k) or
+                # decided(k): a follower whose Unordered holds nothing of
+                # its own learns the round's batch from the Decide alone.
+                while not self.unordered and self.gossip_k <= self.k \
+                        and self.consensus.decided_value(self.k) is None:
+                    yield AnyOf([self._progress.wait(),
+                                 self.consensus.decision_signal(self.k)
+                                 .wait()])
                 # Propose the Unordered set — possibly empty, when we only
-                # know we lagged behind (the decision for this round was
-                # taken without our proposal anyway).
+                # know we lagged behind or the round is decided (the
+                # decision was taken without our proposal anyway).  It
+                # is logged all the same: replay re-runs every round that
+                # has a logged proposal.
                 value = frozenset(self.unordered.values())
                 self.consensus.propose(self.k, value)
             result = yield from self.consensus.wait_decided(self.k)

@@ -5,7 +5,7 @@
   equality, so sets of messages deduplicate by id exactly as the paper's
   idempotent Unordered/Agreed operations require).
 * :class:`GossipMessage` — Figure 2's ``gossip(k_p, Unordered_p)``, sent as a
-  digest of ids plus only the payloads the addressee lacks.
+  digest of ids plus only the payloads the addressee lacks and can use.
 * :class:`StateMessage` — ``state(k_p - 1, …)`` of Figure 3 (Section 5.3
   state transfer): the rounds the addressee missed, or the whole queue.
 """
@@ -98,19 +98,21 @@ snapshot.register_handler(AppMessage, _message_snapshot)
 
 
 class GossipMessage(WireMessage):
-    """``gossip(k, payloads, ckpt_k, known, want)``: round number, digest,
-    and only the messages the addressee is not known to hold.
+    """``gossip(k, payloads, ckpt_k, known, want, floor)``: round number,
+    digest, and only the messages the addressee is not known to hold.
 
-    Figure 2 multisends the whole Unordered set; here each payload
-    crosses each link once and everything else refers to it by id
+    Figure 2 multisends the whole Unordered set to everyone; here a
+    payload goes only to the processes whose proposal a round can
+    decide, once per link, and everything else refers to it by id
     (DESIGN.md, substitutions):
 
     * ``known`` — the ids of the sender's whole Unordered set.  It is the
-      digest peers pull from and, read by an originator, the evidence
-      that a push was lost.  ``None`` means "no digest in this gossip"
-      (a sender digests to a rotating few peers a tick): the receiver
-      keeps what the sender's last digest said.  An empty set is a
-      digest, of an empty Unordered set;
+      digest the leader pulls from and, read by an originator, the
+      evidence that a push was lost.  ``None`` means "no digest in this
+      gossip" (the leader digests to a rotating few peers a tick, a
+      follower to the leader alone): the receiver keeps what the
+      sender's last digest said.  An empty set is a digest, of an empty
+      Unordered set;
     * ``payloads`` — messages the sender originated that the addressee's
       view did not list and it had not pushed already, plus whatever the
       addressee asked for;
@@ -124,20 +126,25 @@ class GossipMessage(WireMessage):
     restarts at its own checkpoint — so they are safe to discard.  This
     makes the paper's "line c" log truncation safe for *other* processes
     too, not just the local replay (see DESIGN.md, substitutions).
+    ``floor`` is the watermark the sender computed: a lower bound on
+    every process's checkpointed round, so a follower that hears only
+    the leader still learns how far it may truncate.
     """
 
     type = "ab.gossip"
-    fields = ("k", "payloads", "ckpt_k", "known", "want")
+    fields = ("k", "payloads", "ckpt_k", "known", "want", "floor")
 
     def __init__(self, k: int, payloads: FrozenSet[AppMessage],
                  ckpt_k: int = 0,
                  known: Optional[FrozenSet[MessageId]] = frozenset(),
-                 want: FrozenSet[MessageId] = frozenset()):
+                 want: FrozenSet[MessageId] = frozenset(),
+                 floor: int = 0):
         self.k = k
         self.payloads = payloads
         self.ckpt_k = ckpt_k
         self.known = known
         self.want = want
+        self.floor = floor
 
 
 class StateMessage(WireMessage):

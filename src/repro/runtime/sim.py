@@ -28,40 +28,25 @@ from repro.runtime.primitives import Event
 __all__ = ["SimRuntime", "Simulator", "Timer"]
 
 
-class Timer:
-    """A cancellable handle for a scheduled callback (the heap entry)."""
+class Timer(list):
+    """A cancellable handle for a scheduled callback, and its own heap
+    entry: ``[when, seq, callback, args, owner]``.
 
-    __slots__ = ("when", "seq", "_callback", "_args", "cancelled", "_owner")
+    ``seq`` is unique, so ``heapq`` orders timers by ``(when, seq)`` —
+    list comparison, in C — and never reaches the callback.  Being its
+    own entry keeps one object per scheduled callback: a ``(when, seq,
+    timer)`` tuple would be a second for the garbage collector to walk,
+    and a set-up schedules every request of a run at once.  A timer that
+    fired or was cancelled holds no callback.
+    """
 
-    def __init__(self, when: float, seq: int, callback: Callable, args: tuple,
-                 owner: Optional["SimRuntime"] = None):
-        self.when = when
-        self.seq = seq
-        self._callback = callback
-        self._args = args
-        self.cancelled = False
-        self._owner = owner
+    __slots__ = ()
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if it already ran)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self._callback = None
-        self._args = ()
-        if self._owner is not None:
-            self._owner._note_cancelled()
-
-    def _fire(self) -> None:
-        if not self.cancelled:
-            callback, args = self._callback, self._args
-            self.cancelled = True  # timers are one-shot
-            self._callback = None
-            self._args = ()
-            callback(*args)
-
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
+        if self[2] is not None:
+            self[2] = self[3] = None
+            self[4]._note_cancelled()
 
 
 class SimRuntime(Runtime):
@@ -109,8 +94,7 @@ class SimRuntime(Runtime):
         """Run ``callback(*args)`` after ``delay`` units of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        timer = Timer(self._now + delay, self._seq, callback, args,
-                      owner=self)
+        timer = Timer((self._now + delay, self._seq, callback, args, self))
         self._seq += 1
         heapq.heappush(self._heap, timer)
         return timer
@@ -121,12 +105,14 @@ class SimRuntime(Runtime):
         Rebuilding from the live entries is deterministic: ``(when, seq)``
         keys are unique, so the pop order of a re-heapified subset is
         identical to popping the original heap and skipping the dead.
+        The list is rebuilt in place: :meth:`run` holds it.
         """
         self._cancelled_in_heap += 1
+        heap = self._heap
         if (self._cancelled_in_heap > self._COMPACT_FLOOR
-                and self._cancelled_in_heap * 2 > len(self._heap)):
-            self._heap = [t for t in self._heap if not t.cancelled]
-            heapq.heapify(self._heap)
+                and self._cancelled_in_heap * 2 > len(heap)):
+            heap[:] = [timer for timer in heap if timer[2] is not None]
+            heapq.heapify(heap)
             self._cancelled_in_heap = 0
             self.compactions += 1
 
@@ -146,22 +132,27 @@ class SimRuntime(Runtime):
         even if the queue drained earlier, so back-to-back ``run`` calls
         compose predictably.
         """
+        heap, pop = self._heap, heapq.heappop
         processed = 0
-        while self._heap:
-            timer = self._heap[0]
-            if timer.cancelled:
-                heapq.heappop(self._heap)
+        while heap:
+            timer = heap[0]
+            callback = timer[2]
+            if callback is None:
+                pop(heap)
                 self._cancelled_in_heap -= 1
                 continue
-            if until is not None and timer.when > until:
+            when = timer[0]
+            if until is not None and when > until:
                 break
             if max_events is not None and processed >= max_events:
                 break
-            heapq.heappop(self._heap)
-            self._now = timer.when
+            pop(heap)
+            self._now = when
             self._event_count += 1
             processed += 1
-            timer._fire()
+            args = timer[3]
+            timer[2] = timer[3] = None     # timers are one-shot
+            callback(*args)
         if until is not None and self._now < until:
             self._now = until
         return self._now
@@ -178,7 +169,7 @@ class SimRuntime(Runtime):
                 raise SimulationError(
                     f"deadlock: event {event.name!r} never fired "
                     f"(queue drained at t={self._now})")
-            if limit is not None and self._heap[0].when > limit:
+            if limit is not None and self._heap[0][0] > limit:
                 raise SimulationError(
                     f"timeout: event {event.name!r} not fired by t={limit}")
             self.run(max_events=1)

@@ -35,13 +35,18 @@ def test_every_registered_class_round_trips_typed_and_tunnelled():
 
 def test_gossip_digest_and_pull_fields_are_fuzzed():
     """The fuzzed universe follows ``fields``: the gossip digest
-    (``known``) and pull (``want``) get random values like the rest, and
-    the digest is drawn both present and absent (``None``)."""
+    (``known``), pull (``want``) and watermark (``floor``) get random
+    values like the rest, and the digest is drawn both present and
+    absent (``None``)."""
     import random
     gossip = dict(wirefuzz.registered_classes())["ab.gossip"]
-    assert gossip.fields == ("k", "payloads", "ckpt_k", "known", "want")
+    assert gossip.fields == ("k", "payloads", "ckpt_k", "known", "want",
+                             "floor")
     drawn = wirefuzz.random_fields(gossip, random.Random(7))
     assert set(drawn) == set(gossip.fields)
+    floors = {repr(wirefuzz.random_fields(gossip, random.Random(seed))
+                   ["floor"]) for seed in range(20)}
+    assert len(floors) > 1
     rng = random.Random(8)
     digests = [wirefuzz.random_fields(gossip, rng)["known"]
                for _ in range(20)]

@@ -176,30 +176,32 @@ class TestGossip:
 
 
 class TestDigestGossip:
-    """Each payload crosses each link once; the rest is ids."""
+    """Payloads go to the leader and its successor, once per link; the
+    rest is ids, and the Accept carries the batch to everyone else."""
 
     def test_crashed_originator_is_pulled_from_the_one_peer_it_reached(self):
-        """Nobody relays blindly any more: a message whose originator
-        died after reaching one non-leader peer spreads through ``want``."""
+        """Nobody relays blindly: a message whose originator died after
+        reaching only the leader's successor reaches the leader through
+        the successor's digest and the leader's ``want``."""
         cluster = build(n=5, seed=11)
         sent = tap(cluster, drop=lambda src, dst, message:
-                   src == 4 and dst != 3 and message.type == "ab.gossip")
+                   src == 4 and dst != 1 and message.type == "ab.gossip")
         assert cluster.consensuses[3].omega.leader() == 0
         cluster.sim.schedule(0.6, cluster.submit, 4, "orphan")
-        cluster.run(until=0.9)      # one tick (0.75) has pushed it to 3
-        orphan, = cluster.abcasts[3].unordered
+        cluster.run(until=0.9)      # one tick (0.75) has pushed it to 1
+        orphan, = cluster.abcasts[1].unordered
         cluster.nodes[4].crash()
         assert all(orphan not in cluster.abcasts[i].unordered
-                   for i in (0, 1, 2))
+                   for i in (0, 2, 3))
         cluster.run(until=20.0)
         assert all(sequences(cluster)[i] == ["orphan"] for i in range(4))
         assert not any(cluster.abcasts[i].has_backlog() for i in range(4))
         gossip = of_type(sent, "ab.gossip")
         pulls = [(src, dst) for _, src, dst, m in gossip if orphan in m.want]
-        assert pulls and all(dst == 3 for _, dst in pulls[:3])
+        assert pulls and set(pulls) == {(0, 1)}     # only the leader asks
         carriers = {src for _, src, _, m in gossip
                     if any(a.id == orphan for a in m.payloads)}
-        assert 3 in carriers and 4 in carriers
+        assert carriers == {1, 4}
 
     def test_peer_recovery_resets_what_we_believe_it_holds(self):
         cluster = build(seed=12)
@@ -271,17 +273,22 @@ class TestDigestGossip:
         cluster = build(n=n, seed=16)
         sent = tap(cluster)
         for j in range(count):
-            cluster.sim.schedule(0.5 + 0.21 * j, cluster.submit, j % n,
-                                 f"m{j}")
+            cluster.sim.schedule(0.5 + 0.21 * j, cluster.submit,
+                                 1 + j % (n - 1), f"m{j}")
         cluster.run(until=15.0)
         assert all(len(seq) == count for seq in sequences(cluster).values())
         gossip = of_type(sent, "ab.gossip")
         assert all(src != dst for _, src, dst, _ in gossip)   # not to self
         copies = sum(len(m.payloads) for _, _, _, m in gossip)
-        # Lossless: each payload crosses each link exactly once.
-        # Whole-set gossip from every holder was ~n*n copies per tick a
-        # message stayed unordered.
-        assert copies == (n - 1) * count
+        accepted = sum(len(m.value) for _, _, _, m
+                       in of_type(sent, "paxos.accept"))
+        # Lossless: gossip takes each payload to the leader and its
+        # successor, and the Accept to every process — n + 2 copies.
+        # Pushing to every peer as well cost 2n − 1; whole-set gossip
+        # from every holder was ~n*n copies per tick a message stayed
+        # unordered.
+        assert copies == 2 * count
+        assert accepted == n * count
         assert not any(m.want for _, _, _, m in gossip)       # lossless
 
 

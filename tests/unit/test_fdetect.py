@@ -134,14 +134,14 @@ class TestScopedWatching:
 
     def test_a_watched_crash_is_suspected_within_the_timeout(self):
         # Node 3 is above the leader, so only an explicit watch makes
-        # node 1 listen for it; its gossip digests (every other tick at
-        # n = 5) keep it trusted while it is up.
+        # the leader listen for it; its gossip digests (to the leader,
+        # every tick) keep it trusted while it is up.
         cluster = Cluster(ClusterConfig(n=5, seed=7))
         cluster.start()
         for j in range(30):
             cluster.sim.schedule(0.5 + 0.3 * j, cluster.submit,
                                  (0, 1, 2, 4)[j % 4], j)
-        detector = detector_of(cluster, 1)
+        detector = detector_of(cluster, 0)
         cluster.run(until=2.0)
         assert not detector.is_suspected(3) and 3 not in detector._last_heard
         detector.watch(3)

@@ -1,20 +1,27 @@
-"""The gossip task says each thing once: a payload crosses each link once
-unless a later digest shows it lost, the digest goes to a rotating
-``⌈log₂ n⌉`` peers a tick, and a peer gets a gossip only when it carries
-a push, a ``want`` or its turn of the digest."""
+"""Payloads go where they can be decided, and gossip says each thing once.
+
+Under Paxos the consensus box hints its Ω leader: an originator pushes a
+payload to the leader and its successor, once per link unless a later
+digest shows it lost; only the leader pulls; a follower's digest goes to
+the leader every tick, and the leader's to a rotating ``⌈log₂ n⌉`` peers
+a tick; a peer gets a gossip only when it carries a push, a ``want`` or
+its digest.  The decided ``Accept`` carries the batch to everyone else.
+With no hint (Chandra–Toueg) every rule applies to every peer."""
 
 from __future__ import annotations
 
 import math
 
+from repro.core.alternative import AlternativeConfig
 from repro.core.messages import GossipMessage
 from repro.fdetect.heartbeat import Heartbeat, HeartbeatDetector
 from repro.harness.cluster import Cluster, ClusterConfig
 from tests.conftest import tap
 
 
-def build(n, seed, protocol="basic"):
-    cluster = Cluster(ClusterConfig(n=n, seed=seed, protocol=protocol))
+def build(n, seed, protocol="basic", **kwargs):
+    cluster = Cluster(ClusterConfig(n=n, seed=seed, protocol=protocol,
+                                    **kwargs))
     cluster.start()
     return cluster
 
@@ -34,6 +41,16 @@ def delivered_everywhere(cluster, payload):
                for ab in cluster.abcasts.values())
 
 
+def digest_recipients(seen, interval):
+    """``(src, tick) -> {dst}`` for every digest sent."""
+    digests = {}
+    for when, src, dst, message in gossips(seen):
+        if message.known is not None:
+            tick = round(when / interval)
+            digests.setdefault((src, tick), set()).add(dst)
+    return digests
+
+
 class ConsensusGate:
     """A ``drop`` for :func:`tap` that holds back every consensus
     message while closed, so a message stays Unordered everywhere, and
@@ -50,39 +67,39 @@ class ConsensusGate:
 
 
 class TestDigestRotation:
-    def test_every_node_hears_every_peers_digest_within_two_ticks(self):
+    def test_the_leaders_digest_reaches_all_in_two_ticks(self):
         n = 9                               # f = ⌈log₂ 9⌉ = 4 of 8 peers
         cluster = build(n, seed=21)
+        assert cluster.consensuses[5].leader_hint() == 0
         seen = tap(cluster.network)
         cluster.run(until=5.0)
-        interval = cluster.config.gossip_interval
-        digests = {}
-        for when, src, dst, message in gossips(seen):
-            tick = round(when / interval)
-            if message.known is not None:
-                digests.setdefault((src, tick), set()).add(dst)
-        for src in range(n):
-            peers = set(range(n)) - {src}
-            for tick in range(20):
-                assert len(digests[(src, tick)]) == 4
-                # Two consecutive ticks reach every peer.
-                assert digests[(src, tick)] | digests[(src, tick + 1)] \
-                    == peers
-        # The first digest goes to the peers after the node's own id.
-        assert digests[(5, 0)] == {6, 7, 8, 0}
+        digests = digest_recipients(seen, cluster.config.gossip_interval)
+        for tick in range(20):
+            assert len(digests[(0, tick)]) == 4
+            # Two consecutive ticks reach every peer.
+            assert digests[(0, tick)] | digests[(0, tick + 1)] \
+                == set(range(1, n))
+            # A follower's digest goes to the leader, every tick.
+            for src in range(1, n):
+                assert digests[(src, tick)] == {0}
+        # The first digest goes to the peers after the leader's own id.
+        assert digests[(0, 0)] == {1, 2, 3, 4}
 
     def test_small_groups_digest_to_every_peer(self):
         cluster = build(3, seed=22)
         seen = tap(cluster.network)
         cluster.run(until=2.0)
+        digests = digest_recipients(seen, cluster.config.gossip_interval)
+        assert all(digests[(0, tick)] == {1, 2} for tick in range(8))
         assert all(message.known is not None
                    for *_, message in gossips(seen))
 
 
 class TestQuietGossip:
     def test_a_gossip_carries_a_push_a_want_or_a_due_digest(self):
-        # n = 9: the digest goes to f = 4 of 8 peers a tick, and a gossip
-        # goes nowhere else unless it pushes or pulls something.
+        # n = 9: the leader digests to f = 4 of 8 peers a tick, each
+        # follower to the leader, and a gossip goes nowhere else unless
+        # it pushes something.
         n, fanout = 9, 4
         cluster = Cluster(ClusterConfig(n=n, seed=4))
         seen = tap(cluster.network)
@@ -91,23 +108,26 @@ class TestQuietGossip:
             cluster.sim.schedule(0.5 + 0.3 * j, cluster.submit, j % n, j)
         cluster.run(until=10.0)
         interval = cluster.config.gossip_interval
-        digests, sent = {}, 0
+        sent = 0
         for when, src, dst, message in gossips(seen):
             sent += 1
             assert message.payloads or message.want \
                 or message.known is not None
-            if message.known is not None:
-                tick = round(when / interval)
-                digests.setdefault((src, tick), set()).add(dst)
-        # Every peer hears each node's digest within ⌈(n−1)/f⌉ = 2 ticks.
+            if 0 not in (src, dst):
+                # Between followers only pushes travel: to the
+                # originator's second target.
+                assert message.payloads and not message.want \
+                    and message.known is None
+        digests = digest_recipients(seen, interval)
+        # Every peer hears the leader's digest within ⌈(n−1)/f⌉ = 2 ticks.
         window = math.ceil((n - 1) / fanout)
-        for src in range(n):
-            peers = set(range(n)) - {src}
-            for tick in range(41 - window + 1):
-                heard = set().union(*(digests[(src, tick + i)]
-                                      for i in range(window)))
-                assert heard == peers
-        assert sent < 41 * n * (n - 1) * 2 // 3   # most links stay quiet
+        for tick in range(41 - window + 1):
+            heard = set().union(*(digests[(0, tick + i)]
+                                  for i in range(window)))
+            assert heard == set(range(1, n))
+        # (n − 1) follower digests and f leader digests a tick, plus
+        # pushes: almost every follower-to-follower link stays quiet.
+        assert sent < 41 * (n - 1 + fanout) * 5 // 4
         # A quiet link is the leader's to fill; nobody else beats.
         assert {src for _, src, _, message in seen
                 if message.type == Heartbeat.type} == {0}
@@ -143,7 +163,7 @@ class TestQuietGossip:
 
 
 class TestBudget:
-    def test_n25_costs_at_most_45_messages_per_delivery(self):
+    def test_n25_costs_at_most_16_messages_per_delivery(self):
         n = 25
         cluster = Cluster(ClusterConfig(n=n, seed=11))
         seen = tap(cluster.network)
@@ -153,45 +173,183 @@ class TestBudget:
         cluster.run(until=10.0)
         delivered = len(cluster.collector.first_delivery)
         assert delivered >= 390
-        assert len(seen) / delivered <= 45
+        assert len(seen) / delivered <= 16
         assert [src for when, src, _, message in seen
                 if message.type == Heartbeat.type and when > 1.0
                 and src != 0] == []
+
+
+class TestPushTargets:
+    def test_a_lossless_run_pushes_each_payload_to_two_peers_no_want(self):
+        # Followers push to the leader (0) and its successor (1), node 1
+        # to 0 and 2; nothing is pulled, and the Accept carries every
+        # payload to every process.
+        n, count = 5, 20
+        cluster = build(n, seed=16)
+        seen = tap(cluster.network)
+        for j in range(count):
+            cluster.sim.schedule(0.5 + 0.21 * j, cluster.submit,
+                                 1 + j % (n - 1), f"m{j}")
+        cluster.run(until=15.0)
+        assert all(len(ab.deliver_sequence()) == count
+                   for ab in cluster.abcasts.values())
+        targets = {}
+        for _, src, dst, message in gossips(seen):
+            assert not message.want
+            for payload in message.payloads:
+                assert payload.id.sender == src
+                targets.setdefault(payload.id, []).append(dst)
+        assert len(targets) == count
+        for mid, dsts in targets.items():
+            assert sorted(dsts) == ([0, 2] if mid.sender == 1 else [0, 1])
+        accepted = sum(len(message.value) for *_, message in seen
+                       if message.type == "paxos.accept")
+        assert accepted == n * count
+
+    def test_under_ct_every_payload_crosses_each_link_once(self):
+        # No leader hint: any process's proposal may be decided, so every
+        # process gets every payload, once.
+        n, count = 5, 20
+        cluster = build(n, seed=16, protocol="ct")
+        assert cluster.consensuses[0].leader_hint() is None
+        seen = tap(cluster.network)
+        for j in range(count):
+            cluster.sim.schedule(0.5 + 0.21 * j, cluster.submit, j % n,
+                                 f"m{j}")
+        cluster.run(until=15.0)
+        assert all(len(ab.deliver_sequence()) == count
+                   for ab in cluster.abcasts.values())
+        links = [(src, dst, payload.id) for _, src, dst, message
+                 in gossips(seen) for payload in message.payloads]
+        assert len(links) == len(set(links)) == (n - 1) * count
+        assert not any(message.want for *_, message in gossips(seen))
+
+    def test_after_a_leader_crash_the_successor_holds_what_was_due(self):
+        cluster = build(5, seed=32)
+        gate = ConsensusGate()
+        seen = tap(cluster.network, drop=gate)
+        due = [cluster.submit(i, f"from-{i}") for i in (2, 3, 4)]
+        cluster.run(until=0.9)                  # pushed at the 0.75 tick
+        pushed = {(dst, payload.id) for _, _, dst, message in gossips(seen)
+                  for payload in message.payloads}
+        assert pushed == {(dst, m.id) for m in due for dst in (0, 1)}
+        cluster.crash(0)
+        assert {m.id for m in due} <= set(cluster.abcasts[1].unordered)
+        gate.closed = False
+        cluster.run(until=20.0)
+        assert cluster.consensuses[2].leader_hint() == 1
+        for i in range(1, 5):
+            assert sorted(m.payload for m in
+                          cluster.abcasts[i].deliver_sequence()) \
+                == ["from-2", "from-3", "from-4"]
+
+
+class TestFollowers:
+    def test_a_follower_with_nothing_to_propose_commits_on_the_decide(self):
+        cluster = build(5, seed=33)
+        seen = tap(cluster.network)
+        message = cluster.submit(0, "m")     # the leader's: pushed to 1, 2
+        follower, consensus = cluster.abcasts[4], cluster.consensuses[4]
+        while consensus.decided_value(0) is None:
+            assert follower.k == 0 and not follower.unordered
+            cluster.run(until=cluster.sim.now + 0.001)
+        # Committed within the millisecond the decision arrived in: the
+        # sequencer woke on the decision itself, not on a later gossip
+        # saying someone was ahead.
+        assert follower.k == 1
+        assert [m.id for m in follower.deliver_sequence()] == [message.id]
+        # It logged its (empty) proposal all the same: replay needs one.
+        assert consensus.proposal_of(0) == frozenset()
+        assert not any(carries(gossip, message.id)
+                       for *_, gossip in gossips(seen, dst=4))
+
+    def test_a_dropped_push_to_the_leader_is_pulled_from_the_next_digest(
+            self):
+        lost = []
+
+        def first_push_3_to_0(src, dst, message):
+            if (src, dst, message.type) == (3, 0, GossipMessage.type) \
+                    and message.payloads and not lost:
+                lost.append(cluster.sim.now)
+                return True
+            return False
+
+        cluster = build(5, seed=34)
+        gate = ConsensusGate(also=first_push_3_to_0)
+        seen = tap(cluster.network, drop=gate)
+        message = cluster.submit(3, "m")
+        cluster.run(until=2.0)
+        assert lost and message.id in cluster.abcasts[0].unordered
+        interval = cluster.config.gossip_interval
+        max_delay = cluster.config.network.max_delay
+        digest_at = min(when for when, _, _, gossip
+                        in gossips(seen, src=3, dst=0)
+                        if message.id in (gossip.known or ()))
+        asked_at = min(when for when, _, _, gossip
+                       in gossips(seen, src=0, dst=3)
+                       if message.id in gossip.want)
+        served_at = min(when for when, _, _, gossip
+                        in gossips(seen, src=3, dst=0)
+                        if carries(gossip, message.id))
+        assert lost[0] < digest_at <= lost[0] + interval
+        assert digest_at < asked_at <= digest_at + max_delay + interval
+        assert asked_at < served_at <= asked_at + max_delay + interval
+        # Only the leader asks.
+        assert {src for _, src, _, gossip in gossips(seen)
+                if gossip.want} == {0}
+        gate.closed = False
+        cluster.run(until=15.0)
+        assert delivered_everywhere(cluster, "m")
+
+    def test_every_followers_instance_floor_keeps_advancing(self):
+        # Followers hear only the leader, so their watermark comes from
+        # the leader's floor; without it they would never truncate.
+        cluster = build(5, seed=35, protocol="alternative",
+                        alt=AlternativeConfig(checkpoint_interval=1.0))
+        for j in range(300):
+            cluster.sim.schedule(0.5 + 0.1 * j, cluster.submit, j % 5, j)
+        floors = []
+        for until in (10.0, 20.0, 30.0):
+            cluster.run(until=until)
+            floors.append([cluster.consensuses[i].instance_floor
+                           for i in range(5)])
+        for before, after in zip(floors, floors[1:]):
+            assert all(0 < b < a for b, a in zip(before, after))
+        assert all(cluster.abcasts[i].instances_discarded > 0
+                   for i in range(5))
 
 
 class TestPushOnEvidence:
     def test_a_dropped_push_is_resent_after_the_peers_next_digest(self):
         lost = []
 
-        def first_push_to_3(src, dst, message):
-            if (src, dst, message.type) == (1, 3, GossipMessage.type) \
+        def first_push_to_2(src, dst, message):
+            if (src, dst, message.type) == (0, 2, GossipMessage.type) \
                     and message.payloads and not lost:
                 lost.append((cluster.sim.now, message))
                 return True
             return False
 
-        n = 9
-        cluster = build(n, seed=23)
-        gate = ConsensusGate(also=first_push_to_3)
+        cluster = build(9, seed=23)
+        gate = ConsensusGate(also=first_push_to_2)
         seen = tap(cluster.network, drop=gate)
-        message = cluster.submit(1, "m")
+        message = cluster.submit(0, "m")       # the leader's: to 1 and 2
         cluster.run(until=3.0)
         (lost_at, dropped), = lost
         assert carries(dropped, message.id)
         pushes = [(when, dst) for when, _, dst, gossip
-                  in gossips(seen, src=1) if carries(gossip, message.id)]
-        # One copy per link; the resend to 3 follows the first digest 3
-        # sent after the lost push.
-        assert sorted(dst for _, dst in pushes) == \
-            sorted(set(range(n)) - {1})
-        resent, = [when for when, dst in pushes if dst == 3]
+                  in gossips(seen, src=0) if carries(gossip, message.id)]
+        # One copy per target link; the resend to 2 follows the first
+        # digest 2 sent after the lost push.
+        assert sorted(dst for _, dst in pushes) == [1, 2]
+        resent, = [when for when, dst in pushes if dst == 2]
         digest_at = min(when for when, _, _, gossip
-                        in gossips(seen, src=3, dst=1)
+                        in gossips(seen, src=2, dst=0)
                         if when > lost_at and gossip.known is not None)
         interval = cluster.config.gossip_interval
         max_delay = cluster.config.network.max_delay
         assert digest_at < resent <= digest_at + max_delay + interval
-        assert message.id in cluster.abcasts[3].unordered
+        assert message.id in cluster.abcasts[2].unordered
         gate.closed = False
         cluster.run(until=15.0)
         assert delivered_everywhere(cluster, "m")
@@ -200,27 +358,24 @@ class TestPushOnEvidence:
         cluster = build(9, seed=24)
         gate = ConsensusGate()
         seen = tap(cluster.network, drop=gate)
-        message = cluster.submit(1, "m")
+        message = cluster.submit(0, "m")       # the leader's: to 1 and 2
         cluster.run(until=2.0)
-        assert message.id in cluster.abcasts[3].unordered
-        cluster.crash(3)                      # basic: Unordered is lost
-        # Between two ticks: 1's last digest to 3 lands while 3 is down,
-        # so 3 cannot ask 1 for the message before 1 pushes it again.
+        assert message.id in cluster.abcasts[2].unordered
+        cluster.crash(2)                      # basic: Unordered is lost
         cluster.run(until=2.1)
-        cluster.recover(3)
+        cluster.recover(2)
         cluster.run(until=5.0)
-        assert message.id in cluster.abcasts[3].unordered
+        assert message.id in cluster.abcasts[2].unordered
         repushed, = [when for when, _, _, gossip
-                     in gossips(seen, src=1, dst=3, since=2.1)
+                     in gossips(seen, src=0, dst=2, since=2.1)
                      if carries(gossip, message.id)]
-        from_3 = gossips(seen, src=3, dst=1, since=2.1)
-        first_digest = min(when for when, _, _, gossip in from_3
+        from_2 = gossips(seen, src=2, since=2.1)
+        first_digest = min(when for when, _, _, gossip in from_2
                            if gossip.known is not None)
         interval = cluster.config.gossip_interval
         max_delay = cluster.config.network.max_delay
         assert first_digest < repushed <= first_digest + max_delay + interval
-        assert not any(message.id in gossip.want
-                       for when, _, _, gossip in from_3 if when < repushed)
+        assert not any(gossip.want for *_, gossip in from_2)
         gate.closed = False
         cluster.run(until=15.0)
         assert delivered_everywhere(cluster, "m")
@@ -271,15 +426,23 @@ class TestGossipWithoutDigest:
 class TestPushedIsPruned:
     def test_when_ordered_and_when_the_peer_leaves_the_view(self):
         cluster = build(4, seed=28)
+        gate = ConsensusGate()
+        gate.closed = False
+        tap(cluster.network, drop=gate)
         ab = cluster.abcasts[0]
         message = cluster.submit(0, "m")
         cluster.run(until=0.1)
-        assert all(message.id in ab._pushed[peer] for peer in (1, 2, 3))
+        assert set(ab._pushed) == {1, 2}        # the leader's next two
+        assert all(message.id in ab._pushed[peer] for peer in (1, 2))
         while not ab.delivered_count():
             cluster.run(until=cluster.sim.now + 0.01)
-        assert set(ab._pushed) == {1, 2, 3}
         assert all(sent == {} for sent in ab._pushed.values())
-        cluster.remove_node(3)
+        cluster.remove_node(2)
         cluster.run(until=cluster.sim.now + 5.0)
-        assert cluster.views[0].members() == (0, 1, 2)
-        assert 3 not in ab._pushed and 3 not in ab._peers
+        assert cluster.views[0].members() == (0, 1, 3)
+        assert 2 not in ab._pushed and 2 not in ab._peers
+        gate.closed = True                      # keep the next one pushed
+        later = cluster.submit(0, "later")
+        cluster.run(until=cluster.sim.now + 0.3)
+        assert {peer for peer, sent in ab._pushed.items()
+                if later.id in sent} == {1, 3}

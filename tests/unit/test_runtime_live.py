@@ -37,10 +37,10 @@ def test_wire_roundtrip_gossip():
     known = frozenset(m.id for m in unordered) | {MessageId(1, 3, 2)}
     want = frozenset({MessageId(0, 1, 5)})
     sender, message = decode(encode(1, GossipMessage(
-        5, unordered, ckpt_k=2, known=known, want=want)))
+        5, unordered, ckpt_k=2, known=known, want=want, floor=1)))
     assert sender == 1
     assert isinstance(message, GossipMessage)
-    assert (message.k, message.ckpt_k) == (5, 2)
+    assert (message.k, message.ckpt_k, message.floor) == (5, 2, 1)
     assert message.payloads == unordered
     assert isinstance(message.payloads, frozenset)
     by_id = {m.id: m.payload for m in message.payloads}

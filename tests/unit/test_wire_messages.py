@@ -20,11 +20,13 @@ class TestGossipMessage:
         known = frozenset({msg(1).id, msg(2).id})
         want = frozenset({msg(3).id})
         gossip = GossipMessage(5, frozenset({msg(1)}), ckpt_k=3,
-                               known=known, want=want)
+                               known=known, want=want, floor=2)
         assert gossip.type == "ab.gossip"
         assert gossip.k == 5
         assert gossip.ckpt_k == 3
-        assert gossip.payload() == (5, frozenset({msg(1)}), 3, known, want)
+        assert gossip.floor == 2
+        assert gossip.payload() == (5, frozenset({msg(1)}), 3, known, want,
+                                    2)
 
     def test_digest_and_pull_default_to_empty(self):
         gossip = GossipMessage(5, frozenset({msg(1)}))
@@ -33,7 +35,7 @@ class TestGossipMessage:
     def test_no_digest_is_not_an_empty_digest(self):
         bare = GossipMessage(5, frozenset(), known=None)
         empty = GossipMessage(5, frozenset(), known=frozenset())
-        assert bare.payload() == (5, frozenset(), 0, None, frozenset())
+        assert bare.payload() == (5, frozenset(), 0, None, frozenset(), 0)
         assert empty.payload()[3] == frozenset()
         assert bare.estimated_size() < empty.estimated_size()
 
@@ -52,6 +54,10 @@ class TestGossipMessage:
 
     def test_default_ckpt_k_is_zero(self):
         assert GossipMessage(1, frozenset()).ckpt_k == 0
+
+    def test_default_floor_is_zero(self):
+        # Zero is always a safe watermark: it discards nothing.
+        assert GossipMessage(1, frozenset()).floor == 0
 
 
 class TestStateMessage:
