@@ -510,7 +510,8 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
             # Small de-sync — or batches that start past our round: we
             # recovered further back after the sender read our gossip,
             # and our next gossip earns a message that reaches back.
-            self.gossip_k = max(self.gossip_k, msg.k)
+            if msg.k > self.k:
+                self._heard_ahead(sender, msg.k)
             if self._joining and connects:
                 # The sender is no further along than we are: the suffix
                 # we would miss by starting at our own round is empty,

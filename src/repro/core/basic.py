@@ -4,7 +4,10 @@ One consensus-driven ordering loop per process, in consecutive rounds:
 
 * round ``k`` proposes the node's ``Unordered`` set to the ``k``-th
   consensus instance and moves the decided batch to the ``Agreed`` queue
-  (deterministically ordered, duplicates eliminated);
+  (deterministically ordered, duplicates eliminated); a round the node
+  knows is already decided is proposed empty, and while it is more than
+  one round behind it pulls each decision at once (DESIGN.md,
+  substitutions);
 * a **gossip task** periodically sends a peer the payloads that peer
   is not known to hold, the ids it should send us, and the digest of
   Unordered, with ``k`` on every gossip sent; it both disseminates data
@@ -481,11 +484,17 @@ class BasicAtomicBroadcast(NodeComponent):
                         del sent[mid]
         self._note_peer_checkpoint(sender, msg.ckpt_k, msg.floor)
         if msg.k > self.k:
-            self.gossip_k = max(self.gossip_k, msg.k)  # q was ahead
-            self._ahead_peer = sender
+            self._heard_ahead(sender, msg.k)  # q was ahead
             self._progress.notify()
         else:
             self._peer_behind(sender, msg.k)
+
+    def _heard_ahead(self, sender: int, peer_k: int) -> None:
+        """``sender`` reported round ``peer_k``, past ours: raise
+        ``gossip-k`` and remember who to pull decisions from, together,
+        so a pull is never addressed to no one."""
+        self.gossip_k = max(self.gossip_k, peer_k)
+        self._ahead_peer = sender
 
     def _checkpoint_round(self) -> int:
         """Round covered by this node's durable checkpoint (basic: none)."""
@@ -533,13 +542,21 @@ class BasicAtomicBroadcast(NodeComponent):
                     yield AnyOf([self._progress.wait(),
                                  self.consensus.decision_signal(self.k)
                                  .wait()])
-                # Propose the Unordered set — possibly empty, when we only
-                # know we lagged behind or the round is decided (the
-                # decision was taken without our proposal anyway).  It
-                # is logged all the same: replay re-runs every round that
-                # has a logged proposal.
-                value = frozenset(self.unordered.values())
+                # Propose the Unordered set — or nothing, when the round
+                # is known decided: locally, or because a peer already
+                # moved past it.  Its decision is fixed, so a proposal
+                # there is logged only so that replay re-runs the round;
+                # the messages stay in Unordered for a later round.
+                if self.gossip_k > self.k or \
+                        self.consensus.decided_value(self.k) is not None:
+                    value = frozenset()
+                else:
+                    value = frozenset(self.unordered.values())
                 self.consensus.propose(self.k, value)
+            if self.gossip_k > self.k + 1:
+                # More than one round behind: the decision is not on its
+                # way, so pull it now rather than at the next tick.
+                self.consensus.pull_decision(self.k, self._ahead_peer)
             result = yield from self.consensus.wait_decided(self.k)
             self._commit_round(result)
 

@@ -101,10 +101,10 @@ class ClusterConfig:
         # in-memory simulation backend.
         self.storage_factory = storage_factory or \
             (lambda node_id: MemoryStorage())
-        # stubborn: None = runtime default (off on the simulator, whose
-        # Network already models the paper's fair-loss channel the
-        # protocols are written against; on for the live UDP runtime),
-        # False = force off, True or a StubbornConfig = force on.
+        # stubborn: None or False = the bare fair-loss medium the
+        # protocols are written against, on either runtime (they repair
+        # their own losses); True or a StubbornConfig = the opt-in
+        # retransmission layer between them and the medium.
         self.stubborn = stubborn
         # flow: None = no admission control (every existing seed
         # universe unchanged); a FlowConfig gates to_broadcast() with a
@@ -114,12 +114,10 @@ class ClusterConfig:
                 f"flow must be None or a FlowConfig; got {flow!r}")
         self.flow = flow
 
-    def resolve_stubborn(self, default_on: bool) -> Optional[StubbornConfig]:
-        """The effective stubborn-channel config for a runtime, or None."""
+    def resolve_stubborn(self) -> Optional[StubbornConfig]:
+        """The effective stubborn-channel config, or None."""
         setting = self.stubborn
-        if setting is None:
-            setting = default_on
-        if setting is False:
+        if setting is None or setting is False:
             return None
         if setting is True:
             return StubbornConfig()
@@ -232,13 +230,13 @@ class ClusterCore:
     #: Seconds of the runtime's clock between two settled-checks.
     SETTLE_INTERVAL: float
 
-    def __init__(self, config: ClusterConfig, runtime: Any, network: Any,
-                 stubborn: Optional[StubbornConfig]):
+    def __init__(self, config: ClusterConfig, runtime: Any, network: Any):
         self.config = config
         self.runtime = runtime
         self.network = network
         self.stubborn: Optional[StubbornChannel] = None
         self.medium: Any = network
+        stubborn = config.resolve_stubborn()
         if stubborn is not None:
             self.stubborn = StubbornChannel(runtime, network, stubborn)
             self.medium = self.stubborn
@@ -502,8 +500,7 @@ class Cluster(ClusterCore):
     def __init__(self, config: ClusterConfig):
         sim = Simulator(seed=config.seed)
         super().__init__(config, sim,
-                         Network(sim, sim.rng("network"), config.network),
-                         config.resolve_stubborn(default_on=False))
+                         Network(sim, sim.rng("network"), config.network))
         self.sim = sim  # the same object as ``runtime``
 
     def _storage(self, node_id: int) -> Any:

@@ -24,7 +24,6 @@ from repro.harness.cluster import ClusterConfig, ClusterCore
 from repro.runtime.live import LiveRuntime
 from repro.runtime.live_net import LiveNetwork
 from repro.storage.file import FileStorage
-from repro.transport.stubborn import StubbornConfig
 
 __all__ = ["LiveCluster"]
 
@@ -54,16 +53,7 @@ class LiveCluster(ClusterCore):
             duplicate_rate=config.network.duplicate_rate,
             max_send_buffer=(config.flow.max_send_buffer
                              if config.flow is not None else None))
-        # UDP is a real fair-loss channel, so the stubborn retransmission
-        # layer is on by default here (config.stubborn=False disables it).
-        stubborn = config.resolve_stubborn(default_on=True)
-        if stubborn is not None and \
-                not isinstance(config.stubborn, StubbornConfig):
-            # Default live tuning: batch same-turn envelopes and piggyback
-            # acks, pairing with the transport's datagram coalescing.  An
-            # explicit StubbornConfig is honoured verbatim.
-            stubborn.coalesce = True
-        super().__init__(config, runtime, network, stubborn)
+        super().__init__(config, runtime, network)
 
     def _storage(self, node_id: int) -> FileStorage:
         return FileStorage(os.path.join(self.directory, f"node{node_id}"))

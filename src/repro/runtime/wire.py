@@ -128,7 +128,6 @@ TYPE_ID_TABLE: Dict[str, int] = {
     "fd.alive": 3,
     "stub.data": 4,
     "stub.ack": 5,
-    "stub.batch": 6,
     "paxos.prepare": 7,
     "paxos.promise": 8,
     "paxos.accept": 9,
@@ -152,6 +151,9 @@ TYPE_ID_TABLE: Dict[str, int] = {
     "mg.announce": 27,
 }
 _TAG_FOR_ID: Dict[int, str] = {v: k for k, v in TYPE_ID_TABLE.items()}
+# Ids of deleted message types, never assigned again, so a recorded
+# stream cannot decode as some other message: 6 was ``stub.batch``.
+_RETIRED_IDS = frozenset({6})
 
 
 def register_type_id(tag: str, type_id: int) -> None:
@@ -168,10 +170,10 @@ def register_type_id(tag: str, type_id: int) -> None:
     if tag in TYPE_ID_TABLE:
         raise WireCodecError(
             f"tag {tag!r} already has type id {TYPE_ID_TABLE[tag]}")
-    if type_id in _TAG_FOR_ID:
+    if type_id in _TAG_FOR_ID or type_id in _RETIRED_IDS:
         raise WireCodecError(
             f"type id {type_id} already assigned to "
-            f"{_TAG_FOR_ID[type_id]!r}")
+            f"{_TAG_FOR_ID.get(type_id, 'a retired type')!r}")
     TYPE_ID_TABLE[tag] = type_id
     _TAG_FOR_ID[type_id] = tag
 

@@ -53,7 +53,7 @@ __all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "fuzz_storage",
            "run_fuzz", "registered_classes", "random_fields",
            "random_message", "equivalent"]
 
-_ENVELOPES = ("stub.data", "stub.batch")
+_ENVELOPES = ("stub.data",)
 
 
 class FuzzReport:
@@ -200,10 +200,6 @@ def random_fields(cls: Type[WireMessage], rng: random.Random,
         fields["known"] = None
     if cls.type == "stub.data":
         fields["inner"] = random_message(rng, depth + 1)
-    elif cls.type == "stub.batch":
-        fields["entries"] = tuple(
-            (rng.randrange(2 ** 20), random_message(rng, depth + 1))
-            for _ in range(rng.randrange(0, 4)))
     return fields
 
 

@@ -40,22 +40,18 @@ component holding the volatile sender state:
   crash-recovery model demands of volatile memory — stubbornness is a
   per-incarnation promise.
 
-**Coalescing** (``StubbornConfig(coalesce=True)``): instead of one
-``stub.data`` send plus one ``stub.ack`` reply *per message*, envelopes
-launched towards a peer within one scheduling turn are flushed as a
-single :class:`StubbornBatch` event, and acknowledgements owed to that
-peer piggyback on the batch (or flush as one batched ack when no data is
-going that way).  On the simulated runtime that turns N sends + N acks
-into 2 events; on the live runtime the batch is one wire message, which
-the transport packs into one datagram.  Retransmissions stay
-per-envelope (they are the rare path) and per-envelope ack/window
-bookkeeping is unchanged, so the retransmission policy and its metrics
-mean the same thing with coalescing on or off.
+The layer is opt-in (``ClusterConfig(stubborn=...)``) on both runtimes:
+the protocols above repair their own losses, so the default stack runs
+them over the bare medium.  Its callers are the chaos engine, which
+draws it per seed, and the overload scenario, whose bounded-queue check
+reads the backlog bound.  Each envelope is one message on the medium;
+coalescing frames into datagrams is the live transport's job
+(:mod:`repro.runtime.live_net`).
 
 Delivery stays *at-least-once*: a lost ack causes a duplicate
 transmission, which the protocols tolerate by design (the raw channels
 already duplicate).  The failure detector meets this layer below its
-envelopes: it hears every ``stub.data``/``stub.batch`` that arrives (only
+envelopes: it hears every ``stub.data`` that arrives (only
 a live sender's timer retransmits one), and its send clock is stamped by
 the inner medium, so what sits in a backlog here has not been said.  The
 explicit heartbeat still bypasses the layer (``bypass_types``): it is
@@ -66,16 +62,15 @@ Nothing here reads the detector.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Deque, Dict, FrozenSet, Optional, Tuple
 
 import random
 
 from repro.runtime import NodeComponent, Runtime, TimerHandle
 from repro.transport.message import WireMessage
 
-__all__ = ["StubbornAck", "StubbornBatch", "StubbornChannel",
-           "StubbornConfig", "StubbornData", "StubbornLink",
-           "StubbornMetrics"]
+__all__ = ["StubbornAck", "StubbornChannel", "StubbornConfig",
+           "StubbornData", "StubbornLink", "StubbornMetrics"]
 
 
 class StubbornData(WireMessage):
@@ -104,24 +99,6 @@ class StubbornAck(WireMessage):
         self.seq = seq
 
 
-class StubbornBatch(WireMessage):
-    """Several envelopes and/or piggybacked acks, sent as one message.
-
-    ``entries`` is a tuple of ``(seq, inner)`` pairs — the payload of
-    the :class:`StubbornData` envelopes being batched — and ``acks`` a
-    tuple of sequence numbers being acknowledged to the destination.
-    Either may be empty (a pure data batch or a pure ack batch).
-    """
-
-    type = "stub.batch"
-    fields = ("entries", "acks")
-
-    def __init__(self, entries: Tuple[Tuple[int, WireMessage], ...],
-                 acks: Tuple[int, ...]):
-        self.entries = entries
-        self.acks = acks
-
-
 class StubbornConfig:
     """Tunables of the retransmission policy.
 
@@ -146,18 +123,6 @@ class StubbornConfig:
     bypass_types:
         Message type tags sent on the raw medium, unwrapped and
         unacknowledged.  Defaults to the failure-detector heartbeat.
-    coalesce:
-        Batch same-turn envelopes to a peer into one
-        :class:`StubbornBatch` and piggyback acks on it (see module
-        docstring).  Off by default: the per-message wire behaviour is
-        the historical baseline and some tests pin it down.
-    flush_delay:
-        Seconds a coalescing flush may wait for more envelopes; ``0``
-        (default) flushes on the next scheduling turn, adding no
-        latency beyond the turn boundary.
-    max_batch:
-        Maximum entries per :class:`StubbornBatch`; larger flushes split
-        into consecutive batches (each still one event/wire message).
     """
 
     def __init__(self, window: int = 32,
@@ -165,10 +130,7 @@ class StubbornConfig:
                  max_interval: float = 2.0,
                  jitter: float = 0.1,
                  bypass_types: Tuple[str, ...] = ("fd.alive",),
-                 max_backlog: Optional[int] = 1024,
-                 coalesce: bool = False,
-                 flush_delay: float = 0.0,
-                 max_batch: int = 64):
+                 max_backlog: Optional[int] = 1024):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if max_backlog is not None and max_backlog < 1:
@@ -178,19 +140,12 @@ class StubbornConfig:
                 f"bad backoff bounds [{base_interval}, {max_interval}]")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        if flush_delay < 0:
-            raise ValueError(f"negative flush_delay {flush_delay}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.window = window
         self.base_interval = base_interval
         self.max_interval = max_interval
         self.jitter = jitter
         self.bypass_types: FrozenSet[str] = frozenset(bypass_types)
         self.max_backlog = max_backlog
-        self.coalesce = coalesce
-        self.flush_delay = flush_delay
-        self.max_batch = max_batch
 
 
 class StubbornMetrics:
@@ -198,8 +153,7 @@ class StubbornMetrics:
 
     __slots__ = ("data_sent", "retransmissions", "acks_sent",
                  "acks_received", "queued",
-                 "backlog_overflows", "backlog_high_water",
-                 "batches_sent", "batched_entries", "piggybacked_acks")
+                 "backlog_overflows", "backlog_high_water")
 
     def __init__(self) -> None:
         self.data_sent = 0
@@ -209,10 +163,6 @@ class StubbornMetrics:
         self.queued = 0
         self.backlog_overflows = 0
         self.backlog_high_water = 0
-        # Coalescing counters (zero with coalesce off).
-        self.batches_sent = 0
-        self.batched_entries = 0
-        self.piggybacked_acks = 0
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy, for metric collection."""
@@ -224,9 +174,6 @@ class StubbornMetrics:
             "queued": self.queued,
             "backlog_overflows": self.backlog_overflows,
             "backlog_high_water": self.backlog_high_water,
-            "batches_sent": self.batches_sent,
-            "batched_entries": self.batched_entries,
-            "piggybacked_acks": self.piggybacked_acks,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -277,12 +224,6 @@ class StubbornLink(NodeComponent):
         super().__init__()
         self.channel = channel
         self._peers: Dict[int, _PeerState] = {}
-        # Coalescing state (volatile, like everything else here):
-        # envelopes awaiting their first transmission, acks owed per
-        # peer, and the per-peer flush timer.
-        self._launch_queue: Dict[int, List[StubbornData]] = {}
-        self._acks_due: Dict[int, List[int]] = {}
-        self._flush_timers: Dict[int, Any] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -291,7 +232,6 @@ class StubbornLink(NodeComponent):
         assert node is not None
         node.register_handler(StubbornData.type, self._on_data)
         node.register_handler(StubbornAck.type, self._on_ack)
-        node.register_handler(StubbornBatch.type, self._on_batch)
 
     def on_crash(self) -> None:
         """Sender state is volatile: stubbornness is per-incarnation."""
@@ -300,11 +240,6 @@ class StubbornLink(NodeComponent):
                 if flight.timer is not None:
                     flight.timer.cancel()
         self._peers = {}
-        for timer in self._flush_timers.values():
-            timer.cancel()
-        self._flush_timers = {}
-        self._launch_queue = {}
-        self._acks_due = {}
 
     # -- sending -------------------------------------------------------------
 
@@ -351,65 +286,7 @@ class StubbornLink(NodeComponent):
                 envelope: StubbornData) -> None:
         flight = _Flight(envelope)
         state.pending[envelope.seq] = flight
-        if self.channel.config.coalesce:
-            self._launch_queue.setdefault(dst, []).append(envelope)
-            self._schedule_flush(dst)
-            return
         self._transmit(dst, flight, first=True)
-
-    def _schedule_flush(self, dst: int) -> None:
-        if dst in self._flush_timers:
-            return
-        assert self.node is not None
-        delay = self.channel.config.flush_delay
-        sim = self.node.sim
-        if delay > 0:
-            self._flush_timers[dst] = sim.schedule(delay, self._flush, dst)
-        else:
-            self._flush_timers[dst] = sim.call_soon(self._flush, dst)
-
-    def _flush(self, dst: int) -> None:
-        """Send everything owed to one peer as StubbornBatch message(s)."""
-        timer = self._flush_timers.pop(dst, None)
-        if timer is not None:
-            timer.cancel()
-        node = self.node
-        if node is None or not node.up:
-            return
-        config = self.channel.config
-        metrics = self.channel.metrics
-        state = self._peers.get(dst)
-        queued = self._launch_queue.pop(dst, [])
-        entries: List[Tuple[int, WireMessage]] = []
-        launched: List[_Flight] = []
-        for envelope in queued:
-            flight = None if state is None else state.pending.get(envelope.seq)
-            if flight is None or flight.envelope is not envelope:
-                continue  # acknowledged or reset before first transmission
-            entries.append((envelope.seq, envelope.inner))
-            launched.append(flight)
-        acks = self._acks_due.pop(dst, [])
-        if not entries and not acks:
-            return
-        metrics.data_sent += len(entries)
-        metrics.acks_sent += len(acks)
-        first = 0
-        while first < len(entries) or (first == 0 and acks):
-            chunk = entries[first:first + config.max_batch]
-            batch = StubbornBatch(tuple(chunk), tuple(acks) if first == 0
-                                  else ())
-            self.channel.inner.send(node.node_id, dst, batch)
-            metrics.batches_sent += 1
-            metrics.batched_entries += len(chunk)
-            if first == 0 and chunk:
-                metrics.piggybacked_acks += len(acks)
-            first += config.max_batch
-            if not chunk:
-                break
-        for flight in launched:
-            delay = self._backoff(flight.attempts)
-            flight.attempts += 1
-            flight.timer = node.sim.schedule(delay, self._retry, dst, flight)
 
     def _transmit(self, dst: int, flight: _Flight,
                   first: bool = False) -> None:
@@ -458,37 +335,21 @@ class StubbornLink(NodeComponent):
 
     # -- receiving -----------------------------------------------------------
 
-    def _acknowledge(self, sender: int, seq: int) -> None:
-        """Ack one received envelope: immediately, or on the next flush."""
-        assert self.node is not None
-        if self.channel.config.coalesce:
-            self._acks_due.setdefault(sender, []).append(seq)
-            self._schedule_flush(sender)
-            return
-        self.channel.metrics.acks_sent += 1
-        self.channel.inner.send(self.node.node_id, sender, StubbornAck(seq))
-
     def _on_data(self, envelope: StubbornData, sender: int) -> None:
         assert self.node is not None
-        self._acknowledge(sender, envelope.seq)
+        self.channel.metrics.acks_sent += 1
+        self.channel.inner.send(self.node.node_id, sender,
+                                StubbornAck(envelope.seq))
         self.node.deliver(envelope.inner, sender)
 
-    def _on_batch(self, batch: StubbornBatch, sender: int) -> None:
-        assert self.node is not None
-        for seq in batch.acks:
-            self._settle_ack(sender, seq)
-        for seq, inner in batch.entries:
-            self._acknowledge(sender, seq)
-            self.node.deliver(inner, sender)
-
-    def _settle_ack(self, sender: int, seq: int) -> None:
+    def _on_ack(self, ack: StubbornAck, sender: int) -> None:
         state = self._peers.get(sender)
         if state is None:
             return
         # The peer answers: every flight resumes at its next slot.
         state.answered = True
         state.polling = False
-        flight = state.pending.pop(seq, None)
+        flight = state.pending.pop(ack.seq, None)
         if flight is None:
             return  # duplicate ack
         self.channel.metrics.acks_received += 1
@@ -497,9 +358,6 @@ class StubbornLink(NodeComponent):
         while state.backlog and \
                 len(state.pending) < self.channel.config.window:
             self._launch(sender, state, state.backlog.popleft())
-
-    def _on_ack(self, ack: StubbornAck, sender: int) -> None:
-        self._settle_ack(sender, ack.seq)
 
 
 class StubbornChannel:

@@ -62,12 +62,9 @@ def test_faults_actually_happened(chaos_result):
     assert controller.fault_counts.get("crash") == 1
     assert controller.fault_counts.get("loss") == 1
     assert cluster.nodes[2].recovery_count == 1
-    # Injected UDP loss really dropped datagrams on the floor...
+    # Injected UDP loss really dropped datagrams on the floor, and the
+    # protocols repaired it themselves (every submission made it).
     assert cluster.network.metrics.lost > 0
-    # ...and the stubborn layer (on by default for live) papered over
-    # it: retransmissions happened and every submission still made it.
-    assert cluster.stubborn is not None
-    assert cluster.stubborn.metrics.retransmissions > 0
 
 
 def test_applied_timeline_is_reproducible_ground_truth(chaos_result):

@@ -177,23 +177,33 @@ def test_redundant_kill_and_restart_do_nothing_on_live(tmp_path):
         _assert_crash_recover_idempotent(cluster, fingerprint)
 
 
-def test_live_survives_heavy_loss_via_stubborn_channels(tmp_path):
+def test_live_survives_heavy_loss_via_protocol_repair(tmp_path):
     """20% injected UDP loss, zero protocol-level message loss.
 
-    The live network drops every fifth datagram on the floor; the
-    stubborn-channel layer (on by default for the live harness) must
-    turn that fair-lossy link back into a reliable one by ack-gated
-    retransmission, so the verifier still sees every submission
-    A-delivered everywhere.  This is the Aguilera/Chen/Toueg stubborn
-    link assumption the paper's protocols are written against,
-    demonstrated on real sockets rather than assumed.
+    The live network drops every fifth datagram on the floor, and no
+    stubborn layer stands between it and the protocols: the gossip
+    re-push, the leader's pull, Paxos retries with ``Query`` and
+    ``pull_decision`` must turn that fair-lossy link into complete
+    delivery by themselves, exactly as on the simulator, so the verifier
+    still sees every submission A-delivered everywhere.
     """
     n_messages = 20
     cluster = LiveCluster(ClusterConfig(
         n=N_NODES, seed=SEED, protocol="basic",
         network=NetworkConfig(loss_rate=0.2),
         gossip_interval=0.1), str(tmp_path))
+    pushed = {}
+    send = cluster.network.send
+
+    def counting(src, dst, message):
+        if message.type == "ab.gossip":
+            for payload in message.payloads:
+                key = (dst, payload.id)
+                pushed[key] = pushed.get(key, 0) + 1
+        send(src, dst, message)
+    cluster.network.send = counting
     with cluster:
+        assert cluster.stubborn is None
         cluster.start()
         for i in range(n_messages):
             cluster.runtime.schedule(0.05 + i * 0.05, cluster.submit,
@@ -204,8 +214,38 @@ def test_live_survives_heavy_loss_via_stubborn_channels(tmp_path):
         # Zero protocol-level loss: everything submitted was ordered
         # and delivered, in submission order (single sender).
         assert order == [f"loss-{i}" for i in range(n_messages)]
-        # The loss was real and the recovery mechanism did the work.
+        # The loss was real and the protocols repaired it: a decision
+        # pulled with a Query, or a payload pushed again to a peer.
         assert cluster.network.metrics.lost > 0
-        assert cluster.stubborn is not None
-        assert cluster.stubborn.metrics.retransmissions > 0
-        assert cluster.stubborn.metrics.acks_received > 0
+        queries = cluster.network.metrics.by_type.get("paxos.query", 0)
+        assert queries > 0 or max(pushed.values(), default=0) > 1
+
+
+def test_live_restarted_node_pulls_the_rounds_it_missed(tmp_path):
+    """With no stubborn layer, a restarted node learns every round
+    decided while it was down at a round trip each, not a gossip tick
+    each: its round reaches the leader's within a second."""
+    cluster = LiveCluster(ClusterConfig(
+        n=N_NODES, seed=SEED, protocol="basic", gossip_interval=0.1),
+        str(tmp_path))
+    with cluster:
+        assert cluster.stubborn is None
+        cluster.start()
+        cluster.run_for(0.3)
+        victim = cluster.abcasts[VICTIM]
+        back = victim.k
+        cluster.kill(VICTIM)
+        for i in range(N_MESSAGES):
+            cluster.runtime.schedule(0.02 + i * 0.04, cluster.submit,
+                                     0, f"gap-{i}")
+        cluster.run_for(0.02 + N_MESSAGES * 0.04 + 0.3)
+        leader_k = cluster.abcasts[0].k
+        assert leader_k - back >= 10
+        cluster.restart(VICTIM)
+        restarted = cluster.runtime.now
+        while victim.k < leader_k and cluster.runtime.now < restarted + 5:
+            cluster.run_for(0.01)
+        assert victim.k >= leader_k
+        assert cluster.runtime.now - restarted <= 1.0
+        assert cluster.settle(within=10.0)
+        assert len(_canonical_payloads(cluster)) == N_MESSAGES

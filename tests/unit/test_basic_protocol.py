@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.alternative import AlternativeConfig
 from repro.core.basic import BasicAtomicBroadcast
 from repro.core.messages import GossipMessage
 from repro.errors import BroadcastError
@@ -416,3 +417,83 @@ class TestReplay:
         seqs = sequences(cluster)
         assert seqs[2] == seqs[0]
         assert len(seqs[2]) == 10
+
+
+class TestCatchUp:
+    """A node that recovers behind proposes nothing for the rounds it
+    knows are decided, and pulls each one at once instead of waiting
+    for a gossip tick."""
+
+    @staticmethod
+    def recover_behind(protocol, seed, rounds, network=None, **kwargs):
+        """Node 2 misses ``rounds`` single-message rounds and recovers;
+        returns the cluster, the leader's round then, and every value
+        node 2 logs as a new proposal from then on, as ``(k, value)``."""
+        cluster = Cluster(ClusterConfig(
+            n=3, seed=seed, protocol=protocol,
+            network=network or NetworkConfig(), **kwargs))
+        cluster.start()
+        cluster.run(until=1.0)
+        cluster.nodes[2].crash()
+        for j in range(rounds):
+            cluster.sim.schedule(0.1 + 0.4 * j, cluster.submit, 0, f"m{j}")
+        cluster.run(until=cluster.sim.now + 0.4 * rounds + 1.0)
+        consensus = cluster.consensuses[2]
+        logged = []
+        propose = consensus.propose
+
+        def recording(k, value):
+            if consensus.proposal_of(k) is None:
+                logged.append((k, value))
+            propose(k, value)
+        consensus.propose = recording
+        cluster.nodes[2].recover()
+        return cluster, cluster.abcasts[0].k, logged
+
+    @pytest.mark.parametrize("protocol", ["basic", "alternative"])
+    def test_a_recovering_node_proposes_nothing_for_decided_rounds(
+            self, protocol):
+        alt = AlternativeConfig(delta=None) if protocol == "alternative" \
+            else None
+        cluster, leader_k, logged = self.recover_behind(protocol, 23, 12,
+                                                        alt=alt)
+        ab = cluster.abcasts[2]
+        back = ab.k
+        # Once it has heard that it is behind, its own submission sits
+        # in Unordered while it catches up: no round it knows decided
+        # may carry it.
+        deadline = cluster.sim.now + 5.0
+        while ab.gossip_k <= ab.k and cluster.sim.now < deadline:
+            cluster.run(until=cluster.sim.now + 0.001)
+        assert ab.gossip_k > ab.k
+        cluster.submit(2, "late")
+        cluster.run(until=cluster.sim.now + 10.0)
+        missed = [(k, value) for k, value in logged if k < leader_k]
+        assert len(missed) == leader_k - back >= 10
+        assert all(value == frozenset() for _, value in missed)
+        assert cluster.settle(within=30.0)
+        delivered = cluster.app(2).payloads()
+        assert "late" in delivered and delivered == cluster.app(0).payloads()
+
+    def test_catch_up_costs_round_trips_not_ticks(self):
+        network = NetworkConfig(min_delay=0.01, max_delay=0.02)
+        cluster, leader_k, _ = self.recover_behind("basic", 29, 24,
+                                                   network=network)
+        config, ab = cluster.config, cluster.abcasts[2]
+        replayed = caught_up = None
+        while caught_up is None and cluster.sim.now < 60.0:
+            cluster.run(until=cluster.sim.now + 0.005)
+            if replayed is None and ab.replay_complete:
+                replayed, m = cluster.sim.now, leader_k - ab.k
+            if ab.k >= leader_k - 1:
+                caught_up = cluster.sim.now
+        round_trip = 2 * network.max_delay
+        assert replayed is not None and caught_up is not None
+        assert m >= 20
+        assert caught_up - replayed <= \
+            m * round_trip + config.gossip_interval
+        # The last round is one behind, where the ordinary tick-driven
+        # repair takes over: within two ticks and a round trip.
+        cluster.run(until=caught_up + 2 * config.gossip_interval
+                    + round_trip)
+        assert ab.k == leader_k

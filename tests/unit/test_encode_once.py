@@ -27,7 +27,7 @@ from repro.storage import codec
 from repro.storage import file as file_mod
 from repro.storage.file import FileStorage
 from repro.storage.memory import MemoryStorage
-from repro.transport.stubborn import StubbornBatch, StubbornData
+from repro.transport.stubborn import StubbornData
 
 
 def msg(seq, payload="p"):
@@ -96,21 +96,22 @@ class TestEnvelopes:
         body = inner._wire
         assert body is not None and body[1] in first
         second = wire.encode_frame(0, StubbornData(1, inner))
-        batch = wire.encode_frame(0, StubbornBatch(((2, inner),), (5,)))
+        nested = wire.encode_frame(0, StubbornData(2, StubbornData(5, inner)))
         assert inner._wire is body          # computed once
-        assert body[1] in second and body[1] in batch
+        assert body[1] in second and body[1] in nested
         envelope = StubbornData(3, inner)
         assert wire.encode_frame(0, envelope) == \
             wire.encode_frame(0, envelope)  # a retransmission
 
     def test_envelope_carries_the_message_itself(self):
         inner = GossipMessage(2, frozenset({msg(1)}), known=None)
-        _, got = wire.decode(wire.encode_frame(0, StubbornBatch(
-            ((4, inner), (5, StubbornData(6, inner))), ())))
-        (seq, first), (_, nested) = got.entries
-        assert seq == 4 and isinstance(first, GossipMessage)
+        _, got = wire.decode(wire.encode_frame(0, StubbornData(4, inner)))
+        first = got.inner
+        assert got.seq == 4 and isinstance(first, GossipMessage)
         assert first.known is None and first.payloads == inner.payloads
-        assert isinstance(nested.inner, GossipMessage)
+        _, got = wire.decode(wire.encode_frame(
+            0, StubbornData(5, StubbornData(6, inner))))
+        assert isinstance(got.inner.inner, GossipMessage)
 
 
 class TestKnownKeys:

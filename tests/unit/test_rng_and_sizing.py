@@ -139,13 +139,11 @@ class TestWireMessageSizeCache:
 
     def test_stubborn_envelope_is_sized_once(self):
         from repro.core.messages import GossipMessage
-        from repro.transport.stubborn import StubbornBatch, StubbornData
+        from repro.transport.stubborn import StubbornData
         inner = GossipMessage(0, frozenset(_Counted() for _ in range(50)))
         envelope = StubbornData(7, inner)
-        batch = StubbornBatch(((7, inner),), (1,))
-        for message in (envelope, batch):
-            size = estimate_size(message)
-            assert size == _uncached(message)
-            walks = _Counted.walks
-            assert estimate_size(message) == size   # a retransmission
-            assert _Counted.walks == walks
+        size = estimate_size(envelope)
+        assert size == _uncached(envelope)
+        walks = _Counted.walks
+        assert estimate_size(envelope) == size   # a retransmission
+        assert _Counted.walks == walks

@@ -130,7 +130,9 @@ class TestMissedRoundsForm:
         # Let the victim catch up two rounds by itself first, so the
         # message reaches further back than it needs.
         from_k = ab.k
-        cluster.run(until=cluster.sim.now + 1.5)
+        deadline = cluster.sim.now + 1.5
+        while ab.k < from_k + 2 and cluster.sim.now < deadline:
+            cluster.run(until=cluster.sim.now + 0.001)
         assert from_k < ab.k < cluster.abcasts[0].k
         held = cluster.app(2).ids()
         ab._on_state(missed_rounds_for(cluster, 0, 2, from_k=from_k),
@@ -158,6 +160,21 @@ class TestMissedRoundsForm:
         ab._on_state(missed_rounds_for(cluster, 0, 2), sender=0)
         assert ab.k == cluster.abcasts[0].k
         assert ab.state_transfers_adopted == 1
+        finish(cluster)
+
+    def test_message_that_does_not_connect_names_the_peer_ahead(self):
+        """The sender is ahead, as its gossip would say, so it is where
+        the receiver's next decision pull goes (raising ``gossip-k``
+        alone once addressed that pull to id -1)."""
+        cluster = build(seed=44, delta=None)
+        outage(cluster)
+        cluster.run(until=cluster.sim.now + 0.01)
+        ab = cluster.abcasts[2]
+        assert ab.gossip_k <= ab.k      # nobody ahead heard from yet
+        ab._on_state(missed_rounds_for(cluster, 0, 2, from_k=ab.k + 1),
+                     sender=1)
+        assert ab.gossip_k > ab.k and ab._ahead_peer == 1
+        cluster.run(until=cluster.sim.now + 1.0)
         finish(cluster)
 
     def test_duplicate_and_stale_messages_are_idempotent(self):

@@ -13,8 +13,8 @@ from repro.runtime import wire
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import NetworkConfig
-from repro.transport.stubborn import (StubbornBatch, StubbornChannel,
-                                      StubbornConfig, StubbornData)
+from repro.transport.stubborn import (StubbornChannel, StubbornConfig,
+                                      StubbornData)
 from tests.conftest import tap
 
 
@@ -301,96 +301,6 @@ class TestSuspension:
         assert sorted(text for _, _, text in got) == ["new", "old"]
 
 
-class TestCoalescing:
-    def coalescing_config(self, **overrides):
-        defaults = dict(coalesce=True, base_interval=0.5, jitter=0.0)
-        defaults.update(overrides)
-        return StubbornConfig(**defaults)
-
-    def test_same_turn_sends_share_one_batch(self, sim):
-        inner, channel, nodes, got = build_pair(
-            sim, config=self.coalescing_config())
-        for index in range(5):
-            channel.send(0, 1, Note(f"m{index}"))
-        sim.run(until=1)
-        assert sorted(text for _, _, text in got) == \
-            [f"m{index}" for index in range(5)]
-        from repro.transport.stubborn import StubbornBatch
-        assert inner.sent_types.count(StubbornBatch.type) >= 1
-        # All five envelopes launched in one flush.
-        assert channel.metrics.batches_sent >= 1
-        assert channel.metrics.batched_entries == 5
-        assert channel.metrics.data_sent == 5
-
-    def test_max_batch_chunks_large_flushes(self, sim):
-        config = self.coalescing_config(max_batch=2, window=64)
-        inner, channel, nodes, got = build_pair(sim, config=config)
-        for index in range(6):
-            channel.send(0, 1, Note(f"m{index}"))
-        sim.run(until=1)
-        assert len(got) == 6
-        from repro.transport.stubborn import StubbornBatch
-        assert inner.sent_types.count(StubbornBatch.type) >= 3
-
-    def test_acks_piggyback_on_reverse_traffic(self, sim):
-        inner, channel, nodes, got = build_pair(
-            sim, config=self.coalescing_config())
-        # Replying from the delivery handler puts the reply data and the
-        # ack for the received envelope into the same flush.
-        nodes[1].register_handler(
-            Note.type, lambda m, s: channel.send(1, 0, Note("reply")))
-        channel.send(0, 1, Note("ping"))
-        sim.run(until=2)
-        assert (0, 1, "reply") in got
-        assert channel.metrics.piggybacked_acks >= 1
-
-    def test_retransmissions_stay_per_envelope(self, sim):
-        inner, channel, nodes, got = build_pair(
-            sim, config=self.coalescing_config(base_interval=0.2))
-        inner.blackhole = True
-        channel.send(0, 1, Note("stubborn"))
-        sim.run(until=1)
-        inner.blackhole = False
-        sim.run(until=30)
-        assert got == [(1, 0, "stubborn")]
-        assert channel.metrics.retransmissions >= 1
-        # Retries travel as plain envelopes, not re-batched.
-        assert inner.sent_types.count(StubbornData.type) >= 1
-
-    def test_crash_clears_pending_batches(self, sim):
-        config = self.coalescing_config(flush_delay=0.5)
-        inner, channel, nodes, got = build_pair(sim, config=config)
-        channel.send(0, 1, Note("doomed"))
-        nodes[0].crash()  # before the delayed flush fires
-        sim.run(until=5)
-        assert got == []
-        assert channel.metrics.batches_sent == 0
-        # Recovery starts clean: fresh sends flow normally (delivery is
-        # at-least-once, so slow acks may legally duplicate it).
-        nodes[0].recover()
-        channel.send(0, 1, Note("fresh"))
-        sim.run(until=10)
-        assert got and set(got) == {(1, 0, "fresh")}
-
-    def test_flush_delay_defers_the_batch(self, sim):
-        config = self.coalescing_config(flush_delay=1.0)
-        inner, channel, nodes, got = build_pair(sim, config=config)
-        channel.send(0, 1, Note("later"))
-        sim.run(until=0.5)
-        assert got == []  # still buffered
-        sim.run(until=3)
-        # The delayed ack flush may let a retry through first: delivery
-        # is at-least-once, so assert content, not count.
-        assert got and set(got) == {(1, 0, "later")}
-
-    def test_config_validation(self):
-        import pytest
-        with pytest.raises(ValueError):
-            StubbornConfig(flush_delay=-1.0)
-        with pytest.raises(ValueError):
-            StubbornConfig(max_batch=0)
-
-
 class TestClusterIntegration:
     def test_sim_cluster_with_stubborn_survives_loss(self):
         config = ClusterConfig(
@@ -422,11 +332,9 @@ class TestLinkLiveness:
 
     @pytest.mark.parametrize("envelope", [
         StubbornData(7, Note("retransmitted")),
-        StubbornBatch(((7, Note("retransmitted")),), ()),
-    ], ids=["stub.data", "stub.batch"])
+    ], ids=["stub.data"])
     def test_a_retransmitted_envelope_refutes_a_suspicion(self, envelope):
-        cluster = Cluster(ClusterConfig(
-            n=3, seed=2, stubborn=StubbornConfig(coalesce=True)))
+        cluster = Cluster(ClusterConfig(n=3, seed=2, stubborn=True))
         cluster.start()
         cluster.run(until=2.0)
         detector = cluster.nodes[2].get_component(HeartbeatDetector)
