@@ -251,6 +251,7 @@ def _collect_counters(cluster: Any,
         counters["flow_rejected"] = sum(
             controller.rejected for controller in flows.values())
     counters["delivered"] = len(cluster.collector.first_delivery)
+    counters["refutations"] = cluster.refutations()
     return counters
 
 

@@ -225,6 +225,7 @@ def _run_live(args) -> int:
              f"node {victim} (recoveries: "
              f"{live.cluster.nodes[victim].recovery_count})"],
             ["UDP datagrams sent", net["sent"]],
+            ["suspicions refuted", live.metrics.refutations],
             ["injected loss / duplicates",
              f"{net['lost']} / {net['duplicated']}"],
             ["wall-clock time (s)", round(live.metrics.duration, 2)],
@@ -273,6 +274,7 @@ def _run(args) -> int:
             ["log ops (total)", metrics.total_log_ops()],
             ["log ops by layer", str(metrics.log_ops_by_prefix())],
             ["network msgs", metrics.network["sent"]],
+            ["suspicions refuted", metrics.refutations],
             ["crashes survived",
              sum(stats["crashes"]
                  for stats in metrics.node_stats.values())],

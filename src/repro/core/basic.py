@@ -456,7 +456,9 @@ class BasicAtomicBroadcast(NodeComponent):
         for message in msg.payloads:
             self._admit_locally(message)
         want = frozenset(msg.want)
-        if msg.known is None:
+        if sender not in self.endpoint.peers():
+            pass    # outside the view: the tick never gossips to it
+        elif msg.known is None:
             # No digest in this one: what the last digest said stands.
             if want:
                 view = self._peers.get(sender)

@@ -29,10 +29,15 @@ Two properties matter for the consensus layer built on top:
 * **Completeness** — a process that stays down sends nothing, so its
   deadline passes at every up process that watches it.
 * **Eventual accuracy** — a process in a watched role leaves no link
-  silent for longer than ``period``; each time a suspicion proves wrong
-  (something arrives from a suspected peer) that peer's timeout is
-  increased, so in runs whose delays from the eventual leader are
-  bounded, the leader is eventually never suspected.
+  silent for longer than ``period``, so every timeout starts at
+  ``2.25 × period``: one lost beat plus delay variation.  Each time a
+  suspicion proves wrong (something arrives from a suspected peer)
+  that peer's timeout is increased, so in runs whose delays from the
+  eventual leader are bounded, the leader is eventually never
+  suspected.
+
+A crashed leader is therefore suspected ``2.25 × period`` after its
+last arrival: ``period`` alone sets how fast Ω fails over.
 
 Arrivals cannot be stale evidence: the media hold a message for a
 bounded delay, a stubborn retransmission is sent by a live sender's
@@ -73,22 +78,30 @@ class HeartbeatDetector(NodeComponent):
         The node's transport endpoint.
     period:
         The longest silence a node that may be watched leaves on a link.
-    initial_timeout:
-        Starting suspicion timeout per peer (adapted upwards on mistakes).
+        It also sets the starting suspicion timeout,
+        :attr:`initial_timeout` = ``TIMEOUT_PERIODS × period``.
     timeout_increment:
         Additive increase applied each time a suspicion is refuted.
     """
 
     name = "failure-detector"
 
+    # The starting timeout, in beat periods.  A watched peer that is up
+    # leaves no link silent for longer than one period, so two periods
+    # let one lost beat go by; the quarter period covers the variation
+    # of the channel delay (sim links vary by at most 90 ms, less than
+    # the 125 ms a quarter of the default period gives).
+    TIMEOUT_PERIODS = 2.25
+
     def __init__(self, endpoint: Endpoint, period: float = 0.5,
-                 initial_timeout: float = 2.0,
                  timeout_increment: float = 0.5):
         super().__init__()
         self.endpoint = endpoint
         self.period = period
-        self.initial_timeout = initial_timeout
         self.timeout_increment = timeout_increment
+        # Suspicions refuted by a later arrival, over the detector's
+        # life: a run statistic, so a crash does not reset it.
+        self.refutations = 0
         # Watched peers only: peer -> when something last arrived (or
         # when it entered the watched set, whichever is later).
         self._last_heard: Dict[int, float] = {}
@@ -127,6 +140,11 @@ class HeartbeatDetector(NodeComponent):
 
     # -- queries ----------------------------------------------------------------
 
+    @property
+    def initial_timeout(self) -> float:
+        """Starting suspicion timeout per peer (widened on mistakes)."""
+        return self.TIMEOUT_PERIODS * self.period
+
     def suspects(self) -> Set[int]:
         """The currently suspected peers (watched ones only; never self)."""
         return set(self._suspects)
@@ -144,12 +162,17 @@ class HeartbeatDetector(NodeComponent):
         ascending order, up to and including the first unsuspected one.
 
         The last entry is the trusted leader unless it is suspected too,
-        in which case this node trusts itself.
+        in which case this node trusts itself.  A node outside the
+        installed view (removed, or not yet joined) has none: nobody
+        waits on it, so it watches nobody and never beats.
         """
         assert self.node is not None
         me = self.node.node_id
+        group = self.endpoint.peers()
         prefix: List[int] = []
-        for peer in sorted(self.endpoint.peers()):
+        if me not in group:
+            return prefix
+        for peer in sorted(group):
             if peer == me:
                 break
             prefix.append(peer)
@@ -158,8 +181,11 @@ class HeartbeatDetector(NodeComponent):
         return prefix
 
     def trusts_self(self) -> bool:
-        """True if every candidate is suspected (Ω outputs this node)."""
-        return all(peer in self._suspects for peer in self.candidates())
+        """True if this node is a member and every candidate is
+        suspected (Ω outputs this node)."""
+        assert self.node is not None
+        return self.node.node_id in self.endpoint.peers() and all(
+            peer in self._suspects for peer in self.candidates())
 
     # -- declared interest ---------------------------------------------------
 
@@ -233,6 +259,7 @@ class HeartbeatDetector(NodeComponent):
         if sender in self._suspects:
             # Wrong suspicion: rehabilitate and grow this peer's timeout.
             self._suspects.discard(sender)
+            self.refutations += 1
             self._timeouts[sender] = (self.timeout_for(sender)
                                       + self.timeout_increment)
             self.node.sim.trace("fd", self.node.node_id, "rehabilitate",

@@ -39,12 +39,20 @@ class OmegaOracle(NodeComponent):
         self.node.spawn(self._watch(), "omega-watch")
 
     def leader(self) -> int:
-        """The currently trusted leader (lowest unsuspected id)."""
+        """The currently trusted leader (lowest unsuspected id).
+
+        A node outside the installed view names the lowest member: it
+        is no candidate itself, and its backlog must go to one.
+        """
         assert self.node is not None
+        me = self.node.node_id
+        group = self.detector.endpoint.peers()
+        if group and me not in group:
+            return min(group)
         candidates = self.detector.candidates()
         if candidates and not self.detector.is_suspected(candidates[-1]):
             return candidates[-1]
-        return self.node.node_id    # every lower id suspected
+        return me    # every lower id suspected
 
     def is_leader(self) -> bool:
         """True if this node currently trusts itself."""

@@ -69,7 +69,6 @@ class ClusterConfig:
                  gossip_interval: float = 0.25,
                  attempt_timeout: float = 1.0,
                  fd_period: float = 0.5,
-                 fd_timeout: float = 2.0,
                  sequencer_id: int = 0,
                  storage_factory: Optional[Callable[[int], Any]] = None,
                  stubborn: Any = None,
@@ -95,7 +94,6 @@ class ClusterConfig:
         self.gossip_interval = gossip_interval
         self.attempt_timeout = attempt_timeout
         self.fd_period = fd_period
-        self.fd_timeout = fd_timeout
         self.sequencer_id = sequencer_id
         # storage_factory(node_id) -> StableStorage; defaults to the
         # in-memory simulation backend.
@@ -169,8 +167,7 @@ def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
             endpoint, sequencer_id=config.sequencer_id))
     else:
         detector = node.add_component(HeartbeatDetector(
-            endpoint, period=config.fd_period,
-            initial_timeout=config.fd_timeout))
+            endpoint, period=config.fd_period))
         if config.protocol == "ct":
             consensus = node.add_component(
                 ChandraTouegConsensus(endpoint, detector))
@@ -356,8 +353,9 @@ class ClusterCore:
 
         The node's stack stays built and (unless crashed) up: removal is
         a membership fact, not a process kill.  An evicted node that is
-        still running keeps gossiping its backlog to the members, but no
-        longer counts towards quorums and stops being addressed.
+        still running keeps gossiping its backlog to the members (its Ω
+        names the lowest one), but no longer counts towards quorums,
+        stops being addressed, and watches and beats at nobody.
         """
         if node_id not in self.nodes:
             raise SimulationError(f"unknown node {node_id}")
@@ -446,6 +444,13 @@ class ClusterCore:
         """The application instance currently hosted at a node."""
         return self.rsms[node_id].app
 
+    def refutations(self) -> int:
+        """Failure-detector suspicions refuted so far, over all nodes."""
+        return sum(component.refutations
+                   for node in self.nodes.values()
+                   for component in node.components
+                   if isinstance(component, HeartbeatDetector))
+
     def metrics(self) -> RunMetrics:
         """Aggregate the run's metrics (callable at any point)."""
         storage_by_node = {}
@@ -484,6 +489,7 @@ class ClusterCore:
             storage_residency=residency,
             network=self.network.metrics.snapshot(),
             node_stats=node_stats,
+            refutations=self.refutations(),
             stubborn=(self.stubborn.metrics.snapshot()
                       if self.stubborn is not None else None),
             flow=({nid: controller.snapshot()

@@ -66,7 +66,9 @@ class LiveCluster(ClusterCore):
         """The rest of a process kill: the socket and the storage handle
         go too, so recovery must replay from the files alone."""
         self.network.close(node_id)
-        self.nodes[node_id].storage = self._storage(node_id)
+        node = self.nodes[node_id]
+        node.storage.close()
+        node.storage = self._storage(node_id)
 
     # The frozen benchmark drives crash-recovery under these names.
     kill = ClusterCore.crash
@@ -88,7 +90,8 @@ class LiveCluster(ClusterCore):
         return self.runtime.now
 
     def close(self) -> None:
-        """Tear the cluster down: crash nodes, close sockets and the loop.
+        """Tear the cluster down: crash nodes, close storage, sockets and
+        the loop.
 
         Re-raises the first exception any protocol callback raised during
         the run, so failures inside the loop are not silently dropped.
@@ -97,6 +100,7 @@ class LiveCluster(ClusterCore):
             for node in self.nodes.values():
                 if node.up:
                     node.crash()
+                node.storage.close()
             self.network.close_all()
             # One final spin so transport close callbacks run.
             if not self.runtime.loop.is_closed():

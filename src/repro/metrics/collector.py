@@ -142,6 +142,7 @@ class RunMetrics:
                  storage_residency: Dict[int, int],
                  network: Dict[str, int],
                  node_stats: Dict[int, Dict[str, Any]],
+                 refutations: int = 0,
                  stubborn: Optional[Dict[str, int]] = None,
                  faults_injected: Optional[Dict[str, int]] = None,
                  flow: Optional[Dict[int, Dict[str, Any]]] = None):
@@ -153,6 +154,9 @@ class RunMetrics:
         self.storage_residency = storage_residency
         self.network = network
         self.node_stats = node_stats
+        # Failure-detector suspicions refuted by a later arrival (wrong,
+        # or a restart), summed over nodes.
+        self.refutations = refutations
         # Retransmission counters of the stubborn channel, when one was
         # stacked on the medium (None otherwise).
         self.stubborn = stubborn

@@ -15,10 +15,12 @@ came (an :class:`~repro.core.messages.AppMessage`) is not encoded again,
 and each value is encoded once for the journal and its file together.
 
 **Durability.**  All records logged inside one ``write_barrier()`` are
-appended to the journal as a single buffered write followed by a
-**single fsync** — that fsync *is* the barrier's durability point —
-after which each record is applied to its per-key file with plain
-buffered I/O (no fsync: the journal already holds the data).  A write
+appended to the journal as a single write followed by a **single
+fsync** — that fsync *is* the barrier's durability point — after which
+each record is applied to its per-key file with one unsynced write (no
+fsync: the journal already holds the data).  The journal is opened once,
+in append mode, and stays open until :meth:`FileStorage.close`; a
+checkpoint truncates it through the same descriptor.  A write
 outside any barrier commits as a batch of one.  A crash at *any*
 instant therefore leaves, for each key, either the old record or the
 new one — never a blend: before the journal fsync completes the write
@@ -137,6 +139,13 @@ def unframe_record(raw: bytes) -> bytes:
 _WRITE = codec.encode("w")
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until every byte of ``data`` is written."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 def _journal_write_entry(path: str, encoded: bytes) -> bytes:
     """``codec.encode(("w", path, value))`` given ``encoded``, the
     encoding of ``value`` — without encoding the value a second time."""
@@ -217,6 +226,7 @@ class FileStorage(StableStorage):
         self._pending: Dict[str, Any] = {}
         self._unsynced: Set[str] = set()
         self._journal_path = os.path.join(directory, _JOURNAL_NAME)
+        self._journal_fd: Optional[int] = None  # opened on first use
         self._journal_bytes = 0
         self.group_commits = 0
         self.group_commit_records = 0
@@ -228,6 +238,25 @@ class FileStorage(StableStorage):
 
     def _file_for(self, path: str) -> str:
         return os.path.join(self.directory, _escape(path))
+
+    def _journal(self) -> int:
+        """The journal's descriptor, opened for appending on first use."""
+        if self._journal_fd is None:
+            self._journal_fd = os.open(
+                self._journal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                0o666)
+        return self._journal_fd
+
+    def close(self) -> None:
+        """Release the journal descriptor (idempotent).  Nothing is
+        pending outside a barrier, so closing loses no write."""
+        fd, self._journal_fd = self._journal_fd, None
+        if fd is not None:
+            os.close(fd)
+
+    def __del__(self) -> None:
+        if getattr(self, "_journal_fd", None) is not None:
+            self.close()
 
     # -- recovery / self-healing -------------------------------------------
 
@@ -262,9 +291,9 @@ class FileStorage(StableStorage):
                 ("wal.log", f"replayed {replayed} journalled records"))
 
     def _truncate_journal(self) -> None:
-        with open(self._journal_path, "wb") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
+        fd = self._journal()
+        os.ftruncate(fd, 0)
+        os.fsync(fd)
         self._journal_bytes = 0
         self._unsynced = set()
 
@@ -344,16 +373,15 @@ class FileStorage(StableStorage):
                 data = encoded[path] = codec.encode(value)
                 frames.append(frame_record(_journal_write_entry(path, data)))
         blob = b"".join(frames)
-        with open(self._journal_path, "ab") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
+        journal = self._journal()
+        _write_all(journal, blob)
+        os.fsync(journal)
         self._journal_bytes += len(blob)
         self.group_commits += 1
         self.group_commit_records += len(batch)
-        # Durability is settled; application is plain buffered I/O.  A
-        # crash before these bytes reach disk is healed by journal
-        # replay at the next open.
+        # Durability is settled; application is one unsynced write per
+        # file.  A crash before these bytes reach disk is healed by
+        # journal replay at the next open.
         for path, value in batch.items():
             target = self._file_for(path)
             if value is _DELETED:
@@ -364,8 +392,12 @@ class FileStorage(StableStorage):
                 self._unsynced.discard(target)
                 self._present.discard(path)
             else:
-                with open(target, "wb") as handle:
-                    handle.write(frame_record(encoded[path]))
+                fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                             0o666)
+                try:
+                    _write_all(fd, frame_record(encoded[path]))
+                finally:
+                    os.close(fd)
                 self._unsynced.add(target)
                 self._present.add(path)
         if self._journal_bytes >= _CHECKPOINT_BYTES:

@@ -249,3 +249,29 @@ def test_live_restarted_node_pulls_the_rounds_it_missed(tmp_path):
         assert cluster.runtime.now - restarted <= 1.0
         assert cluster.settle(within=10.0)
         assert len(_canonical_payloads(cluster)) == N_MESSAGES
+
+
+def test_live_leader_kill_fails_over_within_the_beat_contract(tmp_path):
+    """Kill the Ω leader at light load: its followers suspect it 2¼
+    beat periods after its last word, and the first message submitted
+    after the kill is delivered within 1.5 s of it."""
+    cluster = LiveCluster(ClusterConfig(n=N_NODES, seed=SEED,
+                                        protocol="basic"), str(tmp_path))
+    with cluster:
+        cluster.start()
+        for i in range(40):
+            cluster.runtime.schedule(0.05 + i * 0.1, cluster.submit,
+                                     1 + i % 2, f"light-{i}")
+        cluster.run_for(1.0)
+        killed = cluster.runtime.now
+        cluster.kill(0)
+        collector = cluster.collector
+        while cluster.runtime.now < killed + 3.0:
+            cluster.run_for(0.05)
+            served = [time for node, _, mid, time in collector.deliveries
+                      if node != 0 and collector.broadcast_times[mid] > killed]
+            if served:
+                break
+        assert served, "no message submitted after the kill was delivered"
+        assert min(served) - killed <= 1.5
+        assert cluster.settle(within=10.0)

@@ -263,7 +263,7 @@ class TestDigestGossip:
         cluster = build(seed=15)
         ab = cluster.abcasts[0]
         ab._on_gossip(GossipMessage(0, frozenset(), 0), sender=99)
-        assert 99 in ab._peers
+        assert 99 not in ab._peers      # never recorded: not a member
         cluster.run(until=1.0)
         assert set(ab._peers) == {1, 2}
         cluster.nodes[0].crash()

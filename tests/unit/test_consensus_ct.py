@@ -89,17 +89,21 @@ class TestChandraToueg:
         # coordinator 3 is down.  Then beats flow: it trusts node 0
         # again, and Ω alone would stop watching 3.  Nodes 0 and 1 join
         # late and must get past crashed coordinators 2 and 3 as well;
-        # the decision needs all three, in round 4.
+        # the decision needs all three, in round 4.  With the 1.125 s
+        # timeout node 4 suspects 0, 1 and 2 at 1.125, 2.25 and 3.375 s
+        # and starts watching 3 then; the first beat after the drop
+        # window lands before 3's deadline (4.5 s), and the checkpoint
+        # falls between the two.
         cluster = CTCluster(n=5, seed=1)
         sim = cluster.sim
         tap(cluster.network, drop=lambda src, dst, message:
-            message.type == "fd.alive" and sim.now < 6.5)
+            message.type == "fd.alive" and sim.now < 3.75)
         cluster.start()
         cluster.run(until=0.5)
         cluster.nodes[2].crash()
         cluster.nodes[3].crash()
         cluster.consensuses[4].propose(0, frozenset({"v4"}))
-        cluster.run(until=7.0)
+        cluster.run(until=4.25)
         assert cluster.detectors[4].candidates() == [0]     # 0 trusted
         assert cluster.detectors[4].is_suspected(3) is False
         assert 3 in cluster.detectors[4]._last_heard        # still watched

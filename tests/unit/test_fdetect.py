@@ -411,3 +411,99 @@ class TestOmega:
         assert cluster.omegas[3].leader() == 2
         assert cluster.omegas[2].leader() == 2
         assert cluster.detectors[2].trusts_self()
+
+
+def under_load(n, seed, until, rate_gap=0.1):
+    """A simulated cluster with a steady stream of submissions to every
+    node but the leader, so the crash of node 0 loses no backlog."""
+    cluster = Cluster(ClusterConfig(n=n, seed=seed))
+    seen = tap(cluster.network)
+    cluster.start()
+    for j in range(int(until / rate_gap)):
+        cluster.sim.schedule(0.2 + rate_gap * j, cluster.submit,
+                             1 + j % (n - 1), j)
+    return cluster, seen
+
+
+class TestTimeoutFromTheBeatContract:
+    """The suspicion timeout starts at 2¼ beat periods: one lost beat
+    and the delay variation, no more."""
+
+    def test_the_initial_timeout_is_derived_from_the_period(self):
+        cluster = Cluster(ClusterConfig(n=3, seed=0, fd_period=0.2))
+        detector = detector_of(cluster, 1)
+        assert detector.initial_timeout == pytest.approx(0.45)
+        cluster.start()
+        assert detector.timeout_for(0) == pytest.approx(0.45)
+
+    def test_a_crashed_leader_under_load_is_suspected_and_replaced(self):
+        cluster, seen = under_load(3, seed=41, until=12.0)
+        crash_at = 5.37
+        cluster.run(until=crash_at)
+        cluster.crash(0)
+        followers = {i: detector_of(cluster, i) for i in (1, 2)}
+        suspected = {}
+        while len(suspected) < 2:
+            cluster.run(until=cluster.sim.now + 0.005)
+            for i, detector in followers.items():
+                if i not in suspected and detector.is_suspected(0):
+                    suspected[i] = cluster.sim.now - crash_at
+        period = followers[1].period
+        timeout = 2.25 * period
+        max_delay = cluster.config.network.max_delay
+        for i, after in suspected.items():
+            assert timeout - period <= after <= timeout + max_delay + 0.005, i
+        cluster.run(until=crash_at + 3.0)
+        first = min(when for when, src, _, message in seen
+                    if src == 1 and message.type == "paxos.decide"
+                    and when > crash_at)
+        assert first - crash_at <= 1.8
+
+    def test_one_lost_beat_is_not_a_suspicion(self, mini_cluster):
+        # Idle: the leader's beats are the only traffic on its links.
+        cluster = mini_cluster(n=2)
+        lost = []
+
+        def drop_one(src, dst, message):
+            if (message.type == Heartbeat.type and (src, dst) == (0, 1)
+                    and cluster.sim.now >= 5.0 and not lost):
+                lost.append(cluster.sim.now)
+                return True
+            return False
+
+        tap(cluster.network, drop=drop_one)
+        cluster.start()
+        detector = cluster.detectors[1]
+        while cluster.sim.now < 25.0:
+            cluster.run(until=cluster.sim.now + 0.01)
+            assert detector.suspects() == set()
+        assert len(lost) == 1
+
+
+class TestRefutations:
+    """Every suspicion a later arrival refutes is counted, across
+    crashes, and totalled in the run's metrics."""
+
+    def test_none_in_a_lossless_run(self):
+        cluster, _ = under_load(3, seed=42, until=30.0)
+        cluster.run(until=30.0)
+        assert cluster.metrics().refutations == 0
+
+    def test_a_leader_restart_refutes_each_followers_suspicion(self):
+        cluster, _ = under_load(3, seed=43, until=20.0)
+        cluster.run(until=5.0)
+        cluster.crash(0)
+        cluster.run(until=9.0)
+        assert all(detector_of(cluster, i).is_suspected(0) for i in (1, 2))
+        assert cluster.metrics().refutations == 0
+        cluster.recover(0)
+        cluster.run(until=20.0)
+        assert [detector_of(cluster, i).refutations
+                for i in range(3)] == [0, 1, 1]
+        assert cluster.metrics().refutations == 2
+        # A run statistic: the follower's own restart keeps its count.
+        cluster.crash(1)
+        cluster.recover(1)
+        cluster.run(until=25.0)
+        assert detector_of(cluster, 1).refutations == 1
+        assert cluster.metrics().refutations == 2

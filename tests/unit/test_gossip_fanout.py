@@ -15,6 +15,7 @@ import math
 from repro.core.alternative import AlternativeConfig
 from repro.core.messages import GossipMessage
 from repro.fdetect.heartbeat import Heartbeat, HeartbeatDetector
+from repro.fdetect.omega import OmegaOracle
 from repro.harness.cluster import Cluster, ClusterConfig
 from tests.conftest import tap
 
@@ -446,3 +447,33 @@ class TestPushedIsPruned:
         cluster.run(until=cluster.sim.now + 0.3)
         assert {peer for peer, sent in ab._pushed.items()
                 if later.id in sent} == {1, 3}
+
+
+class TestRemovedNodeFallsSilent:
+    def test_a_removed_node_beats_at_nobody_and_is_not_remembered(self):
+        # The removed node stays up.  Nobody watches it and it watches
+        # nobody: it must not come to trust itself, beat at the members
+        # and have each of them re-record it from its gossip.
+        cluster = build(4, seed=28)
+        cluster.run(until=1.0)
+        cluster.remove_node(2)
+        while any(cluster.views[i].members() != (0, 1, 3)
+                  for i in range(4)):
+            cluster.run(until=cluster.sim.now + 0.01)
+        seen = tap(cluster.network)
+        removed_at = cluster.sim.now
+        detector = cluster.nodes[2].get_component(HeartbeatDetector)
+        omega = cluster.nodes[2].get_component(OmegaOracle)
+        backlog = cluster.submit(2, "after-leave")
+        while cluster.sim.now < removed_at + 30.0:
+            cluster.run(until=cluster.sim.now + 0.05)
+            assert all(2 not in cluster.abcasts[i]._peers
+                       for i in (0, 1, 3))
+            assert detector.candidates() == [] and not detector.trusts_self()
+            assert omega.leader() == 0
+        assert [message for _, src, _, message in seen
+                if src == 2 and message.type == Heartbeat.type] == []
+        # Its backlog still reaches the members and is ordered.
+        assert all(backlog.id in {m.id for m in
+                                  cluster.abcasts[i].deliver_sequence()}
+                   for i in (0, 1, 3))

@@ -30,14 +30,19 @@ class SimulatedCrash(Exception):
     """The process died at an instrumented I/O step."""
 
 
+_OPEN = os.open
+_WRITE_FLAGS = os.O_WRONLY | os.O_RDWR
+
+
 class CrashAt:
     """Kill the process at the Nth I/O step FileStorage takes.
 
     A step is a call that changes what a later incarnation finds on
-    disk: ``open`` for writing, or ``os.fsync``.  The step raises before
-    it takes effect — or, with ``after``, just after (a file opened for
-    writing is left truncated; an fsync has completed) — and every later
-    step raises too: a dead process does not run its ``finally`` blocks
+    disk: ``os.open`` for writing, ``os.write``, ``os.ftruncate`` or
+    ``os.fsync``.  The step raises before it takes effect — or, with
+    ``after``, just after (a file opened for writing is left created or
+    truncated; a write or an fsync has completed) — and every later step
+    raises too: a dead process does not run its ``finally`` blocks
     against the disk.  ``step=None`` only counts, to size a sweep.
     """
 
@@ -45,20 +50,20 @@ class CrashAt:
         self.step = step
         self.after = after
         self.taken = 0
-        patch.setattr(file_mod, "open", self._stepped(open), raising=False)
-        patch.setattr(os, "fsync", self._stepped(os.fsync))
+        for name in ("open", "write", "ftruncate", "fsync"):
+            patch.setattr(os, name, self._stepped(getattr(os, name)))
 
     def _stepped(self, real):
         def call(*args, **kwargs):
-            if real is open and args[1] == "rb":
+            if real is _OPEN and not args[1] & _WRITE_FLAGS:
                 return real(*args, **kwargs)
             self.taken += 1
             if self.step is None or self.taken < self.step:
                 return real(*args, **kwargs)
             if self.taken == self.step and self.after:
-                handle = real(*args, **kwargs)
-                if handle is not None:
-                    handle.close()
+                result = real(*args, **kwargs)
+                if real is _OPEN:
+                    os.close(result)    # the dead process's descriptor
             raise SimulatedCrash(f"I/O step {self.taken}")
         return call
 
@@ -107,10 +112,11 @@ class TestCrashDuringWrite:
         with monkeypatch.context() as patch:
             counter = CrashAt(patch)
             overwrite_everything(storage, patch, set())
-        # 4 commits x (journal open, fsync) + 4 applied files (a delete
-        # unlinks, it opens nothing) + the checkpoint's 4 file fsyncs,
-        # directory fsync, journal truncate and its fsync.
-        assert counter.taken == 19
+        # The journal is open already (the reopen truncated it).  4
+        # commits x (journal write, fsync) + 4 applied files x (open,
+        # write) (a delete unlinks, it opens nothing) + the checkpoint's
+        # 4 file fsyncs, directory fsync, journal truncate and its fsync.
+        assert counter.taken == 23
 
         for step in range(1, counter.taken + 1):
             for after in (False, True):
@@ -142,7 +148,7 @@ class TestCrashDuringWrite:
         storage = FileStorage(directory)
         storage.log("key", "old")
         with monkeypatch.context() as patch:
-            CrashAt(patch, step=1)  # opening the journal to append
+            CrashAt(patch, step=1)  # the journal write
             with pytest.raises(SimulatedCrash):
                 storage.log("key", "new")
         # A fresh incarnation over the same directory sees the old value.
@@ -153,7 +159,7 @@ class TestCrashDuringWrite:
         directory = str(tmp_path / "store")
         storage = FileStorage(directory)
         with monkeypatch.context() as patch:
-            CrashAt(patch, step=1)
+            CrashAt(patch, step=1)  # opening the journal to append
             with pytest.raises(SimulatedCrash):
                 storage.log("never", "written")
         assert FileStorage(directory).retrieve("never") is None

@@ -69,6 +69,34 @@ class TestBatching:
         assert sorted(storage.keys()) == ["fresh", "kept"]
 
 
+class TestOpenJournal:
+    def test_the_journal_is_opened_once_across_commits(self, tmp_path,
+                                                       monkeypatch):
+        directory = str(tmp_path)
+        real_open = os.open
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        storage = FileStorage(directory)
+        commits = 25
+        for index in range(commits):
+            storage.log(("commit", index), {"v": index})
+        monkeypatch.undo()
+        # One record file a commit, and the journal once.
+        assert opened.count(_JOURNAL_NAME) == 1
+        assert len(opened) == commits + 1
+        storage.close()
+        storage.close()                 # idempotent
+        reopened = FileStorage(directory)
+        for index in range(commits):
+            assert reopened.retrieve(("commit", index)) == {"v": index}
+        reopened.close()
+
+
 class TestEncodeOnce:
     """The value is encoded once and its bytes spliced into the journal
     entry: the journal's bytes are what encoding the entry whole gives."""
