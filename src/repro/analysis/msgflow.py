@@ -428,7 +428,7 @@ class _Builder:
                 sends.append(site)
             self._note_command(node, module, where)
         # Locals assigned from a constructor, for send-site resolution
-        # (``envelope = StubbornData(...); ... send(..., envelope)``).
+        # (``envelope = ScopedMessage(...); ... send(..., envelope)``).
         for node in ast.walk(func):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
                     isinstance(node.targets[0], ast.Name) and \

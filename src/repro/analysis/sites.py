@@ -75,8 +75,8 @@ _LOGGED_READ_OPS = frozenset(
 
 _SEND_OPS = frozenset({"send", "multisend", "broadcast"})
 #: Receiver-name fragments that mark a transport: the node's endpoint,
-#: a (live_)net/network, a transport medium, and the stubborn link's
-#: ``self.channel.inner``.
+#: a (live_)net/network, a transport medium, a channel or link, and the
+#: medium a wrapping layer holds (``self.channel.inner``).
 _TRANSPORT_TOKENS = ("endpoint", "net", "transport", "channel", "medium",
                      "inner", "link")
 _REGISTER_OPS = frozenset({"register", "register_handler"})

@@ -32,7 +32,7 @@ barrier helpers.
 What counts as a storage write and as a transport send is
 :func:`repro.analysis.sites.classify`'s definition, shared with every
 other rule family.  **WAL002** narrows it: a send whose receiver does
-not end in the node's endpoint bypasses the stubborn-channel layer.
+not end in the node's endpoint bypasses the endpoint's checks.
 """
 
 from __future__ import annotations
@@ -491,13 +491,14 @@ class DirectTransportSendRule(Rule):
     summary = ("a protocol module calls send/multisend directly on a "
                "transport medium instead of going through its Endpoint")
     rationale = ("The endpoint sits above whatever TransportMedium the "
-                 "harness wired in — in particular the stubborn channel "
-                 "layer that turns the paper's fair-lossy links into "
-                 "reliable ones via ack/retransmit.  A protocol that grabs "
-                 "the raw medium (node.network.send(...)) silently opts "
-                 "out of retransmission, so one dropped datagram becomes "
-                 "a protocol-level message loss the verifier cannot "
-                 "explain.")
+                 "harness wired in, and it enforces two things the raw "
+                 "medium does not: a send from a down node raises "
+                 "ProcessDown instead of leaving a crashed process, and "
+                 "a multisend reaches only the installed view's members.  "
+                 "A protocol that grabs the raw medium "
+                 "(node.network.send(...)) sends after its own crash and "
+                 "to nodes outside its view, which the paper's model "
+                 "does not allow.")
     scope = PROTOCOL_SCOPE
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -509,9 +510,9 @@ class DirectTransportSendRule(Rule):
             path = ".".join(site.receiver + (site.op,))
             yield ctx.finding(
                 self.id, site.call,
-                f"direct {path}(...) bypasses the endpoint (and any "
-                f"stubborn-channel layer beneath it); send through the "
-                f"node's Endpoint component instead")
+                f"direct {path}(...) bypasses the endpoint (its down-node "
+                f"check and view scoping); send through the node's "
+                f"Endpoint component instead")
 
 
 WAL_RULES = (DirectTransportSendRule(), InterprocWalRule())

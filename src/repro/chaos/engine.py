@@ -1,17 +1,17 @@
 """Seeded scenario exploration: derive, run, verify, reproduce.
 
 One seed fully determines one scenario: cluster size, protocol, base
-loss rate, stubborn-channel setting, which nemeses participate, their
-fault timelines and the submission workload are all drawn from a stream
-seeded by ``(master_seed, seed)``.  :func:`explore` sweeps N seeds and
+loss rate, which nemeses participate, their fault timelines and the
+submission workload are all drawn from a stream seeded by
+``(master_seed, seed)``.  :func:`explore` sweeps N seeds and
 reports every invariant violation; :func:`reproduce` re-runs one seed
 with the exact fault timeline printed, which is the complete minimised
 reproducer — nothing else went into the run.
 
 Scenario derivation intentionally samples *configurations*, not just
-fault timings: small and larger clusters, both paper protocols, raw and
-stubborn channels — the cross product where ordering bugs historically
-hide.
+fault timings: small and larger clusters, both paper protocols,
+lossless and lossy networks — the cross product where ordering bugs
+historically hide.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class ChaosConfig:
                  n_choices: Sequence[int] = (3, 4, 5),
                  protocols: Sequence[str] = ("basic", "alternative"),
                  base_loss_choices: Sequence[float] = (0.0, 0.05, 0.15),
-                 stubborn_choices: Sequence[bool] = (False, True),
                  submissions: Tuple[int, int] = (6, 12),
                  settle_limit: float = 300.0,
                  nemeses: Optional[Sequence[Nemesis]] = None,
@@ -61,7 +60,6 @@ class ChaosConfig:
         self.n_choices = tuple(n_choices)
         self.protocols = tuple(protocols)
         self.base_loss_choices = tuple(base_loss_choices)
-        self.stubborn_choices = tuple(stubborn_choices)
         self.submissions = submissions
         self.settle_limit = settle_limit
         self.nemeses = list(nemeses) if nemeses is not None \
@@ -140,9 +138,11 @@ def _derive_params(config: ChaosConfig, rng: random.Random) -> Dict[str, Any]:
         "n": rng.choice(config.n_choices),
         "protocol": rng.choice(config.protocols),
         "base_loss": rng.choice(config.base_loss_choices),
-        "stubborn": rng.choice(config.stubborn_choices),
-        "cluster_seed": rng.randrange(2 ** 31),
     }
+    # A retired per-seed coin, still drawn so that every later draw of
+    # every seed keeps its value.
+    rng.choice((False, True))
+    params["cluster_seed"] = rng.randrange(2 ** 31)
     if config.overload:
         # Flow parameters are drawn only in the overload family, after
         # the legacy draws, so the base family's derivations are
@@ -214,7 +214,7 @@ def _scenario(config: ChaosConfig, params: Dict[str, Any],
         n=params["n"], seed=params["cluster_seed"],
         protocol=params["protocol"],
         network=NetworkConfig(loss_rate=params["base_loss"]),
-        stubborn=params["stubborn"], storage_factory=faulty_factory,
+        storage_factory=faulty_factory,
         flow=_flow_config(params))
     return Scenario(cluster, runtime=config.runtime,
                     timeline=events + [ChaosEvent(config.horizon, "restore")],
@@ -236,14 +236,6 @@ def _collect_counters(cluster: Any,
                 if count:
                     injected[mode] = injected.get(mode, 0) + count
     counters.update(injected)
-    stubborn = getattr(cluster, "stubborn", None)
-    if stubborn is not None:
-        counters["retransmissions"] = stubborn.metrics.retransmissions
-        counters["acks"] = stubborn.metrics.acks_received
-        # Overflows exist only once a backlog bound trips; adding the key
-        # conditionally keeps legacy counter dicts byte-identical.
-        if stubborn.metrics.backlog_overflows:
-            counters["backlog_overflows"] = stubborn.metrics.backlog_overflows
     flows = getattr(cluster, "flows", None)
     if flows:
         counters["flow_accepted"] = sum(

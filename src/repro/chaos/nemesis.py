@@ -325,7 +325,7 @@ class LimpingNodeNemesis(Nemesis):
 
     The victim keeps participating — late.  Its delayed heartbeats
     stress the failure detector's adaptive timeouts (suspect, refute,
-    widen) and its delayed acks back up senders' stubborn windows.
+    widen) and its late votes hold back the rounds it takes part in.
     Heals at ``limp_restore``.  Sim only: the delay is injected in the
     simulated network's delay draw.
 

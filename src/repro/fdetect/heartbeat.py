@@ -40,7 +40,7 @@ A crashed leader is therefore suspected ``2.25 × period`` after its
 last arrival: ``period`` alone sets how fast Ω fails over.
 
 Arrivals cannot be stale evidence: the media hold a message for a
-bounded delay, a stubborn retransmission is sent by a live sender's
+bounded delay, every re-push and retry is sent by a live sender's
 timer, and a stalled node defers every arrival exactly as it used to
 defer heartbeats.
 

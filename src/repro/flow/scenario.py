@@ -4,9 +4,9 @@ One seeded scenario drives the whole overload-robustness surface in a
 single simulated run of :func:`~repro.harness.scenario.run_scenario`:
 
 * start at ``n = 3`` with admission control **on** (token bucket at
-  4 msg/s per node, burst 4, at most 16 unordered messages in flight)
-  and a deliberately tight stubborn channel (window 4, backlog bound
-  16) so every volatile queue in the stack is exercised near its bound;
+  4 msg/s per node, burst 4, at most 16 unordered messages in flight),
+  and declare that same 16 as the ``queue_bound`` no protocol
+  Unordered or pending buffer may exceed;
 * **gray failure**: the timeline gives node 2 a slow disk for the first
   stretch of the run — every write stalls by a seeded draw, and the
   stall freezes the whole process (inbound messages defer past the
@@ -42,7 +42,6 @@ from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, ScenarioResult
 from repro.storage.faulty import FaultyStorage
 from repro.storage.memory import MemoryStorage
-from repro.transport.stubborn import StubbornConfig
 from repro.workloads.generators import ScheduledWorkload
 
 __all__ = ["OverloadReport", "overload_scenario"]
@@ -55,7 +54,6 @@ _BURST_START = 1.0
 _BURST_SPAN = 1.0           # all 120 offered inside one virtual second
 _SLOW_DISK_UNTIL = 4.0      # victim's disk heals at this time
 _FLOW = dict(rate=4.0, burst=4, max_unordered=16)
-_STUBBORN = dict(window=4, max_backlog=16)
 
 
 def overload_scenario(seed: int = 0,
@@ -83,9 +81,9 @@ def overload_scenario(seed: int = 0,
         seed=seed)
     return Scenario(
         ClusterConfig(n=_N, seed=seed, protocol="basic",
-                      stubborn=StubbornConfig(**_STUBBORN),
                       storage_factory=faulty_factory,
-                      flow=FlowConfig(**_FLOW)),
+                      flow=FlowConfig(**_FLOW,
+                                      queue_bound=_FLOW["max_unordered"])),
         workload=burst,
         timeline=[ChaosEvent(0.0, "slow_disk", node=_VICTIM,
                              low=0.05, high=0.2),
@@ -102,7 +100,6 @@ class OverloadReport:
     def __init__(self, result: ScenarioResult):
         cluster, workload = result.cluster, result.scenario.workload
         flows = cluster.flows.values()
-        stubborn = cluster.stubborn.metrics
         self.verification = result.report
         self.offered = workload.offered
         self.accepted = sum(controller.accepted for controller in flows)
@@ -115,11 +112,11 @@ class OverloadReport:
         self.delivered = len(cluster.collector.first_delivery)
         self.slow_writes = \
             cluster.nodes[_VICTIM].storage.injected["slow_write"]
-        self.backlog_overflows = stubborn.backlog_overflows
-        self.backlog_high_water = stubborn.backlog_high_water
+        abcasts = cluster.abcasts.values()
         self.unordered_high_water = max(
-            getattr(abcast, "unordered_high_water", 0)
-            for abcast in cluster.abcasts.values())
+            getattr(abcast, "unordered_high_water", 0) for abcast in abcasts)
+        self.pending_high_water = max(
+            getattr(abcast, "pending_high_water", 0) for abcast in abcasts)
         self.end_time = result.metrics.duration
 
     def describe(self) -> str:
@@ -134,9 +131,8 @@ class OverloadReport:
             f"(settled at t={self.end_time:.3f})",
             f"gray failure: {self.slow_writes} slow writes on "
             f"node {_VICTIM}",
-            f"queue high-water: backlog {self.backlog_high_water} "
-            f"(bound {_STUBBORN['max_backlog']}, "
-            f"{self.backlog_overflows} overflows), "
-            f"unordered {self.unordered_high_water}",
+            f"queue high-water: unordered {self.unordered_high_water}, "
+            f"pending {self.pending_high_water} "
+            f"(bound {_FLOW['max_unordered']})",
         ]
         return "\n".join(lines)

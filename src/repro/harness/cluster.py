@@ -48,7 +48,6 @@ from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
-from repro.transport.stubborn import StubbornChannel, StubbornConfig
 
 __all__ = ["Cluster", "ClusterConfig", "ClusterCore", "PROTOCOLS",
            "build_node_stack"]
@@ -71,7 +70,6 @@ class ClusterConfig:
                  fd_period: float = 0.5,
                  sequencer_id: int = 0,
                  storage_factory: Optional[Callable[[int], Any]] = None,
-                 stubborn: Any = None,
                  flow: Optional[FlowConfig] = None):
         if protocol not in PROTOCOLS:
             raise SimulationError(
@@ -99,11 +97,6 @@ class ClusterConfig:
         # in-memory simulation backend.
         self.storage_factory = storage_factory or \
             (lambda node_id: MemoryStorage())
-        # stubborn: None or False = the bare fair-loss medium the
-        # protocols are written against, on either runtime (they repair
-        # their own losses); True or a StubbornConfig = the opt-in
-        # retransmission layer between them and the medium.
-        self.stubborn = stubborn
         # flow: None = no admission control (every existing seed
         # universe unchanged); a FlowConfig gates to_broadcast() with a
         # per-node deterministic FlowController.
@@ -111,19 +104,6 @@ class ClusterConfig:
             raise SimulationError(
                 f"flow must be None or a FlowConfig; got {flow!r}")
         self.flow = flow
-
-    def resolve_stubborn(self) -> Optional[StubbornConfig]:
-        """The effective stubborn-channel config, or None."""
-        setting = self.stubborn
-        if setting is None or setting is False:
-            return None
-        if setting is True:
-            return StubbornConfig()
-        if isinstance(setting, StubbornConfig):
-            return setting
-        raise SimulationError(
-            f"stubborn must be None, a bool or a StubbornConfig; "
-            f"got {setting!r}")
 
 
 def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
@@ -227,16 +207,16 @@ class ClusterCore:
     #: Seconds of the runtime's clock between two settled-checks.
     SETTLE_INTERVAL: float
 
+    stubborn = None  # bench/measure.py reads this until ROADMAP item 8
+
+    @property
+    def medium(self) -> Any:
+        return self.network  # bench/trace.py reads this until ROADMAP item 8
+
     def __init__(self, config: ClusterConfig, runtime: Any, network: Any):
         self.config = config
         self.runtime = runtime
         self.network = network
-        self.stubborn: Optional[StubbornChannel] = None
-        self.medium: Any = network
-        stubborn = config.resolve_stubborn()
-        if stubborn is not None:
-            self.stubborn = StubbornChannel(runtime, network, stubborn)
-            self.medium = self.stubborn
         self.collector = MetricsCollector()
         self.nodes: Dict[int, Node] = {}
         self.abcasts: Dict[int, Any] = {}
@@ -273,7 +253,7 @@ class ClusterCore:
             flow = self.flows.setdefault(
                 node_id, FlowController(node_id, config.flow))
         node, abcast, consensus, rsm, view_manager = build_node_stack(
-            self.runtime, self.medium, config, self.collector, node_id,
+            self.runtime, self.network, config, self.collector, node_id,
             self._storage(node_id), view=view, joining=joining, flow=flow)
         if consensus is not None:
             self.consensuses[node_id] = consensus
@@ -490,8 +470,6 @@ class ClusterCore:
             network=self.network.metrics.snapshot(),
             node_stats=node_stats,
             refutations=self.refutations(),
-            stubborn=(self.stubborn.metrics.snapshot()
-                      if self.stubborn is not None else None),
             flow=({nid: controller.snapshot()
                    for nid, controller in sorted(self.flows.items())}
                   if self.flows else None),

@@ -292,10 +292,9 @@ def verify_overload_safety(cluster, offered: Optional[int] = None,
       admission attempts the controller saw; when the harness knows the
       scenario-level offered/rejected totals, they must match the
       controllers' sums exactly (no rejection silently lost).
-    * **Bounded queues** — the stubborn backlog high-water mark never
-      exceeded its configured ``max_backlog``, and (when the flow config
-      declares a ``queue_bound``) no protocol Unordered/pending buffer
-      ever grew beyond it.
+    * **Bounded queues** — when the flow config declares a
+      ``queue_bound``, no protocol Unordered/pending buffer ever grew
+      beyond it.
 
     Raises :class:`~repro.errors.VerificationError` on the first
     violation; returns ``None`` otherwise.
@@ -326,15 +325,6 @@ def verify_overload_safety(cluster, offered: Optional[int] = None,
                 f"overload accounting violated: controllers counted "
                 f"{total_rejected} rejections, the harness observed "
                 f"{rejected}")
-
-    stubborn = getattr(cluster, "stubborn", None)
-    if stubborn is not None and stubborn.config.max_backlog is not None:
-        high = stubborn.metrics.backlog_high_water
-        if high > stubborn.config.max_backlog:
-            raise VerificationError(
-                f"bounded-queue invariant violated: stubborn backlog "
-                f"high water {high} > max_backlog "
-                f"{stubborn.config.max_backlog}")
 
     config = getattr(cluster, "config", None)
     flow_config = getattr(config, "flow", None)

@@ -143,7 +143,6 @@ class RunMetrics:
                  network: Dict[str, int],
                  node_stats: Dict[int, Dict[str, Any]],
                  refutations: int = 0,
-                 stubborn: Optional[Dict[str, int]] = None,
                  faults_injected: Optional[Dict[str, int]] = None,
                  flow: Optional[Dict[int, Dict[str, Any]]] = None):
         self.duration = duration
@@ -157,9 +156,6 @@ class RunMetrics:
         # Failure-detector suspicions refuted by a later arrival (wrong,
         # or a restart), summed over nodes.
         self.refutations = refutations
-        # Retransmission counters of the stubborn channel, when one was
-        # stacked on the medium (None otherwise).
-        self.stubborn = stubborn
         # Fault-injection counters from the chaos engine (None outside
         # chaos runs).
         self.faults_injected = faults_injected
@@ -195,24 +191,6 @@ class RunMetrics:
     def total_bytes_logged(self) -> int:
         """Durable bytes written across all nodes."""
         return sum(s["bytes_logged"] for s in self.storage_by_node.values())
-
-    def total_retransmissions(self) -> int:
-        """Stubborn-channel retransmissions (0 without the layer)."""
-        if not self.stubborn:
-            return 0
-        return self.stubborn.get("retransmissions", 0)
-
-    def total_acks(self) -> int:
-        """Stubborn-channel acknowledgements received (0 without the layer)."""
-        if not self.stubborn:
-            return 0
-        return self.stubborn.get("acks_received", 0)
-
-    def total_backlog_overflows(self) -> int:
-        """Stubborn-backlog drops from the bounded queue (0 without it)."""
-        if not self.stubborn:
-            return 0
-        return self.stubborn.get("backlog_overflows", 0)
 
     def total_flow_accepted(self) -> int:
         """Submissions admitted by flow control (0 without a flow config)."""

@@ -80,9 +80,8 @@ class TransportMedium(Protocol):
     A fair-loss medium's ``send`` also stamps the sending node's
     :attr:`~repro.runtime.node.Node.last_sent` for the destination — the
     clock the failure detector reads to find links that need an explicit
-    heartbeat.  A layer wrapped around a medium (the stubborn channel)
-    does not: what it holds back has not been sent.  Over a medium that
-    never stamps, the detector simply beats every period.
+    heartbeat.  Over a medium that never stamps, the detector simply
+    beats every period.
     """
 
     def register(self, node: Any) -> None: ...

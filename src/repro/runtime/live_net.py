@@ -27,8 +27,8 @@ length-prefixed binary frames (:func:`repro.runtime.wire.encode_frame`)
 and buffered per ``(src, dst)`` pair; the buffer flushes as one datagram
 when it would exceed ``max_frame_bytes`` or on the next event-loop turn
 (``flush_delay=0``), so every message a single callback emits — a
-``multisend``, a protocol round's fan-out, a stubborn batch plus its
-piggybacked acks — shares one ``sendto`` system call and one receive
+``multisend``, a protocol round's fan-out, a gossip re-push plus a
+decision pull — shares one ``sendto`` system call and one receive
 wakeup instead of paying per message.  Frames buffered by a node that
 crashes before its flush are dropped with the rest of its volatile
 state.
@@ -106,9 +106,9 @@ class LiveNetwork:
     max_send_buffer:
         Byte bound on a sender socket's kernel write buffer.  When the
         buffer is over the bound the datagram is dropped and counted
-        (``send_overflows``) instead of queued without limit — the live
-        analogue of the simulator's bounded stubborn backlog.  ``None``
-        (default) disables the bound.
+        (``send_overflows``) instead of queued without limit: a fair-loss
+        drop the protocols repair like any other.  ``None`` (default)
+        disables the bound.
     wire_config:
         Framing bounds (:class:`~repro.runtime.wire.WireConfig`):
         coalescing target, flush delay, datagram size limit.  The
@@ -183,8 +183,8 @@ class LiveNetwork:
         """Close the node's socket (datagrams in flight to it are lost).
 
         Frames the node had buffered for coalescing are volatile sender
-        state and vanish with the process, exactly like the simulated
-        stubborn backlog on a crash.
+        state and vanish with the process, like every other volatile
+        variable on a crash.
         """
         transport = self._transports.pop(node_id, None)
         if transport is not None:

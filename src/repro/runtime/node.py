@@ -90,11 +90,10 @@ class Node:
         self._handlers: Dict[str, Callable[[Any, int], None]] = {}
         # Link liveness, volatile like the handlers.  ``last_sent[peer]``
         # is when this node last handed the fair-loss medium anything
-        # for ``peer``; the medium stamps it below any retransmission
-        # layer, so a message parked in a backlog does not count.
-        # Arrival listeners hear the sender of every message
-        # :meth:`deliver` consumes from another node.  Both are per node,
-        # not per stack: groups that share a link share its liveness.
+        # for ``peer``; the medium stamps it on each send.  Arrival
+        # listeners hear the sender of every message :meth:`deliver`
+        # consumes from another node.  Both are per node, not per stack:
+        # groups that share a link share its liveness.
         self.last_sent: Dict[int, float] = {}
         self._arrival_listeners: List[Callable[[int], None]] = []
         self._started = False

@@ -70,7 +70,7 @@ class SimRuntime(Runtime):
         self._seq = 0
         self._event_count = 0
         # Cancelled timers still sitting in the heap.  Long runs of
-        # stubborn retransmission / heartbeat timers cancel constantly;
+        # retry / heartbeat timers cancel constantly;
         # without compaction the dead entries linger until popped and
         # every push pays log(dead + live).
         self._cancelled_in_heap = 0

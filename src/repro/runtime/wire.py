@@ -14,14 +14,10 @@ the binary value codec of :mod:`repro.storage.codec` — the codec
 node both sends and logs is encoded once (an
 :class:`~repro.core.messages.AppMessage` keeps its bytes).
 
-**Messages are values.**  This module registers :class:`WireMessage`
-with the codec as a *nested frame*, ``M <type-id> <len> <body>``, with
-the body a top-level frame would carry.  A stubborn envelope therefore
-carries the message it protects, not a copy of its fields.  A message's
-``(type-id, body)`` is computed on its first encode and kept on the
-object (``_wire``), so the legs of a multisend, a retransmission and
-every envelope carrying it share one encoding — messages are immutable
-by convention, as their size cache already assumes.
+A message's ``(type-id, body)`` is computed on its first encode and
+kept on the object (``_wire``), so the legs of a multisend share one
+encoding — messages are immutable by convention, as their size cache
+already assumes.
 
 **The JSON tunnel** (type-id 0) is the single path for a message the
 header cannot describe — a class *without* a registered type-id, or a
@@ -32,10 +28,9 @@ UTF-8 JSON object::
 
 where each field value is the hex of its binary codec encoding, so
 tuples, sets, frozensets and registered classes round-trip exactly.  A
-nested tunnel body has no ``"s"``.  A tunnel frame is a frame like any
-other: it concatenates with typed frames, and a bare JSON object that
-is *not* inside a frame is rejected like any other datagram with an
-unknown lead byte.
+tunnel frame is a frame like any other: it concatenates with typed
+frames, and a bare JSON object that is *not* inside a frame is rejected
+like any other datagram with an unknown lead byte.
 
 Because frames are length-prefixed they concatenate: the transport packs
 many protocol messages into one datagram (see
@@ -126,8 +121,6 @@ TYPE_ID_TABLE: Dict[str, int] = {
     "ab.gossip": 1,
     "ab.state": 2,
     "fd.alive": 3,
-    "stub.data": 4,
-    "stub.ack": 5,
     "paxos.prepare": 7,
     "paxos.promise": 8,
     "paxos.accept": 9,
@@ -152,8 +145,9 @@ TYPE_ID_TABLE: Dict[str, int] = {
 }
 _TAG_FOR_ID: Dict[int, str] = {v: k for k, v in TYPE_ID_TABLE.items()}
 # Ids of deleted message types, never assigned again, so a recorded
-# stream cannot decode as some other message: 6 was ``stub.batch``.
-_RETIRED_IDS = frozenset({6})
+# stream cannot decode as some other message: 4, 5 and 6 were the
+# retransmission layer's data, ack and batch envelopes.
+_RETIRED_IDS = frozenset({4, 5, 6})
 
 
 def register_type_id(tag: str, type_id: int) -> None:
@@ -315,11 +309,9 @@ def _decode_tunnel(data: bytes) -> Tuple[Optional[int], WireMessage]:
         raise WireCodecError(f"malformed tunnel payload: {exc}") from exc
 
 
-def _load_body(type_id: int, data: bytes, start: int, end: int,
-               depth: int = 0) -> WireMessage:
-    """The message whose body is ``data[start:end]``."""
-    if type_id == _JSON_TUNNEL_ID:
-        return _decode_tunnel(data[start:end])[1]
+def _load_body(type_id: int, data: bytes, start: int,
+               end: int) -> WireMessage:
+    """The message whose typed body is ``data[start:end]``."""
     tag = _TAG_FOR_ID.get(type_id)
     if tag is None:
         raise WireCodecError(f"unknown type id {type_id}")
@@ -327,14 +319,11 @@ def _load_body(type_id: int, data: bytes, start: int, end: int,
     reader = codec.Reader(data, start, end)
     message = cls.__new__(cls)
     for name in cls.fields:
-        setattr(message, name, codec.unpack(reader, depth))
+        setattr(message, name, codec.unpack(reader))
     if reader.pos != end:
         raise WireCodecError(
             f"{end - reader.pos} stray bytes after {tag!r} payload")
     return message
-
-
-codec.register_frames(WireMessage, _body, _load_body)
 
 
 def _decode_frame(data: bytes, offset: int

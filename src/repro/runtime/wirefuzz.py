@@ -9,8 +9,7 @@ mechanically:
   tunnel (forced by a sender id ≥ 2³², which the header cannot hold),
   and each must decode to the same sender, the same type and equal field
   values (``nan`` compared by identity of kind, not ``==``).  Field
-  values include messages (nested frames: stubborn envelopes always
-  carry one) and :class:`~repro.core.messages.AppMessage` values, whose
+  values include :class:`~repro.core.messages.AppMessage` values, whose
   encoding is cached on them.  The encoding is one function of the
   value: a second, warm-cache encode gives the same bytes as the cold
   one, and a decoded frame re-encodes to the bytes it came from.
@@ -52,8 +51,6 @@ from repro.transport.message import WireMessage
 __all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "fuzz_storage",
            "run_fuzz", "registered_classes", "random_fields",
            "random_message", "equivalent"]
-
-_ENVELOPES = ("stub.data",)
 
 
 class FuzzReport:
@@ -165,7 +162,7 @@ def _app_message(rng: random.Random) -> AppMessage:
 
 def random_value(rng: random.Random, depth: int = 0) -> Any:
     """A random value from the codec's supported universe: scalars,
-    containers, ``AppMessage`` values and, now and then, a message."""
+    containers and ``AppMessage`` values."""
     if depth >= 3 or rng.random() < 0.55:
         return _scalar(rng)
     kind = rng.randrange(7)
@@ -180,36 +177,26 @@ def random_value(rng: random.Random, depth: int = 0) -> Any:
         return frozenset(_hashable(rng) for _ in range(count))
     if kind == 4:
         return frozenset(_app_message(rng) for _ in range(count))
-    if kind == 5 and rng.random() < 0.3:
-        return random_message(rng, depth + 1)
     return {_hashable(rng): random_value(rng, depth + 1)
             for _ in range(count)}
 
 
-def random_fields(cls: Type[WireMessage], rng: random.Random,
-                  depth: int = 0) -> Dict[str, Any]:
-    """Random field values for one message class.
-
-    A stubborn envelope always carries messages (nested frames), not
-    arbitrary values: that is the form the channel sends.
-    """
-    fields = {name: random_value(rng, depth) for name in cls.fields}
+def random_fields(cls: Type[WireMessage],
+                  rng: random.Random) -> Dict[str, Any]:
+    """Random field values for one message class."""
+    fields = {name: random_value(rng) for name in cls.fields}
     if cls.type == "ab.gossip" and rng.random() < 0.5:
         # ``known=None`` ("no digest in this gossip") is a form of its
         # own, not one value among many: draw it half the time.
         fields["known"] = None
-    if cls.type == "stub.data":
-        fields["inner"] = random_message(rng, depth + 1)
     return fields
 
 
-def random_message(rng: random.Random, depth: int = 0) -> WireMessage:
-    """A message of a random registered class with random fields;
-    envelopes nest (up to a small depth)."""
-    classes = [(tag, cls) for tag, cls in registered_classes()
-               if depth < 2 or tag not in _ENVELOPES]
+def random_message(rng: random.Random) -> WireMessage:
+    """A message of a random registered class with random fields."""
+    classes = registered_classes()
     tag, cls = classes[rng.randrange(len(classes))]
-    return wire.rebuild(tag, random_fields(cls, rng, depth))
+    return wire.rebuild(tag, random_fields(cls, rng))
 
 
 def equivalent(left: Any, right: Any) -> bool:

@@ -15,7 +15,6 @@ one-byte tag followed by its body::
     d <count> <key value>...  dict, entries sorted by key encoding
     R <len> <tag> <value>     a registered class (:func:`register`): its
                               tag and the encoding of ``to_plain(value)``
-    M <type-id> <len> <body>  a nested frame (:func:`register_frames`)
 
 The encoding does not depend on how a value was built: set members and
 dict entries are written in the order of their encodings, so a set or
@@ -32,12 +31,6 @@ is sent and logged: ``None`` until its first encode (or the decode that
 cut it from its input), the bytes afterwards, and ``False`` once the
 owner released it for good — from then on it is encoded each time, and
 never cached again.
-
-**Nested frames.**  The wire layer registers its message base class
-with :func:`register_frames`, so a message can be a value (a stubborn
-envelope carries the message itself).  Storage never imports the wire:
-without that registration an ``M`` value is undecodable, like an
-unknown tag.
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.errors import StorageError
 
 __all__ = ["encode", "decode", "pack", "unpack", "splice_tuple", "Reader",
-           "register", "register_frames", "CodecError"]
+           "register", "CodecError"]
 
 
 class CodecError(StorageError):
@@ -68,9 +61,6 @@ _PACKERS: Dict[type, Packer] = {}
 _LOADERS: Dict[bytes, Tuple[Callable[[Any], Any], bool]] = {}
 # Registered classes that keep their encoding in ``_encoded``.
 _CACHING: Set[type] = set()
-# The nested-frame registration: (base class, body_of, load), or None.
-_frames: Optional[Tuple[type, Callable[[Any], Tuple[int, bytes]],
-                        Callable[..., Any]]] = None
 
 
 # -- encoding -----------------------------------------------------------------
@@ -183,15 +173,6 @@ def _pack_dict(value: Dict[Any, Any], out: bytearray, depth: int) -> None:
         pack(item, out, depth)
 
 
-def _pack_frame(value: Any, out: bytearray, depth: int) -> None:
-    assert _frames is not None
-    type_id, body = _frames[1](value)
-    out.append(0x4D)  # M
-    _put_varint(type_id, out)
-    _put_varint(len(body), out)
-    out += body
-
-
 _PACKERS.update({
     type(None): _pack_none, bool: _pack_bool, int: _pack_int,
     float: _pack_float, str: _pack_str, bytes: _pack_bytes,
@@ -203,16 +184,12 @@ _BUILTINS = tuple(_PACKERS.items())
 
 def _resolve(cls: type) -> Packer:
     """The packer of a type with no exact entry: a builtin's subclass
-    (``MessageId`` is a tuple) or a frame class.  Cached once found."""
+    (``MessageId`` is a tuple).  Cached once found."""
     for base, packer in _BUILTINS:
         if issubclass(cls, base):
             break
     else:
-        if _frames is not None and issubclass(cls, _frames[0]):
-            packer = _pack_frame
-        else:
-            raise CodecError(
-                f"cannot encode {cls.__name__}; register() a codec")
+        raise CodecError(f"cannot encode {cls.__name__}; register() a codec")
     _PACKERS[cls] = packer
     return packer
 
@@ -262,17 +239,6 @@ def register(cls: type, tag: str,
     _LOADERS[raw] = (from_plain, caches)
     if caches:
         _CACHING.add(cls)
-
-
-def register_frames(base: type, body_of: Callable[[Any], Tuple[int, bytes]],
-                    load: Callable[[int, bytes, int, int, int], Any]) -> None:
-    """Let instances of ``base`` (and its subclasses) be values.
-
-    ``body_of(value)`` gives ``(type_id, body)``; ``load(type_id, data,
-    start, end, depth)`` rebuilds the value from ``data[start:end]``.
-    """
-    global _frames
-    _frames = (base, body_of, load)
 
 
 # -- decoding -----------------------------------------------------------------
@@ -358,18 +324,6 @@ def _unpack_registered(reader: Reader, depth: int) -> Any:
     return value
 
 
-def _unpack_frame(reader: Reader, depth: int) -> Any:
-    if _frames is None:
-        raise CodecError("nested frame, but no frame codec is registered")
-    if depth >= _MAX_DEPTH:
-        raise CodecError("value nesting too deep to decode")
-    type_id = _varint(reader)
-    length = _varint(reader)
-    start = reader.pos
-    _take(reader, length)
-    return _frames[2](type_id, reader.data, start, reader.pos, depth + 1)
-
-
 def _unpack_str(reader: Reader, depth: int) -> str:
     return _take(reader, _varint(reader)).decode("utf-8")
 
@@ -392,7 +346,6 @@ _UNPACKERS: Dict[int, Callable[[Reader, int], Any]] = {
     0x5A: lambda reader, depth: frozenset(_items(reader, depth)),
     0x64: _unpack_dict,
     0x52: _unpack_registered,
-    0x4D: _unpack_frame,
 }
 
 

@@ -3,8 +3,6 @@
 from repro.transport.endpoint import Endpoint, ReceiveQueue
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig, NetworkMetrics
-from repro.transport.stubborn import (StubbornChannel, StubbornConfig,
-                                      StubbornMetrics)
 
 __all__ = [
     "Endpoint",
@@ -12,8 +10,5 @@ __all__ = [
     "NetworkConfig",
     "NetworkMetrics",
     "ReceiveQueue",
-    "StubbornChannel",
-    "StubbornConfig",
-    "StubbornMetrics",
     "WireMessage",
 ]

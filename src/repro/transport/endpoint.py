@@ -36,8 +36,8 @@ class ReceiveQueue:
     The buffer is volatile — the endpoint drops it on crash — and bounded:
     once ``capacity`` messages are pending, further deposits are dropped
     (counted in :attr:`overflows`).  Dropping is sound because the
-    transport is fair-lossy anyway; stubborn retransmission recovers the
-    message.  Pass ``capacity=None`` for an unbounded buffer.
+    transport is fair-lossy anyway: the protocols re-push their payloads
+    and pull what they miss.  Pass ``capacity=None`` for an unbounded buffer.
     """
 
     def __init__(self, endpoint: "Endpoint",

@@ -21,7 +21,6 @@ from repro.flow.scenario import OverloadReport, overload_scenario
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.scenario import check_reproducible, run_scenario
 from repro.harness.verify import verify_overload_safety
-from repro.transport.stubborn import StubbornConfig
 from repro.workloads.generators import PoissonWorkload
 
 
@@ -37,9 +36,10 @@ class TestSaturationScenario:
         # >10x overload: the burst offers 120 against a bucket that
         # sustains at most rate + burst (= 8) in its window.
         assert report.rejected > 10 * report.accepted / 2
-        # Bounded queues, observed not assumed.
-        assert report.backlog_high_water <= 16
-        assert report.backlog_overflows >= 0
+        # Bounded queues, observed not assumed (verify_overload_safety
+        # already held them to the scenario's queue_bound of 16).
+        assert 0 < report.unordered_high_water <= 16
+        assert report.pending_high_water <= 16
         # The gray failure actually fired.
         assert report.slow_writes > 0
         # Every accepted broadcast was delivered (Termination in the
@@ -89,10 +89,10 @@ class TestOverloadChaosFamily:
 
 
 class TestVerifyOverloadSafety:
-    def _throttled_cluster(self):
+    def _throttled_cluster(self, queue_bound=None):
         cluster = Cluster(ClusterConfig(
-            n=3, seed=0, stubborn=StubbornConfig(window=4, max_backlog=8),
-            flow=FlowConfig(rate=4.0, burst=4)))
+            n=3, seed=0,
+            flow=FlowConfig(rate=4.0, burst=4, queue_bound=queue_bound)))
         cluster.start()
         offered = rejected = 0
         for i in range(10):
@@ -128,11 +128,11 @@ class TestVerifyOverloadSafety:
         with pytest.raises(VerificationError):
             verify_overload_safety(cluster)
 
-    def test_fails_on_backlog_bound_violation(self):
-        cluster, offered, rejected = self._throttled_cluster()
-        assert cluster.stubborn is not None
-        cluster.stubborn.metrics.backlog_high_water = 999
-        with pytest.raises(VerificationError):
+    def test_fails_on_queue_bound_violation(self):
+        cluster, offered, rejected = self._throttled_cluster(queue_bound=16)
+        verify_overload_safety(cluster, offered=offered, rejected=rejected)
+        cluster.abcasts[1].unordered_high_water = 17
+        with pytest.raises(VerificationError, match="queue_bound 16"):
             verify_overload_safety(cluster)
 
 

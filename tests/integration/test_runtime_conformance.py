@@ -180,9 +180,9 @@ def test_redundant_kill_and_restart_do_nothing_on_live(tmp_path):
 def test_live_survives_heavy_loss_via_protocol_repair(tmp_path):
     """20% injected UDP loss, zero protocol-level message loss.
 
-    The live network drops every fifth datagram on the floor, and no
-    stubborn layer stands between it and the protocols: the gossip
-    re-push, the leader's pull, Paxos retries with ``Query`` and
+    The live network drops every fifth datagram on the floor, and
+    nothing stands between it and the protocols: the gossip re-push,
+    the leader's pull, Paxos retries with ``Query`` and
     ``pull_decision`` must turn that fair-lossy link into complete
     delivery by themselves, exactly as on the simulator, so the verifier
     still sees every submission A-delivered everywhere.
@@ -203,7 +203,6 @@ def test_live_survives_heavy_loss_via_protocol_repair(tmp_path):
         send(src, dst, message)
     cluster.network.send = counting
     with cluster:
-        assert cluster.stubborn is None
         cluster.start()
         for i in range(n_messages):
             cluster.runtime.schedule(0.05 + i * 0.05, cluster.submit,
@@ -222,14 +221,13 @@ def test_live_survives_heavy_loss_via_protocol_repair(tmp_path):
 
 
 def test_live_restarted_node_pulls_the_rounds_it_missed(tmp_path):
-    """With no stubborn layer, a restarted node learns every round
-    decided while it was down at a round trip each, not a gossip tick
-    each: its round reaches the leader's within a second."""
+    """A restarted node learns every round decided while it was down at
+    a round trip each, not a gossip tick each: its round reaches the
+    leader's within a second."""
     cluster = LiveCluster(ClusterConfig(
         n=N_NODES, seed=SEED, protocol="basic", gossip_interval=0.1),
         str(tmp_path))
     with cluster:
-        assert cluster.stubborn is None
         cluster.start()
         cluster.run_for(0.3)
         victim = cluster.abcasts[VICTIM]

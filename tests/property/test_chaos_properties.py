@@ -1,9 +1,9 @@
 """Chaos-sweep property: uniform agreed-delivery order, 50 seeds.
 
 Each seed fully determines one scenario — cluster size, protocol, base
-loss, stubborn channels, nemesis subset, fault timeline and workload —
-so this file is a seeded property test where the generator is the chaos
-engine itself.  Two layers of checking:
+loss, nemesis subset, fault timeline and workload — so this file is a
+seeded property test where the generator is the chaos engine itself.
+Two layers of checking:
 
 * the sweep: 50 seeds run through :func:`repro.chaos.engine.run_seed`,
   whose scenario runner hands every cluster to the omniscient verifier
@@ -58,8 +58,7 @@ def _orders_for_seed(seed: int):
     result = run_scenario(Scenario(
         ClusterConfig(n=params["n"], seed=params["cluster_seed"],
                       protocol=params["protocol"],
-                      network=NetworkConfig(loss_rate=params["base_loss"]),
-                      stubborn=params["stubborn"]),
+                      network=NetworkConfig(loss_rate=params["base_loss"])),
         timeline=events + [ChaosEvent(config.horizon, "restore")],
         duration=config.horizon, settle_limit=config.horizon + 300.0))
     collector = result.cluster.collector

@@ -92,23 +92,23 @@ def test_nonfinite_floats_round_trip_on_the_wire():
     # Sender 0 rides a typed frame; 2**32 overflows the header's sender
     # field and forces the same message through the JSON tunnel.
     for sender in (0, 2 ** 32):
-        message = wire.rebuild("stub.ack", {"seq": math.nan})
+        message = wire.rebuild("paxos.query", {"k": math.nan})
         _, got = wire.decode(wire.encode(sender, message))
-        assert isinstance(got.seq, float) and math.isnan(got.seq)
+        assert isinstance(got.k, float) and math.isnan(got.k)
         for value in (math.inf, -math.inf):
-            message = wire.rebuild("stub.ack", {"seq": value})
+            message = wire.rebuild("paxos.query", {"k": value})
             _, got = wire.decode(wire.encode(sender, message))
-            assert got.seq == value
-        message = wire.rebuild("stub.ack", {"seq": -0.0})
+            assert got.k == value
+        message = wire.rebuild("paxos.query", {"k": -0.0})
         _, got = wire.decode(wire.encode(sender, message))
-        assert got.seq == 0.0 and math.copysign(1.0, got.seq) == -1.0
+        assert got.k == 0.0 and math.copysign(1.0, got.k) == -1.0
 
 
 def test_depth_bomb_is_cleanly_rejected():
     """A payload of 100 nested lists must hit the depth bound, not the
     interpreter's recursion limit."""
     payload = b"l\x01" * 100 + b"N"
-    type_id = TYPE_ID_TABLE["stub.ack"]  # fields = ("seq",)
+    type_id = TYPE_ID_TABLE["paxos.query"]  # fields = ("k",)
     frame = HEADER.pack(MAGIC, 3, 0, type_id, len(payload)) + payload
     with pytest.raises(WireCodecError, match="too deep"):
         wire.decode_datagram(frame)

@@ -4,8 +4,8 @@ Two layers: synthetic-source unit tests for each send/handler resolution
 shape (constructor, local, factory, opaque, dynamic tag, f-string
 pattern), and full-tree tests asserting the graph covers every protocol
 the repo implements — all five broadcast/consensus stacks, the
-failure-detector and stubborn-link plumbing, and the membership layer's
-kind-string reconfig dispatch.
+failure-detector plumbing, and the membership layer's kind-string
+reconfig dispatch.
 """
 
 from __future__ import annotations
@@ -176,12 +176,10 @@ class TestFullTreeGraph:
     def test_covers_all_five_protocols_and_plumbing(self, graph):
         tags = set(graph.messages)
         # basic/gossip AB, Paxos, Chandra-Toueg, quorum replication,
-        # multigroup multicast, sequencer baseline, failure detector,
-        # stubborn link.
+        # multigroup multicast, sequencer baseline, failure detector.
         assert {"ab.gossip", "ab.state", "paxos.prepare", "paxos.accept",
                 "ct.estimate", "ct.decide", "qr.query", "qr.store",
-                "mg.announce", "seq.forward", "fd.alive",
-                "stub.data"} <= tags
+                "mg.announce", "seq.forward", "fd.alive"} <= tags
 
     def test_every_static_tag_is_handled(self, graph):
         # The tree lints MSG001/MSG002-clean, and the graph agrees:

@@ -348,7 +348,7 @@ def test_generator_send_is_clean():
 
 def test_raw_send_out_of_scope_package():
     # The transport package itself is the sanctioned caller of the
-    # medium (the stubborn layer, the endpoint); harnesses wire media.
+    # medium (the endpoint); harnesses wire media.
     assert check(RAW_SEND, module="repro.transport.fixture") == []
     assert check(RAW_SEND, module="repro.harness.fixture") == []
 

@@ -100,34 +100,13 @@ class TestRunMetricsAssembly:
 
 
 class TestChaosCounters:
-    """Stubborn-channel and fault-injection fields of RunMetrics."""
+    """Fault-injection fields of RunMetrics."""
 
     def test_plain_run_reports_no_chaos_counters(self):
         metrics = run_basic(seed=98).metrics()
-        assert metrics.stubborn is None
         assert metrics.faults_injected is None
-        assert metrics.total_retransmissions() == 0
-        assert metrics.total_acks() == 0
         assert metrics.total_quarantined() == 0
         assert metrics.total_faults_injected() == 0
-
-    def test_stubborn_run_reports_retransmission_counters(self):
-        cluster = Cluster(ClusterConfig(
-            n=3, seed=99, protocol="basic", stubborn=True,
-            network=NetworkConfig(loss_rate=0.2)))
-        cluster.start()
-        ScheduledWorkload([(0.5 + 0.2 * j, j % 3, ("m", j))
-                           for j in range(6)]).install(cluster)
-        cluster.run(until=15.0)
-        cluster.settle(within=105.0)
-        metrics = cluster.metrics()
-        assert metrics.stubborn is not None
-        assert metrics.total_retransmissions() > 0
-        assert metrics.total_acks() > 0
-        assert metrics.total_retransmissions() == \
-            cluster.stubborn.metrics.retransmissions
-        assert metrics.total_acks() == \
-            cluster.stubborn.metrics.acks_received
 
     def test_quarantine_counter_sums_storage_metrics(self):
         cluster = run_basic(seed=100)

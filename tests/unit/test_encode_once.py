@@ -27,7 +27,6 @@ from repro.storage import codec
 from repro.storage import file as file_mod
 from repro.storage.file import FileStorage
 from repro.storage.memory import MemoryStorage
-from repro.transport.stubborn import StubbornData
 
 
 def msg(seq, payload="p"):
@@ -48,6 +47,25 @@ class TestWarmEqualsCold:
                 assert wire.encode_frame(3, message) == cold, tag
                 assert wire.encode_frame(3, wire.rebuild(tag, twin)) == \
                     cold, tag
+
+    def test_multisend_legs_share_one_body(self, monkeypatch):
+        """A message's ``(type-id, body)`` is computed on its first encode
+        and kept: the next leg of a multisend packs no field again."""
+        packed = []
+        pack = codec.pack
+
+        def counting_pack(value, out, depth=0):
+            packed.append(value)
+            pack(value, out, depth)
+
+        monkeypatch.setattr(codec, "pack", counting_pack)
+        message = GossipMessage(2, frozenset({msg(1)}))
+        first = wire.encode_frame(0, message)
+        body, calls = message._wire, len(packed)
+        second = wire.encode_frame(1, message)
+        assert calls > 0 and len(packed) == calls
+        assert message._wire is body
+        assert body[1] in first and body[1] in second
 
     def test_every_codec_registered_class(self):
         for make in (lambda: msg(7, ("put", "k", 1.5)),
@@ -87,31 +105,6 @@ class TestReceivedFrames:
             assert message._encoded == \
                 codec.encode(AppMessage(message.id, message.payload))
             assert message._encoded in data
-
-
-class TestEnvelopes:
-    def test_envelopes_and_retransmissions_share_one_encoding(self):
-        inner = GossipMessage(2, frozenset({msg(1)}))
-        first = wire.encode_frame(0, StubbornData(0, inner))
-        body = inner._wire
-        assert body is not None and body[1] in first
-        second = wire.encode_frame(0, StubbornData(1, inner))
-        nested = wire.encode_frame(0, StubbornData(2, StubbornData(5, inner)))
-        assert inner._wire is body          # computed once
-        assert body[1] in second and body[1] in nested
-        envelope = StubbornData(3, inner)
-        assert wire.encode_frame(0, envelope) == \
-            wire.encode_frame(0, envelope)  # a retransmission
-
-    def test_envelope_carries_the_message_itself(self):
-        inner = GossipMessage(2, frozenset({msg(1)}), known=None)
-        _, got = wire.decode(wire.encode_frame(0, StubbornData(4, inner)))
-        first = got.inner
-        assert got.seq == 4 and isinstance(first, GossipMessage)
-        assert first.known is None and first.payloads == inner.payloads
-        _, got = wire.decode(wire.encode_frame(
-            0, StubbornData(5, StubbornData(6, inner))))
-        assert isinstance(got.inner.inner, GossipMessage)
 
 
 class TestKnownKeys:

@@ -136,14 +136,3 @@ class TestWireMessageSizeCache:
         walks = _Counted.walks
         assert estimate_size(envelope) == size
         assert _Counted.walks == walks
-
-    def test_stubborn_envelope_is_sized_once(self):
-        from repro.core.messages import GossipMessage
-        from repro.transport.stubborn import StubbornData
-        inner = GossipMessage(0, frozenset(_Counted() for _ in range(50)))
-        envelope = StubbornData(7, inner)
-        size = estimate_size(envelope)
-        assert size == _uncached(envelope)
-        walks = _Counted.walks
-        assert estimate_size(envelope) == size   # a retransmission
-        assert _Counted.walks == walks

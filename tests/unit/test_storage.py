@@ -183,6 +183,9 @@ class TestCodec:
             codec.decode(b"R\x09NoSuchTag" + codec.encode(1))
         with pytest.raises(StorageError, match="unknown value tag"):
             codec.decode(b"?")
+        # "M" once tagged a nested message frame; it is unassigned now.
+        with pytest.raises(codec.CodecError, match="unknown value tag"):
+            codec.decode(b"M\x01\x00")
 
     def test_deterministic_encoding(self):
         value = {"b": 1, "a": 2}

@@ -115,8 +115,9 @@ class TestTypeIdTable:
             register_type_id("test.wirev2.new", 0)  # reserved
         with pytest.raises(WireCodecError):
             register_type_id("test.wirev2.new", 0x10000)
-        with pytest.raises(WireCodecError):
-            register_type_id("test.wirev2.new", 6)  # retired: stub.batch
+        for retired in (4, 5, 6):  # the retransmission envelopes
+            with pytest.raises(WireCodecError):
+                register_type_id("test.wirev2.new", retired)
 
     def test_reregistering_same_pair_is_noop(self):
         register_type_id("ab.gossip", TYPE_ID_TABLE["ab.gossip"])
