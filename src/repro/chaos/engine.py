@@ -244,6 +244,8 @@ def _collect_counters(cluster: Any,
             controller.rejected for controller in flows.values())
     counters["delivered"] = len(cluster.collector.first_delivery)
     counters["refutations"] = cluster.refutations()
+    counters["resends"] = cluster.resends()
+    counters["ballots_retired"] = cluster.ballots_retired()
     return counters
 
 

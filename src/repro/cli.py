@@ -226,6 +226,8 @@ def _run_live(args) -> int:
              f"{live.cluster.nodes[victim].recovery_count})"],
             ["UDP datagrams sent", net["sent"]],
             ["suspicions refuted", live.metrics.refutations],
+            ["paxos re-sends / ballots retired",
+             f"{live.metrics.resends} / {live.metrics.ballots_retired}"],
             ["injected loss / duplicates",
              f"{net['lost']} / {net['duplicated']}"],
             ["wall-clock time (s)", round(live.metrics.duration, 2)],
@@ -275,6 +277,8 @@ def _run(args) -> int:
             ["log ops by layer", str(metrics.log_ops_by_prefix())],
             ["network msgs", metrics.network["sent"]],
             ["suspicions refuted", metrics.refutations],
+            ["paxos re-sends / ballots retired",
+             f"{metrics.resends} / {metrics.ballots_retired}"],
             ["crashes survived",
              sum(stats["crashes"]
                  for stats in metrics.node_stats.values())],

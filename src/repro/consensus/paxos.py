@@ -18,9 +18,13 @@ under crash-recovery is the best understood:
   epoch is durable and bumped once per incarnation, before the
   incarnation's first ``Prepare``, so a recovered proposer never reuses
   a ballot; the sequence is volatile.  One ballot serves the first
-  attempt of every instance until an attempt times out or a ``Nack``
-  reports a higher promise — then the proposer jumps above it in one
-  step.
+  attempt of every instance until an attempt retires it — a whole
+  ``attempt_timeout`` without a quorum, or a ``Nack`` reporting a higher
+  promise — and then the proposer jumps above it in one step.  A lost
+  ``Prepare``/``Accept`` or its reply does not cost the ballot: every
+  quarter of ``attempt_timeout`` the leader re-sends the phase's
+  message, at the same ballot, to the members that have not answered,
+  and an acceptor answers a repeated ``Accept`` without logging again.
 * **Leadership comes from Ω** (:class:`~repro.fdetect.omega.OmegaOracle`).
   Once the underlying failure detector stabilises, a single good leader
   runs phase 1 / phase 2 to completion and multisends ``DECIDE`` — once,
@@ -51,7 +55,7 @@ of the consensus substrate papers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Collection, Dict, Optional, Set, Tuple
 
 from repro.consensus.base import ConsensusService
 from repro.errors import ConsensusError
@@ -244,7 +248,8 @@ class PaxosConsensus(ConsensusService):
         Ω leader oracle (drives who runs attempts).
     attempt_timeout:
         How long a leader waits for a quorum before retrying with a higher
-        ballot.
+        ballot; every quarter of it, the phase's message is re-sent to
+        the members that have not answered.
     """
 
     name = "paxos"
@@ -266,6 +271,11 @@ class PaxosConsensus(ConsensusService):
         self.endpoint = endpoint
         self.omega = omega
         self.attempt_timeout = attempt_timeout
+        # Run statistics over the component's life (a crash keeps them):
+        # phase messages re-sent inside a ballot, and attempts that
+        # spent their ballot on a timeout or a Nack.
+        self.resends = 0
+        self.ballots_retired = 0
         self._forget_volatile_state()
 
     def _forget_volatile_state(self) -> None:
@@ -442,6 +452,13 @@ class PaxosConsensus(ConsensusService):
             return
         if msg.k < self.instance_floor and self._view_changed():
             return  # records gone: no participation (see _on_prepare)
+        record = self._accepted.get(msg.k)
+        if record is not None and record[0] == msg.ballot:
+            # A re-sent or duplicated Accept: one (k, ballot) carries one
+            # value, so the record is already right — answer again and
+            # log nothing.
+            self.endpoint.send(sender, Accepted(msg.k, msg.ballot))
+            return
         if not self._admit_ballot(msg.k, msg.ballot, sender):
             return
         self._accepted[msg.k] = (msg.ballot, msg.value)
@@ -559,6 +576,7 @@ class PaxosConsensus(ConsensusService):
         in one step, past it and past whatever promise a ``Nack``
         reported.  (Another instance's failure may already have.)"""
         assert self._ballot is not None
+        self.ballots_retired += 1
         spent = max(attempt.ballot, attempt.nacked)
         if self._ballot <= spent:
             self._ballot = self._ballot_above(spent)
@@ -604,21 +622,23 @@ class PaxosConsensus(ConsensusService):
         self._drivers.discard(k)
 
     def _run_attempt(self, k: int):
-        """One phase-1 + phase-2 attempt at the current ballot."""
-        assert self.node is not None
-        sim = self.node.sim
+        """One phase-1 + phase-2 attempt at the current ballot.
+
+        Each phase waits for a quorum of the instance's members.  The
+        channels are fair-lossy, so every quarter of ``attempt_timeout``
+        without one, the phase's message goes again, at the same ballot,
+        to each member that has not answered.  The ballot is retired
+        only when a whole ``attempt_timeout`` passes or a ``Nack``
+        reports a higher promise.
+        """
         attempt = _Attempt(self._current_ballot())
         self._attempts[k] = attempt
-        quorum = self._quorum(k)
-
-        self.endpoint.multisend(Prepare(k, attempt.ballot))
-        deadline = sim.now + self.attempt_timeout
-        while (len(attempt.promises) < quorum and attempt.nacked < 0
-               and sim.now < deadline and self.decided_value(k) is None):
-            yield min(0.05, self.attempt_timeout / 4)
+        prepare = Prepare(k, attempt.ballot)
+        self.endpoint.multisend(prepare)
+        yield from self._await_quorum(k, attempt, attempt.promises, prepare)
         if self.decided_value(k) is not None:
             return
-        if len(attempt.promises) >= quorum:
+        if len(attempt.promises) >= self._quorum(k):
             # Choose the value: highest accepted ballot wins, else my
             # proposal.
             best_ballot, best_value = -1, None
@@ -630,13 +650,33 @@ class PaxosConsensus(ConsensusService):
             else:
                 attempt.value = self.proposal_of(k)
         if attempt.value is not None:
-            self.endpoint.multisend(Accept(k, attempt.ballot, attempt.value))
-            deadline = sim.now + self.attempt_timeout
-            while (len(attempt.accepts) < quorum and attempt.nacked < 0
-                   and sim.now < deadline
-                   and self.decided_value(k) is None):
-                yield min(0.05, self.attempt_timeout / 4)
+            # One object for the phase: a re-send reuses its encoding.
+            accept = Accept(k, attempt.ballot, attempt.value)
+            self.endpoint.multisend(accept)
+            yield from self._await_quorum(k, attempt, attempt.accepts,
+                                          accept)
         # Decision (if reached) was recorded by _on_accepted; otherwise
         # the driver loop retries, at a ballot this instance has not used.
         if self.decided_value(k) is None:
             self._retire(attempt)
+
+    def _await_quorum(self, k: int, attempt: _Attempt,
+                      answered: Collection[int], message: WireMessage):
+        """Wait for a quorum of ``answered``, a ``Nack``, a decision or
+        ``attempt_timeout``; every quarter of the timeout, re-send the
+        phase's ``message`` to the members that have not answered."""
+        assert self.node is not None
+        sim = self.node.sim
+        quorum = self._quorum(k)
+        resend_period = self.attempt_timeout / 4
+        deadline = sim.now + self.attempt_timeout
+        resend_at = sim.now + resend_period
+        while (len(answered) < quorum and attempt.nacked < 0
+               and sim.now < deadline and self.decided_value(k) is None):
+            if sim.now >= resend_at:
+                for member in self._members(k):
+                    if member not in answered:
+                        self.endpoint.send(member, message)
+                        self.resends += 1
+                resend_at = sim.now + resend_period
+            yield min(0.05, resend_period)

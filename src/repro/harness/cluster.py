@@ -424,12 +424,24 @@ class ClusterCore:
         """The application instance currently hosted at a node."""
         return self.rsms[node_id].app
 
-    def refutations(self) -> int:
-        """Failure-detector suspicions refuted so far, over all nodes."""
-        return sum(component.refutations
+    def _total(self, kind: type, counter: str) -> int:
+        """One run statistic of every ``kind`` component, over all nodes."""
+        return sum(getattr(component, counter)
                    for node in self.nodes.values()
                    for component in node.components
-                   if isinstance(component, HeartbeatDetector))
+                   if isinstance(component, kind))
+
+    def refutations(self) -> int:
+        """Failure-detector suspicions refuted so far, over all nodes."""
+        return self._total(HeartbeatDetector, "refutations")
+
+    def resends(self) -> int:
+        """Paxos phase messages re-sent inside a ballot, over all nodes."""
+        return self._total(PaxosConsensus, "resends")
+
+    def ballots_retired(self) -> int:
+        """Paxos attempts that spent their ballot (timeout or ``Nack``)."""
+        return self._total(PaxosConsensus, "ballots_retired")
 
     def metrics(self) -> RunMetrics:
         """Aggregate the run's metrics (callable at any point)."""
@@ -470,6 +482,8 @@ class ClusterCore:
             network=self.network.metrics.snapshot(),
             node_stats=node_stats,
             refutations=self.refutations(),
+            resends=self.resends(),
+            ballots_retired=self.ballots_retired(),
             flow=({nid: controller.snapshot()
                    for nid, controller in sorted(self.flows.items())}
                   if self.flows else None),

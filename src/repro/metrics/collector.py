@@ -143,6 +143,8 @@ class RunMetrics:
                  network: Dict[str, int],
                  node_stats: Dict[int, Dict[str, Any]],
                  refutations: int = 0,
+                 resends: int = 0,
+                 ballots_retired: int = 0,
                  faults_injected: Optional[Dict[str, int]] = None,
                  flow: Optional[Dict[int, Dict[str, Any]]] = None):
         self.duration = duration
@@ -156,6 +158,10 @@ class RunMetrics:
         # Failure-detector suspicions refuted by a later arrival (wrong,
         # or a restart), summed over nodes.
         self.refutations = refutations
+        # Paxos phase messages re-sent inside a ballot, and attempts that
+        # spent their ballot on a timeout or a Nack, summed over nodes.
+        self.resends = resends
+        self.ballots_retired = ballots_retired
         # Fault-injection counters from the chaos engine (None outside
         # chaos runs).
         self.faults_injected = faults_injected

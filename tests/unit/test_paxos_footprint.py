@@ -34,8 +34,9 @@ class PaxosCluster(MiniCluster):
     it is recorded, and swallowed when ``drop`` says so."""
 
     def __init__(self, n=3, seed=0, storage=lambda i: MemoryStorage(),
-                 members=None):
-        super().__init__(n=n, seed=seed, storage_factory=storage)
+                 members=None, network_config=None):
+        super().__init__(n=n, seed=seed, storage_factory=storage,
+                         network_config=network_config)
         if members is not None:
             for endpoint in self.endpoints.values():
                 endpoint.view_source = _StaticView(members)
@@ -197,11 +198,13 @@ class TestBallots:
             cluster.advance(2.0)
         first = {m.ballot for _, _, m in cluster.of_type("paxos.prepare")}
         assert first == {make_ballot(0, 1, 0)}
-        # Instance 3 meets silence: the attempt times out, the ballot is
-        # spent, and the next one serves instance 4 as well.
+        # Instance 3 meets silence past attempt_timeout, re-sent Prepares
+        # and all: the attempt times out, the ballot is spent, and the
+        # next one serves instance 4 as well.
         cluster.drop = lambda src, dst, m: m.type == "paxos.promise"
         cluster.consensuses[0].propose(3, frozenset({"late"}))
-        cluster.advance(0.9)                # the timeout strikes at 1.0
+        cluster.advance(1.1)                # the timeout strikes at 1.0
+        assert cluster.consensuses[0].ballots_retired == 1
         cluster.drop = lambda src, dst, m: False
         cluster.advance(2.0)
         cluster.propose_all(4)
@@ -272,6 +275,82 @@ class TestDuellingProposers:
 
 
 # -- reordering and loss ------------------------------------------------------
+
+
+def drop_first(tag, src, dst):
+    """A drop rule losing the first ``tag`` message from ``src`` to ``dst``."""
+    dropped = []
+
+    def drop(s, d, message):
+        if message.type == tag and (s, d) == (src, dst) and not dropped:
+            dropped.append(message)
+            return True
+        return False
+    return drop
+
+
+class TestRepairInsideTheBallot:
+    """A lost phase message is re-sent at the same ballot to the members
+    that have not answered; the ballot is not spent on it."""
+
+    def test_a_lost_promise_is_repaired_by_a_resent_prepare(self):
+        # Two nodes: the quorum needs both promises.
+        cluster = PaxosCluster(n=2).start()
+        cluster.drop = drop_first("paxos.promise", 1, 0)
+        cluster.propose_all(0)
+        timeout = cluster.consensuses[0].attempt_timeout
+        cluster.advance(timeout * 0.9)
+        assert cluster.decisions(0)[0] is not None
+        prepares = cluster.of_type("paxos.prepare", src=0)
+        assert {m.ballot for _, _, m in prepares} == {make_ballot(0, 1, 0)}
+        assert [d for _, d, _ in prepares] == [0, 1, 1]  # the re-send: to 1
+        leader = cluster.consensuses[0]
+        assert (leader.resends, leader.ballots_retired) == (1, 0)
+
+    def test_a_lost_accepted_is_repaired_without_a_second_write(self):
+        cluster = PaxosCluster(n=2).start()
+        cluster.drop = drop_first("paxos.accepted", 1, 0)
+        cluster.propose_all(0)
+        timeout = cluster.consensuses[0].attempt_timeout
+        cluster.advance(timeout * 0.9)
+        assert cluster.decisions(0)[0] is not None
+        accepts = [m for _, d, m in cluster.of_type("paxos.accept", src=0)
+                   if d == 1]
+        assert len(accepts) == 2 and accepts[0] is accepts[1]  # one body
+        assert len(cluster.of_type("paxos.accepted", src=1)) == 2
+        # Node 1 raised its promise once and logged the record once.
+        assert log_ops(cluster, 1, "paxos") == 2
+        leader = cluster.consensuses[0]
+        assert (leader.resends, leader.ballots_retired) == (1, 0)
+
+    def test_duplicated_accepts_are_logged_once(self):
+        cluster = PaxosCluster(
+            network_config=NetworkConfig(duplicate_rate=1.0)).start()
+        instances = 3
+        for k in range(instances):
+            cluster.propose_all(k)
+            cluster.advance(2.0)
+        assert len(cluster.of_type("paxos.accept")) == 3 * instances
+        assert cluster.network.metrics.duplicated > 0
+        for k in range(instances):
+            values = cluster.decisions(k)
+            assert values[0] is not None and values.count(values[0]) == 3
+        for i in cluster.nodes:
+            # One record per instance, one promise raise, the epoch.
+            assert log_ops(cluster, i, "paxos") == \
+                instances + 1 + (1 if i == 0 else 0)
+
+    def test_a_lossless_run_resends_and_retires_nothing(self):
+        cluster = Cluster(ClusterConfig(n=5, seed=3, protocol="basic"))
+        cluster.start()
+        for j in range(40):
+            cluster.sim.schedule(0.5 + 0.1 * j, cluster.submit, j % 5,
+                                 f"m{j}")
+        cluster.run(until=15.0)
+        metrics = cluster.metrics()
+        assert metrics.messages_delivered == 40
+        assert (metrics.resends, metrics.ballots_retired) == (0, 0)
+
 
 
 class TestDecideWithoutItsAccept:
