@@ -41,13 +41,20 @@ class Application:
     def snapshot(self) -> Any:
         """A self-contained, codec-friendly copy of the current state.
 
-        Must not alias mutable internals: the snapshot may be logged,
-        shipped in a ``state`` message and restored elsewhere.
+        Must not alias mutable internals, and the returned value is
+        never mutated again: it is logged by reference inside the
+        checkpoint base, shipped by reference in ``state`` messages and
+        restored elsewhere.
         """
         raise NotImplementedError
 
     def restore(self, state: Any) -> None:
-        """Replace the state with ``state`` (``None`` = initial state)."""
+        """Replace the state with a copy of ``state`` (``None`` = initial
+        state).
+
+        ``state`` is a logged value shared with stable storage and with
+        other replicas, so it is copied, never adopted and mutated.
+        """
         raise NotImplementedError
 
 

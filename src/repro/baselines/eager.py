@@ -72,11 +72,11 @@ class EagerLoggingAtomicBroadcast(BasicAtomicBroadcast):
         assert self.node is not None
         # Critical-on-every-update: the whole set, every time.
         self.node.storage.log(self.UNORDERED_KEY,
-                              list(self.unordered.values()))
+                              tuple(self.unordered.values()))
 
     def _after_round(self) -> None:
         assert self.node is not None
         self.node.storage.log(self.AGREED_KEY,
-                              [self.k, self.agreed.to_plain()])
+                              (self.k, self.agreed.to_plain()))
         self.node.storage.log(self.UNORDERED_KEY,
-                              list(self.unordered.values()))
+                              tuple(self.unordered.values()))

@@ -62,7 +62,7 @@ from repro.errors import ConsensusError
 from repro.fdetect.omega import OmegaOracle
 from repro.runtime import AnyOf
 from repro.sizing import estimate_size
-from repro.storage import codec, snapshot
+from repro.storage import codec
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage
 
@@ -122,7 +122,6 @@ class DecisionRef:
 
 codec.register(DecisionRef, "paxos.decision-ref",
                lambda ref: ref.ballot, DecisionRef)
-snapshot.register_immutable(DecisionRef)
 
 
 class Prepare(WireMessage):

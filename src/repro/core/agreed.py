@@ -22,7 +22,8 @@ The queue holds the node's delivery sequence.  Structurally it is::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import (Any, Callable, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
@@ -119,9 +120,9 @@ class AgreedQueue:
         """
         return list(self.suffix)
 
-    def tail(self, count: int) -> List[AppMessage]:
+    def tail(self, count: int) -> Tuple[AppMessage, ...]:
         """The last ``count`` delivered messages (all of them explicit)."""
-        return self.suffix[-count:] if count else []
+        return tuple(self.suffix[-count:]) if count else ()
 
     # -- Section 5.2: application-level checkpointing -------------------------------------
 
@@ -140,17 +141,18 @@ class AgreedQueue:
 
     # -- portability (state transfer / durable checkpoints) ----------------------------------
 
-    def to_plain(self) -> list:
-        """Codec-friendly snapshot of the whole queue."""
-        return [
+    def to_plain(self) -> tuple:
+        """Codec-friendly immutable snapshot of the whole queue (tuples
+        all the way down, with the application state by reference)."""
+        return (
             self.checkpoint_state,
             None if self.checkpoint_tracker is None
             else self.checkpoint_tracker.to_plain(),
-            list(self.suffix),
-        ]
+            tuple(self.suffix),
+        )
 
     @classmethod
-    def from_plain(cls, plain: list,
+    def from_plain(cls, plain: Sequence[Any],
                    order_rule: OrderRule = deterministic_order
                    ) -> "AgreedQueue":
         """Rebuild a queue from :meth:`to_plain` output."""

@@ -101,8 +101,8 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
 
     name = "atomic-broadcast-alt"
 
-    # The durable queue: the base record ``[k, Agreed]`` under
-    # CHECKPOINT_KEY, extended by segments ``[from_k, to_k, messages]``
+    # The durable queue: the base record ``(k, Agreed)`` under
+    # CHECKPOINT_KEY, extended by segments ``(from_k, to_k, messages)``
     # under SEGMENT_KEY + (from_k,) — each names the round the queue
     # must stand at for it to apply, so the chain is followed by lookup.
     CHECKPOINT_KEY = ("ab", "ckpt")
@@ -283,7 +283,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
                 self.node.storage.append(self.UNORDERED_KEY, message)
             else:
                 self.node.storage.log(
-                    self.UNORDERED_KEY, list(self.unordered.values()))
+                    self.UNORDERED_KEY, tuple(self.unordered.values()))
 
     # -- Section 5.1/5.2: checkpoint task (Figure 4) --------------------------------------------
 
@@ -318,7 +318,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
                     len(self.agreed) - self._durable_count)
                 self._segment_bytes += self._log_sized(
                     self.SEGMENT_KEY + (self.ckpt_k,),
-                    [self.ckpt_k, self.k, appended])
+                    (self.ckpt_k, self.k, appended))
                 self.ckpt_k = self.k
                 self._durable_count = len(self.agreed)
             # (c) Proposed[i] can be discarded from the log — but only
@@ -332,7 +332,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
                 # Rewrite the Unordered log compactly (drops ordered
                 # messages).
                 storage.log(self.UNORDERED_KEY,
-                            list(self.unordered.values()))
+                            tuple(self.unordered.values()))
         self.checkpoints_taken += 1
         self.node.sim.trace("checkpoint", self.node.node_id, "taken",
                             k=self.k, watermark=self._gc_watermark())
@@ -354,7 +354,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
             # (b) Agreed ← (A-checkpoint(Agreed), VC(Agreed))
             self.agreed.compact(self._app_checkpoint())
         self._base_bytes = self._log_sized(
-            self.CHECKPOINT_KEY, [self.k, self.agreed.to_plain()])
+            self.CHECKPOINT_KEY, (self.k, self.agreed.to_plain()))
         self.ckpt_k = self.k
         self._durable_count = len(self.agreed)
         self._segment_bytes = 0

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.storage.snapshot import register_immutable
-
 __all__ = ["MessageId"]
 
 
@@ -36,8 +34,3 @@ class MessageId(NamedTuple):
     def label(self) -> str:
         """Compact human-readable form, e.g. ``"2.1.15"``."""
         return f"{self.sender}.{self.incarnation}.{self.seq}"
-
-
-# Ids are logged constantly (inside messages, batches, checkpoints);
-# declaring them frozen keeps them on the storage snapshot fast path.
-register_immutable(MessageId)

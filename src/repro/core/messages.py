@@ -16,7 +16,7 @@ from typing import Any, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.ids import MessageId
 from repro.sizing import estimate_size
-from repro.storage import codec, snapshot
+from repro.storage import codec
 from repro.transport.message import WireMessage
 
 __all__ = ["AppMessage", "GossipMessage", "StateMessage"]
@@ -81,20 +81,6 @@ def _message_from_plain(plain: list) -> AppMessage:
 
 codec.register(AppMessage, "AppMessage", _message_to_plain,
                _message_from_plain)
-
-
-def _message_snapshot(message: AppMessage, snap: Any) -> tuple:
-    # The header (id, payload slots) is frozen by the class contract and
-    # equality is by id, so a message with an immutable payload is safe
-    # to share with "stable storage"; only a mutable payload (contract
-    # violation, but tolerated) forces a copy.
-    payload, immutable = snap(message.payload)
-    if immutable:
-        return message, True
-    return AppMessage(message.id, payload), False
-
-
-snapshot.register_handler(AppMessage, _message_snapshot)
 
 
 class GossipMessage(WireMessage):

@@ -20,7 +20,7 @@ in this checkpoint".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 from repro.core.ids import MessageId
 
@@ -90,16 +90,18 @@ class DeliveredTracker:
 
     # -- (de)serialisation ------------------------------------------------------
 
-    def to_plain(self) -> List:
-        """A codec-friendly representation (logged inside checkpoints)."""
-        prefixes = [[list(stream), prefix]
-                    for stream, prefix in sorted(self._prefix.items())]
-        exceptions = [[list(stream), sorted(seqs)]
-                      for stream, seqs in sorted(self._exceptions.items())]
-        return [prefixes, exceptions, self._count]
+    def to_plain(self) -> Tuple:
+        """A codec-friendly immutable representation (logged inside
+        checkpoints)."""
+        prefixes = tuple((stream, prefix)
+                         for stream, prefix in sorted(self._prefix.items()))
+        exceptions = tuple((stream, tuple(sorted(seqs)))
+                           for stream, seqs in
+                           sorted(self._exceptions.items()))
+        return (prefixes, exceptions, self._count)
 
     @classmethod
-    def from_plain(cls, plain: List) -> "DeliveredTracker":
+    def from_plain(cls, plain: Sequence) -> "DeliveredTracker":
         """Inverse of :meth:`to_plain`."""
         tracker = cls()
         prefixes, exceptions, count = plain

@@ -181,8 +181,7 @@ class ViewManager(NodeComponent):
         assert self.node is not None
         self.node.storage.log(
             self.VIEW_KEY,
-            [view.epoch, list(view.members),
-             sorted([list(mid) for mid in applied])])
+            (view.epoch, tuple(view.members), tuple(sorted(applied))))
 
     def _install(self, view: View, origin: str) -> None:
         assert self.node is not None

@@ -159,7 +159,7 @@ class QuorumRegister(NodeComponent):
             # Log before acknowledging: a crashed-and-recovered replica
             # must never regress below what it acked.
             self.node.storage.log(self.STATE_KEY,
-                                  [ts[0], ts[1], msg.value])
+                                  (ts[0], ts[1], msg.value))
             self._ts, self._value = ts, msg.value
         self.endpoint.send(sender, StoreReply(msg.op))
 

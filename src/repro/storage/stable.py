@@ -100,7 +100,13 @@ class StableStorage:
     # -- primitive interface (paper: log / retrieve) -------------------------
 
     def log(self, key: Key, value: Any) -> None:
-        """Durably record ``value`` under ``key`` (one log operation)."""
+        """Durably record ``value`` under ``key`` (one log operation).
+
+        A logged value is never mutated afterwards, by the caller or by
+        whoever retrieves it: a backend may keep the object itself
+        (:class:`~repro.storage.memory.MemoryStorage` does), so records
+        are immutable values — tuples, not lists.
+        """
         path = _normalize(key)
         self.metrics.record_write(path, estimate_size(value))
         self._write(path, value)
@@ -118,27 +124,27 @@ class StableStorage:
     # -- incremental logs (Section 5.5) ---------------------------------------
 
     def append(self, key: Key, item: Any) -> None:
-        """Append ``item`` to the list logged under ``key``.
+        """Append ``item`` to the sequence logged under ``key``.
 
         This is the incremental-logging primitive: only the *new* part is
         charged, so appending is cheaper than re-logging the whole value.
+        The stored sequence is a tuple, and ``item``, like any logged
+        value, is never mutated afterwards.  A list stored by an older
+        layout is extended the same way.
         """
         path = _normalize(key)
         self.metrics.record_write(path, estimate_size(item))
-        existing = self._read(path, None)
-        if existing is None:
-            existing = []
-        elif not isinstance(existing, list):
-            raise StorageError(f"append to non-list key {path!r}")
-        self._write(path, existing + [item])
+        existing = self._read(path, ())
+        if not isinstance(existing, (tuple, list)):
+            raise StorageError(f"append to non-sequence key {path!r}")
+        self._write(path, tuple(existing) + (item,))
 
     def retrieve_list(self, key: Key) -> List[Any]:
-        """Read back an appended-to list (empty if absent)."""
-        value = self.retrieve(key, default=None)
-        if value is None:
-            return []
-        if not isinstance(value, list):
-            raise StorageError(f"key {_normalize(key)!r} is not a list")
+        """Read back an appended-to sequence as a fresh list (empty if
+        absent); a stored list or tuple is accepted."""
+        value = self.retrieve(key, default=())
+        if not isinstance(value, (tuple, list)):
+            raise StorageError(f"key {_normalize(key)!r} is not a sequence")
         return list(value)
 
     # -- write barriers ----------------------------------------------------------

@@ -111,10 +111,10 @@ def test_damaged_chain_stops_at_the_gap(segments, damage, data):
         storage.delete(key)
     elif damage == "stale":
         # A record left by an earlier chain: it ends where it starts.
-        storage.log(key, [from_k, from_k, []])
+        storage.log(key, (from_k, from_k, ()))
     else:
         # A record filed under the wrong round.
-        storage.log(key, [from_k + 1, to_k + 1, storage.retrieve(key)[2]])
+        storage.log(key, (from_k + 1, to_k + 1, storage.retrieve(key)[2]))
     cluster.nodes[0].crash()
     cluster.nodes[0].recover()
     stands_at, delivered = (links[victim - 1][1:] if victim

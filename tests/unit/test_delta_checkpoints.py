@@ -107,7 +107,7 @@ class TestDurableLayout:
         # and holds exactly the messages appended since.
         assert storage.retrieve(ab.CHECKPOINT_KEY) == first_base
         stored = storage.retrieve(ab.SEGMENT_KEY + (from_k,))
-        assert stored[:2] == [from_k, ab.k] and ab.ckpt_k == ab.k
+        assert stored[:2] == (from_k, ab.k) and ab.ckpt_k == ab.k
         assert [tuple(m.id) for m in stored[2]] == delivered_ids(ab)[held:]
         assert len(stored[2]) == 8
         # ...and it cost what it holds, not what the queue holds.
@@ -133,7 +133,7 @@ class TestDurableLayout:
         ab.take_checkpoint()
         assert ab.ckpt_k == from_k + 1
         assert cluster.nodes[0].storage.retrieve(
-            ab.SEGMENT_KEY + (from_k,)) == [from_k, from_k + 1, []]
+            ab.SEGMENT_KEY + (from_k,)) == (from_k, from_k + 1, ())
 
     def test_fold_once_segments_are_as_large_as_the_base(self):
         cluster = build()
@@ -287,7 +287,7 @@ class TestRecoveryChain:
             (storage.retrieve(key) for key in segment_keys(cluster, 0)),
             key=lambda segment: segment[0])
         storage.log(ab.SEGMENT_KEY + (second[0],),
-                    [second[0] + 1, second[1] + 1, second[2]])
+                    (second[0] + 1, second[1] + 1, second[2]))
         ab = bounce(cluster)
         assert ab.k == first[1]
 
@@ -361,7 +361,7 @@ class TestAdoptionAndTheChain:
         assert base_round(cluster, 2) == base_k
         stored = cluster.nodes[2].storage.retrieve(
             ab.SEGMENT_KEY + (from_k,))
-        assert stored[:2] == [from_k, ab.k] and len(stored[2]) == missed
+        assert stored[:2] == (from_k, ab.k) and len(stored[2]) == missed
         finish(cluster)
 
 

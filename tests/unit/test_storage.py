@@ -21,8 +21,8 @@ def storage(request, tmp_path):
 
 class TestLogRetrieve:
     def test_round_trip(self, storage):
-        storage.log("a", {"x": 1})
-        assert storage.retrieve("a") == {"x": 1}
+        storage.log("a", ("x", 1))
+        assert storage.retrieve("a") == ("x", 1)
 
     def test_missing_key_default(self, storage):
         assert storage.retrieve("nope") is None
@@ -42,7 +42,10 @@ class TestLogRetrieve:
         storage.log("k", None)
         assert storage.contains("k")
 
+    @pytest.mark.parametrize("storage", ["file"], indirect=True)
     def test_values_are_isolated_from_caller(self, storage):
+        """FileStorage decodes a fresh value on every read (the memory
+        backend's contract is TestMemoryStorageKeepsReferences)."""
         value = {"inner": [1, 2]}
         storage.log("k", value)
         value["inner"].append(3)  # mutate after logging
@@ -103,7 +106,7 @@ class TestMetrics:
         assert storage.metrics.bytes_logged >= 100
 
     def test_append_charges_only_new_item(self, storage):
-        storage.log("full", list(range(100)))
+        storage.log("full", tuple(range(100)))
         full_bytes = storage.metrics.bytes_logged
         storage.append("incr", 1)
         incr_bytes = storage.metrics.bytes_logged - full_bytes
@@ -153,6 +156,16 @@ class TestFileDurability:
         got = FileStorage(str(tmp_path / "store")).retrieve("proposal")
         assert got == batch
         assert {m.payload for m in got} == {("put", "k", 5), None}
+
+    def test_append_onto_a_list_valued_key_keeps_every_item(self, tmp_path):
+        """A key holding a list (the layout before appends stored
+        tuples) is extended, not replaced."""
+        storage = FileStorage(str(tmp_path / "store"))
+        storage.log("log", [1, 2])
+        storage.append("log", 3)
+        reopened = FileStorage(str(tmp_path / "store"))
+        assert reopened.retrieve("log") == (1, 2, 3)
+        assert reopened.retrieve_list("log") == [1, 2, 3]
 
 
 class TestCodec:
@@ -234,52 +247,17 @@ class TestCodecNonFiniteFloats:
 
 
 class TestSnapshotIsolation:
-    """The immutability-aware snapshot path of MemoryStorage."""
+    """What a MemoryStorage read shares with the writer: an immutable
+    logged value comes back as the very object that was logged."""
 
     def test_immutable_values_are_shared_not_copied(self):
         storage = MemoryStorage()
         message = AppMessage(MessageId(1, 0, 7), ("payload", 3))
         storage.log("m", message)
         assert storage.retrieve("m") is message  # no copy needed
-        value = ("a", 1, MessageId(0, 0, 1))
+        value = ("a", 1, MessageId(0, 0, 1), frozenset({message}))
         storage.log("t", value)
         assert storage.retrieve("t") is value
-
-    def test_mutable_containers_still_isolated(self):
-        storage = MemoryStorage()
-        batch = [AppMessage(MessageId(0, 0, i), ("m", i)) for i in range(3)]
-        storage.log("batch", batch)
-        batch.append("intruder")
-        got = storage.retrieve("batch")
-        assert len(got) == 3
-        got.append("other-intruder")
-        assert len(storage.retrieve("batch")) == 3
-        # Immutable *items* of the rebuilt list are shared.
-        assert storage.retrieve("batch")[0] is batch[0]
-
-    def test_mutable_payload_forces_message_copy(self):
-        # Payloads are immutable by contract, but a violation must not
-        # corrupt "durable" state.
-        storage = MemoryStorage()
-        message = AppMessage(MessageId(1, 0, 1), ["mutable"])
-        storage.log("m", message)
-        message.payload.append("oops")
-        assert storage.retrieve("m").payload == ["mutable"]
-
-    def test_unregistered_type_falls_back_to_deepcopy(self):
-        from repro.storage import snapshot
-
-        class Blob:
-            def __init__(self):
-                self.items = [1, 2]
-
-        storage = MemoryStorage()
-        blob = Blob()
-        before = snapshot.fallback_count()
-        storage.log("b", blob)
-        blob.items.append(3)
-        assert storage.retrieve("b").items == [1, 2]
-        assert snapshot.fallback_count() > before
 
     def test_namedtuple_of_immutables_passes_through(self):
         storage = MemoryStorage()
@@ -287,6 +265,33 @@ class TestSnapshotIsolation:
         storage.log("id", mid)
         got = storage.retrieve("id")
         assert got is mid and isinstance(got, MessageId)
+
+
+class TestMemoryStorageKeepsReferences:
+    """MemoryStorage stores references: logged values are immutable
+    records (shared on read: TestSnapshotIsolation), and a mutable
+    top-level container is refused."""
+
+    @pytest.mark.parametrize("value", [[1, 2], {"k": 1}, {1, 2},
+                                       bytearray(b"x")],
+                             ids=["list", "dict", "set", "bytearray"])
+    def test_mutable_top_level_value_raises(self, value):
+        storage = MemoryStorage()
+        storage.log("k", ("old",))
+        with pytest.raises(TypeError, match="immutable"):
+            storage.log("k", value)
+        with pytest.raises(TypeError, match="immutable"):
+            storage.log("fresh", value)
+        assert storage.retrieve("k") == ("old",)
+        assert not storage.contains("fresh")
+
+    def test_append_stores_a_new_tuple(self):
+        storage = MemoryStorage()
+        storage.append("log", 1)
+        first = storage.retrieve("log")
+        storage.append("log", 2)
+        assert first == (1,) and storage.retrieve("log") == (1, 2)
+        assert storage.retrieve_list("log") == [1, 2]
 
 
 class TestFileStorageWriteBarrier:
