@@ -137,7 +137,6 @@ class RuleRegistry:
 def default_registry() -> RuleRegistry:
     """The registry holding every built-in rule family."""
     # Imported here so the registry module stays import-cycle-free.
-    from repro.analysis.aliasing import ALIASING_RULES
     from repro.analysis.atomicity import ATOMICITY_RULES
     from repro.analysis.determinism import DETERMINISM_RULES
     from repro.analysis.idempotence import IDEMPOTENCE_RULES
@@ -150,7 +149,7 @@ def default_registry() -> RuleRegistry:
 
     registry = RuleRegistry()
     for rule in (*DETERMINISM_RULES, *WAL_RULES, *RECOVERY_RULES,
-                 *ATOMICITY_RULES, *ALIASING_RULES, *IDEMPOTENCE_RULES,
+                 *ATOMICITY_RULES, *IDEMPOTENCE_RULES,
                  *SIM_RULES, *MSG_RULES, *RES_RULES, *NOQA_RULES):
         registry.register(rule)
     return registry

@@ -124,9 +124,8 @@ class ClassInfo:
         self.attr_types: Dict[str, str] = {}  # attr -> annotation head name
         # Attrs initialized in __init__ to a *builtin* mutable container
         # (dict/list/set literal, comprehension, or constructor call) —
-        # the shapes the aliasing rule considers escape-dangerous.
-        # Custom classes are deliberately excluded: their sharing
-        # semantics are their own business.
+        # the shapes the growth rules (RES) treat as unbounded state.
+        # Custom classes are deliberately excluded.
         self.mutable_attrs: FrozenSet[str] = frozenset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

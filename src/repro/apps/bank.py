@@ -58,9 +58,8 @@ class Bank(Application):
         raise ValueError(f"unknown bank command {op!r}")
 
     def snapshot(self) -> Any:
-        return {"balances": dict(self.balances),
-                "applied": self.applied,
-                "rejected": self.rejected}
+        """``(((account, balance), ...), applied, rejected)``."""
+        return tuple(self.balances.items()), self.applied, self.rejected
 
     def restore(self, state: Any) -> None:
         if state is None:
@@ -68,9 +67,10 @@ class Bank(Application):
             self.applied = 0
             self.rejected = 0
         else:
-            self.balances = dict(state["balances"])
-            self.applied = int(state["applied"])
-            self.rejected = int(state["rejected"])
+            balances, applied, rejected = state
+            self.balances = dict(balances)
+            self.applied = int(applied)
+            self.rejected = int(rejected)
 
     def total(self) -> int:
         """Total money in the bank (conserved by transfers)."""

@@ -39,12 +39,13 @@ class Application:
         raise NotImplementedError
 
     def snapshot(self) -> Any:
-        """A self-contained, codec-friendly copy of the current state.
+        """A self-contained, immutable value of the current state.
 
-        Must not alias mutable internals, and the returned value is
-        never mutated again: it is logged by reference inside the
+        Built of tuples, frozensets and scalars only (a map becomes the
+        tuple of its items): it is logged by reference inside the
         checkpoint base, shipped by reference in ``state`` messages and
-        restored elsewhere.
+        restored elsewhere, and sizing it on the way refuses a list,
+        set or dict at any depth (:func:`repro.sizing.estimate_size`).
         """
         raise NotImplementedError
 

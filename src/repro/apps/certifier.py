@@ -77,25 +77,24 @@ class CertifyingDatabase(Application):
         return committed
 
     def snapshot(self) -> Any:
-        return {
-            "values": dict(self.values),
-            "versions": dict(self.versions),
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "verdicts": dict(self.verdicts),
-            "commit_seq": self.commit_seq,
-        }
+        """``(values, versions, committed, aborted, verdicts,
+        commit_seq)``, each map as a tuple of its items."""
+        return (tuple(self.values.items()), tuple(self.versions.items()),
+                self.committed, self.aborted,
+                tuple(self.verdicts.items()), self.commit_seq)
 
     def restore(self, state: Any) -> None:
         if state is None:
             self.__init__()
             return
-        self.values = dict(state["values"])
-        self.versions = dict(state["versions"])
-        self.committed = int(state["committed"])
-        self.aborted = int(state["aborted"])
-        self.verdicts = dict(state["verdicts"])
-        self.commit_seq = int(state["commit_seq"])
+        (values, versions, committed, aborted, verdicts,
+         commit_seq) = state
+        self.values = dict(values)
+        self.versions = dict(versions)
+        self.committed = int(committed)
+        self.aborted = int(aborted)
+        self.verdicts = dict(verdicts)
+        self.commit_seq = int(commit_seq)
 
     @property
     def abort_rate(self) -> float:

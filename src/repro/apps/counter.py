@@ -34,16 +34,18 @@ class SequenceRecorder(Application):
         return len(self.entries)
 
     def snapshot(self) -> Any:
-        return {"entries": list(self.entries), "digest": self.digest}
+        """``(entries, digest)``."""
+        return tuple(self.entries), self.digest
 
     def restore(self, state: Any) -> None:
         if state is None:
             self.entries = []
             self.digest = 0
         else:
+            entries, digest = state
             self.entries = [(tuple(identity), payload)
-                            for identity, payload in state["entries"]]
-            self.digest = int(state["digest"])
+                            for identity, payload in entries]
+            self.digest = int(digest)
 
     def payloads(self) -> List[Any]:
         """Delivered payloads, in delivery order."""

@@ -51,15 +51,17 @@ class KeyValueStore(Application):
         raise ValueError(f"unknown KV command {op!r}")
 
     def snapshot(self) -> Any:
-        return {"data": dict(self.data), "version": self.version}
+        """``(((key, value), ...), version)``, in insertion order."""
+        return tuple(self.data.items()), self.version
 
     def restore(self, state: Any) -> None:
         if state is None:
             self.data = {}
             self.version = 0
         else:
-            self.data = dict(state["data"])
-            self.version = int(state["version"])
+            items, version = state
+            self.data = dict(items)
+            self.version = int(version)
 
     # -- reads (local, not ordered) ----------------------------------------------
 

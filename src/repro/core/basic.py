@@ -43,6 +43,7 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
 from repro.errors import BroadcastError, OverloadError
 from repro.runtime import AnyOf, NodeComponent, Signal
+from repro.sizing import estimate_size
 from repro.transport.endpoint import Endpoint
 
 __all__ = ["BasicAtomicBroadcast", "DeliveryListener"]
@@ -247,6 +248,10 @@ class BasicAtomicBroadcast(NodeComponent):
         assert self.node is not None
         if not self.node.up:
             raise BroadcastError("A-broadcast on a down process")
+        # Sized before the sequence bump and the admission gate: a
+        # mutable payload raises TypeError here, consuming no id, rather
+        # than inside the gossip or propose that first sends it.
+        estimate_size(payload)
         if self.flow is not None:
             # Gate before the sequence bump: a rejected submission must
             # leave no trace (no id consumed, no buffer entry).

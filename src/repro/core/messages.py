@@ -28,7 +28,9 @@ class AppMessage:
     Equality and hashing are by id only: two copies of the same broadcast
     are *the same message*, which is what makes duplicate elimination in
     the Unordered set and the Agreed queue idempotent (Section 4.1).
-    Payloads must be immutable (strings, numbers, tuples).
+    Payloads are immutable (strings, numbers, tuples, frozensets):
+    ``submit`` sizes each payload, which refuses a list, set or dict at
+    any depth (:func:`repro.sizing.estimate_size`).
     """
 
     __slots__ = ("id", "payload", "_size", "_encoded")
@@ -58,7 +60,7 @@ class AppMessage:
         return tuple(self.id)  # type: ignore[return-value]
 
     def estimated_size(self) -> int:
-        # Immutable payloads (the class contract) make the size a
+        # Immutable payloads (checked at submit) make the size a
         # constant; messages are re-measured on every log of a batch or
         # an Unordered set, so computing it once matters.
         size = self._size

@@ -146,12 +146,13 @@ class ViewManager(NodeComponent):
 
     # -- state transfer ------------------------------------------------------
 
-    def to_plain(self) -> List[Any]:
-        """Portable ``(epoch, members, applied)`` for a state message."""
-        return [self.view.epoch, list(self.view.members),
-                sorted([list(mid) for mid in self._applied])]
+    def to_plain(self) -> Tuple[Any, ...]:
+        """Portable ``(epoch, members, applied)`` for a state message,
+        tuples all the way down."""
+        return (self.view.epoch, self.view.members,
+                tuple(sorted(self._applied)))
 
-    def adopt_plain(self, plain: Optional[List[Any]]) -> None:
+    def adopt_plain(self, plain: Optional[Tuple[Any, ...]]) -> None:
         """Adopt a transferred view if it is no older than the local one."""
         if plain is None:
             return

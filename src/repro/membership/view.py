@@ -21,7 +21,7 @@ unchanged, exactly like application payloads.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -120,8 +120,8 @@ class View:
 
     # -- portable representation (storage records, wire messages) -----------
 
-    def to_plain(self) -> List[object]:
-        return [self.epoch, list(self.members)]
+    def to_plain(self) -> Tuple[object, ...]:
+        return self.epoch, self.members
 
     @classmethod
     def from_plain(cls, plain: Iterable[object]) -> "View":

@@ -67,15 +67,16 @@ Mid = Tuple[int, int, int]
 class TimestampAnnounce(WireMessage):
     """Periodic cross-group exchange: proposals + relayed bodies.
 
-    ``entries`` is a list of
-    ``[mid, dest_groups, payload, {group: proposed_ts}]`` for messages
-    the sender still considers pending.
+    ``entries`` is a tuple of
+    ``(mid, dest_groups, payload, ((group, proposed_ts), ...))`` for
+    messages the sender still considers pending, the proposals sorted
+    by group.
     """
 
     type = "mg.announce"
     fields = ("entries",)
 
-    def __init__(self, entries: list):
+    def __init__(self, entries: Tuple[tuple, ...]):
         self.entries = entries
 
 
@@ -361,13 +362,13 @@ class MultiGroupMulticast(NodeComponent):
                     targets.update(self.memberships.get(group, ()))
             for group in entry.groups:
                 targets.update(self.memberships.get(group, ()))
-            record = [list(entry.mid), list(entry.groups), entry.payload,
-                      dict(entry.proposed)]
+            record = (entry.mid, entry.groups, entry.payload,
+                      tuple(sorted(entry.proposed.items())))
             for target in targets:
                 if target != self.endpoint.node_id:
                     outbox.setdefault(target, []).append(record)
         for target, entries in outbox.items():
-            self.endpoint.send(target, TimestampAnnounce(entries))
+            self.endpoint.send(target, TimestampAnnounce(tuple(entries)))
 
     def _on_announce(self, msg: TimestampAnnounce, sender: int) -> None:
         answers = []
@@ -375,7 +376,7 @@ class MultiGroupMulticast(NodeComponent):
             mid = tuple(record[0])
             groups = tuple(record[1])
             payload = record[2]
-            proposals = record[3]
+            proposals = dict(record[3])
             entry = self._entry(mid, groups, payload)
             if entry.final is not None:
                 # We stopped announcing this entry when we learned its
@@ -386,8 +387,8 @@ class MultiGroupMulticast(NodeComponent):
                 # Decide; an answer adds nothing to an answer, so the
                 # exchange ends.
                 if any(group not in proposals for group in entry.proposed):
-                    answers.append([record[0], record[1], payload,
-                                    {**proposals, **entry.proposed}])
+                    answers.append((record[0], record[1], payload, tuple(
+                        sorted({**proposals, **entry.proposed}.items()))))
                 continue
             for group, ts in proposals.items():
                 # CRITICAL for determinism: a proposal for one of *my*
@@ -408,4 +409,4 @@ class MultiGroupMulticast(NodeComponent):
                         (_PROPOSE, mid, groups, payload))
             self._maybe_submit_final(entry)
         if answers:
-            self.endpoint.send(sender, TimestampAnnounce(answers))
+            self.endpoint.send(sender, TimestampAnnounce(tuple(answers)))

@@ -53,7 +53,7 @@ from repro.runtime.live import LiveRuntime
 from repro.runtime.node import Node
 from repro.sizing import estimate_size
 from repro.transport.message import WireMessage
-from repro.transport.network import NetworkMetrics
+from repro.transport.network import NetworkMetrics, check_own_storage
 
 __all__ = ["LiveNetwork", "OversizeDatagramError"]
 
@@ -155,9 +155,12 @@ class LiveNetwork:
     # -- topology -----------------------------------------------------------
 
     def register(self, node: Node) -> None:
-        """Attach a node to the medium (its socket opens in :meth:`open`)."""
+        """Attach a node to the medium (its socket opens in :meth:`open`);
+        like the simulated network, refuse a storage object another node
+        already holds."""
         if node.node_id in self.nodes:
             raise SimulationError(f"node {node.node_id} already registered")
+        check_own_storage(self.nodes, node)
         self.nodes[node.node_id] = node
 
     def node_ids(self) -> Tuple[int, ...]:

@@ -16,8 +16,8 @@ node both sends and logs is encoded once (an
 
 A message's ``(type-id, body)`` is computed on its first encode and
 kept on the object (``_wire``), so the legs of a multisend share one
-encoding — messages are immutable by convention, as their size cache
-already assumes.
+encoding — messages are immutable (a mutable field fails when the
+message is first sized), as their size cache already assumes.
 
 **The JSON tunnel** (type-id 0) is the single path for a message the
 header cannot describe — a class *without* a registered type-id, or a

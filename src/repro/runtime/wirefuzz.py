@@ -161,24 +161,22 @@ def _app_message(rng: random.Random) -> AppMessage:
 
 
 def random_value(rng: random.Random, depth: int = 0) -> Any:
-    """A random value from the codec's supported universe: scalars,
-    containers and ``AppMessage`` values."""
+    """A random value protocols can send and log: scalars, tuples,
+    frozensets, ``AppMessage`` values and maps as tuples of items.  The
+    size model refuses lists, sets and dicts, so they are not drawn;
+    the codec's own round-trip tests cover their tags."""
     if depth >= 3 or rng.random() < 0.55:
         return _scalar(rng)
-    kind = rng.randrange(7)
+    kind = rng.randrange(4)
     count = rng.randrange(0, 4)
     if kind == 0:
-        return [random_value(rng, depth + 1) for _ in range(count)]
-    if kind == 1:
         return tuple(random_value(rng, depth + 1) for _ in range(count))
-    if kind == 2:
-        return {_hashable(rng) for _ in range(count)}
-    if kind == 3:
+    if kind == 1:
         return frozenset(_hashable(rng) for _ in range(count))
-    if kind == 4:
+    if kind == 2:
         return frozenset(_app_message(rng) for _ in range(count))
-    return {_hashable(rng): random_value(rng, depth + 1)
-            for _ in range(count)}
+    return tuple((_hashable(rng), random_value(rng, depth + 1))
+                 for _ in range(count))
 
 
 def random_fields(cls: Type[WireMessage],

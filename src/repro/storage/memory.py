@@ -5,13 +5,13 @@ volatile state but never touches this store, which models a disk that
 survives process crashes (Section 2.1).
 
 The store keeps references: ``retrieve`` returns the very object
-``log`` was given.  That is safe because every record the protocols
-log is an immutable value — ints, tuples, frozensets, messages whose
-headers and payloads are never mutated — and a logged value is never
-mutated afterwards (the :meth:`~repro.storage.stable.StableStorage.log`
-contract).  A top-level ``list``, ``dict``, ``set`` or ``bytearray``
-is refused with ``TypeError``, so a record that could be mutated in
-place fails at the write that made it, not at a later read.
+``log`` was given.  That is safe because every logged value is
+immutable — ints, tuples, frozensets, messages whose headers and
+payloads are never mutated.  :meth:`~repro.storage.stable.StableStorage.log`
+sizes each value before it reaches the backend, and the size model
+(:func:`repro.sizing.estimate_size`) refuses a ``list``, ``dict``,
+``set`` or ``bytearray`` at any depth, so a record that could be
+mutated in place fails at the write that made it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from typing import Any, Dict, Iterable
 from repro.storage.stable import StableStorage
 
 __all__ = ["MemoryStorage"]
-
-_MUTABLE = (list, dict, set, bytearray)
 
 
 class MemoryStorage(StableStorage):
@@ -34,10 +32,6 @@ class MemoryStorage(StableStorage):
         self._data: Dict[str, Any] = {}
 
     def _write(self, path: str, value: Any) -> None:
-        if isinstance(value, _MUTABLE):
-            raise TypeError(
-                f"{path!r}: a logged value must be immutable, "
-                f"not a {type(value).__name__}")
         self._data[path] = value
 
     def _read(self, path: str, default: Any) -> Any:

@@ -102,10 +102,11 @@ class StableStorage:
     def log(self, key: Key, value: Any) -> None:
         """Durably record ``value`` under ``key`` (one log operation).
 
-        A logged value is never mutated afterwards, by the caller or by
-        whoever retrieves it: a backend may keep the object itself
-        (:class:`~repro.storage.memory.MemoryStorage` does), so records
-        are immutable values — tuples, not lists.
+        A logged value is immutable — tuples and frozensets, not lists,
+        sets or dicts: a backend may keep the object itself
+        (:class:`~repro.storage.memory.MemoryStorage` does).  Sizing the
+        write refuses a mutable container at any depth with
+        :class:`TypeError` (:func:`repro.sizing.estimate_size`).
         """
         path = _normalize(key)
         self.metrics.record_write(path, estimate_size(value))
@@ -129,21 +130,20 @@ class StableStorage:
         This is the incremental-logging primitive: only the *new* part is
         charged, so appending is cheaper than re-logging the whole value.
         The stored sequence is a tuple, and ``item``, like any logged
-        value, is never mutated afterwards.  A list stored by an older
-        layout is extended the same way.
+        value, is immutable.
         """
         path = _normalize(key)
         self.metrics.record_write(path, estimate_size(item))
         existing = self._read(path, ())
-        if not isinstance(existing, (tuple, list)):
+        if not isinstance(existing, tuple):
             raise StorageError(f"append to non-sequence key {path!r}")
-        self._write(path, tuple(existing) + (item,))
+        self._write(path, existing + (item,))
 
     def retrieve_list(self, key: Key) -> List[Any]:
         """Read back an appended-to sequence as a fresh list (empty if
-        absent); a stored list or tuple is accepted."""
+        absent)."""
         value = self.retrieve(key, default=())
-        if not isinstance(value, (tuple, list)):
+        if not isinstance(value, tuple):
             raise StorageError(f"key {_normalize(key)!r} is not a sequence")
         return list(value)
 

@@ -17,11 +17,17 @@ __all__ = ["WireMessage"]
 
 
 class WireMessage:
-    """Immutable-by-convention wire message with a dispatch tag.
+    """Immutable wire message with a dispatch tag, checked when first
+    sized.
 
     Subclasses set the class attribute ``type`` and store payload fields
     as instance attributes listed in ``fields`` (used for size accounting
-    and ``repr``).
+    and ``repr``).  Fields hold immutable values — scalars, tuples,
+    frozensets, other messages — and are never rebound after the first
+    send: the simulator delivers the sender's object itself.  Every send
+    sizes the message once (:meth:`estimated_size`), and the size model
+    refuses a list, set, dict or bytearray at any depth, so a message
+    that could couple two nodes by reference fails at its first send.
     """
 
     type = "message"
@@ -36,10 +42,9 @@ class WireMessage:
         super().__init_subclass__(**kwargs)
         WireMessage._registry_generation += 1
 
-    # Messages are immutable by convention, so the size is a constant of
-    # the object: a multisend charges it once, not once per destination
-    # (at n=25 re-walking every gossip on every send was a third of the
-    # run).  A class-level default keeps structurally rebuilt instances
+    # Messages are immutable, so the size is a constant of the object: a
+    # multisend charges it once, not once per destination (at n=25
+    # re-walking every gossip on every send was a third of the run).  A class-level default keeps structurally rebuilt instances
     # (``cls.__new__`` in the wire codec) covered.
     _size: Optional[int] = None
     # The same reasoning keeps the wire codec's ``(type-id, body)`` of a

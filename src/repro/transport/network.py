@@ -28,7 +28,19 @@ from repro.runtime import Node, Runtime
 from repro.sizing import estimate_size
 from repro.transport.message import WireMessage
 
-__all__ = ["NetworkConfig", "Network", "NetworkMetrics"]
+__all__ = ["NetworkConfig", "Network", "NetworkMetrics",
+           "check_own_storage"]
+
+
+def check_own_storage(nodes: Dict[int, Node], node: Node) -> None:
+    """Raise :class:`SimulationError` if ``node``'s stable storage is
+    already held by one of ``nodes`` (the paper's processes share no
+    disk, Section 2.1)."""
+    for other in nodes.values():
+        if other.storage is node.storage:
+            raise SimulationError(
+                f"node {node.node_id} shares its storage with node "
+                f"{other.node_id}: build one per node (storage_factory)")
 
 
 class NetworkConfig:
@@ -114,9 +126,15 @@ class Network:
     # -- topology -----------------------------------------------------------
 
     def register(self, node: Node) -> None:
-        """Attach a node to the medium."""
+        """Attach a node to the medium.
+
+        Nodes share nothing but the medium: a storage object already
+        held by another node is refused, since recovering one node
+        would then replay the other's log.
+        """
         if node.node_id in self.nodes:
             raise SimulationError(f"node {node.node_id} already registered")
+        check_own_storage(self.nodes, node)
         self.nodes[node.node_id] = node
 
     def node_ids(self) -> Tuple[int, ...]:

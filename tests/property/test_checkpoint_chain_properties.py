@@ -41,7 +41,7 @@ def lone_node(seed):
 
 def queue_ids(ab):
     state = ab.agreed.checkpoint_state
-    prefix = [tuple(identity) for identity, _ in state["entries"]] \
+    prefix = [tuple(identity) for identity, _ in state[0]] \
         if state else []
     return prefix + [tuple(m.id) for m in ab.agreed.sequence()]
 

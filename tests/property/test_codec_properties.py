@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,6 +30,36 @@ json_values = st.recursive(
     ),
     max_leaves=20,
 )
+
+# What protocols may send and log: no list, set, dict or bytearray.
+immutable_values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5).map(tuple),
+        st.frozensets(scalars, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+mutables = st.one_of(
+    st.lists(scalars, max_size=3),
+    st.sets(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), scalars, max_size=3),
+    st.binary(max_size=4).map(bytearray),
+)
+
+
+@st.composite
+def holding_a_mutable(draw):
+    """An immutable-looking value with a mutable container buried in it
+    at a drawn depth, between drawn siblings."""
+    value = draw(mutables)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        before = draw(st.lists(immutable_values, max_size=2))
+        after = draw(st.lists(immutable_values, max_size=2))
+        value = (*before, value, *after)
+    return value
+
 
 app_messages = st.builds(
     lambda s, i, q, p: AppMessage(MessageId(s, i, q), p),
@@ -70,15 +101,21 @@ def test_app_message_sets_round_trip(batch):
         {m.id: m.payload for m in batch}
 
 
-@given(json_values)
+@given(immutable_values)
 def test_estimate_size_total_and_positive(value):
     size = estimate_size(value)
     assert isinstance(size, int)
     assert size >= 1
 
 
-@given(st.lists(scalars, max_size=10))
+@given(st.lists(scalars, max_size=10).map(tuple))
 def test_size_monotone_in_content(items):
     """Adding an element never shrinks the estimated size."""
     for cut in range(len(items)):
         assert estimate_size(items[:cut + 1]) >= estimate_size(items[:cut])
+
+
+@given(holding_a_mutable())
+def test_a_mutable_container_at_any_depth_is_refused(value):
+    with pytest.raises(TypeError, match="immutable"):
+        estimate_size(value)

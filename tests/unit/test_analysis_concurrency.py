@@ -1,4 +1,4 @@
-"""Tests for the concurrency-analysis rule families (ATM, ALI, REC003).
+"""Tests for the concurrency-analysis rule families (ATM, REC003).
 
 Each rule gets a negative fixture (flagged at an exact line) and a
 near-miss positive fixture (structurally close, stays silent) under
@@ -84,42 +84,6 @@ def test_atm002_flags_yield_inside_barrier():
 
 def test_atm002_near_miss_adjacent_and_nested_scopes_stay_silent():
     assert check_fixture("atm002_ok.py", "repro.core.fixture") == []
-
-
-# -- ALI001: cross-node mutable escape ----------------------------------------
-
-def test_ali001_flags_shared_storage_and_escaping_field():
-    findings = check_fixture("ali001_bad.py", "repro.harness.fixture")
-    assert rule_ids(findings) == ["ALI001", "ALI001"]
-    loop, send = findings
-    assert loop.line == 23  # the storage= argument in the build loop
-    assert "storage" in loop.message and "loop" in loop.message
-    assert send.line == 36  # self.unordered inside the multisend tuple
-    assert "self.unordered" in send.message
-
-
-def test_ali001_near_miss_factory_and_copied_send_stay_silent():
-    assert check_fixture("ali001_ok.py", "repro.harness.fixture") == []
-
-
-# -- ALI002: stashed message payload ------------------------------------------
-
-def test_ali002_flags_uncopied_stash_of_unknown_payload():
-    # The fixture's "peer.view" handler has (by design) no matching send,
-    # so MSG002 also fires on it; this test owns the ALI family only.
-    findings = [f for f in check_fixture("ali002_bad.py",
-                                         "repro.core.fixture")
-                if f.rule_id.startswith("ALI")]
-    assert rule_ids(findings) == ["ALI002"]
-    assert findings[0].line == 17  # self.view = msg.members
-    assert ".members" in findings[0].message
-    assert "self.view" in findings[0].message
-
-
-def test_ali002_near_miss_copies_and_immutable_annotations_stay_silent():
-    # The registration names the message class, so the int-annotated
-    # attribute may be stashed directly; the rest are copied/derived.
-    assert check_fixture("ali002_ok.py", "repro.core.fixture") == []
 
 
 # -- REC003: non-idempotent recovery ------------------------------------------

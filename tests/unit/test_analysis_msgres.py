@@ -5,8 +5,7 @@ Each rule gets a negative fixture (flagged at exact lines) and a
 near-miss positive fixture (structurally close, stays silent) under
 ``tests/fixtures/analysis/``.  Fixtures are analyzed with the full
 registry, so assertions filter to the family under test — other families
-legitimately fire on some of them (e.g. ALI002 on a handler that
-stashes its payload).
+may legitimately fire on some of them.
 """
 
 from __future__ import annotations

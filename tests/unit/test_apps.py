@@ -55,7 +55,7 @@ class TestKeyValueStore:
         store.apply(msg(("put", "a", 1)))
         snap = store.snapshot()
         store.apply(msg(("put", "a", 2), seq=2))
-        assert snap["data"]["a"] == 1
+        assert dict(snap[0])["a"] == 1
 
     def test_restore_none_resets(self):
         store = KeyValueStore()

@@ -75,7 +75,7 @@ def base_round(cluster, node_id):
 def delivered_ids(ab):
     """Every id the queue holds, in order (folded prefix + explicit tail)."""
     state = ab.agreed.checkpoint_state
-    prefix = [tuple(identity) for identity, _ in state["entries"]] \
+    prefix = [tuple(identity) for identity, _ in state[0]] \
         if state else []
     return prefix + [tuple(m.id) for m in ab.agreed.sequence()]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.runtime import SeedSequence
 from repro.sizing import estimate_size
 from repro.transport.message import WireMessage
@@ -51,13 +53,18 @@ class TestEstimateSize:
         assert estimate_size(2 ** 64) > estimate_size(7)
 
     def test_containers_sum_members(self):
-        assert estimate_size([1, 2]) == 2 + 2 * estimate_size(1)
-        assert estimate_size((1, 2)) == estimate_size([1, 2])
-        assert estimate_size({1, 2}) == estimate_size([1, 2])
+        assert estimate_size((1, 2)) == 2 + 2 * estimate_size(1)
+        assert estimate_size(frozenset({1, 2})) == estimate_size((1, 2))
+        for mutable in ([1, 2], {1, 2}):
+            with pytest.raises(TypeError, match="immutable"):
+                estimate_size(mutable)
 
     def test_dict_counts_keys_and_values(self):
-        d = {"k": "v"}
-        assert estimate_size(d) == 2 + estimate_size("k") + estimate_size("v")
+        items = (("k", "v"),)  # a map's immutable form: its items
+        assert estimate_size(items) == \
+            2 + 2 + estimate_size("k") + estimate_size("v")
+        with pytest.raises(TypeError, match="dict"):
+            estimate_size({"k": "v"})
 
     def test_wire_message_uses_declared_fields(self):
         class M(WireMessage):
@@ -81,8 +88,11 @@ class TestEstimateSize:
         assert estimate_size(Weird()) == 12
 
     def test_nested_structures(self):
-        nested = {"list": [1, (2, 3)], "set": frozenset({"a"})}
+        nested = (("tuple", (1, (2, 3))), ("set", frozenset({"a"})))
         assert estimate_size(nested) > 0
+        for buried in ([1], {"a"}, {"k": 1}, bytearray(b"x")):
+            with pytest.raises(TypeError, match="immutable"):
+                estimate_size((("deep", (0, buried)),))
 
 
 class _Counted:

@@ -42,17 +42,18 @@ class TestLogRetrieve:
         storage.log("k", None)
         assert storage.contains("k")
 
-    @pytest.mark.parametrize("storage", ["file"], indirect=True)
     def test_values_are_isolated_from_caller(self, storage):
-        """FileStorage decodes a fresh value on every read (the memory
-        backend's contract is TestMemoryStorageKeepsReferences)."""
-        value = {"inner": [1, 2]}
-        storage.log("k", value)
-        value["inner"].append(3)  # mutate after logging
-        assert storage.retrieve("k") == {"inner": [1, 2]}
-        got = storage.retrieve("k")
-        got["inner"].append(99)  # mutate what we read back
-        assert storage.retrieve("k") == {"inner": [1, 2]}
+        """A mutable value is refused on both backends, at any depth, so
+        no logged value can be mutated by its writer or a reader."""
+        storage.log("k", ("inner", (1, 2)))
+        for value in ({"inner": [1, 2]}, ("inner", [1, 2]),
+                      ("digest", set()), (("k", {"v": 1}),)):
+            with pytest.raises(TypeError, match="immutable"):
+                storage.log("k", value)
+            with pytest.raises(TypeError, match="immutable"):
+                storage.append("log", value)
+        assert storage.retrieve("k") == ("inner", (1, 2))
+        assert not storage.contains("log")
 
     def test_delete(self, storage):
         storage.log("k", 1)
@@ -157,16 +158,6 @@ class TestFileDurability:
         assert got == batch
         assert {m.payload for m in got} == {("put", "k", 5), None}
 
-    def test_append_onto_a_list_valued_key_keeps_every_item(self, tmp_path):
-        """A key holding a list (the layout before appends stored
-        tuples) is extended, not replaced."""
-        storage = FileStorage(str(tmp_path / "store"))
-        storage.log("log", [1, 2])
-        storage.append("log", 3)
-        reopened = FileStorage(str(tmp_path / "store"))
-        assert reopened.retrieve("log") == (1, 2, 3)
-        assert reopened.retrieve_list("log") == [1, 2, 3]
-
 
 class TestCodec:
     def test_round_trip_primitives(self):
@@ -269,8 +260,8 @@ class TestSnapshotIsolation:
 
 class TestMemoryStorageKeepsReferences:
     """MemoryStorage stores references: logged values are immutable
-    records (shared on read: TestSnapshotIsolation), and a mutable
-    top-level container is refused."""
+    records (shared on read: TestSnapshotIsolation), and sizing the
+    write refuses a mutable container."""
 
     @pytest.mark.parametrize("value", [[1, 2], {"k": 1}, {1, 2},
                                        bytearray(b"x")],

@@ -68,7 +68,7 @@ class CrashAt:
         return call
 
 
-OLD, NEW = {"v": "old"}, {"v": "new"}
+OLD, NEW = ("v", "old"), ("v", "new")
 KEYS = ("single", "batch-1", "batch-2", "doomed", "last")
 
 
@@ -174,18 +174,18 @@ class TestCrashDuringWrite:
         directory = str(tmp_path / "store")
         journal = os.path.join(directory, _JOURNAL_NAME)
         storage = FileStorage(directory)
-        storage.log("key", {"v": "old"})
+        storage.log("key", ("v", "old"))
         committed = os.path.getsize(journal)
         with monkeypatch.context() as patch:
             CrashAt(patch, step=2)  # the journal fsync
             with pytest.raises(SimulatedCrash):
-                storage.log("key", {"v": "new"})
+                storage.log("key", ("v", "new"))
         written = os.path.getsize(journal)
         assert written > committed
         with open(journal, "r+b") as handle:
             handle.truncate(committed + (written - committed) // 2)
         reopened = FileStorage(directory)
-        assert reopened.retrieve("key") == {"v": "old"}
+        assert reopened.retrieve("key") == ("v", "old")
         assert reopened.metrics.quarantined == 0
         assert reopened.recovery_report == [
             (_JOURNAL_NAME, "replayed 1 journalled records")]
@@ -212,18 +212,18 @@ class TestCrashDuringWrite:
     def test_successful_write_is_complete_record(self, tmp_path):
         directory = str(tmp_path / "store")
         storage = FileStorage(directory)
-        storage.log(("consensus", 0, "proposal"), {"complex": [1, (2,)]})
+        storage.log(("consensus", 0, "proposal"), ("complex", (1, (2,))))
         # Read the raw bytes: the record file's frame must verify and its
         # payload decode standalone, and so must the journal's copy.
         from repro.storage import codec
         (target,) = record_files(directory)
         with open(target, "rb") as handle:
             payload = unframe_record(handle.read())
-        assert codec.decode(payload) == {"complex": [1, (2,)]}
+        assert codec.decode(payload) == ("complex", (1, (2,)))
         with open(os.path.join(directory, _JOURNAL_NAME), "rb") as handle:
             (entry,) = _iter_frames(handle.read())
         assert codec.decode(entry) == \
-            ("w", "consensus/0/proposal", {"complex": [1, (2,)]})
+            ("w", "consensus/0/proposal", ("complex", (1, (2,))))
 
 
 def _record_file(directory):
@@ -247,12 +247,12 @@ class TestSelfHealing:
     def test_torn_tail_is_detected_and_recovered_from(self, tmp_path):
         directory = str(tmp_path / "store")
         storage = FileStorage(directory)
-        storage.log("round", {"proposal": list(range(50))})
+        storage.log("round", ("proposal", tuple(range(50))))
         _tear(_record_file(directory))
 
         # Inside the journal window: rewritten from the journal.
         healed = FileStorage(directory)
-        assert healed.retrieve("round") == {"proposal": list(range(50))}
+        assert healed.retrieve("round") == ("proposal", tuple(range(50)))
         assert healed.metrics.quarantined == 0
 
         # Reopening emptied the journal; the same tear is now final.
@@ -262,8 +262,8 @@ class TestSelfHealing:
         assert recovered.metrics.quarantined == 1
         assert [key for key, _ in recovered.recovery_report] == ["round"]
         # The record can be re-logged and read back cleanly.
-        recovered.log("round", {"proposal": [1]})
-        assert recovered.retrieve("round") == {"proposal": [1]}
+        recovered.log("round", ("proposal", (1,)))
+        assert recovered.retrieve("round") == ("proposal", (1,))
 
     def test_bit_flip_is_detected_and_recovered_from(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -320,14 +320,14 @@ class TestSelfHealing:
         directory = str(tmp_path / "store")
         storage = FileStorage(directory)
         for k in range(5):
-            storage.log(("key", k), {"n": k})
+            storage.log(("key", k), ("n", k))
         reopened = FileStorage(directory)
         # Replay is reported; nothing was swept or quarantined.
         assert reopened.recovery_report == [
             (_JOURNAL_NAME, "replayed 5 journalled records")]
         assert reopened.metrics.quarantined == 0
         for k in range(5):
-            assert reopened.retrieve(("key", k)) == {"n": k}
+            assert reopened.retrieve(("key", k)) == ("n", k)
         assert FileStorage(directory).recovery_report == []
 
 
@@ -352,15 +352,15 @@ class TestFaultyStorage:
         directory = str(tmp_path / "store")
         inner = FileStorage(directory)
         faulty = FaultyStorage(inner, random.Random(5))
-        faulty.log("k", {"payload": list(range(40))})
+        faulty.log("k", ("payload", tuple(range(40))))
         faulty.arm_crash_write("torn")
         with pytest.raises(InjectedCrashFault):
-            faulty.log("k", {"payload": list(range(80))})
+            faulty.log("k", ("payload", tuple(range(80))))
         assert faulty.injected["torn_write"] == 1
         # The torn record is on disk, the old one still in the journal:
         # a recovering incarnation puts the old value back.
         recovered = FileStorage(directory)
-        assert recovered.retrieve("k") == {"payload": list(range(40))}
+        assert recovered.retrieve("k") == ("payload", tuple(range(40)))
         assert recovered.metrics.quarantined == 0
 
         # That restart emptied the journal, so now there is nothing to heal
@@ -368,7 +368,7 @@ class TestFaultyStorage:
         faulty = FaultyStorage(recovered, random.Random(5))
         faulty.arm_crash_write("torn")
         with pytest.raises(InjectedCrashFault):
-            faulty.log("k", {"payload": list(range(80))})
+            faulty.log("k", ("payload", tuple(range(80))))
         recovered = FileStorage(directory)
         assert recovered.retrieve("k") is None
         assert recovered.metrics.quarantined == 1
@@ -409,7 +409,7 @@ class TestFaultyStorage:
         directory = str(tmp_path / "store")
         inner = FileStorage(directory)
         faulty = FaultyStorage(inner, random.Random(9))
-        faulty.log("k", {"stable": "data"})
+        faulty.log("k", ("stable", "data"))
         assert faulty.flip_bit("k") is True
         assert faulty.injected["bit_flip"] == 1
         # The shared metrics object records the quarantine on read.

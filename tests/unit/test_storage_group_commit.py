@@ -40,12 +40,12 @@ class TestBatching:
         calls = fsync_counter(monkeypatch)
         with storage.write_barrier():
             for index in range(10):
-                storage.log(("batch", index), {"v": index})
+                storage.log(("batch", index), ("v", index))
         assert calls["n"] == 1
         assert storage.group_commits == 1
         assert storage.group_commit_records == 10
         for index in range(10):
-            assert storage.retrieve(("batch", index)) == {"v": index}
+            assert storage.retrieve(("batch", index)) == ("v", index)
 
     def test_read_your_writes_inside_barrier(self, storage):
         storage.log("outside", 1)
@@ -84,7 +84,7 @@ class TestOpenJournal:
         storage = FileStorage(directory)
         commits = 25
         for index in range(commits):
-            storage.log(("commit", index), {"v": index})
+            storage.log(("commit", index), ("v", index))
         monkeypatch.undo()
         # One record file a commit, and the journal once.
         assert opened.count(_JOURNAL_NAME) == 1
@@ -93,7 +93,7 @@ class TestOpenJournal:
         storage.close()                 # idempotent
         reopened = FileStorage(directory)
         for index in range(commits):
-            assert reopened.retrieve(("commit", index)) == {"v": index}
+            assert reopened.retrieve(("commit", index)) == ("v", index)
         reopened.close()
 
 
@@ -117,8 +117,10 @@ class TestEncodeOnce:
 
     def test_journal_bytes_and_encode_count(self, tmp_path, monkeypatch):
         storage = FileStorage(str(tmp_path))
+        logged = ((1, (2, frozenset({3}))), ("k", (1, ("__t", "x"))),
+                  frozenset({("a", 1), ("b", 2)}))
         batch = {path: value for path, value in
-                 zip(("a", "b/c", "d"), self.VALUES[-3:])}
+                 zip(("a", "b/c", "d"), logged)}
         expected = b"".join(
             frame_record(codec.encode(("w", path, value)))
             for path, value in batch.items())
@@ -142,7 +144,7 @@ class TestCrashRecovery:
         storage = FileStorage(str(tmp_path))
         with storage.write_barrier():
             for index in range(6):
-                storage.log(("r", index), ["value", index])
+                storage.log(("r", index), ("value", index))
         # Crash: per-key files were written buffered (no fsync); model
         # the worst case by corrupting one of them outright.  The
         # journal alone must bring the value back.
@@ -152,7 +154,7 @@ class TestCrashRecovery:
             handle.write(b"\x00torn")
         reopened = FileStorage(str(tmp_path))
         for index in range(6):
-            assert reopened.retrieve(("r", index)) == ["value", index]
+            assert reopened.retrieve(("r", index)) == ("value", index)
         assert any(key == _JOURNAL_NAME
                    for key, _ in reopened.recovery_report)
         # Replay healed the torn file: nothing was quarantined.
@@ -183,9 +185,9 @@ class TestCrashRecovery:
     def test_values_survive_plain_reopen(self, tmp_path):
         storage = FileStorage(str(tmp_path))
         with storage.write_barrier():
-            storage.log("x", {"deep": [1, (2, 3)]})
+            storage.log("x", ("deep", (1, (2, 3))))
         reopened = FileStorage(str(tmp_path))
-        assert reopened.retrieve("x") == {"deep": [1, (2, 3)]}
+        assert reopened.retrieve("x") == ("deep", (1, (2, 3)))
 
 
 class TestCheckpoint:
@@ -215,7 +217,7 @@ class TestCheckpoint:
         written = 0
         while "truncate" not in events:
             assert written < 16, "journal never checkpointed"
-            storage.log(("big", written), [written, chunk])
+            storage.log(("big", written), (written, chunk))
             written += 1
         monkeypatch.undo()
 
@@ -233,7 +235,7 @@ class TestCheckpoint:
         reopened = FileStorage(directory)
         assert reopened.recovery_report == []
         for index in range(written):
-            assert reopened.retrieve(("big", index)) == [index, chunk]
+            assert reopened.retrieve(("big", index)) == (index, chunk)
 
         # A record corrupted now is older than the last checkpoint, so no
         # journal entry can heal it: quarantined, read as never logged.
