@@ -135,14 +135,14 @@ class TestViewManager:
         manager = self._cluster().views[0]
         manager.on_deliver(AppMessage(MessageId(1, 1, 1),
                                       reconfig_payload("leave", 2)))
-        manager.adopt_plain([0, [0, 1, 2], [[9, 1, 1]]])
+        manager.adopt_plain((0, (0, 1, 2), ((9, 1, 1),)))
         assert manager.view.epoch == 1
         # ... but the stale sender's applied-id knowledge is merged.
         assert MessageId(9, 1, 1) in manager._applied
 
     def test_adopt_plain_newer_view_installs(self):
         manager = self._cluster().views[0]
-        manager.adopt_plain([2, [0, 1], [[1, 1, 1], [1, 1, 2]]])
+        manager.adopt_plain((2, (0, 1), ((1, 1, 1), (1, 1, 2))))
         assert manager.view == View(2, [0, 1])
         assert manager.adoptions == 1
 

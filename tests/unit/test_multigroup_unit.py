@@ -57,8 +57,8 @@ class TestClockDeterminism:
         cluster = build(seed=3)
         cluster.run(until=0.5)
         layer = cluster.layers[0]  # member of g1
-        forged = TimestampAnnounce([[[9, 1, 1], ["g1", "g2"], "evil",
-                                     {"g1": 42, "g2": 7}]])
+        forged = TimestampAnnounce((((9, 1, 1), ("g1", "g2"), "evil",
+                                     (("g1", 42), ("g2", 7))),))
         layer._on_announce(forged, sender=3)
         entry = layer.pending[(9, 1, 1)]
         assert "g1" not in entry.proposed      # own group: AB order only

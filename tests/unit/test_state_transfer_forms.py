@@ -250,9 +250,9 @@ class TestOnTheWire:
     def forms(self):
         queue = AgreedQueue()
         queue.append_batch(batch(1, 2))
-        queue.compact({"entries": [[[1, 1, 1], "p1"]], "digest": 7})
+        queue.compact(((((1, 1, 1), "p1"),), 7))
         queue.append_batch(batch(3))
-        view = [2, [0, 1, 2], [[1, 1, 9]]]
+        view = (2, (0, 1, 2), ((1, 1, 9),))
         return (StateMessage(9, queue.to_plain(), view),
                 StateMessage(9, view_plain=view, from_k=7,
                              batches=(batch(4, 5), frozenset(), batch(6))))
