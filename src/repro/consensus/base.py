@@ -18,15 +18,22 @@ Both primitives are idempotent, as the paper requires: a recovering
 process may re-invoke them for instances that already started or even
 finished.
 
+The Atomic Broadcast layer enters a round with ``join(k)`` instead of
+proposing: the value is bound when an attempt first needs one (after
+Paxos's phase 1, at Chandra–Toueg's activation), by asking the
+``value_source`` the layer wired in — and then proposed, so it is logged
+before anything carrying it is sent and every later attempt reuses it.
+``propose(k, v)`` is the same thing done eagerly: bind ``v``, then join.
+
 :class:`ConsensusService` implements the bookkeeping shared by every
-concrete algorithm (proposal/decision logs, idempotence checks, waiting);
-subclasses implement the agreement itself by overriding
+concrete algorithm (proposal/decision logs, idempotence checks, waiting,
+late binding); subclasses implement the agreement itself by overriding
 :meth:`_activate`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.errors import ConsensusError, ProposalMismatch
 from repro.runtime import NodeComponent, Signal
@@ -40,6 +47,7 @@ class ConsensusService(NodeComponent):
     Stable-storage layout (per node)::
 
         consensus/<k>/proposal   — the value this process proposes to k
+                                   (only once it has bound one)
         consensus/<k>/decision   — the locked decision of instance k
                                    (or a stand-in the algorithm resolves)
 
@@ -78,11 +86,16 @@ class ConsensusService(NodeComponent):
         # recovery, *before* any message of the new incarnation is
         # handled.
         self.instance_floor = 0
+        # Where a late-bound proposal comes from: the Atomic Broadcast
+        # layer wires its own in on every start.  ``None`` (or a source
+        # answering ``None``) binds nothing, so no value is sent.
+        self.value_source: Optional[Callable[[int], Any]] = None
 
     # -- paper interface -------------------------------------------------------
 
     def propose(self, k: int, value: Any) -> None:
-        """Propose ``value`` for instance ``k`` (idempotent; logs first).
+        """Propose ``value`` for instance ``k`` (idempotent; logs first):
+        an eager bind, then :meth:`join`.
 
         Raises :class:`~repro.errors.ProposalMismatch` if a *different*
         value was already proposed for ``k`` by this process — the
@@ -103,6 +116,17 @@ class ConsensusService(NodeComponent):
         else:
             self.node.storage.log((self.PROPOSAL_KEY, k, "proposal"), value)
             self._proposals[k] = value
+        self.join(k)
+
+    def join(self, k: int) -> None:
+        """Take part in instance ``k`` without a value yet (idempotent).
+
+        The value is bound only if an attempt of this process needs one
+        (:meth:`_bound_value`); a process that never proposes in ``k``
+        logs no proposal for it and learns the decision like any other.
+        """
+        if k < 0:
+            raise ConsensusError(f"negative instance number {k}")
         self._activate(k)
 
     def decided_value(self, k: int) -> Optional[Any]:
@@ -163,6 +187,24 @@ class ConsensusService(NodeComponent):
         if stored is not None:
             self._proposals[k] = stored
         return stored
+
+    def _bound_value(self, k: int) -> Optional[Any]:
+        """The value this process proposes to ``k``, bound now if it has
+        none yet; ``None`` means bind nothing and send no value.
+
+        An unbound value comes from :attr:`value_source` and is proposed
+        — logged — before it is returned, so the caller sends it only
+        once it is durable (P4 and log-before-send).  Nothing is bound
+        below the participation floor.
+        """
+        bound = self.proposal_of(k)
+        if bound is not None or self.value_source is None \
+                or k < self.instance_floor:
+            return bound
+        value = self.value_source(k)
+        if value is not None:
+            self.propose(k, value)
+        return value
 
     def logged_instances(self) -> Dict[int, Any]:
         """All instances with a logged proposal, for the replay procedure."""
@@ -255,7 +297,7 @@ class ConsensusService(NodeComponent):
     def _activate(self, k: int) -> None:
         """Start (or re-join) the agreement for instance ``k``.
 
-        Called by :meth:`propose`; idempotent.  Subclasses spawn their
+        Called by :meth:`join`; idempotent.  Subclasses spawn their
         per-instance driver here.
         """
         raise NotImplementedError

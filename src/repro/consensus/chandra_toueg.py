@@ -238,11 +238,17 @@ class ChandraTouegConsensus(ConsensusService):
 
     def _drive(self, k: int):
         assert self.node is not None
+        # Every round starts from an estimate, so the value is bound at
+        # activation; with none to bind this process sits the instance
+        # out and learns the decision from its reliable broadcast.
+        estimate: Any = self._bound_value(k)
+        if estimate is None:
+            self._drivers.discard(k)
+            return
         peers = self.endpoint.peers()
         n = len(peers)
         me = self.node.node_id
         state = self._state(k)
-        estimate: Any = self.proposal_of(k)
         ts = 0
         round_no = 0
         while self.decided_value(k) is None:
@@ -252,7 +258,7 @@ class ChandraTouegConsensus(ConsensusService):
             # coordinator, watching itself, beats meanwhile.
             with self._watching(coordinator):
                 # Phase 1: send the current estimate to the coordinator.
-                self.endpoint.send(coordinator,
+                self.endpoint.send(coordinator,  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
                                    CTEstimate(k, round_no, estimate, ts))
                 # Phase 2 (coordinator only): gather a majority of
                 # estimates and multicast the freshest one.
@@ -269,7 +275,7 @@ class ChandraTouegConsensus(ConsensusService):
                     # is asynchronous and the coordinator adopts its own
                     # proposal.
                     state.proposals[round_no] = freshest[0]
-                    self.endpoint.multisend(
+                    self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
                         CTPropose(k, round_no, freshest[0]))
                 # Phase 3: adopt the proposal or give up on the coordinator.
                 while (round_no not in state.proposals
@@ -283,9 +289,9 @@ class ChandraTouegConsensus(ConsensusService):
                 if round_no in state.proposals:
                     estimate = state.proposals[round_no]
                     ts = round_no + 1
-                    self.endpoint.send(coordinator, CTAck(k, round_no))
+                    self.endpoint.send(coordinator, CTAck(k, round_no))  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
                 else:
-                    self.endpoint.send(coordinator, CTNack(k, round_no))
+                    self.endpoint.send(coordinator, CTNack(k, round_no))  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
                 # Phase 4 (coordinator only): wait for a majority of
                 # replies; decide if a majority acked, else move on.
                 if coordinator == me:

@@ -28,7 +28,9 @@ under crash-recovery is the best understood:
 * **Leadership comes from Ω** (:class:`~repro.fdetect.omega.OmegaOracle`).
   Once the underlying failure detector stabilises, a single good leader
   runs phase 1 / phase 2 to completion and multisends ``DECIDE`` — once,
-  when it records the decision.
+  when it records the decision.  Phase 1 needs no value, so the leader
+  binds (and logs) its own proposal only after it, and a follower that
+  never runs an attempt logs none.
 * **Decisions travel and are logged by reference.**  The decider's one
   ``DECIDE`` names the ballot the value was chosen at, not the value:
   every acceptor already holds (and logged) it from that ballot's
@@ -604,7 +606,8 @@ class PaxosConsensus(ConsensusService):
                 (k >= self.instance_floor or not self._view_changed()):
             if self.omega.is_leader() or silent_timeouts >= 2:
                 silent_timeouts = 0
-                yield from self._run_attempt(k)
+                if not (yield from self._run_attempt(k)):
+                    break   # nothing to propose: the layer above left k
             else:
                 # Wait for leadership change or a decision, with a timeout;
                 # on timeout, pull the (possibly lost) decision with a
@@ -629,6 +632,12 @@ class PaxosConsensus(ConsensusService):
         to each member that has not answered.  The ballot is retired
         only when a whole ``attempt_timeout`` passes or a ``Nack``
         reports a higher promise.
+
+        Phase 1 needs no value, so this process's own proposal is bound
+        after it, and only when no promise reports an accepted value:
+        the batch keeps filling while the promises come in.  Returns
+        ``False`` when there is none to bind — the layer above has left
+        ``k`` — so no ``Accept`` goes and the driver stops.
         """
         attempt = _Attempt(self._current_ballot())
         self._attempts[k] = attempt
@@ -636,10 +645,10 @@ class PaxosConsensus(ConsensusService):
         self.endpoint.multisend(prepare)
         yield from self._await_quorum(k, attempt, attempt.promises, prepare)
         if self.decided_value(k) is not None:
-            return
+            return True
         if len(attempt.promises) >= self._quorum(k):
             # Choose the value: highest accepted ballot wins, else my
-            # proposal.
+            # proposal — bound here, the first moment one is needed.
             best_ballot, best_value = -1, None
             for accepted_ballot, accepted_value in attempt.promises.values():
                 if accepted_ballot > best_ballot:
@@ -647,7 +656,9 @@ class PaxosConsensus(ConsensusService):
             if best_ballot >= 0 and best_value is not None:
                 attempt.value = best_value
             else:
-                attempt.value = self.proposal_of(k)
+                attempt.value = self._bound_value(k)
+                if attempt.value is None:
+                    return False
         if attempt.value is not None:
             # One object for the phase: a re-send reuses its encoding.
             accept = Accept(k, attempt.ballot, attempt.value)
@@ -658,6 +669,7 @@ class PaxosConsensus(ConsensusService):
         # the driver loop retries, at a ballot this instance has not used.
         if self.decided_value(k) is None:
             self._retire(attempt)
+        return True
 
     def _await_quorum(self, k: int, attempt: _Attempt,
                       answered: Collection[int], message: WireMessage):

@@ -2,12 +2,13 @@
 
 One consensus-driven ordering loop per process, in consecutive rounds:
 
-* round ``k`` proposes the node's ``Unordered`` set to the ``k``-th
-  consensus instance and moves the decided batch to the ``Agreed`` queue
-  (deterministically ordered, duplicates eliminated); a round the node
-  knows is already decided is proposed empty, and while it is more than
-  one round behind it pulls each decision at once (DESIGN.md,
-  substitutions);
+* round ``k`` joins the ``k``-th consensus instance and moves the
+  decided batch to the ``Agreed`` queue (deterministically ordered,
+  duplicates eliminated).  The node's ``Unordered`` set is bound as its
+  proposal only when the box needs a value — after Paxos's phase 1 —
+  so the batch fills meanwhile; a round the node knows is already
+  decided binds the empty set, and while it is more than one round
+  behind it pulls each decision at once (DESIGN.md, substitutions);
 * a **gossip task** periodically sends a peer the payloads that peer
   is not known to hold, the ids it should send us, and the digest of
   Unordered, with ``k`` on every gossip sent; it both disseminates data
@@ -20,17 +21,21 @@ One consensus-driven ordering loop per process, in consecutive rounds:
   decided ``Accept`` carries the batch to everyone else.  With no hint
   every process may be decided, so payloads go to every peer
   (DESIGN.md, substitutions);
-* the only stable-storage write is the consensus *proposal* — performed
-  inside ``propose`` as its first operation — so Atomic Broadcast adds
-  **zero** log operations beyond the Consensus black box (Section 4.3);
+* the only stable-storage writes are the consensus box's — the
+  proposal, logged inside ``propose`` as its first operation when a
+  value is bound — so Atomic Broadcast adds **zero** log operations
+  beyond the Consensus black box (Section 4.3);
 * on initialisation **or** recovery the ``replay`` procedure re-runs
-  every instance that has a logged proposal: ``propose`` is idempotent
-  and decisions are locked, so the Agreed queue is rebuilt exactly.
+  every instance that has a logged proposal or a logged decision:
+  proposals are idempotent and decisions are locked, so the Agreed
+  queue is rebuilt exactly.
 
 The replay and the steady-state sequencer are one loop: for each round,
-"re-propose the logged value if there is one, otherwise wait for work
-and propose the Unordered set".  This matches the paper's observation
-that the current round is simply the first round with no logged proposal.
+"re-join it if it has a logged proposal or decision, otherwise wait for
+work and join it".  This matches the paper's observation that the
+current round is simply the first round with no logged proposal (here:
+and no logged decision, since a process that never bound a value for a
+round logged only its decision).
 """
 
 from __future__ import annotations
@@ -187,6 +192,7 @@ class BasicAtomicBroadcast(NodeComponent):
         self._seq = 0
         self._joining = False
         self._restore_volatile_state()
+        self.consensus.value_source = self._proposal_for
         self.endpoint.register(GossipMessage.type, self._on_gossip)
         # (a) fork task { sequencer and gossip }
         self._sequencer_task = node.spawn(self._sequencer(), "ab-sequencer")
@@ -532,10 +538,10 @@ class BasicAtomicBroadcast(NodeComponent):
             # round number lag, triggering the transfer.
             yield self._progress.wait()
         while True:
-            logged = self.consensus.proposal_of(self.k)
-            if logged is not None:
-                # Replay (or idempotent re-join of the in-flight round).
-                self.consensus.propose(self.k, logged)
+            if self.consensus.proposal_of(self.k) is not None \
+                    or self.consensus.decided_value(self.k) is not None:
+                # Replay (or idempotent re-join of the in-flight round):
+                # a round with a logged proposal or a logged decision.
                 if not self.replay_complete:
                     self.replayed_rounds += 1
             else:
@@ -549,23 +555,35 @@ class BasicAtomicBroadcast(NodeComponent):
                     yield AnyOf([self._progress.wait(),
                                  self.consensus.decision_signal(self.k)
                                  .wait()])
-                # Propose the Unordered set — or nothing, when the round
-                # is known decided: locally, or because a peer already
-                # moved past it.  Its decision is fixed, so a proposal
-                # there is logged only so that replay re-runs the round;
-                # the messages stay in Unordered for a later round.
-                if self.gossip_k > self.k or \
-                        self.consensus.decided_value(self.k) is not None:
-                    value = frozenset()
-                else:
-                    value = frozenset(self.unordered.values())
-                self.consensus.propose(self.k, value)
+            # Enter the round without a value: the box asks
+            # _proposal_for when an attempt needs one, so the batch keeps
+            # filling meanwhile, and a process that never proposes in
+            # the round logs nothing for it.
+            self.consensus.join(self.k)
             if self.gossip_k > self.k + 1:
                 # More than one round behind: the decision is not on its
                 # way, so pull it now rather than at the next tick.
                 self.consensus.pull_decision(self.k, self._ahead_peer)
             result = yield from self.consensus.wait_decided(self.k)
             self._commit_round(result)
+
+    def _proposal_for(self, k: int) -> Optional[FrozenSet[AppMessage]]:
+        """The consensus box's value source: what this process proposes
+        to instance ``k``, asked at the moment an attempt must bind one.
+
+        The Unordered set for the current round — or nothing, when the
+        round is known decided, locally or because a peer already moved
+        past it: its decision is fixed, so the messages stay in
+        Unordered for a later round.  ``None`` for any other instance: a
+        driver left behind in a round this node skipped (by a state
+        transfer) must not bind, since acceptors that discarded that
+        round would accept anything.
+        """
+        if k != self.k:
+            return None
+        if self.gossip_k > k or self.consensus.decided_value(k) is not None:
+            return frozenset()
+        return frozenset(self.unordered.values())
 
     def _commit_round(self, result) -> None:
         """Move the decided batch to Agreed and open the next round.

@@ -73,9 +73,16 @@ def test_alternative_protocol_feature_matrix(
         down_for):
     """Every combination of Section 5 features preserves the properties
     under a generated crash."""
+    result = run_feature_matrix(seed, checkpoint_interval, delta,
+                                log_unordered, crash_at, down_for)
+    assert result.report is not None
+
+
+def run_feature_matrix(seed, checkpoint_interval, delta, log_unordered,
+                       crash_at, down_for):
     alt = AlternativeConfig(checkpoint_interval=checkpoint_interval,
                             delta=delta, log_unordered=log_unordered)
-    result = run_scenario(Scenario(
+    return run_scenario(Scenario(
         cluster=ClusterConfig(n=3, seed=seed, protocol="alternative",
                               network=NetworkConfig(loss_rate=0.05),
                               alt=alt),
@@ -83,4 +90,15 @@ def test_alternative_protocol_feature_matrix(
         faults=FaultSchedule().crash(crash_at, 2)
         .recover(crash_at + down_for, 2),
         duration=20.0, settle_limit=200.0))
+
+
+def test_a_driver_left_in_a_skipped_round_binds_nothing():
+    """Node 2 skips instance 0 through a state transfer while its driver
+    for 0 keeps running; after two silent timeouts that driver runs an
+    attempt.  Acceptors that discarded instance 0 still promise under a
+    static view, so if it bound a value here (∅: the round is known
+    decided) they would accept it and 0 would decide twice."""
+    result = run_feature_matrix(seed=0, checkpoint_interval=0.5, delta=1,
+                                log_unordered=False, crash_at=1.0,
+                                down_for=1.0)
     assert result.report is not None

@@ -420,9 +420,9 @@ class TestReplay:
 
 
 class TestCatchUp:
-    """A node that recovers behind proposes nothing for the rounds it
-    knows are decided, and pulls each one at once instead of waiting
-    for a gossip tick."""
+    """A node that recovers behind logs no proposal for the rounds it
+    missed, and pulls each one at once instead of waiting for a gossip
+    tick."""
 
     @staticmethod
     def recover_behind(protocol, seed, rounds, network=None, **kwargs):
@@ -468,9 +468,12 @@ class TestCatchUp:
         assert ab.gossip_k > ab.k
         cluster.submit(2, "late")
         cluster.run(until=cluster.sim.now + 10.0)
+        # It binds no proposal for a round it missed: the box asks for
+        # one only when an attempt of its own needs it, and a follower
+        # learns those rounds from their decisions.
         missed = [(k, value) for k, value in logged if k < leader_k]
-        assert len(missed) == leader_k - back >= 10
-        assert all(value == frozenset() for _, value in missed)
+        assert leader_k - back >= 10
+        assert missed == []
         assert cluster.settle(within=30.0)
         delivered = cluster.app(2).payloads()
         assert "late" in delivered and delivered == cluster.app(0).payloads()

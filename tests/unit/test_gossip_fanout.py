@@ -55,14 +55,17 @@ def digest_recipients(seen, interval):
 class ConsensusGate:
     """A ``drop`` for :func:`tap` that holds back every consensus
     message while closed, so a message stays Unordered everywhere, and
-    loses whatever ``also`` selects."""
+    loses whatever ``also`` selects.  ``held`` narrows the gate to the
+    message types starting with it."""
 
-    def __init__(self, also=lambda src, dst, message: False):
+    def __init__(self, also=lambda src, dst, message: False,
+                 held="paxos."):
         self.closed = True
         self.also = also
+        self.held = held
 
     def __call__(self, src, dst, message):
-        if self.closed and message.type.startswith("paxos."):
+        if self.closed and message.type.startswith(self.held):
             return True
         return self.also(src, dst, message)
 
@@ -259,10 +262,18 @@ class TestFollowers:
         # saying someone was ahead.
         assert follower.k == 1
         assert [m.id for m in follower.deliver_sequence()] == [message.id]
-        # It logged its (empty) proposal all the same: replay needs one.
-        assert consensus.proposal_of(0) == frozenset()
+        # It proposed nothing, so it logged no proposal: its decision
+        # is what replay re-runs the round from.
+        assert consensus.proposal_of(0) is None
         assert not any(carries(gossip, message.id)
                        for *_, gossip in gossips(seen, dst=4))
+        cluster.crash(4)
+        cluster.recover(4)
+        follower = cluster.abcasts[4]
+        cluster.run(until=cluster.sim.now + 0.001)
+        assert follower.replay_complete and follower.replayed_rounds == 1
+        assert [m.id for m in follower.deliver_sequence()] == [message.id]
+        assert cluster.consensuses[4].proposal_of(0) is None
 
     def test_a_dropped_push_to_the_leader_is_pulled_from_the_next_digest(
             self):
