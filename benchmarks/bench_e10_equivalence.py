@@ -22,7 +22,7 @@ from repro.core.basic import BasicAtomicBroadcast
 from repro.core.equivalence import ConsensusFromAtomicBroadcast
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -32,7 +32,7 @@ INSTANCES = 5
 
 
 def run_case(seed):
-    sim = Simulator()
+    sim = SimRuntime()
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=0.05))
     nodes, reductions = {}, {}
     for i in range(3):

@@ -25,7 +25,7 @@ from common import emit_table
 from repro.apps.kvstore import KeyValueStore
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.quorum.register import QuorumRegister
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -35,7 +35,7 @@ WRITES = 20
 
 
 def quorum_case(n, seed=25):
-    sim = Simulator()
+    sim = SimRuntime()
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=0.02))
     nodes, registers = {}, {}
     for i in range(n):

@@ -29,7 +29,7 @@ from repro.core import (AlternativeAtomicBroadcast, AlternativeConfig,
                         AppMessage, BasicAtomicBroadcast, MessageId)
 from repro.harness import (Cluster, ClusterConfig, Scenario, ScenarioResult,
                            run_scenario, verify_run)
-from repro.runtime import SeedSequence, Simulator
+from repro.runtime import SeedSequence, SimRuntime
 from repro.transport import NetworkConfig
 
 __version__ = "1.0.0"
@@ -48,7 +48,7 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SeedSequence",
-    "Simulator",
+    "SimRuntime",
     "run_scenario",
     "verify_run",
     "__version__",

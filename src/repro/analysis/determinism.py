@@ -95,12 +95,12 @@ class WallClockRule(Rule):
                 yield ctx.finding(
                     self.id, node,
                     f"wall-clock reference time.{path[-1]} — use virtual "
-                    f"time (Simulator.now / yield <delay>) instead")
+                    f"time (SimRuntime.now / yield <delay>) instead")
             elif path[0] == "datetime" and path[-1] in _WALL_CLOCK_DATETIME:
                 yield ctx.finding(
                     self.id, node,
                     f"wall-clock reference datetime.{path[-1]} — use "
-                    f"virtual time (Simulator.now) instead")
+                    f"virtual time (SimRuntime.now) instead")
 
 
 class UuidRule(Rule):

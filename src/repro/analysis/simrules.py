@@ -48,7 +48,7 @@ class LostTaskRule(Rule):
     name = "no-lost-task"
     summary = ("call to a generator task function whose result is "
                "discarded — the coroutine never executes")
-    rationale = ("Kernel tasks only run when spawned (Simulator.spawn / "
+    rationale = ("Kernel tasks only run when spawned (SimRuntime.spawn / "
                  "Node.spawn), joined (yield task) or delegated "
                  "(yield from).  A bare call builds a generator object "
                  "and drops it: the paper's 'fork task' statement "

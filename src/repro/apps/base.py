@@ -10,8 +10,8 @@ Two pieces:
 * :class:`ReplicatedStateMachine` — the node component that wires an
   application to an Atomic Broadcast instance: subscribes the delivery
   listener, registers the checkpoint provider (when the protocol variant
-  supports it), and reports broadcasts/deliveries to the metrics
-  collector.
+  supports it), and reports each broadcast and delivery as an event
+  (:meth:`~repro.runtime.api.Runtime.trace`).
 
 Because the application state is rebuilt either by full replay (basic
 protocol) or from the checkpoint inside the Agreed queue (alternative
@@ -21,11 +21,10 @@ the division of labour Section 5.2 describes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.core.basic import BasicAtomicBroadcast, DeliveryListener
 from repro.core.messages import AppMessage
-from repro.metrics.collector import MetricsCollector
 from repro.runtime import NodeComponent
 
 __all__ = ["Application", "ReplicatedStateMachine"]
@@ -65,12 +64,10 @@ class ReplicatedStateMachine(NodeComponent, DeliveryListener):
     name = "replicated-state-machine"
 
     def __init__(self, abcast: BasicAtomicBroadcast,
-                 app_factory: Callable[[], Application],
-                 collector: Optional[MetricsCollector] = None):
+                 app_factory: Callable[[], Application]):
         NodeComponent.__init__(self)
         self.abcast = abcast
         self.app_factory = app_factory
-        self.collector = collector
         self.app: Application = app_factory()
         self.incarnation = 0
         self.stream = 0  # bumped on start *and* on restore: each stream is
@@ -96,18 +93,16 @@ class ReplicatedStateMachine(NodeComponent, DeliveryListener):
         """A-broadcast a command (non-blocking)."""
         assert self.node is not None
         message = self.abcast.submit(payload)
-        if self.collector is not None:
-            self.collector.note_broadcast(message.id, payload,
-                                          self.node.sim.now)
+        self.node.sim.trace("broadcast", self.node.node_id, "submit",
+                            message.id, payload)
         return message
 
     def broadcast(self, payload: Any):
         """A-broadcast a command with the paper's blocking semantics."""
         assert self.node is not None
         message = self.abcast.submit(payload)
-        if self.collector is not None:
-            self.collector.note_broadcast(message.id, payload,
-                                          self.node.sim.now)
+        self.node.sim.trace("broadcast", self.node.node_id, "submit",
+                            message.id, payload)
         while message not in self.abcast.agreed:
             yield self.abcast._delivered.wait()
         return message
@@ -117,10 +112,8 @@ class ReplicatedStateMachine(NodeComponent, DeliveryListener):
     def on_deliver(self, message: AppMessage) -> None:
         self.app.apply(message)
         self.applied_count += 1
-        if self.collector is not None and self.node is not None:
-            self.collector.note_delivery(self.node.node_id, message.id,
-                                         self.node.sim.now,
-                                         self.stream)
+        self.node.sim.trace("deliver", self.node.node_id, "apply",
+                            message.id, self.stream)
 
     def on_restore(self, state: Any) -> None:
         self.stream += 1

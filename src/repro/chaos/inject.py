@@ -18,7 +18,7 @@ import random
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 
 if TYPE_CHECKING:  # only the link-matrix methods are used: type-only import
     from repro.transport.network import Network
@@ -46,7 +46,7 @@ class FaultEvent:
         return f"FaultEvent({self.time}, {self.node_id}, {self.action!r})"
 
 
-def install_timeline(sim: Simulator, nodes: Dict[int, Node],
+def install_timeline(sim: SimRuntime, nodes: Dict[int, Node],
                      events: Iterable[FaultEvent]) -> None:
     """Schedule an explicit crash/recover timeline on the simulator."""
     for event in events:
@@ -95,7 +95,7 @@ class FaultSchedule:
         self.events.append(FaultEvent(time, node_id, FaultEvent.RECOVER))
         return self
 
-    def install(self, sim: Simulator, nodes: Dict[int, Node]) -> None:
+    def install(self, sim: SimRuntime, nodes: Dict[int, Node]) -> None:
         """Schedule every event on the simulator."""
         install_timeline(sim, nodes, self.events)
 
@@ -123,7 +123,7 @@ class PartitionSchedule:
         self._windows.append((start, end, tuple(sorted(set(nodes)))))
         return self
 
-    def install(self, sim: Simulator, network: "Network") -> None:
+    def install(self, sim: SimRuntime, network: "Network") -> None:
         """Schedule the cut and heal events on the network."""
         for start, end, isolated in self._windows:
             sim.schedule(start, cut_off, network, isolated)
@@ -163,7 +163,7 @@ class RandomFaults:
         self.max_faults_per_node = max_faults_per_node
         self._fault_counts: Dict[int, int] = {}
 
-    def install(self, sim: Simulator, nodes: Dict[int, Node]) -> None:
+    def install(self, sim: SimRuntime, nodes: Dict[int, Node]) -> None:
         """Arm a crash timer for every node."""
         for node in nodes.values():
             self._arm_crash(sim, node)
@@ -176,11 +176,11 @@ class RandomFaults:
         return self._fault_counts.get(node.node_id, 0) \
             < self.max_faults_per_node
 
-    def _arm_crash(self, sim: Simulator, node: Node) -> None:
+    def _arm_crash(self, sim: SimRuntime, node: Node) -> None:
         delay = self.rng.expovariate(1.0 / self.mttf)
         sim.schedule(delay, self._crash, sim, node)
 
-    def _crash(self, sim: Simulator, node: Node) -> None:
+    def _crash(self, sim: SimRuntime, node: Node) -> None:
         is_bad = node.node_id in self.bad_nodes
         if not is_bad and sim.now >= self.stabilize_at:
             return  # good nodes stop crashing after stabilisation
@@ -196,7 +196,7 @@ class RandomFaults:
         delay = self.rng.expovariate(1.0 / self.mttr)
         sim.schedule(delay, self._recover, sim, node)
 
-    def _recover(self, sim: Simulator, node: Node) -> None:
+    def _recover(self, sim: SimRuntime, node: Node) -> None:
         if node.up:
             return
         node.recover()

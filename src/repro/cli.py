@@ -28,7 +28,7 @@ from repro.harness.cluster import PROTOCOLS, ClusterConfig
 from repro.harness.report import format_table
 from repro.harness.scenario import Scenario, check_reproducible, \
     run_scenario
-from repro.runtime import Tracer
+from repro.metrics.collector import MetricsCollector
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload
 
@@ -173,11 +173,12 @@ def _cluster_config(args) -> ClusterConfig:
                          alt=alt)
 
 
-def _print_trace(args, tracer: Optional[Tracer]) -> None:
-    if tracer is not None:
+def _print_trace(args, collector: MetricsCollector) -> None:
+    if collector.events is not None:
         print(f"\nlast {args.trace} trace events "
-              f"({len(tracer)} recorded; counts {tracer.counts()}):")
-        print(tracer.format_text(limit=args.trace))
+              f"({len(collector.events)} recorded; "
+              f"counts {collector.counts()}):")
+        print(collector.format_text(limit=args.trace))
 
 
 def _run_live(args) -> int:
@@ -201,12 +202,11 @@ def _run_live(args) -> int:
     timeline += [ChaosEvent(0.45 * args.duration, "crash", node=victim),
                  ChaosEvent(0.75 * args.duration, "recover", node=victim)]
     timeline.sort(key=lambda event: event.time)
-    tracer = Tracer() if args.trace else None
     results = {runtime: run_scenario(Scenario(
         _cluster_config(args), runtime=runtime, timeline=timeline,
         duration=args.duration,
         settle_limit=args.duration + max(10.0, args.duration),
-        tracer=tracer if runtime == "live" else None))
+        trace=bool(args.trace) and runtime == "live"))
         for runtime in ("live", "sim")}
     orders = {runtime: [result.cluster.collector.broadcast_payloads[mid]
                         for mid in result.report.canonical]
@@ -234,7 +234,7 @@ def _run_live(args) -> int:
             ["properties verified", "yes"],
             ["delivery order matches sim", "yes" if match else "NO"],
         ]))
-    _print_trace(args, tracer)
+    _print_trace(args, live.cluster.collector)
     if not match:
         raise VerificationError(
             f"live delivery order diverged from sim: "
@@ -250,7 +250,6 @@ def _run(args) -> int:
         faults = RandomFaults(mttf=args.mttf, mttr=args.mttr,
                               stabilize_at=args.duration * 1.2,
                               seed=args.seed)
-    tracer = Tracer() if args.trace else None
     result = run_scenario(Scenario(
         cluster=_cluster_config(args),
         workload=PoissonWorkload(args.rate, args.duration,
@@ -258,7 +257,7 @@ def _run(args) -> int:
         faults=faults,
         duration=args.duration * 1.5,
         settle_limit=args.duration * 20,
-        tracer=tracer))
+        trace=bool(args.trace)))
     metrics = result.metrics
     latency = metrics.latency_summary()
     print(format_table(
@@ -284,7 +283,7 @@ def _run(args) -> int:
                  for stats in metrics.node_stats.values())],
             ["properties verified", "yes"],
         ]))
-    _print_trace(args, tracer)
+    _print_trace(args, result.cluster.collector)
     return 0
 
 

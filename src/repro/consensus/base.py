@@ -73,10 +73,6 @@ class ConsensusService(NodeComponent):
         self._decided_signal: Dict[int, Signal] = {}
         self._decisions: Dict[int, Any] = {}   # volatile decision cache
         self._proposals: Dict[int, Any] = {}   # volatile proposal cache
-        # Optional omniscient observer (the metrics collector): sees each
-        # locally-learned decision even after logs are garbage-collected.
-        # Lives outside the fault model; protocols never read it.
-        self.observer: Optional[Any] = None
         # Instances below the floor have had their durable records
         # garbage-collected here: this process must no longer participate
         # in them (an acceptor whose memory of an instance is gone would
@@ -277,14 +273,9 @@ class ConsensusService(NodeComponent):
         self.node.storage.log((self.PROPOSAL_KEY, k, "decision"),
                               value if record is None else record)
         self._decisions[k] = value
-        self.node.sim.trace("decision", self.node.node_id, "locked",
-                            k=k, size=len(value))
-        self._notify_observer(k, value)
+        self.node.sim.trace("decision", self.node.node_id, "locked", k,
+                            value)
         self.decision_signal(k).notify(value)
-
-    def _notify_observer(self, k: int, value: Any) -> None:
-        if self.observer is not None:
-            self.observer.note_decision(k, value)
 
     def on_crash(self) -> None:
         self._decided_signal = {}

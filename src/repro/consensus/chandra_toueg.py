@@ -157,7 +157,8 @@ class ChandraTouegConsensus(ConsensusService):
     def _record_decision(self, k: int, value: Any) -> None:
         if k not in self._decisions:
             self._decisions[k] = value
-            self._notify_observer(k, value)
+            self.node.sim.trace("decision", self.node.node_id, "locked", k,
+                                value)
             self.decision_signal(k).notify(value)
         # Round bookkeeping for a decided instance is dead weight; drop
         # it, waking any driver still blocked on the round signal so it

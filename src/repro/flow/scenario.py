@@ -60,7 +60,7 @@ def overload_scenario(seed: int = 0,
                       settle_limit: float = 300.0) -> Scenario:
     """The scripted saturation scenario for one seed.
 
-    Simulator only: the point of the scenario is exact accounting under
+    Simulated runtime only: the point of the scenario is exact accounting under
     overload, which needs the virtual clock (the live runtime gets its
     overload coverage from ``repro chaos --runtime live --overload``).
     The run must settle within ``settle_limit`` virtual seconds of the

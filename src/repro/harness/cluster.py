@@ -19,8 +19,10 @@ and :class:`~repro.harness.live.LiveCluster` on asyncio, UDP and files.
 
 On top of every stack sits a
 :class:`~repro.apps.base.ReplicatedStateMachine` hosting the configured
-application and reporting to the shared
-:class:`~repro.metrics.collector.MetricsCollector`.
+application.  Every layer reports what it did through
+:meth:`~repro.runtime.api.Runtime.trace`; the cluster attaches its
+:class:`~repro.metrics.collector.MetricsCollector` to the runtime as the
+one sink of those events.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.flow.controller import FlowConfig, FlowController
 from repro.fdetect.omega import OmegaOracle
 from repro.membership import View, ViewManager, reconfig_payload
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -107,8 +109,7 @@ class ClusterConfig:
 
 
 def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
-                     collector: MetricsCollector, node_id: int,
-                     storage: Any, view: Optional[View] = None,
+                     node_id: int, storage: Any, view: Optional[View] = None,
                      joining: bool = False,
                      flow: Optional[FlowController] = None) -> Tuple[
                          Node, Any, Optional[Any],
@@ -138,7 +139,7 @@ def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
     endpoint = node.add_component(Endpoint(network))
     view_manager: Optional[ViewManager] = None
     if view is not None:
-        view_manager = node.add_component(ViewManager(view, collector))
+        view_manager = node.add_component(ViewManager(view))
         endpoint.view_source = view_manager
     abcast: Any
     consensus: Optional[Any] = None
@@ -155,7 +156,6 @@ def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
             omega = node.add_component(OmegaOracle(detector))
             consensus = node.add_component(PaxosConsensus(
                 endpoint, omega, attempt_timeout=config.attempt_timeout))
-        consensus.observer = collector
         if config.protocol == "basic":
             abcast = BasicAtomicBroadcast(
                 endpoint, consensus,
@@ -181,7 +181,7 @@ def build_node_stack(sim: Any, network: Any, config: ClusterConfig,
             (config.alt or AlternativeConfig()).delta is not None:
         abcast.mark_joining()
     rsm = node.add_component(ReplicatedStateMachine(
-        abcast, config.app_factory, collector))
+        abcast, config.app_factory))
     network.register(node)
     return node, abcast, consensus, rsm, view_manager
 
@@ -218,6 +218,7 @@ class ClusterCore:
         self.runtime = runtime
         self.network = network
         self.collector = MetricsCollector()
+        runtime.sink = self.collector
         self.nodes: Dict[int, Node] = {}
         self.abcasts: Dict[int, Any] = {}
         self.consensuses: Dict[int, Any] = {}
@@ -253,7 +254,7 @@ class ClusterCore:
             flow = self.flows.setdefault(
                 node_id, FlowController(node_id, config.flow))
         node, abcast, consensus, rsm, view_manager = build_node_stack(
-            self.runtime, self.network, config, self.collector, node_id,
+            self.runtime, self.network, config, node_id,
             self._storage(node_id), view=view, joining=joining, flow=flow)
         if consensus is not None:
             self.consensuses[node_id] = consensus
@@ -496,7 +497,7 @@ class Cluster(ClusterCore):
     SETTLE_INTERVAL = 1.0
 
     def __init__(self, config: ClusterConfig):
-        sim = Simulator(seed=config.seed)
+        sim = SimRuntime(seed=config.seed)
         super().__init__(config, sim,
                          Network(sim, sim.rng("network"), config.network))
         self.sim = sim  # the same object as ``runtime``

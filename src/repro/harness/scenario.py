@@ -60,8 +60,10 @@ class Scenario:
     """Declarative description of one experiment run.
 
     ``settle_limit`` is the instant of the run's clock by which it must
-    have settled.  ``directory`` roots a live cluster's per-node storage;
-    a temporary one, removed afterwards, when omitted.
+    have settled.  ``trace`` keeps every event in the collector's trace
+    ring (:meth:`~repro.metrics.collector.MetricsCollector.keep_events`).
+    ``directory`` roots a live cluster's per-node storage; a temporary
+    one, removed afterwards, when omitted.
     """
 
     def __init__(self,
@@ -73,7 +75,7 @@ class Scenario:
                  verify: bool = True,
                  check_termination: bool = True,
                  good_nodes: Optional[List[int]] = None,
-                 tracer: Optional[Any] = None,
+                 trace: bool = False,
                  runtime: str = "sim",
                  timeline: Sequence[ChaosEvent] = (),
                  directory: Optional[str] = None):
@@ -87,8 +89,7 @@ class Scenario:
         self.verify = verify
         self.check_termination = check_termination
         self.good_nodes = good_nodes
-        # Optional repro.runtime.trace.Tracer attached before the run starts.
-        self.tracer = tracer
+        self.trace = trace
         self.runtime = runtime
         self.timeline = list(timeline)
         self.directory = directory
@@ -154,8 +155,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
 def _drive(scenario: Scenario, result: ScenarioResult) -> None:
     cluster, workload = result.cluster, scenario.workload
-    if scenario.tracer is not None:
-        cluster.runtime.tracer = scenario.tracer
+    if scenario.trace:
+        cluster.collector.keep_events()
     cluster.start()
     if scenario.faults is not None:
         scenario.faults.install(cluster.sim, cluster.nodes)

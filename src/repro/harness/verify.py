@@ -1,7 +1,15 @@
 """Post-hoc verification of the Atomic Broadcast properties (Section 2.2).
 
 After a scenario run, :func:`verify_run` checks the four defining
-properties against everything the omniscient observer saw:
+properties.  It takes the run's history from the cluster's
+:class:`~repro.metrics.collector.MetricsCollector` alone — the one sink
+of the runtime's events: broadcasts, delivery upcalls, decisions, view
+installs and crash times.  It still reads some *final state* from the
+cluster's objects (ROADMAP item 13 moves these to events too): which
+nodes are up, each node's Agreed queue and tracker, its ``_joining``
+and ``_pending_restore`` flags and round counter ``k``, the
+application's ``ids()``, and every node's ``decided_value`` to
+cross-check the decision archive.  The checks:
 
 * **Uniform agreement on decisions** — every consensus instance decided
   the same value at every node that knows a decision (P5).
@@ -63,9 +71,9 @@ class VerificationReport:
 def _gather_decisions(cluster) -> Dict[int, Any]:
     """Union of consensus decisions across nodes, with agreement check.
 
-    Starts from the collector's omniscient decision archive (which
-    survives log garbage collection) and cross-checks it against every
-    decision still retrievable at any node.
+    Starts from the collector's decision archive (which survives log
+    garbage collection) and cross-checks it against every decision
+    still retrievable at any node.
     """
     if cluster.collector.decision_conflicts:
         k, a, b = cluster.collector.decision_conflicts[0]
@@ -142,7 +150,7 @@ def verify_run(cluster, good_nodes: Optional[List[int]] = None,
     # node must walk the same epoch -> member-set timeline (checked on the
     # omniscient install archive; adoption may legitimately *skip* epochs,
     # but never contradict one).
-    if getattr(collector, "view_conflicts", None):
+    if collector.view_conflicts:
         node_id, epoch, a, b = collector.view_conflicts[0]
         raise VerificationError(
             f"uniform views violated: epoch {epoch} installed as "
@@ -209,23 +217,19 @@ def verify_run(cluster, good_nodes: Optional[List[int]] = None,
 
     # Termination.
     if good_nodes is None:
+        # Only *members* of the final view are obliged to deliver
+        # everything — an evicted-but-up node stops receiving the order
+        # stream by design.  Epochs are totally ordered, so the highest
+        # one installed anywhere is the final view.
+        views = collector.views_by_epoch
+        final_members = views[max(views)] if views \
+            else cluster.initial_view.members
         good_nodes = [node_id for node_id, node in cluster.nodes.items()
-                      if node.up]
-        views = getattr(cluster, "views", None)
-        if views:
-            # View-parameterised cluster: only *members* of the final
-            # view are obliged to deliver everything — an evicted-but-up
-            # node stops receiving the order stream by design.
-            final_members = cluster.current_view().members
-            good_nodes = [node_id for node_id in good_nodes
-                          if node_id in final_members]
+                      if node.up and node_id in final_members]
     must_deliver: Set[MessageId] = set()
     for mid, sent_at in collector.broadcast_times.items():
-        sender_node = cluster.nodes.get(mid.sender)
-        if sender_node is None:
-            continue
-        crashed_after = any(t >= sent_at for t in sender_node.crash_times)
-        if not crashed_after:
+        crashes = collector.crash_times.get(mid.sender, ())
+        if not any(t >= sent_at for t in crashes):
             must_deliver.add(mid)
     must_deliver |= set(collector.first_delivery)
     undeliverable = broadcast_ids - canonical_set

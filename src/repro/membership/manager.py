@@ -47,9 +47,6 @@ class ViewManager(NodeComponent):
         The view this node boots with: epoch 0 for founding members, the
         sponsor's current view for a joining node (superseded by the
         state transfer's view on adoption).
-    collector:
-        Optional omniscient observer; every install is archived for
-        post-hoc uniform-view verification and timeline comparison.
     """
 
     name = "view-manager"
@@ -61,11 +58,9 @@ class ViewManager(NodeComponent):
     # or a crash between install and log would fork the view timeline.
     VOLATILE_FIELDS = ("view", "_applied")
 
-    def __init__(self, initial_view: View,
-                 collector: Optional[Any] = None):
+    def __init__(self, initial_view: View):
         super().__init__()
         self.initial_view = initial_view
-        self.collector = collector
         self.view = initial_view
         self._applied: Set[MessageId] = set()
         self._subscribers: List[Callable[[View], None]] = []
@@ -189,11 +184,6 @@ class ViewManager(NodeComponent):
         self.view = view
         self.installs += 1
         self.node.sim.trace("view", self.node.node_id, "install",
-                            epoch=view.epoch,
-                            members=list(view.members), origin=origin)
-        if self.collector is not None:
-            self.collector.note_view_install(
-                self.node.node_id, view.epoch, view.members,
-                self.node.sim.now, origin)
+                            view.epoch, view.members, origin)
         for callback in list(self._subscribers):
             callback(view)

@@ -1,25 +1,82 @@
-"""Run-level metric collection.
+"""The run's one event sink: archive, trace ring and metrics.
 
-The :class:`MetricsCollector` is the omniscient observer of a simulation:
-it records every ``A-broadcast`` submission and every delivery at every
-node, with virtual timestamps, and aggregates storage/network counters at
-the end of the run.  The harness uses it both for reporting (latency,
-throughput, log operations) and for verifying the Atomic Broadcast
-properties post-hoc.
+Every protocol layer reports what it did through
+:meth:`runtime.trace(category, node, action, ...)
+<repro.runtime.api.Runtime.trace>`, and the harness attaches one
+:class:`MetricsCollector` to the runtime as its only sink, on the
+simulator and the live runtime alike.  The collector lives outside the
+fault model: it survives every crash and log truncation, and no
+protocol reads it.
+
+:data:`CATEGORIES` is the whole vocabulary; any other category raises.
+``broadcast``, ``deliver``, ``decision`` and ``view`` events carry the
+positional fields named in :data:`FIELDS`, which the collector archives
+through its ``note_*`` methods; ``node/crash`` events keep crash
+times.  The other categories carry keyword details for a
+reader.  Every event is kept in a bounded trace ring only when a run
+asks for it (:meth:`MetricsCollector.keep_events`); a sim trace is a
+replayable explanation of an execution.
+
+The harness reports latency and throughput from the archive, and
+:func:`~repro.harness.verify.verify_run` takes the run's history from it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from collections import Counter, deque
+from typing import (Any, Deque, Dict, List, NamedTuple, Optional, Set,
+                    Tuple)
 
 from repro.core.ids import MessageId
 from repro.metrics.stats import summarize
 
-__all__ = ["MetricsCollector", "RunMetrics"]
+__all__ = ["CATEGORIES", "FIELDS", "MetricsCollector", "RunMetrics",
+           "TRACE_LIMIT", "TraceEvent"]
+
+#: Every event category a layer may emit.
+CATEGORIES = (
+    "node",            # start / crash / recover
+    "broadcast",       # an A-broadcast submission
+    "deliver",         # a delivery upcall to the application
+    "decision",        # a consensus instance decided
+    "view",            # a membership view installed
+    "round",           # an AB round committed
+    "checkpoint",      # durable checkpoint taken
+    "state-transfer",  # state message sent / adopted
+    "fd",              # failure-detector suspicion changes
+)
+
+#: Names of the positional fields of the archived categories.
+FIELDS = {
+    "broadcast": ("mid", "payload"),
+    "deliver": ("mid", "stream"),
+    "decision": ("k", "value"),
+    "view": ("epoch", "members", "origin"),
+}
+
+#: Bound of the trace ring; the oldest events are dropped beyond it.
+TRACE_LIMIT = 100_000
+
+
+class TraceEvent(NamedTuple):
+    """One event kept in the trace ring."""
+
+    time: float
+    category: str
+    node: int
+    action: str
+    details: Dict[str, Any]
+
+    def format(self) -> str:
+        """One-line human-readable rendering."""
+        details = " ".join(f"{key}={value!r}"
+                           for key, value in sorted(self.details.items()))
+        return (f"[{self.time:10.4f}] n{self.node} "
+                f"{self.category}/{self.action} {details}").rstrip()
 
 
 class MetricsCollector:
-    """Accumulates per-run observations (lives outside the fault model)."""
+    """The run's event sink (lives outside the fault model)."""
 
     def __init__(self) -> None:
         self.broadcast_times: Dict[MessageId, float] = {}
@@ -47,8 +104,51 @@ class MetricsCollector:
         self.views_by_epoch: Dict[int, Tuple[int, ...]] = {}
         self.view_conflicts: List[Tuple[int, int, Tuple[int, ...],
                                         Tuple[int, ...]]] = []
+        # When each node crashed, in order.
+        self.crash_times: Dict[int, List[float]] = {}
+        # The opt-in trace ring (None: keep no events).
+        self.events: Optional[Deque[TraceEvent]] = None
+        self.dropped = 0
 
-    # -- recording hooks -----------------------------------------------------
+    # -- the sink -------------------------------------------------------------
+
+    def keep_events(self) -> None:
+        """Keep every event from now on in a ring of :data:`TRACE_LIMIT`."""
+        self.events = deque(maxlen=TRACE_LIMIT)
+
+    def record(self, time: float, category: str, node: int, action: str,
+               fields: Tuple[Any, ...], details: Dict[str, Any]) -> None:
+        """Take one event (:meth:`Runtime.trace` calls this).
+
+        Archived categories go to their ``note_*`` method, looked up on
+        the instance at event time.  A category outside
+        :data:`CATEGORIES` raises :class:`ValueError`: a typo at an
+        instrumentation site must fail loudly, not drop its events.
+        """
+        if category == "deliver":
+            self.note_delivery(node, fields[0], time, fields[1])
+        elif category == "broadcast":
+            self.note_broadcast(fields[0], fields[1], time)
+        elif category == "decision":
+            self.note_decision(*fields)
+        elif category == "view":
+            self.note_view_install(node, fields[0], fields[1], time,
+                                   fields[2])
+        elif category == "node":
+            if action == "crash":
+                self.crash_times.setdefault(node, []).append(time)
+        elif category not in CATEGORIES:
+            raise ValueError(f"unknown trace category {category!r}; "
+                             f"known: {sorted(CATEGORIES)}")
+        events = self.events
+        if events is not None:
+            if fields:
+                details = dict(zip(FIELDS[category], fields))
+            if len(events) == events.maxlen:
+                self.dropped += 1
+            events.append(TraceEvent(time, category, node, action, details))
+
+    # -- archive ----------------------------------------------------------------
 
     def note_broadcast(self, mid: MessageId, payload: Any,
                        time: float) -> None:
@@ -103,6 +203,32 @@ class MetricsCollector:
             self.views_by_epoch[epoch] = members
         elif existing != members:
             self.view_conflicts.append((node_id, epoch, existing, members))
+
+    # -- trace queries ----------------------------------------------------------
+
+    def select(self, category: Optional[str] = None,
+               node: Optional[int] = None,
+               action: Optional[str] = None) -> List[TraceEvent]:
+        """Kept events matching every given filter."""
+        return [event for event in self.events or ()
+                if (category is None or event.category == category)
+                and (node is None or event.node == node)
+                and (action is None or event.action == action)]
+
+    def counts(self) -> Dict[str, int]:
+        """Kept events per ``category/action`` pair."""
+        return dict(Counter(f"{event.category}/{event.action}"
+                            for event in self.events or ()))
+
+    def format_text(self, limit: Optional[int] = None) -> str:
+        """The kept trace (or its tail) as printable text."""
+        events = list(self.events or ())
+        if limit is not None:
+            events = events[max(0, len(events) - limit):]
+        lines = [event.format() for event in events]
+        if self.dropped:
+            lines.insert(0, f"... {self.dropped} earlier events dropped")
+        return "\n".join(lines)
 
     # -- derived views ---------------------------------------------------------
 

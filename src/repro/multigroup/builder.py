@@ -17,7 +17,7 @@ from repro.errors import SimulationError
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
 from repro.multigroup.multicast import MultiGroupMulticast
-from repro.runtime import Node, SeedSequence, Simulator
+from repro.runtime import Node, SeedSequence, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -52,7 +52,7 @@ class MultiGroupCluster:
         if node_ids != list(range(len(node_ids))):
             raise SimulationError(
                 "node ids must be dense 0..n-1 across the group union")
-        self.sim = Simulator()
+        self.sim = SimRuntime()
         self.seeds = SeedSequence(seed)
         self.network = Network(self.sim, self.seeds.stream("network"),
                                network or NetworkConfig())

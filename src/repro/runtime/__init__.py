@@ -4,14 +4,15 @@ This package is the substrate every protocol layer is written against:
 
 * :class:`~repro.runtime.api.Runtime` — the interface (clock, timers,
   task spawn/join, ``Event``/``Signal``/``AnyOf`` waiting, seeded RNG
-  streams, tracing).
-* :class:`~repro.runtime.sim.SimRuntime` (alias ``Simulator``) — the
-  deterministic virtual-time implementation.
+  streams, and :meth:`~repro.runtime.api.Runtime.trace`, through which
+  every layer reports its events to the one sink the harness attaches —
+  the run's :class:`~repro.metrics.collector.MetricsCollector`).
+* :class:`~repro.runtime.sim.SimRuntime` — the deterministic
+  virtual-time implementation.
 * :class:`~repro.runtime.node.Node` /
   :class:`~repro.runtime.node.NodeComponent` — the crash-recovery
   process model.
 * :class:`~repro.runtime.rng.SeedSequence` — named seeded randomness.
-* :class:`~repro.runtime.trace.Tracer` — structured event recording.
 
 The asyncio/UDP implementation lives in :mod:`repro.runtime.live` and
 :mod:`repro.runtime.live_net`.  It is deliberately **not** imported here:
@@ -31,12 +32,10 @@ from repro.runtime.api import Runtime, StorageFactory, TimerHandle, \
 from repro.runtime.node import Node, NodeComponent
 from repro.runtime.primitives import AnyOf, Event, Signal, Task
 from repro.runtime.rng import SeedSequence
-from repro.runtime.sim import SimRuntime, Simulator, Timer
-from repro.runtime.trace import CATEGORIES, TraceEvent, Tracer
+from repro.runtime.sim import SimRuntime, Timer
 
 __all__ = [
     "AnyOf",
-    "CATEGORIES",
     "Event",
     "Node",
     "NodeComponent",
@@ -44,12 +43,9 @@ __all__ = [
     "SeedSequence",
     "Signal",
     "SimRuntime",
-    "Simulator",
     "StorageFactory",
     "Task",
     "Timer",
     "TimerHandle",
-    "TraceEvent",
     "TransportMedium",
-    "Tracer",
 ]

@@ -13,7 +13,8 @@ can run on more than one substrate:
   :class:`~repro.runtime.primitives.AnyOf`);
 * **seeded randomness** (:meth:`Runtime.rng` — named streams derived
   from one root seed);
-* structured **tracing** (:meth:`Runtime.trace`).
+* one **event sink** (:meth:`Runtime.trace`): every layer reports
+  what it did through it.
 
 Two implementations exist:
 
@@ -42,8 +43,8 @@ from repro.runtime.primitives import Event, Signal, Task
 from repro.runtime.rng import SeedSequence
 
 if TYPE_CHECKING:  # type-only: storage/transport sit above the runtime
+    from repro.metrics.collector import MetricsCollector
     from repro.storage.stable import StableStorage
-    from repro.runtime.trace import Tracer
 
 try:  # typing.Protocol: 3.8+; guarded anyway so the module stays portable
     from typing import Protocol, runtime_checkable
@@ -109,9 +110,8 @@ class Runtime(ABC):
 
     def __init__(self, seed: int = 0) -> None:
         self.seeds = SeedSequence(seed)
-        # Optional structured tracer (see repro.runtime.trace);
-        # instrumented layers call self.trace(...) which no-ops when unset.
-        self.tracer: Optional["Tracer"] = None
+        # The run's event sink; self.trace(...) no-ops while it is unset.
+        self.sink: Optional["MetricsCollector"] = None
 
     # -- clock -------------------------------------------------------------
 
@@ -152,10 +152,16 @@ class Runtime(ABC):
         """The named seeded random stream (memoised per name)."""
         return self.seeds.stream(name)
 
-    # -- tracing -------------------------------------------------------------
+    # -- events ---------------------------------------------------------------
 
-    def trace(self, category: str, node: int, action: str,
+    def trace(self, category: str, node: int, action: str, *fields: Any,
               **details: Any) -> None:
-        """Record a protocol event if a tracer is attached."""
-        if self.tracer is not None:
-            self.tracer.record(self.now, category, node, action, **details)
+        """Report one protocol event to the sink, if one is attached.
+
+        The categories the sink archives take positional ``fields``
+        (:data:`repro.metrics.collector.FIELDS`); the others take keyword
+        ``details`` for a reader of the trace.
+        """
+        sink = self.sink
+        if sink is not None:
+            sink.record(self.now, category, node, action, fields, details)

@@ -100,7 +100,6 @@ class Node:
         # Statistics for the harness.
         self.crash_count = 0
         self.recovery_count = 0
-        self.crash_times: List[float] = []
         self.recovery_times: List[float] = []
         self.last_up_at = 0.0
         self.total_uptime = 0.0
@@ -150,7 +149,6 @@ class Node:
         self.up = False
         self.crash_count += 1
         self.sim.trace("node", self.node_id, "crash")
-        self.crash_times.append(self.sim.now)
         self.total_uptime += self.sim.now - self.last_up_at
         tasks, self._tasks = self._tasks, []
         for task in tasks:

@@ -11,9 +11,6 @@ contract the whole test suite and every benchmark table relies on; the
 static analyzer's DET rules police the inputs (no wall clock, no OS
 entropy, no unseeded randomness) inside this implementation and the
 layers above it.
-
-``Simulator`` is kept as an alias: the class was born under that name and
-the test suite, benchmarks and docs refer to it extensively.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from repro.errors import SimulationError
 from repro.runtime.api import Runtime
 from repro.runtime.primitives import Event
 
-__all__ = ["SimRuntime", "Simulator", "Timer"]
+__all__ = ["SimRuntime", "Timer"]
 
 
 class Timer(list):
@@ -178,7 +175,3 @@ class SimRuntime(Runtime):
     def pending(self) -> int:
         """Number of live (non-cancelled) timers in the queue."""
         return len(self._heap) - self._cancelled_in_heap
-
-
-# Historical name, used pervasively by tests, benchmarks and docs.
-Simulator = SimRuntime

@@ -7,7 +7,7 @@ import pytest
 from repro.consensus.paxos import PaxosConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
-from repro.runtime import Node, SeedSequence, Simulator
+from repro.runtime import Node, SeedSequence, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -16,7 +16,7 @@ from repro.transport.network import Network, NetworkConfig
 @pytest.fixture
 def sim():
     """A fresh simulator."""
-    return Simulator()
+    return SimRuntime()
 
 
 class MiniCluster:
@@ -31,7 +31,7 @@ class MiniCluster:
                  with_consensus: bool = True,
                  attempt_timeout: float = 1.0,
                  storage_factory=lambda node_id: MemoryStorage()):
-        self.sim = Simulator()
+        self.sim = SimRuntime()
         self.seeds = SeedSequence(seed)
         self.network = Network(self.sim, self.seeds.stream("net"),
                                network_config or NetworkConfig())

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.consensus.paxos import PaxosConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -25,7 +25,7 @@ RUNS = settings(max_examples=15, deadline=None,
 
 
 def build(n, seed, loss):
-    sim = Simulator()
+    sim = SimRuntime()
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=loss))
     nodes, consensuses = {}, {}
     for i in range(n):

@@ -7,7 +7,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig
@@ -25,7 +25,7 @@ class Ping(WireMessage):
 
 
 def build(config, seed, n=2):
-    sim = Simulator()
+    sim = SimRuntime()
     net = Network(sim, random.Random(seed), config)
     received = {i: [] for i in range(n)}
     for i in range(n):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -19,7 +19,7 @@ class CTCluster:
     """Crash-stop cluster: CT consensus on a reliable network."""
 
     def __init__(self, n=3, seed=0):
-        self.sim = Simulator()
+        self.sim = SimRuntime()
         self.network = Network(self.sim, random.Random(seed),
                                NetworkConfig(loss_rate=0.0))
         self.nodes, self.consensuses, self.detectors = {}, {}, {}

@@ -11,14 +11,14 @@ from repro.core.basic import BasicAtomicBroadcast
 from repro.core.equivalence import ConsensusFromAtomicBroadcast
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
 
 def build(n=3, seed=0, loss=0.0):
-    sim = Simulator()
+    sim = SimRuntime()
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=loss))
     nodes, reductions = {}, {}
     for i in range(n):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos.inject import FaultEvent, FaultSchedule, RandomFaults
-from repro.runtime import Node, Simulator
+from repro.metrics.collector import MetricsCollector
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 
 
@@ -93,12 +94,14 @@ class TestRandomFaults:
 
     def test_deterministic_given_seed(self):
         def crash_times(seed):
-            sim = Simulator()
+            sim = SimRuntime()
+            collector = sim.sink = MetricsCollector()
             nodes = build_nodes(sim, 3)
             RandomFaults(mttf=2.0, mttr=0.5, stabilize_at=30.0,
                          seed=seed).install(sim, nodes)
             sim.run(until=30.0)
-            return [tuple(n.crash_times) for n in nodes.values()]
+            return [tuple(collector.crash_times.get(node_id, ()))
+                    for node_id in nodes]
 
         assert crash_times(7) == crash_times(7)
         assert crash_times(7) != crash_times(8)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import AnyOf, Event, Signal, Simulator
+from repro.runtime import AnyOf, Event, Signal, SimRuntime
 
 
 class TestClockAndTimers:
@@ -406,7 +406,7 @@ class TestAnyOf:
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         def run_once():
-            sim = Simulator()
+            sim = SimRuntime()
             trace = []
 
             def noisy(tag, period):
@@ -426,7 +426,7 @@ class TestTimerCompaction:
     """Cancelled timers are lazily compacted out of the heap."""
 
     def test_dead_timers_are_compacted(self):
-        sim = Simulator()
+        sim = SimRuntime()
         timers = [sim.schedule(10.0 + i, lambda: None) for i in range(500)]
         for timer in timers[:400]:
             timer.cancel()
@@ -436,7 +436,7 @@ class TestTimerCompaction:
         assert sim.pending() == 100
 
     def test_pending_is_exact_after_cancel_and_fire(self):
-        sim = Simulator()
+        sim = SimRuntime()
         fired = []
         keep = sim.schedule(1.0, fired.append, "keep")
         dead = sim.schedule(2.0, fired.append, "dead")
@@ -454,7 +454,7 @@ class TestTimerCompaction:
         # compaction and one replayed without — the survivors must fire
         # in exactly the same order.
         def build(cancel):
-            sim = Simulator()
+            sim = SimRuntime()
             order = []
             timers = [sim.schedule((i * 7919 % 97) / 10.0, order.append, i)
                       for i in range(300)]
@@ -472,7 +472,7 @@ class TestTimerCompaction:
         assert with_cancel == survivors
 
     def test_events_processed_ignores_cancelled(self):
-        sim = Simulator()
+        sim = SimRuntime()
         for i in range(10):
             timer = sim.schedule(1.0 + i, lambda: None)
             if i % 2:

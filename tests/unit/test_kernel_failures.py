@@ -1,7 +1,7 @@
 """Failure semantics of the simulation kernel: fail fast and loud.
 
 A protocol bug that raises inside a task or handler must surface as an
-exception from ``Simulator.run`` — never be swallowed — so that every
+exception from ``SimRuntime.run`` — never be swallowed — so that every
 test and experiment fails at the faulty event, with the virtual time on
 the stack.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import Simulator
+from repro.runtime import SimRuntime
 
 
 class TestExceptionPropagation:

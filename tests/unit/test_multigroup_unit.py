@@ -9,7 +9,7 @@ import pytest
 from repro.fdetect.heartbeat import Heartbeat, HeartbeatDetector
 from repro.multigroup import MultiGroupCluster
 from repro.multigroup.multicast import TimestampAnnounce
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
@@ -140,7 +140,7 @@ class TestSharedLinkLiveness:
         # Two scoped detectors per node and nothing else, so the link
         # carries explicit beats only.  Node 0 leads both groups, so it
         # beats for both; node 1 follows in both and never beats.
-        sim = Simulator()
+        sim = SimRuntime()
         network = Network(sim, random.Random(0), NetworkConfig())
         seen = tap(network)
         detectors = {}

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import Node, Simulator
+from repro.runtime import Node
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProcessDown, SimulationError
-from repro.runtime import Node, NodeComponent, Simulator
+from repro.metrics.collector import MetricsCollector
+from repro.runtime import Node, NodeComponent
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 
@@ -102,6 +103,7 @@ class TestLifecycle:
             node.get_component(Node)
 
     def test_crash_recover_counters(self, sim):
+        collector = sim.sink = MetricsCollector()
         node = make_node(sim)
         node.start()
         sim.run(until=1.0)
@@ -110,7 +112,7 @@ class TestLifecycle:
         node.recover()
         assert node.crash_count == 1
         assert node.recovery_count == 1
-        assert node.crash_times == [1.0]
+        assert collector.crash_times == {node.node_id: [1.0]}
         assert node.recovery_times == [2.0]
 
 

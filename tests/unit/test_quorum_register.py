@@ -8,14 +8,14 @@ import pytest
 
 from repro.errors import ProcessDown
 from repro.quorum.register import QuorumRegister
-from repro.runtime import Node, Simulator
+from repro.runtime import Node, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
 
 def build(n=3, seed=0, loss=0.0):
-    sim = Simulator()
+    sim = SimRuntime()
     net = Network(sim, random.Random(seed),
                   NetworkConfig(loss_rate=loss))
     nodes, registers = {}, {}

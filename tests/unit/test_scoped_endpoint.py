@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import Node, Simulator
+from repro.runtime import Node
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage

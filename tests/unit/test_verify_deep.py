@@ -125,7 +125,7 @@ class TestInjectedViolations:
         # no node ever ordered: admission control turned into silent
         # message loss.
         cluster = healthy_cluster(seed=78)
-        assert not cluster.nodes[0].crash_times
+        assert not cluster.collector.crash_times.get(0)
         cluster.collector.note_broadcast(MessageId(0, 1, 999), "lost", 1.0)
         with pytest.raises(VerificationError, match="never ordered"):
             verify_run(cluster)
