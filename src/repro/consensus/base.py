@@ -12,7 +12,11 @@ transit, and ``leader_hint``, whose proposal a round will decide):
   re-invokes ``propose``.
 * ``decided(k)`` — the decision of instance ``k``; once an instance has
   decided, its result is *locked* (property P5) and every re-invocation
-  returns the same value.
+  returns the same value.  The lock is volatile: what survives a crash
+  is what the algorithm's own durable records prove
+  (:meth:`ConsensusService._decision_on_record`), and any other decided
+  instance is learnt again from a peer or re-decided — with the same
+  value, since a decision is fixed once a quorum holds it.
 
 Both primitives are idempotent, as the paper requires: a recovering
 process may re-invoke them for instances that already started or even
@@ -26,9 +30,9 @@ before anything carrying it is sent and every later attempt reuses it.
 ``propose(k, v)`` is the same thing done eagerly: bind ``v``, then join.
 
 :class:`ConsensusService` implements the bookkeeping shared by every
-concrete algorithm (proposal/decision logs, idempotence checks, waiting,
-late binding); subclasses implement the agreement itself by overriding
-:meth:`_activate`.
+concrete algorithm (proposal log, decision locks, idempotence checks,
+waiting, late binding); subclasses implement the agreement itself by
+overriding :meth:`_activate`.
 """
 
 from __future__ import annotations
@@ -47,9 +51,8 @@ class ConsensusService(NodeComponent):
     Stable-storage layout (per node)::
 
         consensus/<k>/proposal   — the value this process proposes to k
-                                   (only once it has bound one)
-        consensus/<k>/decision   — the locked decision of instance k
-                                   (or a stand-in the algorithm resolves)
+                                   (only once it has bound one, and only
+                                   if the algorithm keeps it nowhere else)
 
     The ``consensus`` key prefix is what experiment E2 counts when
     checking that Atomic Broadcast adds no log operations of its own.
@@ -59,9 +62,9 @@ class ConsensusService(NodeComponent):
 
     PROPOSAL_KEY = "consensus"
 
-    # Volatile caches of the durable proposal/decision logs, patrolled by
-    # the WAL003 lint: log first, then cache (P4/P5 survive crashes).
-    VOLATILE_FIELDS = ("_proposals", "_decisions")
+    # Volatile cache of the durable proposal log, patrolled by the WAL003
+    # lint: log first, then cache (P4 survives crashes).
+    VOLATILE_FIELDS = ("_proposals",)
 
     def __init__(self, namespace: str = "") -> None:
         super().__init__()
@@ -71,7 +74,7 @@ class ConsensusService(NodeComponent):
         if namespace:
             self.PROPOSAL_KEY = f"consensus@{namespace}"
         self._decided_signal: Dict[int, Signal] = {}
-        self._decisions: Dict[int, Any] = {}   # volatile decision cache
+        self._decisions: Dict[int, Any] = {}   # locked decisions (volatile)
         self._proposals: Dict[int, Any] = {}   # volatile proposal cache
         # Instances below the floor have had their durable records
         # garbage-collected here: this process must no longer participate
@@ -110,8 +113,7 @@ class ConsensusService(NodeComponent):
                 raise ProposalMismatch(
                     f"instance {k}: proposed {existing!r}, now {value!r}")
         else:
-            self.node.storage.log((self.PROPOSAL_KEY, k, "proposal"), value)
-            self._proposals[k] = value
+            self._log_proposal(k, value)
         self.join(k)
 
     def join(self, k: int) -> None:
@@ -127,15 +129,16 @@ class ConsensusService(NodeComponent):
 
     def decided_value(self, k: int) -> Optional[Any]:
         """The locked decision of instance ``k``, or ``None`` if undecided."""
-        assert self.node is not None
-        cached = self._decisions.get(k)
-        if cached is not None:
-            return cached
-        stored = self.node.storage.retrieve(
-            (self.PROPOSAL_KEY, k, "decision"), None)
-        if stored is not None:
-            self._decisions[k] = stored
-        return stored
+        decision = self._decisions.get(k)
+        if decision is None:
+            decision = self._decision_on_record(k)
+            if decision is not None:
+                # Proved by the log: lock it and wake any waiter.
+                self._decisions[k] = decision
+                signal = self._decided_signal.get(k)
+                if signal is not None:
+                    signal.notify(decision)
+        return decision
 
     def wait_decided(self, k: int) -> Generator[Any, Any, Any]:
         """Cooperative-blocking wait for the decision of instance ``k``.
@@ -171,6 +174,17 @@ class ConsensusService(NodeComponent):
         return None
 
     # -- replay support (Section 4.2, recovery) -----------------------------------
+
+    def _decision_on_record(self, k: int) -> Optional[Any]:
+        """The decision of ``k`` this process's durable records prove, if
+        any (the default: none — every decision is volatile)."""
+        return None
+
+    def _log_proposal(self, k: int, value: Any) -> None:
+        """Make this process's proposal to ``k`` durable, then cache it."""
+        assert self.node is not None
+        self.node.storage.log((self.PROPOSAL_KEY, k, "proposal"), value)
+        self._proposals[k] = value
 
     def proposal_of(self, k: int) -> Optional[Any]:
         """The value this process logged as its proposal to ``k``."""
@@ -212,17 +226,22 @@ class ConsensusService(NodeComponent):
                 found[int(parts[1])] = self.node.storage.retrieve(key)
         return found
 
+    def highest_logged_instance(self) -> int:
+        """The highest instance this process holds an algorithm record
+        of, beyond its proposals (-1: none): where replay ends."""
+        return -1
+
     def set_instance_floor(self, k: int) -> None:
         """Raise the participation floor (never lowers; idempotent)."""
         if k > self.instance_floor:
             self.instance_floor = k
 
     def discard_instances_below(self, k: int) -> int:
-        """Garbage-collect proposal/decision logs of instances < ``k``.
+        """Garbage-collect proposal logs and decisions of instances < ``k``.
 
         Called by the checkpointing protocol variant (Section 5.1, line c:
         old proposed values that will not be replayed can be discarded).
-        Returns the number of instances discarded.
+        Returns the number of records discarded.
         """
         assert self.node is not None
         self.set_instance_floor(k)
@@ -254,14 +273,8 @@ class ConsensusService(NodeComponent):
             self._decided_signal[k] = signal
         return signal
 
-    def _record_decision(self, k: int, value: Any,
-                         record: Any = None) -> None:
-        """Lock the decision of instance ``k`` (idempotent).
-
-        ``record`` is what goes to the log when it is not the value
-        itself: a stand-in the algorithm's ``decided_value`` maps back
-        to it.
-        """
+    def _record_decision(self, k: int, value: Any) -> None:
+        """Lock the decision of instance ``k`` in memory (idempotent)."""
         assert self.node is not None
         existing = self.decided_value(k)
         if existing is not None:
@@ -270,8 +283,6 @@ class ConsensusService(NodeComponent):
                     f"instance {k} decided twice with different values: "
                     f"{existing!r} then {value!r}")
             return
-        self.node.storage.log((self.PROPOSAL_KEY, k, "decision"),
-                              value if record is None else record)
         self._decisions[k] = value
         self.node.sim.trace("decision", self.node.node_id, "locked", k,
                             value)

@@ -151,9 +151,6 @@ class ChandraTouegConsensus(ConsensusService):
     def proposal_of(self, k: int) -> Optional[Any]:
         return self._proposals.get(k)
 
-    def decided_value(self, k: int) -> Optional[Any]:
-        return self._decisions.get(k)
-
     def _record_decision(self, k: int, value: Any) -> None:
         if k not in self._decisions:
             self._decisions[k] = value
@@ -213,8 +210,7 @@ class ChandraTouegConsensus(ConsensusService):
             # correct process receives the decision even if the sender
             # crashed mid-multisend.
             self._record_decision(msg.k, msg.value)
-            self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: decisions are volatile by design
-                CTDecide(msg.k, msg.value))
+            self.endpoint.multisend(CTDecide(msg.k, msg.value))
 
     # -- driver ----------------------------------------------------------------------
 
@@ -307,7 +303,7 @@ class ChandraTouegConsensus(ConsensusService):
                             >= self._quorum()):
                         decision = state.proposals[round_no]
                         self._record_decision(k, decision)
-                        self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: decisions are volatile by design
+                        self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
                             CTDecide(k, decision))
                         break
             round_no += 1

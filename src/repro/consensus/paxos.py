@@ -10,7 +10,7 @@ under crash-recovery is the best understood:
   ``promised`` ballot covers every instance — strictly more conservative
   than a promise per instance — and is logged only when a ``Prepare`` or
   ``Accept`` carries a *higher* ballot; per instance an acceptor logs
-  ``(accepted_ballot, accepted_value)``, once, on ``Accept``.  A
+  one record, once, on ``Accept`` (next bullet but one).  A
   crash-and-recover acceptor can never un-promise or forget an accepted
   value — this is what makes Uniform Agreement hold across recoveries.
 * **Ballots are unique by construction.**  A ballot packs ``(sequence,
@@ -31,14 +31,16 @@ under crash-recovery is the best understood:
   when it records the decision.  Phase 1 needs no value, so the leader
   binds (and logs) its own proposal only after it, and a follower that
   never runs an attempt logs none.
-* **Decisions travel and are logged by reference.**  The decider's one
-  ``DECIDE`` names the ballot the value was chosen at, not the value:
-  every acceptor already holds (and logged) it from that ballot's
-  ``Accept``.  A process whose acceptor record for the instance is at
-  that ballot *or later* — a later ballot can only carry the chosen
-  value — locks the decision as a :class:`DecisionRef` marker resolved
-  through that record; one whose ``Accept`` is still in flight (channels
-  are not FIFO) parks the reference until it lands.
+* **One write per acceptor per instance: the commit point.**  The
+  record is ``(ballot, value, commit)``: each ``Accept`` carries the
+  leader's commit point at its ballot, the highest ``c`` such that
+  every instance ≤ ``c`` it sent at that ballot was decided there by a
+  quorum.  After a restart, a record that a later record of the same
+  ballot covers holds the decided value; nothing else is proved.  The
+  leader's proposal *is* its own record, and decisions are locked in
+  memory only: the one ``DECIDE`` names the ballot, and a receiver
+  takes the value it accepted there (or later), parking the reference
+  while that ``Accept`` is in flight (channels are not FIFO).
 * **Decisions are locked and handed out on demand.**  Any process that
   receives *any* message for an instance it knows is decided replies with
   a ``DECIDE`` carrying the full value, so recovering processes (and the
@@ -47,7 +49,7 @@ under crash-recovery is the best understood:
   asks a peer it knows to be ahead
   (:meth:`PaxosConsensus.pull_decision`, driven by the gossip tick).
 
-Every acceptor, proposer and decision record goes to stable storage; the
+Every acceptor and proposer record goes to stable storage; the
 crash-**stop** baseline, which logs nothing, is a different algorithm
 (:mod:`repro.consensus.chandra_toueg`), not a mode of this one.
 
@@ -63,14 +65,11 @@ from repro.consensus.base import ConsensusService
 from repro.errors import ConsensusError
 from repro.fdetect.omega import OmegaOracle
 from repro.runtime import AnyOf
-from repro.sizing import estimate_size
-from repro.storage import codec
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage
 
 __all__ = [
     "PaxosConsensus",
-    "DecisionRef",
     "make_ballot",
     "Prepare",
     "Promise",
@@ -96,34 +95,6 @@ def make_ballot(sequence: int, epoch: int, node_id: int) -> int:
         raise ConsensusError(
             f"ballot field out of range: epoch {epoch}, node id {node_id}")
     return (sequence << _SEQ_SHIFT) | (epoch << _ID_BITS) | node_id
-
-
-class DecisionRef:
-    """The durable form of a decision taken by reference.
-
-    Logged under ``consensus/<k>/decision`` in place of the value: "the
-    decision of ``k`` is what my acceptor record of ``k`` holds, chosen
-    at ``ballot``".  Reserved — it is not a proposable value — and
-    registered with the storage codec so it survives a real disk.
-    """
-
-    __slots__ = ("ballot",)
-
-    def __init__(self, ballot: int):
-        self.ballot = int(ballot)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DecisionRef) and self.ballot == other.ballot
-
-    def estimated_size(self) -> int:
-        return 2 + estimate_size(self.ballot)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"DecisionRef({self.ballot})"
-
-
-codec.register(DecisionRef, "paxos.decision-ref",
-               lambda ref: ref.ballot, DecisionRef)
 
 
 class Prepare(WireMessage):
@@ -152,15 +123,17 @@ class Promise(WireMessage):
 
 
 class Accept(WireMessage):
-    """Phase-2a: leader asks acceptors to accept ``value`` at ``ballot``."""
+    """Phase-2a: leader asks acceptors to accept ``value`` at ``ballot``;
+    ``commit`` is its commit point at ``ballot`` (-1: none yet)."""
 
     type = "paxos.accept"
-    fields = ("k", "ballot", "value")
+    fields = ("k", "ballot", "value", "commit")
 
-    def __init__(self, k: int, ballot: int, value: Any):
+    def __init__(self, k: int, ballot: int, value: Any, commit: int = -1):
         self.k = k
         self.ballot = ballot
         self.value = value
+        self.commit = commit
 
 
 class Accepted(WireMessage):
@@ -222,7 +195,8 @@ class Query(WireMessage):
 class _Attempt:
     """Volatile per-ballot tally kept by the leader of an attempt."""
 
-    __slots__ = ("ballot", "promises", "accepts", "value", "nacked")
+    __slots__ = ("ballot", "promises", "accepts", "value", "nacked",
+                 "binding")
 
     def __init__(self, ballot: int):
         self.ballot = ballot
@@ -230,6 +204,7 @@ class _Attempt:
         self.accepts: Set[int] = set()
         self.value: Any = None
         self.nacked = -1    # highest promise a Nack reported, if any
+        self.binding = False  # phase 2 is binding this process's proposal
 
 
 class PaxosConsensus(ConsensusService):
@@ -239,7 +214,8 @@ class PaxosConsensus(ConsensusService):
 
         paxos/promised        — highest ballot promised, all instances
         paxos/epoch           — this proposer's incarnation count
-        paxos/<k>/acceptor    — (accepted_ballot, accepted_value) of k
+        paxos/<k>/acceptor    — (ballot, value, commit) accepted for k;
+                                its proposal to k, at its own ballot
 
     Parameters
     ----------
@@ -291,6 +267,13 @@ class PaxosConsensus(ConsensusService):
         self._drivers: Set[int] = set()
         # Decide references whose Accept has not arrived: k -> ballot.
         self._parked: Dict[int, int] = {}
+        # The leader's commit point at the highest ballot it sent an
+        # Accept at: instances sent there but not decided there by a
+        # quorum, and the highest one that was.
+        self._commit_ballot = -1
+        self._undecided: Set[int] = set()
+        self._decided_top = -1
+        self._last_record: Optional[int] = None  # highest_logged_instance
         # Member-set snapshot per driven instance.  A proposer only ever
         # starts instance k after delivering the prefix through k-1, so
         # its installed view at activation is the *same* view every
@@ -331,30 +314,74 @@ class PaxosConsensus(ConsensusService):
 
     # -- ConsensusService overrides -------------------------------------------------
 
-    def decided_value(self, k: int) -> Optional[Any]:
-        decision = super().decided_value(k)
-        if isinstance(decision, DecisionRef):
-            # Logged by reference.  A record that is gone (quarantined
-            # by the disk layer) leaves the instance reading as
-            # undecided; it is re-learnt through ``Query`` and the
-            # marker overwritten by value.
-            return self._value_accepted_since(k, decision.ballot)
-        return decision
+    def _decision_on_record(self, k: int) -> Optional[Any]:
+        """``k``'s decision, if this acceptor's records prove it: ``k``'s
+        record has ballot ``b``, and a later record of ballot ``b`` —
+        the scan skips instances it holds no record of — carries a
+        commit point ≥ ``k``.  A quarantined record proves nothing."""
+        ballot, value, _ = self._accepted_state(k)
+        if ballot < 0:
+            return None
+        for later in range(k + 1, self.highest_logged_instance() + 1):
+            later_ballot, _, commit = self._accepted_state(later)
+            if later_ballot not in (-1, ballot):
+                return None
+            if later_ballot == ballot and commit >= k:
+                return value
+        return None
 
-    def _record_decision(self, k: int, value: Any,
-                         record: Any = None) -> None:
+    def highest_logged_instance(self) -> int:
+        if self._last_record is None:
+            assert self.node is not None
+            self._last_record = max(
+                (int(key.split("/")[1])
+                 for key in self.node.storage.keys(self.ACCEPTOR_KEY)
+                 if key.count("/") == 2), default=-1)
+        return self._last_record
+
+    def proposal_of(self, k: int) -> Optional[Any]:
+        """Bound in phase 2, a proposal is this acceptor's record at a
+        ballot the process minted itself (its id is the low field)."""
+        proposal = super().proposal_of(k)
+        if proposal is None:
+            ballot, value, _ = self._accepted_state(k)
+            assert self.node is not None
+            if ballot >= 0 \
+                    and ballot & ((1 << _ID_BITS) - 1) == self.node.node_id:
+                return value
+        return proposal
+
+    def logged_instances(self) -> Dict[int, Any]:
+        found = super().logged_instances()
+        for k in range(self.highest_logged_instance() + 1):
+            proposal = self.proposal_of(k)
+            if proposal is not None:
+                found[k] = proposal
+        return found
+
+    def _log_proposal(self, k: int, value: Any) -> None:
+        """Bound in phase 2 while this acceptor has promised just the
+        attempt's ballot, the proposal is logged as its acceptor record
+        there: one write for both."""
+        attempt = self._attempts.get(k)
+        if attempt is not None and attempt.binding \
+                and self._promised_ballot() == attempt.ballot:
+            self._accept(k, attempt.ballot, value, self._commit_point())
+        else:
+            self._store((self.PROPOSAL_KEY, k, "proposal"), value)
+            self._proposals[k] = value
+
+    def _record_decision(self, k: int, value: Any) -> None:
         self._parked.pop(k, None)
-        super()._record_decision(k, value, record)
+        super()._record_decision(k, value)
 
     def discard_instances_below(self, k: int) -> int:
-        """GC proposal/decision logs *and* acceptor state below ``k``.
+        """GC proposal logs *and* acceptor records below ``k``.
 
         Safe only below the global watermark (every process's durable
         checkpoint has passed ``k``): no process will ever run or replay
         those instances again, so forgetting their accepted values cannot
-        lead to a conflicting re-decision.  The base class deletes the
-        decision records first: a :class:`DecisionRef` must never outlive
-        the acceptor record it points at.
+        lead to a conflicting re-decision.
         """
         discarded = super().discard_instances_below(k)
         assert self.node is not None
@@ -362,6 +389,7 @@ class PaxosConsensus(ConsensusService):
             parts = key.split("/")
             if len(parts) == 3 and int(parts[1]) < k:
                 self.node.storage.delete(key)
+                discarded += 1
         for cache in (self._accepted, self._parked, self._instance_members):
             for instance in [i for i in cache if i < k]:
                 del cache[instance]
@@ -388,26 +416,23 @@ class PaxosConsensus(ConsensusService):
             self._store((self.ACCEPTOR_KEY, "promised"), ballot)
         return True
 
-    def _accepted_state(self, k: int) -> Tuple[int, Any]:
-        """(accepted_ballot, accepted_value) of instance ``k``; durable."""
+    def _accepted_state(self, k: int) -> Tuple[int, Any, int]:
+        """(accepted_ballot, accepted_value, commit) of instance ``k``;
+        durable."""
         state = self._accepted.get(k)
         if state is None:
             state = self._load((self.ACCEPTOR_KEY, k, "acceptor"),
-                               (-1, None))
-            state = (int(state[0]), state[1])
+                               (-1, None, -1))
+            state = (int(state[0]), state[1], int(state[2]))
             self._accepted[k] = state
         return state
 
-    def _value_accepted_since(self, k: int, ballot: int) -> Optional[Any]:
-        """The value ``ballot`` chose for ``k``, if this acceptor holds it.
-
-        Its record stands for that value when it was accepted at
-        ``ballot`` — or at any later one, since every ballot after a
-        choice proposes the chosen value.  A record from *before*
-        ``ballot`` may hold a value that was never chosen.
-        """
-        accepted_ballot, accepted_value = self._accepted_state(k)
-        return accepted_value if accepted_ballot >= ballot else None
+    def _accept(self, k: int, ballot: int, value: Any, commit: int) -> None:
+        """Log and cache the acceptor's one record of ``k``."""
+        self._accepted[k] = (ballot, value, commit)
+        self._last_record = max(self.highest_logged_instance(), k)
+        self._store((self.ACCEPTOR_KEY, k, "acceptor"),
+                    (ballot, value, commit))
 
     def _view_changed(self) -> bool:
         """True once the installed view has ever left epoch 0.
@@ -444,7 +469,7 @@ class PaxosConsensus(ConsensusService):
             # whose proposer has long since decided.
             return
         if self._admit_ballot(msg.k, msg.ballot, sender):
-            accepted_ballot, accepted_value = self._accepted_state(msg.k)
+            accepted_ballot, accepted_value, _ = self._accepted_state(msg.k)
             self.endpoint.send(sender, Promise(
                 msg.k, msg.ballot, accepted_ballot, accepted_value))
 
@@ -453,18 +478,16 @@ class PaxosConsensus(ConsensusService):
             return
         if msg.k < self.instance_floor and self._view_changed():
             return  # records gone: no participation (see _on_prepare)
-        record = self._accepted.get(msg.k)
-        if record is not None and record[0] == msg.ballot:
-            # A re-sent or duplicated Accept: one (k, ballot) carries one
+        if self._accepted_state(msg.k)[0] == msg.ballot:
+            # A re-sent or duplicated Accept, or this process's own
+            # after it bound its proposal: one (k, ballot) carries one
             # value, so the record is already right — answer again and
-            # log nothing.
+            # log nothing, also after a crash.
             self.endpoint.send(sender, Accepted(msg.k, msg.ballot))
             return
         if not self._admit_ballot(msg.k, msg.ballot, sender):
             return
-        self._accepted[msg.k] = (msg.ballot, msg.value)
-        self._store((self.ACCEPTOR_KEY, msg.k, "acceptor"),
-                    (msg.ballot, msg.value))
+        self._accept(msg.k, msg.ballot, msg.value, msg.commit)
         self.endpoint.send(sender, Accepted(msg.k, msg.ballot))
         parked = self._parked.get(msg.k)
         if parked is not None:
@@ -492,13 +515,12 @@ class PaxosConsensus(ConsensusService):
             # Decide leaves exactly once, on the undecided -> decided
             # transition; a later or duplicated Accepted finds the
             # decision recorded.  A lost copy is pulled (pull_decision).
-            # The decider's own acceptor normally holds the value too;
-            # one that is outside the member set, or has promised
-            # higher, does not — it logs the value itself.
-            if not self._decide_by_reference(msg.k, attempt.ballot):
-                self._record_decision(msg.k, attempt.value)
-            self.endpoint.multisend(  # repro: noqa(WAL003) -- the decision is logged: _record_decision logs, then fills the _decisions cache, and the cache fill after the log is all the rule sees
-                Decide(msg.k, attempt.ballot))
+            # Nothing is logged: the next Accept's commit point covers it.
+            if attempt.ballot == self._commit_ballot:
+                self._undecided.discard(msg.k)
+                self._decided_top = max(self._decided_top, msg.k)
+            self._record_decision(msg.k, attempt.value)
+            self.endpoint.multisend(Decide(msg.k, attempt.ballot))
 
     def _on_nack(self, msg: Nack, sender: int) -> None:
         attempt = self._attempts.get(msg.k)
@@ -508,12 +530,14 @@ class PaxosConsensus(ConsensusService):
     # -- learning -------------------------------------------------------------------------
 
     def _decide_by_reference(self, k: int, ballot: int) -> bool:
-        """Lock ``k`` on what ``ballot`` chose, if this acceptor holds it;
-        the log gets a marker, not a second copy of the value."""
-        value = self._value_accepted_since(k, ballot)
-        if value is None:
+        """Lock ``k`` on what ``ballot`` chose, if this acceptor holds it:
+        a record accepted at ``ballot`` *or later*, since every ballot
+        after a choice proposes the chosen value.  A record from before
+        ``ballot`` may hold a value that was never chosen."""
+        accepted_ballot, value, _ = self._accepted_state(k)
+        if accepted_ballot < ballot:
             return False
-        self._record_decision(k, value, DecisionRef(ballot))
+        self._record_decision(k, value)
         return True
 
     def _on_decide(self, msg: Decide, sender: int) -> None:
@@ -571,6 +595,25 @@ class PaxosConsensus(ConsensusService):
         assert self.node is not None and self._epoch is not None
         return make_ballot((ballot >> _SEQ_SHIFT) + 1, self._epoch,
                            self.node.node_id)
+
+    def _commit_point(self) -> int:
+        """The highest ``c`` such that every instance ≤ ``c`` this leader
+        sent at the tracked ballot was decided there by a quorum.  An
+        instance learnt decided otherwise stays undecided here: it stops
+        ``c`` below it for good."""
+        if self._undecided:
+            return min(self._decided_top, min(self._undecided) - 1)
+        return self._decided_top
+
+    def _may_send_accept(self, k: int, ballot: int) -> bool:
+        """Whether an ``Accept`` for ``k`` may go at ``ballot``: not under
+        a commit point sent there, nor at a ballot older than the
+        tracked one.  A later ballot starts a fresh commit point."""
+        if ballot > self._commit_ballot:
+            self._commit_ballot = ballot
+            self._undecided = set()
+            self._decided_top = -1
+        return ballot == self._commit_ballot and k > self._commit_point()
 
     def _retire(self, attempt: _Attempt) -> None:
         """A failed attempt spends its ballot for its instance: move on,
@@ -637,7 +680,9 @@ class PaxosConsensus(ConsensusService):
         after it, and only when no promise reports an accepted value:
         the batch keeps filling while the promises come in.  Returns
         ``False`` when there is none to bind — the layer above has left
-        ``k`` — so no ``Accept`` goes and the driver stops.
+        ``k`` — so no ``Accept`` goes and the driver stops.  Nor does one
+        go under a commit point already sent at the ballot: the attempt
+        spends the ballot instead.
         """
         attempt = _Attempt(self._current_ballot())
         self._attempts[k] = attempt
@@ -646,7 +691,8 @@ class PaxosConsensus(ConsensusService):
         yield from self._await_quorum(k, attempt, attempt.promises, prepare)
         if self.decided_value(k) is not None:
             return True
-        if len(attempt.promises) >= self._quorum(k):
+        if len(attempt.promises) >= self._quorum(k) \
+                and self._may_send_accept(k, attempt.ballot):
             # Choose the value: highest accepted ballot wins, else my
             # proposal — bound here, the first moment one is needed.
             best_ballot, best_value = -1, None
@@ -656,12 +702,16 @@ class PaxosConsensus(ConsensusService):
             if best_ballot >= 0 and best_value is not None:
                 attempt.value = best_value
             else:
+                attempt.binding = True
                 attempt.value = self._bound_value(k)
+                attempt.binding = False
                 if attempt.value is None:
                     return False
         if attempt.value is not None:
+            self._undecided.add(k)
             # One object for the phase: a re-send reuses its encoding.
-            accept = Accept(k, attempt.ballot, attempt.value)
+            accept = Accept(k, attempt.ballot, attempt.value,
+                            self._commit_point())
             self.endpoint.multisend(accept)
             yield from self._await_quorum(k, attempt, attempt.accepts,
                                           accept)

@@ -537,11 +537,17 @@ class BasicAtomicBroadcast(NodeComponent):
             # members both learn of the joiner's submissions and see its
             # round number lag, triggering the transfer.
             yield self._progress.wait()
+        # Replay runs through the last round the log holds a record of.
+        # A round before it whose decision the log does not prove (its
+        # Accept was lost here, or no commit point covers it) is re-joined
+        # and its decision pulled, like any round a peer is ahead in.
+        replay_until = self.consensus.highest_logged_instance()
         while True:
             if self.consensus.proposal_of(self.k) is not None \
-                    or self.consensus.decided_value(self.k) is not None:
-                # Replay (or idempotent re-join of the in-flight round):
-                # a round with a logged proposal or a logged decision.
+                    or self.consensus.decided_value(self.k) is not None \
+                    or (not self.replay_complete
+                        and self.k <= replay_until):
+                # Replay (or idempotent re-join of the in-flight round).
                 if not self.replay_complete:
                     self.replayed_rounds += 1
             else:

@@ -111,7 +111,7 @@ class WireConfig:
 
 MAGIC = 0xAB0B
 HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
-_VERSION = 3  # the header's version byte; any other value is rejected
+_VERSION = 4  # the header's version byte; any other value is rejected
 _JSON_TUNNEL_ID = 0  # body is one {"s", "t", "f"} JSON object
 
 # The registered type-id table.  Ids are frozen: changing an assignment

@@ -37,10 +37,11 @@ class TestFileBackedCluster:
         cluster.run(until=15.0)
         assert cluster.settle(within=75.0)
         verify_run(cluster)
-        # Proposals physically exist as files.
+        # Acceptor records physically exist as files, and they are all
+        # the consensus box logs: the leader's proposals are its own.
         node0_files = os.listdir(str(tmp_path / "node0"))
-        assert any("consensus" in name for name in node0_files)
         assert any("paxos" in name for name in node0_files)
+        assert not any("consensus" in name for name in node0_files)
 
     def test_recovery_replays_from_disk(self, file_cluster):
         cluster, tmp_path = file_cluster

@@ -164,8 +164,8 @@ class TestScopedIsolation:
         cluster.sim.schedule(0.5, cluster.multicast, 2, "x", ["g1", "g2"])
         cluster.run(until=20.0)
         keys = list(cluster.nodes[2].storage.keys())
-        assert any(key.startswith("consensus@g1/") for key in keys)
-        assert any(key.startswith("consensus@g2/") for key in keys)
+        assert any(key.startswith("paxos@g1/") for key in keys)
+        assert any(key.startswith("paxos@g2/") for key in keys)
         assert any(key.startswith("ab@g1/") for key in keys)
 
     def test_determinism(self):

@@ -399,7 +399,7 @@ class TestReplay:
         for node in cluster.nodes.values():
             by_prefix = node.storage.metrics.ops_by_prefix
             assert by_prefix.get("ab", 0) == 1  # the incarnation bump
-            assert by_prefix.get("consensus", 0) > 0
+            assert by_prefix.get("paxos", 0) > 0
 
     def test_replay_is_deaf_to_new_rounds_until_caught_up(self):
         """A recovering node finishes replay before joining new rounds;

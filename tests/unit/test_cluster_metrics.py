@@ -48,12 +48,11 @@ class TestRunMetricsAssembly:
     def test_prefix_aggregation_sums_nodes(self):
         cluster = run_basic(seed=92)
         metrics = cluster.metrics()
-        per_node_consensus = sum(
-            node.storage.metrics.ops_by_prefix.get("consensus", 0)
+        per_node_paxos = sum(
+            node.storage.metrics.ops_by_prefix.get("paxos", 0)
             for node in cluster.nodes.values())
-        assert metrics.log_ops_by_prefix()["consensus"] == \
-            per_node_consensus
-        assert set(metrics.bytes_by_prefix()) >= {"consensus", "paxos"}
+        assert metrics.log_ops_by_prefix()["paxos"] == per_node_paxos
+        assert set(metrics.bytes_by_prefix()) >= {"ab", "paxos"}
 
     def test_node_stats_reflect_faults(self):
         faults = FaultSchedule().crash(3.0, 1).recover(5.0, 1)

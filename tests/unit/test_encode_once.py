@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 
-from repro.consensus.paxos import DecisionRef
+from repro.consensus.paxos import make_ballot
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
 from repro.harness.cluster import ClusterConfig
@@ -68,8 +68,11 @@ class TestWarmEqualsCold:
         assert body[1] in first and body[1] in second
 
     def test_every_codec_registered_class(self):
+        # AppMessage is the one registered class; an acceptor record
+        # (ballot, value, commit point) carries it inside a tuple.
         for make in (lambda: msg(7, ("put", "k", 1.5)),
-                     lambda: DecisionRef(1 << 40)):
+                     lambda: (make_ballot(3, 2, 1),
+                              frozenset({msg(8)}), 1 << 40)):
             value = make()
             cold = codec.encode(value)
             assert codec.encode(value) == cold

@@ -262,8 +262,9 @@ class TestFollowers:
         # saying someone was ahead.
         assert follower.k == 1
         assert [m.id for m in follower.deliver_sequence()] == [message.id]
-        # It proposed nothing, so it logged no proposal: its decision
-        # is what replay re-runs the round from.
+        # It proposed nothing, so it logged no proposal, and its one
+        # acceptor record is not covered by a commit point (no Accept
+        # followed it): a restart re-joins the round and pulls it.
         assert consensus.proposal_of(0) is None
         assert not any(carries(gossip, message.id)
                        for *_, gossip in gossips(seen, dst=4))
@@ -271,6 +272,8 @@ class TestFollowers:
         cluster.recover(4)
         follower = cluster.abcasts[4]
         cluster.run(until=cluster.sim.now + 0.001)
+        assert follower.k == 0 and not follower.replay_complete
+        cluster.run(until=cluster.sim.now + 5.0)
         assert follower.replay_complete and follower.replayed_rounds == 1
         assert [m.id for m in follower.deliver_sequence()] == [message.id]
         assert cluster.consensuses[4].proposal_of(0) is None

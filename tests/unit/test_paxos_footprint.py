@@ -1,11 +1,12 @@
 """What Paxos logs and ships: one promise per acceptor, ballot epochs,
-decisions by reference.
+one record per acceptor per instance, decisions by reference.
 
-Pins the durable layout and the wire forms, then the ways the new
-records can be caught half-written: a crash at every write of a
-contended round and at every delete of the instance GC, a torn acceptor
-record under a decision marker, a ``Decide`` that overtakes its
-``Accept``, an ``Accept`` that never arrives, two proposers duelling.
+Pins the durable layout and the wire forms, then the ways the records
+can be caught half-written: a crash at every write of a contended round
+and at every delete of the instance GC, a torn acceptor record, a
+``Decide`` that overtakes its ``Accept``, an ``Accept`` that never
+arrives, two proposers duelling.  The commit point's own crash points
+are in ``test_commit_point.py``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ import random
 
 import pytest
 
-from repro.consensus.paxos import (Accept, Decide, DecisionRef, Query,
-                                   make_ballot)
+from repro.consensus.paxos import Accept, Decide, Query, make_ballot
 from repro.errors import ConsensusError
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.runtime import wire, wirefuzz
-from repro.storage import codec
 from repro.storage.faulty import InjectedCrashFault
 from repro.storage.file import FileStorage
 from repro.storage.memory import MemoryStorage
@@ -56,6 +55,14 @@ class PaxosCluster(MiniCluster):
     def propose_all(self, k, nodes=None):
         for i in (self.nodes if nodes is None else nodes):
             self.consensuses[i].propose(k, frozenset({f"k{k}-from-{i}"}))
+
+    def join_all(self, k):
+        """Enter ``k`` as Atomic Broadcast does: without a value, which
+        only the process whose attempt needs one binds."""
+        for i, consensus in self.consensuses.items():
+            consensus.value_source = \
+                lambda j, i=i: frozenset({f"k{j}-from-{i}"})
+            consensus.join(k)
 
     def decisions(self, k):
         return [self.consensuses[i].decided_value(k) for i in self.nodes]
@@ -99,43 +106,61 @@ def log_ops(cluster, node_id, prefix):
 
 
 class TestDurableLayout:
-    def test_steady_state_logs_three_records_per_instance(self):
+    def test_steady_state_logs_n_records_per_instance(self):
         cluster = PaxosCluster().start()
         instances = 5
         for k in range(instances):
-            cluster.propose_all(k)
+            cluster.join_all(k)
             cluster.advance(2.0)
         ballot = make_ballot(0, 1, 0)       # leader 0's first and only one
+        total = 0
         for i in cluster.nodes:
             keys = set(cluster.nodes[i].storage.keys("paxos"))
             assert keys == {"paxos/promised"} \
                 | ({"paxos/epoch"} if i == 0 else set()) \
                 | {f"paxos/{k}/acceptor" for k in range(instances)}
             assert cluster.record(i, "paxos/promised") == ballot
-            # proposal + decision marker; accept; the promise was raised
-            # once and only the proposer logged an epoch.
-            assert log_ops(cluster, i, "consensus") == 2 * instances
+            # One record per instance; the promise was raised once and
+            # only the proposer logged an epoch.  No proposal and no
+            # decision is logged anywhere: the leader's proposal is its
+            # own acceptor record.
+            assert log_ops(cluster, i, "consensus") == 0
             assert log_ops(cluster, i, "paxos") == \
                 instances + 1 + (1 if i == 0 else 0)
+            total += log_ops(cluster, i, "paxos") - 1 - (i == 0)
             for k in range(instances):
-                assert cluster.record(i, f"consensus/{k}/decision") == \
-                    DecisionRef(ballot)
-                accepted_ballot, value = cluster.record(
+                # Each Accept carried the commit point its predecessor
+                # reached: every earlier instance, decided at the ballot.
+                accepted_ballot, value, commit = cluster.record(
                     i, f"paxos/{k}/acceptor")
-                assert accepted_ballot == ballot
+                assert (accepted_ballot, commit) == (ballot, k - 1)
                 assert cluster.consensuses[i].decided_value(k) == value
+                assert value == frozenset({f"k{k}-from-0"})
+        assert total == len(cluster.nodes) * instances
+        assert [cluster.consensuses[0].proposal_of(k)
+                for k in range(instances)] == \
+            [frozenset({f"k{k}-from-0"}) for k in range(instances)]
+        assert cluster.consensuses[1].proposal_of(0) is None
         assert cluster.record(0, "paxos/epoch") == 1
 
-    def test_marker_resolves_after_recovery(self):
+    def test_commit_point_resolves_after_recovery(self):
         cluster = PaxosCluster().start()
-        cluster.propose_all(0)
-        cluster.advance(2.0)
-        decided = cluster.decisions(0)
+        for k in range(3):
+            cluster.join_all(k)
+            cluster.advance(2.0)
+        decided = [cluster.decisions(k)[0] for k in range(3)]
         cluster.nodes[1].crash()
         cluster.nodes[1].recover()
         consensus = cluster.consensuses[1]
         assert consensus._decisions == {} and consensus._accepted == {}
-        assert consensus.decided_value(0) == decided[1] == decided[0]
+        # 0 and 1 are covered by the commit points of 1's and 2's
+        # Accepts; nothing has covered 2 yet.
+        assert [consensus.decided_value(k) for k in range(3)] == \
+            decided[:2] + [None]
+        consensus.pull_decision(2, peer=0)
+        cluster.advance(0.5)
+        assert consensus.decided_value(2) == decided[2]
+        assert list(cluster.nodes[1].storage.keys("consensus")) == []
 
     def test_only_the_multisend_travels_by_reference(self):
         cluster = PaxosCluster().start()
@@ -150,15 +175,20 @@ class TestDurableLayout:
         reply = cluster.of_type("paxos.decide", src=2)[-1][2]
         assert reply.value == cluster.decisions(0)[0] and reply.ballot == -1
 
-    def test_decision_ref_is_small_and_codec_registered(self, tmp_path):
-        marker = DecisionRef(make_ballot(3, 2, 1))
-        assert codec.decode(codec.encode(marker)) == marker
-        assert marker.estimated_size() < 12
+    def test_commit_point_rides_accept_into_the_record(self, tmp_path):
+        ballot, value = make_ballot(3, 2, 1), frozenset({("a", 1)})
+        accept = Accept(4, ballot, value, 3)
+        assert accept.payload() == (4, ballot, value, 3)
+        for sender in (3, 2 ** 33):         # typed frame, JSON tunnel
+            _, got = wire.decode(wire.encode(sender, accept))
+            assert type(got) is Accept and got.payload() == accept.payload()
+        # The field costs one small int on the wire, no more.
+        assert accept.estimated_size() - \
+            Accept(4, ballot, value).estimated_size() <= 1
         storage = FileStorage(str(tmp_path))
-        storage.log(("consensus", 4, "decision"), marker)
-        assert FileStorage(str(tmp_path)).retrieve(
-            "consensus/4/decision") == marker
-        assert marker != make_ballot(3, 2, 1) and marker is not None
+        storage.log(("paxos", 4, "acceptor"), (ballot, value, 3))
+        assert FileStorage(str(tmp_path)).retrieve("paxos/4/acceptor") == \
+            (ballot, value, 3)
 
 
 # -- ballots ------------------------------------------------------------------
@@ -384,8 +414,10 @@ class TestDecideWithoutItsAccept:
         cluster.advance(0.5)
         assert consensus.decided_value(0) == cluster.decisions(0)[0]
         assert consensus._parked == {}
-        assert cluster.record(2, "consensus/0/decision") == \
-            DecisionRef(ballot)
+        # Locked in memory; the record is the Accept's, nothing more.
+        assert cluster.record(2, "consensus/0/decision") is None
+        assert cluster.record(2, "paxos/0/acceptor") == \
+            (ballot, cluster.decisions(0)[0], -1)
         answers = [m.type for s, _, m in cluster.sent[before:] if s == 2
                    and m.type.startswith("paxos.")]
         assert answers == ["paxos.accepted"]    # not a Decide back
@@ -397,9 +429,9 @@ class TestDecideWithoutItsAccept:
         assert queries and queries[0][2].k == 0
         assert cluster.consensuses[2].decided_value(0) == \
             cluster.decisions(0)[0]
-        # Learnt by value: there is no acceptor record to point at.
-        assert cluster.record(2, "consensus/0/decision") == \
-            cluster.decisions(0)[0]
+        # Learnt by value, and locked in memory only: there is no
+        # acceptor record, and a decision is never logged.
+        assert cluster.record(2, "consensus/0/decision") is None
         assert cluster.record(2, "paxos/0/acceptor") is None
         assert cluster.consensuses[2]._parked == {}
 
@@ -427,7 +459,7 @@ class TestDecideWithoutItsAccept:
         consensus._on_accept(Accept(1, high, frozenset({"v"})), sender=1)
         consensus._on_decide(Decide(1, low), sender=0)
         assert consensus.decided_value(1) == frozenset({"v"})
-        assert cluster.record(2, "consensus/1/decision") == DecisionRef(low)
+        assert list(cluster.nodes[2].storage.keys("consensus")) == []
 
     def test_twenty_percent_loss_is_repaired_through_the_query_paths(self):
         """Through the whole stack: the gossip tick's ``pull_decision``
@@ -445,17 +477,20 @@ class TestDecideWithoutItsAccept:
                      for ab in cluster.abcasts.values()]
         assert len(sequences[0]) == count
         assert sequences[0] == sequences[1] == sequences[2]
-        by_value = by_reference = 0
+        # What a restart would find: most decisions proved by the
+        # acceptor records and their commit points, the rest (a lost
+        # Accept, the last instance of a ballot) left to the pulls —
+        # and never a record proving a value that was not decided.
+        proved = unproved = 0
         for node_id, consensus in cluster.consensuses.items():
             for k in range(cluster.abcasts[node_id].k):
-                record = cluster.nodes[node_id].storage.retrieve(
-                    ("consensus", k, "decision"))
-                if isinstance(record, DecisionRef):
-                    by_reference += 1
+                value = consensus._decision_on_record(k)
+                if value is None:
+                    unproved += 1
                 else:
-                    assert record == consensus.decided_value(k)
-                    by_value += 1
-        assert by_value and by_reference > by_value
+                    assert value == consensus.decided_value(k)
+                    proved += 1
+        assert unproved and proved > unproved
         assert cluster.network.metrics.by_type.get("paxos.query", 0) > 0
 
 
@@ -467,7 +502,7 @@ def contended_round():
 
     Instance 0 was decided under leader 0.  For instance 1, node 1 also
     believes it leads: its first attempt logs its epoch, both raise each
-    other's promises, someone accepts, everyone logs a marker.
+    other's promises, and someone accepts.
     """
     cluster = PaxosCluster(seed=2, storage=CrashPointStorage).start()
     cluster.propose_all(0)
@@ -498,12 +533,10 @@ def finish_and_check(cluster, victim, instances):
     for k in instances:
         values = cluster.decisions(k)
         assert values[0] is not None and values.count(values[0]) == 3, k
-        # Every marker resolves, from the log alone.
+        # Whatever the records prove after the crash is the decision.
         for i in cluster.nodes:
-            record = cluster.record(i, f"consensus/{k}/decision")
-            if isinstance(record, DecisionRef):
-                assert cluster.record(i, f"paxos/{k}/acceptor")[0] >= \
-                    record.ballot
+            assert cluster.consensuses[i]._decision_on_record(k) in \
+                (None, values[0])
     new_ballots = {m.ballot for s, _, m in cluster.sent[before:]
                    if s == victim and m.type == "paxos.prepare"}
     assert not new_ballots & old_ballots
@@ -526,7 +559,7 @@ class TestCrashAtEveryWrite:
         assert "consensus/1/proposal" in touched
         assert "paxos/promised" in touched
         assert "paxos/1/acceptor" in touched
-        assert "consensus/1/decision" in touched
+        assert "consensus/1/decision" not in touched
         assert ("paxos/epoch" in touched) == (victim == 1)
         assert touched.count("paxos/promised") >= (2 if victim == 0 else 1)
         for index in range(len(touched)):
@@ -540,7 +573,7 @@ class TestCrashAtEveryWrite:
     def test_inside_the_instance_gc(self):
         def scenario():
             cluster = PaxosCluster(storage=CrashPointStorage).start()
-            for k in range(4):
+            for k in range(5):
                 cluster.propose_all(k)
                 cluster.advance(2.0)
             return cluster, cluster.consensuses[0]
@@ -548,15 +581,13 @@ class TestCrashAtEveryWrite:
         expected = {k: consensus.decided_value(k) for k in range(4)}
         storage = cluster.nodes[0].storage
         mark = len(storage.operations)
+        # Three proposals, three acceptor records.
         assert consensus.discard_instances_below(3) == 6
         touched = storage.operations[mark:]
-        assert len(touched) == 9
-        # A marker goes before the acceptor record it points at.
-        for k in range(3):
-            assert touched.index(f"consensus/{k}/decision") < \
-                touched.index(f"paxos/{k}/acceptor")
+        assert len(touched) == 6
         assert sorted(cluster.nodes[0].storage.keys("paxos")) == \
-            ["paxos/3/acceptor", "paxos/epoch", "paxos/promised"]
+            ["paxos/3/acceptor", "paxos/4/acceptor", "paxos/epoch",
+             "paxos/promised"]
         for index in range(len(touched)):
             cluster, consensus = scenario()
             cluster.nodes[0].storage.crash_at = index
@@ -567,29 +598,27 @@ class TestCrashAtEveryWrite:
             cluster.nodes[0].recover()
             consensus = cluster.consensuses[0]
             for k in range(4):
-                # Gone or intact — never a marker pointing at nothing.
+                # Gone, or proved by what is left — never another value.
                 value = consensus.decided_value(k)
                 assert value == expected[k] or (k < 3 and value is None)
-                record = cluster.record(0, f"consensus/{k}/decision")
-                if isinstance(record, DecisionRef):
-                    assert value is not None
             assert consensus.decided_value(3) == expected[3]
             # The GC is idempotent: a second pass finishes the job.
             consensus.discard_instances_below(3)
             assert sorted(cluster.nodes[0].storage.keys("paxos")) == \
-                ["paxos/3/acceptor", "paxos/epoch", "paxos/promised"]
+                ["paxos/3/acceptor", "paxos/4/acceptor", "paxos/epoch",
+                 "paxos/promised"]
 
 
 class TestTornAcceptorRecord:
-    def test_marker_over_a_quarantined_record_reads_undecided(self, tmp_path):
+    def test_a_quarantined_record_reads_undecided(self, tmp_path):
         cluster = PaxosCluster(
             storage=lambda i: FileStorage(str(tmp_path / str(i)))).start()
-        cluster.propose_all(0)
-        cluster.advance(2.0)
+        for k in range(2):
+            cluster.join_all(k)
+            cluster.advance(2.0)
         decided = cluster.decisions(0)[0]
         storage = cluster.nodes[2].storage
-        assert storage.retrieve("consensus/0/decision") == \
-            DecisionRef(make_ballot(0, 1, 0))
+        assert cluster.consensuses[2]._decision_on_record(0) == decided
         target = storage._file_for("paxos/0/acceptor")
         with open(target, "rb") as handle:
             raw = handle.read()
@@ -601,14 +630,16 @@ class TestTornAcceptorRecord:
         assert consensus.decided_value(0) is None   # degraded, not wrong
         assert storage.metrics.quarantined == 1
         assert os.listdir(os.path.join(storage.directory, "quarantine"))
-        # Re-learnt through the Query path and overwritten by value.
+        # Re-learnt through the Query path, in memory: a decision is
+        # never logged, so the next restart pulls it again.
         consensus.pull_decision(0, peer=0)
         cluster.advance(0.5)
         assert consensus.decided_value(0) == decided
-        assert storage.retrieve("consensus/0/decision") == decided
+        assert storage.retrieve("consensus/0/decision") is None
         cluster.nodes[2].crash()
         cluster.nodes[2].recover()
-        assert cluster.consensuses[2].decided_value(0) == decided
+        assert cluster.consensuses[2].decided_value(0) is None
+        assert cluster.consensuses[2].decided_value(1) is None  # uncovered
 
 
 # -- the wire -----------------------------------------------------------------

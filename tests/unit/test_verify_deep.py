@@ -138,12 +138,9 @@ class TestInjectedViolations:
 
     def test_decision_disagreement_between_nodes(self):
         cluster = healthy_cluster(seed=77)
-        # Rewrite one node's logged decision for instance 0.
-        consensus = cluster.consensuses[0]
+        # Rewrite one node's locked decision for instance 0.
         other = AppMessage(MessageId(8, 8, 8), "evil")
-        cluster.nodes[0].storage.log(
-            (consensus.PROPOSAL_KEY, 0, "decision"), frozenset({other}))
-        consensus._decisions.pop(0, None)
+        cluster.consensuses[0]._decisions[0] = frozenset({other})
         with pytest.raises(VerificationError, match="uniform agreement"):
             verify_run(cluster, check_termination=False)
 
