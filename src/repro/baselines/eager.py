@@ -47,24 +47,6 @@ class EagerLoggingAtomicBroadcast(BasicAtomicBroadcast):
         for message in self.node.storage.retrieve_list(self.UNORDERED_KEY):
             self._admit_locally(message)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._pending_restore = False
-
-    def on_start(self) -> None:
-        self._pending_restore = False
-        super().on_start()
-
-    def _announce_restore(self) -> None:
-        if not self._pending_restore:
-            return
-        self._pending_restore = False
-        for listener in self._listeners:
-            listener.on_restore(self.agreed.checkpoint_state)
-        for message in self.agreed.sequence():
-            for listener in self._listeners:
-                listener.on_deliver(message)
-
     def _admit_locally(self, message: AppMessage) -> None:
         if message.id in self.unordered or message in self.agreed:
             return

@@ -226,8 +226,13 @@ class FixedSequencerBroadcast(NodeComponent):
         self._outstanding.pop(msg.message.id, None)
         while self.next_seq in self._pending:
             message = self._pending.pop(self.next_seq)
+            appended = self.agreed.append_batch([message])
+            # One sequence number is this protocol's round.
+            self.node.sim.trace("round", self.node.node_id, "commit",
+                                k=self.next_seq - 1, batch=1,
+                                new=len(appended))
             self.next_seq += 1
-            for delivered in self.agreed.append_batch([message]):
+            for delivered in appended:
                 for listener in self._listeners:
                     listener.on_deliver(delivered)
         if self._delivered is not None:

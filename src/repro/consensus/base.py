@@ -133,8 +133,11 @@ class ConsensusService(NodeComponent):
         if decision is None:
             decision = self._decision_on_record(k)
             if decision is not None:
-                # Proved by the log: lock it and wake any waiter.
+                # Proved by the log: lock it, report it like any other
+                # lock, and wake any waiter.
                 self._decisions[k] = decision
+                self.node.sim.trace("decision", self.node.node_id,
+                                    "locked", k, decision)
                 signal = self._decided_signal.get(k)
                 if signal is not None:
                     signal.notify(decision)

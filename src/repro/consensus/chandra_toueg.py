@@ -146,7 +146,7 @@ class ChandraTouegConsensus(ConsensusService):
         existing = self._proposals.get(k)
         if existing is None:
             self._proposals[k] = value
-        self._activate(k)  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
+        self._activate(k)
 
     def proposal_of(self, k: int) -> Optional[Any]:
         return self._proposals.get(k)

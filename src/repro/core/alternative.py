@@ -128,7 +128,6 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
             self.JOINING_KEY = (f"ab@{namespace}", "joining")
         self.config = config or AlternativeConfig()
         self._app_checkpoint: Optional[Callable[[], Any]] = None
-        self._pending_restore = False
         self._last_state_sent: dict = {}
         self.ckpt_k = 0
         self._peer_ckpt: dict = {}
@@ -177,7 +176,6 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
 
     def on_start(self) -> None:
         self._last_state_sent = {}
-        self._pending_restore = False
         self.ckpt_k = 0
         self._peer_ckpt = {}
         self._floor_heard = 0
@@ -200,7 +198,8 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         long since truncated (Figure 4, line c).  Instead it advertises
         round ``-1`` in its gossip — "I have nothing; transfer
         everything" — and any member answers with a ``state`` message,
-        which completes the join (:meth:`_complete_join`).
+        which completes the join (:meth:`_complete_join`).  Each start
+        that reads the flag back reports the node joining.
         """
         assert self.node is not None
         self.node.storage.log(self.JOINING_KEY, True)
@@ -211,6 +210,9 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         assert self.node is not None
         storage = self.node.storage
         self._joining = bool(storage.retrieve(self.JOINING_KEY, False))
+        if self._joining:
+            self.node.sim.trace("state-transfer", self.node.node_id,
+                                "joining")
         stored = storage.retrieve(self.CHECKPOINT_KEY, None)
         if stored is not None:
             stored_k, agreed_plain = stored
@@ -258,17 +260,6 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
                 # would re-append every one of them on each recovery,
                 # doubling the log per crash.
                 super()._admit_locally(message)
-
-    def _announce_restore(self) -> None:
-        """Replay a restored or adopted queue to the listeners."""
-        if not self._pending_restore:
-            return
-        self._pending_restore = False
-        for listener in self._listeners:
-            listener.on_restore(self.agreed.checkpoint_state)
-        for message in self.agreed.sequence():
-            for listener in self._listeners:
-                listener.on_deliver(message)
 
     # -- Section 5.4/5.5: logged Unordered set ------------------------------------------------
 

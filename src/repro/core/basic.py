@@ -161,6 +161,9 @@ class BasicAtomicBroadcast(NodeComponent):
         # install before the application observes the command.
         self.view_manager = None
         self._joining = False
+        # Set when the queue was restored or adopted whole: the
+        # listeners must be handed it (:meth:`_announce_restore`).
+        self._pending_restore = False
         # Run statistics (volatile; the harness samples them).
         self.replayed_rounds = 0
         # Optional admission control (a repro.flow.FlowController); wired
@@ -191,6 +194,7 @@ class BasicAtomicBroadcast(NodeComponent):
         self._bump_incarnation()
         self._seq = 0
         self._joining = False
+        self._pending_restore = False
         self._restore_volatile_state()
         self.consensus.value_source = self._proposal_for
         self.endpoint.register(GossipMessage.type, self._on_gossip)
@@ -626,12 +630,25 @@ class BasicAtomicBroadcast(NodeComponent):
         """Hook for subclasses (checkpointing, batching bookkeeping)."""
 
     def _announce_restore(self) -> None:
-        """Hook for subclasses: replay a restored checkpoint to listeners.
+        """Hand a restored or adopted queue to the listeners: its
+        checkpoint state, then its explicit suffix.
 
         Runs as the sequencer's first step — after every component's
         ``on_start`` has executed, so application listeners are already
-        subscribed.
+        subscribed — and where a queue is adopted whole.
         """
+        if not self._pending_restore:
+            return
+        self._pending_restore = False
+        agreed = self.agreed
+        self.node.sim.trace("deliver", self.node.node_id, "restore",
+                            base=agreed.checkpointed_count,
+                            count=len(agreed), k=self.k)
+        for listener in self._listeners:
+            listener.on_restore(agreed.checkpoint_state)
+        for message in agreed.sequence():
+            for listener in self._listeners:
+                listener.on_deliver(message)
 
     def _finish_replay(self) -> None:
         """Replay done: the node is caught up with its own log."""

@@ -93,12 +93,6 @@ class ViewManager(NodeComponent):
     def members(self) -> Tuple[int, ...]:
         return self.view.members
 
-    def is_member(self, node_id: Optional[int] = None) -> bool:
-        if node_id is None:
-            assert self.node is not None
-            node_id = self.node.node_id
-        return self.view.contains(node_id)
-
     def multisend_targets(self, sender: int) -> Tuple[int, ...]:
         """Destinations of a ``multisend`` from this node.
 

@@ -9,21 +9,26 @@ fault model: it survives every crash and log truncation, and no
 protocol reads it.
 
 :data:`CATEGORIES` is the whole vocabulary; any other category raises.
-``broadcast``, ``deliver``, ``decision`` and ``view`` events carry the
-positional fields named in :data:`FIELDS`, which the collector archives
-through its ``note_*`` methods; ``node/crash`` events keep crash
-times.  The other categories carry keyword details for a
-reader.  Every event is kept in a bounded trace ring only when a run
-asks for it (:meth:`MetricsCollector.keep_events`); a sim trace is a
-replayable explanation of an execution.
+``broadcast``, ``deliver/apply``, ``decision`` and ``view`` events carry
+the positional fields named in :data:`FIELDS`; ``deliver/restore``,
+``round/commit``, ``node`` and the ``state-transfer`` join actions carry
+keyword details.  The collector archives all of these through its
+``note_*`` methods: from them it knows, per node, whether it is up, the
+round it stands at, whether it is still joining, and its delivery
+streams.  A stream is one monotone sequence of applications: a
+(re)start opens one at position 0, a restored or adopted queue opens
+one at the position its checkpoint state stands for, numbered as the
+application numbers them.  Every event is kept in a bounded trace ring
+only when a run asks for it (:meth:`MetricsCollector.keep_events`); a
+sim trace is a replayable explanation of an execution.
 
 The harness reports latency and throughput from the archive, and
-:func:`~repro.harness.verify.verify_run` takes the run's history from it.
+:func:`~repro.harness.verify.verify_run` judges the run from it alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from typing import (Any, Deque, Dict, List, NamedTuple, Optional, Set,
                     Tuple)
 
@@ -37,7 +42,7 @@ __all__ = ["CATEGORIES", "FIELDS", "MetricsCollector", "RunMetrics",
 CATEGORIES = (
     "node",            # start / crash / recover
     "broadcast",       # an A-broadcast submission
-    "deliver",         # a delivery upcall to the application
+    "deliver",         # an application applied a message / a restore
     "decision",        # a consensus instance decided
     "view",            # a membership view installed
     "round",           # an AB round committed
@@ -81,7 +86,7 @@ class MetricsCollector:
     def __init__(self) -> None:
         self.broadcast_times: Dict[MessageId, float] = {}
         self.broadcast_payloads: Dict[MessageId, Any] = {}
-        # (node, incarnation, message, time) per delivery upcall, in order.
+        # (node, stream, message, time) per delivery upcall, in order.
         self.deliveries: List[Tuple[int, int, MessageId, float]] = []
         self.first_delivery: Dict[MessageId, float] = {}
         self.delivery_latencies: List[float] = []
@@ -104,8 +109,16 @@ class MetricsCollector:
         self.views_by_epoch: Dict[int, Tuple[int, ...]] = {}
         self.view_conflicts: List[Tuple[int, int, Tuple[int, ...],
                                         Tuple[int, ...]]] = []
-        # When each node crashed, in order.
+        # When each node crashed, in order; whether it is up now, the
+        # round it stands at, and the nodes still joining.
         self.crash_times: Dict[int, List[float]] = {}
+        self.up: Dict[int, bool] = {}
+        self.rounds: Dict[int, int] = {}
+        self.joining: Set[int] = set()
+        # Per node, its delivery streams in order: [base, delivered] —
+        # the position the stream starts at, and how many messages the
+        # Atomic Broadcast layer counts delivered on it.
+        self.streams: Dict[int, List[List[int]]] = {}
         # The opt-in trace ring (None: keep no events).
         self.events: Optional[Deque[TraceEvent]] = None
         self.dropped = 0
@@ -120,23 +133,33 @@ class MetricsCollector:
                fields: Tuple[Any, ...], details: Dict[str, Any]) -> None:
         """Take one event (:meth:`Runtime.trace` calls this).
 
-        Archived categories go to their ``note_*`` method, looked up on
-        the instance at event time.  A category outside
+        Archived events go to their ``note_*`` method, looked up on
+        the instance at event time; a restore's details gain the number
+        of the stream it opens.  A category outside
         :data:`CATEGORIES` raises :class:`ValueError`: a typo at an
         instrumentation site must fail loudly, not drop its events.
         """
         if category == "deliver":
-            self.note_delivery(node, fields[0], time, fields[1])
+            if action == "apply":
+                self.note_delivery(node, fields[0], time, fields[1])
+            else:
+                details["stream"] = self.note_restore(node, **details)
         elif category == "broadcast":
             self.note_broadcast(fields[0], fields[1], time)
         elif category == "decision":
             self.note_decision(*fields)
+        elif category == "round":
+            self.note_round(node, details["k"], details["new"])
         elif category == "view":
             self.note_view_install(node, fields[0], fields[1], time,
                                    fields[2])
         elif category == "node":
-            if action == "crash":
-                self.crash_times.setdefault(node, []).append(time)
+            self.note_node(node, action, time)
+        elif category == "state-transfer":
+            if action == "joining":
+                self.joining.add(node)
+            elif action == "join-complete":
+                self.joining.discard(node)
         elif category not in CATEGORIES:
             raise ValueError(f"unknown trace category {category!r}; "
                              f"known: {sorted(CATEGORIES)}")
@@ -166,7 +189,8 @@ class MetricsCollector:
 
     def note_delivery(self, node_id: int, mid: MessageId, time: float,
                       incarnation: int = 0) -> None:
-        """Record one delivery upcall at one node.
+        """Record one delivery upcall at one node, on delivery stream
+        ``incarnation`` (the benchmark's own tests pass it by that name).
 
         A delivery whose broadcast was never recorded is kept in the
         delivery log (ordering verification must still see it) but
@@ -183,6 +207,31 @@ class MetricsCollector:
                 self.delivery_latencies.append(time - sent)
             else:
                 self.latency_skipped += 1
+
+    def note_node(self, node_id: int, action: str, time: float) -> None:
+        """A node started, crashed or recovered; a (re)start opens a
+        stream at position 0 and puts the node back at round 0."""
+        self.up[node_id] = action != "crash"
+        self.rounds[node_id] = 0
+        if action == "crash":
+            self.crash_times.setdefault(node_id, []).append(time)
+        else:
+            self.streams.setdefault(node_id, []).append([0, 0])
+
+    def note_restore(self, node_id: int, base: int, count: int,
+                     k: int) -> int:
+        """A restored or adopted queue of ``count`` messages at round
+        ``k`` was handed up, its checkpoint state standing for ``base``
+        of them; returns the number of the stream it opens."""
+        self.rounds[node_id] = k
+        streams = self.streams[node_id]
+        streams.append([base, count])
+        return len(streams)
+
+    def note_round(self, node_id: int, k: int, new: int) -> None:
+        """Round ``k`` committed, delivering ``new`` messages."""
+        self.rounds[node_id] = k + 1
+        self.streams[node_id][-1][1] += new
 
     def note_decision(self, k: int, value: Any) -> None:
         """Archive a consensus decision (survives log garbage collection)."""
@@ -232,25 +281,12 @@ class MetricsCollector:
 
     # -- derived views ---------------------------------------------------------
 
-    def delivered_ids(self, node_id: int,
-                      incarnation: Optional[int] = None) -> List[MessageId]:
-        """Delivery order observed at one node.
-
-        A recovering node may re-deliver its history (the replay
-        procedure); restrict to one ``incarnation`` to get the sequence a
-        single process lifetime observed.
-        """
-        return [mid for node, inc, mid, _ in self.deliveries
-                if node == node_id
-                and (incarnation is None or inc == incarnation)]
-
-    def incarnations_of(self, node_id: int) -> List[int]:
-        """All incarnation indices that delivered anything at a node."""
-        seen: List[int] = []
-        for node, inc, _, _ in self.deliveries:
-            if node == node_id and inc not in seen:
-                seen.append(inc)
-        return seen
+    def applied(self) -> Dict[Tuple[int, int], List[MessageId]]:
+        """Each ``(node, stream)``'s applied messages, in order."""
+        applied: Dict[Tuple[int, int], List[MessageId]] = defaultdict(list)
+        for node, stream, mid, _ in self.deliveries:
+            applied[node, stream].append(mid)
+        return applied
 
     def broadcast_ids(self) -> Set[MessageId]:
         """Every message id ever submitted to ``A-broadcast``."""
@@ -323,12 +359,6 @@ class RunMetrics:
     def total_bytes_logged(self) -> int:
         """Durable bytes written across all nodes."""
         return sum(s["bytes_logged"] for s in self.storage_by_node.values())
-
-    def total_flow_accepted(self) -> int:
-        """Submissions admitted by flow control (0 without a flow config)."""
-        if not self.flow:
-            return 0
-        return sum(s["accepted"] for s in self.flow.values())
 
     def total_flow_rejected(self) -> int:
         """Submissions rejected by flow control (0 without a flow config)."""

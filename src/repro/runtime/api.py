@@ -158,9 +158,10 @@ class Runtime(ABC):
               **details: Any) -> None:
         """Report one protocol event to the sink, if one is attached.
 
-        The categories the sink archives take positional ``fields``
-        (:data:`repro.metrics.collector.FIELDS`); the others take keyword
-        ``details`` for a reader of the trace.
+        ``broadcast``, ``deliver/apply``, ``decision`` and ``view`` take
+        positional ``fields`` (:data:`repro.metrics.collector.FIELDS`);
+        the others take keyword ``details``, some of which the sink
+        archives too.
         """
         sink = self.sink
         if sink is not None:

@@ -138,9 +138,11 @@ class Node:
         self._started = True
         self.up = True
         self.last_up_at = self.sim.now
-        self.sim.trace("node", self.node_id, "start")
         for component in self.components:
             component.on_start()
+        # Reported once every component is up: a start that a disk fault
+        # cuts short is only a crash, and opens no delivery stream.
+        self.sim.trace("node", self.node_id, "start")
 
     def crash(self) -> None:
         """Crash the node: kill tasks, clear handlers, lose volatile state."""
@@ -168,12 +170,12 @@ class Node:
             raise SimulationError(f"node {self.node_id} never started")
         self.up = True
         self.recovery_count += 1
-        self.sim.trace("node", self.node_id, "recover")
         self.recovery_times.append(self.sim.now)
         self.last_up_at = self.sim.now
         self._recovering_since = self.sim.now
         for component in self.components:
             component.on_start()
+        self.sim.trace("node", self.node_id, "recover")
         if self._recovering_since is not None:
             self.recovery_durations.append(self.sim.now - self._recovering_since)
             self._recovering_since = None

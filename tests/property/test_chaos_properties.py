@@ -61,14 +61,7 @@ def _orders_for_seed(seed: int):
                       network=NetworkConfig(loss_rate=params["base_loss"])),
         timeline=events + [ChaosEvent(config.horizon, "restore")],
         duration=config.horizon, settle_limit=config.horizon + 300.0))
-    collector = result.cluster.collector
-    orders = []
-    for node_id in result.cluster.nodes:
-        for incarnation in collector.incarnations_of(node_id):
-            sequence = collector.delivered_ids(node_id, incarnation)
-            if sequence:
-                orders.append(((node_id, incarnation), sequence))
-    return orders
+    return sorted(result.cluster.collector.applied().items())
 
 
 def _relative_order_conflicts(a, b):

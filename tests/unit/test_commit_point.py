@@ -143,6 +143,29 @@ class TestTwoBallotsBelowTheCommitPoint:
         assert follower.deliver_sequence() == before
 
 
+class TestProvedDecisionsAreReported:
+    def test_each_decision_the_log_proves_reaches_the_stream(self):
+        """A restarted node locks what its records prove without hearing
+        a decision; the lock is still reported, so the event archive's
+        agreement check sees every value a node acts on."""
+        cluster = Cluster(ClusterConfig(n=3, seed=5, protocol="basic"))
+        cluster.collector.keep_events()
+        cluster.start()
+        for j in range(6):
+            cluster.sim.schedule(0.5 + 0.3 * j, cluster.submit, j % 3,
+                                 f"a{j}")
+        cluster.run(until=4.0)
+        cluster.crash(2)
+        cluster.recover(2)
+        back = cluster.sim.now
+        cluster.run(until=back + 0.001)
+        replayed = cluster.abcasts[2].k
+        assert replayed > 0
+        proved = {event.details["k"] for event in cluster.collector.select(
+            "decision", node=2, action="locked") if event.time >= back}
+        assert proved >= set(range(replayed))
+
+
 class TestLeaderChangeBetweenCommitAndAccept:
     def test_a_new_leader_starts_its_own_commit_point(self):
         cluster = PaxosCluster().start()

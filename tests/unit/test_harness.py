@@ -100,8 +100,9 @@ class TestVerification:
     def test_verify_detects_forged_delivery(self):
         cluster = self.build_clean()
         # Forge: a node "delivers" a message nobody broadcast.
-        forged = AppMessage(MessageId(9, 9, 9), "forged")
-        cluster.abcasts[0].agreed.append_batch([forged])
+        stream = len(cluster.collector.streams[0])
+        cluster.collector.note_delivery(0, MessageId(9, 9, 9),
+                                        cluster.sim.now, stream)
         with pytest.raises(VerificationError):
             verify_run(cluster)
 
@@ -125,16 +126,15 @@ class TestVerification:
 
     def test_verify_detects_missing_delivery_at_good_node(self):
         cluster = self.build_clean()
-        # Pretend node 1 delivered nothing: wipe its queue.
-        from repro.core.agreed import AgreedQueue
-        cluster.abcasts[1].agreed = AgreedQueue()
+        # Pretend node 1 delivered nothing: its Atomic Broadcast layer
+        # counts no message delivered.
+        cluster.collector.streams[1][-1][1] = 0
         with pytest.raises(VerificationError, match="termination"):
             verify_run(cluster)
 
     def test_termination_check_skippable(self):
         cluster = self.build_clean()
-        from repro.core.agreed import AgreedQueue
-        cluster.abcasts[1].agreed = AgreedQueue()
+        cluster.collector.streams[1][-1][1] = 0
         report = verify_run(cluster, check_termination=False)
         assert report is not None
 

@@ -63,16 +63,36 @@ class TestCollector:
         collector.note_broadcast(mid, "p", time=9.0)
         assert collector.broadcast_times[mid] == 1.0
 
-    def test_delivered_ids_per_incarnation(self):
+    def test_applied_per_stream(self):
         collector = MetricsCollector()
         a, b = MessageId(0, 1, 1), MessageId(0, 1, 2)
-        collector.note_delivery(0, a, 1.0, incarnation=1)
-        collector.note_delivery(0, b, 2.0, incarnation=1)
-        collector.note_delivery(0, a, 3.0, incarnation=2)  # replay
-        assert collector.delivered_ids(0, 1) == [a, b]
-        assert collector.delivered_ids(0, 2) == [a]
-        assert collector.delivered_ids(0) == [a, b, a]
-        assert collector.incarnations_of(0) == [1, 2]
+        collector.note_delivery(0, a, 1.0, 1)
+        collector.note_delivery(0, b, 2.0, 1)
+        collector.note_delivery(1, a, 2.5, 1)
+        collector.note_delivery(0, a, 3.0, 2)  # replay
+        assert collector.applied() == {(0, 1): [a, b], (1, 1): [a],
+                                       (0, 2): [a]}
+
+    def test_node_round_and_restore_facts_fold_into_streams(self):
+        collector = MetricsCollector()
+
+        def emit(category, action, **details):
+            collector.record(1.0, category, 0, action, (), details)
+
+        emit("node", "start")
+        emit("round", "commit", k=0, batch=3, new=2)
+        emit("round", "commit", k=1, batch=1, new=0)
+        assert (collector.up, collector.rounds) == ({0: True}, {0: 2})
+        emit("node", "crash")
+        emit("node", "recover")
+        emit("deliver", "restore", base=1, count=2, k=2)
+        emit("round", "commit", k=2, batch=1, new=1)
+        assert collector.streams == {0: [[0, 2], [0, 0], [1, 3]]}
+        assert collector.rounds == {0: 3} and collector.crash_times[0]
+        emit("state-transfer", "joining")
+        assert collector.joining == {0}
+        emit("state-transfer", "join-complete")
+        assert collector.joining == set()
 
     def test_decision_archive_and_conflicts(self):
         collector = MetricsCollector()

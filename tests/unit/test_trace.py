@@ -26,11 +26,11 @@ class TestTracerUnit:
     def test_records_and_selects(self):
         collector = traced_collector()
         collector.record(1.0, "node", 0, "crash", (), {})
-        collector.record(2.0, "round", 1, "commit", (), {"k": 3})
+        collector.record(2.0, "checkpoint", 1, "taken", (), {"k": 3})
         assert len(collector.events) == 2
         assert collector.select(category="node")[0].action == "crash"
         assert collector.select(node=1)[0].details == {"k": 3}
-        assert collector.select(action="commit", node=0) == []
+        assert collector.select(action="taken", node=0) == []
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError, match="unknown trace category"):
@@ -71,7 +71,7 @@ class TestTracerUnit:
         collector = MetricsCollector()
         mid = MessageId(0, 1, 1)
         collector.record(1.0, "broadcast", 0, "submit", (mid, "p"), {})
-        collector.record(1.0, "round", 0, "commit", (), {"k": 0})
+        collector.record(1.0, "checkpoint", 0, "taken", (), {"k": 0})
         assert collector.events is None
         assert collector.broadcast_times == {mid: 1.0}
         assert collector.format_text() == ""

@@ -1,23 +1,26 @@
 """Deep tests for the property verifier: it must catch what it claims to.
 
 The verifier is the suite's oracle, so these tests inject synthetic
-violations of each Atomic Broadcast property into otherwise-healthy runs
-and assert the right failure fires — guarding against a verifier that
-silently passes everything.
+violations of each Atomic Broadcast property into the event archive of
+otherwise-healthy runs and assert the right failure fires — guarding
+against a verifier that silently passes everything.  The verifier reads
+nothing but that archive, which the last class checks.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.agreed import AgreedQueue
+from repro.chaos import ChaosEvent
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.errors import VerificationError
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, run_scenario
-from repro.harness.verify import (_is_contiguous_slice,
-                                  _node_delivered_set, verify_run)
+from repro.harness.verify import verify_run
+from repro.membership.scenario import churn_scenario
 from repro.workloads.generators import PoissonWorkload
 
 
@@ -29,35 +32,12 @@ def healthy_cluster(seed=70):
     return result.cluster
 
 
-class TestHelpers:
-    def test_contiguous_slice_positive(self):
-        canonical = [MessageId(0, 1, i) for i in range(1, 6)]
-        assert _is_contiguous_slice(canonical[1:4], canonical)
-        assert _is_contiguous_slice([], canonical)
-        assert _is_contiguous_slice(canonical, canonical)
-
-    def test_contiguous_slice_negative(self):
-        canonical = [MessageId(0, 1, i) for i in range(1, 6)]
-        gap = [canonical[0], canonical[2]]
-        assert not _is_contiguous_slice(gap, canonical)
-        foreign = [MessageId(9, 9, 9)]
-        assert not _is_contiguous_slice(foreign, canonical)
-        swapped = [canonical[1], canonical[0]]
-        assert not _is_contiguous_slice(swapped, canonical)
-
-    def test_node_delivered_set_covers_checkpointed_prefix(self):
-        queue = AgreedQueue()
-        queue.append_batch([AppMessage(MessageId(0, 1, 1), "a"),
-                            AppMessage(MessageId(1, 1, 1), "b")])
-        queue.compact("state")
-        queue.append_batch([AppMessage(MessageId(0, 1, 2), "c")])
-
-        class Stub:
-            agreed = queue
-
-        ids = _node_delivered_set(Stub())
-        assert ids == {MessageId(0, 1, 1), MessageId(1, 1, 1),
-                       MessageId(0, 1, 2)}
+def last_stream(cluster, node_id):
+    """Indices into the delivery archive of a node's last stream."""
+    stream = len(cluster.collector.streams[node_id])
+    return [i for i, (node, at, _, _)
+            in enumerate(cluster.collector.deliveries)
+            if node == node_id and at == stream]
 
 
 class TestInjectedViolations:
@@ -70,38 +50,34 @@ class TestInjectedViolations:
         # Inject into the decision archive: it never was broadcast.
         highest = max(cluster.collector.decisions)
         cluster.collector.decisions[highest + 1] = frozenset({ghost})
-        for abcast in cluster.abcasts.values():
-            abcast.agreed.append_batch([ghost])
         with pytest.raises(VerificationError, match="validity"):
             verify_run(cluster)
 
     def test_total_order_non_prefix_set(self):
         cluster = healthy_cluster(seed=72)
-        # Remove a mid-sequence message from one node's queue (keep its
-        # later ones): the delivered set is no longer a canonical prefix.
-        abcast = cluster.abcasts[0]
-        sequence = abcast.agreed.sequence()
-        assert len(sequence) >= 3
-        rebuilt = AgreedQueue()
-        rebuilt.append_batch([sequence[0]])
-        rebuilt.append_batch([sequence[2]])
-        abcast.agreed = rebuilt
+        # Drop a mid-stream delivery at one node (keep its later ones):
+        # what it applied is no longer a canonical prefix.
+        mine = last_stream(cluster, 0)
+        assert len(mine) >= 3
+        del cluster.collector.deliveries[mine[1]]
         with pytest.raises(VerificationError, match="total order"):
             verify_run(cluster, check_termination=False)
 
     def test_suffix_out_of_canonical_order(self):
         cluster = healthy_cluster(seed=73)
-        abcast = cluster.abcasts[1]
-        assert len(abcast.agreed.suffix) >= 2
-        abcast.agreed.suffix.reverse()
+        deliveries = cluster.collector.deliveries
+        mine = last_stream(cluster, 1)
+        assert len(mine) >= 2
+        i, j = mine[-2:]
+        deliveries[i], deliveries[j] = deliveries[j], deliveries[i]
         with pytest.raises(VerificationError, match="total order"):
             verify_run(cluster, check_termination=False)
 
     def test_duplicate_in_suffix(self):
         cluster = healthy_cluster(seed=74)
-        abcast = cluster.abcasts[2]
-        abcast.agreed.suffix.append(abcast.agreed.suffix[0])
-        with pytest.raises(VerificationError):
+        deliveries = cluster.collector.deliveries
+        deliveries.append(deliveries[last_stream(cluster, 2)[0]])
+        with pytest.raises(VerificationError, match="applied twice"):
             verify_run(cluster, check_termination=False)
 
     def test_incarnation_stream_duplicate(self):
@@ -114,7 +90,8 @@ class TestInjectedViolations:
 
     def test_termination_missing_at_good_node(self):
         cluster = healthy_cluster(seed=76)
-        cluster.abcasts[1].agreed = AgreedQueue()
+        # Node 1's Atomic Broadcast counts nothing delivered.
+        cluster.collector.streams[1][-1][1] = 0
         with pytest.raises(VerificationError, match="termination"):
             verify_run(cluster)
         # Restricting good nodes excludes the gutted one: passes again.
@@ -132,15 +109,18 @@ class TestInjectedViolations:
 
     def test_termination_good_node_still_joining(self):
         cluster = healthy_cluster(seed=79)
-        cluster.abcasts[2]._joining = True
+        # Node 2 reports joining; no join-complete follows.
+        cluster.collector.record(cluster.sim.now, "state-transfer", 2,
+                                 "joining", (), {})
         with pytest.raises(VerificationError, match="still joining"):
             verify_run(cluster)
 
     def test_decision_disagreement_between_nodes(self):
         cluster = healthy_cluster(seed=77)
-        # Rewrite one node's locked decision for instance 0.
+        # One node reports another locked decision for instance 0.
         other = AppMessage(MessageId(8, 8, 8), "evil")
-        cluster.consensuses[0]._decisions[0] = frozenset({other})
+        cluster.collector.record(cluster.sim.now, "decision", 0, "locked",
+                                 (0, frozenset({other})), {})
         with pytest.raises(VerificationError, match="uniform agreement"):
             verify_run(cluster, check_termination=False)
 
@@ -175,24 +155,26 @@ class TestApplicationState:
 
     def test_message_marked_delivered_but_never_applied(self):
         cluster = restored_cluster()
-        # What a recovery that skipped one checkpoint segment leaves
-        # behind: queue, tracker and delivery streams all in order, one
-        # stretch missing from what the application holds.
-        app = cluster.app(2)
-        del app.entries[3:6]
-        with pytest.raises(VerificationError, match="application state"):
+        # The Atomic Broadcast layer counts three messages delivered on
+        # node 2's last stream that its application never applied.
+        for index in reversed(last_stream(cluster, 2)[-3:]):
+            del cluster.collector.deliveries[index]
+        with pytest.raises(VerificationError,
+                           match="application state.*3 never applied"):
             verify_run(cluster)
 
     def test_message_applied_twice(self):
         cluster = restored_cluster()
-        app = cluster.app(2)
-        app.entries.insert(4, app.entries[4])
-        with pytest.raises(VerificationError, match="application state"):
+        deliveries = cluster.collector.deliveries
+        index = last_stream(cluster, 2)[4]
+        deliveries.insert(index, deliveries[index])
+        with pytest.raises(VerificationError, match="applied twice"):
             verify_run(cluster)
 
     def test_truncated_application_at_a_good_node(self):
         cluster = restored_cluster()
-        del cluster.app(2).entries[-2:]
+        for index in reversed(last_stream(cluster, 2)[-2:]):
+            del cluster.collector.deliveries[index]
         with pytest.raises(VerificationError, match="application state"):
             verify_run(cluster)
         # Still a canonical prefix: acceptable where termination is not
@@ -217,3 +199,55 @@ class TestReportContents:
                                     cluster.abcasts.values())
         assert set(report.good_nodes) == {0, 1, 2}
         assert report.undeliverable == set()
+
+
+def sequencer_cluster():
+    result = run_scenario(Scenario(
+        cluster=ClusterConfig(n=3, seed=5, protocol="sequencer"),
+        workload=PoissonWorkload(2.0, 6.0, seed=5), duration=10.0))
+    return result.cluster
+
+
+def live_kill_restart_cluster():
+    """A live run with one kill and restart, closed (every node down)."""
+    timeline = [ChaosEvent(0.05 + 0.05 * i, "submit", node=0,
+                           payload=f"live-{i}") for i in range(20)]
+    timeline += [ChaosEvent(0.5, "crash", node=2),
+                 ChaosEvent(1.0, "recover", node=2)]
+    timeline.sort(key=lambda event: event.time)
+    result = run_scenario(Scenario(
+        ClusterConfig(n=3, seed=11, protocol="basic", gossip_interval=0.1),
+        runtime="live", timeline=timeline, duration=1.5,
+        settle_limit=30.0))
+    assert result.cluster.nodes[2].recovery_count == 1
+    assert not any(node.up for node in result.cluster.nodes.values())
+    return result.cluster, result.report
+
+
+class TestJudgedFromTheStreamAlone:
+    """The collector is all the verifier reads: a run judged from its
+    archive alone gets the report the hosting cluster gets."""
+
+    @staticmethod
+    def same_report(cluster):
+        report = verify_run(cluster)
+        alone = verify_run(SimpleNamespace(collector=cluster.collector))
+        assert (alone.canonical, alone.rounds, alone.good_nodes,
+                alone.undeliverable) == \
+            (report.canonical, report.rounds, report.good_nodes,
+             report.undeliverable)
+        return alone
+
+    @pytest.mark.parametrize("build", [
+        healthy_cluster, restored_cluster,
+        lambda: run_scenario(churn_scenario(seed=0)).cluster,
+        sequencer_cluster], ids=["basic", "restored", "churn", "sequencer"])
+    def test_sim_runs(self, build):
+        report = self.same_report(build())
+        assert report.canonical and report.good_nodes
+
+    def test_live_kill_and_restart_after_close(self):
+        cluster, in_run = live_kill_restart_cluster()
+        report = self.same_report(cluster)
+        assert report.canonical == in_run.canonical
+        assert len(report.canonical) == 20
