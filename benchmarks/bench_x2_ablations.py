@@ -3,9 +3,10 @@
 Not paper claims, but the knobs a practitioner tunes:
 
 * **Gossip period** trades dissemination latency against bandwidth —
-  the gossip task is the protocol's only dissemination mechanism
-  (Section 4.1), so its period lower-bounds how fast a message reaches a
-  proposer.
+  the gossip task disseminates and repairs (Section 4.1).  Under Paxos
+  a follower's new message reaches the leader beside its ``Promise``
+  while a round is open, so the period bounds how fast a message
+  reaches a proposer only after an idle spell or a lost push.
 * **Failure-detector period** trades crash-detection (and therefore
   consensus leader fail-over) speed against beat traffic and
   false-suspicion risk: the suspicion timeout is 2¼ periods, so the

@@ -7,15 +7,16 @@ Exit status contract (relied on by CI and the self-check test):
 * ``2`` — the analyzer itself could not run (bad path, unparseable file),
   reported as a clean one-line message, never a traceback.
 
-A reader that closes the pipe early (``repro lint --list-rules | head
--1``) is not a failure either: the command exits quietly with the status
-the report earned.
+Both entry points run through :func:`repro.cli.main`, which owns the
+two exits that are not a report: an :class:`~repro.errors.AnalysisError`
+becomes status 2, and a reader that closes the pipe early (``repro lint
+--list-rules | head -1``) is not a failure — the command exits quietly
+with the status the report earned.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -23,7 +24,6 @@ from repro.analysis.engine import analyze_paths
 from repro.analysis.registry import default_registry
 from repro.analysis.reporters import (format_json, format_rule_listing,
                                       format_sarif, format_text)
-from repro.errors import AnalysisError
 
 __all__ = ["add_lint_arguments", "execute_lint", "main"]
 
@@ -45,26 +45,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "else → JSON) in addition to the report")
 
 
-def _print(text: str) -> None:
-    """Write ``text`` to stdout; a reader that went away is not an error."""
-    try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away.  Point stdout at /dev/null so the
-        # interpreter's exit-time flush does not raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-
-
 def execute_lint(paths: List[str], output_format: str = "text",
                  list_rules: bool = False,
                  emit_msgflow_path: Optional[str] = None) -> int:
     """Run the analyzer; print a report; return the process exit status."""
     registry = default_registry()
     if list_rules:
-        _print(format_rule_listing(registry.rules()))
+        print(format_rule_listing(registry.rules()))
         return 0
     report = analyze_paths(paths)
     lines = []
@@ -78,25 +65,14 @@ def execute_lint(paths: List[str], output_format: str = "text",
         lines.append(format_sarif(report, registry.rules()))
     else:
         lines.append(format_text(report))
-    _print("\n".join(lines))
+    print("\n".join(lines))
     return 1 if report.findings else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone CLI (``python -m repro.analysis``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="protocol-aware static analysis: determinism, "
-                    "write-ahead-logging, recovery-completeness, "
-                    "concurrency-atomicity and sim-coroutine lints")
-    add_lint_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return execute_lint(args.paths, args.output_format, args.list_rules,
-                            args.emit_msgflow)
-    except AnalysisError as exc:
-        print(f"repro lint: error: {exc}", file=sys.stderr)
-        return 2
+    """Standalone CLI (``python -m repro.analysis``): ``repro lint``."""
+    from repro.cli import main as cli_main
+    return cli_main(["lint", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,6 +16,7 @@ printing metrics, so a zero exit status certifies a correct execution.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -392,33 +393,49 @@ def _info() -> int:
     return 0
 
 
+def _dispatch(args) -> int:
+    if args.command == "run":
+        return _run(args)
+    if args.command == "chaos":
+        return _chaos(args)
+    if args.command == "churn":
+        return _churn(args)
+    if args.command == "overload":
+        return _overload(args)
+    if args.command == "compare":
+        return _compare(args)
+    if args.command == "lint":
+        return execute_lint(args.paths, args.output_format,
+                            args.list_rules, args.emit_msgflow)
+    if args.command == "wirefuzz":
+        return _wirefuzz(args)
+    return _info()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit status.
 
     Library errors (including analyzer failures) exit with a clean
-    one-line message on stderr — never a traceback.
+    one-line message on stderr — never a traceback.  A reader that
+    closes the pipe early (``repro run | head -1``) is not a failure:
+    the command stops quietly, with the status it earned if it had
+    finished, else 0.
     """
     args = build_parser().parse_args(argv)
+    status = 0
     try:
-        if args.command == "run":
-            return _run(args)
-        if args.command == "chaos":
-            return _chaos(args)
-        if args.command == "churn":
-            return _churn(args)
-        if args.command == "overload":
-            return _overload(args)
-        if args.command == "compare":
-            return _compare(args)
-        if args.command == "lint":
-            return execute_lint(args.paths, args.output_format,
-                                args.list_rules, args.emit_msgflow)
-        if args.command == "wirefuzz":
-            return _wirefuzz(args)
-        return _info()
+        status = _dispatch(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's exit-time
+        # flush does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except ReproError as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

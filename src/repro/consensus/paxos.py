@@ -30,7 +30,10 @@ under crash-recovery is the best understood:
   runs phase 1 / phase 2 to completion and multisends ``DECIDE`` — once,
   when it records the decision.  Phase 1 needs no value, so the leader
   binds (and logs) its own proposal only after it, and a follower that
-  never runs an attempt logs none.
+  never runs an attempt logs none.  An acceptor that promises a
+  ``Prepare`` tells the layer above through ``value_wanted`` in the
+  same turn, so what that layer wants bound reaches the leader beside
+  the ``Promise``, before the bind.
 * **One write per acceptor per instance: the commit point.**  The
   record is ``(ballot, value, commit)``: each ``Accept`` carries the
   leader's commit point at its ballot, the highest ``c`` such that
@@ -472,6 +475,10 @@ class PaxosConsensus(ConsensusService):
             accepted_ballot, accepted_value, _ = self._accepted_state(msg.k)
             self.endpoint.send(sender, Promise(
                 msg.k, msg.ballot, accepted_ballot, accepted_value))
+            if self.value_wanted is not None:
+                # The sender binds k's value once the promises are in:
+                # what it should bind leaves now, beside the Promise.
+                self.value_wanted(msg.k, sender)
 
     def _on_accept(self, msg: Accept, sender: int) -> None:
         if self._reply_decided(msg.k, sender):

@@ -21,6 +21,13 @@ One consensus-driven ordering loop per process, in consecutive rounds:
   decided ``Accept`` carries the batch to everyone else.  With no hint
   every process may be decided, so payloads go to every peer
   (DESIGN.md, substitutions);
+* the **first push to the leader leaves in the Promise turn**, not at
+  the tick: the box's ``value_wanted`` says who will bind a round
+  (Paxos: the ``Prepare`` this node just promised), and the node's own
+  new messages go to it at once, so they are in the batch it binds
+  after phase 1.  The tick repairs — digests, ``want``, the GC floor,
+  the successor's copy, a push re-armed on evidence of a loss — and
+  pushes first only after an idle spell, when no round is open;
 * the only stable-storage writes are the consensus box's — the
   proposal, logged inside ``propose`` as its first operation when a
   value is bound — so Atomic Broadcast adds **zero** log operations
@@ -40,7 +47,8 @@ round logged only its decision).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Generator, List, Optional, Sequence
+from typing import (Any, Dict, FrozenSet, Generator, List, Optional,
+                    Sequence, Set)
 
 from repro.consensus.base import ConsensusService
 from repro.core.agreed import AgreedQueue, deterministic_order
@@ -197,6 +205,7 @@ class BasicAtomicBroadcast(NodeComponent):
         self._pending_restore = False
         self._restore_volatile_state()
         self.consensus.value_source = self._proposal_for
+        self.consensus.value_wanted = self._push_to_binder
         self.endpoint.register(GossipMessage.type, self._on_gossip)
         # (a) fork task { sequencer and gossip }
         self._sequencer_task = node.spawn(self._sequencer(), "ab-sequencer")
@@ -332,17 +341,22 @@ class BasicAtomicBroadcast(NodeComponent):
         """One tick: ``gossip(k, payloads, ckpt_k, known, want, floor)``
         to each peer it has something to say to.
 
-        A gossip goes to a peer only when it carries payloads, a
-        ``want`` or a digest due to that peer; ``k``, ``ckpt_k`` and
-        ``floor`` ride on every one sent.  Who gets what follows the
-        consensus box's leader hint (``None``: any process's proposal
-        may be decided, and every rule below applies to every peer):
+        The tick repairs; the first push to a leader that is about to
+        bind has already left beside this node's ``Promise``
+        (:meth:`_push_to_binder`).  A gossip goes to a peer only when it
+        carries payloads, a ``want`` or a digest due to that peer;
+        ``k``, ``ckpt_k`` and ``floor`` ride on every one sent.  Who
+        gets what follows the consensus box's leader hint (``None``: any
+        process's proposal may be decided, and every rule below applies
+        to every peer):
 
         * ``payloads`` — a message this node originated goes to each
           push target (:meth:`_push_targets`: the leader and its
-          successor) the first time that peer's view does not list it,
-          and again only once :meth:`_on_gossip` has re-armed it; plus
-          whatever the peer asked for;
+          successor) the first time that peer's view does not list it
+          and it is not pushed there already — to the successor if it
+          is still unordered, to the leader after an idle spell with no
+          round open — and again only once :meth:`_on_gossip` has
+          re-armed it; plus whatever the peer asked for;
         * ``known`` — a follower's digest goes to the leader every tick;
           the leader's goes to ``f = min(n−1, ⌈log₂ n⌉)`` peers per
           tick, in turn (:meth:`_digest_recipients`), which is the lag
@@ -355,7 +369,6 @@ class BasicAtomicBroadcast(NodeComponent):
         built and sized once.
         """
         assert self.node is not None
-        now = self.node.sim.now
         node_id = self.endpoint.node_id
         group = self.endpoint.peers()
         peers = [peer for peer in group if peer != node_id]
@@ -382,15 +395,7 @@ class BasicAtomicBroadcast(NodeComponent):
         built: Dict[Any, GossipMessage] = {}
         for peer in peers:
             view = self._peers.get(peer, _NOTHING_HEARD)
-            if peer in push_to:
-                push = mine.difference(view.known,
-                                       self._pushed.get(peer, _NO_IDS))
-                if push:
-                    sent = self._pushed.setdefault(peer, {})
-                    for mid in push:
-                        sent[mid] = now
-            else:
-                push = set()
+            push = self._due(peer, mine) if peer in push_to else set()
             if view.asked:
                 push.update(mid for mid in view.asked if mid in unordered)
                 view.asked = _NO_IDS    # served; the peer re-asks
@@ -410,6 +415,44 @@ class BasicAtomicBroadcast(NodeComponent):
                     known if digest else None, want, floor)
                 built[key] = message
             self.endpoint.send(peer, message)
+
+    def _push_to_binder(self, k: int, binder: int) -> None:
+        """The consensus box's ``value_wanted``: ``binder`` will soon
+        bind instance ``k``'s value, so the messages this node originated
+        that it is not known to hold go to it now — those its last digest
+        does not list and not pushed to it already — in one gossip with
+        no digest and no ``want``.
+
+        Paxos calls this in the turn that sends the ``Promise``, so the
+        push rides with it (one datagram on live) and is in the binder's
+        Unordered when it binds.  Recorded in ``_pushed`` like a tick
+        push: it is not sent twice, and a digest that shows it lost
+        re-arms it for the tick.
+        """
+        node_id = self.endpoint.node_id
+        if binder == node_id or binder not in self.endpoint.peers():
+            return
+        push = self._due(binder, {mid for mid in self.unordered
+                                  if mid[0] == node_id})
+        if push:
+            self.endpoint.send(binder, GossipMessage(
+                -1 if self._joining else self.k,
+                frozenset(self.unordered[mid] for mid in push),
+                self._checkpoint_round(), None, _NO_IDS,
+                self._gc_watermark()))
+
+    def _due(self, peer: int, mine: Set[MessageId]) -> Set[MessageId]:
+        """The own messages of ``mine`` to push to ``peer`` now — its
+        last digest does not list them and they are not pushed to it
+        already — recorded in ``_pushed`` as pushed now."""
+        push = mine.difference(self._peers.get(peer, _NOTHING_HEARD).known,
+                               self._pushed.get(peer, _NO_IDS))
+        if push:
+            sent = self._pushed.setdefault(peer, {})
+            now = self.node.sim.now
+            for mid in push:
+                sent[mid] = now
+        return push
 
     def _push_targets(self, group: Sequence[int], peers: List[int],
                       leader: Optional[int]) -> Sequence[int]:

@@ -193,9 +193,11 @@ class TestFullTreeGraph:
     def test_gossip_is_unicast_and_the_decision_pull_is_modelled(self,
                                                                graph):
         # Per-peer digests: no multisend of a GossipMessage is left.
+        # The tick and the push beside a Promise both unicast.
         gossip = graph.senders_for("ab.gossip")
-        assert [(e.sender, e.op) for e in gossip] == \
-            [("BasicAtomicBroadcast._gossip_once", "send")]
+        assert sorted((e.sender, e.op) for e in gossip) == \
+            [("BasicAtomicBroadcast._gossip_once", "send"),
+             ("BasicAtomicBroadcast._push_to_binder", "send")]
         # Decide leaves through one multisend — by reference, which is
         # why it carries a ballot — plus the by-value replies to stale
         # traffic; no acceptor path answers an Accept with one.  The

@@ -283,12 +283,17 @@ class TestDigestGossip:
         copies = sum(len(m.payloads) for _, _, _, m in gossip)
         accepted = sum(len(m.value) for _, _, _, m
                        in of_type(sent, "paxos.accept"))
-        # Lossless: gossip takes each payload to the leader and its
-        # successor, and the Accept to every process — n + 2 copies.
-        # Pushing to every peer as well cost 2n − 1; whole-set gossip
-        # from every holder was ~n*n copies per tick a message stayed
-        # unordered.
-        assert copies == 2 * count
+        # Lossless: gossip takes each payload to the leader once — in
+        # the Promise turn if a round is open, else at the tick — and to
+        # the leader's successor only if it is still unordered at a
+        # tick; the Accept takes it to every process.  So it crosses
+        # each link at most once: n + 1 or n + 2 copies.  Pushing to
+        # every peer as well cost 2n − 1; whole-set gossip from every
+        # holder was ~n*n copies per tick a message stayed unordered.
+        links = [(dst, p.id) for _, _, dst, m in gossip for p in m.payloads]
+        assert len(set(links)) == len(links)
+        assert sum(dst == 0 for dst, _ in links) == count
+        assert count <= copies <= 2 * count
         assert accepted == n * count
         assert not any(m.want for _, _, _, m in gossip)       # lossless
 

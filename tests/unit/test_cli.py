@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -50,3 +54,25 @@ class TestCommands:
                      "--rate", "1"]) == 0
         out = capsys.readouterr().out
         assert "sequencer" in out and "basic" in out
+
+
+def test_run_into_a_closed_pipe_exits_quietly():
+    # ``python -m repro run | head -1``: the reader is gone before the
+    # report is written.  No traceback, from print or from the exit-time
+    # flush, and the run still counts as a success.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    child = ("import runpy, sys\n"
+             "sys.stdin.read()  # until the parent has closed our stdout\n"
+             "sys.argv = ['repro', 'run', '-n', '3', '--protocol', 'basic',"
+             " '--duration', '2']\n"
+             "runpy.run_module('repro', run_name='__main__')\n")
+    proc = subprocess.Popen([sys.executable, "-c", child], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)  # closes stdin: child runs
+    assert stderr == b""
+    assert proc.returncode == 0

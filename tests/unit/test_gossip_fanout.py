@@ -186,8 +186,10 @@ class TestBudget:
 class TestPushTargets:
     def test_a_lossless_run_pushes_each_payload_to_two_peers_no_want(self):
         # Followers push to the leader (0) and its successor (1), node 1
-        # to 0 and 2; nothing is pulled, and the Accept carries every
-        # payload to every process.
+        # to 0 and 2: the leader always, the successor only if the
+        # message is still unordered at a tick (a push beside a Promise
+        # can get it ordered first).  Nothing is pulled, and the Accept
+        # carries every payload to every process.
         n, count = 5, 20
         cluster = build(n, seed=16)
         seen = tap(cluster.network)
@@ -205,7 +207,8 @@ class TestPushTargets:
                 targets.setdefault(payload.id, []).append(dst)
         assert len(targets) == count
         for mid, dsts in targets.items():
-            assert sorted(dsts) == ([0, 2] if mid.sender == 1 else [0, 1])
+            successor = 2 if mid.sender == 1 else 1
+            assert sorted(dsts) in ([0], [0, successor])
         accepted = sum(len(message.value) for *_, message in seen
                        if message.type == "paxos.accept")
         assert accepted == n * count
