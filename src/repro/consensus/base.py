@@ -266,11 +266,12 @@ class ConsensusService(NodeComponent):
             del self._proposals[instance]
         for instance in [i for i in self._decisions if i < k]:
             del self._decisions[instance]
-        # Decision signals below the floor have already fired (or never
-        # will be waited on again): keep the cache from growing with the
-        # instance history.
+        # Keep the signal cache from growing with the instance history —
+        # but a task may still be parked on one of these (a driver a
+        # state transfer left behind): wake it first, so it re-checks
+        # and sees the floor, instead of waiting on an orphan.
         for instance in [i for i in self._decided_signal if i < k]:
-            del self._decided_signal[instance]
+            self._decided_signal.pop(instance).notify()
         return discarded
 
     # -- shared internals -----------------------------------------------------------

@@ -27,13 +27,27 @@ under crash-recovery is the best understood:
   and an acceptor answers a repeated ``Accept`` without logging again.
 * **Leadership comes from Ω** (:class:`~repro.fdetect.omega.OmegaOracle`).
   Once the underlying failure detector stabilises, a single good leader
-  runs phase 1 / phase 2 to completion and multisends ``DECIDE`` — once,
-  when it records the decision.  Phase 1 needs no value, so the leader
-  binds (and logs) its own proposal only after it, and a follower that
-  never runs an attempt logs none.  An acceptor that promises a
-  ``Prepare`` tells the layer above through ``value_wanted`` in the
-  same turn, so what that layer wants bound reaches the leader beside
-  the ``Promise``, before the bind.
+  runs phase 1 / phase 2 to completion and sends ``DECIDE`` to the
+  other processes — once, when it records the decision.  Phase 1 needs
+  no value, so the leader binds (and logs) its own proposal only after
+  it, and a follower that never runs an attempt logs none.  An acceptor
+  that promises a ``Prepare`` tells the layer above through
+  ``value_wanted`` in the same turn, so what that layer wants bound
+  reaches the leader beside the ``Promise``, before the bind.
+* **Nothing is addressed to self.**  The paper's ``multisend`` includes
+  the sender; here the proposer's own acceptor answers its ``Prepare``
+  and ``Accept`` in-process, in the same turn, and every message goes
+  to the *other* processes only.  A phase whose quorum needs no peer
+  still waits for its first poll, which is the batching window.
+* **The next Prepare rides the Decide.**  The Ω leader sends
+  ``Decide(k)`` once the layer above has taken the decision; if that
+  layer has entered ``k + 1`` by then (it had more to order), the
+  ``Decide`` carries ``prepare_next`` — it is also ``Prepare(k + 1)``
+  at the same ballot, which the own acceptor has promised — and the
+  driver of ``k + 1`` finds phase 1 open.  A receiver handles the
+  decision and then the ``Prepare``.  A standalone ``Prepare`` serves
+  the first instance after a leader change, a round that opens after
+  an idle spell, and the re-sends.
 * **One write per acceptor per instance: the commit point.**  The
   record is ``(ballot, value, commit)``: each ``Accept`` carries the
   leader's commit point at its ballot, the highest ``c`` such that
@@ -153,19 +167,23 @@ class Accepted(WireMessage):
 class Decide(WireMessage):
     """Decision dissemination, in one of two forms.
 
-    *By reference* (``value is None``): the decider's multisend — "``k``
-    decided what ``ballot``'s ``Accept`` carried".  *By value*
-    (``ballot == -1``): the reply to a ``Query`` or to stale traffic,
-    for a process that cannot be assumed to hold that ``Accept``.
+    *By reference* (``value is None``): the decider's send to the other
+    processes — "``k`` decided what ``ballot``'s ``Accept`` carried";
+    with ``prepare_next`` it is also ``Prepare(k + 1, ballot)``.  *By
+    value* (``ballot == -1``): the reply to a ``Query`` or to stale
+    traffic, for a process that cannot be assumed to hold that
+    ``Accept``.
     """
 
     type = "paxos.decide"
-    fields = ("k", "ballot", "value")
+    fields = ("k", "ballot", "value", "prepare_next")
 
-    def __init__(self, k: int, ballot: int, value: Any = None):
+    def __init__(self, k: int, ballot: int, value: Any = None,
+                 prepare_next: bool = False):
         self.k = k
         self.ballot = ballot
         self.value = value
+        self.prepare_next = prepare_next
 
 
 class Nack(WireMessage):
@@ -182,8 +200,9 @@ class Nack(WireMessage):
 class Query(WireMessage):
     """Decision pull: "do you know the outcome of instance k?"
 
-    Unicast to a peer known to be ahead (``pull_decision``), and multisent
-    by undecided non-leaders after a silence timeout, so that a lost
+    Unicast to a peer known to be ahead (``pull_decision``), and sent to
+    every other process by undecided non-leaders after a silence
+    timeout, so that a lost
     ``Decide`` — or the ``Accept`` its reference points at — is
     eventually recovered over the fair-loss channel.
     """
@@ -393,7 +412,8 @@ class PaxosConsensus(ConsensusService):
             if len(parts) == 3 and int(parts[1]) < k:
                 self.node.storage.delete(key)
                 discarded += 1
-        for cache in (self._accepted, self._parked, self._instance_members):
+        for cache in (self._accepted, self._parked, self._instance_members,
+                      self._attempts):
             for instance in [i for i in cache if i < k]:
                 del cache[instance]
         return discarded
@@ -409,10 +429,15 @@ class PaxosConsensus(ConsensusService):
 
     def _admit_ballot(self, k: int, ballot: int, sender: int) -> bool:
         """Promise ``ballot`` (logged only if it raises the promise), or
-        ``Nack`` the sender with the higher ballot already promised."""
+        ``Nack`` the sender with the higher ballot already promised —
+        in-process when the sender is this process's own proposer."""
         promised = self._promised_ballot()
         if ballot < promised:
-            self.endpoint.send(sender, Nack(k, promised))
+            nack = Nack(k, promised)
+            if sender == self.endpoint.node_id:
+                self._on_nack(nack, sender)
+            else:
+                self.endpoint.send(sender, nack)
             return False
         if ballot > promised:
             self._promised = ballot
@@ -458,6 +483,9 @@ class PaxosConsensus(ConsensusService):
         self.endpoint.send(dst, Decide(k, -1, decision))
         return True
 
+    # The proposer's own acceptor is handed its Prepare and Accept
+    # in-process (``sender`` is this process); it answers the same way.
+
     def _on_prepare(self, msg: Prepare, sender: int) -> None:
         if self._reply_decided(msg.k, sender):
             return
@@ -473,8 +501,12 @@ class PaxosConsensus(ConsensusService):
             return
         if self._admit_ballot(msg.k, msg.ballot, sender):
             accepted_ballot, accepted_value, _ = self._accepted_state(msg.k)
-            self.endpoint.send(sender, Promise(
-                msg.k, msg.ballot, accepted_ballot, accepted_value))
+            promise = Promise(msg.k, msg.ballot, accepted_ballot,
+                              accepted_value)
+            if sender == self.endpoint.node_id:
+                self._on_promise(promise, sender)
+                return
+            self.endpoint.send(sender, promise)
             if self.value_wanted is not None:
                 # The sender binds k's value once the promises are in:
                 # what it should bind leaves now, beside the Promise.
@@ -485,19 +517,22 @@ class PaxosConsensus(ConsensusService):
             return
         if msg.k < self.instance_floor and self._view_changed():
             return  # records gone: no participation (see _on_prepare)
-        if self._accepted_state(msg.k)[0] == msg.ballot:
-            # A re-sent or duplicated Accept, or this process's own
-            # after it bound its proposal: one (k, ballot) carries one
-            # value, so the record is already right — answer again and
-            # log nothing, also after a crash.
-            self.endpoint.send(sender, Accepted(msg.k, msg.ballot))
-            return
-        if not self._admit_ballot(msg.k, msg.ballot, sender):
-            return
-        self._accept(msg.k, msg.ballot, msg.value, msg.commit)
-        self.endpoint.send(sender, Accepted(msg.k, msg.ballot))
+        # A re-sent or duplicated Accept, or this process's own after it
+        # bound its proposal, finds its record right — one (k, ballot)
+        # carries one value — and is answered again with nothing logged,
+        # also after a crash.
+        fresh = self._accepted_state(msg.k)[0] != msg.ballot
+        if fresh:
+            if not self._admit_ballot(msg.k, msg.ballot, sender):
+                return
+            self._accept(msg.k, msg.ballot, msg.value, msg.commit)
+        accepted = Accepted(msg.k, msg.ballot)
+        if sender == self.endpoint.node_id:
+            self._on_accepted(accepted, sender)
+        else:
+            self.endpoint.send(sender, accepted)
         parked = self._parked.get(msg.k)
-        if parked is not None:
+        if fresh and parked is not None:
             self._decide_by_reference(msg.k, parked)  # Decide overtook us
 
     # -- leader tallies -------------------------------------------------------------------
@@ -527,7 +562,38 @@ class PaxosConsensus(ConsensusService):
                 self._undecided.discard(msg.k)
                 self._decided_top = max(self._decided_top, msg.k)
             self._record_decision(msg.k, attempt.value)
-            self.endpoint.multisend(Decide(msg.k, attempt.ballot))
+            assert self.node is not None
+            self.node.spawn(self._announce(msg.k, attempt.ballot),
+                            "paxos-decide")
+
+    def _announce(self, k: int, ballot: int):
+        """Send ``Decide(k, ballot)`` to ``k``'s other members, as a
+        task: its first step runs after the tasks the decision woke, so
+        the layer above has delivered ``k`` and, with more to order,
+        entered ``k + 1`` — and then the ``Decide`` opens its phase 1
+        too."""
+        decide = Decide(k, ballot, None, self._open_next(k + 1, ballot))
+        # To k's own members: a reconfiguration decided in k may have
+        # dropped one from the view, and it still needs the decision.
+        for member in self._others(self._members(k)):
+            self.endpoint.send(member, decide)
+        yield from ()
+
+    def _open_next(self, k: int, ballot: int) -> bool:
+        """Open phase 1 of ``k`` at ``ballot`` — the own acceptor
+        promises now, the others on the ``Decide`` that says so — if
+        this process is Ω's leader, still runs at ``ballot``, and has
+        entered ``k`` (so its members are pinned) but holds no attempt
+        for it.  A leader with nothing more to order has not entered
+        ``k``: its round opens later, with a ``Prepare`` of its own,
+        which the followers' pushes ride (``value_wanted``)."""
+        if not self.omega.is_leader() or ballot != self._ballot \
+                or k not in self._drivers or k in self._attempts \
+                or self.decided_value(k) is not None:
+            return False
+        self._attempts[k] = _Attempt(ballot)
+        self._on_prepare(Prepare(k, ballot), self.endpoint.node_id)
+        return True
 
     def _on_nack(self, msg: Nack, sender: int) -> None:
         attempt = self._attempts.get(msg.k)
@@ -557,6 +623,18 @@ class PaxosConsensus(ConsensusService):
             # value; the lowest is the one an Accept can satisfy first.
             self._parked[msg.k] = min(
                 msg.ballot, self._parked.get(msg.k, msg.ballot))
+        if msg.prepare_next:
+            assert self.node is not None
+            self.node.spawn(self._prepare_after_decision(
+                Prepare(msg.k + 1, msg.ballot), sender), "paxos-prepare")
+
+    def _prepare_after_decision(self, prepare: Prepare, sender: int):
+        """The ``Prepare`` a ``Decide`` carried, handled as a task: its
+        first step runs after the tasks the decision woke, so the layer
+        above has taken the decided batch out of what it pushes beside
+        the ``Promise``."""
+        self._on_prepare(prepare, sender)
+        yield from ()
 
     def _on_query(self, msg: Query, sender: int) -> None:
         self._reply_decided(msg.k, sender)
@@ -582,6 +660,11 @@ class PaxosConsensus(ConsensusService):
 
     def _quorum(self, k: int) -> int:
         return len(self._members(k)) // 2 + 1
+
+    def _others(self, members: Collection[int]) -> Tuple[int, ...]:
+        """``members`` without this process: whom a phase message goes to."""
+        me = self.endpoint.node_id
+        return tuple(member for member in members if member != me)
 
     def _current_ballot(self) -> int:
         """The ballot new attempts run at.
@@ -652,8 +735,10 @@ class PaxosConsensus(ConsensusService):
         assert self.node is not None
         sim = self.node.sim
         silent_timeouts = 0
-        while self.decided_value(k) is None and \
-                (k >= self.instance_floor or not self._view_changed()):
+        # Below the floor the instance's records are gone here and at
+        # the peers that GC'd it: nobody can answer a Query, and an
+        # attempt would only raise promises over the leader's ballot.
+        while self.decided_value(k) is None and k >= self.instance_floor:
             if self.omega.is_leader() or silent_timeouts >= 2:
                 silent_timeouts = 0
                 if not (yield from self._run_attempt(k)):
@@ -670,7 +755,9 @@ class PaxosConsensus(ConsensusService):
                 handle.cancel()
                 if fired is timer and self.decided_value(k) is None:
                     silent_timeouts += 1
-                    self.endpoint.multisend(Query(k))
+                    query = Query(k)
+                    for member in self._others(self.endpoint.peers()):
+                        self.endpoint.send(member, query)
         self._drivers.discard(k)
 
     def _run_attempt(self, k: int):
@@ -690,11 +777,22 @@ class PaxosConsensus(ConsensusService):
         ``k`` — so no ``Accept`` goes and the driver stops.  Nor does one
         go under a commit point already sent at the ballot: the attempt
         spends the ballot instead.
+
+        Phase 1 may be open already at the current ballot, opened by
+        the ``Decide`` of ``k - 1`` (:meth:`_open_next`); then no
+        ``Prepare`` goes, and a member that was not asked gets the first
+        re-send.
         """
-        attempt = _Attempt(self._current_ballot())
-        self._attempts[k] = attempt
-        prepare = Prepare(k, attempt.ballot)
-        self.endpoint.multisend(prepare)
+        ballot = self._current_ballot()
+        me = self.endpoint.node_id
+        prepare = Prepare(k, ballot)
+        attempt = self._attempts.get(k)
+        if attempt is None or attempt.ballot != ballot:
+            attempt = _Attempt(ballot)
+            self._attempts[k] = attempt
+            for member in self._others(self._members(k)):
+                self.endpoint.send(member, prepare)
+            self._on_prepare(prepare, me)
         yield from self._await_quorum(k, attempt, attempt.promises, prepare)
         if self.decided_value(k) is not None:
             return True
@@ -719,7 +817,9 @@ class PaxosConsensus(ConsensusService):
             # One object for the phase: a re-send reuses its encoding.
             accept = Accept(k, attempt.ballot, attempt.value,
                             self._commit_point())
-            self.endpoint.multisend(accept)
+            for member in self._others(self._members(k)):
+                self.endpoint.send(member, accept)
+            self._on_accept(accept, me)
             yield from self._await_quorum(k, attempt, attempt.accepts,
                                           accept)
         # Decision (if reached) was recorded by _on_accepted; otherwise
@@ -732,19 +832,25 @@ class PaxosConsensus(ConsensusService):
                       answered: Collection[int], message: WireMessage):
         """Wait for a quorum of ``answered``, a ``Nack``, a decision or
         ``attempt_timeout``; every quarter of the timeout, re-send the
-        phase's ``message`` to the members that have not answered."""
+        phase's ``message`` to the members that have not answered.
+
+        The first poll is always waited out, also when the own acceptor
+        alone is a quorum: it is the window in which the batch fills."""
         assert self.node is not None
         sim = self.node.sim
         quorum = self._quorum(k)
         resend_period = self.attempt_timeout / 4
         deadline = sim.now + self.attempt_timeout
         resend_at = sim.now + resend_period
-        while (len(answered) < quorum and attempt.nacked < 0
-               and sim.now < deadline and self.decided_value(k) is None):
+        while True:
+            yield min(0.05, resend_period)
+            if (len(answered) >= quorum or attempt.nacked >= 0
+                    or sim.now >= deadline
+                    or self.decided_value(k) is not None):
+                return
             if sim.now >= resend_at:
-                for member in self._members(k):
+                for member in self._others(self._members(k)):
                     if member not in answered:
                         self.endpoint.send(member, message)
                         self.resends += 1
                 resend_at = sim.now + resend_period
-            yield min(0.05, resend_period)

@@ -4,7 +4,7 @@ A datagram is one or more length-prefixed binary *frames*, concatenated.
 Each frame is a ``struct``-packed header followed by the message's
 *body*::
 
-    !HBIHI  =  magic 0xAB0B | version 3 | sender | type-id | body-len
+    !HBIHI  =  magic 0xAB0B | version 5 | sender | type-id | body-len
 
 The type-id is a small integer from a registered table
 (:data:`TYPE_ID_TABLE`, extensible via :func:`register_type_id`); the
@@ -111,7 +111,7 @@ class WireConfig:
 
 MAGIC = 0xAB0B
 HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
-_VERSION = 4  # the header's version byte; any other value is rejected
+_VERSION = 5  # the header's version byte; any other value is rejected
 _JSON_TUNNEL_ID = 0  # body is one {"s", "t", "f"} JSON object
 
 # The registered type-id table.  Ids are frozen: changing an assignment

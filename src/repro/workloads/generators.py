@@ -198,6 +198,8 @@ class ScheduledWorkload(_SubmissionWorkload):
     """Explicit submission plan: ``[(time, node_id, payload), ...]``.
 
     The plan is explicit, so ``seed`` seeds only the backoff stream.
+    Only the next submission is ever pending: each one schedules its
+    successor, so a long plan costs one timer, not one per entry.
     """
 
     def __init__(self, plan: Sequence[Tuple[float, int, Any]],
@@ -209,10 +211,34 @@ class ScheduledWorkload(_SubmissionWorkload):
         raise NotImplementedError("ScheduledWorkload installs directly")
 
     def install(self, cluster) -> int:
-        for when, node_id, payload in self.plan:
-            cluster.runtime.schedule(when, self._submit, cluster, node_id,
-                                     payload)
-        return len(self.plan)
+        """Schedule the first submission (time order, ties in plan
+        order); returns the plan's length."""
+        plan = sorted(self.plan, key=lambda entry: entry[0])
+        if plan:
+            runtime = cluster.runtime
+            start = runtime.now
+            runtime.schedule(plan[0][0], self._submit_due, cluster, plan, 0,
+                             start)
+        return len(plan)
+
+    def _submit_due(self, cluster, plan: List[Tuple[float, int, Any]],
+                    index: int, start: float) -> None:
+        """Submit every entry due now, from ``index``; schedule the next.
+
+        The step to the next entry is the difference of the two due
+        times, so ``now + step`` is the due time itself; a live clock
+        running late steps by zero."""
+        runtime = cluster.runtime
+        when = plan[index][0]
+        end = index
+        while end < len(plan) and plan[end][0] == when:
+            end += 1
+        if end < len(plan):
+            step = (start + plan[end][0]) - runtime.now
+            runtime.schedule(max(0.0, step), self._submit_due, cluster, plan,
+                             end, start)
+        for _, node_id, payload in plan[index:end]:
+            self._submit(cluster, node_id, payload)
 
 
 class ClosedLoopWorkload:

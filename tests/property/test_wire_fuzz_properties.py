@@ -109,7 +109,7 @@ def test_depth_bomb_is_cleanly_rejected():
     interpreter's recursion limit."""
     payload = b"l\x01" * 100 + b"N"
     type_id = TYPE_ID_TABLE["paxos.query"]  # fields = ("k",)
-    frame = HEADER.pack(MAGIC, 4, 0, type_id, len(payload)) + payload
+    frame = HEADER.pack(MAGIC, 5, 0, type_id, len(payload)) + payload
     with pytest.raises(WireCodecError, match="too deep"):
         wire.decode_datagram(frame)
 

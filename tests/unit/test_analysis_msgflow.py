@@ -198,16 +198,19 @@ class TestFullTreeGraph:
         assert sorted((e.sender, e.op) for e in gossip) == \
             [("BasicAtomicBroadcast._gossip_once", "send"),
              ("BasicAtomicBroadcast._push_to_binder", "send")]
-        # Decide leaves through one multisend — by reference, which is
-        # why it carries a ballot — plus the by-value replies to stale
-        # traffic; no acceptor path answers an Accept with one.  The
-        # pull it relies on is a unicast Query.
+        # Decide leaves from one place, to the other processes — by
+        # reference, which is why it carries a ballot, and the next
+        # Prepare's flag — plus the by-value replies to stale traffic;
+        # no acceptor path answers an Accept with one.  Paxos multisends
+        # nothing.  The pull it relies on is a unicast Query.
         assert graph.messages["paxos.decide"].fields == \
-            ("k", "ballot", "value")
+            ("k", "ballot", "value", "prepare_next")
         decides = {(e.sender, e.op)
                    for e in graph.senders_for("paxos.decide")}
-        assert decides == {("PaxosConsensus._on_accepted", "multisend"),
+        assert decides == {("PaxosConsensus._announce", "send"),
                            ("PaxosConsensus._reply_decided", "send")}
+        assert not [e for e in graph.sends if e.op == "multisend"
+                    and e.tag is not None and e.tag.startswith("paxos.")]
         assert [e.handler for e in graph.handlers_for("paxos.decide")] == \
             ["PaxosConsensus._on_decide"]
         queries = {(e.sender, e.op)

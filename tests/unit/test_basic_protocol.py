@@ -286,21 +286,22 @@ class TestDigestGossip:
         # Lossless: gossip takes each payload to the leader once — in
         # the Promise turn if a round is open, else at the tick — and to
         # the leader's successor only if it is still unordered at a
-        # tick; the Accept takes it to every process.  So it crosses
-        # each link at most once: n + 1 or n + 2 copies.  Pushing to
+        # tick; the Accept takes it to every other process.  So it
+        # crosses each link at most once: n or n + 1 copies.  Pushing to
         # every peer as well cost 2n − 1; whole-set gossip from every
         # holder was ~n*n copies per tick a message stayed unordered.
         links = [(dst, p.id) for _, _, dst, m in gossip for p in m.payloads]
         assert len(set(links)) == len(links)
         assert sum(dst == 0 for dst, _ in links) == count
         assert count <= copies <= 2 * count
-        assert accepted == n * count
+        assert accepted == (n - 1) * count
         assert not any(m.want for _, _, _, m in gossip)       # lossless
 
 
 class TestSingleDecide:
-    """A decision is multisent once; a lost copy is pulled at the
-    gossip tick by whoever learns from gossip that it fell behind."""
+    """A decision is sent once, to every other process; a lost copy is
+    pulled at the gossip tick by whoever learns from gossip that it fell
+    behind."""
 
     def test_lossless_run_emits_n_decides_per_instance(self):
         n = 5
@@ -313,11 +314,13 @@ class TestSingleDecide:
         instances = cluster.abcasts[0].k
         assert instances >= 3
         decides = of_type(sent, "paxos.decide")
-        assert len([e for e in decides if e[1] == 0]) == n * instances
+        assert len([e for e in decides if e[1] == 0]) == \
+            (n - 1) * instances
+        assert all(dst != 0 for _, src, dst, _ in decides if src == 0)
         # The rest answer an Accept that a Decide overtook: a reply to
         # the leader, never a second fan-out.
         assert all(dst == 0 for _, src, dst, _ in decides if src != 0)
-        assert len(decides) <= (n + 1) * instances
+        assert len(decides) <= n * instances
         assert not of_type(sent, "paxos.query")
 
     def test_duplicated_accepted_does_not_decide_again(self):

@@ -6,8 +6,9 @@ repository root), and the one file allowed to match it.  A deleted
 layer's names stay deleted; the transport never reads the failure
 detector; the Atomic Broadcast core learns about leadership only
 through the consensus box's ``leader_hint()``; the run's collector is
-the only sink of events.  Bytecode caches are not searched: they are
-built from the sources that are.
+the only sink of events; Paxos addresses no message to its own node.
+Bytecode caches are not searched: they are built from the sources that
+are.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ GUARDS = (
      "consensus box's leader_hint()"),
     ("DecisionRef", r"DecisionRef|paxos\.decision-ref", CODE, None,
      "the commit point replaced the decision marker"),
+    ("paxos-multisend", r"\.multisend\(", ("src/repro/consensus/paxos.py",),
+     None,
+     "Paxos sends to the other processes only: its own acceptor answers "
+     "in-process, and nothing is addressed to self"),
 )
 BY_NAME = {row[0]: row for row in GUARDS}
 
@@ -120,3 +125,10 @@ def test_a_planted_name_trips_its_guard(tmp_path):
     assert trips(tmp_path, "Simulator", ("docs",)) == \
         ["docs/notes.md:1: SimRuntime, not Simulator; repro.simple is fine"]
     assert trips(tmp_path, "repro.sim") == []
+    (tmp_path / "src" / "repro" / "consensus").mkdir()
+    (tmp_path / "src" / "repro" / "consensus" / "paxos.py").write_text(
+        "# the paper's ``multisend`` includes the sender\n"
+        "self.endpoint.multisend(Decide(k, b))\n")
+    assert trips(tmp_path, "paxos-multisend") == \
+        ["src/repro/consensus/paxos.py:2: "
+         "self.endpoint.multisend(Decide(k, b))"]

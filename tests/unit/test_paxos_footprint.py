@@ -167,9 +167,11 @@ class TestDurableLayout:
         cluster.propose_all(0)
         cluster.advance(2.0)
         decides = cluster.of_type("paxos.decide")
-        assert len(decides) == 3
+        # To the two others, not to itself; with nothing more to order,
+        # it opens no next instance.
+        assert [d for _, d, _ in decides] == [1, 2]
         assert all(m.value is None and m.ballot == make_ballot(0, 1, 0)
-                   for _, _, m in decides)
+                   and not m.prepare_next for _, _, m in decides)
         # A Query, and a stale Prepare, are answered with the value.
         cluster.consensuses[2]._on_query(Query(0), sender=1)
         reply = cluster.of_type("paxos.decide", src=2)[-1][2]
@@ -333,7 +335,8 @@ class TestRepairInsideTheBallot:
         assert cluster.decisions(0)[0] is not None
         prepares = cluster.of_type("paxos.prepare", src=0)
         assert {m.ballot for _, _, m in prepares} == {make_ballot(0, 1, 0)}
-        assert [d for _, d, _ in prepares] == [0, 1, 1]  # the re-send: to 1
+        # To the peer only (the leader promises in-process); the re-send.
+        assert [d for _, d, _ in prepares] == [1, 1]
         leader = cluster.consensuses[0]
         assert (leader.resends, leader.ballots_retired) == (1, 0)
 
@@ -360,7 +363,8 @@ class TestRepairInsideTheBallot:
         for k in range(instances):
             cluster.propose_all(k)
             cluster.advance(2.0)
-        assert len(cluster.of_type("paxos.accept")) == 3 * instances
+        # Sent to the two others; the leader accepts in-process.
+        assert len(cluster.of_type("paxos.accept")) == 2 * instances
         assert cluster.network.metrics.duplicated > 0
         for k in range(instances):
             values = cluster.decisions(k)
@@ -659,12 +663,12 @@ class TestDecideOnTheWire:
         by_reference, by_value = self.forms()
         assert by_reference.value is None and by_value.ballot == -1
         assert by_reference.estimated_size() == \
-            2 + len("paxos.decide") + 3 + 8 + 1
+            2 + len("paxos.decide") + 3 + 8 + 1 + 1     # the flag
 
     def test_the_fuzzer_draws_both_forms(self):
         decide = dict(wirefuzz.registered_classes())["paxos.decide"]
         assert decide is Decide
-        assert decide.fields == ("k", "ballot", "value")
+        assert decide.fields == ("k", "ballot", "value", "prepare_next")
         rng = random.Random(21)
         drawn = [wirefuzz.random_fields(decide, rng) for _ in range(80)]
         assert any(fields["value"] is None for fields in drawn)

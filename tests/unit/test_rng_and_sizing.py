@@ -131,7 +131,8 @@ class TestWireMessageSizeCache:
         # The wire codec rebuilds instances without running __init__.
         from repro.runtime import wire
         rebuilt = wire.rebuild(
-            "paxos.decide", {"k": 4, "ballot": -1, "value": (1, 2, 3)})
+            "paxos.decide", {"k": 4, "ballot": -1, "value": (1, 2, 3),
+                             "prepare_next": False})
         assert rebuilt.estimated_size() == _uncached(rebuilt)
         rebuilt.value = (1, 2, 3, 4, 5)         # convention broken on purpose
         assert rebuilt.estimated_size() != _uncached(rebuilt)

@@ -76,7 +76,7 @@ def test_wire_roundtrip_state():
 
 def tunnel_frame(payload: bytes) -> bytes:
     """A hand-built JSON-tunnel frame (type-id 0) around ``payload``."""
-    return HEADER.pack(MAGIC, 4, 0, 0, len(payload)) + payload
+    return HEADER.pack(MAGIC, 5, 0, 0, len(payload)) + payload
 
 
 def test_wire_rejects_garbage_and_unknown_tags():

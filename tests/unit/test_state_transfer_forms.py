@@ -17,6 +17,7 @@ from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.verify import verify_run
 from repro.runtime import wire, wirefuzz
 from repro.transport.network import NetworkConfig
+from tests.conftest import tap
 
 
 def build(seed=0, n=3, loss=0.0, delta=2, interval=1.0):
@@ -238,6 +239,43 @@ class TestWholeQueueFallbacks:
         pump(cluster, 6)
         cluster.run(until=cluster.sim.now + 2.0)
         assert skipper._missed_batches(skipper.k - 1) is not None
+        finish(cluster)
+
+
+class TestADriverTheTransferStrands:
+    def test_the_gc_stops_it_and_no_promise_rises(self):
+        """The victim re-joins its old round on recovery, but no decision
+        of an old round reaches it by consensus: the missed-rounds state
+        carries it past.  Its checkpoint then lifts the watermark, the GC
+        raises its floor over the round its driver waits in, and the
+        driver must leave — not query peers that have forgotten the
+        round, nor run an attempt above the leader's ballot."""
+        cluster = build(seed=40)
+        cluster.run(until=1.0)
+        cluster.nodes[2].crash()
+        pump(cluster, 20)
+        cluster.run(until=cluster.sim.now + 4.0)
+        old = cluster.abcasts[0].k
+        seen = tap(cluster.network, drop=lambda src, dst, message: (
+            dst == 2 and message.type.startswith("paxos.")
+            and message.k < old))
+        cluster.nodes[2].recover()
+        victim = cluster.consensuses[2]
+        stranded = []
+        while not stranded and cluster.sim.now < 20.0:
+            driving = set(victim._drivers)
+            cluster.run(until=cluster.sim.now + 0.01)
+            stranded = [k for k in driving if k < victim.instance_floor]
+        assert stranded and cluster.abcasts[2].rounds_skipped > 0
+        floor, mark = victim.instance_floor, len(seen)
+        promised = [c._promised_ballot() for c in cluster.consensuses.values()]
+        cluster.run(until=cluster.sim.now + 10.0)
+        assert not [k for k in victim._drivers if k < floor]
+        assert not [message for _, src, _, message in seen[mark:]
+                    if src == 2 and message.type.startswith("paxos.")
+                    and message.k < floor]
+        assert [c._promised_ballot()
+                for c in cluster.consensuses.values()] == promised
         finish(cluster)
 
 

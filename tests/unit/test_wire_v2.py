@@ -46,7 +46,7 @@ class TestFrameLayout:
         frame = encode_frame(7, gossip())
         magic, version, sender, type_id, length = HEADER.unpack_from(frame)
         assert magic == MAGIC
-        assert version == 4
+        assert version == 5
         assert sender == 7
         assert type_id == TYPE_ID_TABLE["ab.gossip"]
         assert length == len(frame) - HEADER.size

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.harness.cluster import Cluster, ClusterConfig
@@ -86,6 +88,26 @@ class TestScheduled:
         payloads = {p for p in
                     cluster.collector.broadcast_payloads.values()}
         assert payloads == {"a", "b"}
+
+    def test_one_submission_is_pending_and_each_lands_on_its_time(self):
+        cluster = build(seed=4)
+        cluster.run(until=0.25)
+        rng = random.Random(7)
+        times = [rng.uniform(0.0, 6.0) for _ in range(300)]
+        times += times[:20]                         # ties keep plan order
+        plan = [(when, j % 3, ("p", j)) for j, when in enumerate(times)]
+        workload = ScheduledWorkload(plan)
+        submitted = []
+        workload._submit = lambda cluster, node_id, payload: \
+            submitted.append((cluster.sim.now, node_id, payload))
+        before = cluster.sim.pending()
+        start = cluster.sim.now
+        assert workload.install(cluster) == len(plan)
+        assert cluster.sim.pending() == before + 1
+        cluster.run(until=10.0)
+        expected = sorted(plan, key=lambda entry: entry[0])
+        assert submitted == [(start + when, node_id, payload)
+                             for when, node_id, payload in expected]
 
 
 class TestClosedLoop:
