@@ -12,9 +12,13 @@ interprocedural rules share:
 * **send edges** — every transport send (as :mod:`repro.analysis.sites`
   defines one), resolved to the message class it ships by
   looking at constructor calls in the arguments, locals assigned from a
-  constructor earlier in the function, and classmethod factories
-  (``Cls.make(...)``).  Unresolvable sends (a forwarding layer
-  shipping an opaque parameter) are kept as *opaque* edges;
+  constructor earlier in the function, classmethod factories
+  (``Cls.make(...)``) and the sender's own methods that return one
+  class (``self._build(...)``).  A method wired as a transport's rider
+  (``self.endpoint.rider = self._rider``) is a send edge of op
+  ``rider``: what it returns rides every send of that endpoint.
+  Unresolvable sends (a forwarding layer shipping an opaque parameter)
+  are kept as *opaque* edges;
 * **handler edges** — every handler registration (same module), with
   the tag argument resolved through
   ``Msg.type`` attributes, string literals, and f-strings (the scoped
@@ -36,8 +40,9 @@ import ast
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.sites import Site, classify
-from repro.analysis.symbols import ClassInfo, SymbolTable, attr_path
+from repro.analysis.sites import Site, classify, classify_rider
+from repro.analysis.symbols import (ClassInfo, SymbolTable, attr_path,
+                                    self_field)
 
 __all__ = ["MessageFlowGraph", "MessageType", "SendEdge", "HandlerEdge",
            "build_msgflow", "build_msgflow_for_paths", "render_msgflow",
@@ -85,7 +90,8 @@ class SendEdge:
         self.op = op
         #: How the payload was resolved: ``constructor`` (inline call),
         #: ``local`` (a name assigned from a constructor), ``factory``
-        #: (``Cls.method(...)``), ``dynamic`` (a dynamic-tag class), or
+        #: (``Cls.method(...)``), ``helper`` (an own method returning
+        #: one class), ``dynamic`` (a dynamic-tag class), or
         #: ``opaque`` (a forwarded parameter — no static class).
         self.resolved = resolved
 
@@ -427,42 +433,100 @@ class _Builder:
             elif site is not None and site.kind == "send":
                 sends.append(site)
             self._note_command(node, module, where)
-        # Locals assigned from a constructor, for send-site resolution
-        # (``envelope = ScopedMessage(...); ... send(..., envelope)``).
+        # Locals assigned from a constructor or a helper, for send-site
+        # resolution (``envelope = ScopedMessage(...); ... send(...,
+        # envelope)``), and methods wired as a transport's rider.
         for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name) and \
-                    isinstance(node.value, ast.Call):
-                record = self._constructed_record(node.value, module)
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                continue
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                record, _ = self._resolve(node.value, module, {}, owner)
                 if record is not None:
-                    local_env[node.targets[0].id] = record
+                    local_env[target.id] = record
+            elif owner is not None and self_field(node.value) and \
+                    classify_rider(target):
+                self._note_rider(owner, self_field(node.value), module)
         for site in sends:
-            self._note_send(site, module, where, local_env)
+            self._note_send(site, module, where, local_env, owner)
 
     # -- send edges --------------------------------------------------------
 
     def _note_send(self, site: Site, module: str, where: str,
-                   local_env: Dict[str, MessageType]) -> None:
+                   local_env: Dict[str, MessageType],
+                   owner: Optional[ClassInfo]) -> None:
         payload: Optional[MessageType] = None
         resolved = "opaque"
         for arg in site.payload:
-            if isinstance(arg, ast.Call):
-                record = self._constructed_record(arg, module)
-                if record is not None:
-                    payload = record
-                    resolved = "constructor" if \
-                        isinstance(arg.func, ast.Name) else "factory"
-                    break
-            elif isinstance(arg, ast.Name) and arg.id in local_env:
-                payload = local_env[arg.id]
-                resolved = "local"
+            payload, resolved = self._resolve(arg, module, local_env,
+                                              owner)
+            if payload is not None:
                 break
+        self._add_send(payload, resolved, where, module, site.call.lineno,
+                       site.op)
+
+    def _add_send(self, payload: Optional[MessageType], resolved: str,
+                  where: str, module: str, line: int, op: str) -> None:
         if payload is not None and payload.tag is None:
             resolved = "dynamic"
         self.graph.sends.append(SendEdge(
             payload.tag if payload is not None else None,
             payload.class_name if payload is not None else None,
-            where, module, site.call.lineno, site.op, resolved))
+            where, module, line, op, resolved))
+
+    def _resolve(self, expr: ast.expr, module: str,
+                 local_env: Dict[str, MessageType],
+                 owner: Optional[ClassInfo], depth: int = 0
+                 ) -> Tuple[Optional[MessageType], str]:
+        """The message class ``expr`` evaluates to, and how it was
+        found; ``(None, "opaque")`` when it cannot be told."""
+        if isinstance(expr, ast.Name) and expr.id in local_env:
+            return local_env[expr.id], "local"
+        if not isinstance(expr, ast.Call):
+            return None, "opaque"
+        record = self._constructed_record(expr, module)
+        if record is not None:
+            return record, ("constructor" if isinstance(expr.func, ast.Name)
+                            else "factory")
+        name = self_field(expr.func)
+        if name is not None and owner is not None and depth < 3:
+            found = self.table.find_method(owner.qualname, name)
+            if found is not None:
+                record = self._returned(found, owner, depth + 1)
+                if record is not None:
+                    return record, "helper"
+        return None, "opaque"
+
+    def _returned(self, found: Tuple[ClassInfo, ast.AST], owner: ClassInfo,
+                  depth: int) -> Optional[MessageType]:
+        """The one message class every value-returning ``return`` of the
+        method ``found`` resolves to (``return None`` aside), else
+        ``None``."""
+        module = found[0].module
+        records = set()
+        for node in ast.walk(found[1]):
+            if not isinstance(node, ast.Return) or node.value is None or \
+                    (isinstance(node.value, ast.Constant)
+                     and node.value.value is None):
+                continue
+            record, _ = self._resolve(node.value, module, {}, owner, depth)
+            if record is None:
+                return None
+            records.add(record.qualname)
+        if len(records) != 1:
+            return None
+        return self.graph.by_qualname.get(records.pop())
+
+    def _note_rider(self, owner: ClassInfo, name: str, module: str) -> None:
+        """``<transport>.rider = self.<name>``: what ``name`` returns
+        rides the endpoint's sends."""
+        found = self.table.find_method(owner.qualname, name)
+        if found is None:
+            return
+        payload = self._returned(found, owner, 0)
+        self._add_send(payload, "helper" if payload is not None
+                       else "opaque", f"{owner.name}.{name}", module,
+                       found[1].lineno, "rider")
 
     # -- handler edges -----------------------------------------------------
 

@@ -44,6 +44,7 @@ from repro.analysis.symbols import (ClassInfo, attr_path, param_names,
                                     self_field)
 
 __all__ = ["KeyShape", "Reached", "Site", "SiteIndex", "classify",
+           "classify_rider",
            "message_param", "names_storage", "opens_write_barrier",
            "reachable", "reads_logged_state", "registrations", "site_index",
            "sites_in"]
@@ -160,6 +161,14 @@ def classify(call: ast.Call) -> Optional[Site]:
         return None
     return Site(kind, op, receiver, call, args[0] if args else None,
                 args[1] if len(args) > 1 else None)
+
+
+def classify_rider(target: ast.expr) -> bool:
+    """True for the target of ``<transport>.rider = ...``: the hook a
+    transport asks, on every send, for a message to ride along."""
+    path = attr_path(target)
+    return path[-1:] == ("rider",) and any(
+        token in part for part in path[:-1] for token in _TRANSPORT_TOKENS)
 
 
 def sites_in(root: ast.AST) -> Iterator[Site]:

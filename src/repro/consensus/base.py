@@ -28,9 +28,6 @@ Paxos's phase 1, at Chandra–Toueg's activation), by asking the
 ``value_source`` the layer wired in — and then proposed, so it is logged
 before anything carrying it is sent and every later attempt reuses it.
 ``propose(k, v)`` is the same thing done eagerly: bind ``v``, then join.
-An algorithm that knows who will bind, and when, says so through the
-layer's ``value_wanted`` (Paxos: the ``Prepare`` it promises names the
-binder), so the values reach the binder before it binds.
 
 :class:`ConsensusService` implements the bookkeeping shared by every
 concrete algorithm (proposal log, decision locks, idempotence checks,
@@ -92,11 +89,6 @@ class ConsensusService(NodeComponent):
         # layer wires its own in on every start.  ``None`` (or a source
         # answering ``None``) binds nothing, so no value is sent.
         self.value_source: Optional[Callable[[int], Any]] = None
-        # Told ``(k, binder)`` when this process learns that ``binder``
-        # will soon bind instance ``k``'s value, so the layer above can
-        # hand it what it should bind.  Wired like ``value_source``;
-        # an algorithm with no such moment never calls it.
-        self.value_wanted: Optional[Callable[[int, int], None]] = None
 
     # -- paper interface -------------------------------------------------------
 

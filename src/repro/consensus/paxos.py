@@ -30,10 +30,9 @@ under crash-recovery is the best understood:
   runs phase 1 / phase 2 to completion and sends ``DECIDE`` to the
   other processes — once, when it records the decision.  Phase 1 needs
   no value, so the leader binds (and logs) its own proposal only after
-  it, and a follower that never runs an attempt logs none.  An acceptor
-  that promises a ``Prepare`` tells the layer above through
-  ``value_wanted`` in the same turn, so what that layer wants bound
-  reaches the leader beside the ``Promise``, before the bind.
+  it, and a follower that never runs an attempt logs none.  What the
+  layer above wants bound rides the ``Promise`` (the endpoint's rider),
+  so it reaches the leader before the bind.
 * **Nothing is addressed to self.**  The paper's ``multisend`` includes
   the sender; here the proposer's own acceptor answers its ``Prepare``
   and ``Accept`` in-process, in the same turn, and every message goes
@@ -130,6 +129,7 @@ class Promise(WireMessage):
 
     type = "paxos.promise"
     fields = ("k", "ballot", "accepted_ballot", "accepted_value")
+    precedes_bind = True    # the leader binds once the promises are in
 
     def __init__(self, k: int, ballot: int, accepted_ballot: int,
                  accepted_value: Any):
@@ -507,10 +507,6 @@ class PaxosConsensus(ConsensusService):
                 self._on_promise(promise, sender)
                 return
             self.endpoint.send(sender, promise)
-            if self.value_wanted is not None:
-                # The sender binds k's value once the promises are in:
-                # what it should bind leaves now, beside the Promise.
-                self.value_wanted(msg.k, sender)
 
     def _on_accept(self, msg: Accept, sender: int) -> None:
         if self._reply_decided(msg.k, sender):
@@ -586,7 +582,7 @@ class PaxosConsensus(ConsensusService):
         entered ``k`` (so its members are pinned) but holds no attempt
         for it.  A leader with nothing more to order has not entered
         ``k``: its round opens later, with a ``Prepare`` of its own,
-        which the followers' pushes ride (``value_wanted``)."""
+        whose ``Promise``s carry the followers' pushes."""
         if not self.omega.is_leader() or ballot != self._ballot \
                 or k not in self._drivers or k in self._attempts \
                 or self.decided_value(k) is not None:

@@ -9,25 +9,26 @@ One consensus-driven ordering loop per process, in consecutive rounds:
   so the batch fills meanwhile; a round the node knows is already
   decided binds the empty set, and while it is more than one round
   behind it pulls each decision at once (DESIGN.md, substitutions);
-* a **gossip task** periodically sends a peer the payloads that peer
-  is not known to hold, the ids it should send us, and the digest of
-  Unordered, with ``k`` on every gossip sent; it both disseminates data
-  messages (no reliable multicast needed over the fair-loss channel)
-  and lets lagging processes discover how far behind they are
-  (``gossip-k``).  Payloads go only where a proposal can be decided:
-  the consensus box's :meth:`~repro.consensus.base.ConsensusService.
-  leader_hint` names the process whose proposal it will decide, an
-  originator pushes to it and its successor, and only it pulls; the
-  decided ``Accept`` carries the batch to everyone else.  With no hint
-  every process may be decided, so payloads go to every peer
-  (DESIGN.md, substitutions);
-* the **first push to the leader leaves in the Promise turn**, not at
-  the tick: the box's ``value_wanted`` says who will bind a round
-  (Paxos: the ``Prepare`` this node just promised), and the node's own
-  new messages go to it at once, so they are in the batch it binds
-  after phase 1.  The tick repairs — digests, ``want``, the GC floor,
-  the successor's copy, a push re-armed on evidence of a loss — and
-  pushes first only after an idle spell, when no round is open;
+* a **gossip task** decides, every ``gossip_interval``, what each peer
+  is due: the payloads that peer is not known to hold, the ids it should
+  send us, and the digest of Unordered, with ``k`` on every gossip sent;
+  it both disseminates data messages (no reliable multicast needed over
+  the fair-loss channel) and lets lagging processes discover how far
+  behind they are (``gossip-k``).  Payloads go only where a proposal can
+  be decided: the consensus box's :meth:`~repro.consensus.base.
+  ConsensusService.leader_hint` names the process whose proposal it
+  will decide, an originator pushes to it and its successor, and only it
+  pulls; the decided ``Accept`` carries the batch to everyone else.
+  With no hint every process may be decided, so payloads go to every
+  peer (DESIGN.md, substitutions);
+* **gossip rides the frames already going to a peer**: the endpoint asks
+  this layer's rider on every send, and what is due to that peer leaves
+  in the same packet.  A follower's new messages ride its next
+  ``Promise`` to the leader, the frame that precedes the leader's bind,
+  so they are in that batch.  The tick sends a gossip of its own only
+  over a quiet link, one no frame crossed for a whole
+  ``gossip_interval`` (the rule ``fd.alive`` follows), or to push the
+  leader messages it lacks, since those set its next batch;
 * the only stable-storage writes are the consensus box's — the
   proposal, logged inside ``propose`` as its first operation when a
   value is bound — so Atomic Broadcast adds **zero** log operations
@@ -47,6 +48,7 @@ round logged only its decision).
 
 from __future__ import annotations
 
+import math
 from typing import (Any, Dict, FrozenSet, Generator, List, Optional,
                     Sequence, Set)
 
@@ -58,6 +60,7 @@ from repro.errors import BroadcastError, OverloadError
 from repro.runtime import AnyOf, NodeComponent, Signal
 from repro.sizing import estimate_size
 from repro.transport.endpoint import Endpoint
+from repro.transport.message import WireMessage
 
 __all__ = ["BasicAtomicBroadcast", "DeliveryListener"]
 
@@ -87,21 +90,34 @@ class _PeerGossip:
 
     ``known`` is the peer's digest, ``missing`` the part of it this node
     held in neither Unordered nor Agreed on receipt (what to ask the
-    peer for), ``asked`` what the peer asked of us since the last tick.
+    peer for).
     """
 
-    __slots__ = ("known", "missing", "asked")
+    __slots__ = ("known", "missing")
 
     def __init__(self, known: FrozenSet[MessageId],
-                 missing: FrozenSet[MessageId],
-                 asked: FrozenSet[MessageId]):
+                 missing: FrozenSet[MessageId]):
         self.known = known
         self.missing = missing
-        self.asked = asked
+
+
+class _Due:
+    """What one peer is due and was not sent yet: payload ids, the ids
+    to ask it for, and whether a digest is owed; ``fresh`` holds own
+    messages submitted since the last tick, which ride only a frame
+    that precedes the peer's bind."""
+
+    __slots__ = ("push", "fresh", "want", "digest")
+
+    def __init__(self) -> None:
+        self.push: Set[MessageId] = set()
+        self.fresh: Set[MessageId] = set()
+        self.want: FrozenSet[MessageId] = frozenset()
+        self.digest = False
 
 
 _NO_IDS: FrozenSet[MessageId] = frozenset()
-_NOTHING_HEARD = _PeerGossip(_NO_IDS, _NO_IDS, _NO_IDS)
+_NOTHING_HEARD = _PeerGossip(_NO_IDS, _NO_IDS)
 
 
 class BasicAtomicBroadcast(NodeComponent):
@@ -148,10 +164,17 @@ class BasicAtomicBroadcast(NodeComponent):
         self.gossip_k = 0
         # Per-peer gossip knowledge, per peer the own messages pushed to
         # it and when (until ordered, or re-armed by evidence of a loss),
+        # what it is due and when a frame to it last asked the rider,
         # where the digest rotation stands, the peer last seen ahead of
         # us, and the round we were in at the previous gossip tick.
         self._peers: Dict[int, _PeerGossip] = {}
         self._pushed: Dict[int, Dict[MessageId, float]] = {}
+        self._due: Dict[int, _Due] = {}
+        self._spoke: Dict[int, float] = {}
+        # The peers whose proposal may be decided, and whether the
+        # consensus box named a leader, as of the last tick.
+        self._binders: Sequence[int] = ()
+        self._hinted = False
         self._digest_turn = 0
         self._ahead_peer = -1       # meaningful only while gossip_k > k
         self._last_tick_k = -1
@@ -205,7 +228,7 @@ class BasicAtomicBroadcast(NodeComponent):
         self._pending_restore = False
         self._restore_volatile_state()
         self.consensus.value_source = self._proposal_for
-        self.consensus.value_wanted = self._push_to_binder
+        self.endpoint.rider = self._rider
         self.endpoint.register(GossipMessage.type, self._on_gossip)
         # (a) fork task { sequencer and gossip }
         self._sequencer_task = node.spawn(self._sequencer(), "ab-sequencer")
@@ -238,6 +261,10 @@ class BasicAtomicBroadcast(NodeComponent):
     def _forget_peers(self) -> None:
         self._peers = {}
         self._pushed = {}
+        self._due = {}
+        self._spoke = {}
+        self._binders = ()
+        self._hinted = False
         self._digest_turn = 0
         self._ahead_peer = -1
         self._last_tick_k = -1
@@ -285,6 +312,15 @@ class BasicAtomicBroadcast(NodeComponent):
             MessageId(self.node.node_id, self.incarnation, self._seq),
             payload)
         self._admit_locally(message)
+        for peer in self._binders:
+            # Due at once to whoever may bind the next batch.  With a
+            # leader, on the frame that precedes its bind (its Promise),
+            # so it is in that batch — and on no other before the tick: a
+            # message riding a frame of the round in flight would wake an
+            # idle leader into a smaller round.  With no hint every peer
+            # binds at activation, so any frame will do.
+            due = self._owed(peer)
+            (due.fresh if self._hinted else due.push).add(message.id)
         return message
 
     def _admit_locally(self, message: AppMessage) -> None:
@@ -338,121 +374,149 @@ class BasicAtomicBroadcast(NodeComponent):
             yield self.gossip_interval
 
     def _gossip_once(self) -> None:
-        """One tick: ``gossip(k, payloads, ckpt_k, known, want, floor)``
-        to each peer it has something to say to.
+        """One tick: decide what each peer is due —
+        ``gossip(k, payloads, ckpt_k, known, want, floor)`` — and send it
+        now only over a quiet link, or to push a binder what it lacks.
 
-        The tick repairs; the first push to a leader that is about to
-        bind has already left beside this node's ``Promise``
-        (:meth:`_push_to_binder`).  A gossip goes to a peer only when it
-        carries payloads, a ``want`` or a digest due to that peer;
-        ``k``, ``ckpt_k`` and ``floor`` ride on every one sent.  Who
-        gets what follows the consensus box's leader hint (``None``: any
-        process's proposal may be decided, and every rule below applies
-        to every peer):
+        What is due waits in ``_due`` for the next frame to that peer,
+        which carries it (:meth:`_rider`); a peer no frame reached for a
+        whole ``gossip_interval`` gets it in a gossip of its own now, and
+        so does a binder (:attr:`_binders`) due payloads: they set its
+        next batch, and an idle leader sends nothing that would be
+        answered.  So a busy link carries gossip frames only for those
+        pushes, and nothing waits longer than one tick: a peer still owed
+        something at the next tick had no frame since this one.  A peer is due something only when it
+        has payloads, a ``want`` or a digest coming; ``k``, ``ckpt_k``
+        and ``floor`` ride on every gossip sent.  Who gets what follows
+        the consensus box's leader hint (``None``: any process's proposal
+        may be decided, and every rule below applies to every peer):
 
-        * ``payloads`` — a message this node originated goes to each
+        * ``payloads`` — a message this node originated is due to each
           push target (:meth:`_push_targets`: the leader and its
           successor) the first time that peer's view does not list it
           and it is not pushed there already — to the successor if it
-          is still unordered, to the leader after an idle spell with no
-          round open — and again only once :meth:`_on_gossip` has
-          re-armed it; plus whatever the peer asked for;
-        * ``known`` — a follower's digest goes to the leader every tick;
-          the leader's goes to ``f = min(n−1, ⌈log₂ n⌉)`` peers per
+          is still unordered — and again only once :meth:`_on_gossip`
+          has re-armed it.  To a binder it is due already from its
+          submission (:meth:`submit`), on a frame that precedes its
+          bind, and what a peer asks for is due to it from the ask
+          (:meth:`_on_gossip`);
+        * ``known`` — a follower's digest is due to the leader every
+          tick; the leader's to ``f = min(n−1, ⌈log₂ n⌉)`` peers per
           tick, in turn (:meth:`_digest_recipients`), which is the lag
           signal.  The others get ``None``, "no digest in this gossip";
         * ``want`` — the ids we lack from the peer's last digest, asked
           only by the leader: a follower would receive them again in
           the ``Accept``.
-
-        Peers in the same position share one message object, so it is
-        built and sized once.
         """
         assert self.node is not None
         node_id = self.endpoint.node_id
         group = self.endpoint.peers()
         peers = [peer for peer in group if peer != node_id]
-        for gone in self._peers.keys() - peers:
-            del self._peers[gone]
-        for gone in self._pushed.keys() - peers:
-            del self._pushed[gone]
-        # A joining node advertises round -1: it holds no usable
-        # prefix, so any member treats it as maximally behind and
-        # answers with a state transfer (Section 5.3) regardless of
-        # how short the member's own history still is.
-        k = -1 if self._joining else self.k
-        ckpt_k = self._checkpoint_round()
-        floor = self._gc_watermark()
+        for table in (self._peers, self._pushed, self._due, self._spoke):
+            for gone in table.keys() - peers:
+                del table[gone]
         unordered = self.unordered
-        known = frozenset(unordered)
         leader = self.consensus.leader_hint()
         if leader not in group:
             leader = None       # no hint, or one outside this view
         push_to = self._push_targets(group, peers, leader)
+        self._binders = () if leader == node_id else push_to
+        self._hinted = leader is not None
         digest_to = self._digest_recipients(group, peers, leader)
         pulls = leader is None or leader == node_id
         mine = {mid for mid in unordered if mid[0] == node_id}
-        built: Dict[Any, GossipMessage] = {}
+        now = self.node.sim.now
         for peer in peers:
             view = self._peers.get(peer, _NOTHING_HEARD)
-            push = self._due(peer, mine) if peer in push_to else set()
-            if view.asked:
-                push.update(mid for mid in view.asked if mid in unordered)
-                view.asked = _NO_IDS    # served; the peer re-asks
+            push = self._unpushed(peer, mine) if peer in push_to else set()
             want = view.missing if pulls else _NO_IDS
             if want:    # some of it may have arrived since
                 want = frozenset(mid for mid in want
                                  if mid not in unordered
                                  and mid not in self.agreed)
             digest = peer in digest_to
-            if not (push or want or digest):
+            due = self._due.get(peer)
+            if due is not None:
+                due.fresh.clear()   # push below, if still due
+            if push or want or digest:
+                due = self._owed(peer)
+                due.push.update(push)
+                due.want = want
+                due.digest = due.digest or digest
+            elif peer not in self._due:
                 continue    # nothing to say: the link stays quiet
-            key = (frozenset(push), want, digest)
-            message = built.get(key)
-            if message is None:
-                message = GossipMessage(
-                    k, frozenset(unordered[mid] for mid in push), ckpt_k,
-                    known if digest else None, want, floor)
-                built[key] = message
-            self.endpoint.send(peer, message)
+            # Payloads a binder lacks set its next batch, so they leave
+            # now; the rest waits for a frame unless the link is quiet.
+            if push and peer in self._binders \
+                    or self._spoke.get(peer, -math.inf) \
+                    + self.gossip_interval <= now:
+                gossip = self._take(peer)
+                if gossip is not None:
+                    self.endpoint.send(peer, gossip)
 
-    def _push_to_binder(self, k: int, binder: int) -> None:
-        """The consensus box's ``value_wanted``: ``binder`` will soon
-        bind instance ``k``'s value, so the messages this node originated
-        that it is not known to hold go to it now — those its last digest
-        does not list and not pushed to it already — in one gossip with
-        no digest and no ``want``.
+    def _owed(self, peer: int) -> _Due:
+        due = self._due.get(peer)
+        if due is None:
+            due = self._due[peer] = _Due()
+        return due
 
-        Paxos calls this in the turn that sends the ``Promise``, so the
-        push rides with it (one datagram on live) and is in the binder's
-        Unordered when it binds.  Recorded in ``_pushed`` like a tick
-        push: it is not sent twice, and a digest that shows it lost
-        re-arms it for the tick.
-        """
+    def _rider(self, dst: int,
+               carrier: WireMessage) -> Optional[GossipMessage]:
+        """The endpoint's rider: every frame to ``dst`` asks it, and
+        carries whatever ``dst`` is due — fresh messages only if the
+        frame precedes a bind.  O(1) when nothing is."""
+        self._spoke[dst] = self.node.sim.now
+        due = self._due.get(dst)
+        if due is None or not (carrier.precedes_bind or due.push
+                               or due.want or due.digest):
+            return None
+        return self._take(dst, carrier.precedes_bind)
+
+    def _take(self, peer: int,
+              with_fresh: bool = True) -> Optional[GossipMessage]:
+        """The gossip that sends what ``peer`` is due, now, or ``None``
+        when nothing of it is left; own payloads in it count as pushed
+        now.  Without ``with_fresh`` the fresh messages stay due."""
+        due = self._due.pop(peer, None)
+        if due is None:
+            return None
+        ids, held = due.push, _NO_IDS
+        if due.fresh:
+            if with_fresh:
+                ids = ids | due.fresh
+            else:
+                # They stay due, so the digest must not list them yet:
+                # the peer would ask for what is on its way.
+                self._owed(peer).fresh = held = due.fresh
+        unordered = self.unordered
+        push = [mid for mid in ids if mid in unordered]
+        want = frozenset(mid for mid in due.want if mid not in unordered
+                         and mid not in self.agreed)
+        if not (push or want or due.digest):
+            return None
         node_id = self.endpoint.node_id
-        if binder == node_id or binder not in self.endpoint.peers():
-            return
-        push = self._due(binder, {mid for mid in self.unordered
-                                  if mid[0] == node_id})
-        if push:
-            self.endpoint.send(binder, GossipMessage(
-                -1 if self._joining else self.k,
-                frozenset(self.unordered[mid] for mid in push),
-                self._checkpoint_round(), None, _NO_IDS,
-                self._gc_watermark()))
-
-    def _due(self, peer: int, mine: Set[MessageId]) -> Set[MessageId]:
-        """The own messages of ``mine`` to push to ``peer`` now — its
-        last digest does not list them and they are not pushed to it
-        already — recorded in ``_pushed`` as pushed now."""
-        push = mine.difference(self._peers.get(peer, _NOTHING_HEARD).known,
-                               self._pushed.get(peer, _NO_IDS))
-        if push:
-            sent = self._pushed.setdefault(peer, {})
-            now = self.node.sim.now
-            for mid in push:
+        now = self.node.sim.now
+        sent = self._pushed.setdefault(peer, {}) if push else None
+        for mid in push:
+            if mid[0] == node_id:
                 sent[mid] = now
-        return push
+        # A joining node advertises round -1: it holds no usable
+        # prefix, so any member treats it as maximally behind and
+        # answers with a state transfer (Section 5.3) regardless of
+        # how short the member's own history still is.
+        return GossipMessage(
+            -1 if self._joining else self.k,
+            frozenset(unordered[mid] for mid in push),
+            self._checkpoint_round(),
+            frozenset(unordered).difference(held) if due.digest else None,
+            want,
+            self._gc_watermark())
+
+    def _unpushed(self, peer: int, mine: Set[MessageId]) -> Set[MessageId]:
+        """The own messages of ``mine`` that ``peer``'s last digest does
+        not list and that were not pushed to it."""
+        return mine.difference(self._peers.get(peer, _NOTHING_HEARD).known,
+                               self._pushed.get(peer, _NO_IDS))
 
     def _push_targets(self, group: Sequence[int], peers: List[int],
                       leader: Optional[int]) -> Sequence[int]:
@@ -513,41 +577,40 @@ class BasicAtomicBroadcast(NodeComponent):
         assert self.node is not None
         for message in msg.payloads:
             self._admit_locally(message)
-        want = frozenset(msg.want)
         if sender not in self.endpoint.peers():
             pass    # outside the view: the tick never gossips to it
-        elif msg.known is None:
-            # No digest in this one: what the last digest said stands.
-            if want:
-                view = self._peers.get(sender)
-                if view is None:
-                    self._peers[sender] = _PeerGossip(_NO_IDS, _NO_IDS, want)
-                else:
-                    view.asked = view.asked | want
         else:
-            known = frozenset(msg.known)
-            missing = known.difference(self.unordered)
-            if missing:
-                agreed = self.agreed
-                missing = frozenset(mid for mid in missing
-                                    if mid not in agreed)
-            self._peers[sender] = _PeerGossip(known, missing, want)
-            sent = self._pushed.get(sender)
-            if sent:
-                # Evidence of a lost push: the digest still lacks a
-                # message pushed at least one gossip interval before it
-                # arrived, so it was sent after the push should have
-                # landed.  Re-armed, the next tick pushes it again.
-                cutoff = self.node.sim.now - self.gossip_interval
-                for mid in sent.keys() - known:
-                    if sent[mid] <= cutoff:
-                        del sent[mid]
+            # What it asks for is due to it now, on the next frame
+            # there; if that is lost, the peer asks again.
+            served = [mid for mid in msg.want if mid in self.unordered]
+            if served:
+                self._owed(sender).push.update(served)
+            if msg.known is not None:   # None: the last digest stands
+                self._heard_digest(sender, frozenset(msg.known))
         self._note_peer_checkpoint(sender, msg.ckpt_k, msg.floor)
         if msg.k > self.k:
             self._heard_ahead(sender, msg.k)  # q was ahead
             self._progress.notify()
         else:
             self._peer_behind(sender, msg.k)
+
+    def _heard_digest(self, sender: int, known: FrozenSet[MessageId]) -> None:
+        """``sender``'s digest replaces what we believed it holds."""
+        missing = known.difference(self.unordered)
+        if missing:
+            agreed = self.agreed
+            missing = frozenset(mid for mid in missing if mid not in agreed)
+        self._peers[sender] = _PeerGossip(known, missing)
+        sent = self._pushed.get(sender)
+        if sent:
+            # Evidence of a lost push: the digest still lacks a message
+            # pushed at least one gossip interval before it arrived, so
+            # it was sent after the push should have landed.  Re-armed,
+            # the next tick pushes it again.
+            cutoff = self.node.sim.now - self.gossip_interval
+            for mid in sent.keys() - known:
+                if sent[mid] <= cutoff:
+                    del sent[mid]
 
     def _heard_ahead(self, sender: int, peer_k: int) -> None:
         """``sender`` reported round ``peer_k``, past ours: raise

@@ -83,6 +83,10 @@ class TransportMedium(Protocol):
     clock the failure detector reads to find links that need an explicit
     heartbeat.  Over a medium that never stamps, the detector simply
     beats every period.
+
+    ``message`` may be a :class:`~repro.transport.message.Packet`: a
+    frame and its rider, sent, lost, duplicated and delayed as one, the
+    rider handed to the receiver first.
     """
 
     def register(self, node: Any) -> None: ...

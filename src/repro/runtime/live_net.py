@@ -52,7 +52,7 @@ from repro.runtime import wire
 from repro.runtime.live import LiveRuntime
 from repro.runtime.node import Node
 from repro.sizing import estimate_size
-from repro.transport.message import WireMessage
+from repro.transport.message import WireMessage, unpack
 from repro.transport.network import NetworkMetrics, check_own_storage
 
 __all__ = ["LiveNetwork", "OversizeDatagramError"]
@@ -214,6 +214,10 @@ class LiveNetwork:
         independent seeded draws; real UDP may add its own loss,
         reordering and (in principle) duplication on top.
 
+        A :class:`Packet` is one message here too — one draw of each —
+        and its rider's frame goes first into the same buffer, so both
+        leave in one datagram.
+
         Raises :class:`OversizeDatagramError` (after counting the drop)
         when the encoded message cannot fit one datagram — fragmenting
         is a layer this transport deliberately does not have.
@@ -223,17 +227,20 @@ class LiveNetwork:
         self.metrics.sent += 1
         self.metrics.by_type[message.type] = \
             self.metrics.by_type.get(message.type, 0) + 1
+        parts = unpack(message)
 
         if src == dst:
             # Loopback: reliable, in-process, never serialised, so its
             # bytes are the size model's estimate.
             self.metrics.bytes_sent += estimate_size(message)
-            self.runtime.call_soon(self._deliver, src, dst, message)
+            for part in parts:
+                self.runtime.call_soon(self._deliver, src, dst, part)
             return
-        # Every other send is charged the frame it encodes to.
-        frame = wire.encode_frame(src, message)
-        self.metrics.bytes_sent += len(frame)
-        self._check_size(message, len(frame))
+        # Every other send is charged the frames it encodes to.
+        frames = [wire.encode_frame(src, part) for part in parts]
+        for part, frame in zip(parts, frames):
+            self.metrics.bytes_sent += len(frame)
+            self._check_size(part, len(frame))
         # The link's send clock (see Node.last_sent).
         self.nodes[src].last_sent[dst] = self.runtime.now
         if self.loss_rate and self.rng.random() < self.loss_rate:
@@ -243,9 +250,9 @@ class LiveNetwork:
                           and self.rng.random() < self.duplicate_rate)
         if duplicated:
             self.metrics.duplicated += 1
-        self._enqueue(src, dst, frame)
+        self._enqueue(src, dst, frames)
         if duplicated:
-            self._enqueue(src, dst, frame)
+            self._enqueue(src, dst, frames)
 
     def multisend(self, src: int, message: WireMessage,
                   targets: Optional[Tuple[int, ...]] = None) -> None:
@@ -271,17 +278,24 @@ class LiveNetwork:
             self.metrics.lost += 1
             raise OversizeDatagramError(message.type, size, limit)
 
-    def _enqueue(self, src: int, dst: int, frame: bytes) -> None:
-        """Buffer one frame; flush by size now or by delay later."""
+    def _enqueue(self, src: int, dst: int, frames: List[bytes]) -> None:
+        """Buffer one message's frames together; flush by size now or
+        by delay later."""
         key = (src, dst)
+        size = sum(map(len, frames))
         buffered = self._out_bytes.get(key, 0)
-        if buffered and buffered + len(frame) > \
-                self.wire_config.max_frame_bytes:
+        if buffered and buffered + size > self.wire_config.max_frame_bytes:
             self._flush(key)
+        if size > self.wire_config.max_datagram_bytes:
+            # A rider too big to share its carrier's datagram: each
+            # frame fits one (checked at send), so each leaves alone.
+            for frame in frames:
+                self._enqueue(src, dst, [frame])
+            return
         buf = self._out.setdefault(key, [])
-        buf.append(frame)
-        self._out_bytes[key] = self._out_bytes.get(key, 0) + len(frame)
-        self.frames_sent += 1
+        buf.extend(frames)
+        self._out_bytes[key] = self._out_bytes.get(key, 0) + size
+        self.frames_sent += len(frames)
         if key not in self._flush_handles:
             delay = self.wire_config.flush_delay
             if delay > 0:

@@ -4,6 +4,11 @@ The :class:`Endpoint` component gives protocol layers on a node the
 paper's transport primitives — ``send``, ``multisend`` and handler-based
 reception — while hiding the shared :class:`~repro.transport.network.Network`.
 
+Every ``send`` asks the endpoint's :attr:`Endpoint.rider` hook for a
+message to carry to the same peer, and hands both to the medium as one
+:class:`~repro.transport.message.Packet`: protocol state that is due
+to a peer rides the frame already going there.
+
 Reception is handler-based rather than a blocking ``receive`` loop: each
 protocol layer registers a handler per message type, and handlers run
 atomically (the paper's atomic reception statements).  A blocking
@@ -18,7 +23,7 @@ from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from repro.errors import ProcessDown
 from repro.runtime import NodeComponent, Signal, TransportMedium
-from repro.transport.message import WireMessage
+from repro.transport.message import Packet, WireMessage
 
 __all__ = ["DEFAULT_QUEUE_CAPACITY", "Endpoint", "ReceiveQueue"]
 
@@ -81,14 +86,27 @@ class Endpoint(NodeComponent):
         # and multisend() are scoped to the installed view instead of
         # every node the medium has ever seen.
         self.view_source: Any = None
+        # ``rider(dst, message) -> Optional[WireMessage]``: asked on every
+        # send for a message to ride ``message`` to ``dst``.  Wired by the
+        # layer that owns it on every start (Atomic Broadcast: gossip).
+        self.rider: Optional[Callable[[int, WireMessage],
+                                      Optional[WireMessage]]] = None
 
     # -- sending ----------------------------------------------------------
 
-    def send(self, dst: int, message: WireMessage) -> None:
-        """Unreliable point-to-point send (no-op when the node is down)."""
+    def send(self, dst: int, message: WireMessage,
+             rider: Optional[WireMessage] = None) -> None:
+        """Unreliable point-to-point send (raises when the node is down).
+
+        ``rider`` goes in the same packet; without one the :attr:`rider`
+        hook is asked for it (a scoped endpoint passes its own).
+        """
         if self.node is None or not self.node.up:
             raise ProcessDown("cannot send from a down node")
-        self.network.send(self.node.node_id, dst, message)
+        if rider is None and self.rider is not None:
+            rider = self.rider(dst, message)
+        self.network.send(self.node.node_id, dst,
+                          message if rider is None else Packet(message, rider))
 
     def multisend(self, message: WireMessage) -> None:
         """Unreliable broadcast to all processes, including self."""
@@ -126,8 +144,9 @@ class Endpoint(NodeComponent):
     # -- lifecycle ------------------------------------------------------------
 
     def on_crash(self) -> None:
-        """Input buffers are volatile memory: lost on crash."""
+        """Input buffers and the rider hook are volatile: lost on crash."""
         self._queues.clear()
+        self.rider = None
 
     @property
     def node_id(self) -> int:

@@ -4,7 +4,9 @@ A wire message is anything the transport carries between nodes.  The
 transport only requires two things of a message: a ``type`` tag used for
 handler dispatch on the receiving node, and an ``estimated_size`` used for
 byte accounting.  Concrete protocol messages subclass :class:`WireMessage`
-and declare their payload fields.
+and declare their payload fields.  A :class:`Packet` is a frame with
+a second message riding it (see :attr:`~repro.transport.endpoint.
+Endpoint.rider`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Any, Optional, Tuple
 
 from repro.sizing import estimate_size
 
-__all__ = ["WireMessage"]
+__all__ = ["Packet", "WireMessage", "unpack"]
 
 
 class WireMessage:
@@ -32,6 +34,10 @@ class WireMessage:
 
     type = "message"
     fields: Tuple[str, ...] = ()
+    #: True for a reply whose addressee binds a batch right after it
+    #: (Paxos's ``Promise``): what the sender wants in that batch rides
+    #: it (see :attr:`~repro.transport.endpoint.Endpoint.rider`).
+    precedes_bind = False
 
     # Bumped on every subclass definition; the wire codec's type-tag
     # registry is valid exactly while this stands still, so unknown-tag
@@ -73,3 +79,34 @@ class WireMessage:
         parts = ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self.fields)
         return f"{type(self).__name__}({parts})"
+
+
+class Packet:
+    """A frame and the message riding it, handed to the medium as one.
+
+    The medium counts one send and one loss, duplicate and delay draw,
+    charges both sizes, and hands the receiver the rider first, then the
+    carrier, in the same turn.  Its ``type`` is the carrier's, so a
+    medium's per-type counters see the frame that was going anyway.
+    """
+
+    __slots__ = ("carrier", "rider", "type")
+
+    def __init__(self, carrier: WireMessage, rider: WireMessage):
+        self.carrier = carrier
+        self.rider = rider
+        self.type = carrier.type
+
+    def estimated_size(self) -> int:
+        return self.carrier.estimated_size() + self.rider.estimated_size()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Packet({self.carrier!r}, rider={self.rider!r})"
+
+
+def unpack(message: Any) -> Tuple[WireMessage, ...]:
+    """The messages one send hands over, in delivery order: a
+    :class:`Packet`'s rider, then its carrier; else the message."""
+    if type(message) is Packet:
+        return (message.rider, message.carrier)
+    return (message,)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 from repro.errors import SimulationError
 from repro.runtime import Node, Runtime
 from repro.sizing import estimate_size
-from repro.transport.message import WireMessage
+from repro.transport.message import Packet, WireMessage
 
 __all__ = ["NetworkConfig", "Network", "NetworkMetrics",
            "check_own_storage"]
@@ -183,7 +183,8 @@ class Network:
 
         Loss, duplication and delay are decided at send time with
         independent draws; a message addressed to a down node is silently
-        dropped at delivery time.
+        dropped at delivery time.  A :class:`Packet` is one message here:
+        one draw of each, and its rider is handed over first.
         """
         if dst not in self.nodes:
             raise SimulationError(f"unknown destination {dst}")
@@ -244,6 +245,9 @@ class Network:
 
     def _deliver(self, src: int, dst: int, message: WireMessage) -> None:
         node = self.nodes[dst]
+        if type(message) is Packet:
+            node.deliver(message.rider, src)
+            message = message.carrier
         if node.deliver(message, src):
             self.metrics.delivered += 1
         else:

@@ -8,16 +8,19 @@ node's real endpoint and
 * restricts ``peers()``/``multisend`` to the group's membership,
 * prefixes every message type with the scope name (wrapping outgoing
   messages in a :class:`ScopedMessage` envelope and unwrapping incoming
-  ones), so two stacks registering the same handler types never collide.
+  ones), so two stacks registering the same handler types never collide;
+* asks its own ``rider`` hook on every send and hands the rider, in the
+  same envelope, to the node's endpoint beside the message, so each
+  stack's gossip rides only that stack's frames.
 
 The wrapped endpoint quacks exactly like :class:`~repro.transport.endpoint.Endpoint`
 for the protocol layers (``send``/``multisend``/``register``/``peers``/
-``node``/``node_id``).
+``node``/``node_id``/``rider``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sizing import estimate_size
@@ -54,6 +57,9 @@ class ScopedEndpoint:
         # A scope's membership is fixed at construction; the dynamic
         # view machinery never applies inside a group.
         self.view_source: Any = None
+        # The scope's own rider hook (see Endpoint.rider).
+        self.rider: Optional[Callable[[int, WireMessage],
+                                      Optional[WireMessage]]] = None
         self.members: Tuple[int, ...] = tuple(sorted(set(members)))
         if endpoint.node_id not in self.members:
             raise SimulationError(
@@ -78,7 +84,11 @@ class ScopedEndpoint:
         if dst not in self.members:
             raise SimulationError(
                 f"destination {dst} outside scope {self.scope!r}")
-        self.endpoint.send(dst, ScopedMessage(self.scope, message))
+        rider = self.rider(dst, message) if self.rider is not None \
+            else None
+        self.endpoint.send(dst, ScopedMessage(self.scope, message),
+                           None if rider is None
+                           else ScopedMessage(self.scope, rider))
 
     def multisend(self, message: WireMessage) -> None:
         """Multisend within the scope (the group's member set)."""

@@ -10,6 +10,7 @@ from repro.fdetect.omega import OmegaOracle
 from repro.runtime import Node, SeedSequence, SimRuntime
 from repro.storage.memory import MemoryStorage
 from repro.transport.endpoint import Endpoint
+from repro.transport.message import unpack
 from repro.transport.network import Network, NetworkConfig
 
 
@@ -68,14 +69,20 @@ def tap(network, drop=lambda src, dst, message: False):
     """Record ``(now, src, dst, message)`` for everything the fair-loss
     medium is handed; ``drop(src, dst, message)`` loses a message before
     the medium sees it (a fault the medium itself cannot model: one-way,
-    or aimed at one message)."""
+    or aimed at one message).  A packet's rider and carrier are recorded,
+    and judged by ``drop``, one by one, rider first: dropping one sends
+    the other alone."""
     seen, send = [], network.send
 
     def tapped(src, dst, message):
-        if drop(src, dst, message):
-            return
-        seen.append((network.sim.now, src, dst, message))
-        send(src, dst, message)
+        kept = [part for part in unpack(message)
+                if not drop(src, dst, part)]
+        for part in kept:
+            seen.append((network.sim.now, src, dst, part))
+        if len(kept) == 2:
+            send(src, dst, message)
+        elif kept:
+            send(src, dst, kept[0])
 
     network.send = tapped
     return seen

@@ -1,8 +1,8 @@
 """Tests for the whole-program message-flow graph (``msgflow``).
 
 Two layers: synthetic-source unit tests for each send/handler resolution
-shape (constructor, local, factory, opaque, dynamic tag, f-string
-pattern), and full-tree tests asserting the graph covers every protocol
+shape (constructor, local, factory, helper, rider, opaque, dynamic tag,
+f-string pattern), and full-tree tests asserting the graph covers every protocol
 the repo implements — all five broadcast/consensus stacks, the
 failure-detector plumbing, and the membership layer's kind-string
 reconfig dispatch.
@@ -81,6 +81,42 @@ class TestSendResolution:
         """)
         edge, = graph.senders_for("fx.ping")
         assert edge.resolved == "factory"
+
+    def test_own_method_returning_one_class(self):
+        graph = graph_of("""
+            class Proto:
+                def _build(self, peer):
+                    if peer is None:
+                        return None
+                    return Ping(peer)
+
+                def poke(self):
+                    self.endpoint.send(1, self._build(1))
+                    note = self._build(2)
+                    self.endpoint.send(2, note)
+        """)
+        assert sorted(e.resolved for e in graph.senders_for("fx.ping")) \
+            == ["helper", "local"]
+
+    def test_a_wired_rider_is_a_send_of_what_it_returns(self):
+        graph = graph_of("""
+            class Proto:
+                def on_start(self):
+                    self.endpoint.rider = self._ride
+                    self.registry.rider = self._other   # not a transport
+
+                def _ride(self, dst):
+                    return self._build(dst)
+
+                def _build(self, dst):
+                    return Ping(dst)
+
+                def _other(self, dst):
+                    return Ping(dst)
+        """)
+        edge, = graph.senders_for("fx.ping")
+        assert (edge.sender, edge.op, edge.resolved) == \
+            ("Proto._ride", "rider", "helper")
 
     def test_forwarded_parameter_is_opaque(self):
         graph = graph_of("""
@@ -193,11 +229,12 @@ class TestFullTreeGraph:
     def test_gossip_is_unicast_and_the_decision_pull_is_modelled(self,
                                                                graph):
         # Per-peer digests: no multisend of a GossipMessage is left.
-        # The tick and the push beside a Promise both unicast.
+        # The tick unicasts on a quiet link; elsewhere gossip rides the
+        # frames already going to a peer.
         gossip = graph.senders_for("ab.gossip")
         assert sorted((e.sender, e.op) for e in gossip) == \
             [("BasicAtomicBroadcast._gossip_once", "send"),
-             ("BasicAtomicBroadcast._push_to_binder", "send")]
+             ("BasicAtomicBroadcast._rider", "rider")]
         # Decide leaves from one place, to the other processes — by
         # reference, which is why it carries a ballot, and the next
         # Prepare's flag — plus the by-value replies to stale traffic;

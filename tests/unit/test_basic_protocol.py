@@ -9,6 +9,7 @@ from repro.core.basic import BasicAtomicBroadcast
 from repro.core.messages import GossipMessage
 from repro.errors import BroadcastError
 from repro.harness.cluster import Cluster, ClusterConfig
+from repro.transport.message import unpack
 from repro.transport.network import NetworkConfig
 
 
@@ -26,15 +27,22 @@ def sequences(cluster):
 
 
 def tap(cluster, drop=lambda src, dst, message: False):
-    """Record every ``(time, src, dst, message)`` handed to the medium;
-    messages ``drop`` selects are swallowed instead of sent."""
+    """Record every ``(time, src, dst, message)`` handed to the medium
+    (a packet's rider, then its carrier); messages ``drop`` selects are
+    swallowed instead of sent."""
     sent = []
     send = cluster.network.send
 
     def tapped(src, dst, message):
-        sent.append((cluster.sim.now, src, dst, message))
-        if not drop(src, dst, message):
+        kept = []
+        for part in unpack(message):
+            sent.append((cluster.sim.now, src, dst, part))
+            if not drop(src, dst, part):
+                kept.append(part)
+        if len(kept) == 2:
             send(src, dst, message)
+        elif kept:
+            send(src, dst, kept[0])
     cluster.network.send = tapped
     return sent
 
@@ -232,6 +240,7 @@ class TestDigestGossip:
 
         def payloads_for_2():
             del sent[:]
+            ab._spoke.clear()   # each call is a tick on a quiet link
             ab._gossip_once()
             (_, _, _, gossip), = [e for e in sent if e[2] == 2]
             return gossip.payloads
@@ -256,8 +265,8 @@ class TestDigestGossip:
         ab._on_gossip(GossipMessage(
             0, frozenset(), 0, known=frozenset({tuple(held.id), (1, 1, 7)}),
             want=frozenset({tuple(held.id)})), sender=1)
-        view = ab._peers[1]
-        assert view.missing == {(1, 1, 7)} and view.asked == {held.id}
+        assert ab._peers[1].missing == {(1, 1, 7)}
+        assert ab._due[1].push == {held.id}
 
     def test_peers_outside_the_group_are_forgotten(self):
         cluster = build(seed=15)
@@ -283,8 +292,8 @@ class TestDigestGossip:
         copies = sum(len(m.payloads) for _, _, _, m in gossip)
         accepted = sum(len(m.value) for _, _, _, m
                        in of_type(sent, "paxos.accept"))
-        # Lossless: gossip takes each payload to the leader once — in
-        # the Promise turn if a round is open, else at the tick — and to
+        # Lossless: gossip takes each payload to the leader once — on
+        # the next frame to it, or at the tick on a quiet link — and to
         # the leader's successor only if it is still unordered at a
         # tick; the Accept takes it to every other process.  So it
         # crosses each link at most once: n or n + 1 copies.  Pushing to

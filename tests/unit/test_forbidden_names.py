@@ -58,6 +58,9 @@ GUARDS = (
      "consensus box's leader_hint()"),
     ("DecisionRef", r"DecisionRef|paxos\.decision-ref", CODE, None,
      "the commit point replaced the decision marker"),
+    ("value_wanted", r"value_wanted|_push_to_binder", CODE, None,
+     "gossip rides the frames already going to a peer (the endpoint's "
+     "rider); the hook that pushed beside a Promise is deleted"),
     ("paxos-multisend", r"\.multisend\(", ("src/repro/consensus/paxos.py",),
      None,
      "Paxos sends to the other processes only: its own acceptor answers "

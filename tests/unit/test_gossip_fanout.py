@@ -5,8 +5,10 @@ payload to the leader and its successor, once per link unless a later
 digest shows it lost; only the leader pulls; a follower's digest goes to
 the leader every tick, and the leader's to a rotating ``⌈log₂ n⌉`` peers
 a tick; a peer gets a gossip only when it carries a push, a ``want`` or
-its digest.  The decided ``Accept`` carries the batch to everyone else.
-With no hint (Chandra–Toueg) every rule applies to every peer."""
+its digest.  What a tick makes due leaves on the next frame to that
+peer, or at the next tick on a link that stayed quiet.  The decided
+``Accept`` carries the batch to everyone else.  With no hint
+(Chandra–Toueg) every rule applies to every peer."""
 
 from __future__ import annotations
 
@@ -52,6 +54,17 @@ def digest_recipients(seen, interval):
     return digests
 
 
+def digest_turns(ab):
+    """The peers each later tick of ``ab`` makes its digest due to."""
+    turns, pick = [], ab._digest_recipients
+
+    def recorded(*args):
+        turns.append(pick(*args))
+        return turns[-1]
+    ab._digest_recipients = recorded
+    return turns
+
+
 class ConsensusGate:
     """A ``drop`` for :func:`tap` that holds back every consensus
     message while closed, so a message stays Unordered everywhere, and
@@ -76,25 +89,36 @@ class TestDigestRotation:
         cluster = build(n, seed=21)
         assert cluster.consensuses[5].leader_hint() == 0
         seen = tap(cluster.network)
+        turns = digest_turns(cluster.abcasts[0])
         cluster.run(until=5.0)
-        digests = digest_recipients(seen, cluster.config.gossip_interval)
+        interval = cluster.config.gossip_interval
+        digests = digest_recipients(seen, interval)
         for tick in range(20):
-            assert len(digests[(0, tick)]) == 4
-            # Two consecutive ticks reach every peer.
-            assert digests[(0, tick)] | digests[(0, tick + 1)] \
-                == set(range(1, n))
+            assert len(turns[tick]) == 4
+            # Two consecutive ticks make it due to every peer ...
+            assert turns[tick] | turns[tick + 1] == set(range(1, n))
+            # ... and each peer has it by the next tick: at once on a
+            # quiet link, else on the frame that made the link busy.
+            for peer in turns[tick]:
+                assert any(message.known is not None
+                           and when <= (tick + 1) * interval
+                           for when, _, _, message in gossips(
+                               seen, src=0, dst=peer, since=tick * interval))
             # A follower's digest goes to the leader, every tick.
             for src in range(1, n):
                 assert digests[(src, tick)] == {0}
         # The first digest goes to the peers after the leader's own id.
-        assert digests[(0, 0)] == {1, 2, 3, 4}
+        assert turns[0] == {1, 2, 3, 4}
 
     def test_small_groups_digest_to_every_peer(self):
         cluster = build(3, seed=22)
         seen = tap(cluster.network)
         cluster.run(until=2.0)
         digests = digest_recipients(seen, cluster.config.gossip_interval)
-        assert all(digests[(0, tick)] == {1, 2} for tick in range(8))
+        # The start-up heartbeat spoke on both links at t = 0, so the
+        # first tick's digest waits for the second; then every tick.
+        assert (0, 0) not in digests
+        assert all(digests[(0, tick)] == {1, 2} for tick in range(1, 8))
         assert all(message.known is not None
                    for *_, message in gossips(seen))
 
@@ -123,10 +147,11 @@ class TestQuietGossip:
                 assert message.payloads and not message.want \
                     and message.known is None
         digests = digest_recipients(seen, interval)
-        # Every peer hears the leader's digest within ⌈(n−1)/f⌉ = 2 ticks.
-        window = math.ceil((n - 1) / fanout)
+        # Every peer hears the leader's digest within ⌈(n−1)/f⌉ = 2
+        # ticks of its being due, plus one for a busy link's.
+        window = math.ceil((n - 1) / fanout) + 1
         for tick in range(41 - window + 1):
-            heard = set().union(*(digests[(0, tick + i)]
+            heard = set().union(*(digests.get((0, tick + i), set())
                                   for i in range(window)))
             assert heard == set(range(1, n))
         # (n − 1) follower digests and f leader digests a tick, plus
@@ -306,9 +331,11 @@ class TestFollowers:
         asked_at = min(when for when, _, _, gossip
                        in gossips(seen, src=0, dst=3)
                        if message.id in gossip.want)
+        # Served after the ask (a push re-armed by the leader's digest
+        # may have gone already).
         served_at = min(when for when, _, _, gossip
-                        in gossips(seen, src=3, dst=0)
-                        if carries(gossip, message.id))
+                        in gossips(seen, src=3, dst=0, since=asked_at)
+                        if carries(gossip, message.id) and when > asked_at)
         assert lost[0] < digest_at <= lost[0] + interval
         assert digest_at < asked_at <= digest_at + max_delay + interval
         assert asked_at < served_at <= asked_at + max_delay + interval
@@ -427,7 +454,7 @@ class TestGossipWithoutDigest:
                       sender=1)
         assert ab._peers[1] is view
         assert view.known == {(2, 9, 9)} and view.missing == {(2, 9, 9)}
-        assert view.asked == {relayed.id}
+        assert cluster.abcasts[0]._due[1].push == {relayed.id}  # due now
         del seen[:]
         cluster.run(until=cluster.sim.now + cluster.config.gossip_interval)
         (_, _, _, answer), = gossips(seen, src=0, dst=1)

@@ -209,8 +209,11 @@ class TestStackSettledEdgeCases:
         # stop sending it decisions), so settling grants non-members the
         # already-ordered leniency instead of waiting forever.
         cluster = self._cluster(protocol="alternative")
-        cluster.submit(2, "from-the-doomed")
         cluster.submit_reconfig("evict", 2)
+        doomed = cluster.abcasts[2]
+        while doomed.k == 0:        # it takes part in its own eviction
+            cluster.run(until=cluster.sim.now + 0.01)
+        cluster.submit(2, "from-the-doomed")
         assert cluster.settle(within=59.0)
         assert cluster.current_view().members == (0, 1)
         assert cluster.nodes[2].up

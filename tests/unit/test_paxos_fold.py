@@ -143,7 +143,11 @@ class TestARoundAfterAnIdleSpell:
         promise = next(i for i, (_, src, dst, m) in enumerate(seen)
                        if (src, dst, m.type) == (2, 0, "paxos.promise")
                        and m.k == 1 and i > len(seen) - 40)
-        assert seen[promise + 1][3].type == "ab.gossip"
+        # The push is the Promise's rider: the same packet, handed over
+        # first.
+        rider = seen[promise - 1]
+        assert rider[:3] == seen[promise][:3]
+        assert [m.payload for m in rider[3].payloads] == ["later"]
         assert sorted(m.payload for m in
                       cluster.consensuses[0].decided_value(1)) == \
             ["later", "own"]

@@ -1,12 +1,11 @@
 """A follower's new messages reach the leader with its Promise.
 
-Paxos tells the Atomic Broadcast layer, through ``value_wanted``, that
-the sender of a ``Prepare`` it promises will soon bind that instance's
-value; the layer pushes its own unordered messages to it in the same
-turn.  So a message submitted before the leader's ``Prepare(k)`` is in
-round ``k``'s ``Accept``, instead of waiting for a gossip tick.  The
-tick still repairs: a push lost with a crashed leader reaches the next
-one.
+What a node submits is due at once to the process that binds the next
+batch, and the endpoint's rider carries it on the frame that precedes
+that bind — the ``Promise`` of the leader's ``Prepare``.  So a message
+submitted before the leader's ``Prepare(k)`` is in round ``k``'s
+``Accept``, instead of waiting for a gossip tick.  The tick still
+repairs: a push lost with a crashed leader reaches the next one.
 """
 
 from __future__ import annotations
@@ -84,9 +83,11 @@ class TestThePushRidesThePromise:
                   and m.payloads]
         assert len(pushes) == 6
         for i in pushes:
+            # The push is the Promise's rider: one packet, which the tap
+            # records rider first.
             when, src, dst, _ = seen[i]
-            assert seen[i - 1][:3] == (when, src, dst)
-            assert seen[i - 1][3].type == "paxos.promise"
+            assert seen[i + 1][:3] == (when, src, dst)
+            assert seen[i + 1][3].type == "paxos.promise"
 
     def test_on_live_the_push_and_its_promise_share_one_datagram(
             self, tmp_path):
@@ -114,10 +115,11 @@ class TestThePushRidesThePromise:
         riding = [types for src, dst, types in datagrams
                   if src != 0 and dst == 0 and "push" in types
                   and "paxos.promise" in types]
-        # A tick can beat a Prepare by chance; most pushes ride with one.
+        # A tick can beat a Prepare by chance; most pushes ride one.
         assert len(riding) >= 3
         for types in riding:
-            assert types.index("push") == types.index("paxos.promise") + 1
+            # The rider's frame comes first, so it is handled first.
+            assert types.index("push") + 1 == types.index("paxos.promise")
 
 
 class TestRepair:
@@ -141,7 +143,7 @@ class TestRepair:
         to_old = [i for i, (_, src, dst, m) in enumerate(seen)
                   if src == 2 and dst == 0 and carries(m, mid)]
         assert len(to_old) == 1
-        assert seen[to_old[0] - 1][3].type == "paxos.promise"
+        assert seen[to_old[0] + 1][3].type == "paxos.promise"
         assert any(src == 2 and dst == 1 and carries(m, mid)
                    for _, src, dst, m in seen)
         cluster.recover(0)

@@ -16,6 +16,7 @@ from repro.core.messages import AppMessage, StateMessage
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.verify import verify_run
 from repro.runtime import wire, wirefuzz
+from repro.transport.message import unpack
 from repro.transport.network import NetworkConfig
 from tests.conftest import tap
 
@@ -41,8 +42,8 @@ def tap_state(cluster):
     send = cluster.network.send
 
     def tapped(src, dst, message):
-        if message.type == StateMessage.type:
-            sent.append((src, dst, message))
+        sent.extend((src, dst, part) for part in unpack(message)
+                    if part.type == StateMessage.type)
         send(src, dst, message)
     cluster.network.send = tapped
     return sent
@@ -113,7 +114,7 @@ class TestMissedRoundsForm:
         pump(cluster, 60, gap=0.05)       # history the victim already has
         cluster.run(until=5.0)
         cluster.nodes[2].crash()
-        pump(cluster, 5)
+        pump(cluster, 5, gap=0.4)         # a round each: more than Δ
         cluster.run(until=cluster.sim.now + 3.0)
         cluster.nodes[2].recover()
         cluster.run(until=cluster.sim.now + 5.0)
