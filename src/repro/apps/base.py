@@ -44,7 +44,7 @@ class Application:
         tuple of its items): it is logged by reference inside the
         checkpoint base, shipped by reference in ``state`` messages and
         restored elsewhere, and sizing it on the way refuses a list,
-        set or dict at any depth (:func:`repro.sizing.estimate_size`).
+        set or dict at any depth (:func:`repro.storage.codec.size`).
         """
         raise NotImplementedError
 

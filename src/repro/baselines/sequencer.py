@@ -29,7 +29,7 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.errors import BroadcastError
 from repro.runtime import NodeComponent
-from repro.sizing import estimate_size
+from repro.storage import codec
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage
 
@@ -149,7 +149,7 @@ class FixedSequencerBroadcast(NodeComponent):
             raise BroadcastError("broadcast on a down process")
         # Sized before the sequence bump: a mutable payload raises
         # TypeError here and consumes no id.
-        estimate_size(payload)
+        codec.size(payload)
         self._seq += 1
         message = AppMessage(
             MessageId(self.node.node_id, self.incarnation, self._seq),

@@ -28,7 +28,6 @@ from typing import (Any, Callable, Iterable, List, Optional, Sequence,
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.core.tracker import DeliveredTracker
-from repro.sizing import estimate_size
 
 __all__ = ["AgreedQueue", "deterministic_order", "sender_round_robin_order"]
 
@@ -165,10 +164,6 @@ class AgreedQueue:
             queue.tracker = queue.checkpoint_tracker.copy()
         queue.extend(suffix)
         return queue
-
-    def estimated_size(self) -> int:
-        """Wire/log size of the queue snapshot (for E4/E5 accounting)."""
-        return estimate_size(self.to_plain())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"AgreedQueue({self.checkpointed_count} checkpointed + "

@@ -46,7 +46,7 @@ from repro.consensus.base import ConsensusService
 from repro.core.agreed import AgreedQueue
 from repro.core.basic import BasicAtomicBroadcast
 from repro.core.messages import AppMessage, StateMessage
-from repro.sizing import estimate_size
+from repro.storage import codec
 from repro.transport.endpoint import Endpoint
 
 __all__ = ["AlternativeAtomicBroadcast", "AlternativeConfig"]
@@ -219,7 +219,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
             self.k = int(stored_k)
             self.agreed = AgreedQueue.from_plain(agreed_plain,
                                                  self.order_rule)
-            self._base_bytes = estimate_size(stored)
+            self._base_bytes = codec.size(stored)
             # Follow the chain, and only the chain: the segment filed
             # under the round the queue stands at extends it; the first
             # round with none ends it.  Segments a fold superseded but
@@ -235,7 +235,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
                     break
                 self.agreed.extend(messages)
                 self.k = int(to_k)
-                self._segment_bytes += estimate_size(segment)
+                self._segment_bytes += codec.size(segment)
             self.ckpt_k = self.k
             self._durable_count = len(self.agreed)
             self._pending_restore = True

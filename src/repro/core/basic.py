@@ -58,7 +58,7 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
 from repro.errors import BroadcastError, OverloadError
 from repro.runtime import AnyOf, NodeComponent, Signal
-from repro.sizing import estimate_size
+from repro.storage import codec
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage
 
@@ -297,7 +297,7 @@ class BasicAtomicBroadcast(NodeComponent):
         # Sized before the sequence bump and the admission gate: a
         # mutable payload raises TypeError here, consuming no id, rather
         # than inside the gossip or propose that first sends it.
-        estimate_size(payload)
+        codec.size(payload)
         if self.flow is not None:
             # Gate before the sequence bump: a rejected submission must
             # leave no trace (no id consumed, no buffer entry).

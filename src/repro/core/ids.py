@@ -31,13 +31,6 @@ class MessageId(NamedTuple):
     incarnation: int
     seq: int
 
-    def estimated_size(self) -> int:
-        """:func:`~repro.sizing.estimate_size` of the plain tuple, without
-        walking it: a digest is thousands of ids."""
-        return 8 + (max(1, (self.sender.bit_length() + 7) // 8)
-                    + max(1, (self.incarnation.bit_length() + 7) // 8)
-                    + max(1, (self.seq.bit_length() + 7) // 8))
-
     def label(self) -> str:
         """Compact human-readable form, e.g. ``"2.1.15"``."""
         return f"{self.sender}.{self.incarnation}.{self.seq}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.ids import MessageId
-from repro.sizing import estimate_size
 from repro.storage import codec
 from repro.transport.message import WireMessage
 
@@ -30,7 +29,7 @@ class AppMessage:
     the Unordered set and the Agreed queue idempotent (Section 4.1).
     Payloads are immutable (strings, numbers, tuples, frozensets):
     ``submit`` sizes each payload, which refuses a list, set or dict at
-    any depth (:func:`repro.sizing.estimate_size`).
+    any depth (:func:`repro.storage.codec.size`).
     """
 
     __slots__ = ("id", "payload", "_size", "_encoded")
@@ -59,24 +58,15 @@ class AppMessage:
         """The deterministic batch-ordering rule (Section 4.2)."""
         return tuple(self.id)  # type: ignore[return-value]
 
-    def estimated_size(self) -> int:
-        # Immutable payloads (checked at submit) make the size a
-        # constant; messages are re-measured on every log of a batch or
-        # an Unordered set, so computing it once matters.
-        size = self._size
-        if size is None:
-            size = self._size = 12 + estimate_size(self.payload)
-        return size
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AppMessage({self.id.label()}, {self.payload!r})"
 
 
-def _message_to_plain(message: AppMessage) -> list:
-    return [tuple(message.id), message.payload]
+def _message_to_plain(message: AppMessage) -> Tuple[Any, Any]:
+    return (tuple(message.id), message.payload)
 
 
-def _message_from_plain(plain: list) -> AppMessage:
+def _message_from_plain(plain: Sequence[Any]) -> AppMessage:
     identity, payload = plain
     return AppMessage(MessageId(*identity), payload)
 

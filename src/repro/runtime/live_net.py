@@ -51,7 +51,6 @@ from repro.errors import ReproError, SimulationError
 from repro.runtime import wire
 from repro.runtime.live import LiveRuntime
 from repro.runtime.node import Node
-from repro.sizing import estimate_size
 from repro.transport.message import WireMessage, unpack
 from repro.transport.network import NetworkMetrics, check_own_storage
 
@@ -230,9 +229,9 @@ class LiveNetwork:
         parts = unpack(message)
 
         if src == dst:
-            # Loopback: reliable, in-process, never serialised, so its
-            # bytes are the size model's estimate.
-            self.metrics.bytes_sent += estimate_size(message)
+            # Loopback: reliable, in-process, never serialised, so it is
+            # charged the length of its frames without encoding them.
+            self.metrics.bytes_sent += message.frame_size()
             for part in parts:
                 self.runtime.call_soon(self._deliver, src, dst, part)
             return
@@ -275,6 +274,7 @@ class LiveNetwork:
         limit = self.wire_config.max_datagram_bytes
         if size > limit:
             self.oversize_drops += 1
+            self.metrics.oversize += 1
             self.metrics.lost += 1
             raise OversizeDatagramError(message.type, size, limit)
 

@@ -19,6 +19,10 @@ kept on the object (``_wire``), so the legs of a multisend share one
 encoding — messages are immutable (a mutable field fails when the
 message is first sized), as their size cache already assumes.
 
+**The scoped envelope** (type-id 28) carries a
+:class:`~repro.transport.scoped.ScopedMessage`, whose tag is made per
+instance: its body is the scope, then the inner frame with sender 0.
+
 **The JSON tunnel** (type-id 0) is the single path for a message the
 header cannot describe — a class *without* a registered type-id, or a
 sender id outside the header's unsigned 32-bit field.  Its body is one
@@ -55,11 +59,11 @@ transport.
 from __future__ import annotations
 
 import json
-import struct
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.storage import codec
-from repro.transport.message import WireMessage
+from repro.transport.message import HEADER, MAX_DATAGRAM_BYTES, WireMessage
+from repro.transport.scoped import ScopedMessage
 
 __all__ = ["encode", "encode_frame", "decode", "decode_datagram", "rebuild",
            "register_type_id", "type_id_for", "WireCodecError", "WireConfig",
@@ -92,7 +96,7 @@ class WireConfig:
 
     def __init__(self, max_frame_bytes: int = 8192,
                  flush_delay: float = 0.0,
-                 max_datagram_bytes: int = 65507):
+                 max_datagram_bytes: int = MAX_DATAGRAM_BYTES):
         if max_datagram_bytes < 1:
             raise WireCodecError(
                 f"bad max_datagram_bytes {max_datagram_bytes}")
@@ -110,9 +114,9 @@ class WireConfig:
 # -- framing ------------------------------------------------------------------
 
 MAGIC = 0xAB0B
-HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
 _VERSION = 5  # the header's version byte; any other value is rejected
 _JSON_TUNNEL_ID = 0  # body is one {"s", "t", "f"} JSON object
+_SCOPED_ID = 28  # body is a ScopedMessage's scope, then its inner frame
 
 # The registered type-id table.  Ids are frozen: changing an assignment
 # invalidates every recorded byte stream, so new message types get new
@@ -144,10 +148,10 @@ TYPE_ID_TABLE: Dict[str, int] = {
     "mg.announce": 27,
 }
 _TAG_FOR_ID: Dict[int, str] = {v: k for k, v in TYPE_ID_TABLE.items()}
-# Ids of deleted message types, never assigned again, so a recorded
-# stream cannot decode as some other message: 4, 5 and 6 were the
-# retransmission layer's data, ack and batch envelopes.
-_RETIRED_IDS = frozenset({4, 5, 6})
+# Ids never assigned to a tag, so a recorded stream cannot decode as
+# some other message: 4, 5 and 6 were the retransmission layer's data,
+# ack and batch envelopes.
+_RESERVED_IDS = frozenset({4, 5, 6, _SCOPED_ID})
 
 
 def register_type_id(tag: str, type_id: int) -> None:
@@ -164,10 +168,10 @@ def register_type_id(tag: str, type_id: int) -> None:
     if tag in TYPE_ID_TABLE:
         raise WireCodecError(
             f"tag {tag!r} already has type id {TYPE_ID_TABLE[tag]}")
-    if type_id in _TAG_FOR_ID or type_id in _RETIRED_IDS:
+    if type_id in _TAG_FOR_ID or type_id in _RESERVED_IDS:
         raise WireCodecError(
             f"type id {type_id} already assigned to "
-            f"{_TAG_FOR_ID.get(type_id, 'a retired type')!r}")
+            f"{_TAG_FOR_ID.get(type_id, 'a reserved id')!r}")
     TYPE_ID_TABLE[tag] = type_id
     _TAG_FOR_ID[type_id] = tag
 
@@ -193,7 +197,12 @@ def _body(message: WireMessage) -> Tuple[int, bytes]:
     if body is None:
         type_id = TYPE_ID_TABLE.get(message.type)
         try:
-            if type_id is None:
+            if type(message) is ScopedMessage:
+                out = bytearray()
+                codec.pack(message.scope, out)
+                out += encode_frame(0, message.inner)
+                body = (_SCOPED_ID, bytes(out))
+            elif type_id is None:
                 body = (_JSON_TUNNEL_ID, _encode_tunnel(message, None))
             else:
                 out = bytearray()
@@ -312,6 +321,8 @@ def _decode_tunnel(data: bytes) -> Tuple[Optional[int], WireMessage]:
 def _load_body(type_id: int, data: bytes, start: int,
                end: int) -> WireMessage:
     """The message whose typed body is ``data[start:end]``."""
+    if type_id == _SCOPED_ID:
+        return _load_scoped(data, start, end)
     tag = _TAG_FOR_ID.get(type_id)
     if tag is None:
         raise WireCodecError(f"unknown type id {type_id}")
@@ -324,6 +335,20 @@ def _load_body(type_id: int, data: bytes, start: int,
         raise WireCodecError(
             f"{end - reader.pos} stray bytes after {tag!r} payload")
     return message
+
+
+def _load_scoped(data: bytes, start: int, end: int) -> ScopedMessage:
+    reader = codec.Reader(data, start, end)
+    scope = codec.unpack(reader)
+    if type(scope) is not str:
+        raise WireCodecError("scoped envelope without a scope name")
+    if reader.pos + HEADER.size <= end and \
+            HEADER.unpack_from(data, reader.pos)[3] == _SCOPED_ID:
+        raise WireCodecError("scoped envelope inside a scoped envelope")
+    stop, _, inner = _decode_frame(data, reader.pos)
+    if stop != end:
+        raise WireCodecError(f"{end - stop} stray bytes after scoped frame")
+    return ScopedMessage(scope, inner)
 
 
 def _decode_frame(data: bytes, offset: int

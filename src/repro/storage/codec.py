@@ -10,17 +10,23 @@ one-byte tag followed by its body::
                               -0.0 round-trip exactly
     s <len> <utf-8>           str
     y <len> <raw>             bytes
-    t|l <count> <items>       tuple | list
-    S|Z <count> <items>       set | frozenset, members sorted by encoding
-    d <count> <key value>...  dict, entries sorted by key encoding
+    t <count> <items>         tuple
+    Z <count> <items>         frozenset, members sorted by encoding
     R <len> <tag> <value>     a registered class (:func:`register`): its
                               tag and the encoding of ``to_plain(value)``
 
-The encoding does not depend on how a value was built: set members and
-dict entries are written in the order of their encodings, so a set or
-dict encodes the same whatever its insertion order, and a decoded value
-re-encodes byte-identically.  Decoding is bounds- and depth-checked and
-total: malformed bytes raise :class:`CodecError` and nothing else.
+The encoding does not depend on how a value was built: frozenset members
+are written in the order of their encodings, so a frozenset encodes the
+same whatever its insertion order, and a decoded value re-encodes
+byte-identically.  Decoding is bounds- and depth-checked and total:
+malformed bytes raise :class:`CodecError` and nothing else.  It still
+reads the list, set and dict tags (``l``, ``S``, ``d``) of older files.
+
+:func:`size` is ``len(encode(value))`` without the bytes: the one size
+charged for every send and every log.  The simulator delivers the
+sender's object and ``MemoryStorage`` keeps the logged one, so it is
+also the share-nothing check: it refuses a mutable container at any
+depth.
 
 **Registered classes.**  Payload classes opt in by calling
 :func:`register` with a ``to_plain`` / ``from_plain`` pair; the codec
@@ -30,7 +36,7 @@ keeps its encoding there, so a value is encoded once however often it
 is sent and logged: ``None`` until its first encode (or the decode that
 cut it from its input), the bytes afterwards, and ``False`` once the
 owner released it for good — from then on it is encoded each time, and
-never cached again.
+never cached again.  Such a class also keeps its size in ``_size``.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
 
-__all__ = ["encode", "decode", "pack", "unpack", "splice_tuple", "Reader",
-           "register", "CodecError"]
+__all__ = ["encode", "decode", "size", "pack", "unpack", "splice_tuple",
+           "Reader", "register", "CodecError"]
 
 
 class CodecError(StorageError):
@@ -52,11 +58,13 @@ _MAX_DEPTH = 64
 _DOUBLE = struct.Struct("!d")
 
 Packer = Callable[[Any, bytearray, int], None]
+Sizer = Callable[[Any, int], int]
 
-# Exact type -> packer.  Builtins are fixed; registered classes are added
-# by register(); subclasses of either are resolved once by _resolve and
-# cached here.
+# Exact type -> packer, and -> sizer.  Builtins are fixed; registered
+# classes are added by register(); subclasses of either are resolved
+# once by _resolve and cached here.
 _PACKERS: Dict[type, Packer] = {}
+_SIZERS: Dict[type, Sizer] = {}
 # UTF-8 tag -> (from_plain, caches) of registered classes.
 _LOADERS: Dict[bytes, Tuple[Callable[[Any], Any], bool]] = {}
 # Registered classes that keep their encoding in ``_encoded``.
@@ -76,7 +84,7 @@ def pack(value: Any, out: bytearray, depth: int = 0) -> None:
     """Append the encoding of ``value`` to ``out``."""
     packer = _PACKERS.get(type(value))
     if packer is None:
-        packer = _resolve(type(value))
+        packer = _resolve(type(value))[0]
     packer(value, out, depth)
 
 
@@ -118,80 +126,113 @@ def _pack_bytes(value: bytes, out: bytearray, depth: int) -> None:
     out += value
 
 
-def _sequence_packer(tag: int) -> Packer:
-    def pack_sequence(value: Any, out: bytearray, depth: int) -> None:
-        if depth >= _MAX_DEPTH:
-            raise CodecError("value nesting too deep to encode")
-        out.append(tag)
-        _put_varint(len(value), out)
-        depth += 1
-        for item in value:
-            packer = _PACKERS.get(type(item))
-            if packer is None:
-                packer = _resolve(type(item))
-            packer(item, out, depth)
-    return pack_sequence
-
-
-def _encode_each(items: Any, depth: int) -> List[bytes]:
-    """Each item's encoding, as its own bytes (for sorting)."""
-    encoded = []
-    for item in items:
-        if type(item) in _CACHING:
-            cached = item._encoded
-            if cached:
-                encoded.append(cached)
-                continue
-        buf = bytearray()
-        pack(item, buf, depth)
-        encoded.append(bytes(buf))
-    return encoded
-
-
-def _set_packer(tag: int) -> Packer:
-    def pack_set(value: Any, out: bytearray, depth: int) -> None:
-        if depth >= _MAX_DEPTH:
-            raise CodecError("value nesting too deep to encode")
-        encoded = _encode_each(value, depth + 1)
-        encoded.sort()
-        out.append(tag)
-        _put_varint(len(encoded), out)
-        out += b"".join(encoded)
-    return pack_set
-
-
-def _pack_dict(value: Dict[Any, Any], out: bytearray, depth: int) -> None:
+def _pack_tuple(value: Tuple[Any, ...], out: bytearray, depth: int) -> None:
     if depth >= _MAX_DEPTH:
         raise CodecError("value nesting too deep to encode")
+    out.append(0x74)  # t
+    _put_varint(len(value), out)
     depth += 1
-    entries = sorted(zip(_encode_each(value, depth), value.values()),
-                     key=lambda entry: entry[0])
-    out.append(0x64)  # d
-    _put_varint(len(entries), out)
-    for key, item in entries:
-        out += key
-        pack(item, out, depth)
+    for item in value:
+        packer = _PACKERS.get(type(item))
+        if packer is None:
+            packer = _resolve(type(item))[0]
+        packer(item, out, depth)
+
+
+def _pack_frozenset(value: Any, out: bytearray, depth: int) -> None:
+    """Members in the order of their encodings."""
+    if depth >= _MAX_DEPTH:
+        raise CodecError("value nesting too deep to encode")
+    encoded = []
+    for item in value:
+        cached = item._encoded if type(item) in _CACHING else None
+        if not cached:
+            buf = bytearray()
+            pack(item, buf, depth + 1)
+            cached = bytes(buf)
+        encoded.append(cached)
+    encoded.sort()
+    out.append(0x5A)  # Z
+    _put_varint(len(encoded), out)
+    out += b"".join(encoded)
 
 
 _PACKERS.update({
     type(None): _pack_none, bool: _pack_bool, int: _pack_int,
     float: _pack_float, str: _pack_str, bytes: _pack_bytes,
-    tuple: _sequence_packer(0x74), list: _sequence_packer(0x6C),
-    set: _set_packer(0x53), frozenset: _set_packer(0x5A), dict: _pack_dict,
+    tuple: _pack_tuple, frozenset: _pack_frozenset,
 })
-_BUILTINS = tuple(_PACKERS.items())
 
 
-def _resolve(cls: type) -> Packer:
-    """The packer of a type with no exact entry: a builtin's subclass
-    (``MessageId`` is a tuple).  Cached once found."""
-    for base, packer in _BUILTINS:
+# -- sizes --------------------------------------------------------------------
+
+def _varint_size(value: int) -> int:
+    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
+
+
+def size(value: Any, depth: int = 0) -> int:
+    """``len(encode(value))``, without building the bytes.  Raises
+    :class:`TypeError` for a ``list``, ``set``, ``dict`` or ``bytearray``
+    at any depth, and :class:`CodecError` wherever :func:`encode` would."""
+    sizer = _SIZERS.get(type(value))
+    if sizer is None:
+        sizer = _resolve(type(value))[1]
+    return sizer(value, depth)
+
+
+def _size_int(value: int, depth: int) -> int:
+    zig = value << 1 if value >= 0 else (-value << 1) - 1
+    return 2 if zig < 0x80 else 1 + (zig.bit_length() + 6) // 7
+
+
+def _size_raw(value: Any, depth: int) -> int:  # str or bytes
+    count = len(value.encode("utf-8") if isinstance(value, str) else value)
+    return 1 + _varint_size(count) + count
+
+
+def _size_items(value: Any, depth: int) -> int:
+    """A tuple's or frozenset's size: member order does not change a
+    frozenset's length, so nothing is sorted."""
+    if depth >= _MAX_DEPTH:
+        raise CodecError("value nesting too deep to encode")
+    total = 1 + _varint_size(len(value))
+    depth += 1
+    for item in value:
+        sizer = _SIZERS.get(type(item))
+        if sizer is None:
+            sizer = _resolve(type(item))[1]
+        total += sizer(item, depth)
+    return total
+
+
+def _refuse_mutable(value: Any, *where: Any) -> int:
+    raise TypeError(
+        f"a sent or logged value must be immutable, not a "
+        f"{type(value).__name__}: use a tuple or frozenset")
+
+
+_SIZERS.update({
+    type(None): lambda value, depth: 1, bool: lambda value, depth: 1,
+    int: _size_int, float: lambda value, depth: 9, str: _size_raw,
+    bytes: _size_raw, tuple: _size_items, frozenset: _size_items,
+    list: _refuse_mutable, set: _refuse_mutable, dict: _refuse_mutable,
+    bytearray: _refuse_mutable,
+})
+_BUILTINS = tuple((cls, _PACKERS.get(cls, _refuse_mutable), sizer)
+                  for cls, sizer in _SIZERS.items())
+
+
+def _resolve(cls: type) -> Tuple[Packer, Sizer]:
+    """The packer and sizer of a type with no exact entry: a builtin's
+    subclass (``MessageId`` is a tuple).  Cached once found."""
+    for base, packer, sizer in _BUILTINS:
         if issubclass(cls, base):
             break
     else:
         raise CodecError(f"cannot encode {cls.__name__}; register() a codec")
     _PACKERS[cls] = packer
-    return packer
+    _SIZERS[cls] = sizer
+    return packer, sizer
 
 
 def encode(value: Any) -> bytes:
@@ -235,7 +276,20 @@ def register(cls: type, tag: str,
             value._encoded = bytes(buf)
         out += buf
 
+    def size_registered(value: Any, depth: int) -> int:
+        if depth >= _MAX_DEPTH:
+            raise CodecError("value nesting too deep to encode")
+        if not caches:
+            return len(head) + size(to_plain(value), depth + 1)
+        known = value._size
+        if known is None:
+            cached = value._encoded
+            known = value._size = len(cached) if cached else \
+                len(head) + size(to_plain(value), depth + 1)
+        return known
+
     _PACKERS[cls] = pack_registered
+    _SIZERS[cls] = size_registered
     _LOADERS[raw] = (from_plain, caches)
     if caches:
         _CACHING.add(cls)

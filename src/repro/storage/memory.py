@@ -9,7 +9,7 @@ The store keeps references: ``retrieve`` returns the very object
 immutable — ints, tuples, frozensets, messages whose headers and
 payloads are never mutated.  :meth:`~repro.storage.stable.StableStorage.log`
 sizes each value before it reaches the backend, and the size model
-(:func:`repro.sizing.estimate_size`) refuses a ``list``, ``dict``,
+(:func:`repro.storage.codec.size`) refuses a ``list``, ``dict``,
 ``set`` or ``bytearray`` at any depth, so a record that could be
 mutated in place fails at the write that made it.
 """

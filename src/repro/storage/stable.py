@@ -5,7 +5,8 @@ protocol performs exactly one log per consensus round (the proposal, which
 the Consensus black box would log anyway), while the alternative protocol
 trades additional logs for faster recovery and earlier ``A-broadcast``
 returns.  :class:`StorageMetrics` therefore counts every durable write and
-its estimated byte cost; experiments E2/E4/E7 read these counters.
+its encoded length (:func:`repro.storage.codec.size`); experiments
+E2/E4/E7 read these counters.
 
 Two concrete backends exist:
 
@@ -23,7 +24,7 @@ from typing import (Any, Dict, Iterable, Iterator, List, Optional, Tuple,
                     Union)
 
 from repro.errors import StorageError
-from repro.sizing import estimate_size
+from repro.storage import codec
 
 __all__ = ["StableStorage", "StorageMetrics", "Key"]
 
@@ -106,10 +107,10 @@ class StableStorage:
         sets or dicts: a backend may keep the object itself
         (:class:`~repro.storage.memory.MemoryStorage` does).  Sizing the
         write refuses a mutable container at any depth with
-        :class:`TypeError` (:func:`repro.sizing.estimate_size`).
+        :class:`TypeError` (:func:`repro.storage.codec.size`).
         """
         path = _normalize(key)
-        self.metrics.record_write(path, estimate_size(value))
+        self.metrics.record_write(path, codec.size(value))
         self._write(path, value)
 
     def retrieve(self, key: Key, default: Any = None) -> Any:
@@ -133,7 +134,7 @@ class StableStorage:
         value, is immutable.
         """
         path = _normalize(key)
-        self.metrics.record_write(path, estimate_size(item))
+        self.metrics.record_write(path, codec.size(item))
         existing = self._read(path, ())
         if not isinstance(existing, tuple):
             raise StorageError(f"append to non-sequence key {path!r}")
@@ -216,7 +217,7 @@ class StableStorage:
         (Section 5.2): counters measure write *traffic*, this measures
         *residency*.
         """
-        return sum(estimate_size(self._read(key, None))
+        return sum(codec.size(self._read(key, None))
                    for key in self._keys())
 
     # -- backend hooks --------------------------------------------------------------

@@ -2,20 +2,25 @@
 
 A wire message is anything the transport carries between nodes.  The
 transport only requires two things of a message: a ``type`` tag used for
-handler dispatch on the receiving node, and an ``estimated_size`` used for
-byte accounting.  Concrete protocol messages subclass :class:`WireMessage`
-and declare their payload fields.  A :class:`Packet` is a frame with
-a second message riding it (see :attr:`~repro.transport.endpoint.
-Endpoint.rider`).
+handler dispatch on the receiving node, and a ``frame_size`` used for
+byte accounting: the exact length of its frame (:mod:`repro.runtime.wire`).
+Protocol messages subclass :class:`WireMessage` and declare their payload
+fields.  A :class:`Packet` is a frame with a second message riding it
+(see :attr:`~repro.transport.endpoint.Endpoint.rider`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+import struct
+from typing import Any, Optional, Tuple, Union
 
-from repro.sizing import estimate_size
+from repro.storage import codec
 
-__all__ = ["Packet", "WireMessage", "unpack"]
+__all__ = ["HEADER", "MAX_DATAGRAM_BYTES", "Packet", "WireMessage",
+           "frame_size", "unpack"]
+
+HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
+MAX_DATAGRAM_BYTES = 65507  # the UDP/IPv4 payload limit
 
 
 class WireMessage:
@@ -23,13 +28,14 @@ class WireMessage:
     sized.
 
     Subclasses set the class attribute ``type`` and store payload fields
-    as instance attributes listed in ``fields`` (used for size accounting
-    and ``repr``).  Fields hold immutable values — scalars, tuples,
-    frozensets, other messages — and are never rebound after the first
-    send: the simulator delivers the sender's object itself.  Every send
-    sizes the message once (:meth:`estimated_size`), and the size model
-    refuses a list, set, dict or bytearray at any depth, so a message
-    that could couple two nodes by reference fails at its first send.
+    as instance attributes listed in ``fields`` (the frame's body, and
+    ``repr``).  Fields hold immutable values — scalars, tuples,
+    frozensets, application messages — and are never rebound after the
+    first send: the simulator delivers the sender's object itself.
+    Every send sizes the message once (:meth:`frame_size`), and the
+    codec's size refuses a list, set, dict or bytearray at any depth, so
+    a message that could couple two nodes by reference fails at its
+    first send.
     """
 
     type = "message"
@@ -50,26 +56,21 @@ class WireMessage:
 
     # Messages are immutable, so the size is a constant of the object: a
     # multisend charges it once, not once per destination (at n=25
-    # re-walking every gossip on every send was a third of the run).  A class-level default keeps structurally rebuilt instances
+    # re-walking every gossip on every send was a third of the run).  A
+    # class-level default keeps structurally rebuilt instances
     # (``cls.__new__`` in the wire codec) covered.
     _size: Optional[int] = None
     # The same reasoning keeps the wire codec's ``(type-id, body)`` of a
     # message here once it is first encoded (repro.runtime.wire).
     _wire: Optional[Tuple[int, bytes]] = None
 
-    def estimated_size(self) -> int:
-        """Estimated serialised size, computed on first use."""
+    def frame_size(self) -> int:
+        """The length of the message's frame, computed on first use."""
         size = self._size
         if size is None:
-            size = self._size = self._measure()
+            size = self._size = HEADER.size + sum(
+                codec.size(getattr(self, name)) for name in self.fields)
         return size
-
-    def _measure(self) -> int:
-        """The size formula: tag plus payload fields."""
-        total = 2 + len(self.type)
-        for name in self.fields:
-            total += estimate_size(getattr(self, name))
-        return total
 
     def payload(self) -> Tuple[Any, ...]:
         """The payload fields as a tuple (handy for tests)."""
@@ -97,11 +98,16 @@ class Packet:
         self.rider = rider
         self.type = carrier.type
 
-    def estimated_size(self) -> int:
-        return self.carrier.estimated_size() + self.rider.estimated_size()
+    def frame_size(self) -> int:
+        return self.carrier.frame_size() + self.rider.frame_size()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Packet({self.carrier!r}, rider={self.rider!r})"
+
+
+def frame_size(message: Union[WireMessage, Packet]) -> int:
+    """The bytes one send puts on the wire."""
+    return message.frame_size()
 
 
 def unpack(message: Any) -> Tuple[WireMessage, ...]:

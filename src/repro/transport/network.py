@@ -25,8 +25,8 @@ from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.runtime import Node, Runtime
-from repro.sizing import estimate_size
-from repro.transport.message import Packet, WireMessage
+from repro.transport.message import (MAX_DATAGRAM_BYTES, Packet,
+                                    WireMessage, unpack)
 
 __all__ = ["NetworkConfig", "Network", "NetworkMetrics",
            "check_own_storage"]
@@ -83,7 +83,7 @@ class NetworkMetrics:
     """Traffic counters, per run."""
 
     __slots__ = ("sent", "delivered", "lost", "dropped_down", "duplicated",
-                 "bytes_sent", "by_type")
+                 "bytes_sent", "oversize", "by_type")
 
     def __init__(self) -> None:
         self.sent = 0
@@ -92,6 +92,7 @@ class NetworkMetrics:
         self.dropped_down = 0
         self.duplicated = 0
         self.bytes_sent = 0
+        self.oversize = 0  # frames longer than a datagram can carry
         self.by_type: Dict[str, int] = {}
 
     def snapshot(self) -> Dict[str, int]:
@@ -103,6 +104,7 @@ class NetworkMetrics:
             "dropped_down": self.dropped_down,
             "duplicated": self.duplicated,
             "bytes_sent": self.bytes_sent,
+            "oversize": self.oversize,
         }
 
 
@@ -184,12 +186,18 @@ class Network:
         Loss, duplication and delay are decided at send time with
         independent draws; a message addressed to a down node is silently
         dropped at delivery time.  A :class:`Packet` is one message here:
-        one draw of each, and its rider is handed over first.
+        one draw of each, and its rider is handed over first.  A frame
+        too long for a datagram is counted, and still delivered.
         """
         if dst not in self.nodes:
             raise SimulationError(f"unknown destination {dst}")
         self.metrics.sent += 1
-        self.metrics.bytes_sent += estimate_size(message)
+        size = message.frame_size()
+        self.metrics.bytes_sent += size
+        if size > MAX_DATAGRAM_BYTES:
+            self.metrics.oversize += sum(
+                part.frame_size() > MAX_DATAGRAM_BYTES
+                for part in unpack(message))
         self.metrics.by_type[message.type] = \
             self.metrics.by_type.get(message.type, 0) + 1
 

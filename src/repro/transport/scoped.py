@@ -23,23 +23,30 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sizing import estimate_size
+from repro.storage import codec
 from repro.transport.endpoint import Endpoint
-from repro.transport.message import WireMessage
+from repro.transport.message import HEADER, WireMessage
 
 __all__ = ["ScopedEndpoint", "ScopedMessage"]
 
 
 class ScopedMessage(WireMessage):
-    """Envelope carrying an inner message under a scoped type tag."""
+    """Envelope carrying an inner message under a scoped type tag; its
+    frame's body is the scope, then the inner frame (repro.runtime.wire)."""
+
+    fields = ("scope", "inner")
 
     def __init__(self, scope: str, inner: WireMessage):
         self.scope = scope
         self.inner = inner
         self.type = f"{scope}::{inner.type}"
 
-    def _measure(self) -> int:
-        return 2 + len(self.scope) + estimate_size(self.inner)
+    def frame_size(self) -> int:
+        size = self._size
+        if size is None:
+            size = self._size = HEADER.size + codec.size(self.scope) \
+                + self.inner.frame_size()
+        return size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ScopedMessage({self.scope!r}, {self.inner!r})"

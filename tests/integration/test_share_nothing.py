@@ -3,7 +3,7 @@
 The simulator delivers the sender's object and ``MemoryStorage`` keeps
 the logged one, so a mutable container in a sent or logged value would
 couple nodes by reference.  The size model refuses one at any depth
-(:func:`repro.sizing.estimate_size`); both media refuse a storage object
+(:func:`repro.storage.codec.size`); both media refuse a storage object
 shared by two nodes.  Each test below fails if its check is removed.
 """
 
@@ -23,7 +23,7 @@ from repro.harness.verify import verify_run
 from repro.runtime.live import LiveRuntime
 from repro.runtime.live_net import LiveNetwork
 from repro.runtime.node import Node
-from repro.sizing import estimate_size
+from repro.storage import codec
 from repro.storage.memory import MemoryStorage
 
 
@@ -96,7 +96,7 @@ def applied(app, payloads):
 ], ids=["recorder", "kvstore", "bank", "certifier"])
 def test_application_snapshots_are_immutable_values(app):
     state = app.snapshot()
-    assert estimate_size(state) > 0
+    assert codec.size(state) > 0
     clone = type(app)()
     clone.restore(state)
     assert clone.snapshot() == state

@@ -8,6 +8,7 @@ from repro.core.agreed import AgreedQueue, deterministic_order
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.core.tracker import DeliveredTracker
+from repro.storage import codec
 
 
 def msg(sender, seq, incarnation=1, payload=None):
@@ -196,8 +197,8 @@ class TestAgreedQueue:
         assert clone.checkpoint_tracker is None
         assert len(clone) == 1
 
-    def test_estimated_size_grows_with_content(self):
+    def test_size_grows_with_content(self):
         queue = AgreedQueue()
-        empty = queue.estimated_size()
+        empty = codec.size(queue.to_plain())
         queue.append_batch([msg(0, 1, payload="x" * 200)])
-        assert queue.estimated_size() > empty + 200
+        assert codec.size(queue.to_plain()) > empty + 200

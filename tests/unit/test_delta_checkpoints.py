@@ -17,7 +17,7 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, StateMessage
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.verify import verify_run
-from repro.sizing import estimate_size
+from repro.storage import codec
 from repro.storage.faulty import FaultyStorage, InjectedCrashFault
 from repro.storage.memory import MemoryStorage
 from repro.storage.stable import StableStorage
@@ -82,7 +82,7 @@ def delivered_ids(ab):
 
 def message_bytes(cluster, mid):
     payload = cluster.collector.broadcast_payloads[MessageId(*mid)]
-    return AppMessage(MessageId(*mid), payload).estimated_size()
+    return codec.size(AppMessage(MessageId(*mid), payload))
 
 
 def finish(cluster, limit=300.0):
@@ -111,7 +111,7 @@ class TestDurableLayout:
         assert [tuple(m.id) for m in stored[2]] == delivered_ids(ab)[held:]
         assert len(stored[2]) == 8
         # ...and it cost what it holds, not what the queue holds.
-        assert ab_bytes(cluster, 0) - before == estimate_size(stored)
+        assert ab_bytes(cluster, 0) - before == codec.size(stored)
 
     def test_idle_tick_writes_nothing_but_counts(self):
         cluster = build()

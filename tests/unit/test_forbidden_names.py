@@ -61,6 +61,10 @@ GUARDS = (
     ("value_wanted", r"value_wanted|_push_to_binder", CODE, None,
      "gossip rides the frames already going to a peer (the endpoint's "
      "rider); the hook that pushed beside a Promise is deleted"),
+    ("estimate_size", r"estimated_size|_measure\b|estimate_size",
+     ("src", "tests"), "src/repro/sizing.py",
+     "a send is charged its frame's length and a log its encoding's "
+     "(frame_size, codec.size); the estimate model is deleted"),
     ("paxos-multisend", r"\.multisend\(", ("src/repro/consensus/paxos.py",),
      None,
      "Paxos sends to the other processes only: its own acceptor answers "

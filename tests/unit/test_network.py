@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+from repro.core.agreed import AgreedQueue
+from repro.core.ids import MessageId
+from repro.core.messages import AppMessage, StateMessage
 from repro.errors import SimulationError
 from repro.runtime import Node
 from repro.storage.memory import MemoryStorage
-from repro.transport.message import WireMessage
+from repro.transport.message import MAX_DATAGRAM_BYTES, Packet, WireMessage
 from repro.transport.network import Network, NetworkConfig
 
 
@@ -163,6 +166,24 @@ class TestMetrics:
         net, nodes, received = build(sim)
         net.send(0, 1, Ping("x" * 100))
         assert net.metrics.bytes_sent >= 100
+
+    def test_oversize_frame_is_counted_and_delivered(self, sim):
+        """A frame no datagram could carry — here an ``ab.state`` of a
+        long queue — is counted, and the simulator still delivers it."""
+        net, nodes, _ = build(sim)
+        got = []
+        nodes[1].register_handler("ab.state", lambda m, s: got.append(m))
+        queue = AgreedQueue()
+        queue.append_batch([AppMessage(MessageId(0, 1, seq), "x" * 100)
+                            for seq in range(1, 701)])
+        state = StateMessage(9, queue.to_plain())
+        assert state.frame_size() > MAX_DATAGRAM_BYTES
+        net.send(0, 1, Ping("small"))
+        net.send(0, 1, Packet(Ping("carrier"), state))
+        sim.run()
+        assert net.metrics.oversize == 1
+        assert net.metrics.snapshot()["oversize"] == 1
+        assert got == [state]
 
     def test_by_type_counter(self, sim):
         net, nodes, received = build(sim)

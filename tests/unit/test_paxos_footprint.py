@@ -20,6 +20,7 @@ from repro.consensus.paxos import Accept, Decide, Query, make_ballot
 from repro.errors import ConsensusError
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.runtime import wire, wirefuzz
+from repro.storage import codec
 from repro.storage.faulty import InjectedCrashFault
 from repro.storage.file import FileStorage
 from repro.storage.memory import MemoryStorage
@@ -185,8 +186,8 @@ class TestDurableLayout:
             _, got = wire.decode(wire.encode(sender, accept))
             assert type(got) is Accept and got.payload() == accept.payload()
         # The field costs one small int on the wire, no more.
-        assert accept.estimated_size() - \
-            Accept(4, ballot, value).estimated_size() <= 1
+        assert accept.frame_size() - \
+            Accept(4, ballot, value).frame_size() <= 1
         storage = FileStorage(str(tmp_path))
         storage.log(("paxos", 4, "acceptor"), (ballot, value, 3))
         assert FileStorage(str(tmp_path)).retrieve("paxos/4/acceptor") == \
@@ -662,8 +663,10 @@ class TestDecideOnTheWire:
                 assert got.payload() == message.payload()
         by_reference, by_value = self.forms()
         assert by_reference.value is None and by_value.ballot == -1
-        assert by_reference.estimated_size() == \
-            2 + len("paxos.decide") + 3 + 8 + 1 + 1     # the flag
+        assert by_reference.frame_size() == \
+            len(wire.encode_frame(3, by_reference)) == \
+            wire.HEADER.size + 2 + codec.size(by_reference.ballot) \
+            + 1 + 1                                     # None, the flag
 
     def test_the_fuzzer_draws_both_forms(self):
         decide = dict(wirefuzz.registered_classes())["paxos.decide"]

@@ -1,12 +1,13 @@
-"""Unit tests for seeded RNG streams and the size model."""
+"""Unit tests for seeded RNG streams and the size model: the codec's
+exact encoded length."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.runtime import SeedSequence
-from repro.sizing import estimate_size
-from repro.transport.message import WireMessage
+from repro.storage import codec
+from repro.transport.message import HEADER, WireMessage
 
 
 class TestSeedSequence:
@@ -41,30 +42,35 @@ class TestSeedSequence:
 
 
 class TestEstimateSize:
+    """``codec.size`` is the length of the value's encoding, exactly."""
+
     def test_primitives(self):
-        assert estimate_size(None) == 1
-        assert estimate_size(True) == 1
-        assert estimate_size(0) >= 1
-        assert estimate_size(3.14) == 10
-        assert estimate_size("abc") == 5
-        assert estimate_size(b"abcd") == 6
+        assert codec.size(None) == 1
+        assert codec.size(True) == 1
+        assert codec.size(0) == 2
+        assert codec.size(3.14) == 9
+        assert codec.size("abc") == 5
+        assert codec.size("é") == 4                # two UTF-8 bytes
+        assert codec.size(b"abcd") == 6
 
     def test_big_ints_cost_more(self):
-        assert estimate_size(2 ** 64) > estimate_size(7)
+        assert codec.size(2 ** 64) > codec.size(7)
+        for value in (63, 64, -64, -65, 2 ** 64, -(2 ** 64)):
+            assert codec.size(value) == len(codec.encode(value))
 
     def test_containers_sum_members(self):
-        assert estimate_size((1, 2)) == 2 + 2 * estimate_size(1)
-        assert estimate_size(frozenset({1, 2})) == estimate_size((1, 2))
+        assert codec.size((1, 2)) == 2 + 2 * codec.size(1)
+        assert codec.size(frozenset({1, 2})) == codec.size((1, 2))
         for mutable in ([1, 2], {1, 2}):
             with pytest.raises(TypeError, match="immutable"):
-                estimate_size(mutable)
+                codec.size(mutable)
 
     def test_dict_counts_keys_and_values(self):
         items = (("k", "v"),)  # a map's immutable form: its items
-        assert estimate_size(items) == \
-            2 + 2 + estimate_size("k") + estimate_size("v")
+        assert codec.size(items) == \
+            2 + 2 + codec.size("k") + codec.size("v")
         with pytest.raises(TypeError, match="dict"):
-            estimate_size({"k": "v"})
+            codec.size({"k": "v"})
 
     def test_wire_message_uses_declared_fields(self):
         class M(WireMessage):
@@ -77,37 +83,44 @@ class TestEstimateSize:
                 self.hidden = "not counted" * 100
 
         small = M()
-        assert estimate_size(small) == 2 + 1 + \
-            estimate_size("xx") + estimate_size(7)
+        assert small.frame_size() == HEADER.size + \
+            codec.size("xx") + codec.size(7)
 
-    def test_unknown_object_falls_back_to_repr(self):
+    def test_unknown_object_is_refused(self):
         class Weird:
             def __repr__(self):
                 return "w" * 10
 
-        assert estimate_size(Weird()) == 12
+        with pytest.raises(codec.CodecError, match="Weird"):
+            codec.size(Weird())
 
     def test_nested_structures(self):
         nested = (("tuple", (1, (2, 3))), ("set", frozenset({"a"})))
-        assert estimate_size(nested) > 0
+        assert codec.size(nested) == len(codec.encode(nested))
         for buried in ([1], {"a"}, {"k": 1}, bytearray(b"x")):
             with pytest.raises(TypeError, match="immutable"):
-                estimate_size((("deep", (0, buried)),))
+                codec.size((("deep", (0, buried)),))
 
 
 class _Counted:
-    """A set member whose sizing is observable."""
+    """A set member whose sizing is observable: a registered codec
+    class that keeps no size, so each walk reaches ``to_plain``."""
 
     walks = 0
 
-    def estimated_size(self) -> int:
-        type(self).walks += 1
-        return 142
+
+def _counted_plain(value: _Counted) -> str:
+    _Counted.walks += 1
+    return "c" * 140
+
+
+codec.register(_Counted, "test.Counted", _counted_plain,
+               lambda plain: _Counted())
 
 
 def _uncached(message: WireMessage) -> int:
-    return 2 + len(message.type) + sum(
-        estimate_size(getattr(message, name)) for name in message.fields)
+    return HEADER.size + sum(
+        codec.size(getattr(message, name)) for name in message.fields)
 
 
 class TestWireMessageSizeCache:
@@ -119,10 +132,9 @@ class TestWireMessageSizeCache:
     def test_large_gossip_is_walked_once(self):
         from repro.core.messages import GossipMessage
         gossip = GossipMessage(3, frozenset(_Counted() for _ in range(1000)))
-        first = estimate_size(gossip)
+        first = gossip.frame_size()
         assert _Counted.walks == 1000
-        assert estimate_size(gossip) == first
-        assert gossip.estimated_size() == first
+        assert gossip.frame_size() == first
         assert _Counted.walks == 1000           # not re-walked
         assert first == _uncached(gossip)       # walks once more, uncached
         assert _Counted.walks == 2000
@@ -133,17 +145,17 @@ class TestWireMessageSizeCache:
         rebuilt = wire.rebuild(
             "paxos.decide", {"k": 4, "ballot": -1, "value": (1, 2, 3),
                              "prepare_next": False})
-        assert rebuilt.estimated_size() == _uncached(rebuilt)
+        assert rebuilt.frame_size() == _uncached(rebuilt)
         rebuilt.value = (1, 2, 3, 4, 5)         # convention broken on purpose
-        assert rebuilt.estimated_size() != _uncached(rebuilt)
+        assert rebuilt.frame_size() != _uncached(rebuilt)
 
     def test_scoped_envelope_sizes_inner_once(self):
         from repro.core.messages import GossipMessage
         from repro.transport.scoped import ScopedMessage
         inner = GossipMessage(0, frozenset(_Counted() for _ in range(50)))
         envelope = ScopedMessage("g1", inner)
-        size = estimate_size(envelope)
-        assert size == 2 + len("g1") + _uncached(inner)
+        size = envelope.frame_size()
+        assert size == HEADER.size + codec.size("g1") + _uncached(inner)
         walks = _Counted.walks
-        assert estimate_size(envelope) == size
+        assert envelope.frame_size() == size
         assert _Counted.walks == walks

@@ -67,7 +67,7 @@ def test_wire_roundtrip_gossip_with_and_without_digest(sender, known):
 
 
 def test_wire_roundtrip_state():
-    plain = [3, [[[0, 1, 2], "x"], [[1, 1, 5], "y"]]]
+    plain = (3, (((0, 1, 2), "x"), ((1, 1, 5), "y")))
     sender, message = decode(encode(0, StateMessage(3, plain)))
     assert sender == 0
     assert isinstance(message, StateMessage)
@@ -102,7 +102,7 @@ def test_wire_duplicate_tag_is_ambiguous_not_fatal():
     with pytest.raises(WireCodecError, match="ambiguous"):
         decode(tunnel_frame(b'{"s": 0, "t": "test.wire.dup", "f": {}}'))
     # Protocol tags keep working despite the collision.
-    sender, message = decode(encode(4, StateMessage(1, [])))
+    sender, message = decode(encode(4, StateMessage(1, ())))
     assert (sender, message.k) == (4, 1)
 
 

@@ -96,7 +96,7 @@ class TestNamespacing:
         inner = Note("payload")
         envelope = ScopedMessage("grp", inner)
         assert envelope.type == "grp::test.note"
-        assert envelope.estimated_size() > inner.estimated_size()
+        assert envelope.frame_size() > inner.frame_size()
 
     def test_unscoped_traffic_unaffected(self, sim):
         net, nodes, endpoints = build(sim)
@@ -109,3 +109,54 @@ class TestNamespacing:
         sim.run()
         assert raw == ["raw"]
         assert scoped_got == ["scoped"]
+
+
+class TestEnvelopeOnTheWire:
+    """The envelope's frame carries the scope and the inner frame, and
+    its charged size is that frame's length."""
+
+    def forms(self):
+        from repro.consensus.paxos import Accepted
+        from repro.core.ids import MessageId
+        from repro.core.messages import AppMessage, GossipMessage
+        batch = frozenset({AppMessage(MessageId(0, 1, 2), ("x", 1))})
+        return (ScopedMessage("g1", Accepted(3, 5)),
+                ScopedMessage("room-é", GossipMessage(
+                    4, batch, known=frozenset({MessageId(0, 1, 2)}))))
+
+    def test_round_trips_and_is_charged_its_frame(self):
+        from repro.runtime import wire
+        for envelope in self.forms():
+            frame = wire.encode_frame(7, envelope)
+            assert envelope.frame_size() == len(frame)
+            sender, got = wire.decode(frame)
+            assert sender == 7 and type(got) is ScopedMessage
+            assert got.type == envelope.type and got.scope == envelope.scope
+            assert type(got.inner) is type(envelope.inner)
+            assert got.inner.payload() == envelope.inner.payload()
+
+    def test_coalesces_with_other_frames(self):
+        from repro.runtime import wire
+        first, second = self.forms()
+        datagram = wire.encode_frame(1, first) + \
+            wire.encode_frame(2, first.inner) + \
+            wire.encode_frame(3, second)
+        got = wire.decode_datagram(datagram)
+        assert [sender for sender, _ in got] == [1, 2, 3]
+        assert [message.type for _, message in got] == \
+            [first.type, "paxos.accepted", second.type]
+
+    def test_malformed_envelopes_are_rejected(self):
+        from repro.runtime import wire
+        envelope = self.forms()[0]
+        frame = wire.encode_frame(1, envelope)
+        # A nested envelope, a body cut short, and a scope that is no name.
+        nested = wire.encode_frame(1, ScopedMessage("outer", envelope))
+        header = wire.HEADER.unpack(frame[:wire.HEADER.size])
+        short = wire.HEADER.pack(*header[:4], header[4] - 1) + frame[
+            wire.HEADER.size:-1]
+        body = b"i\x02" + frame[wire.HEADER.size + 4:]
+        no_name = wire.HEADER.pack(*header[:4], len(body)) + body
+        for bad in (nested, short, no_name):
+            with pytest.raises(wire.WireCodecError):
+                wire.decode(bad)

@@ -120,7 +120,7 @@ class TestMissedRoundsForm:
         cluster.run(until=cluster.sim.now + 5.0)
         assert sent
         whole = StateMessage(0, cluster.abcasts[0].agreed.to_plain())
-        assert all(message.estimated_size() * 4 < whole.estimated_size()
+        assert all(message.frame_size() * 4 < whole.frame_size()
                    for _, _, message in sent)
         finish(cluster)
 

@@ -161,13 +161,26 @@ class TestFileDurability:
 
 class TestCodec:
     def test_round_trip_primitives(self):
-        for value in (None, True, 0, -5, 2.5, "s", [1, [2]], (1, (2,)),
-                      {1, 2}, frozenset({3}), {"k": "v"}, {1: "nonstr"}):
+        for value in (None, True, 0, -5, 2.5, "s", (1, (2,)),
+                      frozenset({3}), (("k", "v"),), ((1, "nonstr"),)):
             assert codec.decode(codec.encode(value)) == value
+
+    def test_mutable_containers_are_decoded_not_encoded(self):
+        # Nothing encodes a list, set or dict; their tags still decode,
+        # so a record that holds one still reads back.
+        for value in ([1, [2]], {1, 2}, {"k": "v"}):
+            with pytest.raises(TypeError, match="immutable"):
+                codec.encode(value)
+        one, two = codec.encode(1), codec.encode(2)
+        assert codec.decode(b"l\x02" + one + b"l\x01" + two) == [1, [2]]
+        assert codec.decode(b"S\x02" + one + two) == {1, 2}
+        assert codec.decode(b"d\x01" + codec.encode("k") +
+                            codec.encode("v")) == {"k": "v"}
 
     def test_dict_with_reserved_key(self):
         value = {"__t": "sneaky"}
-        assert codec.decode(codec.encode(value)) == value
+        encoded = b"d\x01" + codec.encode("__t") + codec.encode("sneaky")
+        assert codec.decode(encoded) == value
 
     def test_unregistered_type_rejected(self):
         class Mystery:
@@ -192,8 +205,9 @@ class TestCodec:
             codec.decode(b"M\x01\x00")
 
     def test_deterministic_encoding(self):
-        value = {"b": 1, "a": 2}
-        assert codec.encode(value) == codec.encode({"a": 2, "b": 1})
+        value = frozenset({("b", 1), ("a", 2)})
+        assert codec.encode(value) == \
+            codec.encode(frozenset((("a", 2), ("b", 1))))
 
 
 class TestCodecNonFiniteFloats:
@@ -225,14 +239,14 @@ class TestCodecNonFiniteFloats:
         for value in (math.nan, math.inf, -math.inf, -0.0, 1.5):
             single = b"f" + struct.pack("!d", value)
             assert codec.encode(value) == single
-            assert single in codec.encode([1, value])
-            assert single in codec.encode({"k": (value, 2)})
+            assert single in codec.encode((1, value))
+            assert single in codec.encode(frozenset({("k", (value, 2))}))
 
     def test_non_finite_inside_containers(self):
         import math
-        value = {"floats": [math.inf, -math.inf], "t": (1, -0.0)}
-        got = codec.decode(codec.encode(value))
-        assert got["floats"] == [math.inf, -math.inf]
+        value = (("floats", (math.inf, -math.inf)), ("t", (1, -0.0)))
+        got = dict(codec.decode(codec.encode(value)))
+        assert got["floats"] == (math.inf, -math.inf)
         assert got["t"][0] == 1
         assert math.copysign(1.0, got["t"][1]) == -1.0
 

@@ -103,8 +103,8 @@ class TestEncodeOnce:
 
     VALUES = [
         None, 0, -0.0, float("inf"), "", "caf\u00e9 \"quoted\" \\ \n",
-        [], {}, (1, (2, frozenset({3}))), {"k": [1, {"__t": "x"}]},
-        {1: "non-string key"}, frozenset({("a", 1), ("b", 2)}),
+        (), frozenset(), (1, (2, frozenset({3}))), ("k", (1, ("__t", "x"))),
+        ((1, "non-string key"),), frozenset({("a", 1), ("b", 2)}),
     ]
     PATHS = ["k", "paxos/3/acceptor", 'odd "path" \\ \u00fc/%2F']
 

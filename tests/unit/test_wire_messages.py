@@ -7,7 +7,6 @@ import pytest
 from repro.core.agreed import AgreedQueue
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage, StateMessage
-from repro.sizing import estimate_size
 from repro.storage import codec
 
 
@@ -37,20 +36,20 @@ class TestGossipMessage:
         empty = GossipMessage(5, frozenset(), known=frozenset())
         assert bare.payload() == (5, frozenset(), 0, None, frozenset(), 0)
         assert empty.payload()[3] == frozenset()
-        assert bare.estimated_size() < empty.estimated_size()
+        assert bare.frame_size() < empty.frame_size()
 
     def test_an_id_costs_a_fraction_of_its_payload(self):
         ids = frozenset(msg(i).id for i in range(1, 11))
         digest = GossipMessage(0, frozenset(), known=ids)
         full = GossipMessage(0, frozenset(
             msg(i, payload="x" * 128) for i in range(1, 11)))
-        assert digest.estimated_size() * 5 < full.estimated_size()
+        assert digest.frame_size() * 5 < full.frame_size()
 
     def test_size_scales_with_unordered_set(self):
         small = GossipMessage(0, frozenset())
         big = GossipMessage(0, frozenset(
             msg(i, payload="x" * 50) for i in range(1, 11)))
-        assert big.estimated_size() > small.estimated_size() + 500
+        assert big.frame_size() > small.frame_size() + 500
 
     def test_default_ckpt_k_is_zero(self):
         assert GossipMessage(1, frozenset()).ckpt_k == 0
@@ -74,7 +73,7 @@ class TestStateMessage:
         queue = AgreedQueue()
         queue.append_batch([msg(i, "y" * 40) for i in range(1, 9)])
         full = StateMessage(0, queue.to_plain())
-        assert full.estimated_size() > empty.estimated_size() + 300
+        assert full.frame_size() > empty.frame_size() + 300
 
 
 class TestAppMessageCodec:
@@ -87,10 +86,10 @@ class TestAppMessageCodec:
 
     def test_nested_in_containers(self):
         batch = frozenset({msg(1, "a"), msg(2, "b")})
-        wrapped = {"round": 4, "batch": batch}
+        wrapped = (("round", 4), ("batch", batch))
         assert codec.decode(codec.encode(wrapped)) == wrapped
 
-    def test_estimated_size_includes_payload(self):
+    def test_size_includes_payload(self):
         light = msg(1, None)
         heavy = msg(1, "z" * 500)
-        assert estimate_size(heavy) > estimate_size(light) + 500
+        assert codec.size(heavy) > codec.size(light) + 500

@@ -83,7 +83,7 @@ class TestFrameLayout:
 class TestJsonTunnel:
     def test_unregistered_class_tunnels_and_round_trips(self):
         assert type_id_for(Tunnelled.type) is None
-        frame = encode_frame(6, Tunnelled({"k": [1, 2]}))
+        frame = encode_frame(6, Tunnelled((("k", (1, 2)),)))
         _, _, sender, type_id, _ = HEADER.unpack_from(frame)
         # Tunnel frames zero the header sender; the real sender rides in
         # the JSON payload (it may exceed the header's u32 field).
@@ -91,7 +91,7 @@ class TestJsonTunnel:
         got_sender, got = decode(frame)
         assert got_sender == 6
         assert isinstance(got, Tunnelled)
-        assert got.blob == {"k": [1, 2]}
+        assert got.blob == (("k", (1, 2)),)
 
     def test_tunnelled_frame_coalesces_with_typed_frames(self):
         datagram = encode_frame(1, gossip()) + \
