@@ -40,6 +40,7 @@ class ForwardMessage(WireMessage):
     """A message forwarded to the sequencer for ordering."""
 
     type = "seq.forward"
+    type_id = 19
     fields = ("message",)
 
     def __init__(self, message: AppMessage):
@@ -50,6 +51,7 @@ class OrderMessage(WireMessage):
     """Sequencer's ordering announcement."""
 
     type = "seq.order"
+    type_id = 20
     fields = ("seq", "message")
 
     def __init__(self, seq: int, message: AppMessage):
@@ -61,6 +63,7 @@ class ResendRequest(WireMessage):
     """Gap repair: ask the sequencer to re-announce ``seq``."""
 
     type = "seq.resend"
+    type_id = 21
     fields = ("seq",)
 
     def __init__(self, seq: int):
@@ -76,6 +79,7 @@ class SequencerStatus(WireMessage):
     """
 
     type = "seq.status"
+    type_id = 22
     fields = ("highest",)
 
     def __init__(self, highest: int):

@@ -145,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_arguments(lint)
 
     wirefuzz = commands.add_parser(
-        "wirefuzz", help="seeded fuzz of the codec: typed and "
-                         "tunnelled round-trips for every registered "
-                         "message class, adversarial datagrams that must "
+        "wirefuzz", help="seeded fuzz of the codec: frame "
+                         "round-trips for every message class with a "
+                         "type-id, adversarial datagrams that must "
                          "fail only with WireCodecError, and damaged "
                          "FileStorage records and journals that must end "
                          "in a quarantine or a torn-tail stop")

@@ -45,6 +45,7 @@ class CTEstimate(WireMessage):
     """Phase 1: participant's current estimate, sent to the coordinator."""
 
     type = "ct.estimate"
+    type_id = 14
     fields = ("k", "round", "estimate", "ts")
 
     def __init__(self, k: int, round: int, estimate: Any, ts: int):
@@ -58,6 +59,7 @@ class CTPropose(WireMessage):
     """Phase 2: coordinator's proposal for the round."""
 
     type = "ct.propose"
+    type_id = 15
     fields = ("k", "round", "value")
 
     def __init__(self, k: int, round: int, value: Any):
@@ -70,6 +72,7 @@ class CTAck(WireMessage):
     """Phase 3: participant adopted the proposal."""
 
     type = "ct.ack"
+    type_id = 16
     fields = ("k", "round")
 
     def __init__(self, k: int, round: int):
@@ -81,6 +84,7 @@ class CTNack(WireMessage):
     """Phase 3: participant suspected the coordinator and moved on."""
 
     type = "ct.nack"
+    type_id = 17
     fields = ("k", "round")
 
     def __init__(self, k: int, round: int):
@@ -92,6 +96,7 @@ class CTDecide(WireMessage):
     """Phase 4: the decision, spread by eager reliable broadcast."""
 
     type = "ct.decide"
+    type_id = 18
     fields = ("k", "value")
 
     def __init__(self, k: int, value: Any):

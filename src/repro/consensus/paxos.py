@@ -117,6 +117,7 @@ class Prepare(WireMessage):
     """Phase-1a: leader asks acceptors to promise ballot ``ballot``."""
 
     type = "paxos.prepare"
+    type_id = 7
     fields = ("k", "ballot")
 
     def __init__(self, k: int, ballot: int):
@@ -128,6 +129,7 @@ class Promise(WireMessage):
     """Phase-1b: acceptor promises; reports last accepted (ballot, value)."""
 
     type = "paxos.promise"
+    type_id = 8
     fields = ("k", "ballot", "accepted_ballot", "accepted_value")
     precedes_bind = True    # the leader binds once the promises are in
 
@@ -144,6 +146,7 @@ class Accept(WireMessage):
     ``commit`` is its commit point at ``ballot`` (-1: none yet)."""
 
     type = "paxos.accept"
+    type_id = 9
     fields = ("k", "ballot", "value", "commit")
 
     def __init__(self, k: int, ballot: int, value: Any, commit: int = -1):
@@ -157,6 +160,7 @@ class Accepted(WireMessage):
     """Phase-2b: acceptor accepted ``ballot``."""
 
     type = "paxos.accepted"
+    type_id = 10
     fields = ("k", "ballot")
 
     def __init__(self, k: int, ballot: int):
@@ -176,6 +180,7 @@ class Decide(WireMessage):
     """
 
     type = "paxos.decide"
+    type_id = 11
     fields = ("k", "ballot", "value", "prepare_next")
 
     def __init__(self, k: int, ballot: int, value: Any = None,
@@ -190,6 +195,7 @@ class Nack(WireMessage):
     """Rejection: the acceptor has promised a higher ballot."""
 
     type = "paxos.nack"
+    type_id = 12
     fields = ("k", "promised")
 
     def __init__(self, k: int, promised: int):
@@ -208,6 +214,7 @@ class Query(WireMessage):
     """
 
     type = "paxos.query"
+    type_id = 13
     fields = ("k",)
 
     def __init__(self, k: int):

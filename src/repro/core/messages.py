@@ -71,8 +71,7 @@ def _message_from_plain(plain: Sequence[Any]) -> AppMessage:
     return AppMessage(MessageId(*identity), payload)
 
 
-codec.register(AppMessage, "AppMessage", _message_to_plain,
-               _message_from_plain)
+codec.register(AppMessage, 1, _message_to_plain, _message_from_plain)
 
 
 class GossipMessage(WireMessage):
@@ -110,6 +109,7 @@ class GossipMessage(WireMessage):
     """
 
     type = "ab.gossip"
+    type_id = 1
     fields = ("k", "payloads", "ckpt_k", "known", "want", "floor")
 
     def __init__(self, k: int, payloads: FrozenSet[AppMessage],
@@ -150,6 +150,7 @@ class StateMessage(WireMessage):
     """
 
     type = "ab.state"
+    type_id = 2
     fields = ("k", "agreed_plain", "view_plain", "from_k", "batches")
 
     def __init__(self, k: int, agreed_plain: Any = None,

@@ -66,6 +66,7 @@ class Heartbeat(WireMessage):
     """``ALIVE`` wire message: its arrival is all it says."""
 
     type = "fd.alive"
+    type_id = 3
     fields = ()
 
 

@@ -74,6 +74,7 @@ class TimestampAnnounce(WireMessage):
     """
 
     type = "mg.announce"
+    type_id = 27
     fields = ("entries",)
 
     def __init__(self, entries: Tuple[tuple, ...]):

@@ -53,6 +53,7 @@ class QueryRequest(WireMessage):
     """Phase 1 of both operations: what is your (ts, value)?"""
 
     type = "qr.query"
+    type_id = 23
     fields = ("op",)
 
     def __init__(self, op: tuple):
@@ -61,6 +62,7 @@ class QueryRequest(WireMessage):
 
 class QueryReply(WireMessage):
     type = "qr.query-ack"
+    type_id = 24
     fields = ("op", "ts", "value")
 
     def __init__(self, op: tuple, ts: Timestamp, value: Any):
@@ -73,6 +75,7 @@ class StoreRequest(WireMessage):
     """Phase 2: adopt (ts, value) if newer than what you hold."""
 
     type = "qr.store"
+    type_id = 25
     fields = ("op", "ts", "value")
 
     def __init__(self, op: tuple, ts: Timestamp, value: Any):
@@ -83,6 +86,7 @@ class StoreRequest(WireMessage):
 
 class StoreReply(WireMessage):
     type = "qr.store-ack"
+    type_id = 26
     fields = ("op",)
 
     def __init__(self, op: tuple):

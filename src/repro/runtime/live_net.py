@@ -25,20 +25,19 @@ assignments.
 **Datagram coalescing**: messages are encoded as
 length-prefixed binary frames (:func:`repro.runtime.wire.encode_frame`)
 and buffered per ``(src, dst)`` pair; the buffer flushes as one datagram
-when it would exceed ``max_frame_bytes`` or on the next event-loop turn
-(``flush_delay=0``), so every message a single callback emits — a
+when it would exceed :data:`COALESCE_BYTES` (8 KiB) or on the next
+event-loop turn, so every message a single callback emits — a
 ``multisend``, a protocol round's fan-out, a gossip re-push plus a
 decision pull — shares one ``sendto`` system call and one receive
-wakeup instead of paying per message.  Frames buffered by a node that
-crashes before its flush are dropped with the rest of its volatile
-state.
+wakeup at no added latency.  Frames buffered by a node that crashes
+before its flush are dropped with the rest of its volatile state.
 
 **Datagram size guard**: an encoded frame larger than
-``max_datagram_bytes`` (default 65507, the UDP/IPv4 payload limit) is
-counted (``oversize_drops``) and surfaced to the caller as a typed
-:class:`OversizeDatagramError` *before* the send path touches the
-socket — previously ``transport.sendto`` raised a raw ``OSError`` from
-inside asyncio's datagram plumbing.
+:data:`~repro.transport.message.MAX_DATAGRAM_BYTES` (65 507, the
+UDP/IPv4 payload limit) is counted (``oversize_drops``) and surfaced to
+the caller as a typed :class:`OversizeDatagramError` *before* the send
+path touches the socket, instead of ``sendto`` raising a raw
+``OSError`` from inside asyncio's datagram plumbing.
 """
 
 from __future__ import annotations
@@ -51,10 +50,14 @@ from repro.errors import ReproError, SimulationError
 from repro.runtime import wire
 from repro.runtime.live import LiveRuntime
 from repro.runtime.node import Node
-from repro.transport.message import WireMessage, unpack
+from repro.transport.message import MAX_DATAGRAM_BYTES, WireMessage, unpack
 from repro.transport.network import NetworkMetrics, check_own_storage
 
-__all__ = ["LiveNetwork", "OversizeDatagramError"]
+__all__ = ["COALESCE_BYTES", "LiveNetwork", "OversizeDatagramError"]
+
+#: Coalescing target: a pair's buffered frames flush before a datagram
+#: would grow past it.
+COALESCE_BYTES = 8192
 
 
 class OversizeDatagramError(ReproError):
@@ -108,18 +111,13 @@ class LiveNetwork:
         (``send_overflows``) instead of queued without limit: a fair-loss
         drop the protocols repair like any other.  ``None`` (default)
         disables the bound.
-    wire_config:
-        Framing bounds (:class:`~repro.runtime.wire.WireConfig`):
-        coalescing target, flush delay, datagram size limit.  The
-        default coalesces within one event-loop turn.
     """
 
     def __init__(self, runtime: LiveRuntime,
                  rng: Optional[random.Random] = None,
                  loss_rate: float = 0.0,
                  duplicate_rate: float = 0.0,
-                 max_send_buffer: Optional[int] = None,
-                 wire_config: Optional[wire.WireConfig] = None) -> None:
+                 max_send_buffer: Optional[int] = None) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise SimulationError(
                 f"loss_rate {loss_rate} breaks the fair-loss assumption")
@@ -132,7 +130,6 @@ class LiveNetwork:
         if max_send_buffer is not None and max_send_buffer < 1:
             raise SimulationError(f"bad max_send_buffer {max_send_buffer}")
         self.max_send_buffer = max_send_buffer
-        self.wire_config = wire_config or wire.WireConfig()
         self.send_overflows = 0
         self.send_buffer_high_water = 0
         # Framing/coalescing counters (wall-clock side, never gated on).
@@ -271,22 +268,22 @@ class LiveNetwork:
     # -- internals ----------------------------------------------------------
 
     def _check_size(self, message: WireMessage, size: int) -> None:
-        limit = self.wire_config.max_datagram_bytes
-        if size > limit:
+        if size > MAX_DATAGRAM_BYTES:
             self.oversize_drops += 1
             self.metrics.oversize += 1
             self.metrics.lost += 1
-            raise OversizeDatagramError(message.type, size, limit)
+            raise OversizeDatagramError(message.type, size,
+                                        MAX_DATAGRAM_BYTES)
 
     def _enqueue(self, src: int, dst: int, frames: List[bytes]) -> None:
         """Buffer one message's frames together; flush by size now or
-        by delay later."""
+        on the next loop turn."""
         key = (src, dst)
         size = sum(map(len, frames))
         buffered = self._out_bytes.get(key, 0)
-        if buffered and buffered + size > self.wire_config.max_frame_bytes:
+        if buffered and buffered + size > COALESCE_BYTES:
             self._flush(key)
-        if size > self.wire_config.max_datagram_bytes:
+        if size > MAX_DATAGRAM_BYTES:
             # A rider too big to share its carrier's datagram: each
             # frame fits one (checked at send), so each leaves alone.
             for frame in frames:
@@ -297,12 +294,8 @@ class LiveNetwork:
         self._out_bytes[key] = self._out_bytes.get(key, 0) + size
         self.frames_sent += len(frames)
         if key not in self._flush_handles:
-            delay = self.wire_config.flush_delay
-            if delay > 0:
-                handle = self.runtime.schedule(delay, self._flush, key)
-            else:
-                handle = self.runtime.call_soon(self._flush, key)
-            self._flush_handles[key] = handle
+            self._flush_handles[key] = self.runtime.call_soon(self._flush,
+                                                              key)
 
     def _flush(self, key: Tuple[int, int]) -> None:
         """Transmit one (src, dst) buffer as a single datagram."""

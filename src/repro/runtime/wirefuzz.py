@@ -3,12 +3,11 @@
 Three properties are load-bearing for the live runtime and checked here
 mechanically:
 
-* **Round-trip identity, typed and tunnelled** — for every registered
-  message class, a message built from random field values must survive
-  ``encode → decode`` both as a typed binary frame and through the JSON
-  tunnel (forced by a sender id ≥ 2³², which the header cannot hold),
-  and each must decode to the same sender, the same type and equal field
-  values (``nan`` compared by identity of kind, not ``==``).  Field
+* **Round-trip identity** — for every message class with a type-id, a
+  message built from random field values must survive ``encode →
+  decode`` as a frame and decode to the same sender, the same type and
+  equal field values (``nan`` compared by identity of kind, not
+  ``==``).  Field
   values include :class:`~repro.core.messages.AppMessage` values, whose
   encoding is cached on them.  The encoding is one function of the
   value: a second, warm-cache encode gives the same bytes as the cold
@@ -39,14 +38,13 @@ import random
 import shutil
 import tempfile
 from functools import partial
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
-                    Type)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.runtime import wire
 from repro.storage.file import FileStorage, _JOURNAL_NAME, frame_record
-from repro.transport.message import WireMessage
+from repro.transport.message import BY_TYPE_ID, WireMessage
 
 __all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "fuzz_storage",
            "run_fuzz", "registered_classes", "random_fields",
@@ -58,7 +56,6 @@ class FuzzReport:
 
     def __init__(self) -> None:
         self.roundtrips = 0
-        self.tunnelled = 0  # round-trips that went through the JSON tunnel
         self.decode_attempts = 0
         self.clean_rejections = 0
         self.accepted = 0
@@ -73,7 +70,6 @@ class FuzzReport:
 
     def merge(self, other: "FuzzReport") -> "FuzzReport":
         self.roundtrips += other.roundtrips
-        self.tunnelled += other.tunnelled
         self.decode_attempts += other.decode_attempts
         self.clean_rejections += other.clean_rejections
         self.accepted += other.accepted
@@ -84,8 +80,7 @@ class FuzzReport:
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.defects)} DEFECTS"
-        return (f"wire fuzz: {state} — {self.roundtrips} round-trips "
-                f"({self.tunnelled} tunnelled), "
+        return (f"wire fuzz: {state} — {self.roundtrips} round-trips, "
                 f"{self.decode_attempts} adversarial decodes "
                 f"({self.accepted} accepted, "
                 f"{self.clean_rejections} cleanly rejected), "
@@ -94,19 +89,16 @@ class FuzzReport:
 
 
 def registered_classes() -> List[Tuple[str, Type[WireMessage]]]:
-    """Every imported message class with an unambiguous tag, sorted.
+    """``(tag, class)`` of every class with a type-id, in id order.
 
-    Classes are discovered the same way the decoder dispatches, so the
-    fuzzed universe is exactly the decodable universe.  The protocol
-    stacks are imported first so every tag in the type-id table has its
-    class present even when the caller never touched those layers.
+    The classes are the decoder's own table, so the fuzzed universe is
+    exactly the decodable universe.  The protocol stacks are imported
+    first so every class is present even when the caller never touched
+    those layers.
     """
     import repro.multigroup.multicast  # noqa: F401
     import repro.quorum.register  # noqa: F401
-    found: Dict[str, Optional[Type[WireMessage]]] = {}
-    wire._walk(WireMessage, found)
-    return sorted((tag, cls) for tag, cls in found.items()
-                  if cls is not None and tag != WireMessage.type)
+    return [(cls.type, cls) for _, cls in sorted(BY_TYPE_ID.items())]
 
 
 def _scalar(rng: random.Random) -> Any:
@@ -163,8 +155,7 @@ def _app_message(rng: random.Random) -> AppMessage:
 def random_value(rng: random.Random, depth: int = 0) -> Any:
     """A random value protocols can send and log: scalars, tuples,
     frozensets, ``AppMessage`` values and maps as tuples of items.  The
-    size model refuses lists, sets and dicts, so they are not drawn;
-    the codec's own round-trip tests cover their tags."""
+    codec refuses lists, sets and dicts, so they are not drawn."""
     if depth >= 3 or rng.random() < 0.55:
         return _scalar(rng)
     kind = rng.randrange(4)
@@ -191,10 +182,10 @@ def random_fields(cls: Type[WireMessage],
 
 
 def random_message(rng: random.Random) -> WireMessage:
-    """A message of a random registered class with random fields."""
+    """A message of a random class with a type-id, random fields."""
     classes = registered_classes()
-    tag, cls = classes[rng.randrange(len(classes))]
-    return wire.rebuild(tag, random_fields(cls, rng))
+    _, cls = classes[rng.randrange(len(classes))]
+    return wire.rebuild(cls, random_fields(cls, rng))
 
 
 def equivalent(left: Any, right: Any) -> bool:
@@ -207,15 +198,10 @@ def equivalent(left: Any, right: Any) -> bool:
             return math.isnan(left) and math.isnan(right)
         return left == right and \
             math.copysign(1.0, left) == math.copysign(1.0, right)
-    if isinstance(left, (list, tuple)):
+    if isinstance(left, tuple):
         return type(left) is type(right) and len(left) == len(right) and \
             all(equivalent(a, b) for a, b in zip(left, right))
-    if isinstance(left, dict):
-        if not isinstance(right, dict) or len(left) != len(right):
-            return False
-        return all(key in right and equivalent(value, right[key])
-                   for key, value in left.items())
-    if isinstance(left, (set, frozenset)):
+    if isinstance(left, frozenset):
         if type(left) is not type(right) or left != right:
             return False
         if any(isinstance(item, AppMessage) for item in left):
@@ -250,38 +236,31 @@ def _check(report: FuzzReport, suite: str, sub_seed: int, label: str,
         report.defects.append((suite, sub_seed, f"{label}: {defect}"))
 
 
-def _roundtrip_defect(report: FuzzReport, sender: int,
-                      message: WireMessage) -> Optional[str]:
+def _roundtrip_defect(sender: int, message: WireMessage) -> Optional[str]:
     """Encode cold and warm, decode, re-encode."""
     data = wire.encode(sender, message)
-    path = "tunnel" if wire.HEADER.unpack_from(data)[3] == 0 else "typed"
-    report.tunnelled += path == "tunnel"
     if wire.encode(sender, message) != data:
-        return f"{path}: warm encode differs"
+        return "warm encode differs"
     got_sender, got = wire.decode(data)
     if got_sender != sender:
-        return f"{path}: sender {got_sender} != {sender}"
+        return f"sender {got_sender} != {sender}"
     if not equivalent(message, got):
-        return f"{path}: {got!r} != {message!r}"
+        return f"{got!r} != {message!r}"
     if wire.encode(sender, got) != data:
-        return f"{path}: re-encoding differs"
+        return "re-encoding differs"
     return None
 
 
 def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
-    """Typed-and-tunnelled round-trip fuzzing over every registered class."""
+    """Round-trip fuzzing over every class with a type-id."""
     report = FuzzReport()
     classes = registered_classes()
     for iteration, (sub_seed, rng) in enumerate(_streams(seed, iterations)):
         tag, cls = classes[iteration % len(classes)]
-        # One sender the header can hold, one it cannot: the second
-        # forces the same message through the JSON tunnel.
-        senders = (rng.choice([0, 1, rng.randrange(0, 2 ** 32)]),
-                   rng.randrange(2 ** 32, 2 ** 40))
-        message = wire.rebuild(tag, random_fields(cls, rng))
-        for sender in senders:
-            _check(report, "roundtrip", sub_seed, tag,
-                   partial(_roundtrip_defect, report, sender, message))
+        sender = rng.choice([0, 1, rng.randrange(0, 2 ** 32)])
+        message = wire.rebuild(cls, random_fields(cls, rng))
+        _check(report, "roundtrip", sub_seed, tag,
+               partial(_roundtrip_defect, sender, message))
         report.roundtrips += 1
     return report
 
@@ -294,13 +273,7 @@ def _adversarial_blob(rng: random.Random) -> bytes:
                      for _ in range(rng.randrange(0, 160)))
     # The remaining strategies mutate a structurally valid datagram.
     message = random_message(rng)
-    # Half the victims are tunnel frames (sender past the header's u32),
-    # so the JSON decoder behind type-id 0 sees mutated input too.
-    sender = rng.randrange(0, 2 ** 32) + rng.choice([0, 2 ** 32])
-    try:
-        data = bytearray(wire.encode(sender, message))
-    except wire.WireCodecError:
-        return b""
+    data = bytearray(wire.encode(rng.randrange(0, 2 ** 32), message))
     return bytes(_damage(rng, data, strategy))
 
 

@@ -12,15 +12,16 @@ one-byte tag followed by its body::
     y <len> <raw>             bytes
     t <count> <items>         tuple
     Z <count> <items>         frozenset, members sorted by encoding
-    R <len> <tag> <value>     a registered class (:func:`register`): its
-                              tag and the encoding of ``to_plain(value)``
+    R <code> <value>          a registered class (:func:`register`): its
+                              one-byte code and the encoding of
+                              ``to_plain(value)``
 
 The encoding does not depend on how a value was built: frozenset members
 are written in the order of their encodings, so a frozenset encodes the
 same whatever its insertion order, and a decoded value re-encodes
 byte-identically.  Decoding is bounds- and depth-checked and total:
-malformed bytes raise :class:`CodecError` and nothing else.  It still
-reads the list, set and dict tags (``l``, ``S``, ``d``) of older files.
+malformed bytes raise :class:`CodecError` and nothing else, an unknown
+tag included.
 
 :func:`size` is ``len(encode(value))`` without the bytes: the one size
 charged for every send and every log.  The simulator delivers the
@@ -29,14 +30,15 @@ also the share-nothing check: it refuses a mutable container at any
 depth.
 
 **Registered classes.**  Payload classes opt in by calling
-:func:`register` with a ``to_plain`` / ``from_plain`` pair; the codec
-stays ignorant of protocol types.  A registered class whose instances
-have an ``_encoded`` attribute (:class:`~repro.core.messages.AppMessage`)
-keeps its encoding there, so a value is encoded once however often it
-is sent and logged: ``None`` until its first encode (or the decode that
-cut it from its input), the bytes afterwards, and ``False`` once the
-owner released it for good — from then on it is encoded each time, and
-never cached again.  Such a class also keeps its size in ``_size``.
+:func:`register` with a one-byte code and a ``to_plain`` /
+``from_plain`` pair; the codec stays ignorant of protocol types.  A
+registered class whose instances have an ``_encoded`` attribute
+(:class:`~repro.core.messages.AppMessage`) keeps its encoding there, so
+a value is encoded once however often it is sent and logged: ``None``
+until its first encode (or the decode that cut it from its input), the
+bytes afterwards, and ``False`` once the owner released it for good —
+from then on it is encoded each time, and never cached again.  Such a
+class also keeps its size in ``_size``.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ Sizer = Callable[[Any, int], int]
 # once by _resolve and cached here.
 _PACKERS: Dict[type, Packer] = {}
 _SIZERS: Dict[type, Sizer] = {}
-# UTF-8 tag -> (from_plain, caches) of registered classes.
-_LOADERS: Dict[bytes, Tuple[Callable[[Any], Any], bool]] = {}
+# Code -> (from_plain, caches) of registered classes.
+_LOADERS: Dict[int, Tuple[Callable[[Any], Any], bool]] = {}
 # Registered classes that keep their encoding in ``_encoded``.
 _CACHING: Set[type] = set()
 
@@ -251,16 +253,16 @@ def splice_tuple(parts: Tuple[bytes, ...]) -> bytes:
 
 # -- registration -------------------------------------------------------------
 
-def register(cls: type, tag: str,
+def register(cls: type, code: int,
              to_plain: Callable[[Any], Any],
              from_plain: Callable[[Any], Any]) -> None:
-    """Teach the codec to round-trip instances of ``cls`` under ``tag``."""
-    raw = tag.encode("utf-8")
-    if raw in _LOADERS:
-        raise CodecError(f"codec tag {tag!r} already registered")
-    head = bytearray(b"R")
-    _put_varint(len(raw), head)
-    head += raw
+    """Teach the codec to round-trip instances of ``cls`` under the
+    one-byte ``code``."""
+    if not 0 <= code < 0x100:
+        raise CodecError(f"codec code {code} does not fit one byte")
+    if code in _LOADERS:
+        raise CodecError(f"codec code {code} already registered")
+    head = bytes((0x52, code))  # R
     caches = hasattr(cls, "_encoded")
 
     def pack_registered(value: Any, out: bytearray, depth: int) -> None:
@@ -290,7 +292,7 @@ def register(cls: type, tag: str,
 
     _PACKERS[cls] = pack_registered
     _SIZERS[cls] = size_registered
-    _LOADERS[raw] = (from_plain, caches)
+    _LOADERS[code] = (from_plain, caches)
     if caches:
         _CACHING.add(cls)
 
@@ -352,26 +354,15 @@ def _unpack_int(reader: Reader, depth: int) -> int:
     return -(zig >> 1) - 1 if zig & 1 else zig >> 1
 
 
-def _unpack_dict(reader: Reader, depth: int) -> Dict[Any, Any]:
-    if depth >= _MAX_DEPTH:
-        raise CodecError("value nesting too deep to decode")
-    depth += 1
-    result: Dict[Any, Any] = {}
-    for _ in range(_count(reader)):
-        key = unpack(reader, depth)
-        result[key] = unpack(reader, depth)
-    return result
-
-
 def _unpack_registered(reader: Reader, depth: int) -> Any:
     if depth >= _MAX_DEPTH:
         raise CodecError("value nesting too deep to decode")
     start = reader.pos - 1
-    tag = _take(reader, _varint(reader))
+    code = _take(reader, 1)[0]
     try:
-        from_plain, caches = _LOADERS[tag]
+        from_plain, caches = _LOADERS[code]
     except KeyError:
-        raise CodecError(f"unknown codec tag {tag!r}") from None
+        raise CodecError(f"unknown codec code {code}") from None
     value = from_plain(unpack(reader, depth + 1))
     if caches:
         value._encoded = reader.data[start:reader.pos]
@@ -395,10 +386,7 @@ _UNPACKERS: Dict[int, Callable[[Reader, int], Any]] = {
     0x73: _unpack_str,
     0x79: lambda reader, depth: _take(reader, _varint(reader)),
     0x74: lambda reader, depth: tuple(_items(reader, depth)),
-    0x6C: _items,
-    0x53: lambda reader, depth: set(_items(reader, depth)),
     0x5A: lambda reader, depth: frozenset(_items(reader, depth)),
-    0x64: _unpack_dict,
     0x52: _unpack_registered,
 }
 

@@ -5,22 +5,39 @@ transport only requires two things of a message: a ``type`` tag used for
 handler dispatch on the receiving node, and a ``frame_size`` used for
 byte accounting: the exact length of its frame (:mod:`repro.runtime.wire`).
 Protocol messages subclass :class:`WireMessage` and declare their payload
-fields.  A :class:`Packet` is a frame with a second message riding it
-(see :attr:`~repro.transport.endpoint.Endpoint.rider`).
+fields and their ``type_id``, the number their frame's header carries;
+:data:`BY_TYPE_ID` is the one table from that number back to the class.
+A :class:`Packet` is a frame with a second message riding it (see
+:attr:`~repro.transport.endpoint.Endpoint.rider`).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Type, Union
 
 from repro.storage import codec
 
-__all__ = ["HEADER", "MAX_DATAGRAM_BYTES", "Packet", "WireMessage",
+__all__ = ["BY_TYPE_ID", "HEADER", "MAX_DATAGRAM_BYTES", "Packet",
+           "RESERVED_TYPE_IDS", "WireCodecError", "WireMessage",
            "frame_size", "unpack"]
 
 HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
 MAX_DATAGRAM_BYTES = 65507  # the UDP/IPv4 payload limit
+
+#: Type-id -> the one class whose frames carry it.  Ids are frozen:
+#: changing an assignment invalidates every recorded byte stream, so a
+#: new message class takes a new id.
+BY_TYPE_ID: Dict[int, Type["WireMessage"]] = {}
+#: Ids no class may take: 0 is no id, 28 is the scoped envelope's frame
+#: (repro.transport.scoped), and 4, 5 and 6 were the retransmission
+#: layer's data, ack and batch envelopes, retired so that a recorded
+#: stream cannot decode as some other message.
+RESERVED_TYPE_IDS = frozenset({0, 4, 5, 6, 28})
+
+
+class WireCodecError(codec.CodecError):
+    """A message could not be encoded, or a datagram decoded."""
 
 
 class WireMessage:
@@ -40,19 +57,31 @@ class WireMessage:
 
     type = "message"
     fields: Tuple[str, ...] = ()
+    #: The header's number for this class; ``None`` for a message that
+    #: never crosses a process boundary.  An id names one class: a
+    #: subclass does not inherit it.
+    type_id: Optional[int] = None
     #: True for a reply whose addressee binds a batch right after it
     #: (Paxos's ``Promise``): what the sender wants in that batch rides
     #: it (see :attr:`~repro.transport.endpoint.Endpoint.rider`).
     precedes_bind = False
 
-    # Bumped on every subclass definition; the wire codec's type-tag
-    # registry is valid exactly while this stands still, so unknown-tag
-    # lookups can fail in O(1) instead of re-walking the class tree.
-    _registry_generation = 0
-
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        WireMessage._registry_generation += 1
+        type_id = cls.__dict__.get("type_id")
+        if type_id is None:
+            cls.type_id = None
+            return
+        if not 0 <= type_id < 0x10000 or type_id in RESERVED_TYPE_IDS:
+            raise WireCodecError(
+                f"{cls.__name__}: type id {type_id} is reserved or does "
+                f"not fit the header's 16 bits")
+        taken = BY_TYPE_ID.get(type_id)
+        if taken is not None:
+            raise WireCodecError(
+                f"{cls.__name__}: type id {type_id} is taken by "
+                f"{taken.__module__}.{taken.__name__}")
+        BY_TYPE_ID[type_id] = cls
 
     # Messages are immutable, so the size is a constant of the object: a
     # multisend charges it once, not once per destination (at n=25

@@ -11,8 +11,9 @@ import math
 
 import pytest
 
+from repro.consensus.paxos import Query
 from repro.runtime import wire, wirefuzz
-from repro.runtime.wire import HEADER, MAGIC, TYPE_ID_TABLE, WireCodecError
+from repro.runtime.wire import HEADER, MAGIC, WireCodecError
 
 
 def _describe(report):
@@ -20,17 +21,13 @@ def _describe(report):
                      for suite, seed, detail in report.defects)
 
 
-def test_every_registered_class_round_trips_typed_and_tunnelled():
-    """encode -> decode as a typed frame and through the JSON tunnel must
-    reproduce sender, class and field values for every importable
-    message class."""
+def test_every_registered_class_round_trips():
+    """encode -> decode as a frame must reproduce sender, class and field
+    values for every message class with a type-id."""
     report = wirefuzz.fuzz_roundtrip(iterations=150, seed=2024)
     assert report.ok, _describe(report)
-    # Every registered class was actually exercised (round-robin) ...
+    # Every registered class was actually exercised (round-robin).
     assert report.roundtrips >= len(wirefuzz.registered_classes())
-    # ... and the run says it really went through the tunnel: the JSON
-    # path is reachable from the network, so it must stay fuzzed.
-    assert report.tunnelled >= report.roundtrips
 
 
 def test_gossip_digest_and_pull_fields_are_fuzzed():
@@ -75,41 +72,36 @@ def test_damaged_stores_end_in_quarantine_or_a_torn_tail_stop():
 
 
 def test_fuzz_universe_covers_type_id_table():
-    """Every type-id-table tag must have a message class behind it; a
-    tag with an id but no class would leave a binary encoder path
-    untested.  (Other suites may define throwaway classes that collide
-    on a real tag, making it *ambiguous* — that still counts as
-    present, so this check is order-independent.)"""
-    from repro.transport.message import WireMessage
-    wirefuzz.registered_classes()  # imports the protocol stacks
-    walked = {}
-    wire._walk(WireMessage, walked)
-    missing = set(TYPE_ID_TABLE) - set(walked)
-    assert not missing, f"type-id tags with no message class: {missing}"
+    """The fuzzed universe is the type-id table: every class the decoder
+    can build is fuzzed, and every protocol stack's classes are in it."""
+    from repro.transport.message import BY_TYPE_ID
+    fuzzed = dict(wirefuzz.registered_classes())  # imports the stacks
+    assert sorted(fuzzed.values(), key=lambda cls: cls.type_id) == \
+        sorted(BY_TYPE_ID.values(), key=lambda cls: cls.type_id)
+    assert {"ab.gossip", "fd.alive", "paxos.decide", "ct.decide",
+            "seq.order", "qr.store", "mg.announce"} <= set(fuzzed)
 
 
 def test_nonfinite_floats_round_trip_on_the_wire():
-    # Sender 0 rides a typed frame; 2**32 overflows the header's sender
-    # field and forces the same message through the JSON tunnel.
-    for sender in (0, 2 ** 32):
-        message = wire.rebuild("paxos.query", {"k": math.nan})
+    for sender in (0, 2 ** 32 - 1):
+        message = wire.rebuild(Query, {"k": math.nan})
         _, got = wire.decode(wire.encode(sender, message))
         assert isinstance(got.k, float) and math.isnan(got.k)
         for value in (math.inf, -math.inf):
-            message = wire.rebuild("paxos.query", {"k": value})
+            message = wire.rebuild(Query, {"k": value})
             _, got = wire.decode(wire.encode(sender, message))
             assert got.k == value
-        message = wire.rebuild("paxos.query", {"k": -0.0})
+        message = wire.rebuild(Query, {"k": -0.0})
         _, got = wire.decode(wire.encode(sender, message))
         assert got.k == 0.0 and math.copysign(1.0, got.k) == -1.0
 
 
 def test_depth_bomb_is_cleanly_rejected():
-    """A payload of 100 nested lists must hit the depth bound, not the
+    """A payload of 100 nested tuples must hit the depth bound, not the
     interpreter's recursion limit."""
-    payload = b"l\x01" * 100 + b"N"
-    type_id = TYPE_ID_TABLE["paxos.query"]  # fields = ("k",)
-    frame = HEADER.pack(MAGIC, 5, 0, type_id, len(payload)) + payload
+    payload = b"t\x01" * 100 + b"N"
+    type_id = Query.type_id  # fields = ("k",)
+    frame = HEADER.pack(MAGIC, 6, 0, type_id, len(payload)) + payload
     with pytest.raises(WireCodecError, match="too deep"):
         wire.decode_datagram(frame)
 

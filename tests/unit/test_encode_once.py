@@ -40,11 +40,11 @@ class TestWarmEqualsCold:
             for seed in range(12):
                 fields = wirefuzz.random_fields(cls, random.Random(seed))
                 twin = wirefuzz.random_fields(cls, random.Random(seed))
-                message = wire.rebuild(tag, fields)
+                message = wire.rebuild(cls, fields)
                 cold = wire.encode_frame(3, message)
                 assert message._wire is not None, tag
                 assert wire.encode_frame(3, message) == cold, tag
-                assert wire.encode_frame(3, wire.rebuild(tag, twin)) == \
+                assert wire.encode_frame(3, wire.rebuild(cls, twin)) == \
                     cold, tag
 
     def test_multisend_legs_share_one_body(self, monkeypatch):

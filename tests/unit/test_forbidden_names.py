@@ -65,6 +65,12 @@ GUARDS = (
      ("src", "tests"), "src/repro/sizing.py",
      "a send is charged its frame's length and a log its encoding's "
      "(frame_size, codec.size); the estimate model is deleted"),
+    ("wire-tunnel", r"TYPE_ID_TABLE|register_type_id|type_id_for"
+     r"|_registry_generation|_encode_tunnel|_decode_tunnel|WireConfig"
+     r"|wire_config", CODE, None,
+     "a message class carries its own type_id and there is one frame "
+     "format with fixed bounds; the tag tables, the JSON tunnel and the "
+     "wire knobs are deleted"),
     ("paxos-multisend", r"\.multisend\(", ("src/repro/consensus/paxos.py",),
      None,
      "Paxos sends to the other processes only: its own acceptor answers "

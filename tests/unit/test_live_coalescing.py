@@ -13,23 +13,24 @@ import pytest
 from repro.errors import ReproError
 from repro.runtime import Node
 from repro.runtime.live import LiveRuntime
-from repro.runtime.live_net import LiveNetwork, OversizeDatagramError
-from repro.runtime.wire import WireConfig
+from repro.runtime.live_net import (COALESCE_BYTES, LiveNetwork,
+                                    OversizeDatagramError)
 from repro.storage.memory import MemoryStorage
-from repro.transport.message import WireMessage
+from repro.transport.message import MAX_DATAGRAM_BYTES, WireMessage
 
 
 class Ping(WireMessage):
     type = "test.coalesce.ping"
+    type_id = 0xC0A1  # a test-only id, far from the protocols' own
     fields = ("tag",)
 
     def __init__(self, tag):
         self.tag = tag
 
 
-def build(wire_config=None, n=2):
+def build(n=2):
     runtime = LiveRuntime(seed=5)
-    network = LiveNetwork(runtime, wire_config=wire_config)
+    network = LiveNetwork(runtime)
     got = []
     for node_id in range(n):
         node = Node(runtime, node_id, MemoryStorage())
@@ -58,16 +59,22 @@ class TestCoalescing:
             runtime.close()
 
     def test_flush_by_size_bound(self):
-        config = WireConfig(max_frame_bytes=64)
-        runtime, network, got = build(config)
+        runtime, network, got = build()
         try:
+            # Two 3 KB frames fit the 8 KiB target and a third does not,
+            # so eight of them leave in four datagrams; a frame past the
+            # target but within a datagram leaves alone.
+            ping = Ping("x" * 3000)
+            assert 2 * ping.frame_size() <= COALESCE_BYTES \
+                < 3 * ping.frame_size()
             for index in range(8):
-                network.send(0, 1, Ping("x" * 40))
+                network.send(0, 1, ping)
+            network.send(0, 1, Ping("z" * 20000))
             runtime.run_for(0.2)
             runtime.check_errors()
-            assert len(got) == 8
-            # Each frame is ~60 bytes, so no datagram packed them all.
-            assert network.datagrams_sent > 1
+            assert len(got) == 9
+            assert network.datagrams_sent == 5
+            assert network.frames_coalesced == 4
         finally:
             network.close_all()
             runtime.close()
@@ -90,19 +97,18 @@ class TestCoalescing:
 
 class TestOversizeGuard:
     def test_oversize_message_raises_typed_error_and_counts(self):
-        config = WireConfig(max_datagram_bytes=512, max_frame_bytes=512)
-        runtime, network, got = build(config)
+        runtime, network, got = build()
         try:
             lost_before = network.metrics.lost
             with pytest.raises(OversizeDatagramError) as info:
-                network.send(0, 1, Ping("y" * 2000))
+                network.send(0, 1, Ping("y" * MAX_DATAGRAM_BYTES))
             assert network.oversize_drops == 1
             assert network.datagrams_sent == 0  # nothing reached a socket
             assert network.metrics.lost == lost_before + 1
             error = info.value
             assert isinstance(error, ReproError)
             assert error.message_type == Ping.type
-            assert error.size > error.limit == 512
+            assert error.size > error.limit == MAX_DATAGRAM_BYTES
             # The medium stays usable after the drop.
             network.send(0, 1, Ping("small"))
             runtime.run_for(0.2)

@@ -114,7 +114,7 @@ def _counted_plain(value: _Counted) -> str:
     return "c" * 140
 
 
-codec.register(_Counted, "test.Counted", _counted_plain,
+codec.register(_Counted, 0xC7, _counted_plain,
                lambda plain: _Counted())
 
 
@@ -141,9 +141,10 @@ class TestWireMessageSizeCache:
 
     def test_rebuilt_message_is_covered(self):
         # The wire codec rebuilds instances without running __init__.
+        from repro.consensus.paxos import Decide
         from repro.runtime import wire
         rebuilt = wire.rebuild(
-            "paxos.decide", {"k": 4, "ballot": -1, "value": (1, 2, 3),
+            Decide, {"k": 4, "ballot": -1, "value": (1, 2, 3),
                              "prepare_next": False})
         assert rebuilt.frame_size() == _uncached(rebuilt)
         rebuilt.value = (1, 2, 3, 4, 5)         # convention broken on purpose

@@ -50,14 +50,14 @@ def test_wire_roundtrip_gossip():
     assert MessageId(1, 3, 2) in message.known
 
 
-@pytest.mark.parametrize("sender", [1, 2 ** 32 + 1], ids=["typed", "tunnel"])
+@pytest.mark.parametrize("sender", [1, 2 ** 32 - 1], ids=["typed", "max"])
 @pytest.mark.parametrize("known", [None, frozenset(),
                                    frozenset({MessageId(1, 3, 2)})],
                          ids=["no-digest", "empty-digest", "digest"])
 def test_wire_roundtrip_gossip_with_and_without_digest(sender, known):
     payloads = frozenset({AppMessage(MessageId(0, 1, 4), "alpha")})
     data = encode(sender, GossipMessage(3, payloads, known=known))
-    assert (HEADER.unpack_from(data)[3] == 0) == (sender >= 2 ** 32)
+    assert HEADER.unpack_from(data)[2:4] == (sender, GossipMessage.type_id)
     got_sender, message = decode(data)
     assert got_sender == sender
     assert message.payloads == payloads
@@ -74,21 +74,16 @@ def test_wire_roundtrip_state():
     assert message.agreed_plain == plain
 
 
-def tunnel_frame(payload: bytes) -> bytes:
-    """A hand-built JSON-tunnel frame (type-id 0) around ``payload``."""
-    return HEADER.pack(MAGIC, 5, 0, 0, len(payload)) + payload
-
-
 def test_wire_rejects_garbage_and_unknown_tags():
     with pytest.raises(WireCodecError):
         decode(b"\xff\x00 not json")
-    with pytest.raises(WireCodecError, match="unknown wire type tag"):
-        decode(tunnel_frame(b'{"s": 0, "t": "no.such.tag", "f": {}}'))
+    with pytest.raises(WireCodecError, match="unknown type id"):
+        decode(HEADER.pack(MAGIC, 6, 0, 999, 0))
 
 
 def test_wire_duplicate_tag_is_ambiguous_not_fatal():
-    """Throwaway test message classes elsewhere in the suite may collide
-    on a tag; that must only poison *that* tag, not the whole registry."""
+    """Throwaway test message classes may share a dispatch tag; without a
+    type-id they never reach the wire, so the tag changes no decoding."""
     from repro.transport.message import WireMessage
 
     class DupA(WireMessage):
@@ -99,9 +94,9 @@ def test_wire_duplicate_tag_is_ambiguous_not_fatal():
         type = "test.wire.dup"
         fields = ()
 
-    with pytest.raises(WireCodecError, match="ambiguous"):
-        decode(tunnel_frame(b'{"s": 0, "t": "test.wire.dup", "f": {}}'))
-    # Protocol tags keep working despite the collision.
+    with pytest.raises(WireCodecError, match="no type_id"):
+        encode(4, DupB())
+    # Protocol messages keep working beside them.
     sender, message = decode(encode(4, StateMessage(1, ())))
     assert (sender, message.k) == (4, 1)
 

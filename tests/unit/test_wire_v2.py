@@ -2,28 +2,47 @@
 
 The round-trip fuzz properties live in
 tests/property/test_wire_fuzz_properties.py; here we pin the frame
-layout itself (header fields, type-id table, JSON tunnel, datagram
-concatenation, the one accepted lead byte) and the registry-cache fix
-that makes unknown-tag lookups O(1).
+layout itself (header fields, datagram concatenation, the one accepted
+lead byte) and the one type-id table: every message class in the
+package has its own id, and a class or sender the header cannot carry
+is refused, not carried some other way.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import random
+
 import pytest
 
+import repro
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
-from repro.runtime import wire
-from repro.runtime.wire import (HEADER, MAGIC, TYPE_ID_TABLE, WireCodecError,
-                                WireConfig, decode, decode_datagram,
-                                encode_frame, register_type_id, type_id_for)
-from repro.transport.message import WireMessage
+from repro.runtime import wire, wirefuzz
+from repro.runtime.wire import (HEADER, MAGIC, WireCodecError, decode,
+                                decode_datagram, encode_frame)
+from repro.transport.message import (BY_TYPE_ID, RESERVED_TYPE_IDS,
+                                     WireMessage)
+from repro.transport.scoped import ScopedMessage
+
+#: The frozen assignment: changing one invalidates every recorded stream.
+FROZEN_IDS = {
+    "ab.gossip": 1, "ab.state": 2, "fd.alive": 3,
+    "paxos.prepare": 7, "paxos.promise": 8, "paxos.accept": 9,
+    "paxos.accepted": 10, "paxos.decide": 11, "paxos.nack": 12,
+    "paxos.query": 13, "ct.estimate": 14, "ct.propose": 15, "ct.ack": 16,
+    "ct.nack": 17, "ct.decide": 18, "seq.forward": 19, "seq.order": 20,
+    "seq.resend": 21, "seq.status": 22, "qr.query": 23,
+    "qr.query-ack": 24, "qr.store": 25, "qr.store-ack": 26,
+    "mg.announce": 27,
+}
 
 
-class Tunnelled(WireMessage):
-    """A message class with no registered type-id: it must be tunnelled."""
+class Unnumbered(WireMessage):
+    """A message class without a type-id: it never crosses the wire."""
 
-    type = "test.wirev2.tunnelled"
+    type = "test.wirev2.unnumbered"
     fields = ("blob",)
 
     def __init__(self, blob):
@@ -41,20 +60,34 @@ def gossip():
                          want=frozenset({MessageId(1, 2, 3)}))
 
 
+def package_message_classes():
+    """Every WireMessage subclass defined in the package, after importing
+    every module of it (each protocol stack included)."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    found, stack = [], [WireMessage]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.append(sub)
+    return found
+
+
 class TestFrameLayout:
     def test_header_fields(self):
         frame = encode_frame(7, gossip())
         magic, version, sender, type_id, length = HEADER.unpack_from(frame)
         assert magic == MAGIC
-        assert version == 5
+        assert version == 6
         assert sender == 7
-        assert type_id == TYPE_ID_TABLE["ab.gossip"]
+        assert type_id == GossipMessage.type_id == 1
         assert length == len(frame) - HEADER.size
 
     def test_bare_json_datagram_rejected(self):
-        """There is one format: a well-formed tunnel payload that is not
-        inside a frame is just a datagram with an unknown lead byte."""
-        import repro.fdetect.heartbeat  # noqa: F401 -- defines fd.alive
+        """There is one format: a JSON object that is not inside a frame
+        is just a datagram with an unknown lead byte."""
         with pytest.raises(WireCodecError, match="lead byte"):
             decode_datagram(b'{"s":0,"t":"fd.alive","f":{}}')
 
@@ -79,105 +112,74 @@ class TestFrameLayout:
         with pytest.raises(WireCodecError):
             decode_datagram(bytes(frame[:-3]))  # shorter than declared
 
-
-class TestJsonTunnel:
-    def test_unregistered_class_tunnels_and_round_trips(self):
-        assert type_id_for(Tunnelled.type) is None
-        frame = encode_frame(6, Tunnelled((("k", (1, 2)),)))
-        _, _, sender, type_id, _ = HEADER.unpack_from(frame)
-        # Tunnel frames zero the header sender; the real sender rides in
-        # the JSON payload (it may exceed the header's u32 field).
-        assert (sender, type_id) == (0, 0)
-        got_sender, got = decode(frame)
-        assert got_sender == 6
-        assert isinstance(got, Tunnelled)
-        assert got.blob == (("k", (1, 2)),)
-
-    def test_tunnelled_frame_coalesces_with_typed_frames(self):
-        datagram = encode_frame(1, gossip()) + \
-            encode_frame(2, Tunnelled("x")) + encode_frame(3, gossip())
-        kinds = [type(m).__name__ for _, m in decode_datagram(datagram)]
-        assert kinds == ["GossipMessage", "Tunnelled", "GossipMessage"]
+    def test_other_versions_and_unknown_ids_rejected(self):
+        frame = encode_frame(0, gossip())
+        body = frame[HEADER.size:]
+        for version in (3, 5, 7):
+            stale = HEADER.pack(MAGIC, version, 0, 1, len(body)) + body
+            with pytest.raises(WireCodecError, match="version"):
+                decode_datagram(stale)
+        # No id, the retired retransmission envelopes, an unassigned id.
+        for type_id in (0, 4, 5, 6, 999):
+            frame = HEADER.pack(MAGIC, 6, 0, type_id, 1) + b"N"
+            with pytest.raises(WireCodecError, match="unknown type id"):
+                decode_datagram(frame)
 
 
 class TestTypeIdTable:
     def test_ids_unique_positive_16bit(self):
-        ids = list(TYPE_ID_TABLE.values())
-        assert len(ids) == len(set(ids))
-        assert all(0 < i < 0x10000 for i in ids)  # 0 = JSON tunnel
+        """Every message class in the package has its own frozen id and
+        the table maps the id back to it; each round-trips."""
+        classes = package_message_classes()
+        numbered = [cls for cls in classes if cls is not ScopedMessage]
+        assert {cls.type: cls.type_id for cls in numbered} == FROZEN_IDS
+        assert len(numbered) == len(FROZEN_IDS)
+        for cls in numbered:
+            assert 0 < cls.type_id < 0x10000
+            assert cls.type_id not in RESERVED_TYPE_IDS
+            assert BY_TYPE_ID[cls.type_id] is cls
+        assert ScopedMessage.type_id is None  # its frame has id 28
+        rng = random.Random(48)
+        for cls in numbered:
+            message = wire.rebuild(cls, wirefuzz.random_fields(cls, rng))
+            sender, got = decode(encode_frame(9, message))
+            assert sender == 9 and wirefuzz.equivalent(message, got), cls
 
     def test_register_rejects_conflicts(self):
-        with pytest.raises(WireCodecError):
-            register_type_id("test.wirev2.new", 1)  # id taken by ab.gossip
-        with pytest.raises(WireCodecError):
-            register_type_id("ab.gossip", 999)  # tag already assigned
-        with pytest.raises(WireCodecError):
-            register_type_id("test.wirev2.new", 0)  # reserved
-        with pytest.raises(WireCodecError):
-            register_type_id("test.wirev2.new", 0x10000)
-        for retired in (4, 5, 6):  # the retransmission envelopes
-            with pytest.raises(WireCodecError):
-                register_type_id("test.wirev2.new", retired)
+        """A class is entered into the table when it is defined, so a bad
+        id fails there, and the table is left as it was."""
+        before = dict(BY_TYPE_ID)
+        bad = [1,            # taken by ab.gossip
+               0, 28,        # no id; the scoped envelope
+               4, 5, 6,      # the retired retransmission envelopes
+               0x10000, -1]  # outside the header's 16 bits
+        for type_id in bad:
+            with pytest.raises(WireCodecError, match="type id"):
+                type("Bad", (WireMessage,),
+                     {"type": "test.wirev2.bad", "type_id": type_id})
+        assert BY_TYPE_ID == before
 
-    def test_reregistering_same_pair_is_noop(self):
-        register_type_id("ab.gossip", TYPE_ID_TABLE["ab.gossip"])
+    def test_subclass_does_not_inherit_the_id(self):
+        class Derived(GossipMessage):
+            type = "test.wirev2.derived"
 
-
-class TestWireConfigValidation:
-    def test_frame_bound_must_fit_datagram_bound(self):
-        with pytest.raises(WireCodecError):
-            WireConfig(max_frame_bytes=70000, max_datagram_bytes=65507)
-        with pytest.raises(WireCodecError):
-            WireConfig(max_frame_bytes=0)
-        with pytest.raises(WireCodecError):
-            WireConfig(flush_delay=-0.5)
+        assert Derived.type_id is None
+        assert BY_TYPE_ID[1] is GossipMessage
+        with pytest.raises(WireCodecError, match="no type_id"):
+            encode_frame(0, Derived(1, frozenset()))
 
 
-class TestRegistryCache:
-    """Unknown-tag lookups must not re-walk the class tree (the original
-    defect: every miss rebuilt the registry, so a flood of garbage tags
-    cost a full subclass walk per datagram)."""
+class TestRefusedAtEncode:
+    def test_class_without_id_is_refused(self):
+        with pytest.raises(WireCodecError, match="no type_id"):
+            encode_frame(6, Unnumbered((("k", (1, 2)),)))
+        # ... also inside a scoped envelope.
+        with pytest.raises(WireCodecError, match="no type_id"):
+            encode_frame(6, ScopedMessage("g1", Unnumbered("x")))
 
-    @staticmethod
-    def _count_rebuilds(monkeypatch):
-        """Patch ``wire._walk`` to count registry *rebuilds* (top-level
-        walks from WireMessage; the walk recurses through the module
-        global, so inner frames must not count)."""
-        real_walk = wire._walk
-        calls = {"n": 0}
-
-        def counting_walk(cls, into):
-            if cls is WireMessage:
-                calls["n"] += 1
-            return real_walk(cls, into)
-
-        monkeypatch.setattr(wire, "_walk", counting_walk)
-        return calls
-
-    def test_unknown_tag_flood_walks_at_most_once(self, monkeypatch):
-        calls = self._count_rebuilds(monkeypatch)
-        # One rebuild is legitimate here iff another test defined a
-        # subclass since the last lookup; what matters is the flood.
-        with pytest.raises(WireCodecError):
-            wire._lookup("test.wirev2.no-such-tag")
-        primed = calls["n"]
-        assert primed <= 1
-        for index in range(300):
-            with pytest.raises(WireCodecError):
-                wire._lookup(f"test.wirev2.miss.{index}")
-        assert calls["n"] == primed
-
-    def test_new_subclass_triggers_exactly_one_rebuild(self, monkeypatch):
-        with pytest.raises(WireCodecError):
-            wire._lookup("test.wirev2.prime")  # settle any pending rebuild
-        calls = self._count_rebuilds(monkeypatch)
-
-        class Fresh(WireMessage):
-            type = "test.wirev2.fresh"
-            fields = ()
-
-        assert wire._lookup("test.wirev2.fresh") is Fresh
-        assert calls["n"] == 1
-        with pytest.raises(WireCodecError):
-            wire._lookup("test.wirev2.still-missing")
-        assert calls["n"] == 1
+    def test_sender_must_fit_the_header(self):
+        message = gossip()
+        assert decode(encode_frame(2 ** 32 - 1, message))[0] == 2 ** 32 - 1
+        for sender in (2 ** 32, 2 ** 40, -1):
+            with pytest.raises(WireCodecError, match="32 bits"):
+                encode_frame(sender, message)
