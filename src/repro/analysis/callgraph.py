@@ -28,7 +28,7 @@ Anything else is unknown, and callers treat it as opaque.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.cfg import scoped_walk
 from repro.analysis.symbols import ClassInfo, SymbolTable, param_names
@@ -248,29 +248,6 @@ class CallResolver:
             return self._resolve_attr_call(concrete, receiver.attr, method,
                                            module)
         return []
-
-    def method_refs(self, stmt: ast.stmt, module: str,
-                    concrete: Optional[ClassInfo]
-                    ) -> Iterator[ResolvedCall]:
-        """Address-taken method references inside one statement.
-
-        ``endpoint.register(T, self._on_gossip)`` passes ``self._on_gossip``
-        without calling it; the registered handler is reachable the moment
-        a message arrives, so reachability analyses must follow it.
-        """
-        call_funcs = {id(node.func) for node in ast.walk(stmt)
-                      if isinstance(node, ast.Call)}
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Attribute) or id(node) in call_funcs:
-                continue
-            if isinstance(node.value, ast.Name) and \
-                    node.value.id == "self" and concrete is not None:
-                yield from self._method_target(concrete, node.attr, "self")
-            elif isinstance(node.value, ast.Attribute) and \
-                    isinstance(node.value.value, ast.Name) and \
-                    node.value.value.id == "self" and concrete is not None:
-                yield from self._resolve_attr_call(
-                    concrete, node.value.attr, node.attr, module)
 
     # -- internals ---------------------------------------------------------
 

@@ -42,7 +42,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import value_sources
 from repro.analysis.engine import Finding, ProjectContext
-from repro.analysis.recovery import recovery_surface
 from repro.analysis.registry import PROTOCOL_SCOPE, Rule
 from repro.analysis.sites import KeyShape, Site, reachable, site_index
 from repro.analysis.symbols import ClassInfo, self_field
@@ -52,6 +51,19 @@ __all__ = ["IDEMPOTENCE_RULES", "NonIdempotentRecoveryRule"]
 
 def _has_arithmetic(expr: ast.AST) -> bool:
     return any(isinstance(node, ast.BinOp) for node in ast.walk(expr))
+
+
+def _recovery_roots(project: ProjectContext, rule: Rule) -> list:
+    """``(concrete, defining, func)`` of the ``on_start`` of every
+    in-scope class, inherited or its own: where each recovery begins.
+    Empty when nothing defines one (a fixture of plain functions)."""
+    roots = []
+    for ctx in project.in_scope(rule):
+        for info in project.symbols.modules[ctx.module].classes.values():
+            found = project.symbols.find_method(info.qualname, "on_start")
+            if found is not None:
+                roots.append((info,) + found)
+    return roots
 
 
 def _reads_in(expr: ast.AST, sites: List[Site]) -> List[KeyShape]:
@@ -77,7 +89,7 @@ class NonIdempotentRecoveryRule(Rule):
     requires_project = True
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        roots = recovery_surface(project, self).roots
+        roots = _recovery_roots(project, self)
         index = site_index(project)
         seen_positions: Set[Tuple[str, int, int]] = set()
         for concrete, defining, func, _ in reachable(project, roots,

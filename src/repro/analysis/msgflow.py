@@ -29,9 +29,8 @@ interprocedural rules share:
   ``RECONFIG_OPS`` module constant.
 
 The graph is cached on ``ProjectContext.analysis_cache`` under
-``"msgflow"`` so the MSG rule family shares one build, and is emitted
-as a queryable artifact by ``repro lint --emit-msgflow out.json`` (or
-``out.dot`` for Graphviz).
+``"msgflow"``, and is emitted as a queryable artifact by
+``repro lint --emit-msgflow out.json`` (or ``out.dot`` for Graphviz).
 """
 
 from __future__ import annotations
@@ -105,23 +104,16 @@ class SendEdge:
 class HandlerEdge:
     """One handler registration (type → handler)."""
 
-    __slots__ = ("tag", "class_name", "handler", "handler_method",
-                 "registrar", "registrar_qualname", "module", "line",
-                 "via", "pattern")
+    __slots__ = ("tag", "class_name", "handler", "registrar", "module",
+                 "line", "via", "pattern")
 
     def __init__(self, tag: Optional[str], class_name: Optional[str],
-                 handler: str, handler_method: Optional[str],
-                 registrar: str, registrar_qualname: Optional[str],
-                 module: str, line: int, via: str,
-                 pattern: Optional[str] = None):
+                 handler: str, registrar: str, module: str, line: int,
+                 via: str, pattern: Optional[str] = None):
         self.tag = tag
         self.class_name = class_name
         self.handler = handler
-        #: Method name on the registrar when the handler is
-        #: ``self._on_x`` — what MSG003 resolves to a body.
-        self.handler_method = handler_method
         self.registrar = registrar
-        self.registrar_qualname = registrar_qualname
         self.module = module
         self.line = line
         self.via = via
@@ -364,9 +356,7 @@ class _Builder:
                                  _message_fields(self.table, info))
             self.graph.by_qualname[qualname] = record
             if record.tag is not None:
-                # First definition wins; duplicated tags would be a wire
-                # ambiguity, but that is MSG001/002's business, not the
-                # index's.
+                # First definition wins.
                 self.graph.messages.setdefault(record.tag, record)
             else:
                 self.graph.dynamic_messages.append(record)
@@ -532,17 +522,15 @@ class _Builder:
 
     def _note_registration(self, site: Site, module: str, where: str,
                            owner: Optional[ClassInfo]) -> None:
-        if site.value is not None:
-            handler, handler_method = self._handler_label(site.value, owner)
-        else:  # a queue subscription: the queue's deposit is the handler
-            handler, handler_method = "ReceiveQueue.deposit", None
+        # A queue subscription's handler is the queue's own deposit.
+        handler = "ReceiveQueue.deposit" if site.value is None \
+            else self._handler_label(site.value, owner)
         tag, class_name, pattern = self._tag_of(site.key, module)
         if tag is None and pattern is None and class_name is None:
             return  # not a recognizable registration shape
         self.graph.handlers.append(HandlerEdge(
-            tag, class_name, handler, handler_method,
-            where, owner.qualname if owner is not None else None,
-            module, site.call.lineno, site.op, pattern))
+            tag, class_name, handler, where, module, site.call.lineno,
+            site.op, pattern))
 
     def _tag_of(self, expr: Optional[ast.expr], module: str
                 ) -> Tuple[Optional[str], Optional[str], Optional[str]]:
@@ -569,17 +557,16 @@ class _Builder:
         return None, None, None
 
     @staticmethod
-    def _handler_label(expr: ast.expr, owner: Optional[ClassInfo]
-                       ) -> Tuple[str, Optional[str]]:
+    def _handler_label(expr: ast.expr, owner: Optional[ClassInfo]) -> str:
         if isinstance(expr, ast.Attribute):
             path = attr_path(expr)
             if path[:1] == ("self",) and len(path) == 2 and \
                     owner is not None:
-                return f"{owner.name}.{path[1]}", path[1]
-            return ".".join(path) if path else "<handler>", None
+                return f"{owner.name}.{path[1]}"
+            return ".".join(path) if path else "<handler>"
         if isinstance(expr, ast.Name):
-            return expr.id, None
-        return "<handler>", None
+            return expr.id
+        return "<handler>"
 
     # -- command edges (kind-string dispatch) ------------------------------
 

@@ -140,16 +140,12 @@ def default_registry() -> RuleRegistry:
     from repro.analysis.atomicity import ATOMICITY_RULES
     from repro.analysis.determinism import DETERMINISM_RULES
     from repro.analysis.idempotence import IDEMPOTENCE_RULES
-    from repro.analysis.msgrules import MSG_RULES
     from repro.analysis.noqarules import NOQA_RULES
-    from repro.analysis.recovery import RECOVERY_RULES
     from repro.analysis.resources import RES_RULES
-    from repro.analysis.simrules import SIM_RULES
     from repro.analysis.wal import WAL_RULES
 
     registry = RuleRegistry()
-    for rule in (*DETERMINISM_RULES, *WAL_RULES, *RECOVERY_RULES,
-                 *ATOMICITY_RULES, *IDEMPOTENCE_RULES,
-                 *SIM_RULES, *MSG_RULES, *RES_RULES, *NOQA_RULES):
+    for rule in (*DETERMINISM_RULES, *WAL_RULES, *ATOMICITY_RULES,
+                 *IDEMPOTENCE_RULES, *RES_RULES, *NOQA_RULES):
         registry.register(rule)
     return registry

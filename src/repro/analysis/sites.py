@@ -14,10 +14,11 @@ and the only transitive walker over resolved calls:
   key-forwarding helpers (``def _store(self, key, value): ...
   storage.log(key, value)``), whose *call sites* supply the keys, and
   the :class:`KeyShape` pattern of every storage key;
-* :func:`reachable` walks resolved calls from a set of roots; its three
-  switches are the real differences between the recovery closure
-  (REC001/REC002), the direct recovery closure (REC003) and the
-  receive-path closure (RES001).
+* :func:`reachable` walks resolved calls from a set of roots; its two
+  switches are the real differences between the direct recovery closure
+  (REC003), the receive-path closure (RES001) and the rest.  A handler
+  that is only registered (``register(T, self._on_x)``) is not called,
+  so it is not reached.
 
 A rule that needs a narrower notion than the shared one (WAL002 only
 cares about sends that bypass the endpoint) filters on the recorded
@@ -44,8 +45,7 @@ from repro.analysis.symbols import (ClassInfo, attr_path, param_names,
                                     self_field)
 
 __all__ = ["KeyShape", "Reached", "Site", "SiteIndex", "classify",
-           "classify_rider",
-           "message_param", "names_storage", "opens_write_barrier",
+           "classify_rider", "names_storage", "opens_write_barrier",
            "reachable", "reads_logged_state", "registrations", "site_index",
            "sites_in"]
 
@@ -193,12 +193,6 @@ def opens_write_barrier(stmt: ast.AST) -> bool:
         isinstance(item.context_expr, ast.Call) and
         attr_path(item.context_expr.func)[-1:] == ("write_barrier",)
         for item in stmt.items)
-
-
-def message_param(handler: ast.AST) -> Optional[str]:
-    """The parameter a message handler receives the message in."""
-    params = param_names(handler)
-    return params[0] if params else None
 
 
 def registrations(info: ClassInfo) -> Dict[str, Optional[ast.expr]]:
@@ -387,15 +381,13 @@ class Reached(NamedTuple):
 
 def reachable(project, roots: Iterable[Tuple[ClassInfo, Optional[ClassInfo],
                                               ast.AST]], *,
-              follow_refs: bool = False, skip_spawned: bool = False,
+              skip_spawned: bool = False,
               self_only: bool = False) -> Iterator[Reached]:
     """Functions reachable from ``roots`` through resolved calls.
 
     ``roots`` are ``(concrete, defining, func)`` triples; each function
     is yielded once per concrete class, breadth first, roots included.
 
-    * ``follow_refs`` — also follow address-taken methods
-      (``register(T, self._on_x)``): the handler runs once registered;
     * ``skip_spawned`` — do not enter calls that only build the
       generator handed to ``spawn(...)``: its body runs later, under
       the scheduler, not as part of the caller;
@@ -430,9 +422,6 @@ def reachable(project, roots: Iterable[Tuple[ClassInfo, Optional[ClassInfo],
         targets = [target for call in calls if id(call) not in skipped
                    for target in resolver.resolve(call, module, concrete,
                                                   defining)]
-        if follow_refs:
-            for stmt in getattr(func, "body", ()):
-                targets.extend(resolver.method_refs(stmt, module, concrete))
         for target in targets:
             if self_only and (target.receiver != "self" or
                               target.defining is None):

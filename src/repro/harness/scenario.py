@@ -7,7 +7,9 @@ installer, and a timeline of :class:`~repro.chaos.events.ChaosEvent`
 records that the runtime's chaos controller replays up to ``duration``.
 Then :func:`run_scenario` drains the workload's backoff retries, settles
 and runs :func:`verify_run` — plus :func:`verify_overload_safety` when
-the config has admission control — the same way on both runtimes.
+the config has admission control — the same way on both runtimes.  On
+the simulator every message must also have found a handler
+(``NetworkMetrics.unhandled`` is 0).
 Churn, overload, every chaos seed and the CLI's live cross-check are
 scenarios like any other::
 
@@ -182,6 +184,11 @@ def _drive(scenario: Scenario, result: ScenarioResult) -> None:
             f"run did not settle by t={deadline} (deliveries still in "
             f"flight); raise settle_limit or check liveness")
     if scenario.verify:
+        unhandled = cluster.network.metrics.unhandled
+        if scenario.runtime == "sim" and unhandled:
+            raise VerificationError(
+                f"{unhandled} messages reached an up node that has no "
+                f"handler for their type")
         result.report = verify_run(
             cluster, good_nodes=scenario.good_nodes,
             check_termination=scenario.check_termination)

@@ -347,7 +347,4 @@ class LiveNetwork:
         if node is None:
             self.metrics.dropped_down += 1
             return
-        if node.deliver(message, src):
-            self.metrics.delivered += 1
-        else:
-            self.metrics.dropped_down += 1
+        self.metrics.note_arrival(node, node.deliver(message, src))

@@ -82,14 +82,17 @@ class NetworkConfig:
 class NetworkMetrics:
     """Traffic counters, per run."""
 
-    __slots__ = ("sent", "delivered", "lost", "dropped_down", "duplicated",
-                 "bytes_sent", "oversize", "by_type")
+    __slots__ = ("sent", "delivered", "lost", "dropped_down", "unhandled",
+                 "duplicated", "bytes_sent", "oversize", "by_type")
 
     def __init__(self) -> None:
         self.sent = 0
         self.delivered = 0
         self.lost = 0
         self.dropped_down = 0
+        # Arrivals at an up node with no handler for their type: a type
+        # that is sent but that nobody receives.
+        self.unhandled = 0
         self.duplicated = 0
         self.bytes_sent = 0
         self.oversize = 0  # frames longer than a datagram can carry
@@ -102,10 +105,22 @@ class NetworkMetrics:
             "delivered": self.delivered,
             "lost": self.lost,
             "dropped_down": self.dropped_down,
+            "unhandled": self.unhandled,
             "duplicated": self.duplicated,
             "bytes_sent": self.bytes_sent,
             "oversize": self.oversize,
         }
+
+    def note_arrival(self, node: Node, consumed: bool) -> None:
+        """Count one message handed to ``node`` by what became of it:
+        ``consumed`` (``node.deliver``'s answer), or found no handler
+        for its type on an up node, or arrived while the node was down."""
+        if consumed:
+            self.delivered += 1
+        elif node.up:
+            self.unhandled += 1
+        else:
+            self.dropped_down += 1
 
 
 class Network:
@@ -254,9 +269,9 @@ class Network:
     def _deliver(self, src: int, dst: int, message: WireMessage) -> None:
         node = self.nodes[dst]
         if type(message) is Packet:
-            node.deliver(message.rider, src)
+            # The packet is one message: its rider is counted only when
+            # an up node has no handler for it.
+            if not node.deliver(message.rider, src) and node.up:
+                self.metrics.unhandled += 1
             message = message.carrier
-        if node.deliver(message, src):
-            self.metrics.delivered += 1
-        else:
-            self.metrics.dropped_down += 1
+        self.metrics.note_arrival(node, node.deliver(message, src))

@@ -1,7 +1,7 @@
 """REC003 negative fixture: recovery actions that compound per restart.
 
-``on_start`` rebuilds state correctly (every key it writes is read
-back, so REC001/REC002 stay quiet) but commits two non-idempotent
+``on_start`` rebuilds state correctly: every key it writes is read
+back on the next restart.  But it also commits two non-idempotent
 effects: the retrieve-derived increment logged on line 18, and the
 unguarded append inside the ``_mark`` helper on line 22.  A crash
 between ``on_start`` and the next checkpoint replays both.

@@ -71,8 +71,9 @@ def test_delays_respect_configured_bounds(seed, min_delay, spread):
 @RUNS
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_accounting_identity(seed):
-    """sent == delivered + lost + dropped_down + in-flight(0 at drain),
-    modulo duplicates (which add deliveries without sends)."""
+    """sent == delivered + lost + dropped_down + unhandled +
+    in-flight(0 at drain), modulo duplicates (which add deliveries
+    without sends)."""
     config = NetworkConfig(loss_rate=0.3, duplicate_rate=0.2)
     sim, net, received = build(config, seed, n=3)
     rng = random.Random(seed)
@@ -83,7 +84,7 @@ def test_accounting_identity(seed):
     sim.run()
     metrics = net.metrics
     assert (metrics.delivered + metrics.lost + metrics.dropped_down
-            == metrics.sent + metrics.duplicated)
+            + metrics.unhandled == metrics.sent + metrics.duplicated)
 
 
 def test_loss_rate_converges_statistically():

@@ -105,8 +105,8 @@ def test_rec003_near_miss_guarded_effects_stay_silent():
 
 def test_rec003_inactive_without_recovery_surface():
     # No on_start in scope -> recovery actions cannot replay, so a lone
-    # unguarded append is not a REC003 (and not a REC001 either: the
-    # closure rules stand down together).
+    # unguarded append is not a REC003 (this keeps unrelated fixtures
+    # and partial trees quiet).
     findings = analyze_source(
         "class Proto:\n"
         "    def save(self, tag):\n"

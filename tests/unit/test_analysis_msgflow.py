@@ -158,8 +158,6 @@ class TestHandlerResolution:
         """)
         edge, = graph.handlers_for("fx.ping")
         assert edge.handler == "Proto._on_ping"
-        assert edge.handler_method == "_on_ping"
-        assert edge.registrar_qualname == "repro.core.fixture.Proto"
 
     def test_string_literal_registration(self):
         graph = graph_of("""
@@ -218,8 +216,9 @@ class TestFullTreeGraph:
                 "mg.announce", "seq.forward", "fd.alive"} <= tags
 
     def test_every_static_tag_is_handled(self, graph):
-        # The tree lints MSG001/MSG002-clean, and the graph agrees:
-        # every sent tag has a handler and every handled tag a producer.
+        # Every sent tag has a handler, and every handled tag a
+        # producer: no type is sent that nobody receives, and no handler
+        # waits for a type that nothing builds.
         sent = graph.sent_tags()
         alive = sent | graph.constructed_tags()
         handled = graph.handled_tags()

@@ -1,5 +1,5 @@
-"""Fixture tests for the message-flow (MSG), resource-bounds (RES) and
-suppression-hygiene (NOQ) rule families.
+"""Fixture tests for the resource-bounds (RES) and suppression-hygiene
+(NOQ) rule families.
 
 Each rule gets a negative fixture (flagged at exact lines) and a
 near-miss positive fixture (structurally close, stays silent) under
@@ -27,51 +27,6 @@ def check_family(name: str, module: str, family: str):
 
 def located(findings):
     return [(f.rule_id, f.line) for f in findings]
-
-
-# -- MSG001: sent but never handled -------------------------------------------
-
-def test_msg001_flags_dead_letter_type():
-    findings = check_family("msg001_bad.py", "repro.core.fixture", "MSG")
-    assert located(findings) == [("MSG001", 14)]  # class Ping
-    assert "'fx.ping'" in findings[0].message
-    assert "Proto.poke" in findings[0].message  # names the sender
-
-
-def test_msg001_silent_when_tag_registered():
-    assert check_family("msg001_ok.py", "repro.core.fixture", "MSG") == []
-
-
-def test_msg001_out_of_scope_module():
-    assert check_family("msg001_bad.py", "repro.runtime.fixture", "MSG") == []
-
-
-# -- MSG002: handled but never sent -------------------------------------------
-
-def test_msg002_flags_dead_handler():
-    findings = check_family("msg002_bad.py", "repro.core.fixture", "MSG")
-    assert located(findings) == [("MSG002", 13)]  # the register call
-    assert "'fx.orphan'" in findings[0].message
-    assert "Proto._on_orphan" in findings[0].message
-
-
-def test_msg002_silent_when_type_is_sent():
-    assert check_family("msg002_ok.py", "repro.core.fixture", "MSG") == []
-
-
-# -- MSG003: payload-field mismatch -------------------------------------------
-
-def test_msg003_flags_phantom_field_read():
-    findings = check_family("msg003_bad.py", "repro.core.fixture", "MSG")
-    assert located(findings) == [("MSG003", 32)]  # msg.weight read
-    assert ".weight" in findings[0].message
-    assert "Report" in findings[0].message
-
-
-def test_msg003_silent_on_populated_surface():
-    # fields, __init__ params, class-body defaults and methods are all
-    # sanctioned reads.
-    assert check_family("msg003_ok.py", "repro.core.fixture", "MSG") == []
 
 
 # -- RES001: unbounded growth on a receive path -------------------------------

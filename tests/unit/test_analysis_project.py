@@ -1,10 +1,10 @@
 """Tests for the whole-program analysis rules and the new CLI surface.
 
-The four interprocedural rule families (WAL003, REC001, REC002, DET006)
-each get a negative fixture (flagged at an exact line) and a near-miss
-positive fixture (structurally close, stays silent) under
-``tests/fixtures/analysis/``.  The CLI additions — ``--format sarif``,
-all-paths error collection — are tested end to end.
+The interprocedural rules (WAL003, DET006) each get a negative fixture
+(flagged at an exact line) and a near-miss positive fixture
+(structurally close, stays silent) under ``tests/fixtures/analysis/``.
+The CLI additions — ``--format sarif``, all-paths error collection — are
+tested end to end.
 """
 
 from __future__ import annotations
@@ -51,68 +51,6 @@ def test_wal003_near_miss_helper_barrier_stays_silent():
 
 def test_wal003_out_of_scope_module_stays_silent():
     findings = check_fixture("wal003_bad.py", "repro.harness.fixture")
-    assert findings == []
-
-
-# -- REC001: recovery completeness --------------------------------------------
-
-def test_rec001_flags_write_never_recovered():
-    findings = check_fixture("rec001_bad.py", "repro.core.fixture")
-    assert rule_ids(findings) == ["REC001"]
-    assert findings[0].line == 20  # the storage.log of VIEW_KEY
-    assert "'proto', 'view'" in findings[0].message
-
-
-def test_rec001_near_miss_lazy_handler_read_stays_silent():
-    # The read-back sits in a handler that on_start merely *registers*;
-    # the recovery closure must follow the address-taken reference.
-    # (The fixture's "view" registration has no matching send, so MSG002
-    # fires on it; this test owns the REC family only.)
-    assert [f for f in check_fixture("rec001_ok.py", "repro.core.fixture")
-            if f.rule_id.startswith("REC")] == []
-
-
-# -- REC002: phantom recovery reads -------------------------------------------
-
-def test_rec002_flags_read_of_unwritten_key():
-    findings = check_fixture("rec002_bad.py", "repro.core.fixture")
-    assert rule_ids(findings) == ["REC002"]
-    assert findings[0].line == 14  # the storage.retrieve call
-    assert "'proto', 'epoch'" in findings[0].message
-
-
-def test_rec002_near_miss_helper_forwarded_write_stays_silent():
-    # The write goes through a key-forwarding helper; the call site
-    # supplies the concrete key pattern.
-    assert check_fixture("rec002_ok.py", "repro.core.fixture") == []
-
-
-def test_rec002_concatenated_write_satisfies_prefix_scan():
-    # ``SEGMENT_KEY + (k,)`` is flattened operand by operand, so the
-    # ``keys(SEGMENT_KEY)`` scan in on_start sees its writer.
-    assert check_fixture("rec002_concat_ok.py", "repro.core.fixture") == []
-
-
-def test_rec002_prefix_scan_without_writer_still_flagged():
-    findings = check_fixture("rec002_concat_bad.py", "repro.core.fixture")
-    assert sorted((f.rule_id, f.line) for f in findings) == [
-        ("REC001", 21), ("REC002", 18)]
-    scan = next(f for f in findings if f.rule_id == "REC002")
-    assert "'proto', 'seg'" in scan.message
-    # The concatenated write is no longer opaque to REC001 either.
-    orphan = next(f for f in findings if f.rule_id == "REC001")
-    assert "'proto', 'archive', *" in orphan.message
-
-
-def test_rec_rules_inactive_without_recovery_surface():
-    # No on_start in scope -> no recovery closure to check against, so
-    # a lone write is not flagged (this keeps unrelated fixtures and
-    # partial trees quiet).
-    findings = analyze_source(
-        "class Proto:\n"
-        "    def save(self, view):\n"
-        "        self.node.storage.log(('proto', 'view'), view)\n",
-        module="repro.core.fixture", path="fixture.py")
     assert findings == []
 
 
@@ -199,8 +137,7 @@ def test_sarif_shape():
     run = document["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    assert {"DET001", "WAL003", "REC001", "REC002",
-            "DET006"} <= set(rule_index)
+    assert {"DET001", "WAL003", "REC003", "DET006"} <= set(rule_index)
     result = run["results"][0]
     assert result["ruleId"] == "DET001"
     assert result["ruleIndex"] == rule_index["DET001"]

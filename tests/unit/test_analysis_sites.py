@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 from repro.analysis.engine import ModuleContext, ProjectContext
-from repro.analysis.sites import classify, reachable
+from repro.analysis.sites import classify, reachable, site_index
 
 ANALYSIS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, os.pardir, "src", "repro", "analysis")
@@ -135,9 +135,10 @@ def test_reachable_follows_calls_including_the_spawned_generator():
     assert reached() == {"on_start", "_task", "_helper", "poke"}
 
 
-def test_reachable_handler_reference_followed_only_on_request():
+def test_reachable_does_not_enter_a_registered_handler():
+    # ``register(T, self._on_msg)`` takes the handler's address; it runs
+    # on a later arrival, not as part of the caller.
     assert "_on_msg" not in reached()
-    assert reached(follow_refs=True) == reached() | {"_on_msg"}
 
 
 def test_reachable_spawned_generator_skipped_on_request():
@@ -146,3 +147,60 @@ def test_reachable_spawned_generator_skipped_on_request():
 
 def test_reachable_foreign_receiver_skipped_on_request():
     assert reached(self_only=True) == reached() - {"poke"}
+
+
+# -- storage-key patterns -----------------------------------------------------
+
+KEYS = """
+    class Proto:
+        SEGMENT_KEY = ("proto", "seg")
+        EPOCH_KEY = ("proto", "epoch")
+
+        def on_start(self):
+            self.node.storage.keys(self.SEGMENT_KEY)
+            self.node.storage.retrieve(self.EPOCH_KEY, 0)
+
+        def checkpoint(self, k, messages):
+            self.node.storage.log(self.SEGMENT_KEY + (k,), messages)
+            self._persist(self.EPOCH_KEY, k)
+
+        def _persist(self, key, value):
+            self.node.storage.log(key, value)
+"""
+
+
+def storage_sites() -> dict:
+    """``method name -> [Site]`` of the ``KEYS`` fixture's class."""
+    text = textwrap.dedent(KEYS)
+    ctx = ModuleContext("repro.core.fixture", "fixture.py",
+                        ast.parse(text), text)
+    project = ProjectContext([ctx])
+    proto = project.symbols.classes["repro.core.fixture.Proto"]
+    index = site_index(project)
+    return {name: index.storage_sites(func, proto)
+            for name, func in proto.methods.items()}
+
+
+def test_concatenated_key_meets_the_prefix_scan():
+    # ``SEGMENT_KEY + (k,)`` is flattened operand by operand, so the
+    # ``keys(SEGMENT_KEY)`` scan sees its writer.
+    sites = storage_sites()
+    scan, read = sites["on_start"]
+    write = sites["checkpoint"][0]
+    assert (scan.kind, scan.shape.describe()) == \
+        ("scan", "('proto', 'seg', ...)")
+    assert (write.kind, write.shape.describe()) == \
+        ("write", "('proto', 'seg', *)")
+    assert write.shape.matches(scan.shape)
+    assert not write.shape.matches(read.shape)
+
+
+def test_a_key_forwarding_helper_takes_its_key_from_the_call_site():
+    # ``_persist`` hands its ``key`` parameter to storage: its own body
+    # has no key, and ``self._persist(EPOCH_KEY, ...)`` is the write.
+    sites = storage_sites()
+    assert sites["_persist"] == []
+    write = sites["checkpoint"][1]
+    assert (write.kind, write.op, write.shape.describe()) == \
+        ("write", "log", "('proto', 'epoch')")
+    assert write.shape.matches(sites["on_start"][1].shape)

@@ -42,6 +42,15 @@ GUARDS = (
      ("src", "tests"), None,
      "immutability is checked where values are sized; the aliasing "
      "rules are deleted"),
+    ("run-checked-rules", r"\b(SIM00[12]|REC00[12]|MSG00[1-3])\b"
+     r"|LostTaskRule|RawMutableYieldRule|UnrecoveredWriteRule"
+     r"|PhantomRecoveryReadRule|DeadLetterTypeRule|DeadHandlerRule"
+     r"|PayloadFieldMismatchRule|\brecovery_surface\b"
+     r"|repro\.analysis\.(simrules|msgrules|recovery)\b", CODE, None,
+     "a run checks what these rules guessed at: the kernel refuses a "
+     "yield it cannot wait on, tier-1 fails on a task never spawned or a "
+     "key never recovered, and the media count an arrival no handler "
+     "takes (NetworkMetrics.unhandled); the rules are deleted"),
     ("Simulator", r"(?<!\w)Simulator(?!\w)", CODE, None,
      "SimRuntime has one name; the alias is deleted"),
     ("one-event-channel",
@@ -145,3 +154,12 @@ def test_a_planted_name_trips_its_guard(tmp_path):
     assert trips(tmp_path, "paxos-multisend") == \
         ["src/repro/consensus/paxos.py:2: "
          "self.endpoint.multisend(Decide(k, b))"]
+    (tmp_path / "src" / "repro" / "analysis").mkdir()
+    (tmp_path / "src" / "repro" / "analysis" / "rules.py").write_text(
+        "class UnrecoveredWriteRule:\n"
+        "task()  # repro: noqa(SIM001) -- side effects\n"
+        "REC003 and MSG0010 stay\n")
+    assert trips(tmp_path, "run-checked-rules") == [
+        "src/repro/analysis/rules.py:1: class UnrecoveredWriteRule:",
+        "src/repro/analysis/rules.py:2: "
+        "task()  # repro: noqa(SIM001) -- side effects"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import AnyOf, Event, Signal, SimRuntime
+from repro.runtime import AnyOf, Event, SimRuntime
 
 
 class TestClockAndTimers:
@@ -202,9 +202,14 @@ class TestTasks:
         task.kill()
         assert sim.pending() == 0
 
-    def test_bad_yield_raises(self, sim):
+    @pytest.mark.parametrize("request_of", [
+        lambda event: [event], lambda event: {event},
+        lambda event: {"k": event}, lambda event: "nonsense"],
+        ids=["list", "set", "dict", "nonsense"])
+    def test_bad_yield_raises(self, sim, request_of):
+        # A raw container of events is not a wait request: AnyOf is.
         def body():
-            yield "nonsense"
+            yield request_of(Event(sim))
 
         sim.spawn(body(), "t")
         with pytest.raises(SimulationError):
