@@ -54,6 +54,20 @@ def test_wal003_out_of_scope_module_stays_silent():
     assert findings == []
 
 
+# -- recovery rules need a recovery surface -----------------------------------
+
+def test_rec_rules_inactive_without_recovery_surface():
+    # No on_start in scope -> no recovery closure to check against, so
+    # a lone write is not flagged (this keeps unrelated fixtures and
+    # partial trees quiet).
+    findings = analyze_source(
+        "class Proto:\n"
+        "    def save(self, view):\n"
+        "        self.node.storage.log(('proto', 'view'), view)\n",
+        module="repro.core.fixture", path="fixture.py")
+    assert findings == []
+
+
 # -- DET006: randomness/wall-clock taint --------------------------------------
 
 def test_det006_flags_tainted_payload_in_chaos_scope():
