@@ -39,9 +39,9 @@ from repro.workloads.generators import ScheduledWorkload  # noqa: E402
 SETTLE_S = 120.0
 
 
-def lags(name: str, seed: int, seconds: float):
-    """``{"first", "submitter", "all"}`` -> median lag in ms, and the
-    number of requests they are taken over."""
+def build(name: str, seed: int, seconds: float):
+    """``(workload, schedule, cluster)`` for one simulated workload: the
+    cluster started, its requests and outages installed, not yet run."""
     workload = by_name(name)
     if workload.runtime != "sim":
         raise SystemExit(f"{name} is not a simulated workload")
@@ -60,6 +60,13 @@ def lags(name: str, seed: int, seconds: float):
         for outage in schedule.outages
         for when, action in ((outage.down_at, FaultEvent.CRASH),
                              (outage.up_at, FaultEvent.RECOVER))])
+    return workload, schedule, cluster
+
+
+def lags(name: str, seed: int, seconds: float):
+    """``{"first", "submitter", "all"}`` -> median lag in ms, and the
+    number of requests they are taken over."""
+    workload, schedule, cluster = build(name, seed, seconds)
     cluster.run(until=schedule.end)
     if not cluster.settle(within=SETTLE_S):
         raise SystemExit(f"{name} did not settle")

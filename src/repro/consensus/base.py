@@ -29,6 +29,13 @@ Paxos's phase 1, at Chandra–Toueg's activation), by asking the
 before anything carrying it is sent and every later attempt reuses it.
 ``propose(k, v)`` is the same thing done eagerly: bind ``v``, then join.
 
+A value may cross one hop in a shorter form: ``thin(dst, value)``, also
+wired in by the layer above, names by id what ``dst`` is known to hold,
+and ``fill(value)`` at ``dst`` rebuilds the value, or answers ``None``
+when something named is not held there.  Both are the identity unless
+wired; everything else here — proposals, records, decisions — only ever
+holds the full value.
+
 :class:`ConsensusService` implements the bookkeeping shared by every
 concrete algorithm (proposal log, decision locks, idempotence checks,
 waiting, late binding); subclasses implement the agreement itself by
@@ -43,6 +50,14 @@ from repro.errors import ConsensusError, ProposalMismatch
 from repro.runtime import NodeComponent, Signal
 
 __all__ = ["ConsensusService"]
+
+
+def _as_sent(dst: int, value: Any) -> Any:
+    return value
+
+
+def _as_received(value: Any) -> Any:
+    return value
 
 
 class ConsensusService(NodeComponent):
@@ -89,6 +104,10 @@ class ConsensusService(NodeComponent):
         # layer wires its own in on every start.  ``None`` (or a source
         # answering ``None``) binds nothing, so no value is sent.
         self.value_source: Optional[Callable[[int], Any]] = None
+        # How a value travels to one peer and is rebuilt there (see the
+        # module docstring); the Atomic Broadcast layer wires both too.
+        self.thin: Callable[[int, Any], Any] = _as_sent
+        self.fill: Callable[[Any], Optional[Any]] = _as_received
 
     # -- paper interface -------------------------------------------------------
 

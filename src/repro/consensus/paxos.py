@@ -25,6 +25,14 @@ under crash-recovery is the best understood:
   quarter of ``attempt_timeout`` the leader re-sends the phase's
   message, at the same ballot, to the members that have not answered,
   and an acceptor answers a repeated ``Accept`` without logging again.
+* **An ``Accept`` names by id what its recipient holds.**  Per member,
+  the layer above's ``thin`` hook replaces each part of the value the
+  member is known to hold with its id, and members with equal forms
+  share one ``Accept``.  The acceptor's ``fill`` rebuilds the full value
+  before it promises or logs; one that lacks a part stays silent until
+  a re-send, which always carries the full form, or the decision
+  reaches it.  Nothing else ever holds a thinned value: records,
+  promises, decisions and proposals hold the full one.
 * **Leadership comes from Ω** (:class:`~repro.fdetect.omega.OmegaOracle`).
   Once the underlying failure detector stabilises, a single good leader
   runs phase 1 / phase 2 to completion and sends ``DECIDE`` to the
@@ -143,7 +151,8 @@ class Promise(WireMessage):
 
 class Accept(WireMessage):
     """Phase-2a: leader asks acceptors to accept ``value`` at ``ballot``;
-    ``commit`` is its commit point at ``ballot`` (-1: none yet)."""
+    ``commit`` is its commit point at ``ballot`` (-1: none yet).  The
+    ``value`` may name by id what the recipient holds (``thin``)."""
 
     type = "paxos.accept"
     type_id = 9
@@ -464,10 +473,9 @@ class PaxosConsensus(ConsensusService):
 
     def _accept(self, k: int, ballot: int, value: Any, commit: int) -> None:
         """Log and cache the acceptor's one record of ``k``."""
-        self._accepted[k] = (ballot, value, commit)
+        record = self._accepted[k] = (ballot, value, commit)
         self._last_record = max(self.highest_logged_instance(), k)
-        self._store((self.ACCEPTOR_KEY, k, "acceptor"),
-                    (ballot, value, commit))
+        self._store((self.ACCEPTOR_KEY, k, "acceptor"), record)
 
     def _view_changed(self) -> bool:
         """True once the installed view has ever left epoch 0.
@@ -526,9 +534,15 @@ class PaxosConsensus(ConsensusService):
         # also after a crash.
         fresh = self._accepted_state(msg.k)[0] != msg.ballot
         if fresh:
-            if not self._admit_ballot(msg.k, msg.ballot, sender):
+            # What the leader named by id is rebuilt first; an acceptor
+            # that lacks some of it stays silent, neither promising nor
+            # accepting, until the full form comes (a re-send) or the
+            # decision does.
+            value = self.fill(msg.value)
+            if value is None \
+                    or not self._admit_ballot(msg.k, msg.ballot, sender):
                 return
-            self._accept(msg.k, msg.ballot, msg.value, msg.commit)
+            self._accept(msg.k, msg.ballot, value, msg.commit)
         accepted = Accepted(msg.k, msg.ballot)
         if sender == self.endpoint.node_id:
             self._on_accepted(accepted, sender)
@@ -817,11 +831,11 @@ class PaxosConsensus(ConsensusService):
                     return False
         if attempt.value is not None:
             self._undecided.add(k)
-            # One object for the phase: a re-send reuses its encoding.
+            # The full form is the own acceptor's and every re-send's,
+            # one object for the phase: a re-send reuses its encoding.
             accept = Accept(k, attempt.ballot, attempt.value,
                             self._commit_point())
-            for member in self._others(self._members(k)):
-                self.endpoint.send(member, accept)
+            self._send_accept(accept)
             self._on_accept(accept, me)
             yield from self._await_quorum(k, attempt, attempt.accepts,
                                           accept)
@@ -830,6 +844,20 @@ class PaxosConsensus(ConsensusService):
         if self.decided_value(k) is None:
             self._retire(attempt)
         return True
+
+    def _send_accept(self, accept: Accept) -> None:
+        """Send ``accept`` to its instance's other members, each in the
+        form :attr:`thin` gives it: what the member is known to hold
+        goes as an id.  Members whose forms are equal share one
+        ``Accept``, so it is sized and encoded once."""
+        forms = {accept.value: accept}
+        for member in self._others(self._members(accept.k)):
+            value = self.thin(member, accept.value)
+            message = forms.get(value)
+            if message is None:
+                message = forms[value] = Accept(
+                    accept.k, accept.ballot, value, accept.commit)
+            self.endpoint.send(member, message)
 
     def _await_quorum(self, k: int, attempt: _Attempt,
                       answered: Collection[int], message: WireMessage):

@@ -160,6 +160,7 @@ class BasicAtomicBroadcast(NodeComponent):
         # Volatile protocol state (Figure 2 "initial values").
         self.k = 0
         self.unordered: Dict[MessageId, AppMessage] = {}
+        self._digest: Optional[FrozenSet[MessageId]] = None
         self.agreed = AgreedQueue(self.order_rule)
         self.gossip_k = 0
         # Per-peer gossip knowledge, per peer the own messages pushed to
@@ -168,6 +169,8 @@ class BasicAtomicBroadcast(NodeComponent):
         # where the digest rotation stands, the peer last seen ahead of
         # us, and the round we were in at the previous gossip tick.
         self._peers: Dict[int, _PeerGossip] = {}
+        # Per process, the highest incarnation seen in an id it minted.
+        self._incarnations: Dict[int, int] = {}
         self._pushed: Dict[int, Dict[MessageId, float]] = {}
         self._due: Dict[int, _Due] = {}
         self._spoke: Dict[int, float] = {}
@@ -213,6 +216,7 @@ class BasicAtomicBroadcast(NodeComponent):
         assert node is not None
         self.k = 0
         self.unordered = {}
+        self._digest = None
         self.agreed = AgreedQueue(self.order_rule)
         self.gossip_k = 0
         self._forget_peers()
@@ -228,6 +232,8 @@ class BasicAtomicBroadcast(NodeComponent):
         self._pending_restore = False
         self._restore_volatile_state()
         self.consensus.value_source = self._proposal_for
+        self.consensus.thin = self._thin
+        self.consensus.fill = self._fill
         self.endpoint.rider = self._rider
         self.endpoint.register(GossipMessage.type, self._on_gossip)
         # (a) fork task { sequencer and gossip }
@@ -260,6 +266,7 @@ class BasicAtomicBroadcast(NodeComponent):
 
     def _forget_peers(self) -> None:
         self._peers = {}
+        self._incarnations = {}
         self._pushed = {}
         self._due = {}
         self._spoke = {}
@@ -272,6 +279,7 @@ class BasicAtomicBroadcast(NodeComponent):
     def on_crash(self) -> None:
         self.k = 0
         self.unordered = {}
+        self._digest = None
         self.agreed = AgreedQueue(self.order_rule)
         self.gossip_k = 0
         self._forget_peers()
@@ -327,9 +335,16 @@ class BasicAtomicBroadcast(NodeComponent):
         """``Unordered ← (Unordered ∪ {m}) − Agreed``."""
         if message not in self.agreed and message.id not in self.unordered:
             self.unordered[message.id] = message
+            self._digest = None
+            self._saw_incarnation(message.id[0], message.id[1])
             if len(self.unordered) > self.unordered_high_water:
                 self.unordered_high_water = len(self.unordered)
             self._progress.notify()
+
+    def _saw_incarnation(self, sender: int, incarnation: int) -> None:
+        """Keep the highest incarnation seen in an id ``sender`` minted."""
+        if incarnation > self._incarnations.get(sender, 0):
+            self._incarnations[sender] = incarnation
 
     def broadcast(self, payload: Any) -> Generator[Any, Any, AppMessage]:
         """The paper's ``A-broadcast(m)``: returns once ``m ∈ Agreed``.
@@ -500,6 +515,11 @@ class BasicAtomicBroadcast(NodeComponent):
         for mid in push:
             if mid[0] == node_id:
                 sent[mid] = now
+        known = None
+        if due.digest:
+            known = self._unordered_ids()
+            if held:
+                known = known.difference(held)
         # A joining node advertises round -1: it holds no usable
         # prefix, so any member treats it as maximally behind and
         # answers with a state transfer (Section 5.3) regardless of
@@ -508,9 +528,17 @@ class BasicAtomicBroadcast(NodeComponent):
             -1 if self._joining else self.k,
             frozenset(unordered[mid] for mid in push),
             self._checkpoint_round(),
-            frozenset(unordered).difference(held) if due.digest else None,
+            known,
             want,
             self._gc_watermark())
+
+    def _unordered_ids(self) -> FrozenSet[MessageId]:
+        """The ids of Unordered, built once per change of it: every
+        digest until the next change is this one object."""
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = frozenset(self.unordered)
+        return digest
 
     def _unpushed(self, peer: int, mine: Set[MessageId]) -> Set[MessageId]:
         """The own messages of ``mine`` that ``peer``'s last digest does
@@ -699,7 +727,44 @@ class BasicAtomicBroadcast(NodeComponent):
             return None
         if self.gossip_k > k or self.consensus.decided_value(k) is not None:
             return frozenset()
-        return frozenset(self.unordered.values())
+        # Built from a set, the frozenset is sized for its members: half
+        # the memory of one grown from the dict's values, and it is kept
+        # as long as the round's records are.
+        return frozenset(set(self.unordered.values()))
+
+    def _thin(self, dst: int, value: FrozenSet[AppMessage]) -> Any:
+        """The consensus box's :attr:`~repro.consensus.base.
+        ConsensusService.thin`: ``value`` as sent to ``dst``, with the id
+        in place of each message ``dst`` is known to hold — one it
+        minted at the highest incarnation seen from it, or one its last
+        digest lists.  ``value`` itself when there is none."""
+        known = self._peers.get(dst, _NOTHING_HEARD).known
+        top = self._incarnations.get(dst, 0)
+        sent, named = [], False
+        for message in value:
+            mid = message.id
+            if mid in known or mid[0] == dst and mid[1] >= top:
+                sent.append(mid)
+                named = True
+            else:
+                sent.append(message)
+        return frozenset(sent) if named else value
+
+    def _fill(self, value: Any) -> Optional[FrozenSet[AppMessage]]:
+        """The consensus box's :attr:`~repro.consensus.base.
+        ConsensusService.fill`: the value :meth:`_thin` made, with each id
+        replaced by the message Unordered holds under it (a decoded id
+        is a plain tuple, equal to its key); ``None`` if one is missing."""
+        named = [item for item in value if type(item) is not AppMessage]
+        if not named:
+            return value
+        unordered = self.unordered
+        found = [unordered.get(mid) for mid in named]
+        if None in found:
+            return None
+        # Kept members keep their stored hashes, and the result is sized
+        # for its members: cheaper than a set built from scratch.
+        return value.difference(named).union(found)
 
     def _commit_round(self, result) -> None:
         """Move the decided batch to Agreed and open the next round.
@@ -727,7 +792,8 @@ class BasicAtomicBroadcast(NodeComponent):
         no more pushing, so its push times go too."""
         node_id = self.endpoint.node_id
         for mid in ordered:
-            self.unordered.pop(mid, None)
+            if self.unordered.pop(mid, None) is not None:
+                self._digest = None
             if mid[0] == node_id:
                 for sent in self._pushed.values():
                     sent.pop(mid, None)

@@ -13,7 +13,8 @@ on it (a restore's count plus each committed round's new messages).
 The checks:
 
 * **Uniform agreement on decisions** — every consensus instance decided
-  the same value at every node that locked a decision (P5).
+  the same value at every node that locked a decision (P5), and that
+  value holds application messages only (:func:`decided_batch`).
 * **Validity** — the canonical delivered sequence contains only messages
   that were actually A-broadcast.
 * **Integrity** and **Total Order** — every delivery stream of every
@@ -50,10 +51,11 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.core.agreed import deterministic_order
 from repro.core.ids import MessageId
+from repro.core.messages import AppMessage
 from repro.errors import VerificationError
 
 __all__ = ["verify_overload_safety", "verify_run", "VerificationReport",
-           "canonical_sequence"]
+           "canonical_sequence", "decided_batch"]
 
 
 class VerificationReport:
@@ -72,12 +74,24 @@ class VerificationReport:
                 f"{len(self.undeliverable)} unordered-but-excusable)")
 
 
+def decided_batch(k: int, value: Any) -> Any:
+    """``value``, decided or accepted in instance ``k``, once checked to
+    hold application messages only.  Anything else — an id that left
+    the one hop an ``Accept`` may carry it, say — raises
+    :class:`~repro.errors.VerificationError` naming ``k`` and the item."""
+    for item in value:
+        if type(item) is not AppMessage:
+            raise VerificationError(
+                f"instance {k} holds {item!r}, not an application message")
+    return value
+
+
 def canonical_sequence(decisions: Dict[int, Any]) -> List[MessageId]:
     """The single total order implied by the consensus decisions."""
     canonical: List[MessageId] = []
     seen: Set[MessageId] = set()
     for k in sorted(decisions):
-        for message in deterministic_order(decisions[k]):
+        for message in deterministic_order(decided_batch(k, decisions[k])):
             if message.id not in seen:
                 seen.add(message.id)
                 canonical.append(message.id)
@@ -100,6 +114,8 @@ def verify_run(cluster, good_nodes: Optional[List[int]] = None,
             f"{list(a)} somewhere and {list(b)} at node {node_id}")
     if collector.decision_conflicts:
         k, a, b = collector.decision_conflicts[0]
+        decided_batch(k, a)
+        decided_batch(k, b)
         raise VerificationError(
             f"uniform agreement violated: instance {k} decided "
             f"{sorted(m.id for m in a)} and {sorted(m.id for m in b)}")

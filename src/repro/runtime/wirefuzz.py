@@ -178,6 +178,12 @@ def random_fields(cls: Type[WireMessage],
         # ``known=None`` ("no digest in this gossip") is a form of its
         # own, not one value among many: draw it half the time.
         fields["known"] = None
+    if cls.type == "paxos.accept" and rng.random() < 0.5:
+        # The id form: messages the recipient holds go as their ids.
+        fields["value"] = frozenset(
+            message.id if rng.random() < 0.5 else message
+            for message in (_app_message(rng)
+                            for _ in range(rng.randrange(1, 5))))
     return fields
 
 
@@ -205,9 +211,11 @@ def equivalent(left: Any, right: Any) -> bool:
         if type(left) is not type(right) or left != right:
             return False
         if any(isinstance(item, AppMessage) for item in left):
-            payloads = {item.id: item.payload for item in right}
-            return all(equivalent(item.payload, payloads[item.id])
-                       for item in left)
+            payloads = {item.id: item.payload for item in right
+                        if isinstance(item, AppMessage)}
+            return all(item.id in payloads
+                       and equivalent(item.payload, payloads[item.id])
+                       for item in left if isinstance(item, AppMessage))
         return True
     if isinstance(left, WireMessage):
         return type(left) is type(right) and all(

@@ -200,6 +200,9 @@ def _size_items(value: Any, depth: int) -> int:
     total = 1 + _varint_size(len(value))
     depth += 1
     for item in value:
+        if type(item) is int and -64 <= item < 64:
+            total += 2      # a small int (ids, ballots), without a call
+            continue
         sizer = _SIZERS.get(type(item))
         if sizer is None:
             sizer = _resolve(type(item))[1]

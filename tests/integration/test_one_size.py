@@ -55,6 +55,12 @@ def plain(value: Any) -> Any:
 
 def run(protocol: str):
     """A network after a short run of ``protocol``, and what it sent."""
+    cluster, sent = drive(protocol)
+    return cluster.network, sent
+
+
+def drive(protocol: str):
+    """A cluster after a short run of ``protocol``, and what it sent."""
     if protocol == "multigroup":
         cluster = MultiGroupCluster({"g1": [0, 1, 2], "g2": [2, 3]}, seed=3)
         submit = lambda node, payload: cluster.multicast(  # noqa: E731
@@ -72,7 +78,7 @@ def run(protocol: str):
         cluster.sim.schedule(0.7, crash.crash)
         cluster.sim.schedule(1.3, crash.recover)
     cluster.run(until=2.0)
-    return cluster.network, sent
+    return cluster, sent
 
 
 @pytest.fixture(scope="module", params=PROTOCOLS)

@@ -173,7 +173,8 @@ class TestLossAndCrashesAroundARider:
         # Crashed before binding: no Accept of the old leader carried it.
         assert not [message for _, src, _, message in frames
                     if src == 0 and message.type == "paxos.accept"
-                    and pushed in message.value]
+                    and (pushed in message.value
+                         or pushed.id in message.value)]
         cluster.recover(0)
         assert cluster.settle(within=60.0)
         verify_run(cluster)

@@ -17,6 +17,7 @@ import random
 import pytest
 
 import repro
+from repro.consensus.paxos import Accept
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
 from repro.runtime import wire, wirefuzz
@@ -106,6 +107,21 @@ class TestFrameLayout:
         for cut in range(1, HEADER.size):
             with pytest.raises(WireCodecError):
                 decode_datagram(frame[:cut])
+
+    def test_an_accept_mixing_messages_and_ids_round_trips(self):
+        """An id-form ``Accept`` decodes each id to a plain tuple that
+        finds its ``MessageId`` key, as the acceptor's Unordered has it."""
+        own = AppMessage(MessageId(2, 1, 9), ("tuple", 7))
+        unordered = {own.id: own}
+        value = frozenset({AppMessage(MessageId(0, 1, 4), "alpha"), own.id})
+        frame = encode_frame(0, Accept(3, 65536, value, 2))
+        sender, got = decode(frame)
+        assert (sender, got.k, got.ballot, got.commit) == (0, 3, 65536, 2)
+        assert wirefuzz.equivalent(Accept(3, 65536, value, 2), got)
+        (mid,) = [item for item in got.value
+                  if not isinstance(item, AppMessage)]
+        assert type(mid) is tuple and unordered[mid] is own
+        assert encode_frame(0, got) == frame
 
     def test_length_field_lie_rejected(self):
         frame = bytearray(encode_frame(0, gossip()))
