@@ -199,13 +199,20 @@ def _size_items(value: Any, depth: int) -> int:
         raise CodecError("value nesting too deep to encode")
     total = 1 + _varint_size(len(value))
     depth += 1
+    cached_ok = depth < _MAX_DEPTH
     for item in value:
-        if type(item) is int and -64 <= item < 64:
-            total += 2      # a small int (ids, ballots), without a call
+        cls = type(item)
+        # Without a call: a small int (ids, ballots), and a message
+        # whose size is known (see size_registered).
+        if cls is int and -64 <= item < 64:
+            total += 2
             continue
-        sizer = _SIZERS.get(type(item))
+        if cached_ok and cls in _CACHING and item._size is not None:
+            total += item._size
+            continue
+        sizer = _SIZERS.get(cls)
         if sizer is None:
-            sizer = _resolve(type(item))[1]
+            sizer = _resolve(cls)[1]
         total += sizer(item, depth)
     return total
 
