@@ -169,7 +169,8 @@ class BasicAtomicBroadcast(NodeComponent):
         # where the digest rotation stands, the peer last seen ahead of
         # us, and the round we were in at the previous gossip tick.
         self._peers: Dict[int, _PeerGossip] = {}
-        # Per process, the highest incarnation seen in an id it minted.
+        # Per process, the highest incarnation seen in an id it minted,
+        # once it is past its first.
         self._incarnations: Dict[int, int] = {}
         self._pushed: Dict[int, Dict[MessageId, float]] = {}
         self._due: Dict[int, _Due] = {}
@@ -336,7 +337,8 @@ class BasicAtomicBroadcast(NodeComponent):
         if message not in self.agreed and message.id not in self.unordered:
             self.unordered[message.id] = message
             self._digest = None
-            self._saw_incarnation(message.id[0], message.id[1])
+            if message.id[1] > 1:   # a first incarnation needs no entry
+                self._saw_incarnation(message.id[0], message.id[1])
             if len(self.unordered) > self.unordered_high_water:
                 self.unordered_high_water = len(self.unordered)
             self._progress.notify()
@@ -759,9 +761,12 @@ class BasicAtomicBroadcast(NodeComponent):
         if not named:
             return value
         unordered = self.unordered
-        found = [unordered.get(mid) for mid in named]
-        if None in found:
-            return None
+        found = []
+        for mid in named:
+            message = unordered.get(mid)
+            if message is None:
+                return None
+            found.append(message)
         # Kept members keep their stored hashes, and the result is sized
         # for its members: cheaper than a set built from scratch.
         return value.difference(named).union(found)
