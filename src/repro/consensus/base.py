@@ -152,14 +152,8 @@ class ConsensusService(NodeComponent):
         if decision is None:
             decision = self._decision_on_record(k)
             if decision is not None:
-                # Proved by the log: lock it, report it like any other
-                # lock, and wake any waiter.
-                self._decisions[k] = decision
-                self.node.sim.trace("decision", self.node.node_id,
-                                    "locked", k, decision)
-                signal = self._decided_signal.get(k)
-                if signal is not None:
-                    signal.notify(decision)
+                # Proved by the log: lock it like any other decision.
+                self._lock(k, decision)
         return decision
 
     def wait_decided(self, k: int) -> Generator[Any, Any, Any]:
@@ -288,8 +282,18 @@ class ConsensusService(NodeComponent):
     # -- shared internals -----------------------------------------------------------
 
     def decision_signal(self, k: int) -> Signal:
-        """Signal notified when instance ``k`` decides (volatile)."""
+        """Signal notified when instance ``k`` decides (volatile).
+
+        It is notified once and then released, so a decided instance
+        keeps no signal: a waiter reads :meth:`decided_value` first and
+        waits only while it is ``None`` (asking for the signal of a
+        decided instance is an error — nothing would ever notify it).
+        """
         assert self.node is not None
+        if k in self._decisions:
+            raise ConsensusError(
+                f"instance {k} is decided: read decided_value({k}) "
+                f"instead of waiting for its signal")
         signal = self._decided_signal.get(k)
         if signal is None:
             signal = self.node.sim.signal(f"decided:{k}@{self.node.node_id}")
@@ -306,10 +310,18 @@ class ConsensusService(NodeComponent):
                     f"instance {k} decided twice with different values: "
                     f"{existing!r} then {value!r}")
             return
+        self._lock(k, value)
+
+    def _lock(self, k: int, value: Any) -> None:
+        """Lock ``value`` as ``k``'s decision, report it, and wake and
+        release ``k``'s signal."""
+        assert self.node is not None
         self._decisions[k] = value
         self.node.sim.trace("decision", self.node.node_id, "locked", k,
                             value)
-        self.decision_signal(k).notify(value)
+        signal = self._decided_signal.pop(k, None)
+        if signal is not None:
+            signal.notify(value)
 
     def on_crash(self) -> None:
         self._decided_signal = {}

@@ -321,7 +321,9 @@ class PaxosConsensus(ConsensusService):
         # attempt (two live views can be epochs apart and their
         # majorities disjoint).  Volatile: a recovering proposer's view
         # is again the view of its delivered prefix, so re-snapshotting
-        # reproduces the same set.
+        # reproduces the same set.  Kept, with k's attempt, only while
+        # k is in flight: once k is decided and its driver has ended,
+        # both go (the Decide's addressees were taken at the decision).
         self._instance_members: Dict[int, Tuple[int, ...]] = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -412,6 +414,14 @@ class PaxosConsensus(ConsensusService):
     def _record_decision(self, k: int, value: Any) -> None:
         self._parked.pop(k, None)
         super()._record_decision(k, value)
+        if k not in self._drivers:
+            self._forget_instance(k)
+
+    def _forget_instance(self, k: int) -> None:
+        """Drop what ``k`` needed while in flight; it is decided, and no
+        driver of it runs."""
+        self._attempts.pop(k, None)
+        self._instance_members.pop(k, None)
 
     def discard_instances_below(self, k: int) -> int:
         """GC proposal logs *and* acceptor records below ``k``.
@@ -578,21 +588,21 @@ class PaxosConsensus(ConsensusService):
             if attempt.ballot == self._commit_ballot:
                 self._undecided.discard(msg.k)
                 self._decided_top = max(self._decided_top, msg.k)
+            # To k's own members: a reconfiguration decided in k may have
+            # dropped one from the view, and it still needs the decision.
+            members = self._others(self._members(msg.k))
             self._record_decision(msg.k, attempt.value)
             assert self.node is not None
-            self.node.spawn(self._announce(msg.k, attempt.ballot),
+            self.node.spawn(self._announce(msg.k, attempt.ballot, members),
                             "paxos-decide")
 
-    def _announce(self, k: int, ballot: int):
-        """Send ``Decide(k, ballot)`` to ``k``'s other members, as a
-        task: its first step runs after the tasks the decision woke, so
-        the layer above has delivered ``k`` and, with more to order,
-        entered ``k + 1`` — and then the ``Decide`` opens its phase 1
-        too."""
+    def _announce(self, k: int, ballot: int, members: Tuple[int, ...]):
+        """Send ``Decide(k, ballot)`` to ``members``, as a task: its
+        first step runs after the tasks the decision woke, so the layer
+        above has delivered ``k`` and, with more to order, entered
+        ``k + 1`` — and then the ``Decide`` opens its phase 1 too."""
         decide = Decide(k, ballot, None, self._open_next(k + 1, ballot))
-        # To k's own members: a reconfiguration decided in k may have
-        # dropped one from the view, and it still needs the decision.
-        for member in self._others(self._members(k)):
+        for member in members:
             self.endpoint.send(member, decide)
         yield from ()
 
@@ -776,6 +786,8 @@ class PaxosConsensus(ConsensusService):
                     for member in self._others(self.endpoint.peers()):
                         self.endpoint.send(member, query)
         self._drivers.discard(k)
+        if k in self._decisions:
+            self._forget_instance(k)
 
     def _run_attempt(self, k: int):
         """One phase-1 + phase-2 attempt at the current ballot.

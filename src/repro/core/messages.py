@@ -71,7 +71,8 @@ def _message_from_plain(plain: Sequence[Any]) -> AppMessage:
     return AppMessage(MessageId(*identity), payload)
 
 
-codec.register(AppMessage, 1, _message_to_plain, _message_from_plain)
+codec.register(AppMessage, 1, _message_to_plain, _message_from_plain,
+               fields=("id", "payload"))
 
 
 class GossipMessage(WireMessage):

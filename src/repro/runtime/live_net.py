@@ -51,7 +51,8 @@ from repro.runtime import wire
 from repro.runtime.live import LiveRuntime
 from repro.runtime.node import Node
 from repro.transport.message import MAX_DATAGRAM_BYTES, WireMessage, unpack
-from repro.transport.network import NetworkMetrics, check_own_storage
+from repro.transport.network import NetworkMetrics, check_own_storage, \
+    present
 
 __all__ = ["COALESCE_BYTES", "LiveNetwork", "OversizeDatagramError"]
 
@@ -347,4 +348,4 @@ class LiveNetwork:
         if node is None:
             self.metrics.dropped_down += 1
             return
-        self.metrics.note_arrival(node, node.deliver(message, src))
+        present(node, message, src, self.metrics.note_arrival)

@@ -238,23 +238,21 @@ class Node:
         base = max(self.stall_until, self.sim.now)
         self.stall_until = base + duration
 
-    def deliver(self, message: Any, sender: int) -> bool:
+    def deliver(self, message: Any, sender: int) -> Optional[bool]:
         """Called by the transport when a message arrives.
 
         Messages arriving while the node is down are lost (Section 2.1).
-        Messages arriving while the node is *stalled* are deferred until
-        the stall horizon passes (the process is slow, not crashed) and
-        count as an arrival only then.  Returns ``True`` if the message
-        was consumed.
+        Returns ``True`` if the message was consumed, ``False`` if not,
+        and ``None`` while the node is *stalled*: the process is slow,
+        not crashed, so the transport presents the message again once
+        the stall horizon passes
+        (:func:`~repro.transport.network.present`), and it counts as an
+        arrival only then.
         """
         if not self.up:
             return False
         if self.sim.now < self.stall_until:
-            # Re-present the message once the stall ends; the horizon may
-            # have grown by then, in which case it defers again.
-            self.sim.schedule(self.stall_until - self.sim.now,
-                              self.deliver, message, sender)
-            return True
+            return None
         handler = self._handlers.get(message.type)
         if handler is None:
             return False

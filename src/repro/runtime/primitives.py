@@ -32,8 +32,7 @@ and spawns helpers through it either way.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, \
-    Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterable, List, Optional
 
 from repro.errors import SimulationError, TaskKilled
 
@@ -75,6 +74,12 @@ class Event:
             self.sim.call_soon(task._resume, self.value)
         else:
             self._waiters.append(task)
+
+    def _discard_waiter(self, task: "Task") -> None:
+        try:
+            self._waiters.remove(task)
+        except ValueError:  # fired meanwhile, or never added (fired first)
+            pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self.fired else f"{len(self._waiters)} waiters"
@@ -118,8 +123,10 @@ class AnyOf:
     """Wait request satisfied by whichever of several events fires first.
 
     ``yield AnyOf([e1, e2])`` evaluates to the ``(event, value)`` pair of
-    the first event to fire.  Events that fire later are ignored by this
-    waiter (but remain fired for other waiters).
+    the first event to fire.  Once the task resumes, the wait leaves
+    nothing behind: it is taken off every other event, so an event that
+    fires later, or never, holds no trace of it (and stays fired for
+    other waiters).
     """
 
     __slots__ = ("events",)
@@ -213,12 +220,6 @@ class Task:
             self._running = False
         self._wait_on(request)
 
-    def _resume_anyof(self, events: List[Event], fired: Event) -> None:
-        """Resume an AnyOf wait with the (event, value) pair that won."""
-        if self.dead:
-            return
-        self._resume((fired, fired.value))
-
     def _wait_on(self, request: Any) -> None:
         if self.dead:  # killed itself during the step
             return
@@ -241,16 +242,10 @@ class Task:
                 f"{request!r}; expected float, Event, Task, AnyOf or None")
 
     def _add_anyof_waiter(self, request: AnyOf) -> None:
-        resumed = [False]
-
-        def wake(event: Event) -> None:
-            if resumed[0] or self.dead:
-                return
-            resumed[0] = True
-            self._resume((event, event.value))
-
+        group: List[_AnyOfWaiter] = []
         for event in request.events:
-            waiter = _AnyOfWaiter(self, event, wake)
+            waiter = _AnyOfWaiter(self, event, group)
+            group.append(waiter)
             event._add_waiter(waiter)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -259,18 +254,28 @@ class Task:
 
 
 class _AnyOfWaiter:
-    """Adapter letting a single task wait on several events at once."""
+    """Adapter letting a single task wait on several events at once: one
+    per event, all sharing ``group``, which the first to resume empties
+    after taking the others off their events."""
 
-    __slots__ = ("task", "event", "wake")
+    __slots__ = ("task", "event", "group")
 
-    def __init__(self, task: Task, event: Event, wake: Callable):
+    def __init__(self, task: Task, event: Event,
+                 group: List["_AnyOfWaiter"]):
         self.task = task
         self.event = event
-        self.wake = wake
+        self.group = group
 
     @property
     def dead(self) -> bool:
         return self.task.dead
 
     def _resume(self, value: Any) -> None:  # called by Event.fire
-        self.wake(self.event)
+        group = self.group
+        if not group or self.task.dead:
+            return
+        for other in group:
+            if other is not self:
+                other.event._discard_waiter(other)  # type: ignore[arg-type]
+        group.clear()
+        self.task._resume((self.event, value))

@@ -38,7 +38,9 @@ a value is encoded once however often it is sent and logged: ``None``
 until its first encode (or the decode that cut it from its input), the
 bytes afterwards, and ``False`` once the owner released it for good —
 from then on it is encoded each time, and never cached again.  Such a
-class also keeps its size in ``_size``.
+class also keeps its size in ``_size``, and may name the ``fields``
+whose values ``to_plain`` returns as a tuple: a never-encoded instance
+is then sized from them, without building that tuple.
 """
 
 from __future__ import annotations
@@ -202,10 +204,14 @@ def _size_items(value: Any, depth: int) -> int:
     cached_ok = depth < _MAX_DEPTH
     for item in value:
         cls = type(item)
-        # Without a call: a small int (ids, ballots), and a message
-        # whose size is known (see size_registered).
-        if cls is int and -64 <= item < 64:
-            total += 2
+        # Without a call: an int (ids, ballots), and a message whose
+        # size is known (see size_registered).
+        if cls is int:
+            if -64 <= item < 64:
+                total += 2
+            else:
+                zig = item << 1 if item >= 0 else (-item << 1) - 1
+                total += 1 + (zig.bit_length() + 6) // 7
             continue
         if cached_ok and cls in _CACHING and item._size is not None:
             total += item._size
@@ -265,15 +271,23 @@ def splice_tuple(parts: Tuple[bytes, ...]) -> bytes:
 
 def register(cls: type, code: int,
              to_plain: Callable[[Any], Any],
-             from_plain: Callable[[Any], Any]) -> None:
+             from_plain: Callable[[Any], Any],
+             fields: Tuple[str, ...] = ()) -> None:
     """Teach the codec to round-trip instances of ``cls`` under the
-    one-byte ``code``."""
+    one-byte ``code``.
+
+    ``fields``, if given, promises that ``to_plain(value)`` is the tuple
+    of those attributes' values, each in a form of the same size (a
+    ``MessageId`` sizes as the plain tuple it becomes).
+    """
     if not 0 <= code < 0x100:
         raise CodecError(f"codec code {code} does not fit one byte")
     if code in _LOADERS:
         raise CodecError(f"codec code {code} already registered")
     head = bytes((0x52, code))  # R
     caches = hasattr(cls, "_encoded")
+    # The head, then the plain tuple's tag and count.
+    framing = len(head) + 1 + _varint_size(len(fields))
 
     def pack_registered(value: Any, out: bytearray, depth: int) -> None:
         if depth >= _MAX_DEPTH:
@@ -296,8 +310,18 @@ def register(cls: type, code: int,
         known = value._size
         if known is None:
             cached = value._encoded
-            known = value._size = len(cached) if cached else \
-                len(head) + size(to_plain(value), depth + 1)
+            if cached:
+                known = len(cached)
+            elif fields and depth + 2 < _MAX_DEPTH:
+                known = framing
+                for name in fields:
+                    item = getattr(value, name)
+                    sizer = _SIZERS.get(type(item)) \
+                        or _resolve(type(item))[1]
+                    known += sizer(item, depth + 2)
+            else:
+                known = len(head) + size(to_plain(value), depth + 1)
+            value._size = known
         return known
 
     _PACKERS[cls] = pack_registered

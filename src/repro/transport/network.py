@@ -29,7 +29,7 @@ from repro.transport.message import (MAX_DATAGRAM_BYTES, Packet,
                                     WireMessage, unpack)
 
 __all__ = ["NetworkConfig", "Network", "NetworkMetrics",
-           "check_own_storage"]
+           "check_own_storage", "present"]
 
 
 def check_own_storage(nodes: Dict[int, Node], node: Node) -> None:
@@ -41,6 +41,20 @@ def check_own_storage(nodes: Dict[int, Node], node: Node) -> None:
             raise SimulationError(
                 f"node {node.node_id} shares its storage with node "
                 f"{other.node_id}: build one per node (storage_factory)")
+
+
+def present(node: Node, message: WireMessage, src: int,
+            count: Callable[[Node, bool], None]) -> None:
+    """Hand ``message`` to ``node`` and ``count`` what became of it.  An
+    arrival at a stalled node is handed over again when the stall ends
+    (again and again while the stall grows), and is counted only then:
+    each arrival has one fate."""
+    consumed = node.deliver(message, src)
+    if consumed is None:
+        node.sim.schedule(node.stall_until - node.sim.now, present, node,
+                          message, src, count)
+    else:
+        count(node, consumed)
 
 
 class NetworkConfig:
@@ -269,9 +283,12 @@ class Network:
     def _deliver(self, src: int, dst: int, message: WireMessage) -> None:
         node = self.nodes[dst]
         if type(message) is Packet:
-            # The packet is one message: its rider is counted only when
-            # an up node has no handler for it.
-            if not node.deliver(message.rider, src) and node.up:
-                self.metrics.unhandled += 1
+            present(node, message.rider, src, self._count_rider)
             message = message.carrier
-        self.metrics.note_arrival(node, node.deliver(message, src))
+        present(node, message, src, self.metrics.note_arrival)
+
+    def _count_rider(self, node: Node, consumed: bool) -> None:
+        """A packet is one message: its rider is counted only when an up
+        node has no handler for it."""
+        if not consumed and node.up:
+            self.metrics.unhandled += 1

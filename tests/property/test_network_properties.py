@@ -87,6 +87,56 @@ def test_accounting_identity(seed):
             + metrics.unhandled == metrics.sent + metrics.duplicated)
 
 
+class Note(WireMessage):
+    """A type no node handles."""
+
+    type = "test.note"
+    fields = ()
+
+
+@RUNS
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_accounting_identity_with_stalls_and_crashes(seed):
+    """The same identity when nodes stall (an arrival is deferred and
+    counted once, when presented again), crash and recover meanwhile,
+    and some arrivals have no handler."""
+    config = NetworkConfig(loss_rate=0.3, duplicate_rate=0.2)
+    sim, net, received = build(config, seed, n=3)
+    rng = random.Random(seed)
+    for _ in range(200):
+        when = rng.uniform(0.0, 5.0)
+        src, dst = rng.randrange(3), rng.randrange(3)
+        message = Note() if rng.random() < 0.2 else Ping(0)
+        sim.schedule(when, net.send, src, dst, message)
+    for node in net.nodes.values():
+        for _ in range(rng.randrange(4)):
+            sim.schedule(rng.uniform(0.0, 5.0), node.stall,
+                         rng.uniform(0.05, 1.0))
+        if rng.random() < 0.5:
+            down = rng.uniform(0.0, 5.0)
+            sim.schedule(down, node.crash)
+            sim.schedule(down + rng.uniform(0.0, 1.0), node.recover)
+    sim.run()
+    metrics = net.metrics
+    assert (metrics.delivered + metrics.lost + metrics.dropped_down
+            + metrics.unhandled == metrics.sent + metrics.duplicated)
+    # ... and "delivered" is what the handlers took.
+    assert metrics.delivered == sum(map(len, received.values()))
+
+
+def test_a_stall_defers_and_counts_once():
+    """Without loss, every arrival at a stalled node is delivered exactly
+    once, when its stall ends, and counted once."""
+    sim, net, received = build(NetworkConfig(), seed=5)
+    net.nodes[1].stall(2.0)
+    for index in range(30):
+        net.send(0, 1, Ping(index))
+    sim.run()
+    assert sorted(value for value, _ in received[1]) == list(range(30))
+    assert all(when >= 2.0 for _, when in received[1])
+    assert net.metrics.delivered == 30 == net.metrics.sent
+
+
 def test_loss_rate_converges_statistically():
     sim, net, received = build(NetworkConfig(loss_rate=0.3), seed=42)
     for index in range(3000):

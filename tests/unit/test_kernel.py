@@ -390,6 +390,81 @@ class TestAnyOf:
         sim.run()
         assert wakes == [1.0]
 
+    def test_same_step_fires_wake_the_waiter_once(self, sim):
+        got = []
+        e1, e2 = sim.event("e1"), sim.event("e2")
+
+        def waiter():
+            fired, value = yield AnyOf([e1, e2])
+            got.append(value)
+            yield 10.0
+            got.append("slept")
+
+        def fire_both():
+            e1.fire("first")
+            e2.fire("second")
+
+        sim.spawn(waiter(), "w")
+        sim.schedule(1.0, fire_both)
+        sim.run()
+        assert got == ["first", "slept"]
+
+    def test_a_resolved_wait_leaves_no_waiter_on_the_losers(self, sim):
+        # The losing events never fire: an Event, and a Signal's pending
+        # event.  Once the winner resumes the task, neither holds it.
+        plain, winner = sim.event("plain"), sim.event("winner")
+        signal = sim.signal("s")
+        seen = []
+
+        def waiter():
+            yield AnyOf([plain, signal.wait(), winner])
+            seen.append((len(plain._waiters),
+                         len(signal.wait()._waiters)))
+            yield 5.0
+
+        task = sim.spawn(waiter(), "w")
+        sim.schedule(1.0, winner.fire)
+        sim.run(until=2.0)
+        assert task.alive
+        assert seen == [(0, 0)]
+        assert plain._waiters == [] and signal.wait()._waiters == []
+
+    def test_a_signal_waited_in_a_loop_holds_one_waiter(self, sim):
+        # A task that keeps waiting on a quiet signal beside a timer —
+        # Paxos's follower poll, the detector wait — leaves one waiter on
+        # the signal, not one per wait.
+        signal = sim.signal("quiet")
+        held = []
+
+        def poller():
+            for _ in range(50):
+                timer = sim.event("tick")
+                sim.schedule(0.1, timer.fire)
+                fired, _ = yield AnyOf([signal.wait(), timer])
+                assert fired is timer
+                held.append(len(signal.wait()._waiters))
+
+        sim.spawn(poller(), "p")
+        sim.run()
+        assert held == [0] * 50
+
+    def test_either_event_may_win_a_later_wait(self, sim):
+        # A loser taken off its event can still win the next wait on it.
+        e1, e2, e3 = (sim.event(name) for name in ("e1", "e2", "e3"))
+        got = []
+
+        def waiter():
+            fired, _ = yield AnyOf([e1, e2])
+            got.append(fired.name)
+            fired, _ = yield AnyOf([e2, e3])
+            got.append(fired.name)
+
+        sim.spawn(waiter(), "w")
+        sim.schedule(1.0, e1.fire)
+        sim.schedule(2.0, e2.fire)
+        sim.run()
+        assert got == ["e1", "e2"]
+
     def test_empty_anyof_rejected(self, sim):
         with pytest.raises(SimulationError):
             AnyOf([])

@@ -86,6 +86,62 @@ class TestDelivery:
         assert net.metrics.dropped_down == 1
 
 
+class Note(WireMessage):
+    """A type no node registers a handler for."""
+
+    type = "test.note"
+    fields = ()
+
+
+class TestStalls:
+    """An arrival at a stalled node is deferred, and takes its one fate
+    — delivered, unhandled or dropped_down — when presented again."""
+
+    def test_a_deferred_arrival_is_delivered_after_the_stall(self, sim):
+        net, nodes, received = build(sim)
+        nodes[1].stall(1.0)
+        net.send(0, 1, Ping("late"))
+        sim.run(until=0.5)
+        assert received[1] == [] and net.metrics.delivered == 0
+        sim.run()
+        assert [value for _, value, _ in received[1]] == ["late"]
+        assert received[1][0][2] == pytest.approx(1.0)
+        assert net.metrics.delivered == 1
+
+    def test_no_handler_after_a_stall_is_unhandled(self, sim):
+        net, nodes, _ = build(sim)
+        nodes[1].stall(1.0)
+        net.send(0, 1, Note())
+        sim.run()
+        assert (net.metrics.unhandled, net.metrics.delivered) == (1, 0)
+
+    def test_deferred_past_a_crash_is_dropped_down(self, sim):
+        net, nodes, received = build(sim)
+        nodes[1].stall(1.0)
+        net.send(0, 1, Ping("lost"))
+        sim.schedule(0.5, nodes[1].crash)
+        sim.run()
+        assert received[1] == []
+        assert (net.metrics.dropped_down, net.metrics.delivered) == (1, 0)
+
+    def test_a_growing_stall_defers_again(self, sim):
+        net, nodes, received = build(sim)
+        nodes[1].stall(1.0)
+        net.send(0, 1, Ping("later"))
+        sim.schedule(0.9, nodes[1].stall, 1.0)
+        sim.run()
+        assert received[1][0][2] == pytest.approx(2.0)
+        assert net.metrics.delivered == 1
+
+    def test_a_rider_takes_its_fate_after_the_stall(self, sim):
+        net, nodes, received = build(sim)
+        nodes[1].stall(1.0)
+        net.send(0, 1, Packet(Ping("carrier"), Note()))
+        sim.run()
+        assert [value for _, value, _ in received[1]] == ["carrier"]
+        assert (net.metrics.delivered, net.metrics.unhandled) == (1, 1)
+
+
 class TestLossDuplication:
     def test_loss_rate_drops_messages(self, sim):
         config = NetworkConfig(loss_rate=0.5)
