@@ -23,7 +23,7 @@ from repro.core.equivalence import ConsensusFromAtomicBroadcast
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
@@ -36,7 +36,7 @@ def run_case(seed):
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=0.05))
     nodes, reductions = {}, {}
     for i in range(3):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         endpoint = node.add_component(Endpoint(net))
         detector = node.add_component(HeartbeatDetector(endpoint))
         omega = node.add_component(OmegaOracle(detector))

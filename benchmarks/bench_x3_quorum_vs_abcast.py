@@ -26,7 +26,7 @@ from repro.apps.kvstore import KeyValueStore
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.quorum.register import QuorumRegister
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
@@ -39,7 +39,7 @@ def quorum_case(n, seed=25):
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=0.02))
     nodes, registers = {}, {}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         endpoint = node.add_component(Endpoint(net))
         registers[i] = node.add_component(QuorumRegister(endpoint))
         net.register(node)

@@ -12,15 +12,17 @@ simulator, clock skew on the live runtime).
 a scenario's runtime and settles and verifies after the timeline.
 
 Disk faults are the interesting case: applying a ``torn_write`` event
-only *arms* the victim's :class:`~repro.storage.faulty.FaultyStorage`;
-the fault fires later, inside whatever ``log`` call the victim makes
-next, and surfaces as an :class:`~repro.storage.faulty.InjectedCrashFault`
-unwinding out of ``sim.run`` (the kernel executes exactly one node's
-callback at a time, so only the victim's step is torn).  The controller
-catches it, crashes the victim — volatile state gone, the torn record on
-"disk" — schedules the recovery, and resumes the clock.  This is a
-faithful power-cut-mid-write, which is precisely the scenario the
-paper's ``log``-before-``send`` discipline exists for.
+only *arms* the victim's :class:`~repro.storage.disk.SimDisk` (counted
+as ``disk_armed``); the fault fires later, inside whatever journal
+append the victim makes next, and surfaces as an
+:class:`~repro.storage.disk.InjectedCrashFault` unwinding out of
+``sim.run`` (the kernel executes exactly one node's callback at a time,
+so only the victim's step is torn).  The controller catches it, crashes
+the victim — volatile state gone, the torn bytes on its disk, the store
+reopened from them — schedules the recovery, and resumes the clock.
+This is a faithful power-cut-mid-write, which is precisely the scenario
+the paper's ``log``-before-``send`` discipline exists for.  The disk
+counts what it really did (``torn_write``, ``write_crash``).
 
 A chaos timeline ends with a ``restore`` event: once every other event
 is spent it restores a fair world (heal partitions, base loss, disarm
@@ -35,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.chaos.events import ChaosEvent
 from repro.chaos.inject import cut_off
 from repro.errors import OverloadError, SimulationError
-from repro.storage.faulty import FaultyStorage, InjectedCrashFault
+from repro.storage.disk import InjectedCrashFault, SimDisk
 
 __all__ = ["LiveChaosController", "SimChaosController"]
 
@@ -227,7 +229,7 @@ class SimChaosController(_BaseController):
         assert victim is not None
         self.cluster.crash(victim)
         self.record(ChaosEvent(self.now, "crash", node=victim,
-                               cause=fault.mode, key=fault.path),
+                               cause=fault.mode),
                     count_as="disk_crash")
         downtime = self._disk_downtimes.pop(victim, 1.0)
         self.push(ChaosEvent(self.now + downtime, "recover", node=victim))
@@ -236,12 +238,19 @@ class SimChaosController(_BaseController):
         self.cluster.network.config.loss_rate = rate
 
     def _heal(self) -> None:
-        for node in self.cluster.nodes.values():
-            if isinstance(node.storage, FaultyStorage):
-                node.storage.disarm()  # also heals a limping disk
+        for node_id in self.cluster.nodes:
+            disk = self._disk(node_id)
+            if disk is not None:
+                disk.disarm()  # also heals a limping disk
         self.cluster.network.heal_all()
         self.cluster.network.clear_node_delays()
         super()._heal()
+
+    def _disk(self, node_id: int) -> Any:
+        """The node's simulated disk; ``None`` for a scenario built
+        without one, where disk events are no-ops."""
+        disk = self.cluster.nodes[node_id].storage.disk
+        return disk if isinstance(disk, SimDisk) else None
 
     # -- event handlers --------------------------------------------------------
 
@@ -254,31 +263,30 @@ class SimChaosController(_BaseController):
         self.record(event)
 
     def _apply_torn_write(self, event: ChaosEvent) -> None:
-        storage = self.cluster.nodes[event.node].storage
-        if not isinstance(storage, FaultyStorage):
-            return  # scenario built without fault-injection storage
-        storage.arm_crash_write(event.args.get("mode", "torn"))
+        disk = self._disk(event.node)
+        if disk is None:
+            return
+        disk.arm_crash_write(event.args.get("mode", "torn"))
         self._disk_downtimes[event.node] = event.args.get("downtime", 1.0)
-        self.record(event)
+        self.record(event, count_as="disk_armed")
 
     # -- gray failures ---------------------------------------------------------
 
     def _apply_slow_disk(self, event: ChaosEvent) -> None:
-        node = self.cluster.nodes[event.node]
-        storage = node.storage
-        if not isinstance(storage, FaultyStorage):
-            return  # scenario built without fault-injection storage
-        storage.set_latency(event.args["low"], event.args["high"])
+        disk = self._disk(event.node)
+        if disk is None:
+            return
+        disk.set_latency(event.args["low"], event.args["high"])
         # Each drawn write stall freezes the victim's whole process:
         # slow-but-alive, exactly the gray-failure envelope.
-        storage.on_stall = node.stall
+        disk.on_stall = self.cluster.nodes[event.node].stall
         self.record(event)
 
     def _apply_slow_disk_restore(self, event: ChaosEvent) -> None:
-        storage = self.cluster.nodes[event.node].storage
-        if not isinstance(storage, FaultyStorage):
+        disk = self._disk(event.node)
+        if disk is None:
             return
-        storage.clear_latency()
+        disk.clear_latency()
         self.record(event)
 
     def _apply_limp(self, event: ChaosEvent) -> None:

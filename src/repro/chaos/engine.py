@@ -27,8 +27,8 @@ from repro.errors import ReproError
 from repro.flow.controller import FlowConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, run_scenario
-from repro.storage.faulty import FaultyStorage
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import SimDisk
+from repro.storage.stable import StableStorage
 from repro.transport.network import NetworkConfig
 
 __all__ = ["ChaosConfig", "ChaosReport", "SeedResult", "explore",
@@ -204,11 +204,10 @@ def _scenario(config: ChaosConfig, params: Dict[str, Any],
     fair world (``restore``).  Live clusters ignore the disk factory."""
     disk_seed_base = params["cluster_seed"]
 
-    def faulty_factory(node_id: int) -> FaultyStorage:
-        return FaultyStorage(
-            MemoryStorage(),
+    def faulty_factory(node_id: int) -> StableStorage:
+        return StableStorage(SimDisk(
             rng=random.Random(f"disk:{disk_seed_base}:{node_id}"),
-            node_hint=node_id)
+            node_hint=node_id))
 
     cluster = ClusterConfig(
         n=params["n"], seed=params["cluster_seed"],
@@ -229,13 +228,12 @@ def _collect_counters(cluster: Any,
                       for node in cluster.nodes.values())
     if quarantined:
         counters["quarantined"] = quarantined
-    injected: Dict[str, int] = {}
     for node in cluster.nodes.values():
-        if isinstance(node.storage, FaultyStorage):
-            for mode, count in node.storage.injected.items():
+        disk = node.storage.disk
+        if isinstance(disk, SimDisk):
+            for mode, count in disk.injected.items():
                 if count:
-                    injected[mode] = injected.get(mode, 0) + count
-    counters.update(injected)
+                    counters[mode] = counters.get(mode, 0) + count
     flows = getattr(cluster, "flows", None)
     if flows:
         counters["flow_accepted"] = sum(

@@ -25,7 +25,7 @@ __all__ = ["ChaosEvent", "format_timeline", "KINDS"]
 # membership through ordered commands (``join`` also builds and starts
 # the new node's stack; ``evict`` additionally crashes a running
 # victim — eviction models expelling a faulty process).  Gray failures:
-# ``slow_disk`` gives a victim's FaultyStorage a per-write latency draw
+# ``slow_disk`` gives a victim's SimDisk a per-append latency draw
 # (``slow_disk_restore`` heals it); ``limp`` adds constant delay to
 # every message touching a slow-but-alive victim (``limp_restore``
 # heals it).  ``restore`` ends a chaos timeline: after every other event

@@ -132,8 +132,8 @@ class DiskFaultNemesis(Nemesis):
     """Arm torn/failed writes that crash their victim mid-``log``.
 
     The actual crash happens when the victim next writes (the armed
-    :class:`~repro.storage.faulty.FaultyStorage` raises out of the
-    ``log`` call); the controller catches the injected fault, crashes
+    :class:`~repro.storage.disk.SimDisk` raises out of the journal
+    append); the controller catches the injected fault, crashes
     the node and schedules its recovery after ``downtime`` — modelling a
     power cut at the worst instant of the write path.  Sim only: on the
     live runtime the exception would be swallowed by the event loop's
@@ -285,8 +285,8 @@ class SaturationNemesis(Nemesis):
 class SlowDiskNemesis(Nemesis):
     """A limping disk: seeded per-write latency on one victim's storage.
 
-    Applying ``slow_disk`` calls ``FaultyStorage.set_latency``; every
-    subsequent ``log`` succeeds but stalls the victim's whole process
+    Applying ``slow_disk`` calls ``SimDisk.set_latency``; every
+    subsequent journal append succeeds but stalls the victim's whole process
     for the drawn duration (``Node.stall`` defers its inbound messages),
     modelling a single-threaded server blocked in fsync.  The disk heals
     at ``slow_disk_restore``.  Sim only, like the other disk faults.

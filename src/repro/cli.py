@@ -149,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "round-trips for every message class with a "
                          "type-id, adversarial datagrams that must "
                          "fail only with WireCodecError, and damaged "
-                         "FileStorage records and journals that must end "
-                         "in a quarantine or a torn-tail stop")
+                         "storage journals and compaction snapshots that "
+                         "must reopen, without raising, to a prefix of "
+                         "what was logged")
     wirefuzz.add_argument("--iterations", type=int, default=500,
                           help="round-trip iterations (adversarial "
                                "decodes run 4x this, damaged stores a "

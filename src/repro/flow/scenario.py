@@ -40,8 +40,8 @@ from repro.chaos.events import ChaosEvent
 from repro.flow.controller import FlowConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, ScenarioResult
-from repro.storage.faulty import FaultyStorage
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import SimDisk
+from repro.storage.stable import StableStorage
 from repro.workloads.generators import ScheduledWorkload
 
 __all__ = ["OverloadReport", "overload_scenario"]
@@ -66,11 +66,10 @@ def overload_scenario(seed: int = 0,
     The run must settle within ``settle_limit`` virtual seconds of the
     disk healing.
     """
-    def faulty_factory(node_id: int) -> FaultyStorage:
-        return FaultyStorage(
-            MemoryStorage(),
+    def faulty_factory(node_id: int) -> StableStorage:
+        return StableStorage(SimDisk(
             rng=random.Random(f"overload-disk:{seed}:{node_id}"),  # repro: noqa(DET004) -- private stream from the scenario seed
-            node_hint=node_id)
+            node_hint=node_id))
 
     # 120 broadcasts offered to node 0 inside one virtual second.  The
     # bucket refills 4/s and holds a burst of 4, so the window admits at
@@ -111,7 +110,7 @@ class OverloadReport:
         self.gave_up = workload.gave_up
         self.delivered = len(cluster.collector.first_delivery)
         self.slow_writes = \
-            cluster.nodes[_VICTIM].storage.injected["slow_write"]
+            cluster.nodes[_VICTIM].storage.disk.injected["slow_write"]
         abcasts = cluster.abcasts.values()
         self.unordered_high_water = max(
             getattr(abcast, "unordered_high_water", 0) for abcast in abcasts)

@@ -47,7 +47,7 @@ from repro.fdetect.omega import OmegaOracle
 from repro.membership import View, ViewManager, reconfig_payload
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
@@ -95,10 +95,10 @@ class ClusterConfig:
         self.attempt_timeout = attempt_timeout
         self.fd_period = fd_period
         self.sequencer_id = sequencer_id
-        # storage_factory(node_id) -> StableStorage; defaults to the
-        # in-memory simulation backend.
+        # storage_factory(node_id) -> StableStorage; defaults to a
+        # store without a disk, which survives crashes as an object.
         self.storage_factory = storage_factory or \
-            (lambda node_id: MemoryStorage())
+            (lambda node_id: StableStorage())
         # flow: None = no admission control (every existing seed
         # universe unchanged); a FlowConfig gates to_broadcast() with a
         # per-node deterministic FlowController.
@@ -196,12 +196,11 @@ class ClusterCore:
     :class:`Cluster` (virtual time) and
     :class:`~repro.harness.live.LiveCluster` (asyncio + UDP + files)
     add only how the runtime and medium are constructed, which storage
-    a node gets (:meth:`_storage`), what happens to its socket and
-    storage handle around going up and down (:meth:`_open`,
-    :meth:`_close`) and how the clock is driven: ``run(until)`` to an
-    instant of the runtime's clock, ``run_for(seconds)`` by a span of
-    it, and :attr:`SETTLE_INTERVAL` between two checks of
-    :meth:`settle`.
+    a node gets (:meth:`_storage`), what happens to its socket around
+    going up and down (:meth:`_open`, :meth:`_close`) and how the clock
+    is driven: ``run(until)`` to an instant of the runtime's clock,
+    ``run_for(seconds)`` by a span of it, and :attr:`SETTLE_INTERVAL`
+    between two checks of :meth:`settle`.
     """
 
     #: Seconds of the runtime's clock between two settled-checks.
@@ -346,7 +345,7 @@ class ClusterCore:
         """Crash an up node; only its stable storage survives.
 
         A no-op on a node that is already down, so a second crash never
-        swaps the storage handle or touches the socket again.
+        reopens its store or touches the socket again.
         """
         node = self.nodes[node_id]
         if not node.up:

@@ -2,17 +2,18 @@
 
 :class:`LiveCluster` is :class:`~repro.harness.cluster.ClusterCore` on a
 :class:`~repro.runtime.live.LiveRuntime`: the nodes talk over localhost
-UDP (:class:`~repro.runtime.live_net.LiveNetwork`) and each has fsync'd
-file-backed stable storage (:class:`~repro.storage.file.FileStorage`)
-under its own directory.  Everything else, including the surface
-:func:`~repro.harness.verify.verify_run` consumes, is the shared body,
-so live runs are checked against the exact same predicates.
+UDP (:class:`~repro.runtime.live_net.LiveNetwork`) and each journals
+its stable storage to its own directory
+(:class:`~repro.storage.disk.OsDisk`).  Everything else, including the
+surface :func:`~repro.harness.verify.verify_run` consumes, is the shared
+body, so live runs are checked against the exact same predicates.
 
-Crash-recovery is exercised for real: ``crash`` also closes the node's
-UDP socket and discards its in-process storage object — only the files
-remain — and ``recover`` binds a fresh socket on a new ephemeral port
-before the paper's single recovery entry point replays the on-disk logs
-through a fresh handle over the same directory.
+Crash-recovery is exercised for real: a crash discards the node's
+storage handle — only the journal remains, and a fresh handle replays
+it (:meth:`~repro.storage.stable.StableStorage.reopen`) — and closes its
+UDP socket; ``recover`` binds a fresh socket on a new ephemeral port
+before the paper's single recovery entry point reads the replayed
+store.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Any
 from repro.harness.cluster import ClusterConfig, ClusterCore
 from repro.runtime.live import LiveRuntime
 from repro.runtime.live_net import LiveNetwork
-from repro.storage.file import FileStorage
+from repro.storage.disk import OsDisk
+from repro.storage.stable import StableStorage
 
 __all__ = ["LiveCluster"]
 
@@ -55,20 +57,17 @@ class LiveCluster(ClusterCore):
                              if config.flow is not None else None))
         super().__init__(config, runtime, network)
 
-    def _storage(self, node_id: int) -> FileStorage:
-        return FileStorage(os.path.join(self.directory, f"node{node_id}"))
+    def _storage(self, node_id: int) -> StableStorage:
+        return StableStorage(
+            OsDisk(os.path.join(self.directory, f"node{node_id}")))
 
     def _open(self, node_id: int) -> None:
         """Bind a fresh UDP socket on a new ephemeral port."""
         self.runtime.loop.run_until_complete(self.network.open(node_id))
 
     def _close(self, node_id: int) -> None:
-        """The rest of a process kill: the socket and the storage handle
-        go too, so recovery must replay from the files alone."""
+        """The rest of a process kill: the socket goes too."""
         self.network.close(node_id)
-        node = self.nodes[node_id]
-        node.storage.close()
-        node.storage = self._storage(node_id)
 
     # The frozen benchmark drives crash-recovery under these names.
     kill = ClusterCore.crash
@@ -90,17 +89,15 @@ class LiveCluster(ClusterCore):
         return self.runtime.now
 
     def close(self) -> None:
-        """Tear the cluster down: crash nodes, close storage, sockets and
-        the loop.
+        """Tear the cluster down: crash nodes (which closes their
+        journals), close sockets and the loop.
 
         Re-raises the first exception any protocol callback raised during
         the run, so failures inside the loop are not silently dropped.
         """
         try:
             for node in self.nodes.values():
-                if node.up:
-                    node.crash()
-                node.storage.close()
+                node.crash()
             self.network.close_all()
             # One final spin so transport close callbacks run.
             if not self.runtime.loop.is_closed():

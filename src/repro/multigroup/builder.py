@@ -18,7 +18,7 @@ from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
 from repro.multigroup.multicast import MultiGroupMulticast
 from repro.runtime import Node, SeedSequence, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 from repro.transport.scoped import ScopedEndpoint
@@ -63,7 +63,7 @@ class MultiGroupCluster:
             self._build_node(node_id, gossip_interval)
 
     def _build_node(self, node_id: int, gossip_interval: float) -> None:
-        node = Node(self.sim, node_id, MemoryStorage())
+        node = Node(self.sim, node_id, StableStorage())
         endpoint = node.add_component(Endpoint(self.network))
         abs_for_node: Dict[str, BasicAtomicBroadcast] = {}
         for group, members in sorted(self.groups.items()):

@@ -5,7 +5,8 @@ A :class:`Node` models one process of the paper's system model
 
 * while *up* it runs tasks at its own speed;
 * a *crash* wipes its volatile memory (tasks, message handlers, input
-  buffer) but not its stable storage;
+  buffer) but not its stable storage: a store with a disk is reopened
+  from what the disk kept, a store without one survives as an object;
 * a *recovery* re-runs every component's start hook — the paper's single
   "upon initialization or recovery" entry point — so initial start and
   recovery share one code path.
@@ -17,9 +18,9 @@ both are torn down automatically on crash.
 A node is runtime-agnostic: it runs unchanged on
 :class:`~repro.runtime.sim.SimRuntime` (where "crash" is a bookkeeping
 event in virtual time) and on :class:`~repro.runtime.live.LiveRuntime`
-(where the harness additionally closes the node's UDP socket and reopens
-its storage directory to emulate a real process kill).  The owning
-runtime is stored under the historical attribute name ``sim``.
+(where the harness additionally closes the node's UDP socket to emulate
+a real process kill).  The owning runtime is stored under the historical
+attribute name ``sim``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class Node:
         self.storage = storage
         self.up = False
         self.components: List[NodeComponent] = []
-        self._tasks: List[Task] = []
+        # Live tasks in spawn order: each leaves when it finishes.
+        self._tasks: Dict[Task, None] = {}
         self._handlers: Dict[str, Callable[[Any, int], None]] = {}
         # Link liveness, volatile like the handlers.  ``last_sent[peer]``
         # is when this node last handed the fair-loss medium anything
@@ -152,13 +154,14 @@ class Node:
         self.crash_count += 1
         self.sim.trace("node", self.node_id, "crash")
         self.total_uptime += self.sim.now - self.last_up_at
-        tasks, self._tasks = self._tasks, []
-        for task in tasks:
+        tasks, self._tasks = self._tasks, {}
+        for task in list(tasks):
             task.kill()
         self._handlers.clear()
         self.last_sent.clear()
         self._arrival_listeners.clear()
         self.stall_until = 0.0
+        self.storage = self.storage.reopen()
         for component in self.components:
             component.on_crash()
 
@@ -198,9 +201,8 @@ class Node:
         if not self.up:
             raise ProcessDown(f"node {self.node_id} is down")
         task = self.sim.spawn(gen, name=f"n{self.node_id}:{name}")
-        self._tasks.append(task)
-        if len(self._tasks) > 64:  # drop finished tasks opportunistically
-            self._tasks = [t for t in self._tasks if t.alive]
+        self._tasks[task] = None
+        task.on_finish = self._tasks.pop
         return task
 
     # -- message dispatch --------------------------------------------------------

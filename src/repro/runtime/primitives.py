@@ -32,7 +32,8 @@ and spawns helpers through it either way.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
+                    List, Optional)
 
 from repro.errors import SimulationError, TaskKilled
 
@@ -147,7 +148,7 @@ class Task:
     """
 
     __slots__ = ("sim", "gen", "name", "dead", "finished", "result",
-                 "_done_event", "_sleep_timer", "_running")
+                 "on_finish", "_done_event", "_sleep_timer", "_running")
 
     def __init__(self, sim: "Runtime", gen: Generator, name: str):
         self.sim = sim
@@ -156,6 +157,8 @@ class Task:
         self.dead = False        # killed or finished: will never resume
         self.finished = False    # ran to completion normally
         self.result: Any = None
+        # Called with the task once, when it finishes or is killed.
+        self.on_finish: Optional[Callable[["Task"], Any]] = None
         self._done_event: Optional[Event] = None
         self._sleep_timer: Optional["TimerHandle"] = None
         self._running = False
@@ -197,6 +200,8 @@ class Task:
     def _finish(self, result: Any) -> None:
         self.dead = True
         self.result = result
+        if self.on_finish is not None:
+            self.on_finish(self)
         if self._done_event is not None and not self._done_event.fired:
             self._done_event.fire(result)
 

@@ -12,9 +12,8 @@ one table from id to class
 (:data:`~repro.transport.message.BY_TYPE_ID`), so decoding a frame is
 one lookup in it.  The body is the message's declared fields, in
 declaration order, each in the binary value codec of
-:mod:`repro.storage.codec` — the codec
-:class:`~repro.storage.file.FileStorage` writes to disk, so a value a
-node both sends and logs is encoded once (an
+:mod:`repro.storage.codec` — the codec the stable-storage journal
+writes to disk, so a value a node both sends and logs is encoded once (an
 :class:`~repro.core.messages.AppMessage` keeps its bytes).  A message
 whose class has no id, or a sender outside the header's unsigned 32-bit
 field, raises :class:`WireCodecError` at encode: there is one frame

@@ -18,11 +18,11 @@ mechanically:
   :class:`~repro.runtime.wire.WireCodecError`.  Any other exception is a
   crash a malformed UDP packet could trigger remotely.
 * **Damaged disks degrade to typed outcomes** — a
-  :class:`~repro.storage.file.FileStorage` whose record file or journal
-  is damaged (bit flips, truncation, junk, a mutated payload under a
-  valid checksum) reopens without raising: a damaged record is
-  quarantined and reads as absent, a damaged journal stops replay at the
-  tear, and nothing raises anything but the values it holds.
+  :class:`~repro.storage.stable.StableStorage` whose journal, or the
+  snapshot a compaction left, is damaged (bit flips, truncation, junk)
+  reopens without raising and reads a prefix of what was logged: replay
+  stops at the first bad frame.  A payload mutated under a valid
+  checksum must only not raise.
 
 Everything is driven by one seed, so a reported defect reproduces from
 its printed iteration seed.  The ``repro wirefuzz`` CLI command runs all
@@ -33,17 +33,15 @@ reuse the same engine with fixed seeds.
 from __future__ import annotations
 
 import math
-import os
 import random
-import shutil
-import tempfile
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.runtime import wire
-from repro.storage.file import FileStorage, _JOURNAL_NAME, frame_record
+from repro.storage.disk import SimDisk
+from repro.storage.stable import StableStorage, frame_record, read_journal
 from repro.transport.message import BY_TYPE_ID, WireMessage
 
 __all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "fuzz_storage",
@@ -60,7 +58,7 @@ class FuzzReport:
         self.clean_rejections = 0
         self.accepted = 0
         self.damaged_stores = 0
-        self.quarantined = 0   # damaged records set aside at reopen
+        self.quarantined = 0   # damaged frames found at reopen
         # (suite, iteration seed, description) triples; empty when ok.
         self.defects: List[Tuple[str, int, str]] = []
 
@@ -85,7 +83,7 @@ class FuzzReport:
                 f"({self.accepted} accepted, "
                 f"{self.clean_rejections} cleanly rejected), "
                 f"{self.damaged_stores} damaged stores "
-                f"({self.quarantined} records quarantined)")
+                f"({self.quarantined} damaged frames dropped)")
 
 
 def registered_classes() -> List[Tuple[str, Type[WireMessage]]]:
@@ -322,74 +320,92 @@ def fuzz_decode(iterations: int = 2000, seed: int = 0) -> FuzzReport:
     return report
 
 
-def _damage_file(rng: random.Random, target: str) -> bool:
-    """Damage one file in place: a bit flip, a truncation or junk, or a
-    mutated payload re-framed under a valid checksum.  Returns True for
-    the last, which no checksum can detect."""
-    with open(target, "rb") as handle:
-        data = bytearray(handle.read())
-    newline = data.find(b"\n")
-    reframed = rng.random() < 0.25 and 0 <= newline < len(data) - 1
-    if reframed:
-        # The first frame's payload (the whole payload of a record
-        # file), one bit flipped, framed again; the rest is unchanged.
-        length = int(data[:newline].split(b" ")[1])
-        payload = bytearray(data[newline + 1:newline + 1 + length])
-        payload[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
-        data[:newline + 1 + length] = frame_record(bytes(payload))
-    else:
-        data = _damage(rng, data, rng.choice((1, 2, 4)))
-    with open(target, "wb") as handle:
-        handle.write(data)
-    return reframed
+def _prefix_states(raw: bytes) -> List[Dict[str, Any]]:
+    """The store after each batch of an undamaged journal, from empty."""
+    state: Dict[str, Any] = {}
+    states = [state]
+    for batch, _ in read_journal(raw)[0]:
+        state = dict(state)
+        for record in batch:
+            if record[0] == "w":
+                state[record[1]] = record[2]
+            elif record[0] == "d":
+                state.pop(record[1], None)
+            else:
+                state[record[1]] = state.get(record[1], ()) + (record[2],)
+        states.append(state)
+    return states
 
 
-def _storage_defect(rng: random.Random, directory: str,
+def _contents(store: StableStorage) -> Dict[str, Any]:
+    return {key: store.retrieve(key) for key in store.keys()}
+
+
+def _same(left: Dict[str, Any], right: Dict[str, Any]) -> bool:
+    return left.keys() == right.keys() and \
+        all(equivalent(left[key], right[key]) for key in left)
+
+
+def _damage_journal(rng: random.Random, data: bytearray) -> bool:
+    """Damage journal bytes in place: a bit flip, a truncation or junk,
+    or one frame's payload mutated and framed again under a valid
+    checksum.  Returns True for the last, which no checksum can
+    detect."""
+    frames = read_journal(bytes(data))[0]
+    if not frames or rng.random() >= 0.25:
+        data[:] = _damage(rng, data, rng.choice((1, 2, 4)))
+        return False
+    index = rng.randrange(len(frames))
+    start = sum(size for _, size in frames[:index])
+    frame = data[start:start + frames[index][1]]
+    payload = frame[frame.find(b"\n") + 1:]
+    payload[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
+    data[start:start + len(frame)] = frame_record(bytes(payload))
+    return True
+
+
+def _storage_defect(rng: random.Random,
                     report: FuzzReport) -> Optional[str]:
     """One damaged store; a description of what went wrong, or None."""
-    values = {f"k{index}": random_value(rng)
-              for index in range(rng.randrange(1, 5))}
-    store = FileStorage(directory)
-    with store.write_barrier():
-        for key, value in values.items():
-            store.log(key, value)
-    victim = rng.choice(sorted(values))
-    on_journal = rng.random() < 0.5
-    if on_journal:
-        target = os.path.join(directory, _JOURNAL_NAME)
-    else:
-        FileStorage(directory)  # a restart empties the journal
-        target = store._file_for(victim)
-    reframed = _damage_file(rng, target)
+    disk = SimDisk()
+    store = StableStorage(disk)
+    keys = [f"k{index}" for index in range(rng.randrange(1, 5))]
+    for _ in range(rng.randrange(1, 4)):
+        with store.write_barrier():
+            for _ in range(rng.randrange(1, 4)):
+                roll = rng.random()
+                if roll < 0.15:
+                    store.delete(rng.choice(keys))
+                elif roll < 0.3:
+                    store.append("seq", random_value(rng))
+                else:
+                    store.log(rng.choice(keys), random_value(rng))
+    if rng.random() < 0.5:
+        store.compact()
+        store.log(rng.choice(keys), random_value(rng))
+    clean = disk.read()
+    states = _prefix_states(clean)
+    if not _same(_contents(StableStorage(disk)), states[-1]):
+        return "an undamaged journal did not read back what was logged"
+    data = bytearray(clean)
+    reframed = _damage_journal(rng, data)
+    disk.replace(bytes(data))
     report.damaged_stores += 1
-    reopened = FileStorage(directory)
+    reopened = StableStorage(disk)
     report.quarantined += reopened.metrics.quarantined
-    missing = object()
-    for key, value in values.items():
-        got = reopened.retrieve(key, missing)
-        if reframed or equivalent(got, value):
-            continue
-        if got is missing and key == victim and not on_journal \
-                and reopened.metrics.quarantined == 1:
-            continue  # detected, set aside, read as never logged
-        where = "journal" if on_journal else f"record of {key!r}"
-        return f"damaged {where}: {key!r} read {got!r}, logged {value!r}"
-    return None
+    got = _contents(reopened)
+    if reframed or any(_same(got, state) for state in states):
+        return None
+    return f"damaged journal read {got!r}: no prefix of what was logged"
 
 
 def fuzz_storage(iterations: int = 50, seed: int = 0) -> FuzzReport:
-    """Damage a store's record files and journal; reopening and reading
-    must end in a quarantine or a torn-tail stop, never an exception."""
+    """Damage a store's journal, or the snapshot a compaction left;
+    reopening must read a prefix of what was logged, and never raise."""
     report = FuzzReport()
-    root = tempfile.mkdtemp(prefix="wirefuzz-")
-    try:
-        for iteration, (sub_seed, rng) in enumerate(_streams(seed,
-                                                             iterations)):
-            directory = os.path.join(root, str(iteration))
-            _check(report, "storage", sub_seed, "store",
-                   partial(_storage_defect, rng, directory, report))
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+    for sub_seed, rng in _streams(seed, iterations):
+        _check(report, "storage", sub_seed, "store",
+               partial(_storage_defect, rng, report))
     return report
 
 

@@ -1,15 +1,15 @@
 """Stable storage: the paper's ``log`` / ``retrieve`` primitives.
 
-See :mod:`repro.storage.stable` for the abstract interface and operation
-accounting, :mod:`repro.storage.memory` for the simulation backend,
-:mod:`repro.storage.file` for the durable self-healing file backend and
-:mod:`repro.storage.faulty` for the seeded disk-fault injector.
+One engine, :class:`~repro.storage.stable.StableStorage`, keeps the
+logged objects in a map and journals them to a disk when it has one
+(:mod:`repro.storage.disk`): :class:`~repro.storage.disk.OsDisk` on the
+live runtime, :class:`~repro.storage.disk.SimDisk` — bytes in memory,
+seeded faults — on the simulator.  :mod:`repro.storage.codec` is the
+one binary encoding of the wire and of the disk.
 """
 
-from repro.storage.faulty import FaultyStorage, InjectedCrashFault
-from repro.storage.file import FileStorage
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import InjectedCrashFault, OsDisk, SimDisk
 from repro.storage.stable import StableStorage, StorageMetrics
 
-__all__ = ["FaultyStorage", "FileStorage", "InjectedCrashFault",
-           "MemoryStorage", "StableStorage", "StorageMetrics"]
+__all__ = ["InjectedCrashFault", "OsDisk", "SimDisk", "StableStorage",
+           "StorageMetrics"]

@@ -1,8 +1,8 @@
 """The one binary value codec: the bytes of the wire and of the disk.
 
-Every value a protocol sends (:mod:`repro.runtime.wire`) or logs
-(:class:`~repro.storage.file.FileStorage`) is encoded here.  A value is a
-one-byte tag followed by its body::
+Every value a protocol sends (:mod:`repro.runtime.wire`) or journals
+(:class:`~repro.storage.stable.StableStorage`) is encoded here.  A value
+is a one-byte tag followed by its body::
 
     N  T  F                   None, True, False
     i <varint>                int: zigzag-mapped, unsigned LEB128
@@ -25,7 +25,7 @@ tag included.
 
 :func:`size` is ``len(encode(value))`` without the bytes: the one size
 charged for every send and every log.  The simulator delivers the
-sender's object and ``MemoryStorage`` keeps the logged one, so it is
+sender's object and stable storage keeps the logged one, so it is
 also the share-nothing check: it refuses a mutable container at any
 depth.
 
@@ -50,8 +50,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
 
-__all__ = ["encode", "decode", "size", "pack", "unpack", "splice_tuple",
-           "Reader", "register", "CodecError"]
+__all__ = ["encode", "decode", "size", "pack", "unpack", "Reader",
+           "register", "CodecError"]
 
 
 class CodecError(StorageError):
@@ -258,13 +258,6 @@ def encode(value: Any) -> bytes:
     out = bytearray()
     pack(value, out)
     return bytes(out)
-
-
-def splice_tuple(parts: Tuple[bytes, ...]) -> bytes:
-    """The encoding of a tuple whose items' encodings are ``parts``."""
-    out = bytearray(b"t")
-    _put_varint(len(parts), out)
-    return bytes(out) + b"".join(parts)
 
 
 # -- registration -------------------------------------------------------------

@@ -8,28 +8,54 @@ returns.  :class:`StorageMetrics` therefore counts every durable write and
 its encoded length (:func:`repro.storage.codec.size`); experiments
 E2/E4/E7 read these counters.
 
-Two concrete backends exist:
+**One engine.**  :class:`StableStorage` keeps a key → value map of the
+very objects ``log`` was given, so a read never touches a disk.  That is
+safe because every logged value is immutable, and ``log`` sizes it
+first: the size model refuses a ``list``, ``dict``, ``set`` or
+``bytearray`` at any depth.  Without a disk the map is the store, and
+the object survives its node's crashes (the simulator's default).
+Given a :class:`~repro.storage.disk.Disk` the engine also keeps one
+append-only journal of frames, one per batch of records::
 
-* :class:`~repro.storage.memory.MemoryStorage` — crash-surviving in-memory
-  store for simulation (the simulator owns it; node crashes never touch it).
-* :class:`~repro.storage.file.FileStorage` — journalled, checksummed
-  record files in the wire's binary codec, for real deployments and
-  durability tests.
+    <crc32 of payload, 8 hex digits> <payload length in bytes>\\n
+    <payload: the batch, binary, repro.storage.codec>
+
+A record is ``("w", key, value)``, ``("a", key, item)`` (an
+:meth:`~StableStorage.append`) or ``("d", key)``.  The codec is the
+wire's, so an :class:`~repro.core.messages.AppMessage` logged as it
+arrived is not encoded again.  A write barrier's records are one frame,
+one append and one fsync; a write outside any barrier is a batch of one.
+
+**Open.**  A store opened on a disk replays its journal and stops at
+the first frame that fails its check, so what a disk keeps is always
+the state after some prefix of its batches, never a blend.  A frame cut
+short is what a crash mid-append leaves; any other defect (checksum,
+header, a payload that is no batch) is damage, counted in
+``metrics.quarantined``.  Either way the tail is dropped, and the
+journal rewritten without it.  When dead bytes (records since
+overwritten or deleted) outweigh live ones and pass ``_COMPACT_BYTES``,
+the journal is compacted: rewritten as one frame per live key and
+swapped in whole (:meth:`~repro.storage.disk.Disk.replace`).
 """
 
 from __future__ import annotations
 
+import zlib
 from contextlib import contextmanager
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Tuple,
-                    Union)
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import StorageError
 from repro.storage import codec
+from repro.storage.disk import Disk
 
-__all__ = ["StableStorage", "StorageMetrics", "Key"]
+__all__ = ["StableStorage", "StorageMetrics", "Key", "frame_record",
+           "read_journal"]
 
 # Keys are flat strings or structured tuples like ("paxos", 3, "accepted").
 Key = Union[str, Tuple[Any, ...]]
+
+_COMPACT_BYTES = 1 << 20
+_MISSING = object()
 
 
 def _normalize(key: Key) -> str:
@@ -39,6 +65,54 @@ def _normalize(key: Key) -> str:
     if isinstance(key, tuple):
         return "/".join(str(part) for part in key)
     raise StorageError(f"unsupported key type: {type(key).__name__}")
+
+
+def frame_record(payload: bytes) -> bytes:
+    """Frame one codec payload with its CRC32/length header."""
+    header = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x} {len(payload)}\n"
+    return header.encode("ascii") + payload
+
+
+def _is_record(entry: Any) -> bool:
+    if type(entry) is not tuple or len(entry) < 2 \
+            or type(entry[1]) is not str:
+        return False
+    return (entry[0] in ("w", "a") and len(entry) == 3) \
+        or (entry[0] == "d" and len(entry) == 2)
+
+
+def read_journal(raw: bytes) -> Tuple[List[Tuple[Any, int]], bool]:
+    """The batches of journal bytes ``raw`` — each a tuple of records —
+    with their framed lengths, in order, up to the first frame that
+    fails its check; and whether that frame was damaged rather than cut
+    short."""
+    frames: List[Tuple[Any, int]] = []
+    offset = 0
+    while offset < len(raw):
+        newline = raw.find(b"\n", offset)
+        if newline < 0:
+            return frames, False
+        try:
+            crc_hex, length_text = raw[offset:newline].split(b" ")
+            crc, length = int(crc_hex, 16), int(length_text)
+        except ValueError:
+            return frames, True
+        end = newline + 1 + length
+        if end > len(raw):
+            return frames, False
+        payload = raw[newline + 1:end]
+        if length < 0 or zlib.crc32(payload) != crc:
+            return frames, True
+        try:
+            batch = codec.decode(payload)
+        except codec.CodecError:
+            return frames, True
+        if type(batch) is not tuple or not batch \
+                or not all(_is_record(record) for record in batch):
+            return frames, True
+        frames.append((batch, end - offset))
+        offset = end
+    return frames, False
 
 
 class StorageMetrics:
@@ -58,8 +132,8 @@ class StorageMetrics:
         self.bytes_logged = 0
         self.retrievals = 0
         self.deletes = 0
-        # Records found torn or corrupt and set aside by a self-healing
-        # backend (FileStorage's CRC scan) instead of being served.
+        # Damaged journal frames found at open: each drops the tail
+        # from that frame on.
         self.quarantined = 0
         self.ops_by_prefix: Dict[str, int] = {}
         self.bytes_by_prefix: Dict[str, int] = {}
@@ -83,20 +157,42 @@ class StorageMetrics:
             "quarantined": self.quarantined,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"StorageMetrics(ops={self.log_ops}, "
-                f"bytes={self.bytes_logged})")
-
 
 class StableStorage:
-    """Abstract stable storage with operation accounting.
+    """The stable store of one process: a map of the logged objects,
+    journalled to ``disk`` when it has one.
 
-    Subclasses implement ``_read``/``_write``/``_delete_raw``/``_keys``;
-    this base class normalises keys and maintains :class:`StorageMetrics`.
+    A handle opened on a disk replays it; ``group_commits`` and
+    ``group_commit_records`` count its appends and the records they
+    carried.  Its metrics count only what this handle did: replay is
+    not a ``log``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, disk: Optional[Disk] = None) -> None:
         self.metrics = StorageMetrics()
+        self.disk = disk
+        self._data: Dict[str, Any] = {}
+        # With a disk: the records the open barrier has yet to commit,
+        # its depth, the journal bytes of each key's live records, their
+        # sum, and the journal's size.
+        self._batch: List[Tuple[Any, ...]] = []
+        self._depth = 0
+        self._sizes: Dict[str, int] = {}
+        self._live = 0
+        self._journal_bytes = 0
+        self.group_commits = 0
+        self.group_commit_records = 0
+        if disk is not None:
+            self._replay(disk.read())
+
+    def reopen(self) -> "StableStorage":
+        """The store the process finds when it restarts after a crash:
+        this one if it has no disk, else a new handle on what the disk
+        kept."""
+        if self.disk is None:
+            return self
+        self.disk.crash()
+        return StableStorage(self.disk)
 
     # -- primitive interface (paper: log / retrieve) -------------------------
 
@@ -104,24 +200,22 @@ class StableStorage:
         """Durably record ``value`` under ``key`` (one log operation).
 
         A logged value is immutable — tuples and frozensets, not lists,
-        sets or dicts: a backend may keep the object itself
-        (:class:`~repro.storage.memory.MemoryStorage` does).  Sizing the
+        sets or dicts: the store keeps the object itself.  Sizing the
         write refuses a mutable container at any depth with
         :class:`TypeError` (:func:`repro.storage.codec.size`).
         """
         path = _normalize(key)
         self.metrics.record_write(path, codec.size(value))
-        self._write(path, value)
+        self._write(path, value, "w", value)
 
     def retrieve(self, key: Key, default: Any = None) -> Any:
         """Read back the value logged under ``key`` (or ``default``)."""
         self.metrics.retrievals += 1
-        return self._read(_normalize(key), default)
+        return self._data.get(_normalize(key), default)
 
     def contains(self, key: Key) -> bool:
         """True if ``key`` has a logged value (not counted as a retrieval)."""
-        sentinel = object()
-        return self._read(_normalize(key), sentinel) is not sentinel
+        return _normalize(key) in self._data
 
     # -- incremental logs (Section 5.5) ---------------------------------------
 
@@ -129,16 +223,16 @@ class StableStorage:
         """Append ``item`` to the sequence logged under ``key``.
 
         This is the incremental-logging primitive: only the *new* part is
-        charged, so appending is cheaper than re-logging the whole value.
-        The stored sequence is a tuple, and ``item``, like any logged
-        value, is immutable.
+        charged, and journalled, so appending is cheaper than re-logging
+        the whole value.  The stored sequence is a tuple, and ``item``,
+        like any logged value, is immutable.
         """
         path = _normalize(key)
         self.metrics.record_write(path, codec.size(item))
-        existing = self._read(path, ())
+        existing = self._data.get(path, ())
         if not isinstance(existing, tuple):
             raise StorageError(f"append to non-sequence key {path!r}")
-        self._write(path, existing + (item,))
+        self._write(path, existing + (item,), "a", item)
 
     def retrieve_list(self, key: Key) -> List[Any]:
         """Read back an appended-to sequence as a fresh list (empty if
@@ -154,34 +248,23 @@ class StableStorage:
     def write_barrier(self):
         """Group several ``log`` calls into one logical durability barrier.
 
-        Backends may coalesce per-write flush work (e.g. the journal
-        fsync) and perform it once when the barrier exits.  The
-        contract is deliberately weak: every record keeps its individual
-        atomicity (old value or new value, never a blend), but the
-        *durability* of writes inside the barrier is only guaranteed
-        after the barrier exits, and a crash mid-barrier may persist any
-        subset of them.  Only writes that are individually safe to lose
-        — the paper's model for every ``log`` call — may be grouped.
-
-        The default implementation is a no-op, so protocol code can use
-        barriers unconditionally; metric accounting is unaffected either
-        way (a batched write is still one log op).
-        :class:`~repro.storage.file.FileStorage` batches the barrier's
-        records into one journal write with a single fsync as the
-        durability point; wrappers forward both hooks to the backend
-        they decorate.
+        The records are one journal frame, appended and fsynced when the
+        outermost barrier exits (not if an exception leaves it), so they
+        survive a crash all together or not at all, and are durable only
+        after the exit: only writes that are individually safe to lose —
+        the paper's model for every ``log`` call — may be grouped.  Reads
+        inside see the barrier's writes; each write is still one log op.
         """
-        self._barrier_begin()
+        self._depth += 1
         try:
             yield self
+        except BaseException:
+            self._batch = []  # the process is failing: nothing commits
+            raise
         finally:
-            self._barrier_end()
-
-    def _barrier_begin(self) -> None:
-        """Backend hook: a write barrier opened (may nest)."""
-
-    def _barrier_end(self) -> None:
-        """Backend hook: a write barrier closed (may nest)."""
+            self._depth -= 1
+            if self._depth == 0 and self._batch:
+                self._commit()
 
     # -- maintenance -------------------------------------------------------------
 
@@ -193,8 +276,8 @@ class StableStorage:
     def delete_prefix(self, prefix: Key) -> int:
         """Discard every key under ``prefix``; returns the number deleted."""
         path = _normalize(prefix)
-        doomed = [k for k in self._keys() if k == path or
-                  k.startswith(path + "/")]
+        doomed = [key for key in self._data
+                  if key == path or key.startswith(path + "/")]
         for key in doomed:
             self.metrics.deletes += 1
             self._delete_raw(key)
@@ -203,10 +286,10 @@ class StableStorage:
     def keys(self, prefix: Optional[Key] = None) -> Iterator[str]:
         """Iterate stored keys, optionally restricted to a prefix."""
         if prefix is None:
-            yield from sorted(self._keys())
+            yield from sorted(self._data)
             return
         path = _normalize(prefix)
-        for key in sorted(self._keys()):
+        for key in sorted(self._data):
             if key == path or key.startswith(path + "/"):
                 yield key
 
@@ -217,19 +300,94 @@ class StableStorage:
         (Section 5.2): counters measure write *traffic*, this measures
         *residency*.
         """
-        return sum(codec.size(self._read(key, None))
-                   for key in self._keys())
+        return sum(codec.size(value) for value in self._data.values())
 
-    # -- backend hooks --------------------------------------------------------------
+    def compact(self) -> None:
+        """Rewrite the journal as one frame per live key, swapped in
+        whole; records the open barrier holds are in it."""
+        assert self.disk is not None
+        frames = [frame_record(codec.encode((("w", path, value),)))
+                  for path, value in self._data.items()]
+        self.disk.replace(b"".join(frames))
+        self._batch = []
+        self._sizes = {path: len(frame)
+                       for path, frame in zip(self._data, frames)}
+        self._live = self._journal_bytes = sum(self._sizes.values())
 
-    def _write(self, path: str, value: Any) -> None:
-        raise NotImplementedError
+    # -- the map and its journal ------------------------------------------------
 
-    def _read(self, path: str, default: Any) -> Any:
-        raise NotImplementedError
+    def _write(self, path: str, value: Any, op: str, logged: Any) -> None:
+        """Hold ``value`` under ``path``; journal ``(op, path, logged)``."""
+        self._data[path] = value
+        if self.disk is not None:
+            self._journal((op, path, logged))
 
     def _delete_raw(self, path: str) -> None:
-        raise NotImplementedError
+        if self._data.pop(path, _MISSING) is not _MISSING \
+                and self.disk is not None:
+            self._journal(("d", path))
 
-    def _keys(self) -> Iterable[str]:
-        raise NotImplementedError
+    def _journal(self, record: Tuple[Any, ...]) -> None:
+        self._batch.append(record)
+        if self._depth == 0:
+            self._commit()
+
+    def _account(self, batch: Tuple[Any, ...], size: int) -> None:
+        """Track live and total journal bytes for one framed batch, each
+        record charged an equal share of the frame."""
+        share = size // len(batch)
+        sizes = self._sizes
+        for record in batch:
+            path = record[1]
+            old = sizes.pop(path, 0)
+            if record[0] == "d":
+                self._live -= old
+            else:
+                kept = share + old if record[0] == "a" else share
+                sizes[path] = kept
+                self._live += kept - old
+        self._journal_bytes += size
+
+    def _commit(self) -> None:
+        """One append and one fsync for the pending batch."""
+        assert self.disk is not None
+        batch = tuple(self._batch)
+        self._batch = []
+        frame = frame_record(codec.encode(batch))
+        self.disk.append(frame)
+        self.disk.fsync()
+        self.group_commits += 1
+        self.group_commit_records += len(batch)
+        self._account(batch, len(frame))
+        if self._journal_bytes - self._live > max(self._live,
+                                                  _COMPACT_BYTES):
+            self.compact()
+
+    def _replay(self, raw: bytes) -> None:
+        """Rebuild the map from the journal, up to its first bad frame."""
+        frames, damaged = read_journal(raw)
+        for batch, size in frames:
+            if not self._apply(batch):
+                damaged = True
+                break
+            self._account(batch, size)
+        if damaged:
+            self.metrics.quarantined += 1
+        if self._journal_bytes < len(raw) or self._journal_bytes - \
+                self._live > max(self._live, _COMPACT_BYTES):
+            self.compact()
+
+    def _apply(self, batch: Tuple[Any, ...]) -> bool:
+        """Replay one batch; False if it appends to a non-sequence."""
+        data = self._data
+        for record in batch:
+            op, path = record[0], record[1]
+            if op == "w":
+                data[path] = record[2]
+            elif op == "d":
+                data.pop(path, None)
+            elif type(data.get(path, ())) is tuple:
+                data[path] = data.get(path, ()) + (record[2],)
+            else:
+                return False
+        return True

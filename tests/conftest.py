@@ -8,7 +8,7 @@ from repro.consensus.paxos import PaxosConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
 from repro.runtime import Node, SeedSequence, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import unpack
 from repro.transport.network import Network, NetworkConfig
@@ -31,7 +31,7 @@ class MiniCluster:
                  network_config: NetworkConfig = None,
                  with_consensus: bool = True,
                  attempt_timeout: float = 1.0,
-                 storage_factory=lambda node_id: MemoryStorage()):
+                 storage_factory=lambda node_id: StableStorage()):
         self.sim = SimRuntime()
         self.seeds = SeedSequence(seed)
         self.network = Network(self.sim, self.seeds.stream("net"),

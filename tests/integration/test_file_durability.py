@@ -1,8 +1,8 @@
 """Integration: the full protocol stack running on file-backed storage.
 
 Demonstrates that the protocols are substrate-agnostic: the same code
-paths write real JSON files through the atomic write-temp-rename pattern,
-and a recovering node replays from what is physically on disk.
+paths journal to real files, and a recovering node replays from what is
+physically on disk.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import pytest
 
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.verify import verify_run
-from repro.storage.file import FileStorage
+from repro.storage.disk import JOURNAL, OsDisk
+from repro.storage.stable import StableStorage, read_journal
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import ScheduledWorkload
 
@@ -23,7 +24,8 @@ def file_cluster(tmp_path):
     config = ClusterConfig(
         n=3, seed=50, protocol="basic",
         network=NetworkConfig(loss_rate=0.02),
-        storage_factory=lambda i: FileStorage(str(tmp_path / f"node{i}")))
+        storage_factory=lambda i: StableStorage(
+            OsDisk(str(tmp_path / f"node{i}"))))
     cluster = Cluster(config)
     cluster.start()
     return cluster, tmp_path
@@ -37,11 +39,15 @@ class TestFileBackedCluster:
         cluster.run(until=15.0)
         assert cluster.settle(within=75.0)
         verify_run(cluster)
-        # Acceptor records physically exist as files, and they are all
-        # the consensus box logs: the leader's proposals are its own.
-        node0_files = os.listdir(str(tmp_path / "node0"))
-        assert any("paxos" in name for name in node0_files)
-        assert not any("consensus" in name for name in node0_files)
+        # Acceptor records are physically in the journal, and they are
+        # all the consensus box logs: the leader's proposals are its own.
+        assert os.listdir(str(tmp_path / "node0")) == [JOURNAL]
+        with open(str(tmp_path / "node0" / JOURNAL), "rb") as handle:
+            frames, damaged = read_journal(handle.read())
+        paths = [record[1] for batch, _ in frames for record in batch]
+        assert not damaged
+        assert any(path.startswith("paxos/") for path in paths)
+        assert not any(path.startswith("consensus/") for path in paths)
 
     def test_recovery_replays_from_disk(self, file_cluster):
         cluster, tmp_path = file_cluster
@@ -58,14 +64,14 @@ class TestFileBackedCluster:
         assert len(after) == 10
 
     def test_fresh_storage_object_reads_same_log(self, file_cluster):
-        """Simulates a true OS-level process restart: a brand-new
-        FileStorage over the same directory sees the same durable state."""
+        """Simulates a true OS-level process restart: a brand-new store
+        over the same directory sees the same durable state."""
         cluster, tmp_path = file_cluster
         plan = [(0.5 + 0.2 * j, 0, ("op", j)) for j in range(5)]
         ScheduledWorkload(plan).install(cluster)
         cluster.run(until=10.0)
         old = cluster.nodes[0].storage
-        reopened = FileStorage(old.directory)
+        reopened = StableStorage(OsDisk(old.disk.directory))
         assert sorted(reopened.keys()) == sorted(old.keys())
         for key in old.keys():
             assert reopened.retrieve(key) == old.retrieve(key)

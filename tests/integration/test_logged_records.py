@@ -1,6 +1,6 @@
 """Logged records are immutable values, kept by reference.
 
-``MemoryStorage`` returns the object ``log`` was given, so on the
+Stable storage returns the object ``log`` was given, so on the
 ``alternative`` stack, whose checkpoint base carries the application
 state from ``A-checkpoint``, that state must be an immutable value the
 application never changes after handing it out, and ``restore`` must

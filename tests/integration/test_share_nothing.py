@@ -1,6 +1,6 @@
 """Nodes share nothing but the medium, checked where values are sized.
 
-The simulator delivers the sender's object and ``MemoryStorage`` keeps
+The simulator delivers the sender's object and stable storage keeps
 the logged one, so a mutable container in a sent or logged value would
 couple nodes by reference.  The size model refuses one at any depth
 (:func:`repro.storage.codec.size`); both media refuse a storage object
@@ -24,7 +24,7 @@ from repro.runtime.live import LiveRuntime
 from repro.runtime.live_net import LiveNetwork
 from repro.runtime.node import Node
 from repro.storage import codec
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 
 
 def started(**overrides):
@@ -104,7 +104,7 @@ def test_application_snapshots_are_immutable_values(app):
 
 class TestStorageIsNotShared:
     def test_sim_network_refuses_a_shared_storage(self):
-        shared = MemoryStorage()
+        shared = StableStorage()
         with pytest.raises(SimulationError, match="shares its storage"):
             Cluster(ClusterConfig(n=3, storage_factory=lambda i: shared))
 
@@ -112,11 +112,11 @@ class TestStorageIsNotShared:
         runtime = LiveRuntime(seed=0)
         try:
             network = LiveNetwork(runtime)
-            shared = MemoryStorage()
+            shared = StableStorage()
             network.register(Node(runtime, 0, shared))
             with pytest.raises(SimulationError, match="shares its storage"):
                 network.register(Node(runtime, 1, shared))
-            network.register(Node(runtime, 1, MemoryStorage()))
+            network.register(Node(runtime, 1, StableStorage()))
             assert network.node_ids() == (0, 1)
         finally:
             runtime.close()

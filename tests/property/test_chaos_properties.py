@@ -49,7 +49,7 @@ def _orders_for_seed(seed: int):
     """Run one derived scenario and return every delivery sequence.
 
     Mirrors the engine's scenario through public API only (no
-    FaultyStorage: armed-disk events then no-op, which the controller's
+    SimDisk: armed-disk events then no-op, which the controller's
     ``_apply_torn_write`` guard permits), so this check cannot silently
     depend on the engine's own derivation of the run.
     """

@@ -16,7 +16,7 @@ from repro.consensus.paxos import PaxosConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
@@ -29,7 +29,7 @@ def build(n, seed, loss):
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=loss))
     nodes, consensuses = {}, {}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         endpoint = node.add_component(Endpoint(net))
         detector = node.add_component(HeartbeatDetector(endpoint))
         omega = node.add_component(OmegaOracle(detector))

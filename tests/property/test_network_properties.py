@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig
 
@@ -29,7 +29,7 @@ def build(config, seed, n=2):
     net = Network(sim, random.Random(seed), config)
     received = {i: [] for i in range(n)}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         node.start()
         node.register_handler(
             "test.ping",

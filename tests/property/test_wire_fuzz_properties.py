@@ -62,13 +62,14 @@ def test_adversarial_bytes_raise_only_wirecodecerror():
 
 
 def test_damaged_stores_end_in_quarantine_or_a_torn_tail_stop():
-    """Damaged record files and journals reopen without an exception:
-    the damaged record is quarantined, the damaged journal stops replay
-    at the tear, every other value reads back as logged."""
+    """Damaged journals and compaction snapshots reopen without an
+    exception, to a prefix of what was logged: replay stops at the
+    first bad frame, and a damaged one (not merely cut short) is
+    counted in ``metrics.quarantined``."""
     report = wirefuzz.fuzz_storage(iterations=60, seed=2026)
     assert report.ok, _describe(report)
     assert report.damaged_stores == 60
-    assert report.quarantined > 0     # the record damage was detected
+    assert report.quarantined > 0     # the frame damage was detected
 
 
 def test_fuzz_universe_covers_type_id_table():

@@ -9,7 +9,7 @@ import pytest
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 from tests.conftest import tap
@@ -24,7 +24,7 @@ class CTCluster:
                                NetworkConfig(loss_rate=0.0))
         self.nodes, self.consensuses, self.detectors = {}, {}, {}
         for i in range(n):
-            node = Node(self.sim, i, MemoryStorage())
+            node = Node(self.sim, i, StableStorage())
             endpoint = node.add_component(Endpoint(self.network))
             detector = node.add_component(HeartbeatDetector(endpoint))
             consensus = node.add_component(

@@ -18,8 +18,7 @@ from repro.core.messages import AppMessage, StateMessage
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.verify import verify_run
 from repro.storage import codec
-from repro.storage.faulty import FaultyStorage, InjectedCrashFault
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import InjectedCrashFault, SimDisk
 from repro.storage.stable import StableStorage
 
 PAYLOAD = "x" * 100
@@ -368,22 +367,31 @@ class TestAdoptionAndTheChain:
 # -- a crash at every storage operation of the new write paths ---------------
 
 
-class CrashPointStorage(FaultyStorage):
-    """A ``FaultyStorage`` over ``MemoryStorage`` that arms itself.
+class CrashPointStorage(StableStorage):
+    """A store on a :class:`SimDisk` that crashes itself at a chosen write.
 
     Once ``crash_at`` is set, that many writes and deletes pass and the
-    next one fails — a write through :meth:`arm_crash_write`, a delete
-    through the same one-shot draw.  ``anchor`` delays the count until
-    the first operation on a path that starts with it.
+    next one raises :class:`InjectedCrashFault` before it lands (a write
+    inside a barrier takes the barrier's earlier records with it).
+    ``anchor`` delays the count until the first operation on a path that
+    starts with it.  A crash of the node reopens the store from what its
+    disk kept; ``operations`` carries over.
     """
 
-    def __init__(self, node_id):
-        super().__init__(MemoryStorage(), node_hint=node_id)
+    def __init__(self, node_id, disk=None):
+        super().__init__(disk or SimDisk(node_hint=node_id))
+        self.node_id = node_id
         self.crash_at = None
         self.anchor = None
         self.operations = []
 
-    def _step(self, path):
+    def reopen(self):
+        self.disk.crash()
+        again = CrashPointStorage(self.node_id, self.disk)
+        again.operations = self.operations
+        return again
+
+    def _step(self, path, mode):
         self.operations.append(path)
         if self.crash_at is None:
             return
@@ -393,18 +401,15 @@ class CrashPointStorage(FaultyStorage):
             self.anchor = None
         if self.crash_at == 0:
             self.crash_at = None
-            self.arm_crash_write("fail")
-        else:
-            self.crash_at -= 1
+            raise InjectedCrashFault(self.node_id, mode, path)
+        self.crash_at -= 1
 
-    def _write(self, path, value):
-        self._step(path)
-        super()._write(path, value)
+    def _write(self, path, value, op, logged):
+        self._step(path, "write-crash")
+        super()._write(path, value, op, logged)
 
     def _delete_raw(self, path):
-        self._step(path)
-        if self._draw_fault() is not None:
-            raise InjectedCrashFault(self.node_hint, "delete-crash", path)
+        self._step(path, "delete-crash")
         super()._delete_raw(path)
 
 

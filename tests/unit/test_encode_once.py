@@ -2,10 +2,10 @@
 
 An ``AppMessage`` keeps its encoding from its first encode (or from the
 frame it was decoded from) until the Agreed queue takes it; a message
-keeps its ``(type-id, body)`` once encoded; ``FileStorage`` knows which
-keys it holds, so a read of an absent key touches no file.  A cache must
-never change a byte: warm encodings equal cold ones, and a received
-frame re-encodes to exactly the bytes it arrived as.
+keeps its ``(type-id, body)`` once encoded; stable storage reads its
+map, so no read touches a file.  A cache must never change a byte: warm
+encodings equal cold ones, and a received frame re-encodes to exactly
+the bytes it arrived as.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from repro.runtime.live import LiveRuntime
 from repro.runtime.live_net import LiveNetwork
 from repro.runtime.node import Node
 from repro.storage import codec
-from repro.storage import file as file_mod
-from repro.storage.file import FileStorage
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import JOURNAL, OsDisk
+from repro.storage.stable import StableStorage
+
+
+def on_files(directory):
+    return StableStorage(OsDisk(str(directory)))
 
 
 def msg(seq, payload="p"):
@@ -110,18 +113,27 @@ class TestReceivedFrames:
 
 
 class TestKnownKeys:
+    """The store's map is what it holds: no read and no listing of keys
+    touches the disk."""
+
     def _count_opens(self, monkeypatch):
         opened = []
+        real_open, real_os_open = open, os.open
 
         def counting_open(path, *args, **kwargs):
             opened.append(path)
-            return open(path, *args, **kwargs)
+            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(file_mod, "open", counting_open, raising=False)
+        def counting_os_open(path, *args, **kwargs):
+            opened.append(path)
+            return real_os_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
         return opened
 
     def test_absent_key_read_makes_no_open_call(self, tmp_path, monkeypatch):
-        storage = FileStorage(str(tmp_path))
+        storage = on_files(tmp_path)
         storage.log(("consensus", 0, "proposal"), frozenset({msg(1)}))
         opened = self._count_opens(monkeypatch)
         for k in range(20):
@@ -129,19 +141,17 @@ class TestKnownKeys:
             assert storage.retrieve(("paxos", k, "acceptor"), (-1, None)) \
                 == (-1, None)
         assert not storage.contains("nothing")
-        assert opened == []
         assert storage.retrieve(("consensus", 0, "proposal")) == \
             frozenset({msg(1)})
-        assert len(opened) == 1
+        assert opened == []
 
     def test_keys_come_from_the_set_not_the_directory(self, tmp_path,
                                                       monkeypatch):
-        directory = str(tmp_path)
-        storage = FileStorage(directory)
+        storage = on_files(tmp_path)
         for key in ("a/1", "a/2", "b"):
             storage.log(key, 0)
         storage.delete("a/1")
-        reopened = FileStorage(directory)
+        reopened = on_files(tmp_path)
 
         def no_listdir(path):
             raise AssertionError("keys() listed the directory")
@@ -155,16 +165,18 @@ class TestKnownKeys:
         assert list(reopened.keys()) == ["a/2", "c"]
 
     def test_quarantine_forgets_the_key(self, tmp_path):
-        directory = str(tmp_path)
-        storage = FileStorage(directory)
+        storage = on_files(tmp_path)
         storage.log("k", "value")
-        with open(storage._file_for("k"), "wb") as handle:
-            handle.write(b"garbage")
-        assert storage.retrieve("k", "gone") == "gone"
-        assert storage.metrics.quarantined == 1
-        assert list(storage.keys()) == []
-        # Still in the journal: the next incarnation heals it.
-        assert FileStorage(directory).retrieve("k", "gone") == "value"
+        journal = os.path.join(str(tmp_path), JOURNAL)
+        with open(journal, "r+b") as handle:
+            handle.seek(-1, os.SEEK_END)
+            handle.write(b"!")              # the frame fails its CRC
+        reopened = on_files(tmp_path)
+        assert reopened.retrieve("k", "gone") == "gone"
+        assert reopened.metrics.quarantined == 1
+        assert list(reopened.keys()) == []
+        reopened.log("k", "again")
+        assert on_files(tmp_path).retrieve("k") == "again"
 
 
 def test_live_bytes_sent_is_the_encoded_frame():
@@ -172,7 +184,7 @@ def test_live_bytes_sent_is_the_encoded_frame():
     try:
         network = LiveNetwork(runtime)
         for node_id in (0, 1):
-            network.register(Node(runtime, node_id, MemoryStorage()))
+            network.register(Node(runtime, node_id, StableStorage()))
         gossip = GossipMessage(1, frozenset({msg(1)}))
         network.send(0, 1, gossip)           # no socket: lost, but charged
         assert network.metrics.bytes_sent == len(wire.encode_frame(0, gossip))

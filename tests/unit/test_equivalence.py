@@ -12,7 +12,7 @@ from repro.core.equivalence import ConsensusFromAtomicBroadcast
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.fdetect.omega import OmegaOracle
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
@@ -22,7 +22,7 @@ def build(n=3, seed=0, loss=0.0):
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=loss))
     nodes, reductions = {}, {}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         endpoint = node.add_component(Endpoint(net))
         detector = node.add_component(HeartbeatDetector(endpoint))
         omega = node.add_component(OmegaOracle(detector))

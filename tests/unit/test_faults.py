@@ -7,13 +7,13 @@ import pytest
 from repro.chaos.inject import FaultEvent, FaultSchedule, RandomFaults
 from repro.metrics.collector import MetricsCollector
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 
 
 def build_nodes(sim, n):
     nodes = {}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         node.start()
         nodes[i] = node
     return nodes

@@ -80,6 +80,12 @@ GUARDS = (
      "a message class carries its own type_id and there is one frame "
      "format with fixed bounds; the tag tables, the JSON tunnel and the "
      "wire knobs are deleted"),
+    ("storage-engines", r"\b(FaultyStorage|FileStorage|MemoryStorage)\b"
+     r"|_file_for|_recovery_scan|_write_classic|recovery_report", CODE,
+     None,
+     "one engine is the store, on live and in the simulator: the "
+     "journal it replays; the per-key files, the quarantine directory "
+     "and the fault-injecting decorator are deleted"),
     ("paxos-multisend", r"\.multisend\(", ("src/repro/consensus/paxos.py",),
      None,
      "Paxos sends to the other processes only: its own acceptor answers "

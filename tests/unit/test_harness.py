@@ -31,10 +31,12 @@ class TestClusterConfig:
             ClusterConfig(n=0)
 
     def test_custom_storage_factory(self, tmp_path):
-        from repro.storage.file import FileStorage
+        from repro.storage.disk import OsDisk
+        from repro.storage.stable import StableStorage
         config = ClusterConfig(
             n=2, protocol="basic",
-            storage_factory=lambda i: FileStorage(str(tmp_path / f"n{i}")))
+            storage_factory=lambda i: StableStorage(
+                OsDisk(str(tmp_path / f"n{i}"))))
         cluster = Cluster(config)
         cluster.start()
         assert (tmp_path / "n0").exists()

@@ -15,7 +15,7 @@ from repro.runtime import Node
 from repro.runtime.live import LiveRuntime
 from repro.runtime.live_net import (COALESCE_BYTES, LiveNetwork,
                                     OversizeDatagramError)
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.message import MAX_DATAGRAM_BYTES, WireMessage
 
 
@@ -33,7 +33,7 @@ def build(n=2):
     network = LiveNetwork(runtime)
     got = []
     for node_id in range(n):
-        node = Node(runtime, node_id, MemoryStorage())
+        node = Node(runtime, node_id, StableStorage())
         network.register(node)
         node.register_handler(
             Ping.type, lambda m, s, i=node_id: got.append((i, s, m.tag)))

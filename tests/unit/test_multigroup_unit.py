@@ -10,7 +10,7 @@ from repro.fdetect.heartbeat import Heartbeat, HeartbeatDetector
 from repro.multigroup import MultiGroupCluster
 from repro.multigroup.multicast import TimestampAnnounce
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 from repro.transport.scoped import ScopedEndpoint, ScopedMessage
@@ -145,7 +145,7 @@ class TestSharedLinkLiveness:
         seen = tap(network)
         detectors = {}
         for node_id in (0, 1):
-            node = Node(sim, node_id, MemoryStorage())
+            node = Node(sim, node_id, StableStorage())
             endpoint = node.add_component(Endpoint(network))
             for group in ("g1", "g2"):
                 detector = node.add_component(HeartbeatDetector(

@@ -11,7 +11,7 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, StateMessage
 from repro.errors import SimulationError
 from repro.runtime import Node
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.message import MAX_DATAGRAM_BYTES, Packet, WireMessage
 from repro.transport.network import Network, NetworkConfig
 
@@ -28,7 +28,7 @@ def build(sim, n=2, config=None, seed=0):
     net = Network(sim, random.Random(seed), config or NetworkConfig())
     nodes, received = {}, {i: [] for i in range(n)}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         node.start()
         node.register_handler(
             "test.ping",

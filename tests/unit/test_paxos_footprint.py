@@ -11,7 +11,6 @@ are in ``test_commit_point.py``.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -21,9 +20,8 @@ from repro.errors import ConsensusError
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.runtime import wire, wirefuzz
 from repro.storage import codec
-from repro.storage.faulty import InjectedCrashFault
-from repro.storage.file import FileStorage
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import InjectedCrashFault, OsDisk, SimDisk
+from repro.storage.stable import StableStorage, read_journal
 from repro.transport.network import NetworkConfig
 from tests.conftest import MiniCluster
 from tests.unit.test_delta_checkpoints import CrashPointStorage
@@ -33,7 +31,7 @@ class PaxosCluster(MiniCluster):
     """Raw Paxos nodes with a tap on the medium: every message handed to
     it is recorded, and swallowed when ``drop`` says so."""
 
-    def __init__(self, n=3, seed=0, storage=lambda i: MemoryStorage(),
+    def __init__(self, n=3, seed=0, storage=lambda i: StableStorage(),
                  members=None, network_config=None):
         super().__init__(n=n, seed=seed, storage_factory=storage,
                          network_config=network_config)
@@ -187,9 +185,9 @@ class TestDurableLayout:
         # The field costs one small int on the wire, no more.
         assert accept.frame_size() - \
             Accept(4, ballot, value).frame_size() <= 1
-        storage = FileStorage(str(tmp_path))
+        storage = StableStorage(OsDisk(str(tmp_path)))
         storage.log(("paxos", 4, "acceptor"), (ballot, value, 3))
-        assert FileStorage(str(tmp_path)).retrieve("paxos/4/acceptor") == \
+        assert storage.reopen().retrieve("paxos/4/acceptor") == \
             (ballot, value, 3)
 
 
@@ -613,33 +611,45 @@ class TestCrashAtEveryWrite:
                  "paxos/promised"]
 
 
+def tear_at(disk, path):
+    """Flip a bit in the journal frame that first wrote ``path``."""
+    raw = bytearray(disk.read())
+    frames, _ = read_journal(bytes(raw))
+    start = 0
+    for batch, size in frames:
+        if any(record[1] == path for record in batch):
+            raw[start + size - 1] ^= 0x10
+            disk.replace(bytes(raw))
+            return
+        start += size
+    raise AssertionError(f"{path} is not in the journal")
+
+
 class TestTornAcceptorRecord:
-    def test_a_quarantined_record_reads_undecided(self, tmp_path):
+    def test_a_quarantined_record_reads_undecided(self):
         cluster = PaxosCluster(
-            storage=lambda i: FileStorage(str(tmp_path / str(i)))).start()
+            storage=lambda i: StableStorage(SimDisk())).start()
         for k in range(2):
             cluster.join_all(k)
             cluster.advance(2.0)
         decided = cluster.decisions(0)[0]
-        storage = cluster.nodes[2].storage
         assert cluster.consensuses[2]._decision_on_record(0) == decided
-        target = storage._file_for("paxos/0/acceptor")
-        with open(target, "rb") as handle:
-            raw = handle.read()
-        with open(target, "wb") as handle:
-            handle.write(raw[:len(raw) // 2])       # torn
+        tear_at(cluster.nodes[2].storage.disk, "paxos/0/acceptor")
         cluster.nodes[2].crash()
+        storage = cluster.nodes[2].storage
+        # The damaged frame and the journal after it are dropped.
+        assert storage.metrics.quarantined == 1
+        assert not storage.contains("paxos/0/acceptor")
         cluster.nodes[2].recover()
         consensus = cluster.consensuses[2]
         assert consensus.decided_value(0) is None   # degraded, not wrong
-        assert storage.metrics.quarantined == 1
-        assert os.listdir(os.path.join(storage.directory, "quarantine"))
         # Re-learnt through the Query path, in memory: a decision is
         # never logged, so the next restart pulls it again.
         consensus.pull_decision(0, peer=0)
         cluster.advance(0.5)
         assert consensus.decided_value(0) == decided
-        assert storage.retrieve("consensus/0/decision") is None
+        assert cluster.nodes[2].storage.retrieve(
+            "consensus/0/decision") is None
         cluster.nodes[2].crash()
         cluster.nodes[2].recover()
         assert cluster.consensuses[2].decided_value(0) is None

@@ -7,7 +7,8 @@ import pytest
 from repro.errors import ProcessDown, SimulationError
 from repro.metrics.collector import MetricsCollector
 from repro.runtime import Node, NodeComponent
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import SimDisk
+from repro.storage.stable import StableStorage
 from repro.transport.message import WireMessage
 
 
@@ -35,7 +36,7 @@ class Ping(WireMessage):
 
 
 def make_node(sim, node_id=0):
-    return Node(sim, node_id, MemoryStorage())
+    return Node(sim, node_id, StableStorage())
 
 
 class TestLifecycle:
@@ -165,6 +166,46 @@ class TestVolatility:
         node.crash()
         node.recover()
         assert node.storage.retrieve("key") == "durable"
+
+    def test_a_crash_reopens_a_store_from_its_disk(self, sim):
+        node = Node(sim, 0, StableStorage(SimDisk()))
+        node.start()
+        node.storage.log("key", "durable")
+        before = node.storage
+        node.crash()
+        assert node.storage is not before
+        node.recover()
+        assert node.storage.retrieve("key") == "durable"
+        assert node.storage.metrics.log_ops == 0   # replay is not a log
+
+    def test_only_live_tasks_are_kept(self, sim):
+        node = make_node(sim)
+        node.start()
+        order = []
+
+        def short(tag, steps):
+            for _ in range(steps):
+                yield 1.0
+            order.append(tag)
+
+        def forever(tag):
+            try:
+                while True:
+                    yield 1.0
+            finally:
+                order.append(tag)
+
+        node.spawn(forever("first"), "first")
+        for index in range(100):
+            node.spawn(short(index, 1 + index % 3), f"short{index}")
+        node.spawn(forever("last"), "last")
+        assert len(node._tasks) == 102
+        sim.run(until=10.0)
+        assert len(order) == 100
+        assert [task.name for task in node._tasks] == \
+            ["n0:first", "n0:last"]
+        node.crash()                    # killed in spawn order
+        assert order[-2:] == ["first", "last"] and not node._tasks
 
 
 class TestUptimeAccounting:

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ProcessDown
 from repro.quorum.register import QuorumRegister
 from repro.runtime import Node, SimRuntime
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
@@ -20,7 +20,7 @@ def build(n=3, seed=0, loss=0.0):
                   NetworkConfig(loss_rate=loss))
     nodes, registers = {}, {}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         endpoint = node.add_component(Endpoint(net))
         registers[i] = node.add_component(QuorumRegister(endpoint))
         net.register(node)

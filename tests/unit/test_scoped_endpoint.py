@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.runtime import Node
-from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig
@@ -27,7 +27,7 @@ def build(sim, n=4):
     net = Network(sim, random.Random(0), NetworkConfig())
     nodes, endpoints = {}, {}
     for i in range(n):
-        node = Node(sim, i, MemoryStorage())
+        node = Node(sim, i, StableStorage())
         endpoints[i] = node.add_component(Endpoint(net))
         net.register(node)
         nodes[i] = node

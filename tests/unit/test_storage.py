@@ -1,4 +1,5 @@
-"""Unit tests for stable storage (memory and file backends, codec)."""
+"""Unit tests for stable storage (without a disk and journalled to
+files, codec)."""
 
 from __future__ import annotations
 
@@ -8,15 +9,19 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.errors import StorageError
 from repro.storage import codec
-from repro.storage.file import FileStorage
-from repro.storage.memory import MemoryStorage
+from repro.storage.disk import OsDisk
+from repro.storage.stable import StableStorage
+
+
+def on_files(path):
+    return StableStorage(OsDisk(str(path)))
 
 
 @pytest.fixture(params=["memory", "file"])
 def storage(request, tmp_path):
     if request.param == "memory":
-        return MemoryStorage()
-    return FileStorage(str(tmp_path / "store"))
+        return StableStorage()
+    return on_files(tmp_path / "store")
 
 
 class TestLogRetrieve:
@@ -138,23 +143,23 @@ class TestMetrics:
 class TestFileDurability:
     def test_values_survive_reopen(self, tmp_path):
         path = str(tmp_path / "store")
-        first = FileStorage(path)
+        first = on_files(path)
         first.log(("consensus", 0, "proposal"), ("a", 1))
-        second = FileStorage(path)  # a brand-new process incarnation
+        second = on_files(path)  # a brand-new process incarnation
         assert second.retrieve(("consensus", 0, "proposal")) == ("a", 1)
 
     def test_keys_with_slashes_escape_correctly(self, tmp_path):
-        storage = FileStorage(str(tmp_path / "store"))
+        storage = on_files(tmp_path / "store")
         storage.log(("a", "b%c", 1), "v")
         assert list(storage.keys()) == ["a/b%c/1"]
-        assert FileStorage(str(tmp_path / "store")).retrieve("a/b%c/1") == "v"
+        assert on_files(tmp_path / "store").retrieve("a/b%c/1") == "v"
 
     def test_app_messages_round_trip_through_files(self, tmp_path):
-        storage = FileStorage(str(tmp_path / "store"))
+        storage = on_files(tmp_path / "store")
         batch = frozenset({AppMessage(MessageId(1, 1, 3), ("put", "k", 5)),
                            AppMessage(MessageId(2, 1, 1), None)})
         storage.log("proposal", batch)
-        got = FileStorage(str(tmp_path / "store")).retrieve("proposal")
+        got = on_files(tmp_path / "store").retrieve("proposal")
         assert got == batch
         assert {m.payload for m in got} == {("put", "k", 5), None}
 
@@ -250,11 +255,11 @@ class TestCodecNonFiniteFloats:
 
 
 class TestSnapshotIsolation:
-    """What a MemoryStorage read shares with the writer: an immutable
-    logged value comes back as the very object that was logged."""
+    """What a read shares with the writer: an immutable logged value
+    comes back as the very object that was logged."""
 
     def test_immutable_values_are_shared_not_copied(self):
-        storage = MemoryStorage()
+        storage = StableStorage()
         message = AppMessage(MessageId(1, 0, 7), ("payload", 3))
         storage.log("m", message)
         assert storage.retrieve("m") is message  # no copy needed
@@ -263,7 +268,7 @@ class TestSnapshotIsolation:
         assert storage.retrieve("t") is value
 
     def test_namedtuple_of_immutables_passes_through(self):
-        storage = MemoryStorage()
+        storage = StableStorage()
         mid = MessageId(3, 1, 4)
         storage.log("id", mid)
         got = storage.retrieve("id")
@@ -271,15 +276,15 @@ class TestSnapshotIsolation:
 
 
 class TestMemoryStorageKeepsReferences:
-    """MemoryStorage stores references: logged values are immutable
-    records (shared on read: TestSnapshotIsolation), and sizing the
-    write refuses a mutable container."""
+    """The store keeps references: logged values are immutable records
+    (shared on read: TestSnapshotIsolation), and sizing the write
+    refuses a mutable container."""
 
     @pytest.mark.parametrize("value", [[1, 2], {"k": 1}, {1, 2},
                                        bytearray(b"x")],
                              ids=["list", "dict", "set", "bytearray"])
     def test_mutable_top_level_value_raises(self, value):
-        storage = MemoryStorage()
+        storage = StableStorage()
         storage.log("k", ("old",))
         with pytest.raises(TypeError, match="immutable"):
             storage.log("k", value)
@@ -289,7 +294,7 @@ class TestMemoryStorageKeepsReferences:
         assert not storage.contains("fresh")
 
     def test_append_stores_a_new_tuple(self):
-        storage = MemoryStorage()
+        storage = StableStorage()
         storage.append("log", 1)
         first = storage.retrieve("log")
         storage.append("log", 2)
@@ -298,18 +303,19 @@ class TestMemoryStorageKeepsReferences:
 
 
 class TestFileStorageWriteBarrier:
-    """One journal commit per outermost write barrier (batching details
-    and fsync counts: test_storage_group_commit.py)."""
+    """A store journalled to files commits once per outermost write
+    barrier (batching details and fsync counts:
+    test_storage_group_commit.py)."""
 
     def test_writes_outside_barrier_flush_per_write(self, tmp_path):
-        storage = FileStorage(str(tmp_path / "store"))
+        storage = on_files(tmp_path / "store")
         storage.log("a", 1)
         storage.log("b", 2)
         assert storage.group_commits == 2
         assert storage.group_commit_records == 2
 
     def test_nested_barriers_flush_once_at_outermost_exit(self, tmp_path):
-        storage = FileStorage(str(tmp_path / "store"))
+        storage = on_files(tmp_path / "store")
         with storage.write_barrier():
             storage.log("a", 1)
             with storage.write_barrier():
@@ -319,14 +325,15 @@ class TestFileStorageWriteBarrier:
         assert storage.group_commit_records == 2
 
     def test_empty_barrier_flushes_nothing(self, tmp_path):
-        storage = FileStorage(str(tmp_path / "store"))
+        storage = on_files(tmp_path / "store")
         with storage.write_barrier():
             pass
         assert storage.group_commits == 0
-        assert storage.dir_fsyncs == 0
+        assert not (tmp_path / "store" / "journal").exists()
 
     def test_memory_backend_barrier_is_noop(self):
-        storage = MemoryStorage()
+        storage = StableStorage()
         with storage.write_barrier():
             storage.log("k", 1)
         assert storage.retrieve("k") == 1
+        assert storage.group_commits == 0

@@ -1,15 +1,13 @@
-"""Crash-atomicity and self-healing tests for file-backed stable storage.
+"""Crash-atomicity and damage tests for journalled stable storage.
 
 The crash-recovery model assumes ``log`` is atomic: a crash during a
-write must leave either the old value or the new one, never a torn
-file.  FileStorage makes the journal fsync the durability point — before
-it the write may be lost whole, after it replay restores the write
-whatever happened to the per-key file — and frames every record with a
-CRC32: a record corrupted anyway is rewritten from the journal while the
-journal still holds it, and quarantined once it does not.  These tests
-kill the store at each I/O step and corrupt records on both sides of
-that line.  Every store is built the way the live harness builds it:
-``FileStorage(directory)``.
+write must leave either the old value or the new one, never a blend.
+The journal's fsync is the durability point — before it the write may
+be lost whole, after it replay restores it — and every frame carries a
+CRC32: replay stops at the first frame that fails its check, so a torn
+or damaged tail reads as never logged.  These tests kill the store at
+each I/O step on real files (:class:`~repro.storage.disk.OsDisk`), cut a
+simulated disk at every byte, and damage journals on purpose.
 """
 
 from __future__ import annotations
@@ -19,11 +17,9 @@ import random
 
 import pytest
 
-from repro.storage import file as file_mod
-from repro.storage.faulty import FaultyStorage, InjectedCrashFault
-from repro.storage.file import (FileStorage, _JOURNAL_NAME, _SUFFIX,
-                                _iter_frames, unframe_record)
-from repro.storage.memory import MemoryStorage
+from repro.storage import stable as stable_mod
+from repro.storage.disk import JOURNAL, InjectedCrashFault, OsDisk, SimDisk
+from repro.storage.stable import StableStorage, read_journal
 
 
 class SimulatedCrash(Exception):
@@ -35,22 +31,23 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_RDWR
 
 
 class CrashAt:
-    """Kill the process at the Nth I/O step FileStorage takes.
+    """Kill the process at the Nth I/O step the store takes.
 
     A step is a call that changes what a later incarnation finds on
-    disk: ``os.open`` for writing, ``os.write``, ``os.ftruncate`` or
-    ``os.fsync``.  The step raises before it takes effect — or, with
+    disk: ``os.open`` for writing, ``os.write``, ``os.fsync`` or
+    ``os.replace``.  The step raises before it takes effect — or, with
     ``after``, just after (a file opened for writing is left created or
-    truncated; a write or an fsync has completed) — and every later step
-    raises too: a dead process does not run its ``finally`` blocks
-    against the disk.  ``step=None`` only counts, to size a sweep.
+    truncated; a write, an fsync or a rename has completed) — and every
+    later step raises too: a dead process does not run its ``finally``
+    blocks against the disk.  ``step=None`` only counts, to size a
+    sweep.
     """
 
     def __init__(self, patch, step=None, after=False):
         self.step = step
         self.after = after
         self.taken = 0
-        for name in ("open", "write", "ftruncate", "fsync"):
+        for name in ("open", "write", "fsync", "replace"):
             patch.setattr(os, name, self._stepped(getattr(os, name)))
 
     def _stepped(self, real):
@@ -68,20 +65,28 @@ class CrashAt:
         return call
 
 
+def on_files(directory):
+    return StableStorage(OsDisk(str(directory)))
+
+
+def contents(store):
+    return {key: store.retrieve(key) for key in store.keys()}
+
+
 OLD, NEW = ("v", "old"), ("v", "new")
 KEYS = ("single", "batch-1", "batch-2", "doomed", "last")
 
 
 def seed_old_values(directory):
-    """Every key holds OLD in its own file; the journal is empty."""
-    storage = FileStorage(directory)
+    """Every key holds OLD; the handle is a fresh incarnation's."""
+    storage = on_files(directory)
     for key in KEYS:
         storage.log(key, OLD)
-    return FileStorage(directory)  # reopening replays and truncates
+    return on_files(directory)
 
 
 def overwrite_everything(storage, patch, acked):
-    """A lone write, a batch, a delete, then a write that checkpoints;
+    """A lone write, a batch, a delete, then a write that compacts;
     ``acked`` collects each key once the call that wrote it returned."""
     storage.log("single", NEW)
     acked.add("single")
@@ -91,36 +96,29 @@ def overwrite_everything(storage, patch, acked):
     acked.update(("batch-1", "batch-2"))
     storage.delete("doomed")
     acked.add("doomed")
-    patch.setattr(file_mod, "_CHECKPOINT_BYTES", 1)
+    patch.setattr(stable_mod, "_COMPACT_BYTES", 1)
     storage.log("last", NEW)
     acked.add("last")
-
-
-def record_files(directory):
-    return [os.path.join(directory, name)
-            for name in sorted(os.listdir(directory))
-            if name.endswith(_SUFFIX)]
 
 
 class TestCrashDuringWrite:
     def test_every_crash_point_leaves_old_or_new(self, tmp_path,
                                                  monkeypatch):
-        """Sweep the kill over every I/O step — before the journal write,
-        between the write and its fsync, between the fsync and each
-        per-key apply, through the checkpoint — and both sides of each."""
-        storage = seed_old_values(str(tmp_path / "count"))
+        """Sweep the kill over every I/O step — opening the journal,
+        each append and its fsync, the compaction's snapshot, rename and
+        directory fsync — and both sides of each."""
+        storage = seed_old_values(tmp_path / "count")
         with monkeypatch.context() as patch:
             counter = CrashAt(patch)
             overwrite_everything(storage, patch, set())
-        # The journal is open already (the reopen truncated it).  4
-        # commits x (journal write, fsync) + 4 applied files x (open,
-        # write) (a delete unlinks, it opens nothing) + the checkpoint's
-        # 4 file fsyncs, directory fsync, journal truncate and its fsync.
-        assert counter.taken == 23
+        # Opening the journal, 4 commits x (append, fsync), then the
+        # compaction: open the snapshot, write, fsync, rename, and fsync
+        # the directory.
+        assert counter.taken == 14
 
         for step in range(1, counter.taken + 1):
             for after in (False, True):
-                directory = str(tmp_path / f"step{step}-{after}")
+                directory = tmp_path / f"step{step}-{after}"
                 storage = seed_old_values(directory)
                 acked = set()
                 with monkeypatch.context() as patch:
@@ -129,11 +127,10 @@ class TestCrashDuringWrite:
                         overwrite_everything(storage, patch, acked)
                 where = f"killed {'after' if after else 'before'} " \
                         f"I/O step {step}"
-                reopened = FileStorage(directory)
+                reopened = on_files(directory)
                 assert reopened.metrics.quarantined == 0, where
-                for target in record_files(directory):
-                    with open(target, "rb") as handle:
-                        unframe_record(handle.read())  # raises if torn
+                assert set(os.listdir(str(directory))) <= \
+                    {JOURNAL, JOURNAL + ".snapshot"}, where
                 for key in KEYS:
                     new = None if key == "doomed" else NEW
                     got = reopened.retrieve(key)
@@ -144,36 +141,33 @@ class TestCrashDuringWrite:
 
     def test_crash_before_journal_write_preserves_old_value(self, tmp_path,
                                                             monkeypatch):
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
+        storage = on_files(tmp_path)
         storage.log("key", "old")
         with monkeypatch.context() as patch:
             CrashAt(patch, step=1)  # the journal write
             with pytest.raises(SimulatedCrash):
                 storage.log("key", "new")
         # A fresh incarnation over the same directory sees the old value.
-        assert FileStorage(directory).retrieve("key") == "old"
+        assert on_files(tmp_path).retrieve("key") == "old"
 
     def test_crash_on_first_write_leaves_key_absent(self, tmp_path,
                                                     monkeypatch):
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
+        storage = on_files(tmp_path)
         with monkeypatch.context() as patch:
             CrashAt(patch, step=1)  # opening the journal to append
             with pytest.raises(SimulatedCrash):
                 storage.log("never", "written")
-        assert FileStorage(directory).retrieve("never") is None
+        assert on_files(tmp_path).retrieve("never") is None
 
     def test_kill_halfway_through_the_write_keeps_old_value(self, tmp_path,
                                                             monkeypatch):
         # Kill the commit between the journal write and its fsync, then
-        # let only part of the unsynced blob have reached the disk: the
-        # torn tail is discarded at replay and the old record stands.
-        # (Had the whole blob landed, replay would serve the new value —
+        # let only part of the unsynced frame have reached the disk: the
+        # torn tail is dropped at replay and the old record stands.
+        # (Had the whole frame landed, replay would serve the new value —
         # equally legal, and covered by the sweep above.)
-        directory = str(tmp_path / "store")
-        journal = os.path.join(directory, _JOURNAL_NAME)
-        storage = FileStorage(directory)
+        journal = os.path.join(str(tmp_path), JOURNAL)
+        storage = on_files(tmp_path)
         storage.log("key", ("v", "old"))
         committed = os.path.getsize(journal)
         with monkeypatch.context() as patch:
@@ -184,248 +178,226 @@ class TestCrashDuringWrite:
         assert written > committed
         with open(journal, "r+b") as handle:
             handle.truncate(committed + (written - committed) // 2)
-        reopened = FileStorage(directory)
+        reopened = on_files(tmp_path)
         assert reopened.retrieve("key") == ("v", "old")
         assert reopened.metrics.quarantined == 0
-        assert reopened.recovery_report == [
-            (_JOURNAL_NAME, "replayed 1 journalled records")]
+        # The tail was cut off the journal: it holds the old record only.
+        assert os.path.getsize(journal) == committed
 
     def test_no_temp_file_litter_after_crash(self, tmp_path, monkeypatch):
-        # Replay is the one place a record is renamed into position; a
-        # crash there must leave no temp file and an intact journal, so
-        # the next incarnation replays again and loses nothing.
-        directory = str(tmp_path / "store")
-        FileStorage(directory).log("key", "value")
+        # A compaction whose rename fails leaves no snapshot behind and
+        # the journal intact, so the next incarnation loses nothing.
+        storage = on_files(tmp_path)
+        storage.log("key", "value")
 
         def exploding_replace(src, dst):
-            raise OSError("simulated crash before rename")
+            raise OSError("simulated failure before rename")
 
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", exploding_replace)
             with pytest.raises(OSError):
-                FileStorage(directory)
-        leftovers = [name for name in os.listdir(directory)
-                     if name.endswith(".tmp")]
-        assert leftovers == []
-        assert FileStorage(directory).retrieve("key") == "value"
+                storage.compact()
+        assert os.listdir(str(tmp_path)) == [JOURNAL]
+        assert on_files(tmp_path).retrieve("key") == "value"
 
     def test_successful_write_is_complete_record(self, tmp_path):
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
+        storage = on_files(tmp_path)
         storage.log(("consensus", 0, "proposal"), ("complex", (1, (2,))))
-        # Read the raw bytes: the record file's frame must verify and its
-        # payload decode standalone, and so must the journal's copy.
-        from repro.storage import codec
-        (target,) = record_files(directory)
-        with open(target, "rb") as handle:
-            payload = unframe_record(handle.read())
-        assert codec.decode(payload) == ("complex", (1, (2,)))
-        with open(os.path.join(directory, _JOURNAL_NAME), "rb") as handle:
-            (entry,) = _iter_frames(handle.read())
-        assert codec.decode(entry) == \
-            ("w", "consensus/0/proposal", ("complex", (1, (2,))))
+        # The journal is the store: its one frame verifies and decodes
+        # standalone to the record.
+        with open(os.path.join(str(tmp_path), JOURNAL), "rb") as handle:
+            (frame,), damaged = read_journal(handle.read())
+        assert not damaged
+        assert frame[0] == \
+            (("w", "consensus/0/proposal", ("complex", (1, (2,)))),)
 
 
-def _record_file(directory):
-    (target,) = record_files(directory)
-    return target
-
-
-def _tear(target):
-    with open(target, "rb") as handle:
-        raw = handle.read()
-    with open(target, "wb") as handle:
-        handle.write(raw[:len(raw) // 2])
+def _flip(path, offset):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x10]))
 
 
 class TestSelfHealing:
-    """A corrupt record is healed from the journal while the journal
-    still holds it, and quarantined once it does not.  A restart is what
-    empties the journal here; the size-driven checkpoint is exercised in
-    test_storage_group_commit.py."""
+    """Replay stops at the first frame that fails its check; the tail
+    from there on reads as never logged, and the journal is rewritten
+    without it, so later writes are not stranded behind it."""
 
     def test_torn_tail_is_detected_and_recovered_from(self, tmp_path):
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
+        journal = os.path.join(str(tmp_path), JOURNAL)
+        storage = on_files(tmp_path)
         storage.log("round", ("proposal", tuple(range(50))))
-        _tear(_record_file(directory))
+        committed = os.path.getsize(journal)
+        storage.log("round", ("proposal", tuple(range(60))))
+        with open(journal, "r+b") as handle:
+            handle.truncate((committed + os.path.getsize(journal)) // 2)
 
-        # Inside the journal window: rewritten from the journal.
-        healed = FileStorage(directory)
-        assert healed.retrieve("round") == ("proposal", tuple(range(50)))
-        assert healed.metrics.quarantined == 0
-
-        # Reopening emptied the journal; the same tear is now final.
-        _tear(_record_file(directory))
-        recovered = FileStorage(directory)
-        assert recovered.retrieve("round") is None  # never durably logged
-        assert recovered.metrics.quarantined == 1
-        assert [key for key, _ in recovered.recovery_report] == ["round"]
+        recovered = on_files(tmp_path)
+        assert recovered.retrieve("round") == ("proposal", tuple(range(50)))
+        assert recovered.metrics.quarantined == 0   # cut short, not damaged
         # The record can be re-logged and read back cleanly.
         recovered.log("round", ("proposal", (1,)))
-        assert recovered.retrieve("round") == ("proposal", (1,))
+        assert on_files(tmp_path).retrieve("round") == ("proposal", (1,))
 
     def test_bit_flip_is_detected_and_recovered_from(self, tmp_path):
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
-        storage.log("epoch", 41)
-        FileStorage(directory)  # a restart replays and empties the journal
-        target = _record_file(directory)
-        with open(target, "rb") as handle:
-            raw = bytearray(handle.read())
-        raw[-2] ^= 0x10  # flip one payload bit
-        with open(target, "wb") as handle:
-            handle.write(raw)
+        # A bit flipped in the middle of the journal: the damaged frame
+        # and everything after it are dropped, and counted.
+        journal = os.path.join(str(tmp_path), JOURNAL)
+        storage = on_files(tmp_path)
+        ends = []
+        for index in range(5):
+            storage.log(("epoch", index), 40 + index)
+            ends.append(os.path.getsize(journal))
+        _flip(journal, ends[2] - 2)            # in frame 2's payload
 
-        recovered = FileStorage(directory)
-        assert recovered.retrieve("epoch") is None
+        recovered = on_files(tmp_path)
+        assert contents(recovered) == {"epoch/0": 40, "epoch/1": 41}
         assert recovered.metrics.quarantined == 1
-        assert "checksum" in recovered.recovery_report[0][1]
-
-    def test_lazy_detection_without_reopen(self, tmp_path):
-        # Corruption after the open-time scan is caught at read time.
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
-        storage.log("k", "value")
-        target = _record_file(directory)
-        with open(target, "wb") as handle:
-            handle.write(b"garbage, no frame header at all")
-        assert storage.retrieve("k", default="fallback") == "fallback"
-        assert storage.metrics.quarantined == 1
-        assert "k" not in list(storage.keys())
-
-    def test_quarantined_records_are_preserved_for_forensics(self, tmp_path):
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
-        storage.log("k", "value")
-        FileStorage(directory)  # a restart replays and empties the journal
-        target = _record_file(directory)
-        with open(target, "wb") as handle:
-            handle.write(b"xx")
-        FileStorage(directory)
-        pen = os.path.join(directory, "quarantine")
-        assert os.path.isdir(pen)
-        assert len(os.listdir(pen)) == 1
-
-    def test_stale_temp_files_are_swept_on_open(self, tmp_path):
-        directory = str(tmp_path / "store")
-        FileStorage(directory)
-        with open(os.path.join(directory, "dead.tmp"), "w") as handle:
-            handle.write("half a rec")
-        reopened = FileStorage(directory)
-        assert not any(n.endswith(".tmp") for n in os.listdir(directory))
-        assert ("dead.tmp", "stale temp file") in reopened.recovery_report
+        assert os.path.getsize(journal) < ends[2]
+        recovered.log("epoch/9", 49)
+        again = on_files(tmp_path)
+        assert again.retrieve("epoch/9") == 49
+        assert again.metrics.quarantined == 0
 
     def test_healthy_records_survive_the_scan(self, tmp_path):
-        directory = str(tmp_path / "store")
-        storage = FileStorage(directory)
+        journal = os.path.join(str(tmp_path), JOURNAL)
+        storage = on_files(tmp_path)
         for k in range(5):
             storage.log(("key", k), ("n", k))
-        reopened = FileStorage(directory)
-        # Replay is reported; nothing was swept or quarantined.
-        assert reopened.recovery_report == [
-            (_JOURNAL_NAME, "replayed 5 journalled records")]
+        with open(journal, "rb") as handle:
+            before = handle.read()
+        reopened = on_files(tmp_path)
         assert reopened.metrics.quarantined == 0
         for k in range(5):
             assert reopened.retrieve(("key", k)) == ("n", k)
-        assert FileStorage(directory).recovery_report == []
+        with open(journal, "rb") as handle:
+            assert handle.read() == before      # nothing to rewrite
+
+
+class TestSimDiskCrashSweep:
+    def test_every_byte_offset_reads_a_prefix_of_the_barriers(self):
+        disk = SimDisk()
+        store = StableStorage(disk)
+        states, ends = [{}], [0]
+
+        def barrier(*writes):
+            with store.write_barrier():
+                for write in writes:
+                    write()
+            states.append(contents(store))
+            ends.append(len(disk.read()))
+
+        barrier(lambda: store.log("a", 1),
+                lambda: store.log("b", ("x", 2)))
+        barrier(lambda: store.append("s", "m1"),
+                lambda: store.delete("a"),
+                lambda: store.log("c", tuple(range(40))))
+        barrier(lambda: store.log("b", 3),
+                lambda: store.append("s", "m2"))
+        barrier(lambda: store.log("a", "again"))
+        journal = disk.read()
+        assert ends[-1] == len(journal)
+        for cut in range(len(journal) + 1):
+            torn = SimDisk()
+            torn.replace(journal[:cut])
+            reopened = StableStorage(torn)
+            kept = max(index for index, end in enumerate(ends) if end <= cut)
+            assert contents(reopened) == states[kept], cut
+            assert reopened.metrics.quarantined == 0, cut
+
+    def test_a_crash_loses_what_was_not_fsynced(self):
+        disk = SimDisk()
+        store = StableStorage(disk)
+        store.log("kept", 1)
+        synced = disk.read()
+        disk.append(b"an append that never reached its fsync")
+        assert disk.read() != synced
+        assert store.reopen().retrieve("kept") == 1
+        assert disk.read() == synced
 
 
 class TestFaultyStorage:
-    """The seeded disk-fault injector used by the chaos engine."""
+    """The seeded disk faults a chaos run arms, on a SimDisk."""
 
-    def test_armed_fail_crashes_before_the_write(self, tmp_path):
-        inner = FileStorage(str(tmp_path / "store"))
-        faulty = FaultyStorage(inner, random.Random(3), node_hint=2)
-        faulty.log("k", "old")
-        faulty.arm_crash_write("fail")
+    def test_armed_fail_crashes_before_the_write(self):
+        disk = SimDisk(random.Random(3), node_hint=2)
+        store = StableStorage(disk)
+        store.log("k", "old")
+        disk.arm_crash_write("fail")
         with pytest.raises(InjectedCrashFault) as excinfo:
-            faulty.log("k", "new")
+            store.log("k", "new")
         assert excinfo.value.node_hint == 2
-        assert faulty.injected["write_crash"] == 1
-        # Old value untouched; fault is one-shot.
-        assert faulty.retrieve("k") == "old"
-        faulty.log("k", "newer")
-        assert faulty.retrieve("k") == "newer"
+        assert disk.injected["write_crash"] == 1
+        # The process died: its successor finds the old value.  The
+        # fault is one-shot.
+        store = store.reopen()
+        assert store.retrieve("k") == "old"
+        store.log("k", "newer")
+        assert store.reopen().retrieve("k") == "newer"
 
-    def test_armed_torn_write_lands_corrupt_and_heals(self, tmp_path):
-        directory = str(tmp_path / "store")
-        inner = FileStorage(directory)
-        faulty = FaultyStorage(inner, random.Random(5))
-        faulty.log("k", ("payload", tuple(range(40))))
-        faulty.arm_crash_write("torn")
-        with pytest.raises(InjectedCrashFault):
-            faulty.log("k", ("payload", tuple(range(80))))
-        assert faulty.injected["torn_write"] == 1
-        # The torn record is on disk, the old one still in the journal:
-        # a recovering incarnation puts the old value back.
-        recovered = FileStorage(directory)
+    def test_armed_torn_write_lands_corrupt_and_heals(self):
+        disk = SimDisk(random.Random(5))
+        store = StableStorage(disk)
+        store.log("k", ("payload", tuple(range(40))))
+        committed = len(disk.read())
+        disk.arm_crash_write("torn")
+        with pytest.raises(InjectedCrashFault) as excinfo:
+            store.log("k", ("payload", tuple(range(80))))
+        assert excinfo.value.mode == "torn-write"
+        assert disk.injected["torn_write"] == 1
+        # Part of the new frame is on the disk, durably.
+        assert committed < len(disk.read())
+        recovered = store.reopen()
         assert recovered.retrieve("k") == ("payload", tuple(range(40)))
         assert recovered.metrics.quarantined == 0
+        assert len(disk.read()) == committed    # the tear was cut off
 
-        # That restart emptied the journal, so now there is nothing to heal
-        # from: the torn write is quarantined and the key reads absent.
-        faulty = FaultyStorage(recovered, random.Random(5))
-        faulty.arm_crash_write("torn")
-        with pytest.raises(InjectedCrashFault):
-            faulty.log("k", ("payload", tuple(range(80))))
-        recovered = FileStorage(directory)
-        assert recovered.retrieve("k") is None
-        assert recovered.metrics.quarantined == 1
-
-    def test_barrier_reaches_the_inner_backend(self, tmp_path):
-        directory = str(tmp_path / "store")
-        inner = FileStorage(directory)
-        faulty = FaultyStorage(inner, random.Random(4))
-        with faulty.write_barrier():
+    def test_barrier_reaches_the_inner_backend(self):
+        disk = SimDisk(random.Random(4))
+        store = StableStorage(disk)
+        with store.write_barrier():
             for index in range(3):
-                faulty.log(("batch", index), index)
+                store.log(("batch", index), index)
         # One commit for the barrier, not one per record.
-        assert inner.group_commits == 1
-        assert inner.group_commit_records == 3
+        assert store.group_commits == 1
+        assert store.group_commit_records == 3
 
-        # A crash on the second write of a barrier: the first is whole
-        # or absent (the barrier promises no more), never torn.
+        # A write crash at the barrier's commit: its records survive
+        # together or not at all.
         with pytest.raises(InjectedCrashFault):
-            with faulty.write_barrier():
-                faulty.log("first", "v1")
-                faulty.arm_crash_write("fail")
-                faulty.log("second", "v2")
-        recovered = FileStorage(directory)
-        assert recovered.retrieve("first") in (None, "v1")
+            with store.write_barrier():
+                store.log("first", "v1")
+                disk.arm_crash_write("fail")
+                store.log("second", "v2")
+        recovered = store.reopen()
+        assert recovered.retrieve("first") is None
         assert recovered.retrieve("second") is None
+        assert recovered.retrieve(("batch", 2)) == 2
         assert recovered.metrics.quarantined == 0
 
-    def test_torn_degrades_to_fail_on_memory_backend(self):
-        faulty = FaultyStorage(MemoryStorage(), random.Random(1))
-        faulty.arm_crash_write("torn")
-        with pytest.raises(InjectedCrashFault) as excinfo:
-            faulty.log("k", "v")
-        assert excinfo.value.mode == "write-crash"
-        assert faulty.injected["write_crash"] == 1
-        assert faulty.retrieve("k") is None
+    def test_bit_flip_corrupts_then_reader_heals(self):
+        disk = SimDisk(random.Random(9))
+        store = StableStorage(disk)
+        store.log("k", ("stable", "data"))
+        assert disk.flip_bit() is True
+        assert disk.injected["bit_flip"] == 1
+        # The running process reads its map; the damage shows at reopen.
+        assert store.retrieve("k") == ("stable", "data")
+        recovered = store.reopen()
+        assert recovered.retrieve("k") is None
+        assert recovered.metrics.quarantined == 1
+        assert disk.read() == b""
 
-    def test_bit_flip_corrupts_then_reader_heals(self, tmp_path):
-        directory = str(tmp_path / "store")
-        inner = FileStorage(directory)
-        faulty = FaultyStorage(inner, random.Random(9))
-        faulty.log("k", ("stable", "data"))
-        assert faulty.flip_bit("k") is True
-        assert faulty.injected["bit_flip"] == 1
-        # The shared metrics object records the quarantine on read.
-        assert faulty.retrieve("k") is None
-        assert inner.metrics.quarantined == 1
-        assert faulty.metrics is inner.metrics
-
-    def test_probabilistic_faults_are_seed_deterministic(self, tmp_path):
+    def test_probabilistic_faults_are_seed_deterministic(self):
         def run(seed):
-            inner = MemoryStorage()
-            faulty = FaultyStorage(inner, random.Random(seed),
-                                   fail_rate=0.3)
+            store = StableStorage(SimDisk(random.Random(seed),
+                                          fail_rate=0.3))
             outcomes = []
             for k in range(30):
                 try:
-                    faulty.log(("key", k), k)
+                    store.log(("key", k), k)
                     outcomes.append("ok")
                 except InjectedCrashFault:
                     outcomes.append("fault")
@@ -436,9 +408,28 @@ class TestFaultyStorage:
         assert "fault" in run(7) and "ok" in run(7)
 
     def test_disarm_stops_all_faults(self):
-        faulty = FaultyStorage(MemoryStorage(), random.Random(2),
-                               fail_rate=1.0)
-        faulty.arm_crash_write("fail")
-        faulty.disarm()
-        faulty.log("k", "v")
-        assert faulty.retrieve("k") == "v"
+        disk = SimDisk(random.Random(2), fail_rate=1.0)
+        store = StableStorage(disk)
+        disk.arm_crash_write("fail")
+        disk.set_latency(0.1, 0.2)
+        disk.disarm()
+        store.log("k", "v")
+        assert store.reopen().retrieve("k") == "v"
+        assert disk.injected == {"write_crash": 0, "torn_write": 0,
+                                 "bit_flip": 0, "slow_write": 0}
+
+    def test_a_slow_write_reports_its_stall(self):
+        disk = SimDisk(random.Random(6))
+        stalls = []
+        disk.set_latency(0.05, 0.2)
+        disk.on_stall = stalls.append
+        store = StableStorage(disk)
+        with store.write_barrier():
+            store.log("a", 1)
+            store.log("b", 2)
+        store.log("c", 3)
+        assert len(stalls) == disk.injected["slow_write"] == 2
+        assert all(0.05 <= stall <= 0.2 for stall in stalls)
+        disk.clear_latency()
+        store.log("d", 4)
+        assert len(stalls) == 2

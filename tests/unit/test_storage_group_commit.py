@@ -1,10 +1,10 @@
-"""Unit tests for FileStorage group commit (journalled write barriers).
+"""Unit tests for the journal's group commit and compaction.
 
-Crash atomicity and self-healing live in
-test_storage_crash_atomicity.py; here we pin the batching itself: one
-journal fsync per barrier, read-your-writes inside the barrier, replay
-after a crash, the anti-resurrection discipline for deletes, and the
-checkpoint that bounds the journal.
+Crash atomicity and damage live in test_storage_crash_atomicity.py;
+here we pin the batching itself: one append and one fsync per barrier,
+read-your-writes inside the barrier, replay after a crash, the
+anti-resurrection discipline for deletes, an append journalled as its
+item alone, and the compaction that bounds the journal.
 """
 
 from __future__ import annotations
@@ -14,13 +14,18 @@ import os
 import pytest
 
 from repro.storage import codec
-from repro.storage.file import (FileStorage, _CHECKPOINT_BYTES,
-                                _JOURNAL_NAME, _SUFFIX, frame_record)
+from repro.storage import stable as stable_mod
+from repro.storage.disk import JOURNAL, OsDisk, SimDisk
+from repro.storage.stable import StableStorage, frame_record, read_journal
+
+
+def on_files(directory):
+    return StableStorage(OsDisk(str(directory)))
 
 
 @pytest.fixture
 def storage(tmp_path):
-    return FileStorage(str(tmp_path))
+    return on_files(tmp_path)
 
 
 def fsync_counter(monkeypatch):
@@ -33,6 +38,11 @@ def fsync_counter(monkeypatch):
 
     monkeypatch.setattr(os, "fsync", counting_fsync)
     return calls
+
+
+def journal_of(directory):
+    with open(os.path.join(str(directory), JOURNAL), "rb") as handle:
+        return handle.read()
 
 
 class TestBatching:
@@ -72,7 +82,6 @@ class TestBatching:
 class TestOpenJournal:
     def test_the_journal_is_opened_once_across_commits(self, tmp_path,
                                                        monkeypatch):
-        directory = str(tmp_path)
         real_open = os.open
         opened = []
 
@@ -81,170 +90,166 @@ class TestOpenJournal:
             return real_open(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "open", counting_open)
-        storage = FileStorage(directory)
+        storage = on_files(tmp_path)
         commits = 25
         for index in range(commits):
             storage.log(("commit", index), ("v", index))
         monkeypatch.undo()
-        # One record file a commit, and the journal once.
-        assert opened.count(_JOURNAL_NAME) == 1
-        assert len(opened) == commits + 1
-        storage.close()
-        storage.close()                 # idempotent
-        reopened = FileStorage(directory)
+        # The journal once, and no file per record.
+        assert opened == [JOURNAL]
+        assert os.listdir(str(tmp_path)) == [JOURNAL]
+        storage.disk.crash()
+        storage.disk.crash()            # idempotent
+        reopened = on_files(tmp_path)
         for index in range(commits):
             assert reopened.retrieve(("commit", index)) == ("v", index)
-        reopened.close()
 
 
 class TestEncodeOnce:
-    """The value is encoded once and its bytes spliced into the journal
-    entry: the journal's bytes are what encoding the entry whole gives."""
-
-    VALUES = [
-        None, 0, -0.0, float("inf"), "", "caf\u00e9 \"quoted\" \\ \n",
-        (), frozenset(), (1, (2, frozenset({3}))), ("k", (1, ("__t", "x"))),
-        ((1, "non-string key"),), frozenset({("a", 1), ("b", 2)}),
-    ]
-    PATHS = ["k", "paxos/3/acceptor", 'odd "path" \\ \u00fc/%2F']
-
-    def test_spliced_entry_equals_whole_encoding(self):
-        from repro.storage.file import _journal_write_entry
-        for path in self.PATHS:
-            for value in self.VALUES:
-                assert _journal_write_entry(path, codec.encode(value)) == \
-                    codec.encode(("w", path, value))
+    """A barrier's records are encoded once, together, into its frame,
+    and reads never decode: the map holds the logged objects."""
 
     def test_journal_bytes_and_encode_count(self, tmp_path, monkeypatch):
-        storage = FileStorage(str(tmp_path))
+        storage = on_files(tmp_path)
         logged = ((1, (2, frozenset({3}))), ("k", (1, ("__t", "x"))),
                   frozenset({("a", 1), ("b", 2)}))
         batch = {path: value for path, value in
                  zip(("a", "b/c", "d"), logged)}
-        expected = b"".join(
-            frame_record(codec.encode(("w", path, value)))
-            for path, value in batch.items())
+        expected = frame_record(codec.encode(tuple(
+            ("w", path, value) for path, value in batch.items())))
         calls = []
         real_encode = codec.encode
         monkeypatch.setattr(
             codec, "encode",
             lambda value: calls.append(value) or real_encode(value))
+        monkeypatch.setattr(codec, "decode", None)   # a read would fail
         with storage.write_barrier():
             for path, value in batch.items():
                 storage.log(path, value)
-        assert len(calls) == len(batch)         # once per record, not twice
-        with open(os.path.join(str(tmp_path), _JOURNAL_NAME), "rb") as handle:
-            assert handle.read() == expected
+        assert len(calls) == 1                  # once per barrier
+        assert journal_of(tmp_path) == expected
         for path, value in batch.items():
-            assert storage.retrieve(path) == value
+            assert storage.retrieve(path) is value
+
+
+class TestAppend:
+    def test_an_append_journals_only_its_item(self, tmp_path):
+        storage = on_files(tmp_path)
+        for item in range(4):
+            storage.append("unordered", ("m", item))
+        assert storage.retrieve("unordered") == tuple(
+            ("m", item) for item in range(4))
+        batches = [batch for batch, _ in read_journal(journal_of(
+            tmp_path))[0]]
+        assert batches == [(("a", "unordered", ("m", item)),)
+                           for item in range(4)]
+        reopened = on_files(tmp_path)
+        assert reopened.retrieve_list("unordered") == \
+            [("m", item) for item in range(4)]
+        # A rewrite starts the sequence over; replay extends that.
+        reopened.log("unordered", (("m", 9),))
+        reopened.append("unordered", ("m", 10))
+        assert on_files(tmp_path).retrieve("unordered") == \
+            (("m", 9), ("m", 10))
 
 
 class TestCrashRecovery:
-    def test_journal_replay_restores_buffered_writes(self, tmp_path):
-        storage = FileStorage(str(tmp_path))
+    def test_journal_replay_restores_buffered_writes(self):
+        disk = SimDisk()
+        storage = StableStorage(disk)
         with storage.write_barrier():
             for index in range(6):
                 storage.log(("r", index), ("value", index))
-        # Crash: per-key files were written buffered (no fsync); model
-        # the worst case by corrupting one of them outright.  The
-        # journal alone must bring the value back.
-        victim = next(name for name in os.listdir(str(tmp_path))
-                      if name != _JOURNAL_NAME)
-        with open(os.path.join(str(tmp_path), victim), "wb") as handle:
-            handle.write(b"\x00torn")
-        reopened = FileStorage(str(tmp_path))
+        # A crash loses only what was not fsynced: the barrier was.
+        reopened = storage.reopen()
+        assert reopened is not storage
         for index in range(6):
             assert reopened.retrieve(("r", index)) == ("value", index)
-        assert any(key == _JOURNAL_NAME
-                   for key, _ in reopened.recovery_report)
-        # Replay healed the torn file: nothing was quarantined.
-        assert not any("quarantine" in defect
-                       for _, defect in reopened.recovery_report)
+        assert reopened.metrics.log_ops == 0    # replay is not a log
 
     def test_torn_journal_tail_is_tolerated(self, tmp_path):
-        storage = FileStorage(str(tmp_path))
+        storage = on_files(tmp_path)
         with storage.write_barrier():
             storage.log("a", 1)
-        journal = os.path.join(str(tmp_path), _JOURNAL_NAME)
-        with open(journal, "ab") as handle:
+        with open(os.path.join(str(tmp_path), JOURNAL), "ab") as handle:
             # A torn write.
-            handle.write(frame_record(codec.encode(("w", "b", 2)))[:-3])
-        reopened = FileStorage(str(tmp_path))
+            handle.write(frame_record(codec.encode((("w", "b", 2),)))[:-3])
+        reopened = on_files(tmp_path)
         assert reopened.retrieve("a") == 1
         assert reopened.retrieve("b") is None
+        assert reopened.metrics.quarantined == 0  # cut short, not damaged
+        # The tail was cut off, so later records are not stranded
+        # behind it.
+        reopened.log("c", 3)
+        again = on_files(tmp_path)
+        assert (again.retrieve("a"), again.retrieve("c")) == (1, 3)
 
     def test_delete_does_not_resurrect_after_replay(self, tmp_path):
-        storage = FileStorage(str(tmp_path))
+        storage = on_files(tmp_path)
         with storage.write_barrier():
             storage.log("key", "value")
         storage.delete("key")
-        reopened = FileStorage(str(tmp_path))
+        reopened = on_files(tmp_path)
         assert not reopened.contains("key")
         assert reopened.retrieve("key") is None
 
     def test_values_survive_plain_reopen(self, tmp_path):
-        storage = FileStorage(str(tmp_path))
+        storage = on_files(tmp_path)
         with storage.write_barrier():
             storage.log("x", ("deep", (1, (2, 3))))
-        reopened = FileStorage(str(tmp_path))
+        reopened = on_files(tmp_path)
         assert reopened.retrieve("x") == ("deep", (1, (2, 3)))
 
 
 class TestCheckpoint:
     def test_checkpoint_syncs_files_then_truncates_journal(self, tmp_path,
                                                            monkeypatch):
-        """Past ``_CHECKPOINT_BYTES`` the applied files and the directory
-        are fsynced *before* the journal that backs them is emptied;
-        afterwards the files stand alone."""
-        directory = str(tmp_path)
-        journal = os.path.join(directory, _JOURNAL_NAME)
-        storage = FileStorage(directory)
+        """Once dead bytes outweigh live ones, and pass
+        ``_COMPACT_BYTES``, the journal is compacted: the snapshot is
+        fsynced *before* it is renamed over the journal, and the
+        directory after; the journal then holds one record per live
+        key (and what was logged after the compaction)."""
+        monkeypatch.setattr(stable_mod, "_COMPACT_BYTES", 4096)
+        storage = on_files(tmp_path)
         events = []
-        real_fsync = os.fsync
-        real_truncate = storage._truncate_journal
+        real_fsync, real_replace = os.fsync, os.replace
 
         def recording_fsync(fd):
-            events.append(os.fstat(fd).st_ino)
+            events.append(("fsync", os.fstat(fd).st_ino))
             return real_fsync(fd)
 
-        def recording_truncate():
-            events.append("truncate")
-            return real_truncate()
+        def recording_replace(src, dst):
+            events.append(("rename", os.stat(src).st_ino))
+            return real_replace(src, dst)
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
-        monkeypatch.setattr(storage, "_truncate_journal", recording_truncate)
-        chunk = "x" * (_CHECKPOINT_BYTES // 8)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        chunk = "x" * 512
         written = 0
-        while "truncate" not in events:
-            assert written < 16, "journal never checkpointed"
-            storage.log(("big", written), (written, chunk))
+        while not any(kind == "rename" for kind, _ in events):
+            assert written < 64, "journal never compacted"
+            storage.log(("hot", written % 2), (written, chunk))
+            storage.log(("cold", written), written)
             written += 1
         monkeypatch.undo()
 
-        synced_first = set(events[:events.index("truncate")])
-        record_files = [name for name in os.listdir(directory)
-                        if name.endswith(_SUFFIX)]
-        assert len(record_files) == written
-        for name in record_files:
-            assert os.stat(os.path.join(directory, name)).st_ino \
-                in synced_first
-        assert os.stat(directory).st_ino in synced_first
-        assert os.path.getsize(journal) == 0
+        renamed = next(index for index, (kind, _) in enumerate(events)
+                       if kind == "rename")
+        snapshot = events[renamed][1]
+        assert ("fsync", snapshot) in events[:renamed]
+        assert ("fsync", os.stat(str(tmp_path)).st_ino) in \
+            events[renamed + 1:]
+        assert os.listdir(str(tmp_path)) == [JOURNAL]
+        records = [record for batch, _ in read_journal(journal_of(
+            tmp_path))[0] for record in batch]
+        keys = [record[1] for record in records]
+        assert len(keys) == len(set(keys)) and \
+            sorted(keys) == list(storage.keys())
+        assert all(record[0] == "w" for record in records)
 
-        # Nothing to replay: every value is read from its own file.
-        reopened = FileStorage(directory)
-        assert reopened.recovery_report == []
+        reopened = on_files(tmp_path)
+        assert reopened.metrics.quarantined == 0
         for index in range(written):
-            assert reopened.retrieve(("big", index)) == (index, chunk)
-
-        # A record corrupted now is older than the last checkpoint, so no
-        # journal entry can heal it: quarantined, read as never logged.
-        victim = os.path.join(directory, record_files[0])
-        with open(victim, "r+b") as handle:
-            handle.seek(-2, os.SEEK_END)
-            handle.write(b"!!")
-        healed = FileStorage(directory)
-        assert healed.metrics.quarantined == 1
-        values = [healed.retrieve(("big", index)) for index in range(written)]
-        assert values.count(None) == 1
-        assert not os.path.exists(victim)
+            assert reopened.retrieve(("cold", index)) == index
+        assert reopened.retrieve(("hot", (written - 1) % 2)) == \
+            (written - 1, chunk)
