@@ -10,7 +10,6 @@ always appears in ``bench_output.txt``.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.harness.report import format_table

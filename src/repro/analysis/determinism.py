@@ -26,11 +26,10 @@ boundary, the soft real-time pacer's injected wall clock) carry a
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterator, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext
 from repro.analysis.registry import Rule
-from repro.analysis.sites import classify
 from repro.analysis.symbols import attr_path
 
 __all__ = ["DETERMINISM_RULES"]
@@ -243,163 +242,5 @@ class SetIterationRule(Rule):
                         f"sorted() for a deterministic order")
 
 
-_TAINT_SCHEDULE_OPS = frozenset({"schedule", "call_later", "call_at"})
-
-
-def _is_taint_source(call: ast.Call) -> bool:
-    """A call whose value is host randomness or the wall clock.
-
-    Draws from *objects* (``self.rng.uniform(...)``) are deliberately
-    not sources: DET004 polices unseeded stream construction, and a
-    value drawn from a seeded stream is deterministic by contract.
-    """
-    path = attr_path(call.func)
-    if len(path) < 2:
-        return False
-    head, tail = path[0], path[-1]
-    if head == "random" and tail not in ("Random", "SystemRandom"):
-        return True
-    if head == "time" and tail in _WALL_CLOCK_TIME:
-        return True
-    if head == "datetime" and tail in _WALL_CLOCK_DATETIME:
-        return True
-    if head == "uuid" and tail in _UUID_FNS:
-        return True
-    if path[:2] == ("os", "urandom") or head == "secrets":
-        return True
-    return False
-
-
-class RandomnessTaintRule(Rule):
-    """DET006: unseeded randomness must not reach payloads or deadlines."""
-
-    id = "DET006"
-    name = "no-tainted-payloads"
-    summary = ("a value derived from the wall clock or unseeded "
-               "randomness flows into a message send or a timer "
-               "deadline")
-    rationale = ("DET001/DET004 flag the draw itself inside the "
-                 "deterministic core, but the chaos package may read "
-                 "host state freely — what it must never do is let such "
-                 "a value *escape* into a message payload or a scheduled "
-                 "deadline, where it perturbs protocol behaviour outside "
-                 "the seed's control and makes the failing trace "
-                 "unreplayable.")
-    scope = DETERMINISTIC_SCOPE + ("repro.chaos",)
-    exclude = LIVE_RUNTIME_EXCLUDE
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        from repro.analysis.cfg import build_cfg
-        from repro.analysis.dataflow import ForwardProblem, solve_forward
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            cfg = build_cfg(node)
-
-            rule = self
-
-            class _Taint(ForwardProblem):
-                def initial(self):
-                    return frozenset()
-
-                def join(self, left, right):
-                    return left | right
-
-                def transfer(self, cfg_node, state):
-                    return rule._transfer(cfg_node, state)
-
-            states = solve_forward(cfg, _Taint())
-            for cfg_node in cfg.nodes:
-                if cfg_node.index not in states:
-                    continue
-                yield from self._sinks(ctx, cfg_node,
-                                       states[cfg_node.index])
-
-    # -- dataflow ----------------------------------------------------------
-
-    @staticmethod
-    def _expr_tainted(expr: Optional[ast.AST], tainted: frozenset) -> bool:
-        if expr is None:
-            return False
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.id in tainted:
-                return True
-            if isinstance(node, ast.Call) and _is_taint_source(node):
-                return True
-        return False
-
-    def _transfer(self, cfg_node, state: frozenset) -> frozenset:
-        stmt = cfg_node.stmt
-        if not isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            return state
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        else:
-            targets, value = [stmt.target], stmt.value
-        value_tainted = self._expr_tainted(value, state)
-        if isinstance(stmt, ast.AugAssign):
-            # x += tainted taints x; x += clean leaves x as it was.
-            names = {stmt.target.id} if isinstance(stmt.target, ast.Name) \
-                else set()
-            return state | frozenset(names) if value_tainted else state
-        names: set = set()
-        for target in targets:
-            elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) \
-                else [target]
-            names.update(elt.id for elt in elts
-                         if isinstance(elt, ast.Name))
-        if value_tainted:
-            return state | frozenset(names)
-        return state - frozenset(names)
-
-    # -- sinks -------------------------------------------------------------
-
-    def _sinks(self, ctx: ModuleContext, cfg_node,
-               tainted: frozenset) -> Iterator[Finding]:
-        from repro.analysis.cfg import stmt_roots
-
-        stmt = cfg_node.stmt
-        if stmt is None or isinstance(stmt, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef,
-                                             ast.ClassDef)):
-            return
-        # Compound headers contribute only their test/iterable — their
-        # bodies are separate CFG nodes with their own in-states.
-        for root in stmt_roots(stmt):
-            yield from self._sink_nodes(ctx, root, tainted)
-
-    def _sink_nodes(self, ctx: ModuleContext, root: ast.AST,
-                    tainted: frozenset) -> Iterator[Finding]:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Call):
-                site = classify(node)
-                if site is not None and site.kind == "send":
-                    if any(self._expr_tainted(arg, tainted)
-                           for arg in site.payload):
-                        yield ctx.finding(
-                            self.id, node,
-                            "message payload derived from the wall "
-                            "clock or unseeded randomness — the send "
-                            "is unreplayable from the seed; derive "
-                            "it from a named SeedSequence stream")
-                elif _TAINT_SCHEDULE_OPS.intersection(
-                        attr_path(node.func)[-1:]) and node.args and \
-                        self._expr_tainted(node.args[0], tainted):
-                    yield ctx.finding(
-                        self.id, node,
-                        "timer deadline derived from the wall clock or "
-                        "unseeded randomness — schedule from virtual "
-                        "time / a seeded stream instead")
-            elif isinstance(node, ast.Yield) and \
-                    self._expr_tainted(node.value, tainted):
-                yield ctx.finding(
-                    self.id, node,
-                    "yielded delay derived from the wall clock or "
-                    "unseeded randomness — the scheduler replays traces "
-                    "by seed; draw the delay from a seeded stream")
-
-
 DETERMINISM_RULES = (WallClockRule(), UuidRule(), OsEntropyRule(),
-                     GlobalRandomRule(), SetIterationRule(),
-                     RandomnessTaintRule())
+                     GlobalRandomRule(), SetIterationRule())

@@ -272,8 +272,7 @@ def _is_message_class(table: SymbolTable, info: ClassInfo) -> bool:
 
 
 def _own_class_str(info: ClassInfo, name: str) -> Optional[str]:
-    """A class-body ``name = "literal"`` assignment (lowercase names are
-    not in ``ClassInfo.constants``, so scan the body directly)."""
+    """A class-body ``name = "literal"`` assignment."""
     for stmt in info.node.body:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
                 isinstance(stmt.targets[0], ast.Name) and \
@@ -522,9 +521,7 @@ class _Builder:
 
     def _note_registration(self, site: Site, module: str, where: str,
                            owner: Optional[ClassInfo]) -> None:
-        # A queue subscription's handler is the queue's own deposit.
-        handler = "ReceiveQueue.deposit" if site.value is None \
-            else self._handler_label(site.value, owner)
+        handler = self._handler_label(site.value, owner)
         tag, class_name, pattern = self._tag_of(site.key, module)
         if tag is None and pattern is None and class_name is None:
             return  # not a recognizable registration shape
@@ -557,7 +554,8 @@ class _Builder:
         return None, None, None
 
     @staticmethod
-    def _handler_label(expr: ast.expr, owner: Optional[ClassInfo]) -> str:
+    def _handler_label(expr: Optional[ast.expr],
+                       owner: Optional[ClassInfo]) -> str:
         if isinstance(expr, ast.Attribute):
             path = attr_path(expr)
             if path[:1] == ("self",) and len(path) == 2 and \

@@ -139,13 +139,12 @@ def default_registry() -> RuleRegistry:
     # Imported here so the registry module stays import-cycle-free.
     from repro.analysis.atomicity import ATOMICITY_RULES
     from repro.analysis.determinism import DETERMINISM_RULES
-    from repro.analysis.idempotence import IDEMPOTENCE_RULES
     from repro.analysis.noqarules import NOQA_RULES
     from repro.analysis.resources import RES_RULES
     from repro.analysis.wal import WAL_RULES
 
     registry = RuleRegistry()
     for rule in (*DETERMINISM_RULES, *WAL_RULES, *ATOMICITY_RULES,
-                 *IDEMPOTENCE_RULES, *RES_RULES, *NOQA_RULES):
+                 *RES_RULES, *NOQA_RULES):
         registry.register(rule)
     return registry

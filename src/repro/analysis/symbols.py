@@ -9,8 +9,6 @@ interprocedural rules ask:
   a base-class method resolves to the override the concrete class will
   actually run);
 * what ``VOLATILE_FIELDS`` a class declares (unioned over the MRO);
-* the literal values of UPPER_CASE class constants (storage-key tuples
-  like ``INCARNATION_KEY = ("ab", "incarnation")``);
 * the inferred classes of ``self.<attr>`` objects, from annotated
   ``__init__`` parameters (``consensus: ConsensusService`` assigned to
   ``self.consensus``) and direct constructions
@@ -24,25 +22,13 @@ resolve is simply unknown, and the rules treat unknown calls as opaque.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["ClassInfo", "ModuleSymbols", "SymbolTable",
            "VOLATILE_DECLARATION", "attr_path", "param_names", "self_field"]
 
 #: Class attribute declaring the volatile mirrors of durable state.
 VOLATILE_DECLARATION = "VOLATILE_FIELDS"
-
-#: Constructor names / annotation heads that denote builtin mutable
-#: containers.  Used to populate :attr:`ClassInfo.mutable_attrs`.
-_MUTABLE_CONSTRUCTORS = frozenset({
-    "dict", "list", "set", "bytearray", "defaultdict", "deque",
-    "OrderedDict", "Counter",
-})
-_MUTABLE_ANNOTATIONS = frozenset({
-    "Dict", "List", "Set", "DefaultDict", "Deque", "MutableMapping",
-    "MutableSequence", "MutableSet", "dict", "list", "set", "deque",
-})
-
 
 def attr_path(node: ast.AST) -> Tuple[str, ...]:
     """Flatten ``a.b.c`` into ``("a", "b", "c")`` (empty if not a chain)."""
@@ -109,8 +95,7 @@ class ClassInfo:
     """Everything the analyzer knows about one class definition."""
 
     __slots__ = ("name", "module", "qualname", "node", "base_refs",
-                 "methods", "constants", "volatile_fields", "attr_types",
-                 "mutable_attrs")
+                 "methods", "volatile_fields", "attr_types")
 
     def __init__(self, name: str, module: str, node: ast.ClassDef):
         self.name = name
@@ -119,14 +104,8 @@ class ClassInfo:
         self.node = node
         self.base_refs: List[ast.expr] = list(node.bases)
         self.methods: Dict[str, ast.AST] = {}
-        self.constants: Dict[str, object] = {}
         self.volatile_fields: Tuple[str, ...] = ()
         self.attr_types: Dict[str, str] = {}  # attr -> annotation head name
-        # Attrs initialized in __init__ to a *builtin* mutable container
-        # (dict/list/set literal, comprehension, or constructor call) —
-        # the shapes the growth rules (RES) treat as unbounded state.
-        # Custom classes are deliberately excluded.
-        self.mutable_attrs: FrozenSet[str] = frozenset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ClassInfo {self.qualname}>"
@@ -160,41 +139,13 @@ def _scan_class(info: ClassInfo) -> None:
                     isinstance(value, (tuple, list)):
                 info.volatile_fields = tuple(
                     field for field in value if isinstance(field, str))
-            elif name.isupper():
-                info.constants[name] = value
     init = info.methods.get("__init__")
     if init is not None:
         _scan_init(info, init)
 
 
-def _annotation_head(annotation: Optional[ast.expr]) -> str:
-    """The outermost identifier of any annotation (``Dict[K, V]`` ->
-    ``Dict``), unlike :func:`_annotation_name` which unwraps only
-    ``Optional``."""
-    if isinstance(annotation, ast.Subscript):
-        return _annotation_head(annotation.value)
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr
-    if isinstance(annotation, ast.Constant) and \
-            isinstance(annotation.value, str):
-        head = annotation.value.strip().split("[", 1)[0].strip()
-        return head if head.isidentifier() else ""
-    return ""
-
-
-def _is_mutable_value(value: Optional[ast.expr]) -> bool:
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                          ast.ListComp, ast.SetComp)):
-        return True
-    return (isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in _MUTABLE_CONSTRUCTORS)
-
-
 def _scan_init(info: ClassInfo, init: ast.AST) -> None:
-    """Infer ``self.<attr>`` classes and mutability from ``__init__``."""
+    """Infer ``self.<attr>`` classes from ``__init__``."""
     args = getattr(init, "args", None)
     annotations: Dict[str, str] = {}
     if args is not None:
@@ -202,14 +153,11 @@ def _scan_init(info: ClassInfo, init: ast.AST) -> None:
             head = _annotation_name(arg.annotation)
             if head:
                 annotations[arg.arg] = head
-    mutable: List[str] = []
     for stmt in ast.walk(init):
-        annotation: Optional[ast.expr] = None
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target, value = stmt.targets[0], stmt.value
         elif isinstance(stmt, ast.AnnAssign):
-            target, value, annotation = stmt.target, stmt.value, \
-                stmt.annotation
+            target, value = stmt.target, stmt.value
         else:
             continue
         if not (isinstance(target, ast.Attribute)
@@ -221,10 +169,6 @@ def _scan_init(info: ClassInfo, init: ast.AST) -> None:
         elif isinstance(value, ast.Call) and \
                 isinstance(value.func, ast.Name):
             info.attr_types[target.attr] = value.func.id
-        if _is_mutable_value(value) or \
-                _annotation_head(annotation) in _MUTABLE_ANNOTATIONS:
-            mutable.append(target.attr)
-    info.mutable_attrs = frozenset(mutable)
 
 
 class SymbolTable:
@@ -366,13 +310,6 @@ class SymbolTable:
                     fields.append(field)
         return tuple(fields)
 
-    def mutable_attrs(self, qualname: str) -> FrozenSet[str]:
-        """Union of builtin-mutable-container attrs over the MRO."""
-        found: FrozenSet[str] = frozenset()
-        for info in self.mro(qualname):
-            found |= info.mutable_attrs
-        return found
-
     def find_method(self, qualname: str, name: str,
                     after: Optional[str] = None
                     ) -> Optional[Tuple[ClassInfo, ast.AST]]:
@@ -391,10 +328,3 @@ class SymbolTable:
             if name in info.methods:
                 return info, info.methods[name]
         return None
-
-    def class_constant(self, qualname: str, name: str) -> Tuple[bool, object]:
-        """(found, value) for constant ``name`` looked up along the MRO."""
-        for info in self.mro(qualname):
-            if name in info.constants:
-                return True, info.constants[name]
-        return False, None

@@ -204,8 +204,8 @@ class FixedSequencerBroadcast(NodeComponent):
             return
         seq = self._next_assign
         self._next_assign += 1
-        self._assigned[message.id] = seq  # repro: noqa(RES001) -- baseline fidelity: the fixed-sequencer keeps its full assignment map (no GC protocol in [12])
-        self._order_log[seq] = message  # repro: noqa(RES001) -- the order log serves ResendRequest for arbitrarily old sequence numbers
+        self._assigned[message.id] = seq
+        self._order_log[seq] = message
         self.endpoint.multisend(OrderMessage(seq, message))
 
     def _on_forward(self, msg: ForwardMessage, sender: int) -> None:

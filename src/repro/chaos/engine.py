@@ -31,8 +31,8 @@ from repro.storage.disk import SimDisk
 from repro.storage.stable import StableStorage
 from repro.transport.network import NetworkConfig
 
-__all__ = ["ChaosConfig", "ChaosReport", "SeedResult", "explore",
-           "reproduce", "run_seed"]
+__all__ = ["ChaosConfig", "ChaosReport", "SeedResult", "chaos_scenario",
+           "explore", "plan_scenario", "reproduce", "run_seed"]
 
 
 class ChaosConfig:
@@ -198,8 +198,8 @@ def _flow_config(params: Dict[str, Any]) -> Optional[FlowConfig]:
                       max_unordered=params["max_unordered"])
 
 
-def _scenario(config: ChaosConfig, params: Dict[str, Any],
-              events: List[ChaosEvent]) -> Scenario:
+def chaos_scenario(config: ChaosConfig, params: Dict[str, Any],
+                   events: List[ChaosEvent]) -> Scenario:
     """The seed's scenario: its cluster, then its timeline ending in a
     fair world (``restore``).  Live clusters ignore the disk factory."""
     disk_seed_base = params["cluster_seed"]
@@ -251,7 +251,7 @@ def run_seed(config: ChaosConfig, seed: int) -> SeedResult:
     """Run one fully-derived scenario and verify the paper's properties."""
     params, _, events = plan_scenario(config, seed)
     try:
-        result = run_scenario(_scenario(config, params, events))
+        result = run_scenario(chaos_scenario(config, params, events))
         error = None
     except Exception as exc:
         result = getattr(exc, "scenario_result", None)

@@ -157,7 +157,7 @@ class RandomFaults:
         self.stabilize_at = stabilize_at
         # Seed boundary: the injector owns a private stream derived from
         # an explicit seed, so fault timelines replay bit-for-bit.
-        self.rng = random.Random(seed)  # repro: noqa(DET004) -- private stream from an explicit seed
+        self.rng = random.Random(seed)
         self.bad_nodes = frozenset(bad_nodes)
         self.bad_mode = bad_mode
         self.max_faults_per_node = max_faults_per_node

@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--settle-limit", type=float, default=300.0,
                        help="virtual (sim) or wall (live) settle budget")
     churn.add_argument("--check-reproducibility", action="store_true",
-                       help="run the sim scenario twice and require a "
-                            "bit-identical view-install timeline")
+                       help="run the sim scenario twice and require "
+                            "identical signatures and full traces")
 
     overload = commands.add_parser(
         "overload", help="seeded saturation scenario: a >10x overload "
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="virtual-time settle budget")
     overload.add_argument("--check-reproducibility", action="store_true",
                           help="run the scenario twice and require "
-                               "bit-identical overload signatures")
+                               "identical signatures and full traces")
 
     lint = commands.add_parser(
         "lint", help="protocol-aware static analysis (determinism, "

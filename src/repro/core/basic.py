@@ -248,7 +248,7 @@ class BasicAtomicBroadcast(NodeComponent):
         assert self.node is not None
         self.incarnation = int(self.node.storage.retrieve(
             self.INCARNATION_KEY, 0)) + 1
-        self.log_before_send(self.INCARNATION_KEY, self.incarnation)  # repro: noqa(REC003) -- Section 4.1: the incarnation MUST advance monotonically per recovery; a crash mid-bump only skips ids, never reuses one
+        self.log_before_send(self.INCARNATION_KEY, self.incarnation)
 
     def log_before_send(self, key, value) -> None:
         """Write-ahead barrier: persist ``value`` under ``key`` before any

@@ -97,7 +97,7 @@ class ConsensusFromAtomicBroadcast(NodeComponent, DeliveryListener):
             # Decisions are locked forever: consensus validity/agreement
             # (P5 analogue) forbids ever forgetting one, so the map grows
             # with the instance history by construction.
-            self._decisions[k] = value  # repro: noqa(RES001) -- decided values must outlive every instance; the reduction has no checkpoint floor
+            self._decisions[k] = value
             waiter = self._signals.pop(k, None)
             if waiter is not None:
                 waiter.notify(value)

@@ -27,7 +27,7 @@ single simulated run of :func:`~repro.harness.scenario.run_scenario`:
 Everything is a pure function of the seed: the backoff jitter, the
 disk-stall draws and the protocol schedule all come from streams seeded
 by it, so :func:`~repro.harness.scenario.check_reproducible` re-runs the
-same seed and demands a bit-identical signature.
+same seed and demands a bit-identical signature and full trace.
 """
 
 from __future__ import annotations

@@ -25,13 +25,14 @@ scenarios like any other::
 Every run is verified unless explicitly disabled — experiments never
 report numbers from an incorrect execution.  :func:`check_reproducible`
 runs a sim scenario twice and demands equal
-:meth:`ScenarioResult.signature` values.
+:meth:`ScenarioResult.signature` values and equal full traces.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import tempfile
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -200,21 +201,36 @@ def _drive(scenario: Scenario, result: ScenarioResult) -> None:
 
 
 def check_reproducible(scenario: Scenario) -> ScenarioResult:
-    """Run a sim scenario twice and demand bit-identical signatures.
+    """Run a sim scenario twice and demand bit-identical runs: equal
+    signatures and, event for event, equal full traces
+    (:meth:`~repro.metrics.collector.TraceEvent.format`).
 
     Each run gets its own deep copy of the scenario, so stateful parts —
     a workload's counters and backoff stream, a ``RandomFaults`` stream —
-    start fresh both times.  Returns the first run.
+    start fresh both times, and keeps every event.  Returns the first
+    run.
     """
     if scenario.runtime != "sim":
         raise ReproError("reproducibility needs the deterministic sim "
                          "runtime; live timing is the wall clock's")
-    first = run_scenario(copy.deepcopy(scenario))
-    second = run_scenario(copy.deepcopy(scenario))
+    runs = []
+    for _ in range(2):
+        copied = copy.deepcopy(scenario)
+        copied.trace = True
+        runs.append(run_scenario(copied))
+    first, second = runs
     diverged = [part for part, a, b in zip(
         _SIGNATURE_PARTS, first.signature(), second.signature()) if a != b]
     if diverged:
         raise VerificationError(
             f"scenario is not reproducible: {', '.join(diverged)} "
             f"diverge between two same-seed runs")
+    traces = [run.cluster.collector.format_text().splitlines()
+              for run in runs]
+    for index, (one, other) in enumerate(
+            itertools.zip_longest(*traces, fillvalue="(no event)")):
+        if one != other:
+            raise VerificationError(
+                f"scenario is not reproducible: trace event {index} "
+                f"differs between two same-seed runs:\n  {one}\n  {other}")
     return first

@@ -123,7 +123,7 @@ class ViewManager(NodeComponent):
         op, target = command
         new_view = self.view.apply(op, target)
         self._persist(new_view, self._applied | {message.id})
-        self._applied.add(message.id)  # repro: noqa(RES001) -- replay idempotence: the applied-command set must span every reconfiguration the log can re-deliver
+        self._applied.add(message.id)
         if new_view.epoch != self.view.epoch:
             self._install(new_view, origin="deliver")
 

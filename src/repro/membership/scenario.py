@@ -23,8 +23,8 @@ in a single run of :func:`~repro.harness.scenario.run_scenario`:
 
 Everything is a pure function of the seed, so
 :func:`~repro.harness.scenario.check_reproducible` re-runs the same seed
-and demands a bit-identical signature, view installs included — the
-reconfiguration path must be as deterministic as the ordering path it
+and demands a bit-identical signature, view installs included, and an
+identical full trace — the reconfiguration path must be as deterministic as the ordering path it
 rides on.
 """
 

@@ -258,7 +258,7 @@ class MultiGroupMulticast(NodeComponent):
         entry = self.pending.get(mid)
         if entry is None:
             entry = _Pending(mid, groups, payload)
-            self.pending[mid] = entry  # repro: noqa(RES001) -- pending doubles as duplicate suppression: evicting a delivered entry would re-deliver a late duplicate propose
+            self.pending[mid] = entry
             if len(self.pending) > self.pending_high_water:
                 self.pending_high_water = len(self.pending)
         return entry
@@ -405,7 +405,7 @@ class MultiGroupMulticast(NodeComponent):
                         and group not in entry.proposed
                         and group not in entry.delivered_in
                         and (mid, group) not in self._relayed):
-                    self._relayed.add((mid, group))  # repro: noqa(RES001) -- relay dedup must remember every (mid, group) pair a crashed sender might leave half-submitted
+                    self._relayed.add((mid, group))
                     self.group_abs[group].submit(
                         (_PROPOSE, mid, groups, payload))
             self._maybe_submit_final(entry)

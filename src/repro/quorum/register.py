@@ -139,7 +139,7 @@ class QuorumRegister(NodeComponent):
             self._ts, self._value = (int(num), int(writer)), value
         self._incarnation = int(node.storage.retrieve(
             self.INCARNATION_KEY, 0)) + 1
-        node.storage.log(self.INCARNATION_KEY, self._incarnation)  # repro: noqa(REC003) -- deliberate monotonic bump: request tags must differ across incarnations; gaps are safe, reuse is not
+        node.storage.log(self.INCARNATION_KEY, self._incarnation)
         self._seq = 0
         self._ops = {}
         self.endpoint.register(QueryRequest.type, self._on_query)

@@ -146,7 +146,7 @@ class SimDisk:
                  node_hint: Optional[int] = None) -> None:
         self._durable = bytearray()
         self._unsynced = bytearray()
-        self.rng = rng or random.Random(0)  # repro: noqa(DET004) -- fixed default seed; tests inject their own
+        self.rng = rng or random.Random(0)
         self.fail_rate = fail_rate
         self.node_hint = node_hint
         self._armed: Optional[str] = None

@@ -164,8 +164,9 @@ class StableStorage:
 
     A handle opened on a disk replays it; ``group_commits`` and
     ``group_commit_records`` count its appends and the records they
-    carried.  Its metrics count only what this handle did: replay is
-    not a ``log``.
+    carried.  Its metrics count only what this handle did (replay is
+    not a ``log``), except ``quarantined``, which :meth:`reopen` carries
+    over.
     """
 
     def __init__(self, disk: Optional[Disk] = None) -> None:
@@ -188,11 +189,13 @@ class StableStorage:
     def reopen(self) -> "StableStorage":
         """The store the process finds when it restarts after a crash:
         this one if it has no disk, else a new handle on what the disk
-        kept."""
+        kept, which carries on counting the damaged frames found."""
         if self.disk is None:
             return self
         self.disk.crash()
-        return StableStorage(self.disk)
+        reopened = StableStorage(self.disk)
+        reopened.metrics.quarantined += self.metrics.quarantined
+        return reopened
 
     # -- primitive interface (paper: log / retrieve) -------------------------
 

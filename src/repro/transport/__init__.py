@@ -1,6 +1,6 @@
 """Fair-lossy transport (Section 3.1): network medium and node endpoints."""
 
-from repro.transport.endpoint import Endpoint, ReceiveQueue
+from repro.transport.endpoint import Endpoint
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig, NetworkMetrics
 
@@ -9,6 +9,5 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "NetworkMetrics",
-    "ReceiveQueue",
     "WireMessage",
 ]

@@ -11,66 +11,18 @@ to a peer rides the frame already going there.
 
 Reception is handler-based rather than a blocking ``receive`` loop: each
 protocol layer registers a handler per message type, and handlers run
-atomically (the paper's atomic reception statements).  A blocking
-``receive`` can be layered on top with :meth:`Endpoint.subscribe_queue`,
-which is what the transport unit tests exercise.
+atomically (the paper's atomic reception statements).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import ProcessDown
-from repro.runtime import NodeComponent, Signal, TransportMedium
+from repro.runtime import NodeComponent, TransportMedium
 from repro.transport.message import Packet, WireMessage
 
-__all__ = ["DEFAULT_QUEUE_CAPACITY", "Endpoint", "ReceiveQueue"]
-
-#: Input buffers are bounded by default: a consumer that stalls (or a
-#: sender that floods) must translate into visible drops, not unbounded
-#: memory growth on the receive path.
-DEFAULT_QUEUE_CAPACITY = 1024
-
-
-class ReceiveQueue:
-    """A blocking input buffer: the paper's ``receive`` primitive.
-
-    Messages deposited while the owning node is up accumulate in volatile
-    memory; :meth:`receive` blocks (cooperatively) until one is available.
-    The buffer is volatile — the endpoint drops it on crash — and bounded:
-    once ``capacity`` messages are pending, further deposits are dropped
-    (counted in :attr:`overflows`).  Dropping is sound because the
-    transport is fair-lossy anyway: the protocols re-push their payloads
-    and pull what they miss.  Pass ``capacity=None`` for an unbounded buffer.
-    """
-
-    def __init__(self, endpoint: "Endpoint",
-                 capacity: Optional[int] = DEFAULT_QUEUE_CAPACITY):
-        self._endpoint = endpoint
-        self._capacity = capacity
-        self._items: Deque[Tuple[WireMessage, int]] = deque()
-        self._signal: Signal = endpoint.node.sim.signal("receive-queue")
-        #: Messages dropped because the buffer was full.
-        self.overflows = 0
-
-    def deposit(self, message: WireMessage, sender: int) -> None:
-        """Called by the endpoint on message arrival."""
-        if (self._capacity is not None
-                and len(self._items) >= self._capacity):
-            self.overflows += 1
-            return
-        self._items.append((message, sender))
-        self._signal.notify()
-
-    def receive(self) -> Generator[Any, Any, Tuple[WireMessage, int]]:
-        """Cooperative-blocking receive; yields until a message arrives."""
-        while not self._items:
-            yield self._signal.wait()
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
+__all__ = ["Endpoint"]
 
 
 class Endpoint(NodeComponent):
@@ -81,7 +33,6 @@ class Endpoint(NodeComponent):
     def __init__(self, network: TransportMedium):
         super().__init__()
         self.network = network
-        self._queues: dict = {}
         # Optional membership oracle (a ViewManager): when set, peers()
         # and multisend() are scoped to the installed view instead of
         # every node the medium has ever seen.
@@ -131,21 +82,10 @@ class Endpoint(NodeComponent):
         assert self.node is not None
         self.node.register_handler(msg_type, handler)
 
-    def subscribe_queue(self, msg_type: str,
-                        capacity: Optional[int] = DEFAULT_QUEUE_CAPACITY
-                        ) -> ReceiveQueue:
-        """Blocking-receive alternative to handlers for ``msg_type``."""
-        assert self.node is not None
-        queue = ReceiveQueue(self, capacity=capacity)
-        self._queues[msg_type] = queue
-        self.node.register_handler(msg_type, queue.deposit)
-        return queue
-
     # -- lifecycle ------------------------------------------------------------
 
     def on_crash(self) -> None:
-        """Input buffers and the rider hook are volatile: lost on crash."""
-        self._queues.clear()
+        """The rider hook is volatile: lost on crash."""
         self.rider = None
 
     @property

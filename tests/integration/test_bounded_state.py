@@ -1,12 +1,18 @@
 """Only what is in flight is kept: a decided instance keeps its decision
-and nothing else, and a resolved wait leaves nothing behind.
+and nothing else, a resolved wait leaves nothing behind, and no
+container grows with the run unless :data:`GROWS` says why.
 
-Each consensus stack runs at n = 3 on the simulator under a trickle of
+Each stack runs at n = 3 on the simulator under a trickle of
 broadcasts, one every 0.3 s from the nodes in turn, so nearly every
-message is an instance of its own.  The cluster is inspected once every
-node has passed instance N, and again past 2N, each time after it has
-settled.  Then:
+message is a consensus instance of its own.  The cluster is inspected
+once N messages are delivered, and again past 2N, each time after it
+has settled.  Then:
 
+* every container-valued attribute of every node and of every
+  component on it holds as many items at 2N as at N, unless
+  :data:`GROWS` (or, for a stack whose log never shrinks,
+  :data:`MIRRORS`) names it with its reason; an Agreed queue counts
+  the messages it holds, not those its checkpoint stands for;
 * every node's Paxos attempts and pinned member sets belong to drivers
   still running, and Chandra–Toueg's round tallies to undecided
   instances;
@@ -17,19 +23,63 @@ settled.  Then:
 * every count is the same at 2N as at N;
 * and a wait for an instance already decided returns at once, without
   creating a signal to park on.
+
+:data:`GROWS` also keeps the reasons of the multigroup layer and of
+consensus from Atomic Broadcast, which no stack here builds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from collections import deque
+from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.core.agreed import AgreedQueue
 from repro.errors import ConsensusError
 from repro.harness.cluster import Cluster, ClusterConfig
 
-PROTOCOLS = ("basic", "alternative", "ct")
+PROTOCOLS = ("basic", "alternative", "eager", "ct", "sequencer")
+CONSENSUS = ("basic", "alternative", "ct")
 N = 15
+
+AGREED = ("the delivery sequence: a message leaves it only for an "
+          "application checkpoint (Section 5.2), and these runs take none")
+CRASH_STOP = ("the crash-stop baseline [3] takes no checkpoint, so no "
+              "floor lets it forget an instance")
+
+#: (class, attribute) -> why it may grow with the run.
+GROWS = {
+    **{(stack, "agreed"): AGREED for stack in (
+        "BasicAtomicBroadcast", "AlternativeAtomicBroadcast",
+        "EagerLoggingAtomicBroadcast", "ChandraTouegAtomicBroadcast",
+        "FixedSequencerBroadcast")},
+    ("ChandraTouegConsensus", "_decisions"): CRASH_STOP,
+    ("ChandraTouegConsensus", "_proposals"): CRASH_STOP,
+    ("FixedSequencerBroadcast", "_assigned"):
+        "baseline fidelity: the fixed sequencer keeps its full "
+        "assignment map (no GC protocol in [12])",
+    ("FixedSequencerBroadcast", "_order_log"):
+        "the order log serves ResendRequest for arbitrarily old "
+        "sequence numbers",
+    ("ViewManager", "_applied"):
+        "replay idempotence: the applied-command set must span every "
+        "reconfiguration the log can re-deliver",
+    ("MultiGroupMulticast", "pending"):
+        "pending doubles as duplicate suppression: evicting a delivered "
+        "entry would re-deliver a late duplicate propose",
+    ("MultiGroupMulticast", "_relayed"):
+        "relay dedup must remember every (mid, group) pair a crashed "
+        "sender might leave half-submitted",
+    ("ConsensusFromAtomicBroadcast", "_decisions"):
+        "decided values must outlive every instance; the reduction has "
+        "no checkpoint floor",
+}
+
+#: The per-instance mirrors of a log that never shrinks (ROADMAP item
+#: 6): with no checkpoint, no instance is ever discarded.
+MIRRORS = {("PaxosConsensus", "_accepted"), ("PaxosConsensus", "_decisions")}
+UNBOUNDED_LOG = ("basic", "eager")
 
 
 def parked(signal) -> List:
@@ -38,16 +88,38 @@ def parked(signal) -> List:
     return [] if event is None or event.fired else list(event._waiters)
 
 
-def drive_to(cluster: Cluster, instances: int, sent: List[int]) -> None:
-    """Broadcast until every node has passed ``instances``, then settle."""
-    while min(abcast.k for abcast in cluster.abcasts.values()) < instances:
-        assert sent[0] < 4 * instances, "the instances stopped advancing"
+def drive_to(cluster: Cluster, messages: int, sent: List[int]) -> None:
+    """Broadcast until ``messages`` are delivered, then settle."""
+    while len(cluster.collector.first_delivery) < messages:
+        assert sent[0] < 4 * messages, "deliveries stopped advancing"
         index = sent[0]
         cluster.submit(index % 3, ("m", index))
         sent[0] += 1
         cluster.run_for(0.3)
     assert cluster.settle(within=30.0)
     cluster.run_for(3.0)   # a few quiet polls and heartbeats
+
+
+def held_items(value: Any) -> Optional[int]:
+    """How many items a container holds (``None``: not a container)."""
+    if isinstance(value, AgreedQueue):
+        return len(value.suffix)
+    if isinstance(value, (dict, list, set, frozenset, tuple, deque)):
+        return len(value)
+    return None
+
+
+def sizes(cluster: Cluster) -> Dict[Tuple[int, str, str], int]:
+    """``(node, class, attribute) -> items held``, for every container
+    attribute of every node and of every component on it."""
+    found = {}
+    for node_id, node in sorted(cluster.nodes.items()):
+        for owner in (node, *node.components):
+            for name, value in vars(owner).items():
+                size = held_items(value)
+                if size is not None:
+                    found[node_id, type(owner).__name__, name] = size
+    return found
 
 
 def held(cluster: Cluster) -> Dict[int, Dict[str, int]]:
@@ -89,15 +161,20 @@ def test_state_is_bounded_by_what_is_in_flight(protocol):
     cluster.start()
     sent = [0]
     drive_to(cluster, N, sent)
-    at_n = held(cluster)
+    at_n, sizes_n = held(cluster), sizes(cluster)
     drive_to(cluster, 2 * N, sent)
-    at_2n = held(cluster)
+    at_2n, sizes_2n = held(cluster), sizes(cluster)
+    allowed = set(GROWS) | (MIRRORS if protocol in UNBOUNDED_LOG else set())
+    grown = sorted({(owner, name)
+                    for (node_id, owner, name), size in sizes_2n.items()
+                    if size > sizes_n.get((node_id, owner, name), 0)})
+    assert [entry for entry in grown if entry not in allowed] == []
     assert at_2n == at_n
     assert all(row["signals"] <= row["drivers"] + 1
                for row in at_2n.values())
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", CONSENSUS)
 def test_a_wait_for_a_decided_instance_never_parks(protocol):
     cluster = Cluster(ClusterConfig(n=3, seed=7, protocol=protocol))
     cluster.start()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos.inject import FaultSchedule, RandomFaults
-from repro.core.alternative import AlternativeConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario, run_scenario
 from repro.transport.network import NetworkConfig

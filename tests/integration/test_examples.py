@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import os
-import sys
 
 import pytest
 

@@ -7,8 +7,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.alternative import AlternativeConfig
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.verify import verify_run

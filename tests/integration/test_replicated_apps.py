@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps.bank import Bank
 from repro.apps.certifier import CertifyingDatabase, make_transaction
 from repro.apps.kvstore import KeyValueStore

@@ -4,21 +4,26 @@
 verifies every run — a timeline replayed on the live runtime exactly as
 on the simulator, the overload-safety check included — and
 :func:`~repro.harness.scenario.check_reproducible` is the one
-reproducibility check.
+reproducibility check: two same-seed runs must match event for event.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import pytest
 
+from repro.chaos.engine import ChaosConfig, chaos_scenario, plan_scenario
 from repro.chaos.events import ChaosEvent
+from repro.chaos.inject import RandomFaults
+from repro.core.alternative import AlternativeConfig
 from repro.errors import ReproError, VerificationError
 from repro.flow.controller import FlowConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import (Scenario, check_reproducible,
                                     run_scenario)
+from repro.workloads.generators import PoissonWorkload
 
 
 class _DriftingWorkload:
@@ -29,6 +34,17 @@ class _DriftingWorkload:
     def install(self, cluster):
         cluster.runtime.schedule(1.0, cluster.submit,
                                  next(self.runs) % 2, "drift")
+
+
+class _DriftingPayload:
+    """Submits a different payload on every run, through the same node
+    at the same time: only the full trace can tell the runs apart."""
+
+    runs = itertools.count()
+
+    def install(self, cluster):
+        cluster.runtime.schedule(1.0, cluster.submit, 0,
+                                 f"drift-{next(self.runs)}")
 
 
 class _MiscountedRejection:
@@ -60,6 +76,34 @@ class TestReproducibility:
                             workload=_DriftingWorkload(), duration=5.0)
         with pytest.raises(VerificationError, match="not reproducible"):
             check_reproducible(scenario)
+
+    def test_a_divergence_only_the_trace_shows_is_caught(self):
+        scenario = Scenario(ClusterConfig(n=3, seed=4),
+                            workload=_DriftingPayload(), duration=5.0)
+        first = run_scenario(copy.deepcopy(scenario))
+        second = run_scenario(copy.deepcopy(scenario))
+        assert first.signature() == second.signature()
+        with pytest.raises(VerificationError, match="trace event"):
+            check_reproducible(scenario)
+
+    @pytest.mark.parametrize("family", ["default", "churn", "overload"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chaos_seeds_reproduce_event_for_event(self, family, seed):
+        config = ChaosConfig(churn=family == "churn",
+                             overload=family == "overload")
+        params, _, events = plan_scenario(config, seed)
+        result = check_reproducible(chaos_scenario(config, params, events))
+        assert result.cluster.collector.select("broadcast")
+
+    def test_random_faults_reproduce_event_for_event(self):
+        result = check_reproducible(Scenario(
+            ClusterConfig(n=3, seed=6, protocol="alternative",
+                          alt=AlternativeConfig(checkpoint_interval=1.0)),
+            workload=PoissonWorkload(2.0, 10.0, seed=6),
+            faults=RandomFaults(mttf=4.0, mttr=1.0, stabilize_at=12.0,
+                                seed=6),
+            duration=15.0, settle_limit=90.0))
+        assert result.cluster.collector.select("node", action="crash")
 
     def test_live_scenarios_are_refused(self):
         with pytest.raises(ReproError, match="sim runtime"):

@@ -9,7 +9,6 @@ a minimal failing schedule.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

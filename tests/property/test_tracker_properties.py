@@ -6,7 +6,7 @@ reference ``set`` model under arbitrary insertion sequences.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.ids import MessageId

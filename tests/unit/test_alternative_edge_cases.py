@@ -8,8 +8,6 @@ recovering peers.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.alternative import AlternativeConfig
 from repro.core.messages import StateMessage
 from repro.harness.cluster import Cluster, ClusterConfig

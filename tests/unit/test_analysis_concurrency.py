@@ -1,4 +1,4 @@
-"""Tests for the concurrency-analysis rule families (ATM, REC003).
+"""Tests for the yield-point atomicity rule family (ATM).
 
 Each rule gets a negative fixture (flagged at an exact line) and a
 near-miss positive fixture (structurally close, stays silent) under
@@ -85,31 +85,3 @@ def test_atm002_flags_yield_inside_barrier():
 def test_atm002_near_miss_adjacent_and_nested_scopes_stay_silent():
     assert check_fixture("atm002_ok.py", "repro.core.fixture") == []
 
-
-# -- REC003: non-idempotent recovery ------------------------------------------
-
-def test_rec003_flags_increment_and_unguarded_append():
-    findings = check_fixture("rec003_bad.py", "repro.core.fixture")
-    assert rule_ids(findings) == ["REC003", "REC003"]
-    increment, append = findings
-    assert increment.line == 18  # log of the retrieve-derived +1
-    assert "'proto', 'gen'" in increment.message
-    assert append.line == 22  # bare append in the _mark helper
-    assert "'proto', 'seen'" in append.message
-    assert "append" in append.message
-
-
-def test_rec003_near_miss_guarded_effects_stay_silent():
-    assert check_fixture("rec003_ok.py", "repro.core.fixture") == []
-
-
-def test_rec003_inactive_without_recovery_surface():
-    # No on_start in scope -> recovery actions cannot replay, so a lone
-    # unguarded append is not a REC003 (this keeps unrelated fixtures
-    # and partial trees quiet).
-    findings = analyze_source(
-        "class Proto:\n"
-        "    def save(self, tag):\n"
-        "        self.node.storage.append(('proto', 'seen'), tag)\n",
-        module="repro.core.fixture", path="fixture.py")
-    assert findings == []

@@ -184,16 +184,6 @@ class TestHandlerResolution:
         assert pattern.pattern == "{*}::{*}"
         assert graph.has_dynamic_registrations()
 
-    def test_subscribe_queue_registration(self):
-        graph = graph_of("""
-            class Proto:
-                def on_start(self):
-                    self.queue = self.endpoint.subscribe_queue("fx.ping")
-        """)
-        edge, = graph.handlers_for("fx.ping")
-        assert edge.handler == "ReceiveQueue.deposit"
-        assert edge.via == "subscribe_queue"
-
     def test_graph_is_cached_on_the_project(self):
         text = textwrap.dedent(BASE)
         ctx = ModuleContext("repro.core.fixture", "fixture.py",

@@ -29,21 +29,6 @@ def located(findings):
     return [(f.rule_id, f.line) for f in findings]
 
 
-# -- RES001: unbounded growth on a receive path -------------------------------
-
-def test_res001_flags_unbounded_handler_growth():
-    findings = check_family("res001_bad.py", "repro.core.fixture", "RES")
-    assert located(findings) == [("RES001", 20), ("RES001", 21)]
-    assert "self.backlog" in findings[0].message
-    assert "self.seen" in findings[1].message
-    assert "receive path" in findings[0].message
-
-
-def test_res001_silent_on_bounded_shapes():
-    # maxlen deque, len()-guarded dict, peer-keyed map, evicted list.
-    assert check_family("res001_ok.py", "repro.core.fixture", "RES") == []
-
-
 # -- RES002: blocking call in async code --------------------------------------
 
 def test_res002_flags_blocking_calls_in_async():

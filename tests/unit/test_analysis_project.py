@@ -1,6 +1,6 @@
 """Tests for the whole-program analysis rules and the new CLI surface.
 
-The interprocedural rules (WAL003, DET006) each get a negative fixture
+The interprocedural rule (WAL003) gets a negative fixture
 (flagged at an exact line) and a near-miss positive fixture
 (structurally close, stays silent) under ``tests/fixtures/analysis/``.
 The CLI additions — ``--format sarif``, all-paths error collection — are
@@ -54,58 +54,6 @@ def test_wal003_out_of_scope_module_stays_silent():
     assert findings == []
 
 
-# -- recovery rules need a recovery surface -----------------------------------
-
-def test_rec_rules_inactive_without_recovery_surface():
-    # No on_start in scope -> no recovery closure to check against, so
-    # a lone write is not flagged (this keeps unrelated fixtures and
-    # partial trees quiet).
-    findings = analyze_source(
-        "class Proto:\n"
-        "    def save(self, view):\n"
-        "        self.node.storage.log(('proto', 'view'), view)\n",
-        module="repro.core.fixture", path="fixture.py")
-    assert findings == []
-
-
-# -- DET006: randomness/wall-clock taint --------------------------------------
-
-def test_det006_flags_tainted_payload_in_chaos_scope():
-    findings = check_fixture("det006_bad.py", "repro.chaos.fixture")
-    assert rule_ids(findings) == ["DET006"]
-    assert findings[0].line == 16  # the endpoint.send, not the clock read
-
-
-def test_det006_near_miss_rebound_name_stays_silent():
-    assert check_fixture("det006_ok.py", "repro.chaos.fixture") == []
-
-
-def test_det006_flags_tainted_yield_delay():
-    findings = analyze_source(
-        "import random\n"
-        "\n"
-        "def pacer():\n"
-        "    delay = random.expovariate(2.0)\n"
-        "    yield delay\n",
-        module="repro.chaos.fixture", path="fixture.py")
-    det006 = [f for f in findings if f.rule_id == "DET006"]
-    assert len(det006) == 1
-    assert det006[0].line == 5
-
-
-def test_det006_suppressible_with_justification():
-    findings = analyze_source(
-        "import time\n"
-        "\n"
-        "class Injector:\n"
-        "    def probe(self):\n"
-        "        t = time.monotonic()\n"
-        "        self.endpoint.send(0, t)"
-        "  # repro: noqa(DET006) -- latency probe, payload unused\n",
-        module="repro.chaos.fixture", path="fixture.py")
-    assert findings == []
-
-
 # -- all-paths error collection (exit code 2) ---------------------------------
 
 def test_all_invalid_paths_reported_at_once(tmp_path):
@@ -151,7 +99,7 @@ def test_sarif_shape():
     run = document["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    assert {"DET001", "WAL003", "REC003", "DET006"} <= set(rule_index)
+    assert {"DET001", "WAL003", "ATM001", "RES003"} <= set(rule_index)
     result = run["results"][0]
     assert result["ruleId"] == "DET001"
     assert result["ruleIndex"] == rule_index["DET001"]
@@ -187,10 +135,7 @@ def test_deleting_log_before_send_trips_wal003(tmp_path):
     basic = tree / "core" / "basic.py"
     source = basic.read_text()
     barrier = ("        self.log_before_send("
-               "self.INCARNATION_KEY, self.incarnation)"
-               "  # repro: noqa(REC003) -- Section 4.1: the incarnation "
-               "MUST advance monotonically per recovery; a crash "
-               "mid-bump only skips ids, never reuses one\n")
+               "self.INCARNATION_KEY, self.incarnation)\n")
     assert barrier in source, "tripwire call site moved; update this test"
     basic.write_text(source.replace(barrier, ""))
     report = analyze_paths([str(tree)])

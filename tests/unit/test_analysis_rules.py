@@ -445,8 +445,8 @@ def test_duplicate_rule_id_rejected():
 def test_registry_has_all_families():
     ids = default_registry().ids()
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-            "WAL002", "WAL003", "REC003"} <= set(ids)
-    assert "WAL001" not in ids and len(ids) == 15
+            "WAL002", "WAL003", "RES003"} <= set(ids)
+    assert "WAL001" not in ids and len(ids) == 12
 
 
 def test_reporters(tmp_path):
@@ -574,7 +574,7 @@ def test_cli_list_rules(capsys):
     status = cli_main(["lint", "--list-rules"])
     assert status == 0
     out = capsys.readouterr().out
-    assert "WAL003" in out and "DET004" in out and "REC003" in out
+    assert "WAL003" in out and "DET004" in out and "RES003" in out
 
 
 def test_list_rules_into_a_closed_pipe_exits_quietly():

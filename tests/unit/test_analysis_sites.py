@@ -1,5 +1,5 @@
 """Tests for ``repro.analysis.sites``: the one definition of a storage
-op, a transport send, a handler registration and "reachable".
+op, a transport send, a handler registration and a ``spawn``.
 """
 
 from __future__ import annotations
@@ -7,12 +7,10 @@ from __future__ import annotations
 import ast
 import glob
 import os
-import textwrap
 
 import pytest
 
-from repro.analysis.engine import ModuleContext, ProjectContext
-from repro.analysis.sites import classify, reachable, site_index
+from repro.analysis.sites import classify
 
 ANALYSIS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, os.pardir, "src", "repro", "analysis")
@@ -75,7 +73,6 @@ def test_op_vocabulary_lives_only_in_sites():
     ("self.node.endpoint.multisend(m)", "send"),
     ("self.channel.inner.send(src, dst, m)", "send"),
     ("self.endpoint.register(T, self._on_t)", "register"),
-    ("endpoint.subscribe_queue(T)", "register"),
     ("node.spawn(self._task(), 'task')", "spawn"),
     ("self.task.gen.send(None)", None),
     ("self.cache.get(K)", None),
@@ -85,122 +82,3 @@ def test_classify(source, kind):
     site = classify(ast.parse(source, mode="eval").body)
     assert (site.kind if site is not None else None) == kind
 
-
-# -- reachable ----------------------------------------------------------------
-
-FIXTURE = """
-    class Peer:
-        def poke(self):
-            pass
-
-    class Proto:
-        def __init__(self, peer: Peer):
-            self.peer = peer
-
-        def on_start(self):
-            self.endpoint.register("t", self._on_msg)
-            self.node.spawn(self._task(), "task")
-            self._helper()
-            self.peer.poke()
-
-        def _on_msg(self, msg, sender):
-            pass
-
-        def _task(self):
-            yield 1.0
-
-        def _helper(self):
-            pass
-
-        def _unrelated(self):
-            pass
-"""
-
-
-def reached(**switches) -> set:
-    text = textwrap.dedent(FIXTURE)
-    ctx = ModuleContext("repro.core.fixture", "fixture.py",
-                        ast.parse(text), text)
-    project = ProjectContext([ctx])
-    proto = project.symbols.classes["repro.core.fixture.Proto"]
-    roots = [(proto, proto, proto.methods["on_start"])]
-    found = list(reachable(project, roots, **switches))
-    assert all(entry.root == 0 for entry in found)
-    names = [entry.func.name for entry in found]
-    assert len(names) == len(set(names))  # each function once
-    return set(names)
-
-
-def test_reachable_follows_calls_including_the_spawned_generator():
-    assert reached() == {"on_start", "_task", "_helper", "poke"}
-
-
-def test_reachable_does_not_enter_a_registered_handler():
-    # ``register(T, self._on_msg)`` takes the handler's address; it runs
-    # on a later arrival, not as part of the caller.
-    assert "_on_msg" not in reached()
-
-
-def test_reachable_spawned_generator_skipped_on_request():
-    assert reached(skip_spawned=True) == reached() - {"_task"}
-
-
-def test_reachable_foreign_receiver_skipped_on_request():
-    assert reached(self_only=True) == reached() - {"poke"}
-
-
-# -- storage-key patterns -----------------------------------------------------
-
-KEYS = """
-    class Proto:
-        SEGMENT_KEY = ("proto", "seg")
-        EPOCH_KEY = ("proto", "epoch")
-
-        def on_start(self):
-            self.node.storage.keys(self.SEGMENT_KEY)
-            self.node.storage.retrieve(self.EPOCH_KEY, 0)
-
-        def checkpoint(self, k, messages):
-            self.node.storage.log(self.SEGMENT_KEY + (k,), messages)
-            self._persist(self.EPOCH_KEY, k)
-
-        def _persist(self, key, value):
-            self.node.storage.log(key, value)
-"""
-
-
-def storage_sites() -> dict:
-    """``method name -> [Site]`` of the ``KEYS`` fixture's class."""
-    text = textwrap.dedent(KEYS)
-    ctx = ModuleContext("repro.core.fixture", "fixture.py",
-                        ast.parse(text), text)
-    project = ProjectContext([ctx])
-    proto = project.symbols.classes["repro.core.fixture.Proto"]
-    index = site_index(project)
-    return {name: index.storage_sites(func, proto)
-            for name, func in proto.methods.items()}
-
-
-def test_concatenated_key_meets_the_prefix_scan():
-    # ``SEGMENT_KEY + (k,)`` is flattened operand by operand, so the
-    # ``keys(SEGMENT_KEY)`` scan sees its writer.
-    sites = storage_sites()
-    scan, read = sites["on_start"]
-    write = sites["checkpoint"][0]
-    assert (scan.kind, scan.shape.describe()) == \
-        ("scan", "('proto', 'seg', ...)")
-    assert (write.kind, write.shape.describe()) == \
-        ("write", "('proto', 'seg', *)")
-    assert write.shape.matches(scan.shape)
-    assert not write.shape.matches(read.shape)
-
-
-def test_a_key_forwarding_helper_takes_its_key_from_the_call_site():
-    # ``_persist`` hands its ``key`` parameter to storage: its own body
-    # has no key, and ``self._persist(EPOCH_KEY, ...)`` is the write.
-    sites = storage_sites()
-    assert sites["_persist"] == []
-    write = sites["checkpoint"][1]
-    assert (write.kind, write.op, write.shape.describe()) == \
-        ("write", "log", "('proto', 'epoch')")
-    assert write.shape.matches(sites["on_start"][1].shape)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.alternative import AlternativeConfig
-from repro.core.basic import BasicAtomicBroadcast
 from repro.core.messages import GossipMessage
 from repro.errors import BroadcastError
 from repro.harness.cluster import Cluster, ClusterConfig

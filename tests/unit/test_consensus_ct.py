@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.fdetect.heartbeat import HeartbeatDetector
 from repro.runtime import Node, SimRuntime

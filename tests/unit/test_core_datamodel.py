@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.agreed import AgreedQueue, deterministic_order
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.consensus.paxos import PaxosConsensus
 from repro.core.basic import BasicAtomicBroadcast
 from repro.core.equivalence import ConsensusFromAtomicBroadcast

@@ -51,6 +51,14 @@ GUARDS = (
      "yield it cannot wait on, tier-1 fails on a task never spawned or a "
      "key never recovered, and the media count an arrival no handler "
      "takes (NetworkMetrics.unhandled); the rules are deleted"),
+    ("run-checked-state", r"NonIdempotentRecoveryRule|UnboundedGrowthRule"
+     r"|RandomnessTaintRule|SiteIndex|KeyShape|ReceiveQueue"
+     r"|subscribe_queue|repro\.analysis\.idempotence\b", CODE, None,
+     "runs check what these rules guessed at: a store that three "
+     "back-to-back recoveries change outside the incarnation keys, a "
+     "container that grows from N to 2N instances, and a second "
+     "same-seed run whose full trace differs; the rules and the "
+     "receive queue no code called are deleted"),
     ("Simulator", r"(?<!\w)Simulator(?!\w)", CODE, None,
      "SimRuntime has one name; the alias is deleted"),
     ("one-event-channel",

@@ -11,7 +11,6 @@ from repro.harness.cluster import Cluster, ClusterConfig, PROTOCOLS
 from repro.harness.report import fmt, format_table
 from repro.harness.scenario import Scenario, run_scenario
 from repro.harness.verify import canonical_sequence, verify_run
-from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload, ScheduledWorkload
 
 

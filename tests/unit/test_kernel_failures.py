@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import SimRuntime
-
 
 class TestExceptionPropagation:
     def test_callback_exception_propagates(self, sim):

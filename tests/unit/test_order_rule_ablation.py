@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.agreed import (AgreedQueue, deterministic_order,
                                sender_round_robin_order)
-from repro.core.basic import BasicAtomicBroadcast
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.errors import VerificationError

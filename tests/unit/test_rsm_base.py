@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.base import Application, ReplicatedStateMachine
-from repro.apps.counter import SequenceRecorder
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.transport.network import NetworkConfig
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.transport.network import NetworkConfig
 

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.runtime import Node
 from repro.storage import stable as stable_mod
 from repro.storage.disk import JOURNAL, InjectedCrashFault, OsDisk, SimDisk
 from repro.storage.stable import StableStorage, read_journal
@@ -389,6 +390,26 @@ class TestFaultyStorage:
         assert recovered.retrieve("k") is None
         assert recovered.metrics.quarantined == 1
         assert disk.read() == b""
+
+    def test_the_damage_count_outlives_the_next_crash(self, sim):
+        # A bit flipped mid-journal is counted at the reopen that drops
+        # it, and still counted after the node's next crash, whose
+        # reopen finds the journal clean.
+        disk = SimDisk(random.Random(9))
+        node = Node(sim, 0, StableStorage(disk))
+        node.start()
+        ends = []
+        for index in range(5):
+            node.storage.log(("epoch", index), 40 + index)
+            ends.append(len(disk.read()))
+        damaged = bytearray(disk.read())
+        damaged[ends[2] - 2] ^= 1                 # in frame 2's payload
+        disk.replace(bytes(damaged))
+        for _ in range(2):
+            node.crash()
+            assert node.storage.metrics.quarantined == 1
+            assert contents(node.storage) == {"epoch/0": 40, "epoch/1": 41}
+            node.recover()
 
     def test_probabilistic_faults_are_seed_deterministic(self):
         def run(seed):

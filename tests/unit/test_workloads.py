@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import (BurstyWorkload, ClosedLoopWorkload,
