@@ -1,9 +1,9 @@
-"""Yield-point atomicity rules (ATM family).
+"""Yield-point atomicity rule (ATM family).
 
 The DES kernel (and LiveRuntime) interleave tasks only at scheduling
 boundaries — ``yield``/``await`` and their async-header spellings.  The
 paper's protocol steps are written assuming each handler/step is atomic
-between boundaries; these rules flag code where that assumption is
+between boundaries; the rule flags code where that assumption is
 silently load-bearing:
 
 * **ATM001 — interrupted read-modify-write.**  A local is derived from
@@ -15,15 +15,13 @@ silently load-bearing:
   one level of helper calls through the call graph's field-write
   summaries (``self._note(stale)`` where ``_note`` stores its parameter
   into the field).
-* **ATM002 — boundary inside a write barrier.**  A ``with
-  ...write_barrier():`` section contains a ``yield``/``await``.  The
-  barrier exists to make a batch of storage writes atomic; yielding
-  mid-section lets other tasks — and the chaos engine's crash points —
-  observe the half-written batch.
 
-Both rules treat every boundary kind the same (``yield``, ``await``,
+The rule treats every boundary kind the same (``yield``, ``await``,
 ``asyncio.gather``, ``async for``/``async with`` headers): they are all
-points where the scheduler may run somebody else.
+points where the scheduler may run somebody else.  A write barrier held
+across a boundary is a run-time error instead: a node's turn that ends
+with a barrier open raises
+:class:`~repro.errors.SimulationError` (:meth:`repro.runtime.node.Node._turn`).
 """
 
 from __future__ import annotations
@@ -38,11 +36,9 @@ from repro.analysis.callgraph import value_sources
 from repro.analysis.dataflow import SetUnionProblem, solve_forward
 from repro.analysis.engine import Finding, ModuleContext, ProjectContext
 from repro.analysis.registry import PROTOCOL_SCOPE, Rule
-from repro.analysis.sites import opens_write_barrier
 from repro.analysis.symbols import ClassInfo, attr_path, self_field
 
-__all__ = ["ATOMICITY_RULES", "AwaitHoldingBarrierRule",
-           "InterruptedReadModifyWriteRule"]
+__all__ = ["ATOMICITY_RULES", "InterruptedReadModifyWriteRule"]
 
 _CONCURRENT_SCOPE = PROTOCOL_SCOPE + ("repro.transport",)
 
@@ -300,48 +296,4 @@ class InterruptedReadModifyWriteRule(Rule):
                         f"a concurrent update to {field} would be lost")
 
 
-# -- ATM002 -------------------------------------------------------------------
-
-
-class AwaitHoldingBarrierRule(Rule):
-    """ATM002: no scheduling boundary inside a write_barrier section."""
-
-    id = "ATM002"
-    name = "boundary-inside-write-barrier"
-    summary = ("a with write_barrier() section contains a scheduling "
-               "boundary (yield/await)")
-    rationale = ("The write barrier groups storage writes into one "
-                 "atomic commit; yielding mid-section lets other tasks "
-                 "and crash injection observe the half-written batch, "
-                 "which is exactly what the barrier exists to prevent.")
-    scope = _CONCURRENT_SCOPE + ("repro.storage", "repro.harness")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for stmt in ast.walk(ctx.tree):
-            if not opens_write_barrier(stmt):
-                continue
-            reported: set = set()
-            for body_stmt in stmt.body:
-                if isinstance(body_stmt, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef,
-                                          ast.ClassDef)):
-                    # A function *defined* under the barrier yields
-                    # when called later, not while the barrier is held.
-                    continue
-                for node in scoped_walk(body_stmt):
-                    if isinstance(node, (ast.Yield, ast.YieldFrom,
-                                         ast.Await)) and \
-                            node.lineno not in reported:
-                        reported.add(node.lineno)
-                        yield ctx.finding(
-                            self.id, node,
-                            "scheduling boundary inside a "
-                            "write_barrier() section: the group commit "
-                            "is no longer atomic — other tasks (and "
-                            "injected crashes) can observe the "
-                            "half-written batch; move the yield outside "
-                            "the barrier")
-
-
-ATOMICITY_RULES = (InterruptedReadModifyWriteRule(),
-                   AwaitHoldingBarrierRule())
+ATOMICITY_RULES = (InterruptedReadModifyWriteRule(),)

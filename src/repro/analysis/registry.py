@@ -37,7 +37,7 @@ class Rule:
     Class attributes
     ----------------
     id:
-        Stable identifier (``DET001``, ``WAL003``, ...) used in reports
+        Stable identifier (``DET001``, ``WAL002``, ...) used in reports
         and ``# repro: noqa(ID)`` suppressions.
     name:
         Short kebab-case name for listings.

@@ -1,20 +1,19 @@
-"""Resource-bounds rules (RES family).
+"""Resource-bounds rule (RES family).
 
 The paper's retransmission and buffer layers may accumulate state, but
 every accumulation needs a bound: Section 5's practical considerations
 (and PR 8's overload work) hinge on queues that shed load instead of
 growing until the process dies.  Whether a container grows with the run
 is a property of executions, checked by a run
-(``tests/integration/test_bounded_state.py``).  These rules make the
-two remaining accidents machine-checked:
+(``tests/integration/test_bounded_state.py``), and a node's turn is
+one journal frame whatever it writes (:meth:`repro.runtime.node.Node._turn`),
+so a loop of writes costs one fsync.  The rule makes the remaining
+accident machine-checked:
 
 * **RES002 — blocking call in async code.**  ``time.sleep`` / sync file
   I/O / ``subprocess`` inside an ``async def`` stalls the whole
   LiveRuntime event loop, turning one slow node into a gray failure of
   every component sharing the loop.
-* **RES003 — durable write amplification.**  Storage writes issued in a
-  loop outside a ``write_barrier()`` hit the disk once per iteration;
-  the barrier exists to group-commit them (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -24,13 +23,10 @@ from typing import Iterator, Optional
 
 from repro.analysis.cfg import scoped_walk
 from repro.analysis.engine import Finding
-from repro.analysis.registry import PROTOCOL_SCOPE, Rule
-from repro.analysis.sites import classify, opens_write_barrier
+from repro.analysis.registry import Rule
 from repro.analysis.symbols import attr_path
 
-__all__ = ["RES_RULES", "BlockingAsyncCallRule", "WriteAmplificationRule"]
-
-_RES_SCOPE = PROTOCOL_SCOPE + ("repro.transport",)
+__all__ = ["RES_RULES", "BlockingAsyncCallRule"]
 
 
 class BlockingAsyncCallRule(Rule):
@@ -83,49 +79,4 @@ class BlockingAsyncCallRule(Rule):
         return None
 
 
-class WriteAmplificationRule(Rule):
-    """RES003: storage writes in a loop belong inside a write barrier."""
-
-    id = "RES003"
-    name = "durable-write-amplification"
-    summary = ("storage writes issued in a loop outside a "
-               "write_barrier()")
-    rationale = ("Each bare storage write is a separate durable "
-                 "commit; a loop of them turns one logical state "
-                 "change into O(n) disk round-trips — the exact cost "
-                 "the write barrier's group commit exists to "
-                 "amortize (ROADMAP item 4).")
-    scope = _RES_SCOPE
-
-    def check(self, ctx) -> Iterator[Finding]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            yield from self._visit(ctx, func, in_loop=False,
-                                   in_barrier=False)
-
-    def _visit(self, ctx, node: ast.AST, in_loop: bool,
-               in_barrier: bool) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda, ast.ClassDef)):
-                continue  # other scopes lint on their own
-            loop = in_loop or isinstance(child, (ast.For, ast.While,
-                                                 ast.AsyncFor))
-            barrier = in_barrier or opens_write_barrier(child)
-            if isinstance(child, ast.Call) and loop and not barrier:
-                site = classify(child)
-                if site is not None and site.kind == "write":
-                    field = ".".join(site.receiver + (site.op,)) + "()"
-                    yield ctx.finding(
-                        self.id, child,
-                        f"storage write {field} inside a loop with no "
-                        f"enclosing write_barrier(): each iteration "
-                        f"is a separate durable commit; wrap the loop "
-                        f"in `with storage.write_barrier():` to group "
-                        f"commit")
-            yield from self._visit(ctx, child, loop, barrier)
-
-
-RES_RULES = (BlockingAsyncCallRule(), WriteAmplificationRule())
+RES_RULES = (BlockingAsyncCallRule(),)

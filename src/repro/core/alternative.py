@@ -110,12 +110,6 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
     UNORDERED_KEY = ("ab", "unordered")
     JOINING_KEY = ("ab", "joining")
 
-    # In addition to the inherited incarnation mirror, ckpt_k mirrors the
-    # round of the last durable link (base or segment): gossip advertises
-    # it to drive peer-side log truncation (Figure 4, line c), so it must
-    # never run ahead of what recovery would rebuild.
-    VOLATILE_FIELDS = ("incarnation", "ckpt_k")
-
     def __init__(self, endpoint: Endpoint, consensus: ConsensusService,
                  gossip_interval: float = 0.25,
                  config: Optional[AlternativeConfig] = None,
@@ -293,54 +287,38 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         grown as large as the base they extend, by folding everything
         into a fresh base.  Atomic w.r.t. round commits and gossip
         handling (the bracketed line b of Figure 4): the kernel is
-        single-threaded and this method never yields.
+        single-threaded and this method never yields; as one turn of the
+        checkpoint task its writes are one journal frame.
         """
         assert self.node is not None
-        storage = self.node.storage
         if self._segment_bytes >= self._base_bytes:
             self._write_base()
-        # The remaining writes form one logical step whose records are
-        # each individually safe to lose (a missing last segment or a
-        # fat Unordered log only cost replay work), so a write barrier
-        # lets durable backends coalesce their per-rename flushes.
-        with storage.write_barrier():
-            if self.k > self.ckpt_k:
-                appended = self.agreed.tail(
-                    len(self.agreed) - self._durable_count)
-                self._segment_bytes += self._log_sized(
-                    self.SEGMENT_KEY + (self.ckpt_k,),
-                    (self.ckpt_k, self.k, appended))
-                self.ckpt_k = self.k
-                self._durable_count = len(self.agreed)
-            # (c) Proposed[i] can be discarded from the log — but only
-            # below the *global* watermark (the lowest checkpointed round
-            # any peer has reported): instances above it may still be
-            # replayed by a lagging peer, and discarding their decisions
-            # would strand it.
-            self.instances_discarded += \
-                self.consensus.discard_instances_below(self._gc_watermark())
-            if self.config.log_unordered:
-                # Rewrite the Unordered log compactly (drops ordered
-                # messages).
-                storage.log(self.UNORDERED_KEY,
-                            tuple(self.unordered.values()))
+        if self.k > self.ckpt_k:
+            appended = self.agreed.tail(
+                len(self.agreed) - self._durable_count)
+            self._segment_bytes += self._log_sized(
+                self.SEGMENT_KEY + (self.ckpt_k,),
+                (self.ckpt_k, self.k, appended))
+            self.ckpt_k = self.k
+            self._durable_count = len(self.agreed)
+        # (c) Proposed[i] can be discarded from the log — but only below
+        # the *global* watermark (the lowest checkpointed round any peer
+        # has reported): instances above it may still be replayed by a
+        # lagging peer, and discarding their decisions would strand it.
+        self.instances_discarded += \
+            self.consensus.discard_instances_below(self._gc_watermark())
+        if self.config.log_unordered:
+            # Rewrite the Unordered log compactly (drops ordered messages).
+            self.node.storage.log(self.UNORDERED_KEY,
+                                  tuple(self.unordered.values()))
         self.checkpoints_taken += 1
         self.node.sim.trace("checkpoint", self.node.node_id, "taken",
                             k=self.k, watermark=self._gc_watermark())
 
     def _write_base(self) -> None:
-        """Fold: log the whole ``(k, Agreed)`` record, then drop the
-        segments it supersedes.
-
-        Must run outside any write barrier: the base has to be durable
-        *before* the first delete is issued, or a crash could keep the
-        deletes and lose the base — recovery would then stand at the old
-        base, behind the round this node has advertised.  The other
-        order is harmless: leftover segments lie below the new base's
-        round, where recovery never looks.
-        """
+        """Fold: log the whole ``(k, Agreed)`` record and drop the
+        segments it supersedes, in the one journal frame of the turn."""
         assert self.node is not None
-        storage = self.node.storage
         if self._app_checkpoint is not None:
             # (b) Agreed ← (A-checkpoint(Agreed), VC(Agreed))
             self.agreed.compact(self._app_checkpoint())
@@ -349,8 +327,7 @@ class AlternativeAtomicBroadcast(BasicAtomicBroadcast):
         self.ckpt_k = self.k
         self._durable_count = len(self.agreed)
         self._segment_bytes = 0
-        with storage.write_barrier():
-            storage.delete_prefix(self.SEGMENT_KEY)
+        self.node.storage.delete_prefix(self.SEGMENT_KEY)
 
     def _log_sized(self, key: Tuple[Any, ...], value: Any) -> int:
         """``log`` and return the bytes it was charged — the record's

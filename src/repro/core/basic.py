@@ -134,13 +134,9 @@ class BasicAtomicBroadcast(NodeComponent):
     """
 
     name = "atomic-broadcast"
+    replays = True
 
     INCARNATION_KEY = ("ab", "incarnation")
-
-    # Volatile mirror of the durable incarnation counter, patrolled by the
-    # WAL003 lint: a message id minted from an unlogged incarnation could
-    # collide after recovery (Section 4.1's unique-id requirement).
-    VOLATILE_FIELDS = ("incarnation",)
 
     def __init__(self, endpoint: Endpoint, consensus: ConsensusService,
                  gossip_interval: float = 0.25, namespace: str = "",
@@ -248,15 +244,7 @@ class BasicAtomicBroadcast(NodeComponent):
         assert self.node is not None
         self.incarnation = int(self.node.storage.retrieve(
             self.INCARNATION_KEY, 0)) + 1
-        self.log_before_send(self.INCARNATION_KEY, self.incarnation)
-
-    def log_before_send(self, key, value) -> None:
-        """Write-ahead barrier: persist ``value`` under ``key`` before any
-        message depending on it leaves this node.  The incarnation must be
-        on disk before on_start spawns the gossip/sequencer tasks — they
-        advertise it in every message id."""
-        assert self.node is not None
-        self.node.storage.log(key, value)
+        self.node.storage.log(self.INCARNATION_KEY, self.incarnation)
 
     def _restore_volatile_state(self) -> None:
         """Hook for subclasses: load checkpointed state before replay.

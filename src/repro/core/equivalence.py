@@ -70,7 +70,7 @@ class ConsensusFromAtomicBroadcast(NodeComponent, DeliveryListener):
 
     def propose(self, k: int, value: Any) -> None:
         """Propose by A-broadcasting the value under the instance tag."""
-        if k in self._proposed:
+        if k in self._proposed or k in self._decisions:
             return  # idempotent
         self._proposed[k] = value
         self.abcast.submit((_TAG, k, value))
@@ -98,6 +98,7 @@ class ConsensusFromAtomicBroadcast(NodeComponent, DeliveryListener):
             # (P5 analogue) forbids ever forgetting one, so the map grows
             # with the instance history by construction.
             self._decisions[k] = value
+            self._proposed.pop(k, None)
             waiter = self._signals.pop(k, None)
             if waiter is not None:
                 waiter.notify(value)

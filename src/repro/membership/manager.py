@@ -53,11 +53,6 @@ class ViewManager(NodeComponent):
 
     VIEW_KEY = ("view", "current")
 
-    # The in-memory view/applied-set mirror the durable record under
-    # VIEW_KEY: the record must be on disk before the mirrors mutate,
-    # or a crash between install and log would fork the view timeline.
-    VOLATILE_FIELDS = ("view", "_applied")
-
     def __init__(self, initial_view: View):
         super().__init__()
         self.initial_view = initial_view

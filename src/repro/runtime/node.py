@@ -9,7 +9,14 @@ A :class:`Node` models one process of the paper's system model
   from what the disk kept, a store without one survives as an object;
 * a *recovery* re-runs every component's start hook — the paper's single
   "upon initialization or recovery" entry point — so initial start and
-  recovery share one code path.
+  recovery share one code path;
+* its code runs in *turns* — one handler call (:meth:`Node.deliver`),
+  one step of a task from :meth:`Node.spawn`, or the start hooks of
+  :meth:`Node.start` and :meth:`Node.recover`.  On a store with a disk
+  a turn is one write barrier, and the frames it sends leave only once
+  that barrier has committed (:meth:`Node._turn`), so the paper's
+  log-before-send discipline (Section 4.2) holds whatever the order of
+  ``log`` and ``send`` inside the code.
 
 Protocol layers are :class:`NodeComponent` subclasses stacked on a node.
 Components register message handlers and spawn tasks in ``on_start``;
@@ -25,11 +32,13 @@ attribute name ``sim``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import (Any, Callable, Dict, Generator, List, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from repro.errors import ProcessDown, SimulationError
 from repro.runtime.api import Runtime
 from repro.runtime.primitives import Task
+from repro.storage.disk import InjectedCrashFault
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.stable import StableStorage
@@ -49,9 +58,14 @@ class NodeComponent:
     ``on_crash()``
         Called at the instant of a crash, after tasks are killed and
         handlers cleared.  Drop volatile state here.
+
+    A component that replays after a recovery sets :attr:`replays` and
+    calls :meth:`Node.mark_recovery_complete` once it is caught up.
     """
 
     name = "component"
+    #: Whether the component reports the end of its recovery replay.
+    replays = False
 
     def __init__(self) -> None:
         self.node: Optional[Node] = None
@@ -98,8 +112,14 @@ class Node:
         # groups that share a link share its liveness.
         self.last_sent: Dict[int, float] = {}
         self._arrival_listeners: List[Callable[[int], None]] = []
+        # While a turn is open on a store with a disk: the medium sends
+        # it produced, ``(send, args)`` in order, held until it commits.
+        self.outbox: Optional[List[Tuple[Callable[..., None],
+                                         Tuple[Any, ...]]]] = None
         self._started = False
-        # Statistics for the harness.
+        # Statistics for the harness.  ``starts`` counts the starts and
+        # recoveries that committed: each opens a delivery stream.
+        self.starts = 0
         self.crash_count = 0
         self.recovery_count = 0
         self.recovery_times: List[float] = []
@@ -140,10 +160,11 @@ class Node:
         self._started = True
         self.up = True
         self.last_up_at = self.sim.now
-        for component in self.components:
-            component.on_start()
-        # Reported once every component is up: a start that a disk fault
-        # cuts short is only a crash, and opens no delivery stream.
+        self._turn(self._start_components)
+        # Reported once the start's turn has committed: a start that a
+        # disk fault cuts short is only a crash, and opens no delivery
+        # stream.
+        self.starts += 1
         self.sim.trace("node", self.node_id, "start")
 
     def crash(self) -> None:
@@ -176,19 +197,24 @@ class Node:
         self.recovery_times.append(self.sim.now)
         self.last_up_at = self.sim.now
         self._recovering_since = self.sim.now
+        self._turn(self._start_components)
+        self.starts += 1
+        self.sim.trace("node", self.node_id, "recover")
+        if not any(component.replays for component in self.components):
+            self.mark_recovery_complete()
+
+    def _start_components(self) -> None:
         for component in self.components:
             component.on_start()
-        self.sim.trace("node", self.node_id, "recover")
-        if self._recovering_since is not None:
-            self.recovery_durations.append(self.sim.now - self._recovering_since)
-            self._recovering_since = None
 
     def mark_recovery_complete(self) -> None:
         """Record the end of the recovery procedure (replay finished).
 
         Components whose recovery work is asynchronous (e.g. the replay
-        loop of the Atomic Broadcast layer) call this when they are caught
-        up, so recovery-duration metrics reflect real replay time.
+        loop of the Atomic Broadcast layer) set
+        :attr:`NodeComponent.replays` and call this when they are caught
+        up, so recovery-duration metrics reflect real replay time; a
+        stack without one closes the window when its start hooks return.
         """
         if self._recovering_since is not None:
             self.recovery_durations.append(self.sim.now - self._recovering_since)
@@ -203,7 +229,46 @@ class Node:
         task = self.sim.spawn(gen, name=f"n{self.node_id}:{name}")
         self._tasks[task] = None
         task.on_finish = self._tasks.pop
+        if self.storage.disk is not None:
+            task.turn = self._turn
         return task
+
+    # -- turns ------------------------------------------------------------------
+
+    def _turn(self, step: Callable[..., Any], *args: Any) -> Any:
+        """Run ``step(*args)`` as one turn of this node.
+
+        A store without a disk has nothing to commit: the step just
+        runs, and its frames go straight to the medium.  With a disk the
+        turn's records are one write barrier — one journal frame, one
+        append and one fsync — and the frames it sent wait in
+        :attr:`outbox` until that barrier has committed, then leave in
+        send order.  A disk fault (:class:`InjectedCrashFault`) commits
+        nothing and releases nothing: the node is crashing.  Any other
+        exception leaves the turn as it stands: what it logged commits
+        and what it sent leaves, so the store's map and its journal
+        agree on a node that keeps running.  A turn run inside another
+        is part of it.
+        """
+        storage = self.storage
+        if storage.disk is None or self.outbox is not None:
+            return step(*args)
+        outbox = self.outbox = []
+        try:
+            with storage.write_barrier():
+                return step(*args)
+        except InjectedCrashFault:
+            outbox.clear()
+            raise
+        finally:
+            self.outbox = None
+            if storage.barrier_open:
+                # A task step yielded inside a write barrier of its own.
+                raise SimulationError(
+                    f"a turn of node {self.node_id} ended with a write "
+                    f"barrier open: a barrier must not span a yield")
+            for send, send_args in outbox:
+                send(*send_args)
 
     # -- message dispatch --------------------------------------------------------
 
@@ -261,7 +326,10 @@ class Node:
         if sender != self.node_id:
             for listener in self._arrival_listeners:
                 listener(sender)
-        handler(message, sender)
+        if self.storage.disk is None:
+            handler(message, sender)
+        else:
+            self._turn(handler, message, sender)
         return True
 
     # -- metrics -------------------------------------------------------------------

@@ -148,7 +148,8 @@ class Task:
     """
 
     __slots__ = ("sim", "gen", "name", "dead", "finished", "result",
-                 "on_finish", "_done_event", "_sleep_timer", "_running")
+                 "on_finish", "turn", "_done_event", "_sleep_timer",
+                 "_running")
 
     def __init__(self, sim: "Runtime", gen: Generator, name: str):
         self.sim = sim
@@ -159,6 +160,9 @@ class Task:
         self.result: Any = None
         # Called with the task once, when it finishes or is killed.
         self.on_finish: Optional[Callable[["Task"], Any]] = None
+        # When set, each step runs as ``turn(step, value)`` (a node's
+        # turn: see :meth:`repro.runtime.node.Node.spawn`).
+        self.turn: Optional[Callable[..., Any]] = None
         self._done_event: Optional[Event] = None
         self._sleep_timer: Optional["TimerHandle"] = None
         self._running = False
@@ -208,6 +212,12 @@ class Task:
     def _resume(self, value: Any = None) -> None:
         if self.dead:
             return
+        if self.turn is None:
+            self._step(value)
+        else:
+            self.turn(self._step, value)
+
+    def _step(self, value: Any) -> None:
         self._sleep_timer = None
         self._running = True
         try:

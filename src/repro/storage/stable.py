@@ -25,6 +25,8 @@ A record is ``("w", key, value)``, ``("a", key, item)`` (an
 wire's, so an :class:`~repro.core.messages.AppMessage` logged as it
 arrived is not encoded again.  A write barrier's records are one frame,
 one append and one fsync; a write outside any barrier is a batch of one.
+A frame is atomic, so a barrier may group any writes: on a node, each
+turn is one barrier, and its frames leave only after it commits.
 
 **Open.**  A store opened on a disk replays its journal and stops at
 the first frame that fails its check, so what a disk keeps is always
@@ -41,12 +43,11 @@ swapped in whole (:meth:`~repro.storage.disk.Disk.replace`).
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import StorageError
 from repro.storage import codec
-from repro.storage.disk import Disk
+from repro.storage.disk import Disk, InjectedCrashFault
 
 __all__ = ["StableStorage", "StorageMetrics", "Key", "frame_record",
            "read_journal"]
@@ -247,27 +248,38 @@ class StableStorage:
 
     # -- write barriers ----------------------------------------------------------
 
-    @contextmanager
-    def write_barrier(self):
-        """Group several ``log`` calls into one logical durability barrier.
+    def write_barrier(self) -> "StableStorage":
+        """Group several writes into one journal frame:
+        ``with storage.write_barrier(): ...``.
 
-        The records are one journal frame, appended and fsynced when the
-        outermost barrier exits (not if an exception leaves it), so they
-        survive a crash all together or not at all, and are durable only
-        after the exit: only writes that are individually safe to lose —
-        the paper's model for every ``log`` call — may be grouped.  Reads
-        inside see the barrier's writes; each write is still one log op.
+        The records are one frame, appended and fsynced when the
+        outermost barrier exits, so they survive a crash all together
+        or not at all, and are durable only after the exit.  A disk
+        fault (:class:`~repro.storage.disk.InjectedCrashFault`)
+        unwinding the barrier commits nothing: the process is crashing.
+        Any other exception leaves the barrier as a normal exit does,
+        committing what it holds, so the map and the journal agree on a
+        process that keeps running.  Reads inside see the barrier's
+        writes; each write is still one log op.  A node's turn is one
+        barrier (:meth:`repro.runtime.node.Node._turn`).
         """
+        return self
+
+    def __enter__(self) -> "StableStorage":
         self._depth += 1
-        try:
-            yield self
-        except BaseException:
-            self._batch = []  # the process is failing: nothing commits
-            raise
-        finally:
-            self._depth -= 1
-            if self._depth == 0 and self._batch:
-                self._commit()
+        return self
+
+    def __exit__(self, kind: Any, error: Any, trace: Any) -> None:
+        self._depth -= 1
+        if kind is not None and issubclass(kind, InjectedCrashFault):
+            self._batch = []  # the process is crashing: nothing commits
+        elif self._depth == 0 and self._batch:
+            self._commit()
+
+    @property
+    def barrier_open(self) -> bool:
+        """True while a write barrier has yet to exit."""
+        return self._depth > 0
 
     # -- maintenance -------------------------------------------------------------
 

@@ -12,6 +12,11 @@ to a peer rides the frame already going there.
 Reception is handler-based rather than a blocking ``receive`` loop: each
 protocol layer registers a handler per message type, and handlers run
 atomically (the paper's atomic reception statements).
+
+Inside a turn of a node whose store has a disk, a send is held in the
+node's :attr:`~repro.runtime.node.Node.outbox` and reaches the medium
+once the turn's write barrier has committed; elsewhere it goes straight
+to the medium.
 """
 
 from __future__ import annotations
@@ -52,23 +57,29 @@ class Endpoint(NodeComponent):
         ``rider`` goes in the same packet; without one the :attr:`rider`
         hook is asked for it (a scoped endpoint passes its own).
         """
-        if self.node is None or not self.node.up:
+        node = self.node
+        if node is None or not node.up:
             raise ProcessDown("cannot send from a down node")
         if rider is None and self.rider is not None:
             rider = self.rider(dst, message)
-        self.network.send(self.node.node_id, dst,
-                          message if rider is None else Packet(message, rider))
+        frame = message if rider is None else Packet(message, rider)
+        if node.outbox is None:
+            self.network.send(node.node_id, dst, frame)
+        else:
+            node.outbox.append((self.network.send, (node.node_id, dst, frame)))
 
     def multisend(self, message: WireMessage) -> None:
         """Unreliable broadcast to all processes, including self."""
-        if self.node is None or not self.node.up:
+        node = self.node
+        if node is None or not node.up:
             raise ProcessDown("cannot multisend from a down node")
-        if self.view_source is None:
-            self.network.multisend(self.node.node_id, message)
+        targets = None if self.view_source is None else \
+            self.view_source.multisend_targets(node.node_id)
+        if node.outbox is None:
+            self.network.multisend(node.node_id, message, targets)
         else:
-            self.network.multisend(
-                self.node.node_id, message,
-                self.view_source.multisend_targets(self.node.node_id))
+            node.outbox.append((self.network.multisend,
+                                (node.node_id, message, targets)))
 
     # -- receiving ---------------------------------------------------------
 

@@ -24,20 +24,32 @@ has settled.  Then:
 * and a wait for an instance already decided returns at once, without
   creating a signal to park on.
 
-:data:`GROWS` also keeps the reasons of the multigroup layer and of
-consensus from Atomic Broadcast, which no stack here builds.
+The same N-versus-2N comparison runs three more drivers: a multigroup
+cluster of two overlapping groups (single- and cross-group multicasts),
+consensus from Atomic Broadcast (one instance per message), and a
+cluster that A-broadcasts a reconfiguration with every fifth message.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.consensus.paxos import PaxosConsensus
 from repro.core.agreed import AgreedQueue
+from repro.core.basic import BasicAtomicBroadcast
+from repro.core.equivalence import ConsensusFromAtomicBroadcast
 from repro.errors import ConsensusError
+from repro.fdetect.heartbeat import HeartbeatDetector
+from repro.fdetect.omega import OmegaOracle
 from repro.harness.cluster import Cluster, ClusterConfig
+from repro.multigroup.builder import MultiGroupCluster
+from repro.runtime import Node, SeedSequence, SimRuntime
+from repro.storage.stable import StableStorage
+from repro.transport.endpoint import Endpoint
+from repro.transport.network import Network, NetworkConfig
 
 PROTOCOLS = ("basic", "alternative", "eager", "ct", "sequencer")
 CONSENSUS = ("basic", "alternative", "ct")
@@ -109,17 +121,25 @@ def held_items(value: Any) -> Optional[int]:
     return None
 
 
-def sizes(cluster: Cluster) -> Dict[Tuple[int, str, str], int]:
+def sizes(nodes: Dict[int, Node]) -> Dict[Tuple[int, str, str], int]:
     """``(node, class, attribute) -> items held``, for every container
     attribute of every node and of every component on it."""
     found = {}
-    for node_id, node in sorted(cluster.nodes.items()):
+    for node_id, node in sorted(nodes.items()):
         for owner in (node, *node.components):
             for name, value in vars(owner).items():
                 size = held_items(value)
                 if size is not None:
                     found[node_id, type(owner).__name__, name] = size
     return found
+
+
+def grown(at_n: Dict[Tuple[int, str, str], int],
+          at_2n: Dict[Tuple[int, str, str], int]) -> List[Tuple[str, str]]:
+    """The ``(class, attribute)`` pairs holding more items at 2N."""
+    return sorted({(owner, name)
+                   for (node_id, owner, name), size in at_2n.items()
+                   if size > at_n.get((node_id, owner, name), 0)})
 
 
 def held(cluster: Cluster) -> Dict[int, Dict[str, int]]:
@@ -161,17 +181,124 @@ def test_state_is_bounded_by_what_is_in_flight(protocol):
     cluster.start()
     sent = [0]
     drive_to(cluster, N, sent)
-    at_n, sizes_n = held(cluster), sizes(cluster)
+    at_n, sizes_n = held(cluster), sizes(cluster.nodes)
     drive_to(cluster, 2 * N, sent)
-    at_2n, sizes_2n = held(cluster), sizes(cluster)
+    at_2n, sizes_2n = held(cluster), sizes(cluster.nodes)
     allowed = set(GROWS) | (MIRRORS if protocol in UNBOUNDED_LOG else set())
-    grown = sorted({(owner, name)
-                    for (node_id, owner, name), size in sizes_2n.items()
-                    if size > sizes_n.get((node_id, owner, name), 0)})
-    assert [entry for entry in grown if entry not in allowed] == []
+    assert [entry for entry in grown(sizes_n, sizes_2n)
+            if entry not in allowed] == []
     assert at_2n == at_n
     assert all(row["signals"] <= row["drivers"] + 1
                for row in at_2n.values())
+
+
+def run_length_growth(nodes: Dict[int, Node],
+                      drive: Callable[[int], None]) -> List[Tuple[str, str]]:
+    """What grows from N to 2N delivered messages under ``drive(count)``,
+    which runs until ``count`` are delivered and the nodes are quiet."""
+    drive(N)
+    at_n = sizes(nodes)
+    drive(2 * N)
+    return grown(at_n, sizes(nodes))
+
+
+def test_multigroup_state_is_bounded():
+    cluster = MultiGroupCluster({"a": (0, 1, 2), "b": (1, 2, 3)}, seed=7)
+    cluster.start()
+    # Single-group multicasts from a member of only that group, and
+    # cross-group ones from a member of both.
+    senders = ((0, ("a",)), (3, ("b",)), (1, ("a", "b")))
+    sent: List[Tuple[str, ...]] = []
+
+    def caught_up() -> bool:
+        return all(len(cluster.layers[node].delivered_in(group))
+                   >= sum(group in groups for groups in sent)
+                   for group, members in cluster.groups.items()
+                   for node in members)
+
+    def drive(count: int) -> None:
+        while len(sent) < count:
+            node, groups = senders[len(sent) % len(senders)]
+            cluster.multicast(node, ("m", len(sent)), groups)
+            sent.append(groups)
+            cluster.run(cluster.sim.now + 0.3)
+        deadline = cluster.sim.now + 30.0
+        while not caught_up() and cluster.sim.now < deadline:
+            cluster.run(cluster.sim.now + 1.0)
+        assert caught_up()
+        cluster.run(cluster.sim.now + 3.0)
+
+    growth = run_length_growth(cluster.nodes, drive)
+    assert [entry for entry in growth
+            if entry not in set(GROWS) | MIRRORS] == []
+    assert {("MultiGroupMulticast", "pending"),
+            ("MultiGroupMulticast", "_relayed")} <= set(growth)
+
+
+def test_consensus_from_broadcast_state_is_bounded():
+    sim = SimRuntime()
+    network = Network(sim, SeedSequence(7).stream("net"), NetworkConfig())
+    nodes, reductions = {}, {}
+    for node_id in range(3):
+        node = Node(sim, node_id, StableStorage())
+        endpoint = node.add_component(Endpoint(network))
+        detector = node.add_component(HeartbeatDetector(endpoint))
+        omega = node.add_component(OmegaOracle(detector))
+        consensus = node.add_component(PaxosConsensus(endpoint, omega))
+        abcast = node.add_component(BasicAtomicBroadcast(endpoint,
+                                                         consensus))
+        reductions[node_id] = node.add_component(
+            ConsensusFromAtomicBroadcast(abcast))
+        network.register(node)
+        nodes[node_id] = node
+    for node in nodes.values():
+        node.start()
+    proposed = [0]
+
+    def drive(count: int) -> None:
+        # Instance k is proposed by two nodes, one of which loses.
+        while proposed[0] < count:
+            k = proposed[0]
+            reductions[k % 3].propose(k, ("v", k))
+            reductions[(k + 1) % 3].propose(k, ("w", k))
+            proposed[0] += 1
+            sim.run(until=sim.now + 0.3)
+        deadline = sim.now + 30.0
+        while any(box.decided_value(count - 1) is None
+                  for box in reductions.values()) and sim.now < deadline:
+            sim.run(until=sim.now + 1.0)
+        sim.run(until=sim.now + 3.0)
+
+    growth = run_length_growth(nodes, drive)
+    assert [entry for entry in growth
+            if entry not in set(GROWS) | MIRRORS] == []
+    assert ("ConsensusFromAtomicBroadcast", "_decisions") in growth
+
+
+def test_membership_churn_state_is_bounded():
+    cluster = Cluster(ClusterConfig(n=4, seed=7, protocol="basic"))
+    cluster.start()
+    sent = [0]
+
+    def drive(count: int) -> None:
+        # Node 3 leaves and rejoins every five submissions, so it is a
+        # member whenever the cluster is inspected.
+        while sent[0] < count:
+            index = sent[0]
+            if index % 5 in (2, 4):
+                cluster.submit_reconfig(
+                    "leave" if index % 5 == 2 else "join", 3)
+            else:
+                cluster.submit(index % 3, ("m", index))
+            sent[0] += 1
+            cluster.run_for(0.3)
+        assert cluster.settle(within=30.0)
+        cluster.run_for(3.0)
+
+    growth = run_length_growth(cluster.nodes, drive)
+    assert [entry for entry in growth
+            if entry not in set(GROWS) | MIRRORS] == []
+    assert ("ViewManager", "_applied") in growth
 
 
 @pytest.mark.parametrize("protocol", CONSENSUS)

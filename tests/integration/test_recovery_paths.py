@@ -158,5 +158,8 @@ class TestRecoveryMetrics:
         cluster.run(until=7.0)
         cluster.nodes[1].recover()
         cluster.run(until=40.0)
-        assert len(cluster.nodes[1].recovery_durations) >= 1
-        assert all(d >= 0 for d in cluster.nodes[1].recovery_durations)
+        # The window closes when the replay is done, not when the start
+        # hooks return: catching up on the rounds missed takes time.
+        assert cluster.abcasts[1].replay_complete
+        (duration,) = cluster.nodes[1].recovery_durations
+        assert duration > 0

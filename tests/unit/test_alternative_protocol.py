@@ -274,6 +274,23 @@ class TestLoggedUnordered:
 
         assert bytes_logged(True) < bytes_logged(False)
 
+    def test_a_checkpoint_tick_rewrites_the_unordered_log_in_one_write(self):
+        # The paper's cost unit is the log operation: the compacted
+        # Unordered set is one record, whatever it holds.
+        cluster = build(seed=13, alt=AlternativeConfig(
+            log_unordered=True, checkpoint_interval=None))
+        cluster.run(until=1.0)
+        ab, metrics = cluster.abcasts[0], cluster.nodes[0].storage.metrics
+        ab.take_checkpoint()
+        for index in range(3):
+            cluster.submit(0, f"held-{index}")
+        assert len(ab.unordered) == 3
+        before = metrics.log_ops
+        ab.take_checkpoint()
+        assert metrics.log_ops == before + 1
+        assert len(cluster.nodes[0].storage.retrieve_list(
+            ("ab", "unordered"))) == 3
+
     def test_checkpoint_rewrites_unordered_log(self):
         cluster = build(seed=13, alt=AlternativeConfig(
             log_unordered=True, incremental=True, checkpoint_interval=1.0))

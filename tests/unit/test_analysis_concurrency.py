@@ -1,9 +1,8 @@
-"""Tests for the yield-point atomicity rule family (ATM).
+"""Tests for the yield-point atomicity rule (ATM001).
 
-Each rule gets a negative fixture (flagged at an exact line) and a
+The rule gets a negative fixture (flagged at an exact line) and a
 near-miss positive fixture (structurally close, stays silent) under
-``tests/fixtures/analysis/``, mirroring the whole-program rule tests in
-``test_analysis_project.py``.
+``tests/fixtures/analysis/``.
 """
 
 from __future__ import annotations
@@ -71,17 +70,3 @@ def test_atm001_suppressible_with_justification():
         "  # repro: noqa(ATM001) -- single-writer task by design\n",
         module="repro.core.fixture", path="fixture.py")
     assert findings == []
-
-
-# -- ATM002: scheduling boundary inside a write barrier -----------------------
-
-def test_atm002_flags_yield_inside_barrier():
-    findings = check_fixture("atm002_bad.py", "repro.core.fixture")
-    assert rule_ids(findings) == ["ATM002"]
-    assert findings[0].line == 14  # the yield, not the with statement
-    assert "write_barrier" in findings[0].message
-
-
-def test_atm002_near_miss_adjacent_and_nested_scopes_stay_silent():
-    assert check_fixture("atm002_ok.py", "repro.core.fixture") == []
-

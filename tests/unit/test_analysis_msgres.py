@@ -1,5 +1,5 @@
-"""Fixture tests for the resource-bounds (RES) and suppression-hygiene
-(NOQ) rule families.
+"""Fixture tests for the resource-bounds (RES002) and suppression-hygiene
+(NOQ001) rules.
 
 Each rule gets a negative fixture (flagged at exact lines) and a
 near-miss positive fixture (structurally close, stays silent) under
@@ -50,18 +50,6 @@ def test_res002_out_of_scope_module():
     # The rule patrols the live runtime and harness only; the simulated
     # stack has no event loop to stall.
     assert check_family("res002_bad.py", "repro.core.fixture", "RES") == []
-
-
-# -- RES003: durable write amplification --------------------------------------
-
-def test_res003_flags_loop_of_bare_writes():
-    findings = check_family("res003_bad.py", "repro.core.fixture", "RES")
-    assert located(findings) == [("RES003", 13)]
-    assert "write_barrier" in findings[0].message
-
-
-def test_res003_silent_under_barrier_and_outside_loops():
-    assert check_family("res003_ok.py", "repro.core.fixture", "RES") == []
 
 
 # -- NOQ001: bare suppressions ------------------------------------------------

@@ -194,113 +194,6 @@ def test_sorted_set_iteration_is_clean():
     assert findings == []
 
 
-# -- WAL003: log before send -------------------------------------------------
-
-WAL_BAD = """
-    class Acceptor:
-        VOLATILE_FIELDS = ("promised",)
-
-        def on_prepare(self, msg, sender):
-            self.promised = msg.ballot
-            self.endpoint.send(sender, ("promise", msg.ballot))
-"""
-
-WAL_GOOD = """
-    class Acceptor:
-        VOLATILE_FIELDS = ("promised",)
-
-        def on_prepare(self, msg, sender):
-            self.promised = msg.ballot
-            self.node.storage.log(("acceptor", msg.k), self.promised)
-            self.endpoint.send(sender, ("promise", msg.ballot))
-"""
-
-
-def test_wal_unlogged_mutation_before_send_flagged():
-    findings = check(WAL_BAD, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL003"]
-    assert "promised" in findings[0].message
-    assert findings[0].line == 7
-
-
-@pytest.mark.parametrize("receiver", ["self._endpoint.send(sender, ",
-                                      "self.node.endpoint.multisend("])
-def test_wal_send_through_any_recognised_receiver_is_a_send(receiver):
-    # One definition of "send": whatever the msgflow graph sees as a
-    # transport send, WAL003 sees too.
-    source = WAL_BAD.replace("self.endpoint.send(sender, ", receiver)
-    findings = check(source, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL003"]
-    assert findings[0].line == 7
-
-
-def test_wal_log_between_mutation_and_send_is_clean():
-    assert check(WAL_GOOD, module=CORE_MODULE) == []
-
-
-def test_wal_requires_declaration():
-    undeclared = WAL_BAD.replace('VOLATILE_FIELDS = ("promised",)',
-                                 "pass")
-    assert check(undeclared, module=CORE_MODULE) == []
-
-
-def test_wal_branch_merge_catches_one_armed_log():
-    findings = check("""
-        class Proto:
-            VOLATILE_FIELDS = ("state",)
-
-            def handle(self, msg, sender):
-                self.state = msg.value
-                if msg.urgent:
-                    self.node.storage.log("state", self.state)
-                self.endpoint.multisend(("update", msg.value))
-    """, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL003"]
-
-
-def test_wal_loop_carries_dirt_to_loop_head_send():
-    findings = check("""
-        class Proto:
-            VOLATILE_FIELDS = ("state",)
-
-            def pump(self, peers):
-                for peer in peers:
-                    self.endpoint.send(peer, self.state)
-                    self.state = peer
-    """, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL003"]
-
-
-def test_wal_helper_barrier_and_mutator_calls():
-    findings = check("""
-        class Proto:
-            VOLATILE_FIELDS = ("tally",)
-
-            def good(self, msg, sender):
-                self.tally.add(sender)
-                self._store(("tally",), self.tally)
-                self.endpoint.send(sender, "ack")
-
-            def bad(self, msg, sender):
-                self.tally.add(sender)
-                self.endpoint.send(sender, "ack")
-    """, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL003"]
-    assert "Proto.bad" in findings[0].message
-
-
-def test_wal_suppression():
-    suppressed = WAL_BAD.replace(
-        "self.endpoint.send(sender, (\"promise\", msg.ballot))",
-        "self.endpoint.send(sender, msg.ballot)"
-        "  # repro: noqa(WAL003) -- suppression syntax under test")
-    assert check(suppressed, module=CORE_MODULE) == []
-
-
-def test_wal_out_of_scope_package():
-    assert check(WAL_BAD, module="repro.harness.fixture") == []
-
-
 # -- WAL002: raw transport sends ---------------------------------------------
 
 RAW_SEND = """
@@ -445,8 +338,8 @@ def test_duplicate_rule_id_rejected():
 def test_registry_has_all_families():
     ids = default_registry().ids()
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-            "WAL002", "WAL003", "RES003"} <= set(ids)
-    assert "WAL001" not in ids and len(ids) == 12
+            "WAL002", "ATM001", "RES002", "NOQ001"} <= set(ids)
+    assert "WAL001" not in ids and len(ids) == 9
 
 
 def test_reporters(tmp_path):
@@ -574,7 +467,7 @@ def test_cli_list_rules(capsys):
     status = cli_main(["lint", "--list-rules"])
     assert status == 0
     out = capsys.readouterr().out
-    assert "WAL003" in out and "DET004" in out and "RES003" in out
+    assert "WAL002" in out and "DET004" in out and "RES002" in out
 
 
 def test_list_rules_into_a_closed_pipe_exits_quietly():

@@ -59,6 +59,14 @@ GUARDS = (
      "container that grows from N to 2N instances, and a second "
      "same-seed run whose full trace differs; the rules and the "
      "receive queue no code called are deleted"),
+    ("log-before-send-by-construction",
+     r"VOLATILE_FIELDS|log_before_send|InterprocWalRule"
+     r"|AwaitHoldingBarrierRule|WriteAmplificationRule"
+     r"|reads_logged_state|opens_write_barrier", CODE, None,
+     "a node's turn is one write barrier and its frames leave after the "
+     "commit, so log-before-send holds by construction; the rules that "
+     "approximated it from the AST, and their declarations, are "
+     "deleted"),
     ("Simulator", r"(?<!\w)Simulator(?!\w)", CODE, None,
      "SimRuntime has one name; the alias is deleted"),
     ("one-event-channel",

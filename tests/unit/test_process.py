@@ -27,6 +27,12 @@ class Probe(NodeComponent):
         self.crashes += 1
 
 
+class Replaying(NodeComponent):
+    """A component that reports the end of its recovery replay."""
+
+    replays = True
+
+
 class Ping(WireMessage):
     type = "test.ping"
     fields = ("value",)
@@ -221,13 +227,24 @@ class TestUptimeAccounting:
 
     def test_recovery_duration_via_mark(self, sim):
         node = make_node(sim)
+        node.add_component(Replaying())
         node.start()
         node.crash()
         sim.run(until=2.0)
         node.recover()
         sim.run(until=2.5)
-        # Simulate an asynchronous replay finishing later.
-        node._recovering_since = 2.0
+        assert node.recovery_durations == []     # the replay is running
         sim.run(until=3.0)
         node.mark_recovery_complete()
-        assert node.recovery_durations[-1] == pytest.approx(1.0)
+        node.mark_recovery_complete()            # only the first counts
+        assert node.recovery_durations == [pytest.approx(1.0)]
+
+    def test_without_a_replaying_component_recovery_ends_with_its_hooks(
+            self, sim):
+        node = make_node(sim)
+        node.add_component(Probe())
+        node.start()
+        node.crash()
+        sim.run(until=2.0)
+        node.recover()
+        assert node.recovery_durations == [0.0]
