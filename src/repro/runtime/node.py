@@ -229,8 +229,7 @@ class Node:
         task = self.sim.spawn(gen, name=f"n{self.node_id}:{name}")
         self._tasks[task] = None
         task.on_finish = self._tasks.pop
-        if self.storage.disk is not None:
-            task.turn = self._turn
+        task.turn = self._turn
         return task
 
     # -- turns ------------------------------------------------------------------
@@ -243,32 +242,44 @@ class Node:
         turn's records are one write barrier — one journal frame, one
         append and one fsync — and the frames it sent wait in
         :attr:`outbox` until that barrier has committed, then leave in
-        send order.  A disk fault (:class:`InjectedCrashFault`) commits
-        nothing and releases nothing: the node is crashing.  Any other
-        exception leaves the turn as it stands: what it logged commits
-        and what it sent leaves, so the store's map and its journal
-        agree on a node that keeps running.  A turn run inside another
-        is part of it.
+        send order.  A commit that fails, and a disk fault
+        (:class:`InjectedCrashFault`) anywhere in the turn, release
+        nothing: no frame leaves ahead of the records it may depend on.
+        Any other exception of the step leaves the turn as it stands:
+        what it logged commits, what it sent leaves, and then the
+        exception goes on, so the store's map and its journal agree on a
+        node that keeps running.  A turn run inside another is part of
+        it.
         """
         storage = self.storage
         if storage.disk is None or self.outbox is not None:
             return step(*args)
         outbox = self.outbox = []
+        failure: Optional[BaseException] = None
         try:
             with storage.write_barrier():
-                return step(*args)
-        except InjectedCrashFault:
-            outbox.clear()
-            raise
+                try:
+                    result = step(*args)
+                except InjectedCrashFault:
+                    raise
+                except BaseException as error:
+                    failure = error
         finally:
+            # An exception leaves here only when the barrier did not
+            # commit, and the outbox is dropped with it.
             self.outbox = None
-            if storage.barrier_open:
-                # A task step yielded inside a write barrier of its own.
-                raise SimulationError(
-                    f"a turn of node {self.node_id} ended with a write "
-                    f"barrier open: a barrier must not span a yield")
+        if storage.barrier_open:
+            # A task step yielded inside a write barrier of its own.
+            raise SimulationError(
+                f"a turn of node {self.node_id} ended with a write "
+                f"barrier open: a barrier must not span a yield")
+        try:
             for send, send_args in outbox:
                 send(*send_args)
+        finally:
+            if failure is not None:
+                raise failure  # the step's own error outranks a send's
+        return result
 
     # -- message dispatch --------------------------------------------------------
 
@@ -326,10 +337,7 @@ class Node:
         if sender != self.node_id:
             for listener in self._arrival_listeners:
                 listener(sender)
-        if self.storage.disk is None:
-            handler(message, sender)
-        else:
-            self._turn(handler, message, sender)
+        self._turn(handler, message, sender)
         return True
 
     # -- metrics -------------------------------------------------------------------

@@ -15,8 +15,9 @@ atomically (the paper's atomic reception statements).
 
 Inside a turn of a node whose store has a disk, a send is held in the
 node's :attr:`~repro.runtime.node.Node.outbox` and reaches the medium
-once the turn's write barrier has committed; elsewhere it goes straight
-to the medium.
+once the turn's write barrier has committed (sized when it is held, so
+a message the medium would refuse fails at its send); elsewhere it goes
+straight to the medium.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class Endpoint(NodeComponent):
         if node.outbox is None:
             self.network.send(node.node_id, dst, frame)
         else:
+            frame.frame_size()  # a frame the medium would refuse fails here
             node.outbox.append((self.network.send, (node.node_id, dst, frame)))
 
     def multisend(self, message: WireMessage) -> None:
@@ -78,6 +80,7 @@ class Endpoint(NodeComponent):
         if node.outbox is None:
             self.network.multisend(node.node_id, message, targets)
         else:
+            message.frame_size()
             node.outbox.append((self.network.multisend,
                                 (node.node_id, message, targets)))
 

@@ -172,6 +172,31 @@ class TestSimDisk:
             pair.sim.run(until=1.0)
 
 
+class TestFailingTurns:
+    @pytest.mark.parametrize("failing", ["append", "fsync"])
+    def test_a_commit_that_fails_sends_nothing(self, tmp_path, failing):
+        disk = OsDisk(str(tmp_path))
+        pair = Pair(StableStorage(disk))
+
+        def broken(*args):
+            raise OSError(5, "Input/output error")
+        setattr(disk, failing, broken)
+        with pytest.raises(OSError):
+            pair.ping(1)
+        pair.sim.run(until=1.0)
+        assert pair.network.metrics.sent == 0
+        assert pair.repliers[1].pongs == []
+        assert pair.nodes[0].outbox is None
+
+    def test_a_frame_the_medium_refuses_fails_at_its_send(self):
+        pair = Pair(StableStorage(SimDisk()), send_first=True)
+        with pytest.raises(TypeError):
+            pair.ping([1])  # a list cannot cross the medium
+        # The handler stopped at the send: its log after it never ran.
+        assert pair.nodes[0].storage.retrieve(("ping", 0)) is None
+        assert pair.network.metrics.sent == 0
+
+
 class TestGroupCommit:
     def test_one_turn_with_n_logs_is_one_frame(self):
         disk = SimDisk()
