@@ -105,10 +105,6 @@ class ProjectContext:
             ctx.module: ctx for ctx in self.contexts}
         self._symbols: Optional[object] = None
         self._resolver: Optional[object] = None
-        #: Scratch space for rule families that share one expensive
-        #: whole-program pass (e.g. the REC rules' recovery closure),
-        #: keyed by family name.
-        self.analysis_cache: Dict[str, object] = {}
 
     @property
     def symbols(self):
@@ -116,7 +112,7 @@ class ProjectContext:
         if self._symbols is None:
             from repro.analysis.symbols import SymbolTable
             self._symbols = SymbolTable(
-                (ctx.module, ctx.path, ctx.tree) for ctx in self.contexts)
+                (ctx.module, ctx.tree) for ctx in self.contexts)
         return self._symbols
 
     @property

@@ -38,34 +38,22 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="report format (default: text)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--emit-msgflow", metavar="FILE", default=None,
-                        dest="emit_msgflow",
-                        help="write the sender→type→handler message-flow "
-                             "graph to FILE (.dot → Graphviz, anything "
-                             "else → JSON) in addition to the report")
 
 
 def execute_lint(paths: List[str], output_format: str = "text",
-                 list_rules: bool = False,
-                 emit_msgflow_path: Optional[str] = None) -> int:
+                 list_rules: bool = False) -> int:
     """Run the analyzer; print a report; return the process exit status."""
     registry = default_registry()
     if list_rules:
         print(format_rule_listing(registry.rules()))
         return 0
     report = analyze_paths(paths)
-    lines = []
-    if emit_msgflow_path is not None:
-        from repro.analysis.msgflow import write_msgflow
-        graph = write_msgflow(paths, emit_msgflow_path)
-        lines.append(f"msgflow: {graph.summary()} -> {emit_msgflow_path}")
     if output_format == "json":
-        lines.append(format_json(report))
+        print(format_json(report))
     elif output_format == "sarif":
-        lines.append(format_sarif(report, registry.rules()))
+        print(format_sarif(report, registry.rules()))
     else:
-        lines.append(format_text(report))
-    print("\n".join(lines))
+        print(format_text(report))
     return 1 if report.findings else 0
 
 

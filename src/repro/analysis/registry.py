@@ -37,7 +37,7 @@ class Rule:
     Class attributes
     ----------------
     id:
-        Stable identifier (``DET001``, ``WAL002``, ...) used in reports
+        Stable identifier (``DET001``, ``ATM001``, ...) used in reports
         and ``# repro: noqa(ID)`` suppressions.
     name:
         Short kebab-case name for listings.
@@ -141,10 +141,9 @@ def default_registry() -> RuleRegistry:
     from repro.analysis.determinism import DETERMINISM_RULES
     from repro.analysis.noqarules import NOQA_RULES
     from repro.analysis.resources import RES_RULES
-    from repro.analysis.wal import WAL_RULES
 
     registry = RuleRegistry()
-    for rule in (*DETERMINISM_RULES, *WAL_RULES, *ATOMICITY_RULES,
-                 *RES_RULES, *NOQA_RULES):
+    for rule in (*DETERMINISM_RULES, *ATOMICITY_RULES, *RES_RULES,
+                 *NOQA_RULES):
         registry.register(rule)
     return registry

@@ -101,12 +101,9 @@ class ClassInfo:
 class ModuleSymbols:
     """Per-module slice of the table."""
 
-    __slots__ = ("module", "path", "tree", "imports", "classes", "functions")
+    __slots__ = ("imports", "classes", "functions")
 
-    def __init__(self, module: str, path: str, tree: ast.Module):
-        self.module = module
-        self.path = path
-        self.tree = tree
+    def __init__(self) -> None:
         self.imports: Dict[str, str] = {}   # local name -> dotted target
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, ast.AST] = {}
@@ -151,19 +148,19 @@ def _scan_init(info: ClassInfo, init: ast.AST) -> None:
 class SymbolTable:
     """Classes, functions and imports of every analyzed module."""
 
-    def __init__(self, modules: Iterable[Tuple[str, str, ast.Module]]):
+    def __init__(self, modules: Iterable[Tuple[str, ast.Module]]):
         self.modules: Dict[str, ModuleSymbols] = {}
         self.classes: Dict[str, ClassInfo] = {}  # by qualname
         self._subclasses: Dict[str, List[str]] = {}
         self._mro_cache: Dict[str, Tuple[ClassInfo, ...]] = {}
-        for module, path, tree in modules:
-            self._scan_module(module, path, tree)
+        for module, tree in modules:
+            self._scan_module(module, tree)
         self._index_subclasses()
 
     # -- construction -----------------------------------------------------
 
-    def _scan_module(self, module: str, path: str, tree: ast.Module) -> None:
-        symbols = ModuleSymbols(module, path, tree)
+    def _scan_module(self, module: str, tree: ast.Module) -> None:
+        symbols = ModuleSymbols()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

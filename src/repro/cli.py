@@ -407,7 +407,7 @@ def _dispatch(args) -> int:
         return _compare(args)
     if args.command == "lint":
         return execute_lint(args.paths, args.output_format,
-                            args.list_rules, args.emit_msgflow)
+                            args.list_rules)
     if args.command == "wirefuzz":
         return _wirefuzz(args)
     return _info()

@@ -14,8 +14,8 @@ sources, mirroring how a node learns about ordinary messages:
   are recognised as already applied).
 
 The durable record ``(epoch, members, applied-command-ids)`` is written
-*before* the in-memory view mutates (the WAL discipline the lint
-patrols) and is re-read on recovery; the epoch-0 view is never logged,
+*before* the in-memory view mutates (the write-ahead discipline) and
+is re-read on recovery; the epoch-0 view is never logged,
 so a static-membership run performs zero additional log operations —
 the bit-identity guarantee the ``BENCH_PR7.json`` of commit ``42a6857``
 recorded.

@@ -245,6 +245,10 @@ class Node:
         send order.  A commit that fails, and a disk fault
         (:class:`InjectedCrashFault`) anywhere in the turn, release
         nothing: no frame leaves ahead of the records it may depend on.
+        A commit that fails (``OSError``) also crashes the node before
+        the error goes on — fail-stop, as a disk fault's harness does —
+        since its map now holds records its journal does not; the
+        restart replays what the journal kept.
         Any other exception of the step leaves the turn as it stands:
         what it logged commits, what it sent leaves, and then the
         exception goes on, so the store's map and its journal agree on a
@@ -264,6 +268,10 @@ class Node:
                     raise
                 except BaseException as error:
                     failure = error
+        except OSError:
+            self.outbox = None
+            self.crash()
+            raise
         finally:
             # An exception leaves here only when the barrier did not
             # commit, and the outbox is dropped with it.

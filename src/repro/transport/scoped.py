@@ -5,7 +5,7 @@ Atomic Broadcast + consensus stack *per group*.  Those stacks must not
 see each other's traffic or peers.  A :class:`ScopedEndpoint` wraps the
 node's real endpoint and
 
-* restricts ``peers()``/``multisend`` to the group's membership,
+* restricts ``peers()`` and ``send`` to the group's membership,
 * prefixes every message type with the scope name (wrapping outgoing
   messages in a :class:`ScopedMessage` envelope and unwrapping incoming
   ones), so two stacks registering the same handler types never collide;
@@ -13,9 +13,10 @@ node's real endpoint and
   same envelope, to the node's endpoint beside the message, so each
   stack's gossip rides only that stack's frames.
 
-The wrapped endpoint quacks exactly like :class:`~repro.transport.endpoint.Endpoint`
-for the protocol layers (``send``/``multisend``/``register``/``peers``/
-``node``/``node_id``/``rider``).
+The wrapped endpoint quacks like :class:`~repro.transport.endpoint.Endpoint`
+for the layers a group runs — Atomic Broadcast, Paxos and the failure
+detector — which send only point to point (``send``/``register``/
+``peers``/``node``/``node_id``/``rider``; no ``multisend``).
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ class ScopedEndpoint:
         self.endpoint.send(dst, ScopedMessage(self.scope, message),
                            None if rider is None
                            else ScopedMessage(self.scope, rider))
-
-    def multisend(self, message: WireMessage) -> None:
-        """Multisend within the scope (the group's member set)."""
-        envelope = ScopedMessage(self.scope, message)
-        for dst in self.members:
-            self.endpoint.send(dst, envelope)
 
     def register(self, msg_type: str,
                  handler: Callable[[Any, int], None]) -> None:

@@ -13,7 +13,7 @@ registers for shows as ``NetworkMetrics.unhandled``.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 import pytest
 
@@ -59,8 +59,11 @@ def run(protocol: str):
     return cluster.network, sent
 
 
-def drive(protocol: str):
-    """A cluster after a short run of ``protocol``, and what it sent."""
+def drive(protocol: str,
+          watch: Callable[[Any], Any] = lambda cluster:
+          record_sends(cluster.network)):
+    """A cluster after a short run of ``protocol``, and what ``watch``
+    returned for it just before its start (by default: what it sent)."""
     if protocol == "multigroup":
         cluster = MultiGroupCluster({"g1": [0, 1, 2], "g2": [2, 3]}, seed=3)
         submit = lambda node, payload: cluster.multicast(  # noqa: E731
@@ -70,7 +73,7 @@ def drive(protocol: str):
         cluster = Cluster(ClusterConfig(n=3, seed=3, protocol=protocol))
         submit = cluster.submit
         crash = cluster.nodes[1]
-    sent = record_sends(cluster.network)
+    watched = watch(cluster)
     cluster.start()
     for j in range(12):
         cluster.sim.schedule(0.1 + 0.12 * j, submit, j % 2 * 2, ("m", j))
@@ -78,7 +81,7 @@ def drive(protocol: str):
         cluster.sim.schedule(0.7, crash.crash)
         cluster.sim.schedule(1.3, crash.recover)
     cluster.run(until=2.0)
-    return cluster, sent
+    return cluster, watched
 
 
 @pytest.fixture(scope="module", params=PROTOCOLS)

@@ -64,7 +64,7 @@ def test_sarif_shape():
     run = document["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    assert {"DET001", "WAL002", "ATM001", "RES002"} <= set(rule_index)
+    assert {"DET001", "ATM001", "RES002", "NOQ001"} <= set(rule_index)
     result = run["results"][0]
     assert result["ruleId"] == "DET001"
     assert result["ruleIndex"] == rule_index["DET001"]

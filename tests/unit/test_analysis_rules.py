@@ -23,7 +23,6 @@ from repro.cli import main as cli_main
 from repro.errors import AnalysisError
 
 SIM_MODULE = "repro.runtime.fixture"
-CORE_MODULE = "repro.core.fixture"
 UNSCOPED_MODULE = "myapp.utils"
 
 
@@ -194,66 +193,24 @@ def test_sorted_set_iteration_is_clean():
     assert findings == []
 
 
-# -- WAL002: raw transport sends ---------------------------------------------
+# -- suppression syntax -------------------------------------------------------
 
-RAW_SEND = """
-    class Proto:
-        def gossip(self):
-            self.node.network.send(self.node.node_id, 2, "msg")
+BLOCKING_CALL = """
+    import time
+
+    async def pace():
+        time.sleep(0.1)
 """
 
 
-def test_raw_network_send_flagged():
-    findings = check(RAW_SEND, module=CORE_MODULE)
-    assert rule_ids(findings) == ["WAL002"]
-    assert "endpoint" in findings[0].message
+def test_blocking_call_suppressed():
+    assert rule_ids(check(BLOCKING_CALL, module="repro.harness.fixture")) \
+        == ["RES002"]
+    suppressed = BLOCKING_CALL.replace(
+        "(0.1)",
+        "(0.1)  # repro: noqa(RES002) -- suppression syntax under test")
+    assert check(suppressed, module="repro.harness.fixture") == []
 
-
-def test_raw_medium_multisend_flagged():
-    findings = check("""
-        class Proto:
-            def flood(self):
-                self._medium.multisend(0, "msg")
-    """, module="repro.consensus.fixture")
-    assert rule_ids(findings) == ["WAL002"]
-
-
-def test_endpoint_send_is_clean():
-    findings = check("""
-        class Proto:
-            def reply(self, sender):
-                self.endpoint.send(sender, "ack")
-                self.endpoint.multisend("all")
-    """, module=CORE_MODULE)
-    assert findings == []
-
-
-def test_generator_send_is_clean():
-    # Generators also have .send(); the rule keys on transport-shaped
-    # receiver names, not the method name alone.
-    findings = check("""
-        class Proto:
-            def resume(self):
-                self.task.gen.send(None)
-    """, module=CORE_MODULE)
-    assert findings == []
-
-
-def test_raw_send_out_of_scope_package():
-    # The transport package itself is the sanctioned caller of the
-    # medium (the endpoint); harnesses wire media.
-    assert check(RAW_SEND, module="repro.transport.fixture") == []
-    assert check(RAW_SEND, module="repro.harness.fixture") == []
-
-
-def test_raw_send_suppressed():
-    suppressed = RAW_SEND.replace(
-        '"msg")',
-        '"msg")  # repro: noqa(WAL002) -- suppression syntax under test')
-    assert check(suppressed, module=CORE_MODULE) == []
-
-
-# -- suppression syntax -------------------------------------------------------
 
 def test_set_iteration_suppressed():
     findings = check("""
@@ -338,8 +295,8 @@ def test_duplicate_rule_id_rejected():
 def test_registry_has_all_families():
     ids = default_registry().ids()
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-            "WAL002", "ATM001", "RES002", "NOQ001"} <= set(ids)
-    assert "WAL001" not in ids and len(ids) == 9
+            "ATM001", "RES002", "NOQ001"} <= set(ids)
+    assert len(ids) == 8
 
 
 def test_reporters(tmp_path):
@@ -467,7 +424,7 @@ def test_cli_list_rules(capsys):
     status = cli_main(["lint", "--list-rules"])
     assert status == 0
     out = capsys.readouterr().out
-    assert "WAL002" in out and "DET004" in out and "RES002" in out
+    assert "ATM001" in out and "DET004" in out and "RES002" in out
 
 
 def test_list_rules_into_a_closed_pipe_exits_quietly():

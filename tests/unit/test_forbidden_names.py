@@ -67,6 +67,13 @@ GUARDS = (
      "commit, so log-before-send holds by construction; the rules that "
      "approximated it from the AST, and their declarations, are "
      "deleted"),
+    ("observed-msgflow",
+     r"repro\.analysis\.(msgflow|sites|wal)\b|emit.msgflow|build_msgflow"
+     r"|DirectTransportSendRule|\bWAL002\b", ("src", "tests"), None,
+     "the message-flow graph is observed in runs (MSGFLOW.json, gated "
+     "by tests/integration/test_msgflow.py, whose raw edge is a frame "
+     "that bypassed the endpoint); the static inference, its call-site "
+     "vocabulary and WAL002 are deleted"),
     ("Simulator", r"(?<!\w)Simulator(?!\w)", CODE, None,
      "SimRuntime has one name; the alias is deleted"),
     ("one-event-channel",
@@ -185,3 +192,11 @@ def test_a_planted_name_trips_its_guard(tmp_path):
         "src/repro/analysis/rules.py:1: class UnrecoveredWriteRule:",
         "src/repro/analysis/rules.py:2: "
         "task()  # repro: noqa(SIM001) -- side effects"]
+    (tmp_path / "src" / "repro" / "analysis" / "lint.py").write_text(
+        "from repro.analysis.sites import classify\n"
+        "# repro: noqa(WAL002) -- bypass\n"
+        "repro.analysis.walk and WAL0020 stay\n")
+    assert trips(tmp_path, "observed-msgflow") == [
+        "src/repro/analysis/lint.py:1: "
+        "from repro.analysis.sites import classify",
+        "src/repro/analysis/lint.py:2: # repro: noqa(WAL002) -- bypass"]

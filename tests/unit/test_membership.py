@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus.paxos import Decide, PaxosConsensus
 from repro.core.ids import MessageId
 from repro.core.messages import AppMessage
 from repro.errors import SimulationError
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.membership import View, parse_reconfig, reconfig_payload
+from repro.transport.message import unpack
 
 
 class TestView:
@@ -151,6 +153,47 @@ class TestViewManager:
         assert manager.multisend_targets(1) == (0, 1, 2)
         assert manager.multisend_targets(7) == (0, 1, 2, 7)
 
+
+class TestADroppedMemberLearnsTheDecisionThatDropsIt:
+    def test_decide_goes_to_the_members_of_its_instance(self):
+        """A reconfiguration decided in ``k`` drops node 2, and the
+        leader's ``Decide(k)`` still goes to it.  The announce is a task
+        of its own, so it may run after the layer above has installed
+        the new view and the instance's driver has forgotten ``k``'s
+        pinned members; here it runs 0.2 s late, and only the members
+        captured at the decision still name node 2."""
+        cluster = Cluster(ClusterConfig(n=3, seed=0, protocol="basic"))
+        leader = cluster.nodes[0]
+        spawn = leader.spawn
+
+        def late(generator, name):
+            if name != "paxos-decide":
+                return spawn(generator, name)
+            cluster.sim.schedule(0.2, spawn, generator, name)
+        leader.spawn = late
+        decides = []
+        send = cluster.network.send
+
+        def recording(src, dst, frame):
+            for message in unpack(frame):
+                if type(message) is Decide and src == 0:
+                    decides.append((message.k, dst))
+            send(src, dst, frame)
+        cluster.network.send = recording
+        cluster.start()
+        for j in range(4):
+            cluster.sim.schedule(0.1 + 0.2 * j, cluster.submit, 0, ("m", j))
+        commands = []
+        cluster.sim.schedule(
+            0.5, lambda: commands.append(cluster.remove_node(2)))
+        cluster.run(until=3.0)
+        assert cluster.views[0].view == View(1, [0, 1])
+        consensus = leader.get_component(PaxosConsensus)
+        decided = {k: consensus.decided_value(k) for k in range(10)}
+        (k,) = [k for k, value in decided.items() if value is not None
+                and commands[0].id in {getattr(item, "id", item)
+                                       for item in value}]
+        assert (k, 2) in decides
 
 class TestClusterConfigValidation:
     def test_sequencer_outside_member_set_rejected(self):

@@ -60,23 +60,6 @@ class TestScoping:
         with pytest.raises(SimulationError):
             scoped.send(3, Note("x"))
 
-    def test_multisend_reaches_members_only(self, sim):
-        net, nodes, endpoints = build(sim)
-        received = {i: [] for i in range(4)}
-        for i in (0, 1, 2):
-            member = ScopedEndpoint(endpoints[i], "g", [0, 1, 2])
-            member.register("test.note",
-                            lambda m, s, i=i: received[i].append(m.text))
-        # Node 3 registers the raw type AND would see envelopes only if
-        # it registered the scoped type; it gets nothing either way.
-        endpoints[3].register("test.note",
-                              lambda m, s: received[3].append(m.text))
-        sender = ScopedEndpoint(endpoints[0], "g", [0, 1, 2])
-        sender.multisend(Note("hi"))
-        sim.run()
-        assert received[0] == received[1] == received[2] == ["hi"]
-        assert received[3] == []
-
 
 class TestNamespacing:
     def test_two_scopes_do_not_collide(self, sim):
@@ -87,8 +70,8 @@ class TestNamespacing:
             member.register(
                 "test.note",
                 lambda m, s, scope=scope: got[scope].append(m.text))
-        ScopedEndpoint(endpoints[0], "a", [0, 1]).multisend(Note("for-a"))
-        ScopedEndpoint(endpoints[0], "b", [0, 1]).multisend(Note("for-b"))
+        ScopedEndpoint(endpoints[0], "a", [0, 1]).send(1, Note("for-a"))
+        ScopedEndpoint(endpoints[0], "b", [0, 1]).send(1, Note("for-b"))
         sim.run()
         assert got == {"a": ["for-a"], "b": ["for-b"]}
 

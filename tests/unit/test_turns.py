@@ -12,6 +12,7 @@ medium.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import os
 
@@ -187,6 +188,31 @@ class TestFailingTurns:
         assert pair.network.metrics.sent == 0
         assert pair.repliers[1].pongs == []
         assert pair.nodes[0].outbox is None
+
+    def test_a_commit_that_fails_stops_the_node(self, tmp_path):
+        disk = OsDisk(str(tmp_path))
+        pair = Pair(StableStorage(disk), logs=2)
+        pair.ping(1)
+        append = disk.append
+
+        def fails_once(data):
+            disk.append = append
+            raise OSError(errno.EIO, "Input/output error")
+        disk.append = fails_once
+        node = pair.nodes[0]
+        with pytest.raises(OSError):
+            pair.ping(2)
+        # Fail-stop: down, with no frame of the failed turn released...
+        assert not node.up and node.crash_count == 1
+        pair.sim.run(until=1.0)
+        assert pair.repliers[1].pongs == [1]
+        # ...and it restarts on what its journal holds.
+        node.recover()
+        journal = StableStorage(OsDisk(str(tmp_path)))
+        assert [(key, node.storage.retrieve(key))
+                for key in node.storage.keys()] == \
+            [(key, journal.retrieve(key)) for key in journal.keys()]
+        assert node.storage.retrieve(("ping", 1)) == 1
 
     def test_a_frame_the_medium_refuses_fails_at_its_send(self):
         pair = Pair(StableStorage(SimDisk()), send_first=True)
