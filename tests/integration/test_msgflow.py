@@ -303,6 +303,35 @@ def test_the_observed_graph_is_the_committed_one(observed):
         assert render(observed) == handle.read()
 
 
+def test_covers_all_five_protocols_and_plumbing(observed):
+    # basic/gossip AB, Paxos, Chandra-Toueg, quorum replication,
+    # multigroup multicast, sequencer baseline, failure detector.
+    tags = {tag for _, tag, _ in observed["sends"]}
+    assert {"ab.gossip", "ab.state", "paxos.prepare", "paxos.accept",
+            "ct.estimate", "ct.decide", "qr.query", "qr.store",
+            "mg.announce", "seq.forward", "fd.alive"} <= tags
+
+
+def test_multigroup_announce_resolves(observed):
+    assert handlers_of(observed, "mg.announce") == [
+        ["mg.announce", "MultiGroupMulticast._on_announce"]]
+    assert {edge[0] for edge in sends_of(observed, "mg.announce")} == {
+        "MultiGroupMulticast._announce_once",
+        "MultiGroupMulticast._on_announce"}
+
+
+def test_scoped_tags_reach_their_inner_handlers(observed):
+    # A scoped endpoint unwraps to the handler its inner tag has when
+    # it travels unscoped.
+    scoped = sorted({tag for _, tag, _ in observed["sends"]
+                     if tag.startswith("<scope>::")})
+    assert scoped
+    for tag in scoped:
+        inner = tag[len("<scope>::"):]
+        assert [handler for _, handler in handlers_of(observed, tag)] == \
+            [handler for _, handler in handlers_of(observed, inner)] != []
+
+
 def test_no_frame_bypasses_an_endpoint(observed):
     assert [edge for edge in observed["sends"] if edge[2] == "raw"] == []
 
