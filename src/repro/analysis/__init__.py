@@ -1,23 +1,22 @@
 """Protocol-aware static analysis for the reproduction.
 
-The reproduction rests on an invariant no type checker knows about:
-**determinism** — every run is a pure function of the seed
-(:mod:`repro.runtime.sim`'s contract).  Wall-clock reads, OS entropy,
-the global ``random`` module and hash-ordered ``set`` iteration all
-break it silently.  (The paper's other discipline, log-before-send,
-holds by construction — a node's turn commits before its frames leave —
-and the message-flow graph observed in runs, ``MSGFLOW.json``, shows no
-frame that bypasses the endpoint.)
+Two rules guard what a run cannot show cheaply: **ATM001**, a
+read-modify-write of a protocol field interrupted by a scheduling
+boundary, and **RES002**, a blocking call inside the live runtime's
+async code.  The other invariants are checked by runs: determinism by
+running a seeded set twice in each of two interpreters with different
+hash seeds (``tests/integration/test_determinism.py``), log-before-send
+by construction (a node's turn commits before its frames leave), and the
+message-flow graph by observing it (``MSGFLOW.json``).
 
-This package enforces determinism (plus atomicity and resource
-hygiene) with an AST-based rule engine: a registry of scoped rules, per-line suppressions
-(``# repro: noqa(RULE) -- justification``), text/JSON reporters, and a
-CLI (``repro lint`` / ``python -m repro.analysis``).
+The package is an AST-based rule engine: a registry of scoped rules,
+text/JSON/SARIF reporters, and a CLI (``repro lint`` /
+``python -m repro.analysis``).
 
 >>> from repro.analysis import analyze_source
->>> analyze_source("import time\\nt = time.time()\\n",
-...                module="repro.runtime.example")  # doctest: +ELLIPSIS
-[<Finding DET001 ...>]
+>>> analyze_source("import time\\nasync def pace():\\n    time.sleep(1)\\n",
+...                module="repro.harness.example")  # doctest: +ELLIPSIS
+[<Finding RES002 ...>]
 """
 
 from repro.analysis.engine import (Finding, ModuleContext, Report,

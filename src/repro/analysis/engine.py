@@ -1,4 +1,4 @@
-"""Analyzer engine: parse modules, run rules, honour suppressions.
+"""Analyzer engine: parse modules, run rules, sort the findings.
 
 The engine is AST-only — no imports of the code under analysis — so it
 can lint a broken working tree and runs in seconds as a CI gate.  Rules
@@ -10,24 +10,13 @@ come in two shapes:
   graph — and implement ``check_project(project)``.  ``analyze_source``
   wraps a single module in a one-module project so fixture tests can
   drive them the same way.
-
-Suppressions
-------------
-A finding is suppressed by a comment on the flagged line::
-
-    delay = random.random()  # repro: noqa(DET004) -- reviewed: seeded upstream
-
-``# repro: noqa`` with no rule list suppresses every rule on that line.
-The text after ``--`` is a free-form justification; reviewers should
-treat a bare suppression (no justification) as a smell.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.registry import Rule, RuleRegistry, default_registry
 from repro.errors import AnalysisError
@@ -35,18 +24,6 @@ from repro.errors import AnalysisError
 __all__ = ["Finding", "ModuleContext", "ProjectContext", "Report",
            "analyze_source", "analyze_paths", "iter_python_files",
            "module_name_for_path", "parse_paths"]
-
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa(?:\s*\(\s*(?P<rules>[A-Za-z0-9_,\s]+)\s*\))?")
-
-#: The ``--`` justification that must follow a noqa (NOQ001's contract).
-_JUSTIFIED_RE = re.compile(r"\s*--\s*\S")
-
-_ALL_RULES = "*"
-#: Marker for an *unjustified* blanket noqa: suppresses everything
-#: except NOQ001, which must be able to flag the bare comment itself.
-_ALL_BUT_NOQA = "*-noqa"
-_NOQA_RULE_ID = "NOQ001"
 
 
 class Finding:
@@ -79,15 +56,12 @@ class Finding:
 class ModuleContext:
     """Everything a rule needs to inspect one module."""
 
-    __slots__ = ("module", "path", "tree", "source", "lines")
+    __slots__ = ("module", "path", "tree")
 
-    def __init__(self, module: str, path: str, tree: ast.Module,
-                 source: str):
+    def __init__(self, module: str, path: str, tree: ast.Module):
         self.module = module
         self.path = path
         self.tree = tree
-        self.source = source
-        self.lines = source.splitlines()
 
     def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
@@ -156,29 +130,6 @@ class Report:
         return not self.findings
 
 
-def _suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
-    """Map 1-based line number -> suppressed rule ids (``*`` = all)."""
-    table: Dict[int, Set[str]] = {}
-    for number, line in enumerate(lines, start=1):
-        match = _NOQA_RE.search(line)
-        if match is None:
-            continue
-        rules = match.group("rules")
-        if rules is None:
-            selected = {_ALL_RULES}
-        else:
-            selected = {part.strip().upper()
-                        for part in rules.split(",") if part.strip()}
-        if not _JUSTIFIED_RE.match(line[match.end():]):
-            # An unjustified noqa must not suppress NOQ001 — the rule
-            # that flags exactly this comment.
-            selected.discard(_NOQA_RULE_ID)
-            if _ALL_RULES in selected:
-                selected = (selected - {_ALL_RULES}) | {_ALL_BUT_NOQA}
-        table[number] = selected
-    return table
-
-
 def module_name_for_path(path: str) -> str:
     """Dotted module name, anchored at the innermost ``repro`` directory.
 
@@ -204,22 +155,7 @@ def _parse_context(source: str, module: str, path: str) -> ModuleContext:
     except SyntaxError as exc:
         raise AnalysisError(
             f"{path}:{exc.lineno}: cannot parse: {exc.msg}") from exc
-    return ModuleContext(module, path, tree, source)
-
-
-def _live_filter(contexts: Sequence[ModuleContext]):
-    """A ``live(finding) -> bool`` predicate honouring noqa comments."""
-    suppressed: Dict[str, Dict[int, Set[str]]] = {
-        ctx.path: _suppressions(ctx.lines) for ctx in contexts}
-
-    def live(finding: Finding) -> bool:
-        allowed = suppressed.get(finding.path, {}).get(finding.line, ())
-        if _ALL_RULES in allowed or finding.rule_id in allowed:
-            return False
-        return not (_ALL_BUT_NOQA in allowed and
-                    finding.rule_id != _NOQA_RULE_ID)
-
-    return live
+    return ModuleContext(module, path, tree)
 
 
 def _module_findings(ctx: ModuleContext,
@@ -243,14 +179,11 @@ def _project_findings(contexts: Sequence[ModuleContext],
 
 def _run_rules(contexts: Sequence[ModuleContext],
                registry: RuleRegistry) -> List[Finding]:
-    """Module rules per file, project rules once, suppressions applied."""
-    live = _live_filter(contexts)
+    """Module rules per file, then project rules once."""
     findings: List[Finding] = []
     for ctx in contexts:
-        findings.extend(f for f in _module_findings(ctx, registry)
-                        if live(f))
-    findings.extend(f for f in _project_findings(contexts, registry)
-                    if live(f))
+        findings.extend(_module_findings(ctx, registry))
+    findings.extend(_project_findings(contexts, registry))
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -258,7 +191,7 @@ def _run_rules(contexts: Sequence[ModuleContext],
 def analyze_source(source: str, *, module: str = "<string>",
                    path: str = "<string>",
                    registry: Optional[RuleRegistry] = None) -> List[Finding]:
-    """Run every applicable rule over ``source``; returns live findings.
+    """Run every applicable rule over ``source``; returns its findings.
 
     Project rules see a one-module project: cross-module resolution is
     unavailable, which is exactly what fixture tests want.

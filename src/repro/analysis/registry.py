@@ -6,10 +6,8 @@ A rule is a small object that inspects one module's AST and yields
 be generated from the same source of truth.
 
 Rules are *scoped*: each rule declares the package prefixes it applies
-to (``None`` means everywhere).  The determinism family, for example,
-only patrols the packages whose behaviour must be a pure function of the
-seed — utilities outside the simulation boundary may use the wall clock
-freely.
+to (``None`` means everywhere).  The blocking-call rule, for example,
+only patrols the packages that run on the live event loop.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ class Rule:
     Class attributes
     ----------------
     id:
-        Stable identifier (``DET001``, ``ATM001``, ...) used in reports
-        and ``# repro: noqa(ID)`` suppressions.
+        Stable identifier (``ATM001``, ``RES002``) used in reports.
     name:
         Short kebab-case name for listings.
     summary:
@@ -47,14 +44,6 @@ class Rule:
         Why the rule exists, anchored to the paper (section/figure).
     scope:
         Dotted package prefixes the rule patrols; ``None`` = all modules.
-    exclude:
-        Patterns carved *out* of the scope.  A plain dotted name excludes
-        that module and its submodules; a trailing ``*`` is a name glob
-        (``"repro.runtime.live*"`` excludes ``repro.runtime.live`` *and*
-        ``repro.runtime.live_net``).  Exclusion is explicit configuration
-        — preferred over blanket ``# repro: noqa`` comments when a whole
-        module legitimately sits outside a rule's contract (see
-        docs/ANALYSIS.md).
     """
 
     id: str = ""
@@ -62,22 +51,13 @@ class Rule:
     summary: str = ""
     rationale: str = ""
     scope: Optional[Tuple[str, ...]] = None
-    exclude: Tuple[str, ...] = ()
     #: Project rules see every analyzed module at once (symbol table,
     #: call graph) and implement :meth:`check_project` instead of
     #: :meth:`check`; ``scope`` then selects their analysis *roots*.
     requires_project: bool = False
 
-    @staticmethod
-    def _matches(module: str, pattern: str) -> bool:
-        if pattern.endswith("*"):
-            return module.startswith(pattern[:-1])
-        return module == pattern or module.startswith(pattern + ".")
-
     def applies_to(self, module: str) -> bool:
         """True if ``module`` (dotted name) falls inside the rule's scope."""
-        if any(self._matches(module, pattern) for pattern in self.exclude):
-            return False
         if self.scope is None:
             return True
         return any(module == prefix or module.startswith(prefix + ".")
@@ -138,12 +118,9 @@ def default_registry() -> RuleRegistry:
     """The registry holding every built-in rule family."""
     # Imported here so the registry module stays import-cycle-free.
     from repro.analysis.atomicity import ATOMICITY_RULES
-    from repro.analysis.determinism import DETERMINISM_RULES
-    from repro.analysis.noqarules import NOQA_RULES
     from repro.analysis.resources import RES_RULES
 
     registry = RuleRegistry()
-    for rule in (*DETERMINISM_RULES, *ATOMICITY_RULES, *RES_RULES,
-                 *NOQA_RULES):
+    for rule in (*ATOMICITY_RULES, *RES_RULES):
         registry.register(rule)
     return registry

@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "identical signatures and full traces")
 
     lint = commands.add_parser(
-        "lint", help="protocol-aware static analysis (determinism, "
-                     "write-ahead-logging, sim-coroutine rules)")
+        "lint", help="protocol-aware static analysis (interrupted "
+                     "read-modify-write, blocking call in async code)")
     add_lint_arguments(lint)
 
     wirefuzz = commands.add_parser(

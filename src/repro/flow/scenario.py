@@ -68,7 +68,7 @@ def overload_scenario(seed: int = 0,
     """
     def faulty_factory(node_id: int) -> StableStorage:
         return StableStorage(SimDisk(
-            rng=random.Random(f"overload-disk:{seed}:{node_id}"),  # repro: noqa(DET004) -- private stream from the scenario seed
+            rng=random.Random(f"overload-disk:{seed}:{node_id}"),
             node_hint=node_id))
 
     # 120 broadcasts offered to node 0 inside one virtual second.  The

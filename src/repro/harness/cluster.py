@@ -240,9 +240,6 @@ class ClusterCore:
     def _open(self, node_id: int) -> None:
         """Connect a node that is about to come up to the medium."""
 
-    def _close(self, node_id: int) -> None:
-        """Drop whatever a node that just went down held outside its stack."""
-
     # -- construction ---------------------------------------------------------
 
     def _build_node(self, node_id: int, view: View,
@@ -344,14 +341,11 @@ class ClusterCore:
     def crash(self, node_id: int) -> None:
         """Crash an up node; only its stable storage survives.
 
-        A no-op on a node that is already down, so a second crash never
-        reopens its store or touches the socket again.
+        The one crash path (:meth:`Node.crash`), which a fail-stop and
+        every fault injector take too: its endpoint closes what the node
+        held on the medium.  A no-op on a node that is already down.
         """
-        node = self.nodes[node_id]
-        if not node.up:
-            return
-        node.crash()
-        self._close(node_id)
+        self.nodes[node_id].crash()
 
     def recover(self, node_id: int) -> None:
         """Bring a crashed node back through the single recovery entry.

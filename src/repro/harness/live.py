@@ -65,10 +65,6 @@ class LiveCluster(ClusterCore):
         """Bind a fresh UDP socket on a new ephemeral port."""
         self.runtime.loop.run_until_complete(self.network.open(node_id))
 
-    def _close(self, node_id: int) -> None:
-        """The rest of a process kill: the socket goes too."""
-        self.network.close(node_id)
-
     # The frozen benchmark drives crash-recovery under these names.
     kill = ClusterCore.crash
     restart = ClusterCore.recover

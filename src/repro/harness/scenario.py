@@ -46,7 +46,7 @@ from repro.harness.verify import (VerificationReport,
 from repro.metrics.collector import RunMetrics
 
 __all__ = ["Scenario", "ScenarioResult", "check_reproducible",
-           "run_scenario"]
+           "run_scenario", "trace_difference"]
 
 _CONTROLLERS = {"sim": SimChaosController, "live": LiveChaosController}
 
@@ -200,7 +200,7 @@ def _drive(scenario: Scenario, result: ScenarioResult) -> None:
     result.metrics = cluster.metrics()
 
 
-def check_reproducible(scenario: Scenario) -> ScenarioResult:
+def check_reproducible(scenario: Any) -> Any:
     """Run a sim scenario twice and demand bit-identical runs: equal
     signatures and, event for event, equal full traces
     (:meth:`~repro.metrics.collector.TraceEvent.format`).
@@ -208,8 +208,15 @@ def check_reproducible(scenario: Scenario) -> ScenarioResult:
     Each run gets its own deep copy of the scenario, so stateful parts —
     a workload's counters and backoff stream, a ``RandomFaults`` stream —
     start fresh both times, and keeps every event.  Returns the first
-    run.
+    run.  ``scenario`` may also be a function that makes one sim run
+    from scratch and returns the collector that kept its events (a
+    driver that builds its own nodes); then the traces alone are
+    compared, and the first collector is returned.
     """
+    if not isinstance(scenario, Scenario):
+        first, second = scenario(), scenario()
+        _same_traces(first, second)
+        return first
     if scenario.runtime != "sim":
         raise ReproError("reproducibility needs the deterministic sim "
                          "runtime; live timing is the wall clock's")
@@ -225,12 +232,22 @@ def check_reproducible(scenario: Scenario) -> ScenarioResult:
         raise VerificationError(
             f"scenario is not reproducible: {', '.join(diverged)} "
             f"diverge between two same-seed runs")
-    traces = [run.cluster.collector.format_text().splitlines()
-              for run in runs]
-    for index, (one, other) in enumerate(
-            itertools.zip_longest(*traces, fillvalue="(no event)")):
-        if one != other:
-            raise VerificationError(
-                f"scenario is not reproducible: trace event {index} "
-                f"differs between two same-seed runs:\n  {one}\n  {other}")
+    _same_traces(first.cluster.collector, second.cluster.collector)
     return first
+
+
+def trace_difference(one: str, other: str) -> Optional[str]:
+    """The first event in which two printed traces differ, or None."""
+    for index, (a, b) in enumerate(itertools.zip_longest(
+            one.splitlines(), other.splitlines(), fillvalue="(no event)")):
+        if a != b:
+            return f"trace event {index} differs:\n  {a}\n  {b}"
+    return None
+
+
+def _same_traces(first: Any, second: Any) -> None:
+    difference = trace_difference(first.format_text(), second.format_text())
+    if difference is not None:
+        raise VerificationError(
+            f"scenario is not reproducible between two same-seed runs: "
+            f"{difference}")

@@ -87,6 +87,10 @@ class TransportMedium(Protocol):
     ``message`` may be a :class:`~repro.transport.message.Packet`: a
     frame and its rider, sent, lost, duplicated and delayed as one, the
     rider handed to the receiver first.
+
+    ``close`` drops what a node that just crashed held on the medium
+    (its endpoint calls it): a live node's socket and the frames it had
+    buffered go with the process.
     """
 
     def register(self, node: Any) -> None: ...
@@ -97,6 +101,8 @@ class TransportMedium(Protocol):
 
     def multisend(self, src: int, message: Any,
                   targets: Optional[Tuple[int, ...]] = None) -> None: ...
+
+    def close(self, node_id: int) -> None: ...
 
 
 # Per-node stable storage injection: ``factory(node_id) -> StableStorage``.

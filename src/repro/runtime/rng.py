@@ -41,7 +41,7 @@ class SeedSequence:
             return existing
         # The one sanctioned random.Random construction: this *is* the
         # seed boundary every other draw in the system flows from.
-        stream = random.Random(self.derive(name))  # repro: noqa(DET004) -- the sanctioned seed boundary itself
+        stream = random.Random(self.derive(name))
         self._streams[name] = stream
         return stream
 

@@ -224,10 +224,10 @@ def equivalent(left: Any, right: Any) -> bool:
 
 def _streams(seed: int, count: int) -> Iterator[Tuple[int, random.Random]]:
     """``count`` seeded streams, each with the sub-seed that replays it."""
-    master = random.Random(seed)  # repro: noqa(DET004) -- fuzz harness: explicitly seeded by the caller
+    master = random.Random(seed)
     for _ in range(count):
         sub_seed = master.randrange(2 ** 63)
-        yield sub_seed, random.Random(sub_seed)  # repro: noqa(DET004) -- per-iteration stream; sub_seed printed for replay
+        yield sub_seed, random.Random(sub_seed)
 
 
 def _check(report: FuzzReport, suite: str, sub_seed: int, label: str,

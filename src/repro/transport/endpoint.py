@@ -99,8 +99,11 @@ class Endpoint(NodeComponent):
     # -- lifecycle ------------------------------------------------------------
 
     def on_crash(self) -> None:
-        """The rider hook is volatile: lost on crash."""
+        """The rider hook is volatile: lost on crash.  So is what the
+        node held on the medium (on live, its socket and the frames it
+        buffered), whoever crashed it."""
         self.rider = None
+        self.network.close(self.node_id)
 
     @property
     def node_id(self) -> int:

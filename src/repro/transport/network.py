@@ -172,6 +172,9 @@ class Network:
         """All registered node ids, sorted."""
         return tuple(sorted(self.nodes))
 
+    def close(self, node_id: int) -> None:
+        """A crashed node holds nothing here: what it sent is in flight."""
+
     # -- partitions -------------------------------------------------------------
 
     def partition(self, a: int, b: int) -> None:

@@ -45,16 +45,44 @@ def chaos_result(tmp_path_factory):
                       network=NetworkConfig(loss_rate=BASE_LOSS),
                       gossip_interval=0.1),
         runtime="live", timeline=timeline, duration=HORIZON,
-        settle_limit=HORIZON + 30.0,
+        settle_limit=HORIZON + 30.0, trace=True,
         directory=str(tmp_path_factory.mktemp("chaos-live"))))
     return result.cluster, result.controller, result.report
 
 
+def missing(cluster, controller, delivered) -> str:
+    """For each payload submitted but not delivered: its submitter, its
+    submit time, whether the submitter crashed before delivering it, and
+    the collector's events that name it."""
+    collector = cluster.collector
+    mids = {payload: mid for mid, payload
+            in collector.broadcast_payloads.items()}
+    lines = []
+    for event in controller.applied:
+        payload = event.args.get("payload")
+        if event.kind != "submit" or payload in delivered:
+            continue
+        mid = mids.get(payload)
+        own = [time for node, _, delivered_mid, time
+               in collector.deliveries
+               if node == event.node and delivered_mid == mid]
+        crashed = [time for time in collector.crash_times.get(event.node, ())
+                   if time >= event.time and (not own or time < own[0])]
+        lines.append(f"{payload!r}: submitted by node {event.node} at "
+                     f"{event.time:.3f} as {mid}; submitter crashed before "
+                     f"delivering it: {crashed or 'no'}")
+        names = [repr(payload)] + ([repr(mid)] if mid is not None else [])
+        lines += ["  " + trace.format() for trace in collector.select()
+                  if any(name in trace.format() for name in names)]
+    return "\n".join(lines)
+
+
 def test_all_submissions_delivered(chaos_result):
-    cluster, _, report = chaos_result
+    cluster, controller, report = chaos_result
     payloads = cluster.collector.broadcast_payloads
     delivered = sorted(payloads[mid] for mid in report.canonical)
-    assert delivered == sorted(f"live-chaos-{i}" for i in range(N_MESSAGES))
+    assert delivered == sorted(f"live-chaos-{i}" for i in range(N_MESSAGES)), \
+        missing(cluster, controller, delivered)
 
 
 def test_faults_actually_happened(chaos_result):

@@ -5,6 +5,8 @@ verifies every run — a timeline replayed on the live runtime exactly as
 on the simulator, the overload-safety check included — and
 :func:`~repro.harness.scenario.check_reproducible` is the one
 reproducibility check: two same-seed runs must match event for event.
+``test_determinism.py`` also makes these seeded runs in two
+interpreters under different hash seeds.
 """
 
 from __future__ import annotations
@@ -14,16 +16,13 @@ import itertools
 
 import pytest
 
-from repro.chaos.engine import ChaosConfig, chaos_scenario, plan_scenario
 from repro.chaos.events import ChaosEvent
-from repro.chaos.inject import RandomFaults
-from repro.core.alternative import AlternativeConfig
 from repro.errors import ReproError, VerificationError
 from repro.flow.controller import FlowConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import (Scenario, check_reproducible,
                                     run_scenario)
-from repro.workloads.generators import PoissonWorkload
+from tests.integration.test_determinism import chaos, random_faults
 
 
 class _DriftingWorkload:
@@ -89,20 +88,11 @@ class TestReproducibility:
     @pytest.mark.parametrize("family", ["default", "churn", "overload"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_chaos_seeds_reproduce_event_for_event(self, family, seed):
-        config = ChaosConfig(churn=family == "churn",
-                             overload=family == "overload")
-        params, _, events = plan_scenario(config, seed)
-        result = check_reproducible(chaos_scenario(config, params, events))
+        result = check_reproducible(chaos(family, seed))
         assert result.cluster.collector.select("broadcast")
 
     def test_random_faults_reproduce_event_for_event(self):
-        result = check_reproducible(Scenario(
-            ClusterConfig(n=3, seed=6, protocol="alternative",
-                          alt=AlternativeConfig(checkpoint_interval=1.0)),
-            workload=PoissonWorkload(2.0, 10.0, seed=6),
-            faults=RandomFaults(mttf=4.0, mttr=1.0, stabilize_at=12.0,
-                                seed=6),
-            duration=15.0, settle_limit=90.0))
+        result = check_reproducible(random_faults())
         assert result.cluster.collector.select("node", action="crash")
 
     def test_live_scenarios_are_refused(self):

@@ -58,15 +58,3 @@ def test_atm001_near_miss_reread_and_other_field_stay_silent():
 
 def test_atm001_out_of_scope_module_stays_silent():
     assert check_fixture("atm001_bad.py", "repro.analysis.fixture") == []
-
-
-def test_atm001_suppressible_with_justification():
-    findings = analyze_source(
-        "class Proto:\n"
-        "    def drain(self):\n"
-        "        count = self.pending\n"
-        "        yield self.signal.wait()\n"
-        "        self.pending = count + 1"
-        "  # repro: noqa(ATM001) -- single-writer task by design\n",
-        module="repro.core.fixture", path="fixture.py")
-    assert findings == []

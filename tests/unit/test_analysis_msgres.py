@@ -1,7 +1,6 @@
-"""Fixture tests for the resource-bounds (RES002) and suppression-hygiene
-(NOQ001) rules.
+"""Fixture tests for the resource-bounds rule (RES002).
 
-Each rule gets a negative fixture (flagged at exact lines) and a
+The rule gets a negative fixture (flagged at exact lines) and a
 near-miss positive fixture (structurally close, stays silent) under
 ``tests/fixtures/analysis/``.  Fixtures are analyzed with the full
 registry, so assertions filter to the family under test — other families
@@ -50,24 +49,3 @@ def test_res002_out_of_scope_module():
     # The rule patrols the live runtime and harness only; the simulated
     # stack has no event loop to stall.
     assert check_family("res002_bad.py", "repro.core.fixture", "RES") == []
-
-
-# -- NOQ001: bare suppressions ------------------------------------------------
-
-def test_noq001_flags_unjustified_suppressions():
-    findings = check_family("noq001_bad.py", "repro.core.fixture", "NOQ")
-    assert located(findings) == [("NOQ001", 11), ("NOQ001", 15)]
-    assert "noqa(DET001)" in findings[0].message
-    assert "bare noqa" in findings[1].message
-    assert "justification" in findings[0].message
-
-
-def test_noq001_silent_when_justified():
-    assert check_family("noq001_ok.py", "repro.core.fixture", "NOQ") == []
-
-
-def test_noq001_excluded_from_the_analyzer_package():
-    # The analysis package documents the noqa syntax in docstrings; the
-    # rule is carved out of it by configuration, not by suppressions.
-    assert check_family("noq001_bad.py", "repro.analysis.fixture",
-                        "NOQ") == []

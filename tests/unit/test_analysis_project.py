@@ -44,7 +44,7 @@ def test_cli_reports_every_bad_path(tmp_path, capsys):
 
 def sarif_document():
     findings = analyze_source(
-        "import time\nt = time.time()\n",
+        "import time\nasync def pace():\n    time.sleep(0.1)\n",
         module="repro.runtime.fixture", path="src/repro/runtime/fixture.py")
     registry = default_registry()
     return json.loads(format_sarif(Report(findings, 1), registry.rules()))
@@ -64,22 +64,22 @@ def test_sarif_shape():
     run = document["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    assert {"DET001", "ATM001", "RES002", "NOQ001"} <= set(rule_index)
+    assert set(rule_index) == {"ATM001", "RES002"}
     result = run["results"][0]
-    assert result["ruleId"] == "DET001"
-    assert result["ruleIndex"] == rule_index["DET001"]
+    assert result["ruleId"] == "RES002"
+    assert result["ruleIndex"] == rule_index["RES002"]
     region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 2
+    assert region["startLine"] == 3
     assert region["startColumn"] == 5  # SARIF columns are 1-based
 
 
 def test_cli_sarif_format(tmp_path, capsys):
-    pkg = tmp_path / "repro" / "core"
+    pkg = tmp_path / "repro" / "harness"
     pkg.mkdir(parents=True)
-    bad = pkg / "clocky.py"
-    bad.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
+    bad = pkg / "pacer.py"
+    bad.write_text("import time\nasync def pace():\n    time.sleep(0.1)\n")
     status = cli_main(["lint", str(bad), "--format", "sarif"])
     assert status == 1
     document = json.loads(capsys.readouterr().out)
     assert document["version"] == "2.1.0"
-    assert document["runs"][0]["results"][0]["ruleId"] == "DET001"
+    assert document["runs"][0]["results"][0]["ruleId"] == "RES002"

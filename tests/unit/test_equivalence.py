@@ -15,9 +15,12 @@ from repro.transport.endpoint import Endpoint
 from repro.transport.network import Network, NetworkConfig
 
 
-def build(n=3, seed=0, loss=0.0):
+def build(n=3, seed=0, loss=0.0, watch=lambda net: None):
+    """``n`` nodes, each a reduction over basic Atomic Broadcast;
+    ``watch`` sees the medium before any node starts."""
     sim = SimRuntime()
     net = Network(sim, random.Random(seed), NetworkConfig(loss_rate=loss))
+    watch(net)
     nodes, reductions = {}, {}
     for i in range(n):
         node = Node(sim, i, StableStorage())

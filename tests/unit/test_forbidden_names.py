@@ -74,6 +74,14 @@ GUARDS = (
      "by tests/integration/test_msgflow.py, whose raw edge is a frame "
      "that bypassed the endpoint); the static inference, its call-site "
      "vocabulary and WAL002 are deleted"),
+    ("run-checked-determinism",
+     r"repro: noqa|DETERMINISTIC_SCOPE|LIVE_RUNTIME_EXCLUDE|\bNOQ001\b"
+     r"|\bDET00[1-5]\b", ("src", "tests"), None,
+     "a seeded run set is run twice in each of two interpreters with "
+     "different hash seeds (tests/integration/test_determinism.py); the "
+     "determinism rules, the suppression comments only they used and "
+     "the rule that policed those comments are deleted (docs keep the "
+     "history)"),
     ("Simulator", r"(?<!\w)Simulator(?!\w)", CODE, None,
      "SimRuntime has one name; the alias is deleted"),
     ("one-event-channel",
@@ -200,3 +208,11 @@ def test_a_planted_name_trips_its_guard(tmp_path):
         "src/repro/analysis/lint.py:1: "
         "from repro.analysis.sites import classify",
         "src/repro/analysis/lint.py:2: # repro: noqa(WAL002) -- bypass"]
+    (tmp_path / "src" / "repro" / "runtime").mkdir()
+    (tmp_path / "src" / "repro" / "runtime" / "rng.py").write_text(
+        "random.Random(seed)  # repro: noqa(DET004) -- boundary\n"
+        "DET0042 and DET006 and NOQ0010 stay\n")
+    assert trips(tmp_path, "run-checked-determinism",
+                 ("src/repro/runtime",)) == [
+        "src/repro/runtime/rng.py:1: "
+        "random.Random(seed)  # repro: noqa(DET004) -- boundary"]

@@ -19,8 +19,9 @@ import os
 import pytest
 
 from repro.errors import SimulationError
-from repro.harness.cluster import ClusterConfig
+from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.live import LiveCluster
+from repro.harness.verify import verify_run
 from repro.metrics.collector import MetricsCollector
 from repro.runtime import Node, NodeComponent, SeedSequence, SimRuntime
 from repro.runtime.live_net import LiveNetwork
@@ -214,6 +215,34 @@ class TestFailingTurns:
             [(key, journal.retrieve(key)) for key in journal.keys()]
         assert node.storage.retrieve(("ping", 1)) == 1
 
+    def test_a_commit_that_fails_on_live_closes_the_socket(self, tmp_path):
+        # The live twin: a node that stops itself closes what a process
+        # kill closes, and its recovery binds the socket again.
+        cluster = LiveCluster(ClusterConfig(n=3, seed=5, protocol="basic",
+                                            gossip_interval=0.1),
+                              str(tmp_path))
+        with cluster:
+            cluster.start()
+            node, network = cluster.nodes[0], cluster.network
+            disk = node.storage.disk
+            append = disk.append
+
+            def fails_once(data):
+                disk.append = append
+                raise OSError(errno.EIO, "Input/output error")
+            disk.append = fails_once
+            cluster.submit(0, "m-0")
+            cluster.run_for(1.0)
+            assert not node.up and node.crash_count == 1
+            assert 0 not in network._transports
+            assert [type(error) for error, _ in
+                    cluster.runtime.errors] == [OSError]
+            cluster.runtime.errors.clear()
+            cluster.recover(0)
+            assert node.up and 0 in network._transports
+            cluster.submit(0, "m-1")
+            assert cluster.settle(within=30.0)
+
     def test_a_frame_the_medium_refuses_fails_at_its_send(self):
         pair = Pair(StableStorage(SimDisk()), send_first=True)
         with pytest.raises(TypeError):
@@ -221,6 +250,59 @@ class TestFailingTurns:
         # The handler stopped at the send: its log after it never ran.
         assert pair.nodes[0].storage.retrieve(("ping", 0)) is None
         assert pair.network.metrics.sent == 0
+
+
+def contents(store):
+    return {key: store.retrieve(key) for key in store.keys()}
+
+
+class TestCrashBetweenCommitAndRelease:
+    """A turn's fsync succeeds, then its node dies before any of the
+    turn's frames leaves: the journal holds the turn, and the run still
+    delivers everything, because the protocols re-send what they owe."""
+
+    @pytest.mark.parametrize("protocol", ["basic", "alternative"])
+    def test_the_store_holds_the_turn_and_everything_is_delivered(
+            self, protocol):
+        cluster = Cluster(ClusterConfig(
+            n=3, seed=2, protocol=protocol,
+            storage_factory=lambda node_id: StableStorage(SimDisk())))
+        victim, network = cluster.nodes[1], cluster.network
+        disk = victim.storage.disk
+        committed = {}   # the victim's map when the cut turn committed
+        cut = []         # True while the cut turn's frames are held
+        fsync = disk.fsync
+
+        def committing():
+            fsync()
+            if not committed and cluster.sim.now >= 0.5 and victim.outbox:
+                committed.update(contents(victim.storage))
+                cut.append(True)
+        disk.fsync = committing
+
+        def releasing(send):
+            def release(src, *args):
+                if src == victim.node_id and cut:
+                    cut.clear()
+                    cluster.crash(src)
+                if cluster.nodes[src].up:
+                    send(src, *args)
+            return release
+        network.send = releasing(network.send)
+        network.multisend = releasing(network.multisend)
+
+        cluster.start()
+        for j in range(12):
+            cluster.sim.schedule(0.1 + 0.1 * j, cluster.submit, j % 2 * 2,
+                                 ("m", j))
+        cluster.run(until=2.0)
+        assert committed and victim.crash_count == 1
+        # The store the crash reopened from the journal holds the turn.
+        assert contents(victim.storage) == committed
+        cluster.recover(victim.node_id)
+        assert cluster.settle(within=60.0)
+        report = verify_run(cluster)
+        assert len(report.canonical) == 12
 
 
 class TestGroupCommit:
